@@ -21,10 +21,12 @@ from .matcore import (
 )
 from .momentseq import (
     ClassReport,
+    HankelData,
     MomentSequence,
     canonical_extension,
     class_membership,
     hankel_catalog,
+    hankel_data,
     schur_ladder,
     shift_right,
 )

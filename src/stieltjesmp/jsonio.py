@@ -1,0 +1,32 @@
+"""JSON encoding of complex scalars and matrices.
+
+A complex number is the two-element array [re, im]; a matrix is a list
+of rows of such entries.  Real JSON numbers are accepted on input.
+"""
+
+import numpy as np
+
+
+def complex_to_json(z):
+    z = complex(z)
+    return [z.real, z.imag]
+
+
+def json_to_complex(v, where="value"):
+    if isinstance(v, (int, float)):
+        return complex(v)
+    if (not isinstance(v, list)) or len(v) != 2:
+        raise ValueError(f"{where}: complex numbers must be [re, im]")
+    return complex(float(v[0]), float(v[1]))
+
+
+def matrix_to_json(M):
+    M = np.atleast_2d(np.asarray(M, dtype=complex))
+    return [[complex_to_json(x) for x in row] for row in M]
+
+
+def json_to_matrix(rows, where="matrix"):
+    if not isinstance(rows, list) or not rows:
+        raise ValueError(f"{where}: expected a non-empty array of rows")
+    data = [[json_to_complex(x, where) for x in row] for row in rows]
+    return np.asarray(data, dtype=complex)

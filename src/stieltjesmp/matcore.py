@@ -13,7 +13,6 @@ kept, so concurrent use is safe.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 @dataclass(frozen=True)
@@ -115,16 +114,20 @@ def pseudo_inverse(A, tol=DEFAULT_TOL):
     return np.linalg.pinv(A, rcond=tol.tol_rank)
 
 
-def range_included(B, A, tol=DEFAULT_TOL):
+def range_included(B, A, tol=DEFAULT_TOL, B_pinv=None):
     """True iff the column space of ``A`` is contained in that of ``B``.
 
-    Implemented as ``|A - B B^+ A| <= tol_identity * (1 + |A|)``.
+    Implemented as ``|A - B B^+ A| <= tol_identity * (1 + |A|)``.  A
+    caller that already holds ``pseudo_inverse(B, tol)`` passes it as
+    ``B_pinv``.
     """
     A = as_matrix(A)
     B = as_matrix(B)
     if A.shape[0] != B.shape[0]:
         raise ValueError("range_included needs matching row counts")
-    resid = A - B @ (pseudo_inverse(B, tol) @ A)
+    if B_pinv is None:
+        B_pinv = pseudo_inverse(B, tol)
+    resid = A - B @ (B_pinv @ A)
     return np.linalg.norm(resid) <= tol.tol_identity * (1.0 + np.linalg.norm(A))
 
 
@@ -158,14 +161,16 @@ class Subspace:
 
 
 def subspace_from_columns(M, tol=DEFAULT_TOL):
-    """Orthonormal basis of the column space of ``M`` via pivoted QR."""
+    """Orthonormal basis of the column space of ``M``: the leading left
+    singular vectors, as many as singular values above
+    ``tol_rank * sigma_max``."""
     M = as_matrix(M)
     p = M.shape[0]
-    r = mrank(M, tol)
-    if r == 0:
+    if M.size == 0:
         return Subspace(p, np.zeros((p, 0)))
-    Q, R, _ = scipy.linalg.qr(M, mode="economic", pivoting=True)
-    return Subspace(p, Q[:, :r])
+    U, s, _ = np.linalg.svd(M, full_matrices=False)
+    r = int(np.count_nonzero(s > tol.tol_rank * s[0])) if s[0] > 0.0 else 0
+    return Subspace(p, U[:, :r])
 
 
 def null_space(A, tol=DEFAULT_TOL):

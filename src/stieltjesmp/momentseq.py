@@ -7,14 +7,19 @@ Hankel matrices of the right-alpha-shifted sequence, the associated
 stacked vectors, Schur-complement ladders, and membership tests for the
 four solvability classes (Hankel-nonnegative, Hankel-nonnegative
 extendable, Stieltjes-nonnegative, Stieltjes-nonnegative extendable).
+A :class:`HankelData` holds these matrices for one sequence and factors
+each of them at most once; the functions here that take a sequence
+also accept its HankelData, so that callers can share the work.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsonio
 from .matcore import (
     DEFAULT_TOL,
+    dubovoj_subspace,
     hermitize,
     is_psd,
     mrank,
@@ -95,38 +100,6 @@ def block_hankel(seq, n, offset=0):
     return H
 
 
-@dataclass
-class HankelBundle:
-    """All Hankel-structured data attached to a sequence at level n.
-
-    Attributes follow the standard notation: H, K, G are the Hankel
-    matrices with offsets 0, 1, 2; Hs are the Hankel matrices of the
-    shifted sequence; u, w and their fraktur variants ug, wg are the
-    stacked couplings of the Ljapunov identities; v and vg select the
-    first and last block column; V and Vg are the tall block embeddings
-    of size (n+1)q x nq.
-    """
-
-    n: int
-    q: int
-    alpha: float
-    H: list = field(default_factory=list)
-    K: list = field(default_factory=list)
-    G: list = field(default_factory=list)
-    Hs: list = field(default_factory=list)
-    u: np.ndarray = None
-    w: np.ndarray = None
-    ug: np.ndarray = None
-    wg: np.ndarray = None
-    v: np.ndarray = None
-    vg: np.ndarray = None
-    V: np.ndarray = None
-    Vg: np.ndarray = None
-    T: np.ndarray = None
-    y: object = None
-    z: object = None
-
-
 def shift_matrix(q, n):
     """Block shift T_{q,n} = [delta_{j,k+1} I_q], nilpotent of order n+1."""
     T = np.zeros(((n + 1) * q, (n + 1) * q), dtype=complex)
@@ -149,41 +122,230 @@ def last_column_embedding(q, n):
     return v
 
 
-def hankel_catalog(seq, n):
-    """Assemble the :class:`HankelBundle` at level n.
+def _levels(M, q, top):
+    """Leading (k+1)q x (k+1)q slices of ``M`` for k = 0..top."""
+    return [M[:(k + 1) * q, :(k + 1) * q] for k in range(top + 1)]
 
-    Requires 2n <= m; the entries that need moments beyond m (K_n, G_n,
-    shifted Hankel Hs_n, fraktur stacks) are produced only when the
-    moments are available.
+
+class HankelData:
+    """Block Hankel matrices of one sequence up to level n, each factored
+    at most once.
+
+    ``H[k]`` and ``Hs[k]`` are the level-k block Hankel matrices of the
+    sequence and of its right-alpha-shifted sequence ``shifted``; both
+    are leading slices of the matrix built at the top level (n for H,
+    min(n, floor((m-1)/2)) for Hs).  PSD verdicts, pseudo-inverses,
+    Schur ladders, class verdicts and the restriction products are
+    computed when first asked for and kept on this object only, so
+    every caller holding it shares one factorization of each matrix.
+    The arrays handed out are the kept ones; do not write to them.
+
+    The default level n = floor(m/2) covers all levels of the sequence,
+    which the class tests need.  The coupling matrices ``T``, ``v``,
+    ``vg``, ``V``, ``Vg``, ``u``, ``w``, ``ug`` and the offset-1 Hankel
+    matrices ``K`` of the Ljapunov identities are assembled at level n
+    on access.
     """
-    if 2 * n > seq.m:
-        raise ValueError(f"H_{n} needs 2n = {2 * n} <= m = {seq.m}")
-    q = seq.q
-    b = HankelBundle(n=n, q=q, alpha=seq.alpha)
-    kmax_H = seq.m // 2
-    kmax_K = (seq.m - 1) // 2
-    kmax_G = (seq.m - 2) // 2
-    b.H = [block_hankel(seq, k, 0) for k in range(min(n, kmax_H) + 1)]
-    b.K = [block_hankel(seq, k, 1) for k in range(min(n, kmax_K) + 1)]
-    b.G = [block_hankel(seq, k, 2) for k in range(min(n, kmax_G) + 1)]
-    b.Hs = [-seq.alpha * b.H[k] + b.K[k] for k in range(len(b.K))]
-    b.u = -stack_y(seq, -1, n - 1)
-    b.w = stack_z(seq, -1, n - 1)
-    if 2 * n + 1 <= seq.m:
-        zero = np.zeros((q, q), dtype=complex)
-        b.ug = np.vstack([-stack_y(seq, n + 1, 2 * n), zero]) if n >= 1 \
-            else zero.copy()
-        b.wg = np.hstack([stack_z(seq, n + 1, 2 * n), zero]) if n >= 1 \
-            else zero.copy()
-    b.v = first_column_embedding(q, n)
-    b.vg = last_column_embedding(q, n)
-    eye = np.eye((n + 1) * q, dtype=complex)
-    b.V = eye[:, :n * q]
-    b.Vg = eye[:, q:]
-    b.T = shift_matrix(q, n)
-    b.y = lambda lo, hi: stack_y(seq, lo, hi)
-    b.z = lambda lo, hi: stack_z(seq, lo, hi)
-    return b
+
+    def __init__(self, seq, n=None):
+        n = seq.m // 2 if n is None else n
+        if n < 0 or 2 * n > seq.m:
+            raise ValueError(f"H_{n} needs 2n = {2 * n} <= m = {seq.m}")
+        self.seq = seq
+        self.n = n
+        self.q = seq.q
+        self.H = _levels(block_hankel(seq, n, 0), seq.q, n)
+        self.shifted = shift_right(seq) if seq.m >= 1 else None
+        self.Hs = []
+        if self.shifted is not None:
+            ns = min(n, (seq.m - 1) // 2)
+            self.Hs = _levels(block_hankel(self.shifted, ns, 0), seq.q, ns)
+        self._memo = {}
+
+    def _once(self, key, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def _mats(self, shifted):
+        return self.Hs if shifted else self.H
+
+    @property
+    def complete(self):
+        """True when every level of the sequence is present."""
+        return self.n == self.seq.m // 2
+
+    def psd(self, k, shifted=False):
+        """Whether H_k (Hs_k when ``shifted``) is PSD under ``seq.tol``."""
+        return self._once(("psd", shifted, k), lambda: is_psd(
+            self._mats(shifted)[k], self.seq.tol))
+
+    def pinv(self, k, shifted=False, tol=None):
+        """Moore-Penrose inverse of H_k (Hs_k when ``shifted``)."""
+        tol = tol or self.seq.tol
+        return self._once(("pinv", shifted, k, tol), lambda: pseudo_inverse(
+            self._mats(shifted)[k], tol))
+
+    def ladder(self, shifted=False):
+        """Schur complements L_k = s_2k - z_{k,2k-1} H_{k-1}^+ y_{k,2k-1}
+        of the sequence (of ``shifted`` when ``shifted``), one per level."""
+        return self._once(("ladder", shifted), lambda: self._ladder(shifted))
+
+    def _ladder(self, shifted):
+        seq = self.shifted if shifted else self.seq
+        out = []
+        for k in range(len(self._mats(shifted))):
+            if k == 0:
+                out.append(seq.s(0).copy())
+            else:
+                y = stack_y(seq, k, 2 * k - 1)
+                z = stack_z(seq, k, 2 * k - 1)
+                out.append(seq.s(2 * k) - z @ self.pinv(k - 1, shifted) @ y)
+        return out
+
+    def _require_complete(self):
+        if not self.complete:
+            raise ValueError("class tests need the Hankel data of every "
+                             "level of the sequence")
+
+    def nonnegative(self, shifted=False):
+        """Membership of the sequence (of ``shifted``) in class H>=."""
+        self._require_complete()
+        return all(self.psd(k, shifted)
+                   for k in range(len(self._mats(shifted))))
+
+    def extendable(self, shifted=False):
+        """Membership of the sequence (of ``shifted``) in class H>=,e."""
+        self._require_complete()
+        return self._once(("extendable", shifted),
+                          lambda: self._extendable(shifted))
+
+    def _extendable(self, shifted):
+        seq = self.shifted if shifted else self.seq
+        m, q, tol = seq.m, seq.q, seq.tol
+        if m % 2 == 0:
+            n = m // 2
+            if not self.psd(n, shifted):
+                return False
+            if n == 0:
+                # Both completing moments are free; s_1 = 0 always works.
+                return True
+            # Extending needs some Hermitian s_{2n+1} with
+            # col(s_{n+1}, ..., s_{2n+1}) in the range of H_n.  Splitting
+            # the free last block out of the projector equation
+            # (I - H H^+) Y = 0 leaves an affine solvability condition in
+            # s_{2n+1}.
+            H = self._mats(shifted)[n]
+            P = np.eye((n + 1) * q, dtype=complex) - \
+                H @ self.pinv(n, shifted)
+            c = np.vstack([stack_y(seq, n + 1, 2 * n),
+                           np.zeros((q, q), dtype=complex)])
+            P_last = P[:, n * q:]
+            return range_included(P_last, P @ c, tol)
+        n = (m - 1) // 2
+        if not self.psd(n, shifted):
+            return False
+        y = stack_y(seq, n + 1, 2 * n + 1)
+        return range_included(self._mats(shifted)[n], y, tol,
+                              B_pinv=self.pinv(n, shifted))
+
+    def in_Kgeq(self):
+        """Membership in the Stieltjes class K>=."""
+        if not self.nonnegative():
+            return False
+        return self.seq.m == 0 or self.psd(len(self.Hs) - 1, shifted=True)
+
+    def in_Kgeq_e(self):
+        """Membership in the Stieltjes-extendable class K>=,e."""
+        self._require_complete()
+        if self.seq.m == 0:
+            return self.psd(0)
+        if self.seq.m % 2 == 1:
+            return self.extendable() and self.nonnegative(shifted=True)
+        return self.nonnegative() and self.extendable(shifted=True)
+
+    def restriction_products(self, n, tol):
+        """(A_phi, A_psi) = ((I - H^+ H) R_T(alpha) v, (I - Hs^+ Hs) H v)
+        at level n, with the pseudo-inverses cut under ``tol``."""
+        if n >= len(self.Hs):
+            raise ValueError(f"restriction products at level {n} need "
+                             f"2n+1 = {2 * n + 1} <= m = {self.seq.m}")
+        return self._once(("products", n, tol),
+                          lambda: self._restriction_products(n, tol))
+
+    def _restriction_products(self, n, tol):
+        H, Hs = self.H[n], self.Hs[n]
+        eye = np.eye(H.shape[0], dtype=complex)
+        T = shift_matrix(self.q, n)
+        Ralpha = np.linalg.inv(eye - self.seq.alpha * T)
+        v = first_column_embedding(self.q, n)
+        A_phi = (eye - self.pinv(n, tol=tol) @ H) @ Ralpha @ v
+        A_psi = (eye - self.pinv(n, True, tol) @ Hs) @ H @ v
+        return A_phi, A_psi
+
+    @property
+    def K(self):
+        nk = min(self.n, (self.seq.m - 1) // 2)
+        if nk < 0:
+            return []
+        return _levels(block_hankel(self.seq, nk, 1), self.q, nk)
+
+    @property
+    def T(self):
+        return shift_matrix(self.q, self.n)
+
+    @property
+    def v(self):
+        return first_column_embedding(self.q, self.n)
+
+    @property
+    def vg(self):
+        return last_column_embedding(self.q, self.n)
+
+    @property
+    def V(self):
+        eye = np.eye((self.n + 1) * self.q, dtype=complex)
+        return eye[:, :self.n * self.q]
+
+    @property
+    def Vg(self):
+        eye = np.eye((self.n + 1) * self.q, dtype=complex)
+        return eye[:, self.q:]
+
+    @property
+    def u(self):
+        return -stack_y(self.seq, -1, self.n - 1)
+
+    @property
+    def w(self):
+        return stack_z(self.seq, -1, self.n - 1)
+
+    @property
+    def ug(self):
+        """Fraktur u; None unless 2n+1 <= m."""
+        if 2 * self.n + 1 > self.seq.m:
+            return None
+        zero = np.zeros((self.q, self.q), dtype=complex)
+        if self.n == 0:
+            return zero
+        return np.vstack([-stack_y(self.seq, self.n + 1, 2 * self.n), zero])
+
+
+def hankel_data(seq, n=None):
+    """The :class:`HankelData` of ``seq`` reaching level n (every level
+    when n is None).  ``seq`` may be a :class:`MomentSequence` or a
+    HankelData; one that already reaches the level is returned as is, so
+    callers that pass it along share its factorizations."""
+    if isinstance(seq, HankelData):
+        if seq.complete if n is None else seq.n >= n:
+            return seq
+        seq = seq.seq
+    return HankelData(seq, n)
+
+
+def hankel_catalog(seq, n):
+    """The :class:`HankelData` at level n; requires 2n <= m."""
+    return HankelData(seq, n)
 
 
 @dataclass
@@ -194,24 +356,10 @@ class SchurLadder:
     Ls: list
 
 
-def _ladder(seq, count):
-    out = []
-    for k in range(count):
-        if k == 0:
-            out.append(seq.s(0).copy())
-        else:
-            y = stack_y(seq, k, 2 * k - 1)
-            z = stack_z(seq, k, 2 * k - 1)
-            H = block_hankel(seq, k - 1, 0)
-            out.append(seq.s(2 * k) - z @ pseudo_inverse(H, seq.tol) @ y)
-    return out
-
-
 def schur_ladder(seq):
     """Ladders L_0..L_n and shifted L_s0..L_sn' for all available levels."""
-    L = _ladder(seq, seq.m // 2 + 1)
-    Ls = _ladder(shift_right(seq), (seq.m - 1) // 2 + 1) if seq.m >= 1 else []
-    return SchurLadder(L=L, Ls=Ls)
+    data = hankel_data(seq)
+    return SchurLadder(L=data.ladder(), Ls=data.ladder(shifted=True))
 
 
 @dataclass
@@ -225,7 +373,6 @@ class ClassReport:
     witness_extension: np.ndarray = None
 
     def to_dict(self):
-        from .cli import matrix_to_json
         d = {
             "in_Hgeq": bool(self.in_Hgeq),
             "in_Hgeq_e": bool(self.in_Hgeq_e),
@@ -233,83 +380,26 @@ class ClassReport:
             "in_Kgeq_e": bool(self.in_Kgeq_e),
         }
         if self.witness_extension is not None:
-            d["witness_extension"] = matrix_to_json(self.witness_extension)
+            d["witness_extension"] = jsonio.matrix_to_json(
+                self.witness_extension)
         return d
-
-
-def _in_Hgeq(seq):
-    return all(is_psd(block_hankel(seq, k, 0), seq.tol)
-               for k in range(seq.m // 2 + 1))
-
-
-def _in_Hgeq_e(seq):
-    m = seq.m
-    if m % 2 == 0:
-        n = m // 2
-        H = block_hankel(seq, n, 0)
-        if not is_psd(H, seq.tol):
-            return False
-        if n == 0:
-            # Both completing moments are free; s_1 = 0 always works.
-            return True
-        # Extending needs some Hermitian s_{2n+1} with
-        # col(s_{n+1}, ..., s_{2n+1}) in the range of H_n.  Splitting the
-        # free last block out of the projector equation (I - H H^+) Y = 0
-        # leaves an affine solvability condition in s_{2n+1}.
-        q = seq.q
-        P = np.eye((n + 1) * q, dtype=complex) - \
-            block_hankel(seq, n, 0) @ pseudo_inverse(H, seq.tol)
-        c = np.vstack([stack_y(seq, n + 1, 2 * n),
-                       np.zeros((q, q), dtype=complex)])
-        P_last = P[:, n * q:]
-        return range_included(P_last, P @ c, seq.tol)
-    n = (m - 1) // 2
-    H = block_hankel(seq, n, 0)
-    if not is_psd(H, seq.tol):
-        return False
-    y = stack_y(seq, n + 1, 2 * n + 1)
-    return range_included(H, y, seq.tol)
-
-
-def _in_Kgeq(seq):
-    m = seq.m
-    if not _in_Hgeq(seq):
-        return False
-    if m == 0:
-        return True
-    shifted = shift_right(seq)
-    if m % 2 == 1:
-        n = (m - 1) // 2
-        return is_psd(block_hankel(shifted, n, 0), seq.tol)
-    n = m // 2
-    if n == 0:
-        return True
-    return is_psd(block_hankel(shifted, n - 1, 0), seq.tol)
-
-
-def _in_Kgeq_e(seq):
-    m = seq.m
-    if m == 0:
-        return is_psd(seq.s(0), seq.tol)
-    shifted = shift_right(seq)
-    if m % 2 == 1:
-        return _in_Hgeq_e(seq) and _in_Hgeq(shifted)
-    return _in_Hgeq(seq) and _in_Hgeq_e(shifted)
 
 
 def class_membership(seq):
     """Evaluate membership in all four classes and a canonical witness.
 
-    The witness extension is the Schur-complement-zero Hankel extension
-    s_{m+1}; it is attached whenever the sequence is Stieltjes-extendable.
+    ``seq`` is a :class:`MomentSequence` or its :class:`HankelData`.  The
+    witness extension is the Schur-complement-zero Hankel extension
+    s_{m+1}; it is attached whenever the sequence is
+    Stieltjes-extendable.
     """
-    in_H = _in_Hgeq(seq)
-    in_He = _in_Hgeq_e(seq)
-    in_K = _in_Kgeq(seq)
-    in_Ke = _in_Kgeq_e(seq)
-    witness = canonical_extension(seq) if (in_Ke and in_He) else None
-    return ClassReport(in_Hgeq=in_H, in_Hgeq_e=in_He, in_Kgeq=in_K,
-                       in_Kgeq_e=in_Ke, witness_extension=witness)
+    data = hankel_data(seq)
+    in_He = data.extendable()
+    in_Ke = data.in_Kgeq_e()
+    witness = canonical_extension(data) if (in_Ke and in_He) else None
+    return ClassReport(in_Hgeq=data.nonnegative(), in_Hgeq_e=in_He,
+                       in_Kgeq=data.in_Kgeq(), in_Kgeq_e=in_Ke,
+                       witness_extension=witness)
 
 
 def canonical_extension(seq):
@@ -317,9 +407,12 @@ def canonical_extension(seq):
 
     Returns s_{m+1} = z_{floor(m/2)+1, m} H^+ y_{floor(m/2)+1, m} with
     H the Hankel matrix of level ceil(m/2) - 1; for m = 0 the empty
-    product gives the zero matrix.
+    product gives the zero matrix.  ``seq`` may be its
+    :class:`HankelData`.
     """
-    if not _in_Hgeq_e(seq):
+    data = hankel_data(seq)
+    seq = data.seq
+    if not data.extendable():
         raise ValueError("sequence is not Hankel-extendable")
     m = seq.m
     if m == 0:
@@ -328,8 +421,7 @@ def canonical_extension(seq):
     lvl = (m + 1) // 2 - 1
     y = stack_y(seq, lo, m)
     z = stack_z(seq, lo, m)
-    H = block_hankel(seq, lvl, 0)
-    s_next = z @ pseudo_inverse(H, seq.tol) @ y
+    s_next = z @ data.pinv(lvl) @ y
     return 0.5 * (s_next + s_next.conj().T)
 
 
@@ -344,24 +436,24 @@ def dubovoj_candidates(seq, n):
 
     Returns the pair (D_n, D_shift_n) built from the Schur ladders of
     the sequence and of its right-alpha-shifted sequence via
-    :func:`stieltjesmp.matcore.dubovoj_subspace`.
+    :func:`stieltjesmp.matcore.dubovoj_subspace`.  ``seq`` may be its
+    :class:`HankelData`.
     """
-    from .matcore import dubovoj_subspace
+    data = hankel_data(seq)
+    seq = data.seq
     if 2 * n + 1 > seq.m:
         raise ValueError("dubovoj_candidates needs 2n+1 <= m")
-    lad = schur_ladder(seq)
-    D = dubovoj_subspace(lad.L[:n + 1], seq.tol)
-    Ds = dubovoj_subspace(lad.Ls[:n + 1], seq.tol)
+    D = dubovoj_subspace(data.ladder()[:n + 1], seq.tol)
+    Ds = dubovoj_subspace(data.ladder(shifted=True)[:n + 1], seq.tol)
     return D, Ds
 
 
 def rank_profile(seq):
     """Ranks of the ladder blocks and of the top Hankel matrix."""
-    lad = schur_ladder(seq)
-    n = seq.m // 2
-    H = block_hankel(seq, n, 0)
+    data = hankel_data(seq)
+    tol = data.seq.tol
     return {
-        "rank_H": mrank(H, seq.tol),
-        "rank_L": [mrank(L, seq.tol) for L in lad.L],
-        "rank_Ls": [mrank(L, seq.tol) for L in lad.Ls],
+        "rank_H": mrank(data.H[-1], tol),
+        "rank_L": [mrank(L, tol) for L in data.ladder()],
+        "rank_Ls": [mrank(L, tol) for L in data.ladder(shifted=True)],
     }

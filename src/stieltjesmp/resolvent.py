@@ -13,11 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jsonio
 from .matcore import DEFAULT_TOL, one_two_inverse, pseudo_inverse
 from .momentseq import (
-    class_membership,
+    HankelData,
     dubovoj_candidates,
-    hankel_catalog,
+    first_column_embedding,
+    hankel_data,
     shift_matrix,
 )
 
@@ -186,7 +188,9 @@ class ResolventMatrix:
     ``theta`` and ``theta_tilde`` are 2q x 2q matrix polynomials of
     degree at most n + 1; ``U``/``U_tilde`` are the unimodular factors
     and ``B``/``B_tilde`` the constant J-unitary factors with
-    theta = U B and theta_tilde = U_tilde B_tilde.
+    theta = U B and theta_tilde = U_tilde B_tilde.  ``data`` is the
+    :class:`HankelData` the resolvent was built from; gating a pair
+    against the same sequence reads its factorizations.
     """
 
     n: int
@@ -209,6 +213,7 @@ class ResolventMatrix:
     Ralpha: np.ndarray
     tol: object = field(default=DEFAULT_TOL)
     self_check: dict = field(default_factory=dict)
+    data: HankelData = None
 
     def block(self, i, j, tilde=False):
         """Block (i, j) of theta (or theta tilde) as a q x q polynomial."""
@@ -227,20 +232,24 @@ def build_resolvent(seq, n, tol=None):
     Requires the sequence to be Stieltjes-extendable (class K>=e) with
     2n + 1 <= m.  The generalized inverses H^- and Hs^- are taken with
     range equal to the canonical block-diagonal ladder subspaces.
+    ``seq`` may be its :class:`HankelData`; the result keeps it.
     """
+    data = hankel_data(seq)
+    seq = data.seq
     tol = tol or seq.tol
     if 2 * n + 1 > seq.m:
         raise ValueError(f"build_resolvent needs 2n+1 = {2 * n + 1} <= m = {seq.m}")
-    report = class_membership(seq)
-    if not report.in_Kgeq_e:
+    if not data.in_Kgeq_e():
         raise ValueError("sequence is not Stieltjes-extendable (not in K>=e)")
     q = seq.q
-    b = hankel_catalog(seq, n)
-    H, Hs = b.H[n], b.Hs[n]
-    D, Ds = dubovoj_candidates(seq, n)
+    H, Hs = data.H[n], data.Hs[n]
+    D, Ds = dubovoj_candidates(data, n)
     Hm = one_two_inverse(H, D, tol)
     Hsm = one_two_inverse(Hs, Ds, tol)
-    T, v = b.T, b.v
+    # Factored now, so that gating pairs against this sequence through
+    # lft_solution factors nothing again.
+    data.restriction_products(n, tol)
+    T, v = shift_matrix(q, n), first_column_embedding(q, n)
     p = (n + 1) * q
     eye = np.eye(p, dtype=complex)
     Ralpha = np.linalg.inv(eye - seq.alpha * T)
@@ -300,7 +309,7 @@ def build_resolvent(seq, n, tol=None):
     R = ResolventMatrix(
         n=n, q=q, alpha=seq.alpha, theta=theta, theta_tilde=theta_tilde,
         U=U, U_tilde=U_tilde, B=B, B_tilde=B_tilde, H=H, Hs=Hs, Hm=Hm,
-        Hsm=Hsm, D=D, Ds=Ds, T=T, v=v, Ralpha=Ralpha, tol=tol)
+        Hsm=Hsm, D=D, Ds=Ds, T=T, v=v, Ralpha=Ralpha, tol=tol, data=data)
     R.self_check = _self_check(R)
     return R
 
@@ -449,13 +458,13 @@ def kernel_polys(R):
 
 def theta_coeffs_json(R):
     """Theta and theta-tilde coefficients in JSON-ready form."""
-    from .cli import matrix_to_json
     return {
         "q": R.q,
         "n": R.n,
         "alpha": R.alpha,
         "degree": R.theta.trimmed_degree(),
-        "theta": [matrix_to_json(c) for c in R.theta.coeffs],
-        "theta_tilde": [matrix_to_json(c) for c in R.theta_tilde.coeffs],
+        "theta": [jsonio.matrix_to_json(c) for c in R.theta.coeffs],
+        "theta_tilde": [jsonio.matrix_to_json(c)
+                        for c in R.theta_tilde.coeffs],
         "residuals": {k: float(val) for k, val in R.self_check.items()},
     }

@@ -12,12 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsonio
 from .matcore import (
     DEFAULT_TOL,
     Subspace,
     projector,
     subspace_from_columns,
 )
+from .momentseq import hankel_data
 from .potapov import FunctionSamples, atomic_decomposition_residual, \
     potapov_report
 from .resolvent import build_resolvent, eval_theta, standard_grid
@@ -49,15 +51,14 @@ class ClassificationReport:
     W: np.ndarray
 
     def to_dict(self):
-        from .cli import matrix_to_json
         return {
             "m": self.m,
             "ell": self.ell,
             "r": self.r,
             "case": self.case,
-            "U_basis": matrix_to_json(self.U.basis),
-            "V_basis": matrix_to_json(self.V.basis),
-            "W": matrix_to_json(self.W),
+            "U_basis": jsonio.matrix_to_json(self.U.basis),
+            "V_basis": jsonio.matrix_to_json(self.V.basis),
+            "W": jsonio.matrix_to_json(self.W),
         }
 
 
@@ -77,10 +78,13 @@ def classify(seq, n, tol=None, basis_rotation=None):
     ``basis_rotation`` optionally post-rotates the orthonormal bases of
     U and V by given unitaries (used to confirm basis independence of
     downstream results); the subspaces themselves are unchanged.
+    ``seq`` may be its :class:`~stieltjesmp.momentseq.HankelData`.
     """
+    data = hankel_data(seq)
+    seq = data.seq
     tol = tol or seq.tol
     q = seq.q
-    A_phi, A_psi = restriction_products(seq, n, tol)
+    A_phi, A_psi = restriction_products(data, n, tol)
     # Rank cutoffs are absolute relative to the ingredient scale: the
     # defect products vanish identically for nondegenerate data, and a
     # cutoff relative to their own largest singular value would then
@@ -186,9 +190,13 @@ def lft_solution(R, p, check=True, seq=None, n=None):
     """Build the solution function for an admissible pair.
 
     When ``check`` is true and the originating sequence is supplied, the
-    pair is gated through the restricted-class test.
+    pair is gated through the restricted-class test.  For the sequence R
+    was built from, the test reads R's Hankel data and factors nothing
+    again.
     """
     if check and seq is not None:
+        if R.data is not None and seq is R.data.seq:
+            seq = R.data
         if not pair_in_restricted_class(p, seq, n if n is not None else R.n,
                                         R.tol):
             raise ValueError("pair is not in the restricted class for "
@@ -201,14 +209,15 @@ def unique_solution(seq, n, tol=None):
 
     Classification must yield r = 0; the parameter is then forced to the
     fixed constant pair and the LFT collapses to a unique rational
-    function.
+    function.  Classification and resolvent share one Hankel data.
     """
-    tol = tol or seq.tol
-    report = classify(seq, n, tol)
+    data = hankel_data(seq)
+    tol = tol or data.seq.tol
+    report = classify(data, n, tol)
     if report.case != "CompletelyDegenerate":
         raise ValueError("unique_solution needs the completely degenerate "
                          f"case, got {report.case}")
-    R = build_resolvent(seq, n, tol)
+    R = build_resolvent(data, n, tol)
     pair = lift_pair(report, tol=tol)
     return SolutionFunction(R, pair)
 

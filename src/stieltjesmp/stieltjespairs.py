@@ -12,8 +12,7 @@ a Stieltjes function, or lifted into a degenerate block structure.
 import numpy as np
 
 from .matcore import DEFAULT_TOL, is_psd, mrank
-from .momentseq import MomentSequence, first_column_embedding, \
-    hankel_catalog, shift_matrix
+from .momentseq import MomentSequence, hankel_data
 from .resolvent import signature_matrix
 
 _SLIT_GUARD = 1e-12
@@ -280,25 +279,19 @@ def restriction_products(seq, n, tol=DEFAULT_TOL):
 
     Returns (A_phi, A_psi) with A_phi = (I - H^+ H) R_T(alpha) v and
     A_psi = (I - Hs^+ Hs) H v; a pair is admissible when A_phi phi and
-    A_psi psi vanish identically.
+    A_psi psi vanish identically.  ``seq`` may be its
+    :class:`~stieltjesmp.momentseq.HankelData`.
     """
-    from .matcore import pseudo_inverse
-    b = hankel_catalog(seq, n)
-    H, Hs = b.H[n], b.Hs[n]
-    p = H.shape[0]
-    eye = np.eye(p, dtype=complex)
-    T = shift_matrix(seq.q, n)
-    Ralpha = np.linalg.inv(eye - seq.alpha * T)
-    v = first_column_embedding(seq.q, n)
-    A_phi = (eye - pseudo_inverse(H, tol) @ H) @ Ralpha @ v
-    A_psi = (eye - pseudo_inverse(Hs, tol) @ Hs) @ H @ v
-    return A_phi, A_psi
+    return hankel_data(seq, n).restriction_products(n, tol)
 
 
 def pair_in_restricted_class(p, seq, n, tol=DEFAULT_TOL):
     """Sampling test of the two vanishing conditions of the restricted
-    class; sample count covers the rational degree bound of the pair."""
-    A_phi, A_psi = restriction_products(seq, n, tol)
+    class; sample count covers the rational degree bound of the pair.
+    ``seq`` may be its :class:`~stieltjesmp.momentseq.HankelData`."""
+    data = hankel_data(seq, n)
+    seq = data.seq
+    A_phi, A_psi = restriction_products(data, n, tol)
     scale = 1.0 + np.linalg.norm(seq.s(0))
     npts = n + 2 + p.degree_bound()
     pts = [seq.alpha + 0.37 + 1j * (1.0 + k) for k in range(npts)]

@@ -5,6 +5,8 @@ that every Hankel positivity property holds by construction and all
 integral identities reduce to exact finite sums.
 """
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -85,3 +87,19 @@ def kge_fixtures(count, seed=7):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def pinv_calls(monkeypatch):
+    """Counter of ``np.linalg.pinv`` calls keyed by the input matrix
+    (shape and bytes), for checks that nothing is factored twice."""
+    calls = collections.Counter()
+    original = np.linalg.pinv
+
+    def counting(a, *args, **kwargs):
+        a = np.asarray(a)
+        calls[(a.shape, a.tobytes())] += 1
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counting)
+    return calls

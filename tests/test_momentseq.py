@@ -13,11 +13,13 @@ from stieltjesmp.matcore import (
     range_included,
 )
 from stieltjesmp.momentseq import (
+    HankelData,
     block_hankel,
     canonical_extension,
     dubovoj_candidates,
     extended,
     hankel_catalog,
+    hankel_data,
     rank_profile,
     schur_ladder,
     shift_right,
@@ -64,6 +66,22 @@ def test_hankel_catalog_examples():
     assert np.allclose(b.Hs[1], np.ones((2, 2)))
     with pytest.raises(ValueError):
         hankel_catalog(scalar_seq([1, 1]), 1)
+    # HankelData: lower levels are leading slices of the top level, and
+    # each factorization is made once and then handed out again.
+    d = HankelData(scalar_seq([2, 1, 1, 1, 1]))
+    assert d.n == 2 and d.complete and len(d.Hs) == 2
+    assert np.shares_memory(d.H[0], d.H[2])
+    assert np.allclose(d.Hs[1], np.ones((2, 2)))
+    assert d.pinv(1) is d.pinv(1)
+    assert np.allclose(d.pinv(1), np.linalg.pinv(block_hankel(d.seq, 1)))
+    assert d.ladder() is d.ladder()
+    assert np.allclose([x.item() for x in d.ladder()], [2.0, 0.5, 0.0])
+    assert hankel_data(d) is d and hankel_data(d, 1) is d
+    part = HankelData(d.seq, 1)
+    assert not part.complete and hankel_data(part, 1) is part
+    assert hankel_data(part).complete
+    with pytest.raises(ValueError):
+        part.in_Kgeq_e()
 
 
 def test_hankel_bundle_embeddings():
@@ -190,6 +208,29 @@ def test_dubovoj_candidates_and_rank_profile():
     prof = rank_profile(scalar_seq([1, 1, 1]))
     assert prof["rank_H"] == 1
     assert prof["rank_L"] == [1, 0]
+
+
+def test_hankel_data_levels_equal_direct_assembly(rng):
+    for q, m in ((1, 0), (1, 3), (2, 4), (2, 5), (3, 3)):
+        seq = random_hermitian_sequence(rng, q, m, alpha=0.7)
+        d = HankelData(seq)
+        assert len(d.H) == m // 2 + 1 and len(d.Hs) == (m - 1) // 2 + 1
+        for k, H in enumerate(d.H):
+            assert np.array_equal(H, block_hankel(seq, k, 0))
+        for k, Hs in enumerate(d.Hs):
+            assert np.array_equal(Hs, block_hankel(shift_right(seq), k, 0))
+
+
+def test_class_membership_factors_each_matrix_once(pinv_calls):
+    rng = np.random.default_rng(8)
+    seqs = [seq for _, seq, _ in kge_fixtures(12, seed=13)]
+    # even m, where extendability needs a second projector
+    seqs += [MomentSequence(s.alpha, s.q, s.moments[:-1]) for s in seqs]
+    seqs += [random_hermitian_sequence(rng, 2, m) for m in (2, 3)]
+    for seq in seqs:
+        pinv_calls.clear()
+        class_membership(seq)
+        assert max(pinv_calls.values(), default=1) == 1
 
 
 @settings(max_examples=10, deadline=None)

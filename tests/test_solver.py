@@ -20,7 +20,7 @@ from stieltjesmp.stieltjespairs import (
     pair_eval,
 )
 
-from conftest import atomic_fixture
+from conftest import atomic_fixture, kge_fixtures
 
 
 def scalar_seq(values, alpha=0.0):
@@ -183,3 +183,92 @@ def test_solution_reports_singular_points():
     S = unique_solution(scalar_seq([1, 0]), 0)
     with pytest.raises(ValueError):
         S(1e-18)
+
+
+def canonical_pair(report):
+    """The lifted canonical pair (0, I) of the classification."""
+    if report.case == "CompletelyDegenerate":
+        return lift_pair(report)
+    r = report.r
+    return lift_pair(report, StieltjesPair.constant(np.zeros((r, r)),
+                                                    np.eye(r)))
+
+
+def test_lft_solution_on_own_sequence_factors_nothing(pinv_calls):
+    for mu, seq, n in kge_fixtures(12, seed=31):
+        R = build_resolvent(seq, n)
+        pair = canonical_pair(classify(seq, n))
+        pinv_calls.clear()
+        lft_solution(R, pair, seq=seq, n=n)
+        lft_solution(R, pair, seq=seq)
+        assert not pinv_calls
+
+
+def test_unique_solution_factors_each_matrix_once(pinv_calls):
+    checked = 0
+    for mu, seq, n in kge_fixtures(24, seed=17):
+        if classify(seq, n).case != "CompletelyDegenerate":
+            continue
+        pinv_calls.clear()
+        unique_solution(seq, n)
+        assert pinv_calls and max(pinv_calls.values()) == 1
+        checked += 1
+    assert checked >= 3
+
+
+def test_lft_solution_gates_against_the_given_sequence():
+    # Any pair is admissible for (1, 1); psi = 1 is not for (1, 0).
+    own, other = scalar_seq([1, 1]), scalar_seq([1, 0])
+    R = build_resolvent(own, 0)
+    pair = StieltjesPair.constant([[0.0]], [[1.0]])
+    lft_solution(R, pair, seq=own, n=0)
+    with pytest.raises(ValueError):
+        lft_solution(R, pair, seq=other, n=0)
+
+
+WEIGHT_PATTERNS = {
+    "full": {},
+    "rankdef": {"ranks": [1]},
+    "endpoint": {"include_endpoint": True},
+    "fewatoms": {"natoms": 1},
+}
+
+
+def _values(S, pts):
+    out = []
+    for z in pts:
+        try:
+            out.append(S(z))
+        except ValueError:
+            out.append(None)
+    return out
+
+
+def test_unique_solution_matches_lft_of_lifted_pair():
+    rng = np.random.default_rng(2024)
+    pts = [0.3 + 1j, -1.0 + 0.5j, 2.0 - 1j]
+    unique = 0
+    for q in (1, 2, 3):
+        for n in range(4):
+            for kw in WEIGHT_PATTERNS.values():
+                mu, seq = atomic_fixture(rng, q, n, 0.5, **kw)
+                try:
+                    report = classify(seq, n)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        unique_solution(seq, n)
+                    continue
+                if report.case != "CompletelyDegenerate":
+                    with pytest.raises(ValueError):
+                        unique_solution(seq, n)
+                    continue
+                S = unique_solution(seq, n)
+                ref = lft_solution(build_resolvent(seq, n),
+                                   lift_pair(report), seq=seq, n=n)
+                for got, want in zip(_values(S, pts), _values(ref, pts)):
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        assert np.linalg.norm(got - want) <= \
+                            1e-12 * np.linalg.norm(want)
+                unique += 1
+    assert unique >= 10
