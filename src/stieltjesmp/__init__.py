@@ -25,7 +25,6 @@ from .momentseq import (
     MomentSequence,
     canonical_extension,
     class_membership,
-    hankel_catalog,
     hankel_data,
     schur_ladder,
     shift_right,

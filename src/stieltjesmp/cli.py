@@ -113,7 +113,7 @@ def _tol(args):
 def _grid(args, alpha):
     spec = getattr(args, "grid", None)
     if spec in (None, "standard"):
-        return [z for z in standard_grid(alpha) if abs(z.imag) > 1e-9]
+        return standard_grid(alpha)
     return [complex(tok) for tok in spec.split(",")]
 
 
@@ -167,20 +167,16 @@ def cmd_solve(args):
         S = lft_solution(R, pair, check=True, seq=seq, n=n)
     points = _points(args) if args.points else \
         [z for z in standard_grid(seq.alpha) if z.imag > 0][:4]
-    from .potapov import FunctionSamples, potapov_matrix
+    from .potapov import FunctionSamples, potapov_report
+    f = FunctionSamples(S, seq.q)
     values = []
     for z in points:
         entry = {"z": jsonio.complex_to_json(z)}
         try:
-            val = S(z)
-            entry["S"] = jsonio.matrix_to_json(val)
-            f = FunctionSamples(lambda zz: S(zz), seq.q)
-            P = potapov_matrix(seq, n, f, z, 2 * n)
-            entry["lambda_min_even"] = float(
-                np.linalg.eigvalsh(0.5 * (P + P.conj().T)).min())
-            P = potapov_matrix(seq, n, f, z, 2 * n + 1)
-            entry["lambda_min_odd"] = float(
-                np.linalg.eigvalsh(0.5 * (P + P.conj().T)).min())
+            entry["S"] = jsonio.matrix_to_json(S(z))
+            rep = potapov_report(seq, n, f, [z])
+            entry["lambda_min_even"] = rep.lmin_even[0]
+            entry["lambda_min_odd"] = rep.lmin_odd[0]
         except ValueError as exc:
             entry["singular"] = str(exc)
         values.append(entry)

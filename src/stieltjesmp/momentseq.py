@@ -108,6 +108,20 @@ def shift_matrix(q, n):
     return T
 
 
+def shift_resolvent(q, n, z):
+    """R_T(z) = (I - zT)^{-1} = sum_j z^j T^j for T = T_{q,n}: the block
+    Toeplitz matrix with z^j I_q on its j-th block subdiagonal.  T is
+    real, so R_{T*}(z) is its transpose."""
+    p = (n + 1) * q
+    R = np.zeros((p, p), dtype=complex)
+    idx = np.arange(p)
+    zj = 1.0
+    for j in range(n + 1):
+        R[idx[j * q:], idx[:p - j * q]] = zj
+        zj = zj * z
+    return R
+
+
 def first_column_embedding(q, n):
     """v_{q,n} = col(delta_{j,0} I_q), the first block column of I."""
     v = np.zeros(((n + 1) * q, q), dtype=complex)
@@ -266,7 +280,9 @@ class HankelData:
 
     def restriction_products(self, n, tol):
         """(A_phi, A_psi) = ((I - H^+ H) R_T(alpha) v, (I - Hs^+ Hs) H v)
-        at level n, with the pseudo-inverses cut under ``tol``."""
+        at level n, with the pseudo-inverses cut under ``tol``; a pair
+        is in the restricted class when A_phi phi and A_psi psi vanish
+        identically."""
         if n >= len(self.Hs):
             raise ValueError(f"restriction products at level {n} need "
                              f"2n+1 = {2 * n + 1} <= m = {self.seq.m}")
@@ -276,8 +292,7 @@ class HankelData:
     def _restriction_products(self, n, tol):
         H, Hs = self.H[n], self.Hs[n]
         eye = np.eye(H.shape[0], dtype=complex)
-        T = shift_matrix(self.q, n)
-        Ralpha = np.linalg.inv(eye - self.seq.alpha * T)
+        Ralpha = shift_resolvent(self.q, n, self.seq.alpha)
         v = first_column_embedding(self.q, n)
         A_phi = (eye - self.pinv(n, tol=tol) @ H) @ Ralpha @ v
         A_psi = (eye - self.pinv(n, True, tol) @ Hs) @ H @ v
@@ -340,11 +355,6 @@ def hankel_data(seq, n=None):
         if seq.complete if n is None else seq.n >= n:
             return seq
         seq = seq.seq
-    return HankelData(seq, n)
-
-
-def hankel_catalog(seq, n):
-    """The :class:`HankelData` at level n; requires 2n <= m."""
     return HankelData(seq, n)
 
 

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import DEFAULT_TOL, pseudo_inverse
+from .matcore import DEFAULT_TOL
 from .momentseq import (
-    block_hankel,
     first_column_embedding,
+    hankel_data,
     last_column_embedding,
     shift_matrix,
+    shift_resolvent,
     stack_y,
 )
 from .resolvent import MatrixPolynomial, resolvent_poly
@@ -52,35 +53,34 @@ def _check_offreal(z):
         raise ValueError("the fundamental matrices are only defined off R")
 
 
-def _resolvent_value(q, n, z, adjoint=False):
-    T = shift_matrix(q, n)
-    if adjoint:
-        T = T.conj().T
-    out = np.zeros_like(T)
-    P = np.eye(T.shape[0], dtype=complex)
-    for _ in range(n + 1):
-        out = out + P
-        P = z * (P @ T)
-    return out
-
-
-def _column_data(seq, n, f, z, odd):
-    """Interior column R_T(z)(v g(z) - c) and diagonal value for P_k."""
-    q = seq.q
-    v = first_column_embedding(q, n)
+def _corner(data, n, odd):
+    """Hankel corner and coupling column of P_2n: (H_n, u_n); of P_2n+1
+    (``odd``): (Hs_n, -alpha u_n - y_{0,n})."""
+    seq = data.seq
     u = -stack_y(seq, -1, n - 1)
-    fz = f(np.asarray(z, dtype=complex))
     if not odd:
-        g = fz
-        c = u
-        H = block_hankel(seq, n, 0)
-    else:
-        g = (z - seq.alpha) * fz
-        c = -seq.alpha * u - stack_y(seq, 0, n)
-        H = -seq.alpha * block_hankel(seq, n, 0) + block_hankel(seq, n, 1)
-    col = _resolvent_value(q, n, z) @ (v @ g - c)
+        return data.H[n], u
+    return data.Hs[n], -seq.alpha * u - stack_y(seq, 0, n)
+
+
+def _column_data(data, n, fz, RT, z, odd):
+    """Hankel corner, interior column R_T(z)(v g - c) and diagonal value
+    of P_k from fz = f(z) and RT = R_T(z), with g = fz for k = 2n and
+    g = (z - alpha) fz for k = 2n + 1 (``odd``)."""
+    H, c = _corner(data, n, odd)
+    g = (z - data.seq.alpha) * fz if odd else fz
+    col = RT @ (first_column_embedding(data.q, n) @ g - c)
     diag = (g - g.conj().T) / (z - np.conj(z))
-    return H, col, diag, g, c, v, u
+    return H, col, diag
+
+
+def _fundamental(data, n, k, fz, RT, z):
+    """P_k from fz = f(z) and RT = R_T(z)."""
+    if k == -1:
+        g = (z - data.seq.alpha) * fz
+        return (g - g.conj().T) / (z - np.conj(z))
+    H, col, diag = _column_data(data, n, fz, RT, z, odd=(k % 2 == 1))
+    return np.block([[H, col], [col.conj().T, diag]])
 
 
 def potapov_matrix(seq, n, f, z, k):
@@ -88,20 +88,19 @@ def potapov_matrix(seq, n, f, z, k):
 
     For k = 2n the matrix couples H_n with R_T(z)(v f(z) - u_n); for
     k = 2n + 1 the shifted Hankel matrix with the (z - alpha)-weighted
-    column; k = -1 gives the q x q endpoint block.
+    column; k = -1 gives the q x q endpoint block.  ``seq`` may be its
+    :class:`~stieltjesmp.momentseq.HankelData`, as for every function
+    here that takes a sequence.
     """
+    data = hankel_data(seq, n)
     z = complex(z)
     _check_offreal(z)
-    if k == -1:
-        fz = f(z)
-        g = (z - seq.alpha) * fz
-        return (g - g.conj().T) / (z - np.conj(z))
-    if k not in (2 * n, 2 * n + 1):
-        raise ValueError(f"index k = {k} does not match level n = {n}")
-    if k > seq.m:
-        raise ValueError(f"P_{k} needs moments up to s_{k}")
-    H, col, diag, *_ = _column_data(seq, n, f, z, odd=(k % 2 == 1))
-    return np.block([[H, col], [col.conj().T, diag]])
+    if k != -1:
+        if k not in (2 * n, 2 * n + 1):
+            raise ValueError(f"index k = {k} does not match level n = {n}")
+        if k > data.seq.m:
+            raise ValueError(f"P_{k} needs moments up to s_{k}")
+    return _fundamental(data, n, k, f(z), shift_resolvent(data.q, n, z), z)
 
 
 def sigma_matrix(seq, n, f, z, k, ginverse=None, tol=DEFAULT_TOL):
@@ -111,12 +110,15 @@ def sigma_matrix(seq, n, f, z, k, ginverse=None, tol=DEFAULT_TOL):
     any reflexive {1}-inverse of the Hankel corner (the value is
     invariant under that substitution whenever P_k is PSD).
     """
+    data = hankel_data(seq, n)
     z = complex(z)
     _check_offreal(z)
     if k == -1:
-        return potapov_matrix(seq, n, f, z, -1)
-    H, col, diag, *_ = _column_data(seq, n, f, z, odd=(k % 2 == 1))
-    Hinv = pseudo_inverse(H, tol) if ginverse is None else ginverse
+        return potapov_matrix(data, n, f, z, -1)
+    odd = k % 2 == 1
+    _, col, diag = _column_data(data, n, f(z), shift_resolvent(data.q, n, z),
+                                z, odd)
+    Hinv = data.pinv(n, odd, tol) if ginverse is None else ginverse
     return diag - col.conj().T @ Hinv @ col
 
 
@@ -127,14 +129,16 @@ def fq_matrices(seq, n, f, z, k):
     the shifted analogue for odd k; Q_k stacks the Hankel corner with
     F_k and its imaginary part.
     """
+    data = hankel_data(seq, n)
     z = complex(z)
     if k not in (2 * n, 2 * n + 1):
         raise ValueError(f"index k = {k} does not match level n = {n}")
-    q = seq.q
-    H, col, _, g, c, v, _ = _column_data(seq, n, f, z, odd=(k % 2 == 1))
+    q = data.q
+    RT = shift_resolvent(q, n, z)
+    H, col, _ = _column_data(data, n, f(z), RT, z, odd=(k % 2 == 1))
     T = shift_matrix(q, n)
-    RTs = _resolvent_value(q, n, z, adjoint=True)
-    F = H @ T.conj().T @ RTs + col @ v.conj().T @ RTs
+    v = first_column_embedding(q, n)
+    F = H @ T.conj().T @ RT.T + col @ v.conj().T @ RT.T
     _check_offreal(z)
     Q = np.block([[H, F],
                   [F.conj().T, (F - F.conj().T) / (z - np.conj(z))]])
@@ -148,17 +152,12 @@ def psi_polynomial(seq, n, parity):
     Psi_2n(z) = R_T(z)(H T* - u v* - z T H T*) R_{T*}(z), with the
     shifted Hankel matrix and coupling in the odd case.
     """
-    q = seq.q
-    v = first_column_embedding(q, n)
-    u = -stack_y(seq, -1, n - 1)
-    if parity == 0:
-        H = block_hankel(seq, n, 0)
-        c = u
-    elif parity == 1:
-        H = -seq.alpha * block_hankel(seq, n, 0) + block_hankel(seq, n, 1)
-        c = -seq.alpha * u - stack_y(seq, 0, n)
-    else:
+    if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
+    data = hankel_data(seq, n)
+    q = data.q
+    H, c = _corner(data, n, parity == 1)
+    v = first_column_embedding(q, n)
     T = shift_matrix(q, n)
     mid = MatrixPolynomial([
         H @ T.conj().T - c @ v.conj().T,
@@ -178,7 +177,7 @@ def congruence_matrices(q, n, z):
     """
     T = shift_matrix(q, n)
     v = first_column_embedding(q, n)
-    RTs_star = _resolvent_value(q, n, z, adjoint=True).conj().T
+    RTs_star = shift_resolvent(q, n, z).conj()
     p = (n + 1) * q
     gamma = np.block([
         [np.eye(p, dtype=complex), np.zeros((p, p), dtype=complex)],
@@ -203,6 +202,8 @@ def congruence_check(seq, n, f, z, tol=DEFAULT_TOL):
 
     Returns a dict of relative residual norms.
     """
+    data = hankel_data(seq, n)
+    seq = data.seq
     z = complex(z)
     _check_offreal(z)
     q = seq.q
@@ -211,8 +212,8 @@ def congruence_check(seq, n, f, z, tol=DEFAULT_TOL):
     for k, key in ((2 * n, "even"), (2 * n + 1, "odd")):
         if k > seq.m:
             continue
-        P = potapov_matrix(seq, n, f, z, k)
-        _, Q = fq_matrices(seq, n, f, z, k)
+        P = potapov_matrix(data, n, f, z, k)
+        _, Q = fq_matrices(data, n, f, z, k)
         scale = 1.0 + np.linalg.norm(P)
         out[f"P_eq_gamma_Q_gamma_{key}"] = \
             np.linalg.norm(P - gamma @ Q @ gamma.conj().T) / scale
@@ -222,14 +223,14 @@ def congruence_check(seq, n, f, z, tol=DEFAULT_TOL):
     E = compression_embedding(q, n)
     fz = f(z)
     if 2 * n <= seq.m:
-        P = potapov_matrix(seq, n, f, z, 2 * n)
+        P = potapov_matrix(data, n, f, z, 2 * n)
         target = np.block([
             [seq.s(0), fz],
             [fz.conj().T, (fz - fz.conj().T) / (z - np.conj(z))]])
         out["compression_even"] = np.linalg.norm(
             E.conj().T @ P @ E - target) / (1.0 + np.linalg.norm(P))
     if 2 * n + 1 <= seq.m:
-        P = potapov_matrix(seq, n, f, z, 2 * n + 1)
+        P = potapov_matrix(data, n, f, z, 2 * n + 1)
         g = (z - seq.alpha) * fz
         target = np.block([
             [-seq.alpha * seq.s(0) + seq.s(1), g + seq.s(0)],
@@ -247,14 +248,14 @@ def congruence_check(seq, n, f, z, tol=DEFAULT_TOL):
     Bm = np.eye(p + q, dtype=complex)
     Bm[:p, p:] = (z - np.conj(z)) * first_column_embedding(q, n)
     C = np.block([
-        [_resolvent_value(q, n, z), np.zeros((p, q), dtype=complex)],
+        [shift_resolvent(q, n, z), np.zeros((p, q), dtype=complex)],
         [np.zeros((q, p), dtype=complex), np.eye(q, dtype=complex)]])
     X = C @ Bm @ A
     for k, key in ((2 * n, "even"), (2 * n + 1, "odd")):
         if k > seq.m:
             continue
-        lhs = potapov_matrix(seq, n, f_refl, z, k)
-        rhs = X @ potapov_matrix(seq, n, f, np.conj(z), k) @ X.conj().T
+        lhs = potapov_matrix(data, n, f_refl, z, k)
+        rhs = X @ potapov_matrix(data, n, f, np.conj(z), k) @ X.conj().T
         out[f"reflection_{key}"] = np.linalg.norm(lhs - rhs) / \
             (1.0 + np.linalg.norm(lhs))
     return out
@@ -281,7 +282,9 @@ class PotapovReport:
 
 
 def potapov_report(seq, n, f, grid, tol=DEFAULT_TOL):
-    """Evaluate lambda_min of P_2n, P_2n+1, P_-1 over a non-real grid."""
+    """Evaluate lambda_min of P_2n, P_2n+1, P_-1 over a non-real grid,
+    from one value of f and of R_T(z) per point."""
+    data = hankel_data(seq, n)
     grid = [complex(z) for z in grid]
     if not grid:
         raise ValueError("empty evaluation grid")
@@ -289,12 +292,14 @@ def potapov_report(seq, n, f, grid, tol=DEFAULT_TOL):
     passed = True
     for z in grid:
         _check_offreal(z)
+        fz = f(z)
+        RT = shift_resolvent(data.q, n, z)
         for k, store in ((2 * n, lmin_even), (2 * n + 1, lmin_odd),
                          (-1, lmin_end)):
-            if k > seq.m:
+            if k > data.seq.m:
                 store.append(None)
                 continue
-            P = potapov_matrix(seq, n, f, z, k)
+            P = _fundamental(data, n, k, fz, RT, z)
             Ph = 0.5 * (P + P.conj().T)
             lam = float(np.linalg.eigvalsh(Ph).min())
             store.append(lam)
@@ -315,11 +320,13 @@ def atomic_decomposition_residual(seq, n, mu, z, k, tol=DEFAULT_TOL):
     only the last Hankel corner with the moment defect at order k.
     """
     from .stieltjespairs import transform
+    data = hankel_data(seq, n)
+    seq = data.seq
     z = complex(z)
     _check_offreal(z)
     q = seq.q
     f = FunctionSamples(lambda zz: transform(mu, zz), q)
-    P = potapov_matrix(seq, n, f, z, k)
+    P = potapov_matrix(data, n, f, z, k)
     odd = (k % 2 == 1)
     total = np.zeros_like(P)
     from .resolvent import monomial_stack

@@ -21,6 +21,7 @@ from .momentseq import (
     first_column_embedding,
     hankel_data,
     shift_matrix,
+    shift_resolvent,
 )
 
 
@@ -136,16 +137,12 @@ def resolvent_poly(q, n, adjoint=False):
 
     With ``adjoint=True`` returns R_{T*}(z) = sum z^j (T*)^j, the
     adjoint-shift resolvent satisfying R_{T*}(z) = [R_T(conj z)]*.
+    Its value at one point is ``momentseq.shift_resolvent(q, n, z)``.
+    The coefficient T^j = kron(eye(n + 1, k=-j), I_q) is the identity
+    shifted down by j blocks.
     """
-    T = shift_matrix(q, n)
-    if adjoint:
-        T = T.conj().T
-    coeffs = []
-    P = np.eye((n + 1) * q, dtype=complex)
-    for _ in range(n + 1):
-        coeffs.append(P.copy())
-        P = P @ T
-    return MatrixPolynomial(coeffs)
+    p, k = (n + 1) * q, (q if adjoint else -q)
+    return MatrixPolynomial([np.eye(p, k=k * j) for j in range(n + 1)])
 
 
 def monomial_stack(q, n, z):
@@ -252,8 +249,8 @@ def build_resolvent(seq, n, tol=None):
     T, v = shift_matrix(q, n), first_column_embedding(q, n)
     p = (n + 1) * q
     eye = np.eye(p, dtype=complex)
-    Ralpha = np.linalg.inv(eye - seq.alpha * T)
-    Rinv_star = (eye - seq.alpha * T).conj().T
+    Ralpha = shift_resolvent(q, n, seq.alpha)
+    Rinv = eye - seq.alpha * T
 
     RTs = resolvent_poly(q, n, adjoint=True)
     I2v = _kron2(v)
@@ -262,11 +259,11 @@ def build_resolvent(seq, n, tol=None):
     def omega(tilde):
         zero = np.zeros((p, p), dtype=complex)
         if not tilde:
-            const = np.block([[zero, Rinv_star], [zero, zero]])
+            const = np.block([[zero, Rinv.conj().T], [zero, zero]])
             lin = np.block([[T.conj().T, zero], [-eye, -eye]])
         else:
             const = np.block([[zero, zero], [-eye, zero]])
-            lin = np.block([[T.conj().T, Rinv_star], [zero, -eye]])
+            lin = np.block([[T.conj().T, Rinv.conj().T], [zero, -eye]])
         base = MatrixPolynomial([const - seq.alpha * lin, lin])
         big_RTs = MatrixPolynomial(
             [np.block([[c, np.zeros_like(c)], [np.zeros_like(c), c]])
@@ -289,7 +286,7 @@ def build_resolvent(seq, n, tol=None):
             left = np.hstack([T @ H, -eye]) @ I2v
             right = Hm @ Ralpha @ np.hstack([eye, T @ H]) @ I2v
         else:
-            RinvH = np.linalg.inv(Ralpha) @ H
+            RinvH = Rinv @ H
             left = np.hstack([RinvH, -eye]) @ I2v
             right = Hsm @ Ralpha @ np.hstack([eye, RinvH]) @ I2v
         mid = RTs.sandwich(left.conj().T, right)
@@ -371,24 +368,9 @@ def j_defect(R, z, w, variant="theta"):
     I2v = _kron2(R.v)
     T, H, Hs = R.T, R.H, R.Hs
     Ra = R.Ralpha
-    RinvH = np.linalg.inv(Ra) @ H
-
-    def RTs(val):
-        # R_{T*}(val) = sum val^j (T*)^j
-        out = np.zeros_like(eye)
-        P = eye.copy()
-        for _ in range(R.n + 1):
-            out = out + P
-            P = val * (P @ T.conj().T)
-        return out
-
-    def RT(val):
-        out = np.zeros_like(eye)
-        P = eye.copy()
-        for _ in range(R.n + 1):
-            out = out + P
-            P = val * (P @ T)
-        return out
+    Rinv = eye - R.alpha * T
+    RinvH = Rinv @ H
+    q, n = R.q, R.n
 
     tilde = variant.endswith("tilde")
     Hm = R.Hsm if tilde else R.Hm
@@ -402,7 +384,8 @@ def j_defect(R, z, w, variant="theta"):
         th_w = eval_theta(R, w, tilde=tilde)
         lhs = J - th_z @ J @ th_w.conj().T
         rhs = -1j * (z - np.conj(w)) * (
-            left_mat.conj().T @ RTs(z) @ Hm @ RTs(w).conj().T @ left_mat)
+            left_mat.conj().T @ shift_resolvent(q, n, z).T @ Hm
+            @ shift_resolvent(q, n, w).conj() @ left_mat)
         return lhs, rhs
 
     if variant in ("adjoint", "adjoint_tilde"):
@@ -411,10 +394,10 @@ def j_defect(R, z, w, variant="theta"):
         Bc = R.B_tilde if tilde else R.B
         Hmat = Hs if tilde else H
         lhs = J - th_w.conj().T @ J @ th_z
-        RTs_alpha = Ra.conj().T
-        core = (pair_mat.conj().T @ Ra.conj().T @ Hm @ RTs(w).conj().T
-                @ np.linalg.inv(Ra) @ Hmat @ np.linalg.inv(RTs_alpha)
-                @ RTs(z) @ Hm @ Ra @ pair_mat)
+        core = (pair_mat.conj().T @ Ra.conj().T @ Hm
+                @ shift_resolvent(q, n, w).conj() @ Rinv @ Hmat
+                @ Rinv.conj().T @ shift_resolvent(q, n, z).T @ Hm @ Ra
+                @ pair_mat)
         rhs = 1j * (np.conj(w) - z) * (Bc.conj().T @ core @ Bc)
         return lhs, rhs
 
@@ -423,7 +406,8 @@ def j_defect(R, z, w, variant="theta"):
         thi_w = theta_inverse(R, w, tilde=tilde)
         lhs = J - thi_z.conj().T @ J @ thi_w
         rhs = -1j * (np.conj(z) - w) * (
-            pair_mat.conj().T @ RTs(np.conj(z)) @ Hm @ RT(w) @ pair_mat)
+            pair_mat.conj().T @ shift_resolvent(q, n, np.conj(z)).T @ Hm
+            @ shift_resolvent(q, n, w) @ pair_mat)
         return lhs, rhs
 
     raise ValueError(f"unknown variant {variant!r}")

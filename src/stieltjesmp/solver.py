@@ -28,7 +28,6 @@ from .stieltjespairs import (
     moments_of,
     pair_eval,
     pair_in_restricted_class,
-    restriction_products,
     transform,
 )
 
@@ -84,7 +83,7 @@ def classify(seq, n, tol=None, basis_rotation=None):
     seq = data.seq
     tol = tol or seq.tol
     q = seq.q
-    A_phi, A_psi = restriction_products(data, n, tol)
+    A_phi, A_psi = data.restriction_products(n, tol)
     # Rank cutoffs are absolute relative to the ingredient scale: the
     # defect products vanish identically for nondegenerate data, and a
     # cutoff relative to their own largest singular value would then
@@ -235,11 +234,15 @@ def verify_solution(seq, n, candidate, grid=None, tol=None):
     defect at order 2n + 1, the fundamental-matrix report of their
     transform, and the exact atomic decomposition residual.  Solution
     functions are checked by the fundamental-matrix report and s_0
-    recovery at a single large imaginary point.
+    recovery at a single large imaginary point.  ``seq`` may be its
+    :class:`~stieltjesmp.momentseq.HankelData`; one is built otherwise
+    and shared by every check.
     """
+    data = hankel_data(seq, n)
+    seq = data.seq
     tol = tol or seq.tol
     if grid is None:
-        grid = [z for z in standard_grid(seq.alpha) if abs(z.imag) > 1e-9]
+        grid = standard_grid(seq.alpha)
     from .stieltjespairs import AtomicMeasure
     out = {"valid": True, "checks": {}}
     if isinstance(candidate, AtomicMeasure):
@@ -262,21 +265,21 @@ def verify_solution(seq, n, candidate, grid=None, tol=None):
         out["checks"]["top_defect_lambda_min"] = lam
         out["checks"]["top_defect_psd"] = bool(defect_ok)
         f = FunctionSamples(lambda z: transform(candidate, z), seq.q)
-        rep = potapov_report(seq, n, f, grid, tol)
+        rep = potapov_report(data, n, f, grid, tol)
         out["checks"]["potapov_passed"] = rep.passed
         dec = 0.0
         for z in grid[:4]:
             for k in (2 * n, 2 * n + 1):
                 dec = max(dec, atomic_decomposition_residual(
-                    seq, n, candidate, z, k, tol))
+                    data, n, candidate, z, k, tol))
         out["checks"]["decomposition_residual"] = dec
         out["valid"] = bool(match and defect_ok and rep.passed
                             and dec <= 1e-8)
         out["potapov"] = rep.to_dict()
         return out
     # SolutionFunction (or any evaluable matrix function)
-    f = FunctionSamples(lambda z: candidate(z), seq.q)
-    rep = potapov_report(seq, n, f, grid, tol)
+    f = FunctionSamples(candidate, seq.q)
+    rep = potapov_report(data, n, f, grid, tol)
     s0_est = recover_s0(candidate)
     scale = 1.0 + np.linalg.norm(seq.s(0))
     s0_resid = float(np.linalg.norm(s0_est - seq.s(0)) / scale)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .matcore import DEFAULT_TOL, is_psd, mrank
 from .momentseq import MomentSequence, hankel_data
-from .resolvent import signature_matrix
+from .resolvent import signature_matrix, standard_grid
 
 _SLIT_GUARD = 1e-12
 
@@ -74,11 +74,6 @@ def transform(mu, z):
     for t, _ in mu.atoms:
         if abs(t - z) <= _SLIT_GUARD:
             raise ValueError(f"evaluation point {z} coincides with atom {t}")
-    if z.imag == 0.0 and z.real >= mu.alpha - _SLIT_GUARD and mu.atoms:
-        # Real points inside the half line are allowed only away from
-        # the atoms; between-atom evaluation is legitimate for finitely
-        # atomic measures, so no further restriction here.
-        pass
     out = np.zeros((mu.q, mu.q), dtype=complex)
     for t, M in mu.atoms:
         out = out + M / (t - z)
@@ -216,15 +211,11 @@ def _blockdiag(blocks):
 
 
 def default_pair_grid(alpha):
-    """Evaluation grid for pair checks: both half planes plus a real
-    point left of alpha."""
-    pts = []
-    for x in (alpha - 2.0, alpha, alpha + 1.0, alpha + 3.0):
-        for y in (1.0, 10.0):
-            pts.append(x + 1j * y)
-            pts.append(x - 1j * y)
-    pts.append(alpha - 3.0 + 0j)
-    return pts
+    """Evaluation grid for pair checks: the points of ``standard_grid``
+    with |Im z| >= 1 in both half planes, plus a real point left of
+    alpha."""
+    return [z for z in standard_grid(alpha) if abs(z.imag) >= 1.0] + \
+        [alpha - 3.0 + 0j]
 
 
 def pair_is_valid(p, grid=None, tol=DEFAULT_TOL):
@@ -274,24 +265,13 @@ def _pair_alpha(p):
     return 0.0
 
 
-def restriction_products(seq, n, tol=DEFAULT_TOL):
-    """The two projector products defining the restricted pair class.
-
-    Returns (A_phi, A_psi) with A_phi = (I - H^+ H) R_T(alpha) v and
-    A_psi = (I - Hs^+ Hs) H v; a pair is admissible when A_phi phi and
-    A_psi psi vanish identically.  ``seq`` may be its
-    :class:`~stieltjesmp.momentseq.HankelData`.
-    """
-    return hankel_data(seq, n).restriction_products(n, tol)
-
-
 def pair_in_restricted_class(p, seq, n, tol=DEFAULT_TOL):
     """Sampling test of the two vanishing conditions of the restricted
     class; sample count covers the rational degree bound of the pair.
     ``seq`` may be its :class:`~stieltjesmp.momentseq.HankelData`."""
     data = hankel_data(seq, n)
     seq = data.seq
-    A_phi, A_psi = restriction_products(data, n, tol)
+    A_phi, A_psi = data.restriction_products(n, tol)
     scale = 1.0 + np.linalg.norm(seq.s(0))
     npts = n + 2 + p.degree_bound()
     pts = [seq.alpha + 0.37 + 1j * (1.0 + k) for k in range(npts)]

@@ -18,9 +18,9 @@ from stieltjesmp.matcore import (
     pseudo_inverse,
 )
 from stieltjesmp.momentseq import (
+    HankelData,
     block_hankel,
     dubovoj_candidates,
-    hankel_catalog,
     schur_ladder,
     shift_matrix,
     stack_y,
@@ -75,7 +75,7 @@ def test_criterion_01_hankel_identities():
         n = int(rng.integers(0, 3))
         alpha = float(rng.normal())
         seq = random_hermitian_sequence(rng, q, 2 * n + 1, alpha)
-        b = hankel_catalog(seq, n)
+        b = HankelData(seq, n)
         H, T, u, v = b.H[n], b.T, b.u, b.v
         scale = 1.0 + np.linalg.norm(H)
         p = H.shape[0]
@@ -99,7 +99,7 @@ def test_criterion_02_generalized_inverse_suite():
     """Reflexive generalized-inverse identities on 30 extendable fixtures."""
     worst = 0.0
     for mu, seq, n in kge_fixtures(30):
-        b = hankel_catalog(seq, n)
+        b = HankelData(seq, n)
         H, Hs, T = b.H[n], b.Hs[n], b.T
         D, Ds = dubovoj_candidates(seq, n)
         Hm = one_two_inverse(H, D)
@@ -136,7 +136,7 @@ def test_criterion_02_generalized_inverse_suite():
 def test_criterion_03_dubovoj_suite():
     """Canonical invariant subspaces; the classical counterexample."""
     for mu, seq, n in kge_fixtures(30):
-        b = hankel_catalog(seq, n)
+        b = HankelData(seq, n)
         D, Ds = dubovoj_candidates(seq, n)
         assert is_dubovoj(D, b.H[n], b.T)
         assert is_dubovoj(Ds, b.Hs[n], b.T)

@@ -18,7 +18,6 @@ from stieltjesmp.momentseq import (
     canonical_extension,
     dubovoj_candidates,
     extended,
-    hankel_catalog,
     hankel_data,
     rank_profile,
     schur_ladder,
@@ -58,14 +57,14 @@ def test_shift_right_examples():
 
 
 def test_hankel_catalog_examples():
-    b = hankel_catalog(scalar_seq([1, 1, 1]), 1)
+    b = HankelData(scalar_seq([1, 1, 1]), 1)
     assert np.allclose(b.H[1], np.ones((2, 2)))
-    b = hankel_catalog(scalar_seq([1, 0, 0]), 1)
+    b = HankelData(scalar_seq([1, 0, 0]), 1)
     assert np.allclose(b.u.ravel(), [0.0, -1.0])
-    b = hankel_catalog(scalar_seq([1, 1, 1, 1]), 1)
+    b = HankelData(scalar_seq([1, 1, 1, 1]), 1)
     assert np.allclose(b.Hs[1], np.ones((2, 2)))
     with pytest.raises(ValueError):
-        hankel_catalog(scalar_seq([1, 1]), 1)
+        HankelData(scalar_seq([1, 1]), 1)
     # HankelData: lower levels are leading slices of the top level, and
     # each factorization is made once and then handed out again.
     d = HankelData(scalar_seq([2, 1, 1, 1, 1]))
@@ -85,7 +84,7 @@ def test_hankel_catalog_examples():
 
 
 def test_hankel_bundle_embeddings():
-    b = hankel_catalog(scalar_seq([1, 2, 3, 4]), 1)
+    b = HankelData(scalar_seq([1, 2, 3, 4]), 1)
     assert np.allclose(b.v.ravel(), [1.0, 0.0])
     assert np.allclose(b.vg.ravel(), [0.0, 1.0])
     assert np.allclose(b.V.ravel(), [1.0, 0.0])
@@ -108,7 +107,7 @@ def test_hankel_block_partitions(rng):
 def test_ljapunov_identities(rng):
     for q, n in ((1, 1), (2, 1), (3, 2)):
         seq = random_hermitian_sequence(rng, q, 2 * n + 1, alpha=0.4)
-        b = hankel_catalog(seq, n)
+        b = HankelData(seq, n)
         H, T, u, v = b.H[n], b.T, b.u, b.v
         scale = 1.0 + np.linalg.norm(H)
         r1 = H @ T.conj().T - T @ H - (u @ v.conj().T - v @ u.conj().T)
@@ -201,7 +200,7 @@ def test_ladder_nesting_on_extendable_fixtures():
 def test_dubovoj_candidates_and_rank_profile():
     for mu, seq, n in kge_fixtures(6, seed=5):
         D, Ds = dubovoj_candidates(seq, n)
-        b = hankel_catalog(seq, n)
+        b = HankelData(seq, n)
         assert is_dubovoj(D, b.H[n], b.T)
         assert is_dubovoj(Ds, b.Hs[n], b.T)
         assert D.dim == mrank(b.H[n])
@@ -238,6 +237,6 @@ def test_class_membership_factors_each_matrix_once(pinv_calls):
 def test_shifted_hankel_matches_direct_assembly(seed):
     rng = np.random.default_rng(seed)
     seq = random_hermitian_sequence(rng, 2, 3, alpha=float(rng.normal()))
-    b = hankel_catalog(seq, 1)
+    b = HankelData(seq, 1)
     direct = block_hankel(shift_right(seq), 1, 0)
     assert np.allclose(b.Hs[1], direct)

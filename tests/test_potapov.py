@@ -1,9 +1,11 @@
 """Unit tests for the fundamental block-matrix machinery."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from stieltjesmp import MomentSequence
+from stieltjesmp import MomentSequence, momentseq
 from stieltjesmp.potapov import (
     FunctionSamples,
     atomic_decomposition_residual,
@@ -16,7 +18,9 @@ from stieltjesmp.potapov import (
 )
 from stieltjesmp.resolvent import build_resolvent, monomial_stack, \
     standard_grid
-from stieltjesmp.stieltjespairs import AtomicMeasure, transform
+from stieltjesmp.solver import lft_solution, verify_solution
+from stieltjesmp.stieltjespairs import AtomicMeasure, StieltjesPair, \
+    transform
 
 from conftest import atomic_fixture, kge_fixtures, random_hermitian_sequence
 
@@ -160,3 +164,67 @@ def test_conjugate_reflection_handle():
     g = f.conjugate_reflection()
     z = 0.2 + 0.7j
     assert np.allclose(g(z), f(np.conj(z)).conj().T)
+
+
+def test_potapov_report_evaluates_f_once_per_point():
+    mu, seq = atomic_fixture(np.random.default_rng(21), 2, 1, 0.5)
+    calls = []
+
+    def evaluator(z):
+        calls.append(z)
+        return transform(mu, z)
+
+    grid = standard_grid(0.5)
+    rep = potapov_report(seq, 1, FunctionSamples(evaluator, 2), grid)
+    assert rep.passed
+    assert calls == grid
+
+
+def test_verify_solution_assembles_hankel_matrices_once(monkeypatch):
+    # Count through every module namespace that holds the name, so that
+    # calls made from any module of the package are seen.
+    calls = []
+    original = momentseq.block_hankel
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:])
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if (name == "stieltjesmp" or name.startswith("stieltjesmp.")) \
+                and getattr(mod, "block_hankel", None) is original:
+            monkeypatch.setattr(mod, "block_hankel", counting)
+    mu, seq = atomic_fixture(np.random.default_rng(22), 2, 1, -1.0)
+    q = seq.q
+    S = lft_solution(build_resolvent(seq, 1),
+                     StieltjesPair.constant(np.zeros((q, q)), np.eye(q)))
+    grid = standard_grid(seq.alpha)
+    for candidate in (mu, S):
+        counts = []
+        for points in (grid[:4], grid):
+            calls.clear()
+            assert verify_solution(seq, 1, candidate, points)["valid"]
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+
+def test_potapov_report_matches_potapov_matrix():
+    rng = np.random.default_rng(23)
+    patterns = [dict(), dict(ranks=[1]), dict(include_endpoint=True),
+                dict(natoms=1)]
+    for q in (1, 2, 3):
+        for n in (0, 1, 2):
+            for j, pattern in enumerate(patterns):
+                alpha = (0.0, 0.5, -1.0)[(q + n + j) % 3]
+                mu, seq = atomic_fixture(rng, q, n, alpha, **pattern)
+                f = FunctionSamples(lambda z: transform(mu, z), q)
+                grid = standard_grid(alpha)
+                rep = potapov_report(seq, n, f, grid)
+                for i, z in enumerate(grid):
+                    for k, lmin in ((2 * n, rep.lmin_even),
+                                    (2 * n + 1, rep.lmin_odd),
+                                    (-1, rep.lmin_endpoint)):
+                        P = potapov_matrix(seq, n, f, z, k)
+                        lam = np.linalg.eigvalsh(0.5 * (P + P.conj().T))
+                        assert abs(lmin[i] - lam.min()) <= \
+                            1e-12 * (1.0 + np.linalg.norm(P))

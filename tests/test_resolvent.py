@@ -17,7 +17,7 @@ from stieltjesmp.resolvent import (
     theta_coeffs_json,
     theta_inverse,
 )
-from stieltjesmp.momentseq import shift_matrix
+from stieltjesmp.momentseq import shift_matrix, shift_resolvent
 
 from conftest import atomic_fixture, kge_fixtures
 
@@ -55,6 +55,23 @@ def test_resolvent_poly_examples():
     R2 = resolvent_poly(2, 2)
     z = 1.1 - 0.3j
     assert np.allclose(Rs(z), R2(np.conj(z)).conj().T)
+    # the value R_T(z) = (I - zT)^{-1}, whose adjoint is its transpose
+    assert np.array_equal(shift_resolvent(1, 1, z), [[1.0, 0.0], [z, 1.0]])
+    rng = np.random.default_rng(17)
+    for q in range(1, 5):
+        for n in range(5):
+            eye = np.eye((n + 1) * q)
+            T = shift_matrix(q, n)
+            for j, c in enumerate(resolvent_poly(q, n).coeffs):
+                assert np.array_equal(c, np.linalg.matrix_power(T, j))
+            for _ in range(3):
+                z = complex(*(2.0 * rng.normal(size=2)))
+                R = shift_resolvent(q, n, z)
+                tol = 1e-12 * (1.0 + np.linalg.norm(R))
+                assert np.linalg.norm(R - resolvent_poly(q, n)(z)) <= tol
+                assert np.linalg.norm(R @ (eye - z * T) - eye) <= tol
+                assert np.linalg.norm(
+                    R.T - resolvent_poly(q, n, adjoint=True)(z)) <= tol
 
 
 def test_resolvent_identity():

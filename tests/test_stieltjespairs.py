@@ -8,6 +8,7 @@ from stieltjesmp.stieltjespairs import (
     AtomicMeasure,
     StieltjesFunction,
     StieltjesPair,
+    default_pair_grid,
     moments_of,
     pair_eval,
     pair_in_restricted_class,
@@ -157,3 +158,11 @@ def test_pairs_equivalent_examples():
     psi = np.array([[0.0, 0.0], [0.0, 1.0]])
     assert pairs_equivalent(StieltjesPair.constant(phi, psi),
                             StieltjesPair.constant(phi @ g, psi @ g))
+
+
+def test_default_pair_grid_points():
+    offsets = [-2 + 1j, -2 - 1j, -2 + 10j, -2 - 10j, 1j, -1j, 10j, -10j,
+               1 + 1j, 1 - 1j, 1 + 10j, 1 - 10j,
+               3 + 1j, 3 - 1j, 3 + 10j, 3 - 10j, -3 + 0j]
+    for alpha in (0.0, 0.5, -1.0):
+        assert default_pair_grid(alpha) == [alpha + z for z in offsets]
