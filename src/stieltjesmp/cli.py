@@ -168,20 +168,50 @@ def cmd_solve(args):
     points = _points(args) if args.points else \
         [z for z in standard_grid(seq.alpha) if z.imag > 0][:4]
     from .potapov import FunctionSamples, potapov_report
-    f = FunctionSamples(S, seq.q)
-    values = []
-    for z in points:
-        entry = {"z": jsonio.complex_to_json(z)}
-        try:
-            entry["S"] = jsonio.matrix_to_json(S(z))
-            rep = potapov_report(seq, n, f, [z])
-            entry["lambda_min_even"] = rep.lmin_even[0]
-            entry["lambda_min_odd"] = rep.lmin_odd[0]
-        except ValueError as exc:
-            entry["singular"] = str(exc)
-        values.append(entry)
-    _emit({"case": report.case, "values": values}, args)
+    entries = [{"z": jsonio.complex_to_json(z)} for z in points]
+    solved, value = [], {}
+    for z, entry, val in zip(points, entries,
+                             _at_points(FunctionSamples(S, seq.q), points)):
+        if isinstance(val, ValueError):
+            entry["singular"] = str(val)
+        else:
+            entry["S"] = jsonio.matrix_to_json(val)
+            solved.append((z, entry))
+            value[z] = val
+    # The report reads the finite values found above instead of
+    # evaluating S again, and the Hankel data of the resolvent.
+    f = FunctionSamples(value.__getitem__, seq.q)
+
+    def lambda_mins(zs):
+        rep = potapov_report(S.resolvent.data, n, f, zs)
+        return list(zip(rep.lmin_even, rep.lmin_odd))
+
+    for (_, entry), lam in zip(solved, _at_points(
+            lambda_mins, [z for z, _ in solved])):
+        if isinstance(lam, ValueError):
+            entry["singular"] = str(lam)
+        else:
+            entry["lambda_min_even"], entry["lambda_min_odd"] = lam
+    _emit({"case": report.case, "values": entries}, args)
     return EXIT_OK
+
+
+def _at_points(fn, points):
+    """``fn(points)`` as a list with one result per point.  When the
+    batch raises ``ValueError``, ``fn`` runs point by point instead, and
+    a point that raises gets its error in place of a result."""
+    if not points:
+        return []
+    try:
+        return list(fn(points))
+    except ValueError:
+        out = []
+        for z in points:
+            try:
+                out.append(fn([z])[0])
+            except ValueError as exc:
+                out.append(exc)
+        return out
 
 
 def cmd_verify(args):
@@ -199,9 +229,9 @@ def cmd_transform(args):
     tol = _tol(args)
     mu = load_measure_file(args.measure, tol)
     points = _points(args)
-    out = [{"z": jsonio.complex_to_json(z),
-            "S": jsonio.matrix_to_json(transform(mu, z))}
-           for z in points]
+    values = transform(mu, np.array(points))
+    out = [{"z": jsonio.complex_to_json(z), "S": jsonio.matrix_to_json(S)}
+           for z, S in zip(points, values)]
     _emit({"values": out}, args)
     return EXIT_OK
 

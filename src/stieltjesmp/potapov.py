@@ -22,13 +22,22 @@ from .momentseq import (
     shift_resolvent,
     stack_y,
 )
-from .resolvent import MatrixPolynomial, resolvent_poly
+from .resolvent import MatrixPolynomial, monomial_stack, resolvent_poly
+from .stieltjespairs import StieltjesFunction
 
 _IM_GUARD = 1e-8
 
 
 class FunctionSamples:
-    """An evaluable q x q matrix function handle."""
+    """An evaluable q x q matrix function handle.
+
+    At a point it returns f(z) as a q x q matrix, at a 1-D array of G
+    points a (G, q, q) stack.  An evaluator whose class sets
+    ``takes_arrays`` (the library's solution and Stieltjes functions)
+    gets the whole array in one call; any other evaluator is called once
+    per point, in order.  A value that is not finite raises
+    ``ValueError`` naming the first such point.
+    """
 
     def __init__(self, evaluator, q=1, label="f"):
         self.evaluator = evaluator
@@ -36,9 +45,19 @@ class FunctionSamples:
         self.label = label
 
     def __call__(self, z):
-        val = np.atleast_2d(np.asarray(self.evaluator(z), dtype=complex))
-        if not np.all(np.isfinite(val)):
-            raise ValueError(f"{self.label}({z}) is not finite")
+        if np.ndim(z) == 0:
+            val = np.atleast_2d(np.asarray(self.evaluator(z), dtype=complex))
+            if not np.all(np.isfinite(val)):
+                raise ValueError(f"{self.label}({z}) is not finite")
+            return val
+        z = np.asarray(z, dtype=complex)
+        if not getattr(self.evaluator, "takes_arrays", False):
+            return np.stack([self(w) for w in z.tolist()])
+        val = np.asarray(self.evaluator(z), dtype=complex)
+        finite = np.isfinite(val).all(axis=(-2, -1))
+        if not finite.all():
+            first = complex(z[np.argmin(finite)])
+            raise ValueError(f"{self.label}({first}) is not finite")
         return val
 
     def conjugate_reflection(self):
@@ -49,8 +68,36 @@ class FunctionSamples:
 
 
 def _check_offreal(z):
-    if abs(z.imag) < _IM_GUARD:
+    if np.any(np.abs(np.imag(z)) < _IM_GUARD):
         raise ValueError("the fundamental matrices are only defined off R")
+
+
+def _check_index(data, n, k):
+    if k != -1:
+        if k not in (2 * n, 2 * n + 1):
+            raise ValueError(f"index k = {k} does not match level n = {n}")
+        if k > data.seq.m:
+            raise ValueError(f"P_{k} needs moments up to s_{k}")
+
+
+def _adjoint(A):
+    """Conjugate transpose of each matrix of a stack."""
+    return np.swapaxes(A, -1, -2).conj()
+
+
+def _hermitian_part(A):
+    return 0.5 * (A + _adjoint(A))
+
+
+def _fro(A):
+    """Frobenius norm of each matrix of a stack."""
+    return np.linalg.norm(A, axis=(-2, -1))
+
+
+def _im_quotient(g, z):
+    """(g - g*) / (z - conj z) at the points z (an array, 0-d for one
+    point), for g the stack of values there."""
+    return (g - _adjoint(g)) / (z - np.conj(z))[..., None, None]
 
 
 def _corner(data, n, odd):
@@ -63,24 +110,48 @@ def _corner(data, n, odd):
     return data.Hs[n], -seq.alpha * u - stack_y(seq, 0, n)
 
 
-def _column_data(data, n, fz, RT, z, odd):
+def _weighted(data, fz, z):
+    """(z - alpha) f(z) at the points z."""
+    return (z - data.seq.alpha)[..., None, None] * fz
+
+
+def _column_data(data, n, fz, z, odd):
     """Hankel corner, interior column R_T(z)(v g - c) and diagonal value
-    of P_k from fz = f(z) and RT = R_T(z), with g = fz for k = 2n and
-    g = (z - alpha) fz for k = 2n + 1 (``odd``)."""
+    of P_k at the points z (an array, 0-d for one point) from fz = f(z),
+    with g = fz for k = 2n and g = (z - alpha) fz for k = 2n + 1
+    (``odd``).  R_T(z) x is summed block by block, y_j = z y_{j-1} + x_j,
+    for all points at once."""
     H, c = _corner(data, n, odd)
-    g = (z - data.seq.alpha) * fz if odd else fz
-    col = RT @ (first_column_embedding(data.q, n) @ g - c)
-    diag = (g - g.conj().T) / (z - np.conj(z))
-    return H, col, diag
+    g = _weighted(data, fz, z) if odd else fz
+    q = data.q
+    y = np.broadcast_to(-c.reshape(n + 1, q, q),
+                        z.shape + (n + 1, q, q)).copy()
+    y[..., 0, :, :] += g
+    zc = z[..., None, None]
+    for j in range(1, n + 1):
+        y[..., j, :, :] += zc * y[..., j - 1, :, :]
+    return H, y.reshape(z.shape + c.shape), _im_quotient(g, z)
 
 
-def _fundamental(data, n, k, fz, RT, z):
-    """P_k from fz = f(z) and RT = R_T(z)."""
+def _fundamental(data, n, k, fz, z, hermitian=False):
+    """P_k at the points z from fz = f(z), one matrix per point, and its
+    Frobenius norm per point, formed from the norms of its blocks.  With
+    ``hermitian`` the matrix is the Hermitian part of P_k, written block
+    by block: only the Hankel corner and the diagonal block change, the
+    coupling column is the same."""
     if k == -1:
-        g = (z - data.seq.alpha) * fz
-        return (g - g.conj().T) / (z - np.conj(z))
-    H, col, diag = _column_data(data, n, fz, RT, z, odd=(k % 2 == 1))
-    return np.block([[H, col], [col.conj().T, diag]])
+        P = _im_quotient(_weighted(data, fz, z), z)
+        return (_hermitian_part(P) if hermitian else P), _fro(P)
+    H, col, diag = _column_data(data, n, fz, z, odd=(k % 2 == 1))
+    norm = np.sqrt(np.linalg.norm(H) ** 2 + 2.0 * _fro(col) ** 2
+                   + _fro(diag) ** 2)
+    p = H.shape[0]
+    P = np.empty(z.shape + (p + data.q, p + data.q), dtype=complex)
+    P[..., :p, :p] = _hermitian_part(H) if hermitian else H
+    P[..., :p, p:] = col
+    np.conjugate(np.swapaxes(col, -1, -2), out=P[..., p:, :p])
+    P[..., p:, p:] = _hermitian_part(diag) if hermitian else diag
+    return P, norm
 
 
 def potapov_matrix(seq, n, f, z, k):
@@ -95,12 +166,8 @@ def potapov_matrix(seq, n, f, z, k):
     data = hankel_data(seq, n)
     z = complex(z)
     _check_offreal(z)
-    if k != -1:
-        if k not in (2 * n, 2 * n + 1):
-            raise ValueError(f"index k = {k} does not match level n = {n}")
-        if k > data.seq.m:
-            raise ValueError(f"P_{k} needs moments up to s_{k}")
-    return _fundamental(data, n, k, f(z), shift_resolvent(data.q, n, z), z)
+    _check_index(data, n, k)
+    return _fundamental(data, n, k, f(z), np.asarray(z))[0]
 
 
 def sigma_matrix(seq, n, f, z, k, ginverse=None, tol=DEFAULT_TOL):
@@ -116,8 +183,7 @@ def sigma_matrix(seq, n, f, z, k, ginverse=None, tol=DEFAULT_TOL):
     if k == -1:
         return potapov_matrix(data, n, f, z, -1)
     odd = k % 2 == 1
-    _, col, diag = _column_data(data, n, f(z), shift_resolvent(data.q, n, z),
-                                z, odd)
+    _, col, diag = _column_data(data, n, f(z), np.asarray(z), odd)
     Hinv = data.pinv(n, odd, tol) if ginverse is None else ginverse
     return diag - col.conj().T @ Hinv @ col
 
@@ -133,15 +199,15 @@ def fq_matrices(seq, n, f, z, k):
     z = complex(z)
     if k not in (2 * n, 2 * n + 1):
         raise ValueError(f"index k = {k} does not match level n = {n}")
+    _check_offreal(z)
     q = data.q
-    RT = shift_resolvent(q, n, z)
-    H, col, _ = _column_data(data, n, f(z), RT, z, odd=(k % 2 == 1))
+    H, col, _ = _column_data(data, n, f(z), np.asarray(z),
+                             odd=(k % 2 == 1))
+    RTs = shift_resolvent(q, n, z).T
     T = shift_matrix(q, n)
     v = first_column_embedding(q, n)
-    F = H @ T.conj().T @ RT.T + col @ v.conj().T @ RT.T
-    _check_offreal(z)
-    Q = np.block([[H, F],
-                  [F.conj().T, (F - F.conj().T) / (z - np.conj(z))]])
+    F = H @ T.conj().T @ RTs + col @ v.conj().T @ RTs
+    Q = np.block([[H, F], [F.conj().T, _im_quotient(F, np.asarray(z))]])
     return F, Q
 
 
@@ -196,7 +262,7 @@ def compression_embedding(q, n):
                       last_column_embedding(q, n + 1)])
 
 
-def congruence_check(seq, n, f, z, tol=DEFAULT_TOL):
+def congruence_check(seq, n, f, z):
     """Residuals of the P/Q congruences, corner compressions, and the
     conjugate-reflection relation, each side assembled independently.
 
@@ -282,60 +348,66 @@ class PotapovReport:
 
 
 def potapov_report(seq, n, f, grid, tol=DEFAULT_TOL):
-    """Evaluate lambda_min of P_2n, P_2n+1, P_-1 over a non-real grid,
-    from one value of f and of R_T(z) per point."""
+    """Evaluate lambda_min of P_2n, P_2n+1, P_-1 over a non-real grid.
+
+    f is called once with the whole grid.  Each P_k is assembled for all
+    points as one stack of Hermitian parts, whose eigenvalues take one
+    call; the stack is dropped before the next k.  A point passes when
+    lambda_min >= -tol_psd (1 + ||P_k||).
+    """
     data = hankel_data(seq, n)
     grid = [complex(z) for z in grid]
     if not grid:
         raise ValueError("empty evaluation grid")
-    lmin_even, lmin_odd, lmin_end = [], [], []
+    z = np.array(grid)
+    _check_offreal(z)
+    fz = f(z)
+    lmin = {}
     passed = True
-    for z in grid:
-        _check_offreal(z)
-        fz = f(z)
-        RT = shift_resolvent(data.q, n, z)
-        for k, store in ((2 * n, lmin_even), (2 * n + 1, lmin_odd),
-                         (-1, lmin_end)):
-            if k > data.seq.m:
-                store.append(None)
-                continue
-            P = _fundamental(data, n, k, fz, RT, z)
-            Ph = 0.5 * (P + P.conj().T)
-            lam = float(np.linalg.eigvalsh(Ph).min())
-            store.append(lam)
-            scale = 1.0 + np.linalg.norm(P)
-            if lam < -tol.tol_psd * scale:
-                passed = False
-    return PotapovReport(points=grid, lmin_even=lmin_even,
-                         lmin_odd=lmin_odd, lmin_endpoint=lmin_end,
+    for k in (2 * n, 2 * n + 1, -1):
+        if k > data.seq.m:
+            lmin[k] = [None] * len(grid)
+            continue
+        P, norm = _fundamental(data, n, k, fz, z, hermitian=True)
+        lam = np.linalg.eigvalsh(P).min(axis=-1)
+        del P
+        if np.any(lam < -tol.tol_psd * (1.0 + norm)):
+            passed = False
+        lmin[k] = lam.tolist()
+    return PotapovReport(points=grid, lmin_even=lmin[2 * n],
+                         lmin_odd=lmin[2 * n + 1], lmin_endpoint=lmin[-1],
                          passed=passed)
 
 
-def atomic_decomposition_residual(seq, n, mu, z, k, tol=DEFAULT_TOL):
+def atomic_decomposition_residual(seq, n, mu, z, k):
     """Residual of the exact integral decomposition of P_k for an atomic
-    measure mu whose transform plays the role of f.
+    measure mu whose transform plays the role of f: a number at a point
+    z, an array of residuals at a 1-D array of points, computed for all
+    of them at once.
 
     P_2n[S](z) = sum_k [E(t); (t - conj z)^{-1} I] M [..]* + correction,
     with a sqrt(t - alpha) weight in the odd case; the correction charges
     only the last Hankel corner with the moment defect at order k.
     """
-    from .stieltjespairs import transform
     data = hankel_data(seq, n)
     seq = data.seq
-    z = complex(z)
+    z = np.asarray(z, dtype=complex)
     _check_offreal(z)
+    _check_index(data, n, k)
     q = seq.q
-    f = FunctionSamples(lambda zz: transform(mu, zz), q)
-    P = potapov_matrix(data, n, f, z, k)
+    f = FunctionSamples(StieltjesFunction(None, mu), q)
+    P, _ = _fundamental(data, n, k, f(z), z)
     odd = (k % 2 == 1)
     total = np.zeros_like(P)
-    from .resolvent import monomial_stack
     s_top = np.zeros((q, q), dtype=complex)
+    eye = np.eye(q)
     for t, M in mu.atoms:
         E = monomial_stack(q, n, t)
-        colblk = np.vstack([E, (1.0 / (t - np.conj(z))) * np.eye(q)])
+        colblk = np.concatenate(
+            [np.broadcast_to(E, z.shape + E.shape),
+             (1.0 / (t - np.conj(z)))[..., None, None] * eye], axis=-2)
         weight = (t - mu.alpha) if odd else 1.0
-        total += weight * (colblk @ M @ colblk.conj().T)
+        total += weight * (colblk @ M @ _adjoint(colblk))
         s_top += (t ** k) * M if not odd else \
             (t - mu.alpha) * (t ** (2 * n)) * M
     vg = last_column_embedding(q, n)
@@ -345,4 +417,4 @@ def atomic_decomposition_residual(seq, n, mu, z, k, tol=DEFAULT_TOL):
     else:
         defect = seq.s(k) - s_top
     total += corr_col @ defect @ corr_col.conj().T
-    return np.linalg.norm(P - total) / (1.0 + np.linalg.norm(P))
+    return (_fro(P - total) / (1.0 + _fro(P)))[()]

@@ -114,8 +114,11 @@ class MatrixPolynomial:
         return MatrixPolynomial(coeffs)
 
     def eval(self, z):
-        """Horner evaluation at a complex point."""
-        out = self.coeffs[-1].copy()
+        """Horner evaluation at a complex point (a size x size matrix) or
+        at a 1-D array of G points (a (G, size, size) stack)."""
+        z = np.asarray(z)[..., None, None]
+        out = np.empty(z.shape[:-2] + (self.size, self.size), dtype=complex)
+        out[...] = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
             out = z * out + c
         return out
@@ -339,7 +342,8 @@ def _self_check(R):
 
 
 def eval_theta(R, z, tilde=False):
-    """Value of theta (or theta tilde) at z via Horner evaluation."""
+    """Value of theta (or theta tilde) at z via Horner evaluation; a
+    (G, 2q, 2q) stack at a 1-D array of G points."""
     return (R.theta_tilde if tilde else R.theta).eval(z)
 
 

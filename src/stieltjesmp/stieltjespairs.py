@@ -69,14 +69,25 @@ def moments_of(mu, m):
 
 
 def transform(mu, z):
-    """Stieltjes transform S(z) = sum (t - z)^{-1} M off the slit."""
-    z = complex(z)
-    for t, _ in mu.atoms:
-        if abs(t - z) <= _SLIT_GUARD:
-            raise ValueError(f"evaluation point {z} coincides with atom {t}")
-    out = np.zeros((mu.q, mu.q), dtype=complex)
-    for t, M in mu.atoms:
-        out = out + M / (t - z)
+    """Stieltjes transform S(z) = sum (t - z)^{-1} M off the slit, at a
+    point (q x q) or at a 1-D array of G points ((G, q, q)).
+
+    A point within the slit guard of an atom raises ``ValueError``
+    naming the first such point, and for it the first such atom.
+    """
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros(z.shape + (mu.q, mu.q), dtype=complex)
+    if not mu.atoms:
+        return out
+    # t - z for every point (rows) and atom (columns)
+    d = np.array([t for t, _ in mu.atoms]) - z[..., None]
+    near = (np.abs(d) <= _SLIT_GUARD).ravel().nonzero()[0]
+    if near.size:
+        point, atom = divmod(near[0], len(mu.atoms))
+        raise ValueError(f"evaluation point {complex(z.flat[point])} "
+                         f"coincides with atom {mu.atoms[atom][0]}")
+    for j, (_, M) in enumerate(mu.atoms):
+        out = out + M / d[..., j, None, None]
     return out
 
 
@@ -92,22 +103,31 @@ def sharp_measure(mu):
 
 
 class StieltjesFunction:
-    """gamma + transform of an atomic measure, gamma PSD.
+    """gamma + transform of an atomic measure, gamma PSD (None: the
+    transform alone).
 
     Holomorphic off [alpha, oo), with nonnegative imaginary part in the
     upper half plane and PSD values on (-oo, alpha).
     """
 
+    # Evaluators with this flag take a 1-D array of points in one call.
+    takes_arrays = True
+
     def __init__(self, gamma, measure, tol=DEFAULT_TOL):
-        gamma = np.asarray(gamma, dtype=complex).reshape(measure.q, measure.q)
-        if not is_psd(gamma, tol):
-            raise ValueError("gamma must be PSD")
-        self.gamma = 0.5 * (gamma + gamma.conj().T)
         self.measure = measure
         self.q = measure.q
+        self.gamma = None
+        if gamma is not None:
+            gamma = np.asarray(gamma, dtype=complex).reshape(self.q, self.q)
+            if not is_psd(gamma, tol):
+                raise ValueError("gamma must be PSD")
+            self.gamma = 0.5 * (gamma + gamma.conj().T)
 
     def __call__(self, z):
-        return self.gamma + transform(self.measure, z)
+        """The value at a point (q x q) or at a 1-D array of points
+        ((G, q, q))."""
+        S = transform(self.measure, z)
+        return S if self.gamma is None else self.gamma + S
 
 
 class StieltjesPair:
@@ -178,12 +198,14 @@ class StieltjesPair:
 
 
 def pair_eval(p, z):
-    """Values (phi(z), psi(z)) of the pair at z off the slit."""
-    z = complex(z)
+    """Values (phi(z), psi(z)) of the pair at z off the slit: q x q
+    matrices at a point, (G, q, q) stacks at a 1-D array of G points."""
+    z = np.asarray(z, dtype=complex)
+    shape = z.shape + (p.q, p.q)
     if p.kind == "constant":
-        return p.phi.copy(), p.psi.copy()
+        return _at_each_point(p.phi, shape), _at_each_point(p.psi, shape)
     if p.kind == "function":
-        return p.f(z), np.eye(p.q, dtype=complex)
+        return p.f(z), _at_each_point(np.eye(p.q), shape)
     phi_r, psi_r = pair_eval(p.inner, z)
     blocks_phi = [phi_r]
     blocks_psi = [psi_r]
@@ -193,19 +215,26 @@ def pair_eval(p, z):
     if p.ell:
         blocks_phi.append(np.eye(p.ell, dtype=complex))
         blocks_psi.append(np.zeros((p.ell, p.ell), dtype=complex))
-    phi = p.W @ _blockdiag(blocks_phi)
-    psi = p.W @ _blockdiag(blocks_psi)
+    phi = p.W @ _blockdiag(blocks_phi, shape)
+    psi = p.W @ _blockdiag(blocks_psi, shape)
     return phi, psi
 
 
-def _blockdiag(blocks):
-    sizes = [b.shape[0] for b in blocks]
-    n = sum(sizes)
-    out = np.zeros((n, n), dtype=complex)
+def _at_each_point(A, shape):
+    """A new array of ``shape`` holding the matrix A at every point."""
+    out = np.empty(shape, dtype=complex)
+    out[...] = A
+    return out
+
+
+def _blockdiag(blocks, shape):
+    """The block diagonal matrix of ``blocks`` at every point: an array of
+    ``shape``; a block without point axes is the same at every point."""
+    out = np.zeros(shape, dtype=complex)
     pos = 0
     for b in blocks:
-        k = b.shape[0]
-        out[pos:pos + k, pos:pos + k] = b
+        k = b.shape[-1]
+        out[..., pos:pos + k, pos:pos + k] = b
         pos += k
     return out
 

@@ -127,6 +127,44 @@ def test_cmd_solve_flags_singular_point(tmp_path, capsys):
     assert "singular" in doc["values"][0]
 
 
+def test_cmd_solve_reports_each_point(tmp_path, capsys):
+    # S(z) = -1/z: singular at 1e-18, finite but not off R at 3.
+    code, doc = run(capsys, ["solve", moment_file(tmp_path, [1, 0]),
+                             "--n", "0", "--points", "1j,1e-18,2j,3,1j"])
+    assert code == 0
+    good, singular, other, real, again = doc["values"]
+    assert set(good) == {"z", "S", "lambda_min_even", "lambda_min_odd"}
+    assert good == again
+    assert np.allclose(other["S"], [[[0.0, 0.5]]])
+    assert set(singular) == {"z", "singular"}
+    assert "singular LFT denominator" in singular["singular"]
+    assert set(real) == {"z", "S", "singular"}
+    assert "off R" in real["singular"]
+
+
+def test_cmd_solve_evaluates_once_over_the_points(tmp_path, capsys,
+                                                  monkeypatch):
+    from stieltjesmp import potapov, solver
+    calls = {"S": 0, "report": 0}
+    call, report = solver.SolutionFunction.__call__, potapov.potapov_report
+
+    def counting_call(self, z):
+        calls["S"] += 1
+        return call(self, z)
+
+    def counting_report(*args, **kwargs):
+        calls["report"] += 1
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(solver.SolutionFunction, "__call__", counting_call)
+    monkeypatch.setattr(potapov, "potapov_report", counting_report)
+    code, doc = run(capsys, ["solve", moment_file(tmp_path, [1, 0]),
+                             "--n", "0", "--points", "1j,2j,-1+0.5j,3-1j"])
+    assert code == 0 and len(doc["values"]) == 4
+    assert all("lambda_min_even" in v for v in doc["values"])
+    assert calls == {"S": 1, "report": 1}
+
+
 def test_cmd_solve_stieltjes_function_pair(tmp_path, capsys):
     pair = write_json(tmp_path / "pf.json", {
         "kind": "stieltjes_function", "alpha": 0.0, "q": 1,
@@ -165,6 +203,12 @@ def test_cmd_transform_and_moments(tmp_path, capsys):
                        {"alpha": 0.0, "q": 1, "atoms": []})
     code, doc = run(capsys, ["transform", empty, "--points", "1j"])
     assert np.allclose(doc["values"][0]["S"], [[[0.0, 0.0]]])
+    code, doc = run(capsys, ["transform", mu, "--points", "1j,2+1j,-1j"])
+    assert code == 0
+    assert np.allclose([v["S"] for v in doc["values"]],
+                       [[[[0.5, 0.5]]], [[[-0.5, 0.5]]], [[[0.5, -0.5]]]])
+    assert main(["transform", mu, "--points", "1j,1,2"]) == 1
+    assert "point (1+0j) coincides with atom 1.0" in capsys.readouterr().err
     two = measure_file(tmp_path, [(0.0, 0.5), (2.0, 0.5)], name="two.json")
     code, doc = run(capsys, ["moments", two, "--order", "2"])
     assert code == 0

@@ -1,6 +1,7 @@
 """Unit tests for the fundamental block-matrix machinery."""
 
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,15 @@ def test_fq_matrices():
     Ebar = monomial_stack(seq2.q, n, np.conj(z))
     rhs = psi(z) + E @ f2(z) @ Ebar.conj().T
     assert np.linalg.norm(F2 - rhs) <= 1e-12 * (1 + np.linalg.norm(F2))
+
+
+def test_fq_matrices_rejects_real_points_before_dividing():
+    seq = scalar_seq([1, 1])
+    f = scalar_f(lambda z: 1.0 / (1.0 - z))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="off R"):
+            fq_matrices(seq, 0, f, 2.5, 0)
 
 
 def test_psi_polynomial_examples():
@@ -212,7 +222,7 @@ def test_potapov_report_matches_potapov_matrix():
     rng = np.random.default_rng(23)
     patterns = [dict(), dict(ranks=[1]), dict(include_endpoint=True),
                 dict(natoms=1)]
-    for q in (1, 2, 3):
+    for q in (1, 2, 3, 5, 8):
         for n in (0, 1, 2):
             for j, pattern in enumerate(patterns):
                 alpha = (0.0, 0.5, -1.0)[(q + n + j) % 3]
@@ -228,3 +238,34 @@ def test_potapov_report_matches_potapov_matrix():
                         lam = np.linalg.eigvalsh(0.5 * (P + P.conj().T))
                         assert abs(lmin[i] - lam.min()) <= \
                             1e-12 * (1.0 + np.linalg.norm(P))
+
+
+def test_potapov_report_calls_eigvalsh_once_per_k(monkeypatch):
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    mu, seq = atomic_fixture(np.random.default_rng(24), 2, 1, 0.5)
+    f = FunctionSamples(lambda z: transform(mu, z), 2)
+    grid = standard_grid(0.5)
+    for points in (grid[:1], grid[:4], grid):
+        calls.clear()
+        assert potapov_report(seq, 1, f, points).passed
+        assert 0 < len(calls) <= 3
+        assert all(shape[0] == len(points) for shape in calls)
+
+
+def test_atomic_decomposition_residual_on_arrays():
+    mu, seq = atomic_fixture(np.random.default_rng(25), 3, 1, -1.0)
+    zs = np.array(standard_grid(-1.0)[:6])
+    for k in (2, 3):
+        res = atomic_decomposition_residual(seq, 1, mu, zs, k)
+        assert res.shape == (6,)
+        for z, r in zip(zs, res):
+            one = atomic_decomposition_residual(seq, 1, mu, z, k)
+            assert np.ndim(one) == 0
+            assert abs(r - one) <= 1e-15 and r <= 1e-12

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from stieltjesmp import MomentSequence
-from stieltjesmp.resolvent import build_resolvent, standard_grid
+from stieltjesmp.resolvent import MatrixPolynomial, build_resolvent, \
+    standard_grid
 from stieltjesmp.solver import (
     classify,
     lft_solution,
@@ -18,6 +19,7 @@ from stieltjesmp.stieltjespairs import (
     StieltjesFunction,
     StieltjesPair,
     pair_eval,
+    transform,
 )
 
 from conftest import atomic_fixture, kge_fixtures
@@ -185,6 +187,25 @@ def test_solution_reports_singular_points():
         S(1e-18)
 
 
+def test_batch_with_singular_point_raises_as_scalar_loop():
+    S = unique_solution(scalar_seq([1, 0]), 0)   # S(z) = -1/z
+    zs = [1j, -2.0 + 0.5j, 1e-18, 1e-19, 3j]
+    with pytest.raises(ValueError) as scalar:
+        [S(z) for z in zs]
+    with pytest.raises(ValueError) as batch:
+        S(np.array(zs))
+    assert str(batch.value) == str(scalar.value)
+    assert "1e-18" in str(batch.value)
+    mu = AtomicMeasure(0.0, 1, [(1.0, [[1.0]]), (2.0, [[1.0]])])
+    zs = [1j, 2.0, 1.0, 2.0 + 1e-13]
+    with pytest.raises(ValueError) as scalar:
+        [transform(mu, z) for z in zs]
+    with pytest.raises(ValueError) as batch:
+        transform(mu, np.array(zs))
+    assert str(batch.value) == str(scalar.value)
+    assert "atom 2.0" in str(batch.value)
+
+
 def canonical_pair(report):
     """The lifted canonical pair (0, I) of the classification."""
     if report.case == "CompletelyDegenerate":
@@ -272,3 +293,61 @@ def test_unique_solution_matches_lft_of_lifted_pair():
                             1e-12 * np.linalg.norm(want)
                 unique += 1
     assert unique >= 10
+
+
+def _agrees_with_scalar_loop(fn, zs):
+    """fn over the array zs equals fn point by point, to 1e-12 relative;
+    when the loop raises, the array call raises the same error.  Returns
+    whether values were compared."""
+    try:
+        want = [fn(complex(z)) for z in zs]
+    except ValueError as exc:
+        with pytest.raises(ValueError) as batch:
+            fn(zs)
+        assert str(batch.value) == str(exc)
+        return False
+    got = fn(zs)
+    assert got.shape == (len(zs),) + want[0].shape
+    for g, w in zip(got, want):
+        assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
+    return True
+
+
+def test_array_evaluation_matches_scalar_loop():
+    rng = np.random.default_rng(4)
+    kinds = set()
+    compared = 0
+    for q in (1, 2, 3):
+        for n in range(4):
+            for kw in WEIGHT_PATTERNS.values():
+                alpha = (0.0, 0.5, -1.0)[(q + n) % 3]
+                mu, seq = atomic_fixture(rng, q, n, alpha, **kw)
+                zs = np.array(standard_grid(alpha)[::3] + [alpha - 1.5])
+                assert _agrees_with_scalar_loop(
+                    lambda z: transform(mu, z), zs)
+                try:
+                    report = classify(seq, n)
+                except ValueError:
+                    continue
+                R = build_resolvent(seq, n)
+                for poly in (R.theta, R.U_tilde,
+                             MatrixPolynomial.constant(R.B)):
+                    assert _agrees_with_scalar_loop(poly.eval, zs)
+                if report.case == "CompletelyDegenerate":
+                    pairs = [lift_pair(report)]
+                else:
+                    r = report.r
+                    f = StieltjesFunction(np.eye(r), AtomicMeasure(
+                        alpha, r, [(alpha + 0.7, np.eye(r))]))
+                    pairs = [lift_pair(report, inner) for inner in (
+                        StieltjesPair.constant(np.zeros((r, r)), np.eye(r)),
+                        StieltjesPair.from_function(f))]
+                for pair in pairs:
+                    kinds.add(pair.kind)
+                    assert _agrees_with_scalar_loop(
+                        lambda z: np.concatenate(pair_eval(pair, z), -1),
+                        zs)
+                    compared += _agrees_with_scalar_loop(
+                        lft_solution(R, pair), zs)
+    assert kinds == {"constant", "function", "lifted"}
+    assert compared >= 40
