@@ -89,8 +89,7 @@ def load_pair_file(path, tol):
         mu = AtomicMeasure(alpha, q, atoms, tol)
         gamma = jsonio.json_to_matrix(doc["gamma"], "gamma") \
             if "gamma" in doc else np.zeros((q, q))
-        return StieltjesPair.from_function(StieltjesFunction(gamma, mu, tol),
-                                          tol)
+        return StieltjesPair.from_function(StieltjesFunction(gamma, mu))
     raise ValueError(f"pair file {path}: unknown kind {kind!r}")
 
 
@@ -132,7 +131,7 @@ def cmd_check(args):
 def cmd_classify(args):
     tol = _tol(args)
     seq = load_moment_file(args.moments, tol)
-    report = classify(seq, args.n, tol)
+    report = classify(seq, args.n)
     _emit(report.to_dict(), args)
     return EXIT_OK
 
@@ -140,7 +139,7 @@ def cmd_classify(args):
 def cmd_resolvent(args):
     tol = _tol(args)
     seq = load_moment_file(args.moments, tol)
-    R = build_resolvent(seq, args.n, tol)
+    R = build_resolvent(seq, args.n)
     _emit(theta_coeffs_json(R), args)
     return EXIT_OK
 
@@ -149,12 +148,12 @@ def cmd_solve(args):
     tol = _tol(args)
     seq = load_moment_file(args.moments, tol)
     n = args.n
-    report = classify(seq, n, tol)
+    report = classify(seq, n)
     if report.case == "CompletelyDegenerate":
         if args.pair is not None:
             print("warning: completely degenerate data, the parameter "
                   "pair is ignored", file=sys.stderr)
-        S = unique_solution(seq, n, tol)
+        S = unique_solution(seq, n)
     else:
         if args.pair is None:
             raise ValueError("a pair file is required unless the data is "
@@ -162,9 +161,9 @@ def cmd_solve(args):
         pair = load_pair_file(args.pair, tol)
         from .solver import lift_pair
         if report.case == "Degenerate":
-            pair = lift_pair(report, pair, tol)
-        R = build_resolvent(seq, n, tol)
-        S = lft_solution(R, pair, check=True, seq=seq, n=n)
+            pair = lift_pair(report, pair)
+        R = build_resolvent(seq, n)
+        S = lft_solution(R, pair, seq=seq, n=n)
     points = _points(args) if args.points else \
         [z for z in standard_grid(seq.alpha) if z.imag > 0][:4]
     from .potapov import FunctionSamples, potapov_report
@@ -219,7 +218,7 @@ def cmd_verify(args):
     seq = load_moment_file(args.moments, tol)
     mu = load_measure_file(args.measure, tol)
     grid = _grid(args, seq.alpha)
-    report = verify_solution(seq, args.n, mu, grid, tol)
+    report = verify_solution(seq, args.n, mu, grid)
     report.pop("potapov", None)
     _emit(report, args)
     return EXIT_OK if report["valid"] else EXIT_NEGATIVE

@@ -95,15 +95,18 @@ def is_psd(A, tol=DEFAULT_TOL):
     return w.min() >= -tol.tol_psd * scale
 
 
+def _rank(s, tol, smax=None):
+    """How many of the singular values ``s`` exceed ``tol_rank * smax``,
+    ``smax`` being the largest of them unless given: the rank rule of
+    every function here.  None do when ``s`` is empty or all zero."""
+    if smax is None:
+        smax = np.max(s, initial=0.0)
+    return int(np.count_nonzero(s > tol.tol_rank * smax))
+
+
 def mrank(A, tol=DEFAULT_TOL):
     """Numerical rank: number of singular values above tol_rank * sigma_max."""
-    A = as_matrix(A)
-    if A.size == 0:
-        return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.tol_rank * s[0]))
+    return _rank(np.linalg.svd(as_matrix(A), compute_uv=False), tol)
 
 
 def pseudo_inverse(A, tol=DEFAULT_TOL):
@@ -169,8 +172,7 @@ def subspace_from_columns(M, tol=DEFAULT_TOL):
     if M.size == 0:
         return Subspace(p, np.zeros((p, 0)))
     U, s, _ = np.linalg.svd(M, full_matrices=False)
-    r = int(np.count_nonzero(s > tol.tol_rank * s[0])) if s[0] > 0.0 else 0
-    return Subspace(p, U[:, :r])
+    return Subspace(p, U[:, :_rank(s, tol)])
 
 
 def null_space(A, tol=DEFAULT_TOL):
@@ -179,11 +181,8 @@ def null_space(A, tol=DEFAULT_TOL):
     p = A.shape[1]
     if A.size == 0:
         return Subspace(p, np.eye(p))
-    u, s, vh = np.linalg.svd(A)
-    r = 0
-    if s.size and s[0] > 0.0:
-        r = int(np.count_nonzero(s > tol.tol_rank * s[0]))
-    return Subspace(p, vh[r:].conj().T)
+    _, s, vh = np.linalg.svd(A)
+    return Subspace(p, vh[_rank(s, tol):].conj().T)
 
 
 def projector(U):
@@ -237,12 +236,10 @@ def dubovoj_subspace(L, tol=DEFAULT_TOL):
             raise ValueError("all ladder blocks must be square of equal size")
     n1 = len(blocks)
     svds = [np.linalg.svd(Lj) for Lj in blocks]
-    smax = max((s[0] for _, s, _ in svds if s.size), default=0.0)
-    cutoff = tol.tol_rank * smax
+    smax = max(np.max(s, initial=0.0) for _, s, _ in svds)
     cols = []
     for j, (U, s, _) in enumerate(svds):
-        rj = int(np.count_nonzero(s > cutoff)) if smax > 0.0 else 0
-        Bj = U[:, :rj]
+        Bj = U[:, :_rank(s, tol, smax)]
         if Bj.shape[1]:
             E = np.zeros((n1 * q, Bj.shape[1]), dtype=complex)
             E[j * q:(j + 1) * q, :] = Bj

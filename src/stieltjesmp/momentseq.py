@@ -194,11 +194,11 @@ class HankelData:
         return self._once(("psd", shifted, k), lambda: is_psd(
             self._mats(shifted)[k], self.seq.tol))
 
-    def pinv(self, k, shifted=False, tol=None):
-        """Moore-Penrose inverse of H_k (Hs_k when ``shifted``)."""
-        tol = tol or self.seq.tol
-        return self._once(("pinv", shifted, k, tol), lambda: pseudo_inverse(
-            self._mats(shifted)[k], tol))
+    def pinv(self, k, shifted=False):
+        """Moore-Penrose inverse of H_k (Hs_k when ``shifted``), cut under
+        ``seq.tol``."""
+        return self._once(("pinv", shifted, k), lambda: pseudo_inverse(
+            self._mats(shifted)[k], self.seq.tol))
 
     def ladder(self, shifted=False):
         """Schur complements L_k = s_2k - z_{k,2k-1} H_{k-1}^+ y_{k,2k-1}
@@ -278,24 +278,23 @@ class HankelData:
             return self.extendable() and self.nonnegative(shifted=True)
         return self.nonnegative() and self.extendable(shifted=True)
 
-    def restriction_products(self, n, tol):
+    def restriction_products(self, n):
         """(A_phi, A_psi) = ((I - H^+ H) R_T(alpha) v, (I - Hs^+ Hs) H v)
-        at level n, with the pseudo-inverses cut under ``tol``; a pair
-        is in the restricted class when A_phi phi and A_psi psi vanish
-        identically."""
+        at level n; a pair is in the restricted class when A_phi phi and
+        A_psi psi vanish identically."""
         if n >= len(self.Hs):
             raise ValueError(f"restriction products at level {n} need "
                              f"2n+1 = {2 * n + 1} <= m = {self.seq.m}")
-        return self._once(("products", n, tol),
-                          lambda: self._restriction_products(n, tol))
+        return self._once(("products", n),
+                          lambda: self._restriction_products(n))
 
-    def _restriction_products(self, n, tol):
+    def _restriction_products(self, n):
         H, Hs = self.H[n], self.Hs[n]
         eye = np.eye(H.shape[0], dtype=complex)
         Ralpha = shift_resolvent(self.q, n, self.seq.alpha)
         v = first_column_embedding(self.q, n)
-        A_phi = (eye - self.pinv(n, tol=tol) @ H) @ Ralpha @ v
-        A_psi = (eye - self.pinv(n, True, tol) @ Hs) @ H @ v
+        A_phi = (eye - self.pinv(n) @ H) @ Ralpha @ v
+        A_psi = (eye - self.pinv(n, True) @ Hs) @ H @ v
         return A_phi, A_psi
 
     @property

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import DEFAULT_TOL
 from .momentseq import (
     first_column_embedding,
     hankel_data,
@@ -170,12 +169,13 @@ def potapov_matrix(seq, n, f, z, k):
     return _fundamental(data, n, k, f(z), np.asarray(z))[0]
 
 
-def sigma_matrix(seq, n, f, z, k, ginverse=None, tol=DEFAULT_TOL):
+def sigma_matrix(seq, n, f, z, k, ginverse=None):
     """Schur complement Sigma_k[f](z) of the Hankel corner of P_k.
 
-    Uses the Moore-Penrose inverse by default; ``ginverse`` substitutes
-    any reflexive {1}-inverse of the Hankel corner (the value is
-    invariant under that substitution whenever P_k is PSD).
+    Uses the Moore-Penrose inverse, cut under ``seq.tol``, by default;
+    ``ginverse`` substitutes any reflexive {1}-inverse of the Hankel
+    corner (the value is invariant under that substitution whenever P_k
+    is PSD).
     """
     data = hankel_data(seq, n)
     z = complex(z)
@@ -184,7 +184,7 @@ def sigma_matrix(seq, n, f, z, k, ginverse=None, tol=DEFAULT_TOL):
         return potapov_matrix(data, n, f, z, -1)
     odd = k % 2 == 1
     _, col, diag = _column_data(data, n, f(z), np.asarray(z), odd)
-    Hinv = data.pinv(n, odd, tol) if ginverse is None else ginverse
+    Hinv = data.pinv(n, odd) if ginverse is None else ginverse
     return diag - col.conj().T @ Hinv @ col
 
 
@@ -347,15 +347,17 @@ class PotapovReport:
         }
 
 
-def potapov_report(seq, n, f, grid, tol=DEFAULT_TOL):
+def potapov_report(seq, n, f, grid):
     """Evaluate lambda_min of P_2n, P_2n+1, P_-1 over a non-real grid.
 
     f is called once with the whole grid.  Each P_k is assembled for all
     points as one stack of Hermitian parts, whose eigenvalues take one
     call; the stack is dropped before the next k.  A point passes when
-    lambda_min >= -tol_psd (1 + ||P_k||).
+    lambda_min >= -tol_psd (1 + ||P_k||), with the ``tol_psd`` of
+    ``seq.tol``.
     """
     data = hankel_data(seq, n)
+    tol = data.seq.tol
     grid = [complex(z) for z in grid]
     if not grid:
         raise ValueError("empty evaluation grid")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonio
-from .matcore import DEFAULT_TOL, one_two_inverse, pseudo_inverse
+from .matcore import one_two_inverse
 from .momentseq import (
     HankelData,
     dubovoj_candidates,
@@ -23,6 +23,9 @@ from .momentseq import (
     shift_matrix,
     shift_resolvent,
 )
+
+# Relative size below which ``trimmed_degree`` counts a coefficient as zero.
+_TRIM_TOL = 1e-12
 
 
 class MatrixPolynomial:
@@ -45,10 +48,6 @@ class MatrixPolynomial:
     def constant(cls, A):
         return cls([np.asarray(A, dtype=complex)])
 
-    @classmethod
-    def zero(cls, size):
-        return cls([np.zeros((size, size), dtype=complex)])
-
     @property
     def degree(self):
         """Index of the last numerically nonzero coefficient."""
@@ -57,10 +56,10 @@ class MatrixPolynomial:
                 return k
         return 0
 
-    def trimmed_degree(self, tol=1e-12):
+    def trimmed_degree(self):
         scale = max(np.linalg.norm(c) for c in self.coeffs) + 1.0
         for k in range(len(self.coeffs) - 1, -1, -1):
-            if np.linalg.norm(self.coeffs[k]) > tol * scale:
+            if np.linalg.norm(self.coeffs[k]) > _TRIM_TOL * scale:
                 return k
         return 0
 
@@ -190,7 +189,8 @@ class ResolventMatrix:
     and ``B``/``B_tilde`` the constant J-unitary factors with
     theta = U B and theta_tilde = U_tilde B_tilde.  ``data`` is the
     :class:`HankelData` the resolvent was built from; gating a pair
-    against the same sequence reads its factorizations.
+    against the same sequence reads its factorizations, and every
+    tolerance is that of ``data.seq``.
     """
 
     n: int
@@ -206,14 +206,11 @@ class ResolventMatrix:
     Hs: np.ndarray
     Hm: np.ndarray
     Hsm: np.ndarray
-    D: object
-    Ds: object
     T: np.ndarray
     v: np.ndarray
     Ralpha: np.ndarray
-    tol: object = field(default=DEFAULT_TOL)
+    data: HankelData
     self_check: dict = field(default_factory=dict)
-    data: HankelData = None
 
     def block(self, i, j, tilde=False):
         """Block (i, j) of theta (or theta tilde) as a q x q polynomial."""
@@ -226,7 +223,7 @@ class ResolventMatrix:
         return src.sandwich(sel_l, sel_r)
 
 
-def build_resolvent(seq, n, tol=None):
+def build_resolvent(seq, n):
     """Construct the resolvent matrix polynomial pair for level n.
 
     Requires the sequence to be Stieltjes-extendable (class K>=e) with
@@ -236,7 +233,6 @@ def build_resolvent(seq, n, tol=None):
     """
     data = hankel_data(seq)
     seq = data.seq
-    tol = tol or seq.tol
     if 2 * n + 1 > seq.m:
         raise ValueError(f"build_resolvent needs 2n+1 = {2 * n + 1} <= m = {seq.m}")
     if not data.in_Kgeq_e():
@@ -244,11 +240,11 @@ def build_resolvent(seq, n, tol=None):
     q = seq.q
     H, Hs = data.H[n], data.Hs[n]
     D, Ds = dubovoj_candidates(data, n)
-    Hm = one_two_inverse(H, D, tol)
-    Hsm = one_two_inverse(Hs, Ds, tol)
+    Hm = one_two_inverse(H, D, seq.tol)
+    Hsm = one_two_inverse(Hs, Ds, seq.tol)
     # Factored now, so that gating pairs against this sequence through
     # lft_solution factors nothing again.
-    data.restriction_products(n, tol)
+    data.restriction_products(n)
     T, v = shift_matrix(q, n), first_column_embedding(q, n)
     p = (n + 1) * q
     eye = np.eye(p, dtype=complex)
@@ -309,7 +305,7 @@ def build_resolvent(seq, n, tol=None):
     R = ResolventMatrix(
         n=n, q=q, alpha=seq.alpha, theta=theta, theta_tilde=theta_tilde,
         U=U, U_tilde=U_tilde, B=B, B_tilde=B_tilde, H=H, Hs=Hs, Hm=Hm,
-        Hsm=Hsm, D=D, Ds=Ds, T=T, v=v, Ralpha=Ralpha, tol=tol, data=data)
+        Hsm=Hsm, T=T, v=v, Ralpha=Ralpha, data=data)
     R.self_check = _self_check(R)
     return R
 
@@ -424,11 +420,10 @@ def kernel_polys(R):
     built from the shifted Hankel matrix; their determinants vanish only
     on finite sets.
     """
-    tol = R.tol
     p = R.H.shape[0]
     eye = np.eye(p, dtype=complex)
-    Hp = pseudo_inverse(R.H, tol)
-    Hsp = pseudo_inverse(R.Hs, tol)
+    Hp = R.data.pinv(R.n)
+    Hsp = R.data.pinv(R.n, shifted=True)
     PH = eye - Hp @ R.H
     PHs = eye - Hsp @ R.Hs
     QH = eye - R.H @ R.Hm

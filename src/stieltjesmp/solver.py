@@ -16,6 +16,7 @@ from . import jsonio
 from .matcore import (
     DEFAULT_TOL,
     Subspace,
+    ToleranceConfig,
     projector,
     subspace_from_columns,
 )
@@ -39,6 +40,7 @@ class ClassificationReport:
     m and ell are the ranks of the two defect products, r = q - m - ell;
     U and V are the corresponding orthogonal subspaces of C^q and W is
     the unitary frame [complement | U | V] (or [U | V] when r = 0).
+    ``tol``, the tolerance of the sequence, is left out of ``to_dict``.
     """
 
     m: int
@@ -48,6 +50,7 @@ class ClassificationReport:
     U: Subspace
     V: Subspace
     W: np.ndarray
+    tol: ToleranceConfig = DEFAULT_TOL
 
     def to_dict(self):
         return {
@@ -71,7 +74,7 @@ def _defect_subspace(A, q, cutoff):
     return Subspace(q, vh[:r].conj().T), r
 
 
-def classify(seq, n, tol=None, basis_rotation=None):
+def classify(seq, n, basis_rotation=None):
     """Compute (m, ell, r), the defect subspaces, and the frame W.
 
     ``basis_rotation`` optionally post-rotates the orthonormal bases of
@@ -81,9 +84,9 @@ def classify(seq, n, tol=None, basis_rotation=None):
     """
     data = hankel_data(seq)
     seq = data.seq
-    tol = tol or seq.tol
+    tol = seq.tol
     q = seq.q
-    A_phi, A_psi = data.restriction_products(n, tol)
+    A_phi, A_psi = data.restriction_products(n)
     # Rank cutoffs are absolute relative to the ingredient scale: the
     # defect products vanish identically for nondegenerate data, and a
     # cutoff relative to their own largest singular value would then
@@ -123,16 +126,17 @@ def classify(seq, n, tol=None, basis_rotation=None):
     W = np.hstack(comp_cols) if comp_cols else np.zeros((q, 0), dtype=complex)
     if W.shape[1] != q:
         raise ValueError("frame W is not square; subspaces not complementary")
-    return ClassificationReport(m=m, ell=ell, r=r, case=case, U=U, V=V, W=W)
+    return ClassificationReport(m=m, ell=ell, r=r, case=case, U=U, V=V, W=W,
+                                tol=tol)
 
 
-def lift_pair(report, inner=None, tol=DEFAULT_TOL):
+def lift_pair(report, inner=None):
     """Lift an r x r parameter pair into the full q x q structure.
 
     Non-degenerate data returns the inner pair unchanged; degenerate
     data wraps it in the lifted block pattern with the frame W; the
     completely degenerate case ignores ``inner`` and returns the fixed
-    constant pair determined by W.
+    constant pair determined by W, under the tolerance of the report.
     """
     if report.case == "NonDegenerate":
         if inner is None:
@@ -154,10 +158,10 @@ def lift_pair(report, inner=None, tol=DEFAULT_TOL):
             dpsi[:m, :m] = np.eye(m)
             phi = report.W @ dphi
             psi = report.W @ dpsi
-        return StieltjesPair.constant(phi, psi, tol)
+        return StieltjesPair.constant(phi, psi, report.tol)
     if inner is None or inner.q != report.r:
         raise ValueError(f"inner pair must be {report.r} x {report.r}")
-    return StieltjesPair.lifted(report.W, inner, report.m, report.ell, tol)
+    return StieltjesPair.lifted(report.W, inner, report.m, report.ell)
 
 
 class SolutionFunction:
@@ -195,25 +199,24 @@ class SolutionFunction:
         return num @ np.linalg.inv(den)
 
 
-def lft_solution(R, p, check=True, seq=None, n=None):
+def lft_solution(R, p, seq=None, n=None):
     """Build the solution function for an admissible pair.
 
-    When ``check`` is true and the originating sequence is supplied, the
-    pair is gated through the restricted-class test.  For the sequence R
-    was built from, the test reads R's Hankel data and factors nothing
-    again.
+    When the originating sequence is supplied, the pair is gated through
+    the restricted-class test at level n (that of R by default).  For
+    the sequence R was built from, the test reads R's Hankel data and
+    factors nothing again.
     """
-    if check and seq is not None:
-        if R.data is not None and seq is R.data.seq:
+    if seq is not None:
+        if seq is R.data.seq:
             seq = R.data
-        if not pair_in_restricted_class(p, seq, n if n is not None else R.n,
-                                        R.tol):
+        if not pair_in_restricted_class(p, seq, n if n is not None else R.n):
             raise ValueError("pair is not in the restricted class for "
                              "this sequence")
     return SolutionFunction(R, p)
 
 
-def unique_solution(seq, n, tol=None):
+def unique_solution(seq, n):
     """The single solution in the completely degenerate case.
 
     Classification must yield r = 0; the parameter is then forced to the
@@ -221,13 +224,12 @@ def unique_solution(seq, n, tol=None):
     function.  Classification and resolvent share one Hankel data.
     """
     data = hankel_data(seq)
-    tol = tol or data.seq.tol
-    report = classify(data, n, tol)
+    report = classify(data, n)
     if report.case != "CompletelyDegenerate":
         raise ValueError("unique_solution needs the completely degenerate "
                          f"case, got {report.case}")
-    R = build_resolvent(data, n, tol)
-    pair = lift_pair(report, tol=tol)
+    R = build_resolvent(data, n)
+    pair = lift_pair(report)
     return SolutionFunction(R, pair)
 
 
@@ -237,7 +239,7 @@ def recover_s0(S, y=1e6):
     return 0.5 * (val + val.conj().T)
 
 
-def verify_solution(seq, n, candidate, grid=None, tol=None):
+def verify_solution(seq, n, candidate, grid=None):
     """Verification report for a measure or a solution function.
 
     Measures are checked by exact moment matching for j <= 2n, a Loewner
@@ -250,7 +252,7 @@ def verify_solution(seq, n, candidate, grid=None, tol=None):
     """
     data = hankel_data(seq, n)
     seq = data.seq
-    tol = tol or seq.tol
+    tol = seq.tol
     if grid is None:
         grid = standard_grid(seq.alpha)
     from .stieltjespairs import AtomicMeasure
@@ -275,7 +277,7 @@ def verify_solution(seq, n, candidate, grid=None, tol=None):
         out["checks"]["top_defect_lambda_min"] = lam
         out["checks"]["top_defect_psd"] = bool(defect_ok)
         f = FunctionSamples(StieltjesFunction(None, candidate), seq.q)
-        rep = potapov_report(data, n, f, grid, tol)
+        rep = potapov_report(data, n, f, grid)
         out["checks"]["potapov_passed"] = rep.passed
         zs = np.array(grid[:4], dtype=complex)
         dec = max([0.0] + [
@@ -289,7 +291,7 @@ def verify_solution(seq, n, candidate, grid=None, tol=None):
         return out
     # SolutionFunction (or any evaluable matrix function)
     f = FunctionSamples(candidate, seq.q)
-    rep = potapov_report(data, n, f, grid, tol)
+    rep = potapov_report(data, n, f, grid)
     s0_est = recover_s0(candidate)
     scale = 1.0 + np.linalg.norm(seq.s(0))
     s0_resid = float(np.linalg.norm(s0_est - seq.s(0)) / scale)

@@ -104,7 +104,7 @@ def sharp_measure(mu):
 
 class StieltjesFunction:
     """gamma + transform of an atomic measure, gamma PSD (None: the
-    transform alone).
+    transform alone) under the measure's ``tol``.
 
     Holomorphic off [alpha, oo), with nonnegative imaginary part in the
     upper half plane and PSD values on (-oo, alpha).
@@ -113,13 +113,13 @@ class StieltjesFunction:
     # Evaluators with this flag take a 1-D array of points in one call.
     takes_arrays = True
 
-    def __init__(self, gamma, measure, tol=DEFAULT_TOL):
+    def __init__(self, gamma, measure):
         self.measure = measure
         self.q = measure.q
         self.gamma = None
         if gamma is not None:
             gamma = np.asarray(gamma, dtype=complex).reshape(self.q, self.q)
-            if not is_psd(gamma, tol):
+            if not is_psd(gamma, measure.tol):
                 raise ValueError("gamma must be PSD")
             self.gamma = 0.5 * (gamma + gamma.conj().T)
 
@@ -142,6 +142,9 @@ class StieltjesPair:
     lifted
         W diag(phi_r, 0_m, I_l), W diag(psi_r, I_m, 0_l) around an inner
         r x r pair, with the obvious reductions when m = 0 or l = 0.
+
+    ``tol`` is that of a constant pair; a function or lifted pair takes
+    the one of its measure or inner pair.
     """
 
     def __init__(self, kind, q, phi=None, psi=None, f=None, W=None,
@@ -158,11 +161,13 @@ class StieltjesPair:
             if f.q != q:
                 raise ValueError("function size mismatch")
             self.f = f
+            self.tol = f.measure.tol
         elif kind == "lifted":
             self.W = np.asarray(W, dtype=complex).reshape(q, q)
             if np.linalg.norm(self.W.conj().T @ self.W - np.eye(q)) > 1e-8:
                 raise ValueError("W must be unitary")
             self.inner = inner
+            self.tol = inner.tol
             self.m = int(m)
             self.ell = int(ell)
             r = q - self.m - self.ell
@@ -179,14 +184,13 @@ class StieltjesPair:
         return cls("constant", phi.shape[0], phi=phi, psi=psi, tol=tol)
 
     @classmethod
-    def from_function(cls, f, tol=DEFAULT_TOL):
-        return cls("function", f.q, f=f, tol=tol)
+    def from_function(cls, f):
+        return cls("function", f.q, f=f)
 
     @classmethod
-    def lifted(cls, W, inner, m, ell, tol=DEFAULT_TOL):
+    def lifted(cls, W, inner, m, ell):
         W = np.asarray(W, dtype=complex)
-        return cls("lifted", W.shape[0], W=W, inner=inner, m=m, ell=ell,
-                   tol=tol)
+        return cls("lifted", W.shape[0], W=W, inner=inner, m=m, ell=ell)
 
     def degree_bound(self):
         """Degree bound of the rational entries, for sampling decisions."""
@@ -247,14 +251,16 @@ def default_pair_grid(alpha):
         [alpha - 3.0 + 0j]
 
 
-def pair_is_valid(p, grid=None, tol=DEFAULT_TOL):
-    """Check the defining positivity and rank conditions of a pair.
+def pair_is_valid(p, grid=None):
+    """Check the defining positivity and rank conditions of a pair under
+    its ``tol``.
 
     At every non-real grid point both quadratic J-forms (the plain one
     and the (z - alpha)-weighted one) must be PSD and col(phi; psi)
     must have full rank q; at real points x < alpha the Hermitian part
     of psi* phi must be PSD.
     """
+    tol = p.tol
     alpha = _pair_alpha(p)
     if grid is None:
         grid = default_pair_grid(alpha)
@@ -294,28 +300,26 @@ def _pair_alpha(p):
     return 0.0
 
 
-def pair_in_restricted_class(p, seq, n, tol=DEFAULT_TOL):
+def pair_in_restricted_class(p, seq, n):
     """Sampling test of the two vanishing conditions of the restricted
-    class; sample count covers the rational degree bound of the pair.
+    class under ``seq.tol``; sample count covers the rational degree
+    bound of the pair, and the pair is evaluated at all samples at once.
     ``seq`` may be its :class:`~stieltjesmp.momentseq.HankelData`."""
     data = hankel_data(seq, n)
     seq = data.seq
-    A_phi, A_psi = data.restriction_products(n, tol)
-    scale = 1.0 + np.linalg.norm(seq.s(0))
+    A_phi, A_psi = data.restriction_products(n)
+    bound = seq.tol.tol_identity * (1.0 + np.linalg.norm(seq.s(0))) * 10
     npts = n + 2 + p.degree_bound()
-    pts = [seq.alpha + 0.37 + 1j * (1.0 + k) for k in range(npts)]
-    for z in pts:
-        phi, psi = pair_eval(p, z)
-        if np.linalg.norm(A_phi @ phi) > tol.tol_identity * scale * 10:
-            return False
-        if np.linalg.norm(A_psi @ psi) > tol.tol_identity * scale * 10:
-            return False
-    return True
+    phi, psi = pair_eval(p, seq.alpha + 0.37 + 1j * (1.0 + np.arange(npts)))
+    return bool(np.all(np.linalg.norm(A_phi @ phi, axis=(-2, -1)) <= bound)
+                and np.all(np.linalg.norm(A_psi @ psi, axis=(-2, -1))
+                           <= bound))
 
 
-def pairs_equivalent(p1, p2, grid=None, tol=DEFAULT_TOL):
+def pairs_equivalent(p1, p2, grid=None):
     """Equivalence of pairs via equality of the Cayley transforms
-    (psi + i phi)(psi - i phi)^{-1} at upper-half-plane sample points."""
+    (psi + i phi)(psi - i phi)^{-1} at upper-half-plane sample points,
+    under the ``tol`` of ``p1``."""
     if p1.q != p2.q:
         return False
     alpha = _pair_alpha(p1)
@@ -335,7 +339,7 @@ def pairs_equivalent(p1, p2, grid=None, tol=DEFAULT_TOL):
         if skip:
             continue
         used += 1
-        if np.linalg.norm(vals[0] - vals[1]) > 1e3 * tol.tol_identity:
+        if np.linalg.norm(vals[0] - vals[1]) > 1e3 * p1.tol.tol_identity:
             return False
     if used == 0:
         raise ValueError("all equivalence sample points were singular")

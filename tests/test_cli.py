@@ -118,6 +118,18 @@ def test_cmd_solve_completely_degenerate_warns(tmp_path, capsys):
     assert np.allclose(doc["values"][0]["S"], [[[0.0, 0.5]]])  # -1/(2i)
 
 
+def test_cmd_solve_needs_a_pair_unless_completely_degenerate(tmp_path,
+                                                              capsys):
+    code = main(["solve", moment_file(tmp_path, [1, 1]), "--n", "0"])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert "a pair file is required unless the data is completely " \
+        "degenerate" in captured.err
+    code, doc = run(capsys, ["solve", moment_file(tmp_path, [1, 0]),
+                             "--n", "0", "--points", "2j"])
+    assert code == 0 and doc["case"] == "CompletelyDegenerate"
+
+
 def test_cmd_solve_flags_singular_point(tmp_path, capsys):
     code = main(["solve", moment_file(tmp_path, [1, 0]),
                  "--n", "0", "--points", "1e-18"])

@@ -160,3 +160,18 @@ def test_mrank_matches_construction(seed):
     r = int(rng.integers(0, 4))
     A = random_psd(rng, 4, r) if r else np.zeros((4, 4))
     assert mrank(A) == r
+
+
+def test_rank_rule_on_zero_and_empty_matrices():
+    # The one rank rule counts no singular value of a zero or empty
+    # matrix, with no special case for either.
+    zero = np.zeros((3, 3))
+    assert mrank(zero) == 0 and mrank(np.zeros((3, 0))) == 0
+    assert subspace_from_columns(zero).dim == 0
+    assert null_space(zero).dim == 3
+    assert dubovoj_subspace([zero, zero]).dim == 0
+    tight = ToleranceConfig(tol_rank=0.5)
+    assert mrank(np.diag([1.0, 0.6, 0.4]), tight) == 2
+    assert null_space(np.diag([1.0, 0.6, 0.4]), tight).dim == 1
+    assert dubovoj_subspace([np.diag([1.0, 0.4]), np.diag([0.6, 0.0])],
+                            tight).dim == 2

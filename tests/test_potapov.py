@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from stieltjesmp import MomentSequence, momentseq
+from stieltjesmp import MomentSequence, ToleranceConfig, momentseq
 from stieltjesmp.potapov import (
     FunctionSamples,
     atomic_decomposition_residual,
@@ -269,3 +269,13 @@ def test_atomic_decomposition_residual_on_arrays():
             one = atomic_decomposition_residual(seq, 1, mu, z, k)
             assert np.ndim(one) == 0
             assert abs(r - one) <= 1e-15 and r <= 1e-12
+
+
+def test_potapov_report_decides_with_the_sequence_tolerance():
+    mu, seq = atomic_fixture(np.random.default_rng(26), 2, 1, 0.5)
+    loose = MomentSequence(seq.alpha, seq.q, seq.moments,
+                           ToleranceConfig(tol_psd=1e-1))
+    f = FunctionSamples(lambda z: transform(mu, z) + 1e-4j * np.eye(2), 2)
+    grid = standard_grid(0.5)
+    assert not potapov_report(seq, 1, f, grid).passed
+    assert potapov_report(loose, 1, f, grid).passed

@@ -1,0 +1,48 @@
+"""The tolerance of a problem is part of its data.
+
+Every decision reads the ``ToleranceConfig`` of the object it decides
+about (a sequence, its Hankel data, a measure or a pair), so no public
+function, method or constructor of the problem-level modules takes a
+``tol`` argument, apart from the few that build such objects from raw
+matrices.
+"""
+
+import inspect
+
+from stieltjesmp import momentseq, potapov, resolvent, solver, \
+    stieltjespairs
+
+MODULES = (momentseq, resolvent, potapov, solver, stieltjespairs)
+
+# Objects built from raw matrices take their tolerance here: the
+# ``StieltjesPair`` constructor is the one ``StieltjesPair.constant``
+# calls (its ``tol`` is that of a constant pair), and a
+# ``ClassificationReport`` records the tolerance its sequence was
+# classified under.
+KEEP_TOL = {"MomentSequence", "AtomicMeasure", "StieltjesPair",
+            "StieltjesPair.constant", "ClassificationReport"}
+
+
+def _public_callables():
+    for mod in MODULES:
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or \
+                    getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                yield name, obj
+            if not inspect.isclass(obj):
+                continue
+            for attr, member in vars(obj).items():
+                fn = getattr(member, "__func__", member)
+                if not attr.startswith("_") and inspect.isfunction(fn):
+                    yield f"{name}.{attr}", fn
+
+
+def test_only_raw_data_constructors_take_a_tolerance():
+    names = dict(_public_callables())
+    assert {"classify", "potapov_report", "HankelData.pinv",
+            "StieltjesPair.lifted", "StieltjesFunction"} <= set(names)
+    with_tol = {name for name, fn in names.items()
+                if "tol" in inspect.signature(fn).parameters}
+    assert with_tol == KEEP_TOL

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from stieltjesmp import MomentSequence
+from stieltjesmp import HankelData, MomentSequence, ToleranceConfig, \
+    stieltjespairs
 from stieltjesmp.stieltjespairs import (
     AtomicMeasure,
     StieltjesFunction,
@@ -18,7 +19,7 @@ from stieltjesmp.stieltjespairs import (
     transform,
 )
 
-from conftest import atomic_fixture
+from conftest import atomic_fixture, kge_fixtures
 
 
 def delta(t, mass=1.0, alpha=0.0):
@@ -166,3 +167,70 @@ def test_default_pair_grid_points():
                3 + 1j, 3 - 1j, 3 + 10j, 3 - 10j, -3 + 0j]
     for alpha in (0.0, 0.5, -1.0):
         assert default_pair_grid(alpha) == [alpha + z for z in offsets]
+
+
+def test_pair_in_restricted_class_decides_with_the_sequence_tolerance():
+    seq10 = scalar_seq([1, 0])
+    loose = MomentSequence(0.0, 1, seq10.moments,
+                           ToleranceConfig(tol_identity=1e-1))
+    near = StieltjesPair.constant([[1.0]], [[1e-4]])
+    assert not pair_in_restricted_class(near, seq10, 0)
+    assert pair_in_restricted_class(near, loose, 0)
+
+
+def test_pair_in_restricted_class_evaluates_the_pair_once(monkeypatch):
+    calls = []
+    original = stieltjespairs.pair_eval
+
+    def counting(p, z):
+        calls.append(np.shape(z))
+        return original(p, z)
+
+    monkeypatch.setattr(stieltjespairs, "pair_eval", counting)
+    mu, seq = atomic_fixture(np.random.default_rng(27), 2, 1, 0.5)
+    f = StieltjesFunction(np.eye(2), mu)
+    for pair in (StieltjesPair.constant(np.zeros((2, 2)), np.eye(2)),
+                 StieltjesPair.from_function(f)):
+        calls.clear()
+        assert pair_in_restricted_class(pair, seq, 1)
+        assert calls == [(1 + 2 + pair.degree_bound(),)]
+
+
+def _restricted_class_loop(p, seq, n):
+    """The per-point form of the gate, as a reference."""
+    A_phi, A_psi = HankelData(seq, n).restriction_products(n)
+    bound = seq.tol.tol_identity * (1.0 + np.linalg.norm(seq.s(0))) * 10
+    for k in range(n + 2 + p.degree_bound()):
+        phi, psi = pair_eval(p, seq.alpha + 0.37 + 1j * (1.0 + k))
+        if np.linalg.norm(A_phi @ phi) > bound or \
+                np.linalg.norm(A_psi @ psi) > bound:
+            return False
+    return True
+
+
+def test_pair_in_restricted_class_matches_the_per_point_loop():
+    verdicts = []
+    for mu, seq, n in kge_fixtures(16, seed=8):
+        q = seq.q
+        f = StieltjesFunction(np.eye(q), AtomicMeasure(
+            seq.alpha, q, [(seq.alpha + 1.0, np.eye(q))]))
+        for pair in (StieltjesPair.constant(np.zeros((q, q)), np.eye(q)),
+                     StieltjesPair.constant(np.eye(q), np.zeros((q, q))),
+                     StieltjesPair.from_function(f)):
+            verdict = pair_in_restricted_class(pair, seq, n)
+            assert verdict == _restricted_class_loop(pair, seq, n)
+            verdicts.append(verdict)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_pair_checks_decide_with_the_pair_tolerance():
+    loose = ToleranceConfig(tol_psd=1e-1)
+    strict = StieltjesPair.constant([[1.0]], [[-1e-4]])
+    near = StieltjesPair.constant([[1.0]], [[-1e-4]], loose)
+    assert not pair_is_valid(strict)
+    assert pair_is_valid(near)
+    lifted = StieltjesPair.lifted(np.eye(2), near, 1, 0)
+    assert lifted.tol is loose
+    f = StieltjesFunction(None, AtomicMeasure(0.0, 1, [(1.0, [[1.0]])],
+                                              loose))
+    assert StieltjesPair.from_function(f).tol is loose
