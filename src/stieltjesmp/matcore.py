@@ -1,10 +1,10 @@
 """Dense complex matrix utilities.
 
-Hermitian/PSD tests, numerical rank, Moore-Penrose and (1,2)-generalized
-inverses with prescribed range and null space, orthonormal subspaces with
-projectors, and the invariant-subspace machinery used by the Hankel solver
-(block-diagonal range subspaces and their compatibility with a nilpotent
-shift).
+Hermitian/PSD tests, numerical rank, the one factorization of a Hermitian
+matrix that decides its rank, PSD verdict, null space and Moore-Penrose
+inverse, (1,2)-generalized inverses with prescribed range and null space,
+orthonormal subspaces with projectors, and the block-diagonal range
+subspaces of the Hankel solver with their compatibility with a shift.
 
 All functions are pure: inputs are never mutated and no module state is
 kept, so concurrent use is safe.
@@ -53,6 +53,15 @@ def as_matrix(A):
     return M
 
 
+def as_square(A, q, what):
+    """``A`` as a q x q complex ndarray; any other shape raises
+    ``ValueError`` naming ``what``."""
+    M = np.asarray(A, dtype=complex)
+    if M.shape != (q, q):
+        raise ValueError(f"{what} must be {q} x {q}, got shape {M.shape}")
+    return M
+
+
 def is_hermitian(A, tol=DEFAULT_TOL):
     """True iff ``A`` is square and Hermitian within ``tol.tol_herm``."""
     A = as_matrix(A)
@@ -95,18 +104,49 @@ def is_psd(A, tol=DEFAULT_TOL):
     return w.min() >= -tol.tol_psd * scale
 
 
-def _rank(s, tol, smax=None):
-    """How many of the singular values ``s`` exceed ``tol_rank * smax``,
-    ``smax`` being the largest of them unless given: the rank rule of
-    every function here.  None do when ``s`` is empty or all zero."""
-    if smax is None:
-        smax = np.max(s, initial=0.0)
-    return int(np.count_nonzero(s > tol.tol_rank * smax))
+def _rank(s, tol):
+    """How many of the singular values ``s`` exceed ``tol_rank`` times the
+    largest of them: the rank rule of every function here.  None do when
+    ``s`` is empty or all zero."""
+    return int(np.count_nonzero(s > tol.tol_rank * np.max(s, initial=0.0)))
 
 
 def mrank(A, tol=DEFAULT_TOL):
     """Numerical rank: number of singular values above tol_rank * sigma_max."""
     return _rank(np.linalg.svd(as_matrix(A), compute_uv=False), tol)
+
+
+class HermitianFactor:
+    """One ``eigh`` of the equilibrated D A D of a Hermitian matrix A, and
+    every verdict on A read from it.
+
+    D = diag(|A_jj|)^(-1/2) (van der Sluis, Numer. Math. 14, 1969), a
+    diagonal entry at or below ``tol_rank`` times the largest being
+    scaled by the largest instead, so that a row of roundoff stays
+    roundoff.  D A D has the inertia of A and null(A) = D null(D A D).
+    ``rank`` is the ``_rank`` rule on the moduli of its eigenvalues;
+    ``psd`` is lambda_min(D A D) >= -tol_psd (1 + |A|) min(D)^2, which
+    implies the ``is_psd`` gate on A; ``null`` is an orthonormal basis
+    of null(A) and ``pinv`` the Moore-Penrose inverse of A.
+    """
+
+    def __init__(self, A, tol=DEFAULT_TOL):
+        d = np.abs(np.diagonal(A))
+        dmax = np.max(d, initial=0.0) or 1.0
+        D = 1.0 / np.sqrt(np.where(d > tol.tol_rank * dmax, d, dmax))
+        w, Q = np.linalg.eigh(D[:, None] * A * D)
+        order = np.argsort(-np.abs(w), kind="stable")
+        w, B = w[order], D[:, None] * Q[:, order]
+        self.rank = r = _rank(np.abs(w), tol)
+        self.psd = bool(w.min(initial=0.0) >= -tol.tol_psd * (
+            1.0 + np.linalg.norm(A)) / dmax)
+        self.null, R = B[:, r:], B[:, :r]
+        if r < len(d):
+            # R diag(1/w_r) R* inverts A on its range; with R projected
+            # onto range(A) = null(A)-perp it is the Moore-Penrose inverse.
+            self.null = np.linalg.qr(self.null)[0]
+            R = R - self.null @ (self.null.conj().T @ R)
+        self.pinv = (R / w[:r]) @ R.conj().T
 
 
 def pseudo_inverse(A, tol=DEFAULT_TOL):
@@ -117,20 +157,16 @@ def pseudo_inverse(A, tol=DEFAULT_TOL):
     return np.linalg.pinv(A, rcond=tol.tol_rank)
 
 
-def range_included(B, A, tol=DEFAULT_TOL, B_pinv=None):
+def range_included(B, A, tol=DEFAULT_TOL):
     """True iff the column space of ``A`` is contained in that of ``B``.
 
-    Implemented as ``|A - B B^+ A| <= tol_identity * (1 + |A|)``.  A
-    caller that already holds ``pseudo_inverse(B, tol)`` passes it as
-    ``B_pinv``.
+    Implemented as ``|A - B B^+ A| <= tol_identity * (1 + |A|)``.
     """
     A = as_matrix(A)
     B = as_matrix(B)
     if A.shape[0] != B.shape[0]:
         raise ValueError("range_included needs matching row counts")
-    if B_pinv is None:
-        B_pinv = pseudo_inverse(B, tol)
-    resid = A - B @ (B_pinv @ A)
+    resid = A - B @ (pseudo_inverse(B, tol) @ A)
     return np.linalg.norm(resid) <= tol.tol_identity * (1.0 + np.linalg.norm(A))
 
 
@@ -193,23 +229,23 @@ def projector(U):
     return B @ B.conj().T
 
 
-def one_two_inverse(A, U, tol=DEFAULT_TOL):
+def one_two_inverse(A, U, rank, tol=DEFAULT_TOL):
     """Reflexive generalized inverse of Hermitian ``A`` with range and
     null space prescribed by the subspace ``U`` and its orthocomplement.
 
     Returns the unique X with A X A = A, X A X = X, range(X) = U and
     null(X) = U-perp, computed as ``B_U (B_U* A B_U)^{-1} B_U*``.  Valid
     when ``null(A) (+) U = C^p``; this is checked through
-    ``dim U == rank A`` and invertibility of the compression.
+    ``dim U == rank``, ``rank`` being the rank of A decided by the
+    caller, and invertibility of the compression.
     """
     A = hermitize(A, tol)
     p = A.shape[0]
     if U.ambient_dim != p:
         raise ValueError("subspace ambient dimension does not match matrix")
-    r = mrank(A, tol)
-    if U.dim != r:
-        raise ValueError(f"dim U = {U.dim} differs from rank A = {r}")
-    if r == 0:
+    if U.dim != rank:
+        raise ValueError(f"dim U = {U.dim} differs from rank A = {rank}")
+    if rank == 0:
         return np.zeros((p, p), dtype=complex)
     B = U.basis
     C = B.conj().T @ A @ B
@@ -220,33 +256,26 @@ def one_two_inverse(A, U, tol=DEFAULT_TOL):
     return 0.5 * (X + X.conj().T)
 
 
-def dubovoj_subspace(L, tol=DEFAULT_TOL):
+def dubovoj_subspace(L, ranks):
     """Orthonormal basis of range(diag(L_0, ..., L_n)), built blockwise.
 
-    Each block contributes an orthonormal basis of its own column space,
-    embedded into the matching block of C^{(n+1)q}.  The rank cutoff is
-    shared across blocks (relative to the largest singular value of the
-    whole family), so a block that vanishes up to roundoff relative to
-    its siblings contributes nothing.
+    Block j contributes its ``ranks[j]`` leading left singular vectors,
+    embedded into the matching block of C^{(n+1)q}.  The ranks are
+    rank H_j - rank H_{j-1} of the Hankel matrices the ladder comes
+    from, so that the subspace has the dimension rank H_n.
     """
     blocks = [as_matrix(Lj) for Lj in L]
     q = blocks[0].shape[0]
-    for Lj in blocks:
-        if Lj.shape != (q, q):
-            raise ValueError("all ladder blocks must be square of equal size")
-    n1 = len(blocks)
-    svds = [np.linalg.svd(Lj) for Lj in blocks]
-    smax = max(np.max(s, initial=0.0) for _, s, _ in svds)
-    cols = []
-    for j, (U, s, _) in enumerate(svds):
-        Bj = U[:, :_rank(s, tol, smax)]
-        if Bj.shape[1]:
-            E = np.zeros((n1 * q, Bj.shape[1]), dtype=complex)
-            E[j * q:(j + 1) * q, :] = Bj
-            cols.append(E)
-    if not cols:
-        return Subspace(n1 * q, np.zeros((n1 * q, 0)))
-    return Subspace(n1 * q, np.hstack(cols))
+    if any(Lj.shape != (q, q) for Lj in blocks) or len(ranks) != \
+            len(blocks) or not all(0 <= r <= q for r in ranks):
+        raise ValueError(f"need q x q ladder blocks with one rank in 0..q "
+                         f"each, got ranks {list(ranks)}")
+    basis = np.zeros((len(blocks) * q, sum(ranks)), dtype=complex)
+    col = 0
+    for j, (Lj, r) in enumerate(zip(blocks, ranks)):
+        basis[j * q:(j + 1) * q, col:col + r] = np.linalg.svd(Lj)[0][:, :r]
+        col += r
+    return Subspace(len(blocks) * q, basis)
 
 
 def is_dubovoj(D, H, T, tol=DEFAULT_TOL):

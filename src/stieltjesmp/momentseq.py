@@ -19,12 +19,10 @@ import numpy as np
 from . import jsonio
 from .matcore import (
     DEFAULT_TOL,
+    HermitianFactor,
+    as_square,
     dubovoj_subspace,
     hermitize,
-    is_psd,
-    mrank,
-    pseudo_inverse,
-    range_included,
 )
 
 
@@ -50,11 +48,9 @@ class MomentSequence:
         self.alpha = float(alpha)
         self.q = int(q)
         self.tol = tol
-        ms = []
-        for j, s in enumerate(moments):
-            s = np.asarray(s, dtype=complex).reshape(q, q)
-            ms.append(hermitize(s, tol, what=f"moment s_{j}"))
-        self.moments = ms
+        self.moments = [hermitize(as_square(s, q, f"moment s_{j}"), tol,
+                                  what=f"moment s_{j}")
+                        for j, s in enumerate(moments)]
 
     @property
     def m(self):
@@ -148,15 +144,15 @@ class HankelData:
     ``H[k]`` and ``Hs[k]`` are the level-k block Hankel matrices of the
     sequence and of its right-alpha-shifted sequence ``shifted``; both
     are leading slices of the matrix built at the top level (n for H,
-    min(n, floor((m-1)/2)) for Hs).  PSD verdicts, pseudo-inverses,
-    Schur ladders, class verdicts and the restriction products are
-    computed when first asked for and kept on this object only, so
-    every caller holding it shares one factorization of each matrix.
-    The arrays handed out are the kept ones; do not write to them.
+    min(n, floor((m-1)/2)) for Hs).  Each is factored once, into the
+    ``factor`` that every verdict, rank and inverse about it reads.
+    Factors, Schur ladders and class verdicts are computed when first
+    asked for and kept on this object only.  The arrays handed out are
+    the kept ones; do not write to them.
 
     The default level n = floor(m/2) covers all levels of the sequence,
     which the class tests need.  The coupling matrices ``T``, ``v``,
-    ``vg``, ``V``, ``Vg``, ``u``, ``w``, ``ug`` and the offset-1 Hankel
+    ``vg``, ``V``, ``Vg``, ``u``, ``ug`` and the offset-1 Hankel
     matrices ``K`` of the Ljapunov identities are assembled at level n
     on access.
     """
@@ -189,16 +185,18 @@ class HankelData:
         """True when every level of the sequence is present."""
         return self.n == self.seq.m // 2
 
-    def psd(self, k, shifted=False):
-        """Whether H_k (Hs_k when ``shifted``) is PSD under ``seq.tol``."""
-        return self._once(("psd", shifted, k), lambda: is_psd(
+    def factor(self, k, shifted=False):
+        """The factor of H_k (Hs_k when ``shifted``) under ``seq.tol``:
+        its PSD verdict, rank, null basis and pseudo-inverse."""
+        return self._once(("factor", shifted, k), lambda: HermitianFactor(
             self._mats(shifted)[k], self.seq.tol))
 
-    def pinv(self, k, shifted=False):
-        """Moore-Penrose inverse of H_k (Hs_k when ``shifted``), cut under
-        ``seq.tol``."""
-        return self._once(("pinv", shifted, k), lambda: pseudo_inverse(
-            self._mats(shifted)[k], self.seq.tol))
+    def ladder_ranks(self, shifted=False):
+        """rank H_k - rank H_{k-1} (of Hs when ``shifted``) per level k:
+        the rank of the Schur complement L_k when H_k is PSD."""
+        ranks = [self.factor(k, shifted).rank
+                 for k in range(len(self._mats(shifted)))]
+        return np.diff(ranks, prepend=0).tolist()
 
     def ladder(self, shifted=False):
         """Schur complements L_k = s_2k - z_{k,2k-1} H_{k-1}^+ y_{k,2k-1}
@@ -214,7 +212,8 @@ class HankelData:
             else:
                 y = stack_y(seq, k, 2 * k - 1)
                 z = stack_z(seq, k, 2 * k - 1)
-                out.append(seq.s(2 * k) - z @ self.pinv(k - 1, shifted) @ y)
+                Hp = self.factor(k - 1, shifted).pinv
+                out.append(seq.s(2 * k) - z @ Hp @ y)
         return out
 
     def _require_complete(self):
@@ -225,7 +224,7 @@ class HankelData:
     def nonnegative(self, shifted=False):
         """Membership of the sequence (of ``shifted``) in class H>=."""
         self._require_complete()
-        return all(self.psd(k, shifted)
+        return all(self.factor(k, shifted).psd
                    for k in range(len(self._mats(shifted))))
 
     def extendable(self, shifted=False):
@@ -236,66 +235,49 @@ class HankelData:
 
     def _extendable(self, shifted):
         seq = self.shifted if shifted else self.seq
-        m, q, tol = seq.m, seq.q, seq.tol
-        if m % 2 == 0:
-            n = m // 2
-            if not self.psd(n, shifted):
-                return False
-            if n == 0:
-                # Both completing moments are free; s_1 = 0 always works.
-                return True
-            # Extending needs some Hermitian s_{2n+1} with
-            # col(s_{n+1}, ..., s_{2n+1}) in the range of H_n.  Splitting
-            # the free last block out of the projector equation
-            # (I - H H^+) Y = 0 leaves an affine solvability condition in
-            # s_{2n+1}.
-            H = self._mats(shifted)[n]
-            P = np.eye((n + 1) * q, dtype=complex) - \
-                H @ self.pinv(n, shifted)
-            c = np.vstack([stack_y(seq, n + 1, 2 * n),
-                           np.zeros((q, q), dtype=complex)])
-            P_last = P[:, n * q:]
-            return range_included(P_last, P @ c, tol)
-        n = (m - 1) // 2
-        if not self.psd(n, shifted):
+        m = seq.m
+        if not self.factor(m // 2, shifted).psd:
             return False
-        y = stack_y(seq, n + 1, 2 * n + 1)
-        return range_included(self._mats(shifted)[n], y, tol,
-                              B_pinv=self.pinv(n, shifted))
+        if m == 0:
+            # Both completing moments are free; s_1 = 0 always works.
+            return True
+        # With H_{m//2} PSD, extendable iff col(s_{m//2+1}, ..., s_m) is
+        # orthogonal to null(H_{(m-1)//2}).  For even m these are the
+        # null vectors of H_{m/2} with a zero last block, the ones that
+        # no choice of the free s_{m+1} can meet.
+        y = stack_y(seq, m // 2 + 1, m)
+        N = self.factor((m - 1) // 2, shifted).null
+        return bool(np.linalg.norm(N.conj().T @ y)
+                    <= seq.tol.tol_identity * (1.0 + np.linalg.norm(y)))
 
     def in_Kgeq(self):
         """Membership in the Stieltjes class K>=."""
         if not self.nonnegative():
             return False
-        return self.seq.m == 0 or self.psd(len(self.Hs) - 1, shifted=True)
+        return self.seq.m == 0 or self.factor(len(self.Hs) - 1, True).psd
 
     def in_Kgeq_e(self):
         """Membership in the Stieltjes-extendable class K>=,e."""
         self._require_complete()
         if self.seq.m == 0:
-            return self.psd(0)
+            return self.factor(0).psd
         if self.seq.m % 2 == 1:
             return self.extendable() and self.nonnegative(shifted=True)
         return self.nonnegative() and self.extendable(shifted=True)
 
     def restriction_products(self, n):
         """(A_phi, A_psi) = ((I - H^+ H) R_T(alpha) v, (I - Hs^+ Hs) H v)
-        at level n; a pair is in the restricted class when A_phi phi and
-        A_psi psi vanish identically."""
+        at level n, formed as N N* R_T(alpha) v and Ns Ns* H v from the
+        null bases of H_n and Hs_n, so both are exactly zero when these
+        are nonsingular; a pair is in the restricted class when A_phi phi
+        and A_psi psi vanish identically."""
         if n >= len(self.Hs):
             raise ValueError(f"restriction products at level {n} need "
                              f"2n+1 = {2 * n + 1} <= m = {self.seq.m}")
-        return self._once(("products", n),
-                          lambda: self._restriction_products(n))
-
-    def _restriction_products(self, n):
-        H, Hs = self.H[n], self.Hs[n]
-        eye = np.eye(H.shape[0], dtype=complex)
-        Ralpha = shift_resolvent(self.q, n, self.seq.alpha)
-        v = first_column_embedding(self.q, n)
-        A_phi = (eye - self.pinv(n) @ H) @ Ralpha @ v
-        A_psi = (eye - self.pinv(n, True) @ Hs) @ H @ v
-        return A_phi, A_psi
+        N, Ns = self.factor(n).null, self.factor(n, True).null
+        Rv = shift_resolvent(self.q, n, self.seq.alpha)[:, :self.q]
+        Hv = self.H[n][:, :self.q]
+        return N @ (N.conj().T @ Rv), Ns @ (Ns.conj().T @ Hv)
 
     @property
     def K(self):
@@ -329,10 +311,6 @@ class HankelData:
     @property
     def u(self):
         return -stack_y(self.seq, -1, self.n - 1)
-
-    @property
-    def w(self):
-        return stack_z(self.seq, -1, self.n - 1)
 
     @property
     def ug(self):
@@ -430,7 +408,7 @@ def canonical_extension(seq):
     lvl = (m + 1) // 2 - 1
     y = stack_y(seq, lo, m)
     z = stack_z(seq, lo, m)
-    s_next = z @ data.pinv(lvl) @ y
+    s_next = z @ data.factor(lvl).pinv @ y
     return 0.5 * (s_next + s_next.conj().T)
 
 
@@ -445,24 +423,24 @@ def dubovoj_candidates(seq, n):
 
     Returns the pair (D_n, D_shift_n) built from the Schur ladders of
     the sequence and of its right-alpha-shifted sequence via
-    :func:`stieltjesmp.matcore.dubovoj_subspace`.  ``seq`` may be its
+    :func:`stieltjesmp.matcore.dubovoj_subspace`, block ranks taken
+    from the factors of the Hankel matrices.  ``seq`` may be its
     :class:`HankelData`.
     """
     data = hankel_data(seq)
-    seq = data.seq
-    if 2 * n + 1 > seq.m:
+    if 2 * n + 1 > data.seq.m:
         raise ValueError("dubovoj_candidates needs 2n+1 <= m")
-    D = dubovoj_subspace(data.ladder()[:n + 1], seq.tol)
-    Ds = dubovoj_subspace(data.ladder(shifted=True)[:n + 1], seq.tol)
-    return D, Ds
+    return tuple(dubovoj_subspace(data.ladder(shifted)[:n + 1],
+                                  data.ladder_ranks(shifted)[:n + 1])
+                 for shifted in (False, True))
 
 
 def rank_profile(seq):
-    """Ranks of the ladder blocks and of the top Hankel matrix."""
+    """Ranks of the ladder blocks and of the top Hankel matrix, all read
+    from the factors of the Hankel matrices."""
     data = hankel_data(seq)
-    tol = data.seq.tol
     return {
-        "rank_H": mrank(data.H[-1], tol),
-        "rank_L": [mrank(L, tol) for L in data.ladder()],
-        "rank_Ls": [mrank(L, tol) for L in data.ladder(shifted=True)],
+        "rank_H": data.factor(data.n).rank,
+        "rank_L": data.ladder_ranks(),
+        "rank_Ls": data.ladder_ranks(shifted=True),
     }

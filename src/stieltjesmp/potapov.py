@@ -184,7 +184,7 @@ def sigma_matrix(seq, n, f, z, k, ginverse=None):
         return potapov_matrix(data, n, f, z, -1)
     odd = k % 2 == 1
     _, col, diag = _column_data(data, n, f(z), np.asarray(z), odd)
-    Hinv = data.pinv(n, odd) if ginverse is None else ginverse
+    Hinv = data.factor(n, odd).pinv if ginverse is None else ginverse
     return diag - col.conj().T @ Hinv @ col
 
 

@@ -240,11 +240,8 @@ def build_resolvent(seq, n):
     q = seq.q
     H, Hs = data.H[n], data.Hs[n]
     D, Ds = dubovoj_candidates(data, n)
-    Hm = one_two_inverse(H, D, seq.tol)
-    Hsm = one_two_inverse(Hs, Ds, seq.tol)
-    # Factored now, so that gating pairs against this sequence through
-    # lft_solution factors nothing again.
-    data.restriction_products(n)
+    Hm = one_two_inverse(H, D, data.factor(n).rank, seq.tol)
+    Hsm = one_two_inverse(Hs, Ds, data.factor(n, True).rank, seq.tol)
     T, v = shift_matrix(q, n), first_column_embedding(q, n)
     p = (n + 1) * q
     eye = np.eye(p, dtype=complex)
@@ -422,8 +419,8 @@ def kernel_polys(R):
     """
     p = R.H.shape[0]
     eye = np.eye(p, dtype=complex)
-    Hp = R.data.pinv(R.n)
-    Hsp = R.data.pinv(R.n, shifted=True)
+    Hp = R.data.factor(R.n).pinv
+    Hsp = R.data.factor(R.n, shifted=True).pinv
     PH = eye - Hp @ R.H
     PHs = eye - Hsp @ R.Hs
     QH = eye - R.H @ R.Hm

@@ -74,12 +74,9 @@ def _defect_subspace(A, q, cutoff):
     return Subspace(q, vh[:r].conj().T), r
 
 
-def classify(seq, n, basis_rotation=None):
+def classify(seq, n):
     """Compute (m, ell, r), the defect subspaces, and the frame W.
 
-    ``basis_rotation`` optionally post-rotates the orthonormal bases of
-    U and V by given unitaries (used to confirm basis independence of
-    downstream results); the subspaces themselves are unchanged.
     ``seq`` may be its :class:`~stieltjesmp.momentseq.HankelData`.
     """
     data = hankel_data(seq)
@@ -98,10 +95,6 @@ def classify(seq, n, basis_rotation=None):
     r = q - m - ell
     if r < 0:
         raise ValueError("defect ranks exceed q; inconsistent input")
-    if basis_rotation is not None:
-        RU, RV = basis_rotation
-        U = Subspace(q, U.basis @ RU) if U.dim else U
-        V = Subspace(q, V.basis @ RV) if V.dim else V
     if m == 0 and ell == 0:
         case = "NonDegenerate"
     elif r == 0:

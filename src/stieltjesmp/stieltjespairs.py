@@ -11,7 +11,7 @@ a Stieltjes function, or lifted into a degenerate block structure.
 
 import numpy as np
 
-from .matcore import DEFAULT_TOL, is_psd, mrank
+from .matcore import DEFAULT_TOL, as_square, is_psd, mrank
 from .momentseq import MomentSequence, hankel_data
 from .resolvent import signature_matrix, standard_grid
 
@@ -32,7 +32,7 @@ class AtomicMeasure:
         merged = {}
         for t, M in atoms:
             t = float(t)
-            M = np.asarray(M, dtype=complex).reshape(q, q)
+            M = as_square(M, q, f"atom weight at t = {t}")
             if t < self.alpha - _SLIT_GUARD:
                 raise ValueError(f"atom position {t} below alpha = {alpha}")
             if not is_psd(M, tol):
@@ -118,7 +118,7 @@ class StieltjesFunction:
         self.q = measure.q
         self.gamma = None
         if gamma is not None:
-            gamma = np.asarray(gamma, dtype=complex).reshape(self.q, self.q)
+            gamma = as_square(gamma, self.q, "gamma")
             if not is_psd(gamma, measure.tol):
                 raise ValueError("gamma must be PSD")
             self.gamma = 0.5 * (gamma + gamma.conj().T)
@@ -153,8 +153,8 @@ class StieltjesPair:
         self.q = int(q)
         self.tol = tol
         if kind == "constant":
-            self.phi = np.asarray(phi, dtype=complex).reshape(q, q)
-            self.psi = np.asarray(psi, dtype=complex).reshape(q, q)
+            self.phi = as_square(phi, q, "phi")
+            self.psi = as_square(psi, q, "psi")
             if mrank(np.vstack([self.phi, self.psi]), tol) != q:
                 raise ValueError("constant pair must have full column rank")
         elif kind == "function":
@@ -163,7 +163,7 @@ class StieltjesPair:
             self.f = f
             self.tol = f.measure.tol
         elif kind == "lifted":
-            self.W = np.asarray(W, dtype=complex).reshape(q, q)
+            self.W = as_square(W, q, "W")
             if np.linalg.norm(self.W.conj().T @ self.W - np.eye(q)) > 1e-8:
                 raise ValueError("W must be unitary")
             self.inner = inner

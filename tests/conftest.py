@@ -10,7 +10,7 @@ import collections
 import numpy as np
 import pytest
 
-from stieltjesmp import AtomicMeasure, MomentSequence, moments_of
+from stieltjesmp import AtomicMeasure, MomentSequence, matcore, moments_of
 
 
 def random_psd(rng, q, rank=None, scale=1.0):
@@ -90,16 +90,32 @@ def rng():
 
 
 @pytest.fixture
-def pinv_calls(monkeypatch):
-    """Counter of ``np.linalg.pinv`` calls keyed by the input matrix
-    (shape and bytes), for checks that nothing is factored twice."""
+def factor_calls(monkeypatch):
+    """Counter of ``np.linalg.eigh`` calls, the one factorization of each
+    Hankel matrix, keyed by the matrix factored (shape and bytes), for
+    checks that nothing is factored twice.  A call made for a
+    ``HermitianFactor`` counts for the matrix the factor was built on,
+    not for its equilibrated copy, which two Hankel matrices equal up to
+    a diagonal scaling (H and Hs of a single atom) share."""
     calls = collections.Counter()
-    original = np.linalg.pinv
+    building = []
+    eigh, init = np.linalg.eigh, matcore.HermitianFactor.__init__
 
-    def counting(a, *args, **kwargs):
+    def key(a):
         a = np.asarray(a)
-        calls[(a.shape, a.tobytes())] += 1
-        return original(a, *args, **kwargs)
+        return a.shape, a.tobytes()
 
-    monkeypatch.setattr(np.linalg, "pinv", counting)
+    def counting_eigh(a, *args, **kwargs):
+        calls[building[-1] if building else key(a)] += 1
+        return eigh(a, *args, **kwargs)
+
+    def tracking_init(self, A, *args, **kwargs):
+        building.append(key(A))
+        try:
+            init(self, A, *args, **kwargs)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(matcore.HermitianFactor, "__init__", tracking_init)
     return calls

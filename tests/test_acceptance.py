@@ -102,8 +102,8 @@ def test_criterion_02_generalized_inverse_suite():
         b = HankelData(seq, n)
         H, Hs, T = b.H[n], b.Hs[n], b.T
         D, Ds = dubovoj_candidates(seq, n)
-        Hm = one_two_inverse(H, D)
-        Hsm = one_two_inverse(Hs, Ds)
+        Hm = one_two_inverse(H, D, b.factor(n).rank)
+        Hsm = one_two_inverse(Hs, Ds, b.factor(n, True).rank)
         Hp = pseudo_inverse(H)
         p = H.shape[0]
         eye = np.eye(p)
@@ -150,7 +150,7 @@ def test_criterion_03_dubovoj_suite():
         assert D.dim == mrank(b.H[n]) == rank_sum
     thiele = scalar_seq([0, 0, 1])
     lad = schur_ladder(thiele)
-    D = dubovoj_subspace(lad.L)
+    D = dubovoj_subspace(lad.L, HankelData(thiele).ladder_ranks())
     assert not is_dubovoj(D, block_hankel(thiele, 1, 0), shift_matrix(1, 1))
     assert not class_membership(thiele).in_Hgeq_e
     _report(3, "30 fixtures invariant + rank-graded; counterexample "

@@ -63,6 +63,12 @@ def test_cmd_check_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["check", str(tmp_path / "missing.json")]) == 1
     capsys.readouterr()
+    # A row of q * q entries is not a q x q moment, though it would
+    # reshape to I_2.
+    flat = write_json(tmp_path / "flat.json", {
+        "alpha": 0.0, "q": 2, "moments": [[[1, 0, 0, 1]]]})
+    assert main(["check", flat]) == 1
+    assert "moment s_0 must be 2 x 2" in capsys.readouterr().err
 
 
 def test_cmd_classify(tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stieltjesmp.matcore import (
+    HermitianFactor,
     Subspace,
     ToleranceConfig,
     dubovoj_subspace,
@@ -21,7 +22,9 @@ from stieltjesmp.matcore import (
     range_included,
     subspace_from_columns,
 )
-from stieltjesmp.momentseq import shift_matrix
+from stieltjesmp.momentseq import HankelData, dubovoj_candidates, \
+    shift_matrix
+from stieltjesmp.stieltjespairs import AtomicMeasure, moments_of
 
 from conftest import random_psd
 
@@ -64,12 +67,12 @@ def test_range_included_examples():
 
 def test_one_two_inverse_examples():
     U = Subspace(2, np.array([[1.0], [0.0]]))
-    X = one_two_inverse(np.ones((2, 2)), U)
+    X = one_two_inverse(np.ones((2, 2)), U, 1)
     assert np.allclose(X, np.diag([1.0, 0.0]))
     full = Subspace(3, np.eye(3))
-    assert np.allclose(one_two_inverse(np.eye(3), full), np.eye(3))
+    assert np.allclose(one_two_inverse(np.eye(3), full, 3), np.eye(3))
     zero = Subspace(1, np.zeros((1, 0)))
-    assert np.allclose(one_two_inverse(np.zeros((1, 1)), zero), 0.0)
+    assert np.allclose(one_two_inverse(np.zeros((1, 1)), zero, 0), 0.0)
 
 
 def test_one_two_inverse_defining_identities(rng):
@@ -78,7 +81,7 @@ def test_one_two_inverse_defining_identities(rng):
     for q, rank in ((3, 2), (4, 4), (5, 1)):
         A = random_psd(rng, q, rank)
         U = subspace_from_columns(A)
-        X = one_two_inverse(A, U)
+        X = one_two_inverse(A, U, rank)
         assert np.linalg.norm(A @ X @ A - A) < 1e-10
         assert np.linalg.norm(X @ A @ X - X) < 1e-10
         assert np.linalg.norm(X - X.conj().T) < 1e-12
@@ -91,29 +94,42 @@ def test_one_two_inverse_defining_identities(rng):
 def test_one_two_inverse_rejects_bad_subspace():
     U = Subspace(2, np.array([[1.0], [0.0]]))
     with pytest.raises(ValueError):
-        one_two_inverse(np.eye(2), U)  # dim U = 1 != rank = 2
+        one_two_inverse(np.eye(2), U, 2)  # dim U = 1 != rank = 2
     # direct-sum violation: A = diag(1, 0), U = span e2
     V = Subspace(2, np.array([[0.0], [1.0]]))
     with pytest.raises(ValueError):
-        one_two_inverse(np.diag([1.0, 0.0]), V)
+        one_two_inverse(np.diag([1.0, 0.0]), V, 1)
 
 
 def test_dubovoj_subspace_examples():
-    D = dubovoj_subspace([np.array([[1.0]]), np.array([[0.0]])])
+    D = dubovoj_subspace([np.array([[1.0]]), np.array([[0.0]])], [1, 0])
     assert D.dim == 1
     assert np.allclose(np.abs(D.basis.ravel()), [1.0, 0.0])
-    D = dubovoj_subspace([np.array([[0.0]]), np.array([[1.0]])])
+    D = dubovoj_subspace([np.array([[0.0]]), np.array([[1.0]])], [0, 1])
     assert np.allclose(np.abs(D.basis.ravel()), [0.0, 1.0])
-    D = dubovoj_subspace([np.eye(3)])
+    D = dubovoj_subspace([np.eye(3)], [3])
     assert D.dim == 3
+    one = np.array([[1.0]])
+    for blocks, ranks in (([one], [2]), ([one, one], [1]),
+                          ([one, one], [1, -1])):
+        with pytest.raises(ValueError):
+            dubovoj_subspace(blocks, ranks)
 
 
 def test_dubovoj_subspace_shared_cutoff():
     # A block that is zero only up to roundoff relative to its siblings
-    # must contribute no dimensions.
+    # must contribute no dimensions.  The block ranks are those of the
+    # Hankel matrices, which see one atom as rank 1 at every level.
     eps = 1e-15
-    D = dubovoj_subspace([np.array([[1.0]]), np.array([[eps]])])
+    D = dubovoj_subspace([np.array([[1.0]]), np.array([[eps]])], [1, 0])
     assert D.dim == 1
+    for w, t in ((0.3, 1.7), (0.9, 2.3)):
+        seq = moments_of(AtomicMeasure(0.0, 1, [(t, [[w]])]), 3)
+        data = HankelData(seq)
+        assert data.ladder()[1].item() != 0.0   # roundoff, not zero
+        assert data.ladder_ranks() == data.ladder_ranks(True) == [1, 0]
+        D, Ds = dubovoj_candidates(data, 1)
+        assert D.dim == Ds.dim == 1
 
 
 def test_is_dubovoj_examples():
@@ -162,6 +178,31 @@ def test_mrank_matches_construction(seed):
     assert mrank(A) == r
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_hermitian_factor_matches_svd_oracles(seed):
+    # The one eigh of the equilibrated matrix agrees with the SVD-based
+    # rank, null space, PSD gate and pseudo-inverse, and keeps rank and
+    # verdict under a congruence by a positive diagonal.
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, 6))
+    r = int(rng.integers(0, p + 1))
+    A = random_psd(rng, p, r)
+    f = HermitianFactor(A)
+    assert f.psd and f.rank == r == mrank(A)
+    assert f.null.shape == (p, p - r)
+    assert np.allclose(f.null.conj().T @ f.null, np.eye(p - r))
+    assert np.linalg.norm(A @ f.null) <= 1e-10 * (1.0 + np.linalg.norm(A))
+    X = pseudo_inverse(A)
+    assert np.linalg.norm(f.pinv - X) <= 1e-8 * (1.0 + np.linalg.norm(X))
+    S = np.diag(10.0 ** rng.uniform(-2, 2, size=p))
+    g = HermitianFactor(S @ A @ S)
+    assert g.psd and g.rank == r
+    B = A - rng.uniform(0.1, 1.0) * np.eye(p)
+    h = HermitianFactor(B)
+    assert h.psd == is_psd(B) and h.rank == mrank(B)
+
+
 def test_rank_rule_on_zero_and_empty_matrices():
     # The one rank rule counts no singular value of a zero or empty
     # matrix, with no special case for either.
@@ -169,9 +210,12 @@ def test_rank_rule_on_zero_and_empty_matrices():
     assert mrank(zero) == 0 and mrank(np.zeros((3, 0))) == 0
     assert subspace_from_columns(zero).dim == 0
     assert null_space(zero).dim == 3
-    assert dubovoj_subspace([zero, zero]).dim == 0
+    assert HermitianFactor(zero).rank == 0
+    assert HermitianFactor(zero).null.shape == (3, 3)
     tight = ToleranceConfig(tol_rank=0.5)
     assert mrank(np.diag([1.0, 0.6, 0.4]), tight) == 2
     assert null_space(np.diag([1.0, 0.6, 0.4]), tight).dim == 1
-    assert dubovoj_subspace([np.diag([1.0, 0.4]), np.diag([0.6, 0.0])],
-                            tight).dim == 2
+    # Equilibration scales 0.6 to 1 and leaves 0.4, at or below
+    # tol_rank times the largest diagonal entry, as it is.
+    f = HermitianFactor(np.diag([1.0, 0.6, 0.4]).astype(complex), tight)
+    assert f.rank == 2 and np.allclose(np.abs(f.null.ravel()), [0, 0, 1])

@@ -38,6 +38,8 @@ def test_moment_sequence_validation():
         MomentSequence(0.0, 1, [])
     with pytest.raises(ValueError):
         MomentSequence(0.0, 2, [np.array([[0.0, 1.0], [0.0, 0.0]])])
+    with pytest.raises(ValueError, match="moment s_0 must be 2 x 2"):
+        MomentSequence(0.0, 2, [[[1.0, 0.0, 0.0, 1.0]]])
     seq = scalar_seq([1, 2, 3])
     assert seq.m == 2
     assert np.allclose(seq.s(-1), 0.0)
@@ -71,8 +73,10 @@ def test_hankel_catalog_examples():
     assert d.n == 2 and d.complete and len(d.Hs) == 2
     assert np.shares_memory(d.H[0], d.H[2])
     assert np.allclose(d.Hs[1], np.ones((2, 2)))
-    assert d.pinv(1) is d.pinv(1)
-    assert np.allclose(d.pinv(1), np.linalg.pinv(block_hankel(d.seq, 1)))
+    assert d.factor(1) is d.factor(1)
+    assert d.factor(1).pinv is d.factor(1).pinv
+    assert np.allclose(d.factor(1).pinv,
+                       np.linalg.pinv(block_hankel(d.seq, 1)))
     assert d.ladder() is d.ladder()
     assert np.allclose([x.item() for x in d.ladder()], [2.0, 0.5, 0.0])
     assert hankel_data(d) is d and hankel_data(d, 1) is d
@@ -220,16 +224,16 @@ def test_hankel_data_levels_equal_direct_assembly(rng):
             assert np.array_equal(Hs, block_hankel(shift_right(seq), k, 0))
 
 
-def test_class_membership_factors_each_matrix_once(pinv_calls):
+def test_class_membership_factors_each_matrix_once(factor_calls):
     rng = np.random.default_rng(8)
     seqs = [seq for _, seq, _ in kge_fixtures(12, seed=13)]
     # even m, where extendability needs a second projector
     seqs += [MomentSequence(s.alpha, s.q, s.moments[:-1]) for s in seqs]
     seqs += [random_hermitian_sequence(rng, 2, m) for m in (2, 3)]
     for seq in seqs:
-        pinv_calls.clear()
+        factor_calls.clear()
         class_membership(seq)
-        assert max(pinv_calls.values(), default=1) == 1
+        assert factor_calls and max(factor_calls.values()) == 1
 
 
 @settings(max_examples=10, deadline=None)

@@ -226,9 +226,9 @@ def test_theta_coeffs_json():
     assert all(v <= 1e-10 for v in doc["residuals"].values())
 
 
-def test_build_resolvent_factors_each_matrix_once(pinv_calls):
+def test_build_resolvent_factors_each_matrix_once(factor_calls):
     for mu, seq, n in kge_fixtures(12, seed=23):
-        pinv_calls.clear()
+        factor_calls.clear()
         R = build_resolvent(seq, n)
-        assert pinv_calls and max(pinv_calls.values()) == 1
+        assert factor_calls and max(factor_calls.values()) == 1
         assert R.data.seq is seq

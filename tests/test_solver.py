@@ -1,9 +1,13 @@
 """Unit tests for classification, lifting, and the solution map."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from stieltjesmp import MomentSequence
+from stieltjesmp import MomentSequence, class_membership
+from stieltjesmp.matcore import Subspace
+from stieltjesmp.momentseq import HankelData
 from stieltjesmp.resolvent import MatrixPolynomial, build_resolvent, \
     standard_grid
 from stieltjesmp.solver import (
@@ -172,7 +176,10 @@ def test_classify_basis_independence():
     theta = 0.7
     RU = np.array([[np.exp(1j * theta)]])
     rep1 = classify(Q2_SEQ, 0)
-    rep2 = classify(Q2_SEQ, 0, basis_rotation=(RU, RU.conj()))
+    U = Subspace(2, rep1.U.basis @ RU)
+    V = Subspace(2, rep1.V.basis @ RU.conj())
+    W = np.hstack([rep1.W[:, :rep1.r], U.basis, V.basis])   # [comp | U | V]
+    rep2 = dataclasses.replace(rep1, U=U, V=V, W=W)
     assert not np.allclose(rep1.W, rep2.W)
     R = build_resolvent(Q2_SEQ, 0)
     S1 = lft_solution(R, lift_pair(rep1))
@@ -215,26 +222,53 @@ def canonical_pair(report):
                                                     np.eye(r)))
 
 
-def test_lft_solution_on_own_sequence_factors_nothing(pinv_calls):
+def test_lft_solution_on_own_sequence_factors_nothing(factor_calls):
     for mu, seq, n in kge_fixtures(12, seed=31):
         R = build_resolvent(seq, n)
         pair = canonical_pair(classify(seq, n))
-        pinv_calls.clear()
+        factor_calls.clear()
         lft_solution(R, pair, seq=seq, n=n)
         lft_solution(R, pair, seq=seq)
-        assert not pinv_calls
+        assert not factor_calls
 
 
-def test_unique_solution_factors_each_matrix_once(pinv_calls):
+def test_unique_solution_factors_each_matrix_once(factor_calls):
     checked = 0
     for mu, seq, n in kge_fixtures(24, seed=17):
         if classify(seq, n).case != "CompletelyDegenerate":
             continue
-        pinv_calls.clear()
+        factor_calls.clear()
         unique_solution(seq, n)
-        assert pinv_calls and max(pinv_calls.values()) == 1
+        assert factor_calls and max(factor_calls.values()) == 1
         checked += 1
     assert checked >= 3
+
+
+def test_pipeline_on_one_hankel_data_factors_each_matrix_once(factor_calls):
+    # Class tests, classification, resolvent and the pair gate all read
+    # the one factor of each Hankel matrix of the data they share.
+    for mu, seq, n in kge_fixtures(12, seed=29):
+        data = HankelData(seq)
+        factor_calls.clear()
+        assert class_membership(data).in_Kgeq_e
+        pair = canonical_pair(classify(data, n))
+        lft_solution(build_resolvent(data, n), pair, seq=data, n=n)
+        assert sorted(factor_calls.values()) == \
+            [1] * (len(data.H) + len(data.Hs))
+
+
+@pytest.mark.parametrize("q, n", [(2, 2), (4, 2), (8, 2), (32, 2), (1, 3),
+                                  (1, 4), (2, 3), (2, 4)])
+def test_classify_positive_definite_data_as_nondegenerate(q, n):
+    # More atoms than levels, all of full rank and above alpha: H_n and
+    # Hs_n are positive definite (cond(Hs_n) up to 4e9 here), so
+    # the data is in K>=,e and both defect products vanish.
+    mu, seq = atomic_fixture(np.random.default_rng(1), q, n, 0.0,
+                             natoms=n + 3)
+    assert class_membership(seq).in_Kgeq_e
+    rep = classify(seq, n)
+    assert (rep.m, rep.ell, rep.r) == (0, 0, q)
+    assert rep.case == "NonDegenerate"
 
 
 def test_lft_solution_gates_against_the_given_sequence():

@@ -35,6 +35,8 @@ def test_atomic_measure_validation():
         AtomicMeasure(0.0, 1, [(-1.0, [[1.0]])])
     with pytest.raises(ValueError):
         AtomicMeasure(0.0, 1, [(1.0, [[-1.0]])])
+    with pytest.raises(ValueError, match="atom weight at t = 1.0"):
+        AtomicMeasure(0.0, 2, [(1.0, [[1.0, 0.0, 0.0, 1.0]])])
     mu = AtomicMeasure(0.0, 1, [(2.0, [[1.0]]), (1.0, [[0.5]]),
                                 (2.0, [[0.25]])])
     assert [t for t, _ in mu.atoms] == [1.0, 2.0]
@@ -101,6 +103,8 @@ def test_stieltjes_function():
     assert np.allclose(f(1j), 2.0 + (1 + 1j) / 2)
     with pytest.raises(ValueError):
         StieltjesFunction([[-1.0]], delta(1.0))
+    with pytest.raises(ValueError, match="gamma must be 2 x 2"):
+        StieltjesFunction([[1.0, 0.0, 0.0, 1.0]], AtomicMeasure(0.0, 2, []))
 
 
 def test_pair_eval_examples():
@@ -121,6 +125,8 @@ def test_pair_eval_examples():
 def test_pair_constructors_reject_bad_input():
     with pytest.raises(ValueError):
         StieltjesPair.constant(np.zeros((2, 2)), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="psi must be 2 x 2"):
+        StieltjesPair.constant(np.zeros((2, 2)), [[1.0, 0.0, 0.0, 1.0]])
     inner = StieltjesPair.constant([[1.0]], [[0.0]])
     with pytest.raises(ValueError):
         StieltjesPair.lifted(np.eye(2), inner, 1, 1)  # r = 0 not liftable
