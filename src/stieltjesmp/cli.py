@@ -181,16 +181,16 @@ def cmd_solve(args):
     # evaluating S again, and the Hankel data of the resolvent.
     f = FunctionSamples(value.__getitem__, seq.q)
 
-    def lambda_mins(zs):
+    def sigma_mins(zs):
         rep = potapov_report(S.resolvent.data, n, f, zs)
-        return list(zip(rep.lmin_even, rep.lmin_odd))
+        return list(zip(rep.smin_even, rep.smin_odd))
 
     for (_, entry), lam in zip(solved, _at_points(
-            lambda_mins, [z for z, _ in solved])):
+            sigma_mins, [z for z, _ in solved])):
         if isinstance(lam, ValueError):
             entry["singular"] = str(lam)
         else:
-            entry["lambda_min_even"], entry["lambda_min_odd"] = lam
+            entry["sigma_min_even"], entry["sigma_min_odd"] = lam
     _emit({"case": report.case, "values": entries}, args)
     return EXIT_OK
 

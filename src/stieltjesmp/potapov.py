@@ -7,6 +7,11 @@ solutions of the truncated moment problem.  This module assembles the
 P_k, their Schur complements Sigma_k, the auxiliary F_k/Q_k/Psi_k
 matrices, and the congruence identities connecting all of them, each of
 which doubles as an independent test oracle.
+
+``potapov_report`` decides P_k >= 0 on a grid without forming P_k: up
+to a margin tau, P_k + tau I >= 0 holds exactly when the Hankel corner
+H + tau I is positive definite and the q x q Schur complement
+Sigma^tau_k = d - c* (H + tau I)^-1 c has no eigenvalue below -tau.
 """
 
 from dataclasses import dataclass
@@ -132,25 +137,28 @@ def _column_data(data, n, fz, z, odd):
     return H, y.reshape(z.shape + c.shape), _im_quotient(g, z)
 
 
-def _fundamental(data, n, k, fz, z, hermitian=False):
+def _block_norm(H, col, diag):
+    """Frobenius norm of P_k per point, formed from the norms of its
+    blocks: the Hankel corner, the coupling column (twice) and the
+    diagonal block."""
+    return np.sqrt(np.linalg.norm(H) ** 2 + 2.0 * _fro(col) ** 2
+                   + _fro(diag) ** 2)
+
+
+def _fundamental(data, n, k, fz, z):
     """P_k at the points z from fz = f(z), one matrix per point, and its
-    Frobenius norm per point, formed from the norms of its blocks.  With
-    ``hermitian`` the matrix is the Hermitian part of P_k, written block
-    by block: only the Hankel corner and the diagonal block change, the
-    coupling column is the same."""
+    Frobenius norm per point."""
     if k == -1:
         P = _im_quotient(_weighted(data, fz, z), z)
-        return (_hermitian_part(P) if hermitian else P), _fro(P)
+        return P, _fro(P)
     H, col, diag = _column_data(data, n, fz, z, odd=(k % 2 == 1))
-    norm = np.sqrt(np.linalg.norm(H) ** 2 + 2.0 * _fro(col) ** 2
-                   + _fro(diag) ** 2)
     p = H.shape[0]
     P = np.empty(z.shape + (p + data.q, p + data.q), dtype=complex)
-    P[..., :p, :p] = _hermitian_part(H) if hermitian else H
+    P[..., :p, :p] = H
     P[..., :p, p:] = col
     np.conjugate(np.swapaxes(col, -1, -2), out=P[..., p:, :p])
-    P[..., p:, p:] = _hermitian_part(diag) if hermitian else diag
-    return P, norm
+    P[..., p:, p:] = diag
+    return P, _block_norm(H, col, diag)
 
 
 def potapov_matrix(seq, n, f, z, k):
@@ -329,32 +337,76 @@ def congruence_check(seq, n, f, z):
 
 @dataclass
 class PotapovReport:
-    """Minimum-eigenvalue table of the fundamental matrices on a grid."""
+    """Smallest-eigenvalue table of the Potapov test on a grid.
+
+    ``smin_even`` and ``smin_odd`` hold, per point, lambda_min of the
+    q x q Schur complement Sigma^tau_k = d - c* (H + tau I)^-1 c of P_2n
+    and P_2n+1 (see :func:`potapov_report`), or lambda_min(H) where
+    H + tau I is not positive definite; ``smin_endpoint`` holds
+    lambda_min of the q x q endpoint block P_-1.  An entry is None where
+    the sequence has too few moments for that P_k.
+    """
 
     points: list
-    lmin_even: list
-    lmin_odd: list
-    lmin_endpoint: list
+    smin_even: list
+    smin_odd: list
+    smin_endpoint: list
     passed: bool
 
     def to_dict(self):
         return {
             "points": [[p.real, p.imag] for p in self.points],
-            "lambda_min_even": self.lmin_even,
-            "lambda_min_odd": self.lmin_odd,
-            "lambda_min_endpoint": self.lmin_endpoint,
+            "sigma_min_even": self.smin_even,
+            "sigma_min_odd": self.smin_odd,
+            "sigma_min_endpoint": self.smin_endpoint,
             "passed": self.passed,
         }
 
 
-def potapov_report(seq, n, f, grid):
-    """Evaluate lambda_min of P_2n, P_2n+1, P_-1 over a non-real grid.
+def _potapov_test(data, n, k, fz, z, tol):
+    """Per point of z: the reported value of P_k (see
+    :class:`PotapovReport`) and whether P_k fails the test.
 
-    f is called once with the whole grid.  Each P_k is assembled for all
-    points as one stack of Hermitian parts, whose eigenvalues take one
-    call; the stack is dropped before the next k.  A point passes when
-    lambda_min >= -tol_psd (1 + ||P_k||), with the ``tol_psd`` of
-    ``seq.tol``.
+    For k in {2n, 2n+1}, one ``eigh`` of the Hermitian Hankel corner
+    H = Q diag(w) Q* serves every point; with tau the margin of the
+    point, Y = (w + tau)^(-1/2) Q* c and Sigma^tau = d - Y* Y, whose
+    eigenvalues take one call on the (G, q, q) stack.  Where
+    w_min <= -tau the point fails and its value is w_min.
+    """
+    if k == -1:
+        P, norm = _fundamental(data, n, -1, fz, z)
+        lam = np.linalg.eigvalsh(_hermitian_part(P)).min(axis=-1)
+        return lam, lam < -tol.tol_psd * (1.0 + norm)
+    H, col, diag = _column_data(data, n, fz, z, odd=(k % 2 == 1))
+    tau = tol.tol_psd * (1.0 + _block_norm(H, col, diag))
+    w, Q = np.linalg.eigh(_hermitian_part(H))
+    shifted = w + tau[..., None]
+    definite = shifted[..., 0] > 0.0
+    scale = np.sqrt(np.where(definite[..., None], shifted, 1.0))
+    Y = (Q.conj().T @ col) / scale[..., None]
+    lam = np.linalg.eigvalsh(
+        _hermitian_part(diag) - _adjoint(Y) @ Y).min(axis=-1)
+    return np.where(definite, lam, w[0]), ~definite | (lam < -tau)
+
+
+def potapov_report(seq, n, f, grid):
+    """Decide P_2n, P_2n+1, P_-1 >= 0 (up to the margin) over a non-real
+    grid.
+
+    A point passes for k when lambda_min of the Hermitian part of P_k is
+    at least -tau, tau = tol_psd (1 + ||P_k||_F) with the ``tol_psd`` of
+    ``seq.tol``.  For k in {2n, 2n+1} the test runs on the q x q Schur
+    complement of the Hankel corner H (H_n, or Hs_n for odd k), with c
+    the coupling column and d the Hermitian part of the diagonal block:
+    P + tau I >= 0 holds exactly when H + tau I > 0 and its Schur
+    complement d + tau I - c* (H + tau I)^-1 c >= 0 (Albert, SIAM J.
+    Appl. Math. 17, 1969), that is when Sigma^tau = d - c* (H + tau
+    I)^-1 c has lambda_min >= -tau.  Where lambda_min(H) <= -tau the
+    point fails, since by interlacing lambda_min(P_k) <= lambda_min(H).
+    H is factored once per k for the whole grid, and no (n+2)q x (n+2)q
+    matrix is formed.  P_-1 is already q x q and is tested directly.
+
+    f is called once with the whole grid.
     """
     data = hankel_data(seq, n)
     tol = data.seq.tol
@@ -364,20 +416,18 @@ def potapov_report(seq, n, f, grid):
     z = np.array(grid)
     _check_offreal(z)
     fz = f(z)
-    lmin = {}
+    smin = {}
     passed = True
     for k in (2 * n, 2 * n + 1, -1):
         if k > data.seq.m:
-            lmin[k] = [None] * len(grid)
+            smin[k] = [None] * len(grid)
             continue
-        P, norm = _fundamental(data, n, k, fz, z, hermitian=True)
-        lam = np.linalg.eigvalsh(P).min(axis=-1)
-        del P
-        if np.any(lam < -tol.tol_psd * (1.0 + norm)):
+        lam, failed = _potapov_test(data, n, k, fz, z, tol)
+        if np.any(failed):
             passed = False
-        lmin[k] = lam.tolist()
-    return PotapovReport(points=grid, lmin_even=lmin[2 * n],
-                         lmin_odd=lmin[2 * n + 1], lmin_endpoint=lmin[-1],
+        smin[k] = lam.tolist()
+    return PotapovReport(points=grid, smin_even=smin[2 * n],
+                         smin_odd=smin[2 * n + 1], smin_endpoint=smin[-1],
                          passed=passed)
 
 

@@ -25,6 +25,7 @@ from .potapov import FunctionSamples, atomic_decomposition_residual, \
     potapov_report
 from .resolvent import build_resolvent, eval_theta, standard_grid
 from .stieltjespairs import (
+    AtomicMeasure,
     StieltjesFunction,
     StieltjesPair,
     moments_of,
@@ -240,15 +241,18 @@ def verify_solution(seq, n, candidate, grid=None):
     transform, and the exact atomic decomposition residual.  Solution
     functions are checked by the fundamental-matrix report and s_0
     recovery at a single large imaginary point.  ``seq`` may be its
-    :class:`~stieltjesmp.momentseq.HankelData`; one is built otherwise
-    and shared by every check.
+    :class:`~stieltjesmp.momentseq.HankelData`.  A solution function
+    built from ``seq`` itself lends the Hankel data of its resolvent;
+    otherwise one is built.  Every check shares it.
     """
+    if isinstance(candidate, SolutionFunction) \
+            and seq is candidate.resolvent.data.seq:
+        seq = candidate.resolvent.data
     data = hankel_data(seq, n)
     seq = data.seq
     tol = seq.tol
     if grid is None:
         grid = standard_grid(seq.alpha)
-    from .stieltjespairs import AtomicMeasure
     out = {"valid": True, "checks": {}}
     if isinstance(candidate, AtomicMeasure):
         mom = moments_of(candidate, 2 * n + 1)

@@ -330,7 +330,7 @@ def test_criterion_09_negative_controls(tmp_path, capsys):
     f = FunctionSamples(lambda z: [[1.0 / (1.0 - z)]], 1)
     rep = potapov_report(scalar_seq([1, 0]), 0, f, standard_grid(0.0))
     assert not rep.passed
-    lams = [x for x in rep.lmin_even + rep.lmin_odd if x is not None]
+    lams = [x for x in rep.smin_even + rep.smin_odd if x is not None]
     assert min(lams) < -1e-6
     _report(9, "inconsistent sequence, wrong measure, and wrong "
                "function all rejected")

@@ -107,8 +107,8 @@ def test_cmd_solve_with_pair(tmp_path, capsys):
     val = doc["values"][0]
     assert val["z"] == [0.0, 1.0]
     assert np.allclose(val["S"], [[[0.5, 0.5]]])
-    assert val["lambda_min_even"] >= -1e-10
-    assert val["lambda_min_odd"] >= -1e-10
+    assert val["sigma_min_even"] >= -1e-10
+    assert val["sigma_min_odd"] >= -1e-10
 
 
 def test_cmd_solve_completely_degenerate_warns(tmp_path, capsys):
@@ -151,7 +151,7 @@ def test_cmd_solve_reports_each_point(tmp_path, capsys):
                              "--n", "0", "--points", "1j,1e-18,2j,3,1j"])
     assert code == 0
     good, singular, other, real, again = doc["values"]
-    assert set(good) == {"z", "S", "lambda_min_even", "lambda_min_odd"}
+    assert set(good) == {"z", "S", "sigma_min_even", "sigma_min_odd"}
     assert good == again
     assert np.allclose(other["S"], [[[0.0, 0.5]]])
     assert set(singular) == {"z", "singular"}
@@ -179,7 +179,7 @@ def test_cmd_solve_evaluates_once_over_the_points(tmp_path, capsys,
     code, doc = run(capsys, ["solve", moment_file(tmp_path, [1, 0]),
                              "--n", "0", "--points", "1j,2j,-1+0.5j,3-1j"])
     assert code == 0 and len(doc["values"]) == 4
-    assert all("lambda_min_even" in v for v in doc["values"])
+    assert all("sigma_min_even" in v for v in doc["values"])
     assert calls == {"S": 1, "report": 1}
 
 

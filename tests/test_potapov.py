@@ -156,7 +156,7 @@ def test_potapov_report_positive_and_negative():
     rep2 = potapov_report(bad_seq, 0, good, grid)
     assert not rep2.passed
     d = rep.to_dict()
-    assert d["passed"] and len(d["lambda_min_even"]) == 24
+    assert d["passed"] and len(d["sigma_min_even"]) == 24
 
 
 def test_atomic_decomposition_exact():
@@ -206,38 +206,110 @@ def test_verify_solution_assembles_hankel_matrices_once(monkeypatch):
             monkeypatch.setattr(mod, "block_hankel", counting)
     mu, seq = atomic_fixture(np.random.default_rng(22), 2, 1, -1.0)
     q = seq.q
-    S = lft_solution(build_resolvent(seq, 1),
-                     StieltjesPair.constant(np.zeros((q, q)), np.eye(q)))
+    pair = StieltjesPair.constant(np.zeros((q, q)), np.eye(q))
+    S = lft_solution(build_resolvent(seq, 1), pair)
+    # The same data under another sequence object: nothing to borrow.
+    other = MomentSequence(seq.alpha, q, seq.moments)
+    S_other = lft_solution(build_resolvent(other, 1), pair)
     grid = standard_grid(seq.alpha)
-    for candidate in (mu, S):
+    for candidate, reuse in ((mu, False), (S, True), (S_other, False)):
         counts = []
         for points in (grid[:4], grid):
             calls.clear()
             assert verify_solution(seq, 1, candidate, points)["valid"]
             counts.append(len(calls))
-        assert counts[0] == counts[1] > 0
+        # A solution of seq itself lends its resolvent's Hankel data.
+        assert counts[0] == counts[1] and (counts[0] == 0) == reuse
 
 
-def test_potapov_report_matches_potapov_matrix():
+def _schur_oracle(P, q, tau):
+    """lambda_min of the Hermitian part of Sigma^tau = d - c* (H + tau
+    I)^-1 c for P = [[H, c], [c*, d]], solved with a Cholesky factor of
+    H + tau I; lambda_min(H) where H + tau I is not positive definite.
+    (An explicit inverse of H + tau I loses up to eps cond(H + tau I)
+    when H is singular, far above the 1e-12 this oracle is held to.)"""
+    p = P.shape[0] - q
+    H, c, d = P[:p, :p], P[:p, p:], P[p:, p:]
+    hmin = np.linalg.eigvalsh(H).min()
+    if hmin + tau <= 0.0:
+        return hmin
+    Y = np.linalg.solve(np.linalg.cholesky(H + tau * np.eye(p)), c)
+    return np.linalg.eigvalsh(0.5 * (d + d.conj().T) - Y.conj().T @ Y).min()
+
+
+def test_potapov_report_decides_on_the_schur_complement(monkeypatch):
+    shapes = []
+    original = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
     rng = np.random.default_rng(23)
     patterns = [dict(), dict(ranks=[1]), dict(include_endpoint=True),
                 dict(natoms=1)]
+    outcomes = set()
     for q in (1, 2, 3, 5, 8):
         for n in (0, 1, 2):
             for j, pattern in enumerate(patterns):
                 alpha = (0.0, 0.5, -1.0)[(q + n + j) % 3]
                 mu, seq = atomic_fixture(rng, q, n, alpha, **pattern)
-                f = FunctionSamples(lambda z: transform(mu, z), q)
+                data = momentseq.hankel_data(seq, n)
                 grid = standard_grid(alpha)
-                rep = potapov_report(seq, n, f, grid)
-                for i, z in enumerate(grid):
-                    for k, lmin in ((2 * n, rep.lmin_even),
-                                    (2 * n + 1, rep.lmin_odd),
-                                    (-1, rep.lmin_endpoint)):
-                        P = potapov_matrix(seq, n, f, z, k)
-                        lam = np.linalg.eigvalsh(0.5 * (P + P.conj().T))
-                        assert abs(lmin[i] - lam.min()) <= \
-                            1e-12 * (1.0 + np.linalg.norm(P))
+                eps = 10.0 ** rng.uniform(-12.0, -1.0)
+                for shift in (0.0, eps, -eps):
+                    f = FunctionSamples(
+                        lambda z, s=shift: transform(mu, z) + s * np.eye(q),
+                        q)
+                    shapes.clear()
+                    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+                    rep = potapov_report(seq, n, f, grid)
+                    monkeypatch.setattr(np.linalg, "eigvalsh", original)
+                    assert shapes and \
+                        all(shape == (len(grid), q, q) for shape in shapes)
+                    every = True
+                    for k, smin in ((2 * n, rep.smin_even),
+                                    (2 * n + 1, rep.smin_odd),
+                                    (-1, rep.smin_endpoint)):
+                        P = np.stack([potapov_matrix(data, n, f, z, k)
+                                      for z in grid])
+                        scale = 1.0 + np.linalg.norm(P, axis=(1, 2))
+                        tau = seq.tol.tol_psd * scale
+                        lam = original(0.5 * (P + P.conj().transpose(
+                            0, 2, 1))).min(axis=1)
+                        ok = lam >= -tau
+                        assert np.array_equal(np.array(smin) >= -tau, ok)
+                        every = every and ok.all()
+                        if shift:
+                            continue
+                        for i, z in enumerate(grid):
+                            if k == -1:
+                                S = sigma_matrix(data, n, f, z, k)
+                                ref = original(0.5 * (S + S.conj().T)).min()
+                            else:
+                                ref = _schur_oracle(P[i], q, tau[i])
+                            assert abs(smin[i] - ref) <= 1e-12 * scale[i]
+                    assert rep.passed == every
+                    outcomes.add(every)
+    assert outcomes == {True, False}
+
+
+def test_potapov_report_reads_an_indefinite_hankel_corner():
+    # H_1 = [[1, 0], [0, -1]] of (1, 0, -1, 0), and Hs_0 = s_1 - alpha s_0
+    # = -1 of (1, -1): P_2 and P_1 fail at every point, and the report
+    # gives lambda_min of the Hankel corner, -1.
+    f = scalar_f(lambda z: -1.0 / z)
+    grid = standard_grid(0.0)
+    for values, n, k in (([1, 0, -1, 0], 1, 2), ([1, -1], 0, 1)):
+        seq = scalar_seq(values)
+        rep = potapov_report(seq, n, f, grid)
+        assert not rep.passed
+        smin = rep.smin_even if k % 2 == 0 else rep.smin_odd
+        for z, value in zip(grid, smin):
+            P = potapov_matrix(seq, n, f, z, k)
+            tau = seq.tol.tol_psd * (1.0 + np.linalg.norm(P))
+            assert np.linalg.eigvalsh(0.5 * (P + P.conj().T)).min() < -tau
+            assert value == -1.0
 
 
 def test_potapov_report_calls_eigvalsh_once_per_k(monkeypatch):
