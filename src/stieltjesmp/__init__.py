@@ -26,7 +26,6 @@ from .momentseq import (
     canonical_extension,
     class_membership,
     hankel_data,
-    schur_ladder,
     shift_right,
 )
 from .potapov import (

@@ -4,12 +4,13 @@ A :class:`MomentSequence` stores Hermitian q x q moment matrices
 s_0, ..., s_m together with the left endpoint alpha of the half line
 [alpha, oo).  The module assembles block Hankel matrices, the shifted
 Hankel matrices of the right-alpha-shifted sequence, the associated
-stacked vectors, Schur-complement ladders, and membership tests for the
-four solvability classes (Hankel-nonnegative, Hankel-nonnegative
-extendable, Stieltjes-nonnegative, Stieltjes-nonnegative extendable).
-A :class:`HankelData` holds these matrices for one sequence and factors
-each of them at most once; the functions here that take a sequence
-also accept its HankelData, so that callers can share the work.
+stacked vectors and shift matrices, and membership tests for the four
+solvability classes (Hankel-nonnegative, Hankel-nonnegative extendable,
+Stieltjes-nonnegative, Stieltjes-nonnegative extendable).  A
+:class:`HankelData` holds these matrices at every level of one
+sequence, with their Schur-complement ladders, and factors each of
+them at most once; the functions here that take a sequence also accept
+its HankelData, so that callers can share the work.
 """
 
 from dataclasses import dataclass
@@ -138,38 +139,29 @@ def _levels(M, q, top):
 
 
 class HankelData:
-    """Block Hankel matrices of one sequence up to level n, each factored
+    """Block Hankel matrices of one sequence at every level, each factored
     at most once.
 
-    ``H[k]`` and ``Hs[k]`` are the level-k block Hankel matrices of the
-    sequence and of its right-alpha-shifted sequence ``shifted``; both
-    are leading slices of the matrix built at the top level (n for H,
-    min(n, floor((m-1)/2)) for Hs).  Each is factored once, into the
-    ``factor`` that every verdict, rank and inverse about it reads.
-    Factors, Schur ladders and class verdicts are computed when first
-    asked for and kept on this object only.  The arrays handed out are
-    the kept ones; do not write to them.
-
-    The default level n = floor(m/2) covers all levels of the sequence,
-    which the class tests need.  The coupling matrices ``T``, ``v``,
-    ``vg``, ``V``, ``Vg``, ``u``, ``ug`` and the offset-1 Hankel
-    matrices ``K`` of the Ljapunov identities are assembled at level n
-    on access.
+    ``H[k]`` (2k <= m) and ``Hs[k]`` (2k + 1 <= m) are the level-k block
+    Hankel matrices of the sequence and of its right-alpha-shifted
+    sequence ``shifted``; both are leading slices of the matrix built at
+    the top level.  Each is factored once, into the ``factor`` that
+    every verdict, rank and inverse about it reads.  Factors, Schur
+    ladders and class verdicts are computed when first asked for and
+    kept on this object only.  The arrays handed out are the kept ones;
+    do not write to them.  Readers of level n call :meth:`check_level`.
     """
 
-    def __init__(self, seq, n=None):
-        n = seq.m // 2 if n is None else n
-        if n < 0 or 2 * n > seq.m:
-            raise ValueError(f"H_{n} needs 2n = {2 * n} <= m = {seq.m}")
+    def __init__(self, seq):
         self.seq = seq
-        self.n = n
         self.q = seq.q
-        self.H = _levels(block_hankel(seq, n, 0), seq.q, n)
+        top = seq.m // 2
+        self.H = _levels(block_hankel(seq, top, 0), seq.q, top)
         self.shifted = shift_right(seq) if seq.m >= 1 else None
         self.Hs = []
         if self.shifted is not None:
-            ns = min(n, (seq.m - 1) // 2)
-            self.Hs = _levels(block_hankel(self.shifted, ns, 0), seq.q, ns)
+            top = (seq.m - 1) // 2
+            self.Hs = _levels(block_hankel(self.shifted, top, 0), seq.q, top)
         self._memo = {}
 
     def _once(self, key, compute):
@@ -180,10 +172,13 @@ class HankelData:
     def _mats(self, shifted):
         return self.Hs if shifted else self.H
 
-    @property
-    def complete(self):
-        """True when every level of the sequence is present."""
-        return self.n == self.seq.m // 2
+    def check_level(self, n, shifted=False):
+        """Refuse a level n the sequence lacks: H_n needs the moments up
+        to s_2n, Hs_n (``shifted``) those up to s_2n+1."""
+        if not 0 <= n < len(self._mats(shifted)):
+            need = f"2n+1 = {2 * n + 1}" if shifted else f"2n = {2 * n}"
+            raise ValueError(f"{'Hs' if shifted else 'H'}_{n} needs "
+                             f"{need} <= m = {self.seq.m}")
 
     def factor(self, k, shifted=False):
         """The factor of H_k (Hs_k when ``shifted``) under ``seq.tol``:
@@ -216,20 +211,13 @@ class HankelData:
                 out.append(seq.s(2 * k) - z @ Hp @ y)
         return out
 
-    def _require_complete(self):
-        if not self.complete:
-            raise ValueError("class tests need the Hankel data of every "
-                             "level of the sequence")
-
     def nonnegative(self, shifted=False):
         """Membership of the sequence (of ``shifted``) in class H>=."""
-        self._require_complete()
         return all(self.factor(k, shifted).psd
                    for k in range(len(self._mats(shifted))))
 
     def extendable(self, shifted=False):
         """Membership of the sequence (of ``shifted``) in class H>=,e."""
-        self._require_complete()
         return self._once(("extendable", shifted),
                           lambda: self._extendable(shifted))
 
@@ -258,7 +246,6 @@ class HankelData:
 
     def in_Kgeq_e(self):
         """Membership in the Stieltjes-extendable class K>=,e."""
-        self._require_complete()
         if self.seq.m == 0:
             return self.factor(0).psd
         if self.seq.m % 2 == 1:
@@ -271,82 +258,18 @@ class HankelData:
         null bases of H_n and Hs_n, so both are exactly zero when these
         are nonsingular; a pair is in the restricted class when A_phi phi
         and A_psi psi vanish identically."""
-        if n >= len(self.Hs):
-            raise ValueError(f"restriction products at level {n} need "
-                             f"2n+1 = {2 * n + 1} <= m = {self.seq.m}")
+        self.check_level(n, shifted=True)
         N, Ns = self.factor(n).null, self.factor(n, True).null
         Rv = shift_resolvent(self.q, n, self.seq.alpha)[:, :self.q]
         Hv = self.H[n][:, :self.q]
         return N @ (N.conj().T @ Rv), Ns @ (Ns.conj().T @ Hv)
 
-    @property
-    def K(self):
-        nk = min(self.n, (self.seq.m - 1) // 2)
-        if nk < 0:
-            return []
-        return _levels(block_hankel(self.seq, nk, 1), self.q, nk)
 
-    @property
-    def T(self):
-        return shift_matrix(self.q, self.n)
-
-    @property
-    def v(self):
-        return first_column_embedding(self.q, self.n)
-
-    @property
-    def vg(self):
-        return last_column_embedding(self.q, self.n)
-
-    @property
-    def V(self):
-        eye = np.eye((self.n + 1) * self.q, dtype=complex)
-        return eye[:, :self.n * self.q]
-
-    @property
-    def Vg(self):
-        eye = np.eye((self.n + 1) * self.q, dtype=complex)
-        return eye[:, self.q:]
-
-    @property
-    def u(self):
-        return -stack_y(self.seq, -1, self.n - 1)
-
-    @property
-    def ug(self):
-        """Fraktur u; None unless 2n+1 <= m."""
-        if 2 * self.n + 1 > self.seq.m:
-            return None
-        zero = np.zeros((self.q, self.q), dtype=complex)
-        if self.n == 0:
-            return zero
-        return np.vstack([-stack_y(self.seq, self.n + 1, 2 * self.n), zero])
-
-
-def hankel_data(seq, n=None):
-    """The :class:`HankelData` of ``seq`` reaching level n (every level
-    when n is None).  ``seq`` may be a :class:`MomentSequence` or a
-    HankelData; one that already reaches the level is returned as is, so
+def hankel_data(seq):
+    """The :class:`HankelData` of ``seq``.  ``seq`` may be a
+    :class:`MomentSequence` or a HankelData, which is returned as is, so
     callers that pass it along share its factorizations."""
-    if isinstance(seq, HankelData):
-        if seq.complete if n is None else seq.n >= n:
-            return seq
-        seq = seq.seq
-    return HankelData(seq, n)
-
-
-@dataclass
-class SchurLadder:
-    """Schur complement ladders of the plain and shifted Hankel matrices."""
-
-    L: list
-    Ls: list
-
-
-def schur_ladder(seq):
-    """Ladders L_0..L_n and shifted L_s0..L_sn' for all available levels."""
-    data = hankel_data(seq)
-    return SchurLadder(L=data.ladder(), Ls=data.ladder(shifted=True))
+    return seq if isinstance(seq, HankelData) else HankelData(seq)
 
 
 @dataclass
@@ -428,19 +351,8 @@ def dubovoj_candidates(seq, n):
     :class:`HankelData`.
     """
     data = hankel_data(seq)
-    if 2 * n + 1 > data.seq.m:
-        raise ValueError("dubovoj_candidates needs 2n+1 <= m")
+    data.check_level(n, shifted=True)
     return tuple(dubovoj_subspace(data.ladder(shifted)[:n + 1],
                                   data.ladder_ranks(shifted)[:n + 1])
                  for shifted in (False, True))
 
-
-def rank_profile(seq):
-    """Ranks of the ladder blocks and of the top Hankel matrix, all read
-    from the factors of the Hankel matrices."""
-    data = hankel_data(seq)
-    return {
-        "rank_H": data.factor(data.n).rank,
-        "rank_L": data.ladder_ranks(),
-        "rank_Ls": data.ladder_ranks(shifted=True),
-    }

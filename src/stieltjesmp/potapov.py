@@ -77,11 +77,10 @@ def _check_offreal(z):
 
 
 def _check_index(data, n, k):
-    if k != -1:
-        if k not in (2 * n, 2 * n + 1):
-            raise ValueError(f"index k = {k} does not match level n = {n}")
-        if k > data.seq.m:
-            raise ValueError(f"P_{k} needs moments up to s_{k}")
+    """Refuse a k outside {-1, 2n, 2n+1} and a level the sequence lacks."""
+    if k not in (-1, 2 * n, 2 * n + 1):
+        raise ValueError(f"index k = {k} does not match level n = {n}")
+    data.check_level(n, shifted=(k == 2 * n + 1))
 
 
 def _adjoint(A):
@@ -170,7 +169,7 @@ def potapov_matrix(seq, n, f, z, k):
     :class:`~stieltjesmp.momentseq.HankelData`, as for every function
     here that takes a sequence.
     """
-    data = hankel_data(seq, n)
+    data = hankel_data(seq)
     z = complex(z)
     _check_offreal(z)
     _check_index(data, n, k)
@@ -185,9 +184,10 @@ def sigma_matrix(seq, n, f, z, k, ginverse=None):
     corner (the value is invariant under that substitution whenever P_k
     is PSD).
     """
-    data = hankel_data(seq, n)
+    data = hankel_data(seq)
     z = complex(z)
     _check_offreal(z)
+    _check_index(data, n, k)
     if k == -1:
         return potapov_matrix(data, n, f, z, -1)
     odd = k % 2 == 1
@@ -203,10 +203,11 @@ def fq_matrices(seq, n, f, z, k):
     the shifted analogue for odd k; Q_k stacks the Hankel corner with
     F_k and its imaginary part.
     """
-    data = hankel_data(seq, n)
+    data = hankel_data(seq)
     z = complex(z)
     if k not in (2 * n, 2 * n + 1):
         raise ValueError(f"index k = {k} does not match level n = {n}")
+    data.check_level(n, shifted=(k == 2 * n + 1))
     _check_offreal(z)
     q = data.q
     H, col, _ = _column_data(data, n, f(z), np.asarray(z),
@@ -228,7 +229,8 @@ def psi_polynomial(seq, n, parity):
     """
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
-    data = hankel_data(seq, n)
+    data = hankel_data(seq)
+    data.check_level(n, shifted=(parity == 1))
     q = data.q
     H, c = _corner(data, n, parity == 1)
     v = first_column_embedding(q, n)
@@ -276,7 +278,7 @@ def congruence_check(seq, n, f, z):
 
     Returns a dict of relative residual norms.
     """
-    data = hankel_data(seq, n)
+    data = hankel_data(seq)
     seq = data.seq
     z = complex(z)
     _check_offreal(z)
@@ -296,13 +298,12 @@ def congruence_check(seq, n, f, z):
 
     E = compression_embedding(q, n)
     fz = f(z)
-    if 2 * n <= seq.m:
-        P = potapov_matrix(data, n, f, z, 2 * n)
-        target = np.block([
-            [seq.s(0), fz],
-            [fz.conj().T, (fz - fz.conj().T) / (z - np.conj(z))]])
-        out["compression_even"] = np.linalg.norm(
-            E.conj().T @ P @ E - target) / (1.0 + np.linalg.norm(P))
+    P = potapov_matrix(data, n, f, z, 2 * n)
+    target = np.block([
+        [seq.s(0), fz],
+        [fz.conj().T, (fz - fz.conj().T) / (z - np.conj(z))]])
+    out["compression_even"] = np.linalg.norm(
+        E.conj().T @ P @ E - target) / (1.0 + np.linalg.norm(P))
     if 2 * n + 1 <= seq.m:
         P = potapov_matrix(data, n, f, z, 2 * n + 1)
         g = (z - seq.alpha) * fz
@@ -408,7 +409,8 @@ def potapov_report(seq, n, f, grid):
 
     f is called once with the whole grid.
     """
-    data = hankel_data(seq, n)
+    data = hankel_data(seq)
+    data.check_level(n)
     tol = data.seq.tol
     grid = [complex(z) for z in grid]
     if not grid:
@@ -441,7 +443,7 @@ def atomic_decomposition_residual(seq, n, mu, z, k):
     with a sqrt(t - alpha) weight in the odd case; the correction charges
     only the last Hankel corner with the moment defect at order k.
     """
-    data = hankel_data(seq, n)
+    data = hankel_data(seq)
     seq = data.seq
     z = np.asarray(z, dtype=complex)
     _check_offreal(z)

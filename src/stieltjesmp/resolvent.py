@@ -232,9 +232,8 @@ def build_resolvent(seq, n):
     ``seq`` may be its :class:`HankelData`; the result keeps it.
     """
     data = hankel_data(seq)
+    data.check_level(n, shifted=True)
     seq = data.seq
-    if 2 * n + 1 > seq.m:
-        raise ValueError(f"build_resolvent needs 2n+1 = {2 * n + 1} <= m = {seq.m}")
     if not data.in_Kgeq_e():
         raise ValueError("sequence is not Stieltjes-extendable (not in K>=e)")
     q = seq.q

@@ -243,12 +243,14 @@ def verify_solution(seq, n, candidate, grid=None):
     recovery at a single large imaginary point.  ``seq`` may be its
     :class:`~stieltjesmp.momentseq.HankelData`.  A solution function
     built from ``seq`` itself lends the Hankel data of its resolvent;
-    otherwise one is built.  Every check shares it.
+    otherwise one is built.  Every check shares it.  A measure needs
+    2n + 1 <= m (its checks read s_2n+1), a function 2n <= m.
     """
     if isinstance(candidate, SolutionFunction) \
             and seq is candidate.resolvent.data.seq:
         seq = candidate.resolvent.data
-    data = hankel_data(seq, n)
+    data = hankel_data(seq)
+    data.check_level(n, shifted=isinstance(candidate, AtomicMeasure))
     seq = data.seq
     tol = seq.tol
     if grid is None:

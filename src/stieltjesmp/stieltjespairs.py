@@ -305,7 +305,7 @@ def pair_in_restricted_class(p, seq, n):
     class under ``seq.tol``; sample count covers the rational degree
     bound of the pair, and the pair is evaluated at all samples at once.
     ``seq`` may be its :class:`~stieltjesmp.momentseq.HankelData`."""
-    data = hankel_data(seq, n)
+    data = hankel_data(seq)
     seq = data.seq
     A_phi, A_psi = data.restriction_products(n)
     bound = seq.tol.tol_identity * (1.0 + np.linalg.norm(seq.s(0))) * 10

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from stieltjesmp import AtomicMeasure, MomentSequence, matcore, moments_of
+from stieltjesmp.momentseq import block_hankel, first_column_embedding, \
+    last_column_embedding, shift_matrix, stack_y
 
 
 def random_psd(rng, q, rank=None, scale=1.0):
@@ -31,6 +33,19 @@ def random_hermitian_sequence(rng, q, m, alpha=0.0):
     """A sequence of random Hermitian moments (no positivity imposed)."""
     return MomentSequence(alpha, q, [random_hermitian(rng, q)
                                      for _ in range(m + 1)])
+
+
+def ljapunov_data(seq, n):
+    """(T, v, vg, u, ug, K) of the Ljapunov identities at level n
+    (2n + 1 <= m): the block shift, the first and last block columns of
+    I, the coupling columns u = -col(s_{j-1})_{j=0}^{n} and
+    ug = col(-s_{n+1}, ..., -s_2n, 0), and K_n = [s_{j+k+1}]."""
+    q = seq.q
+    zero = np.zeros((q, q), dtype=complex)
+    ug = zero if n == 0 else np.vstack([-stack_y(seq, n + 1, 2 * n), zero])
+    return (shift_matrix(q, n), first_column_embedding(q, n),
+            last_column_embedding(q, n), -stack_y(seq, -1, n - 1), ug,
+            block_hankel(seq, n, 1))
 
 
 def atomic_fixture(rng, q, n, alpha=0.0, natoms=None, ranks=None,

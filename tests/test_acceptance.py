@@ -21,7 +21,6 @@ from stieltjesmp.momentseq import (
     HankelData,
     block_hankel,
     dubovoj_candidates,
-    schur_ladder,
     shift_matrix,
     stack_y,
 )
@@ -53,7 +52,8 @@ from stieltjesmp.stieltjespairs import (
     transform,
 )
 
-from conftest import atomic_fixture, kge_fixtures, random_hermitian_sequence
+from conftest import atomic_fixture, kge_fixtures, ljapunov_data, \
+    random_hermitian_sequence
 
 import json
 
@@ -75,16 +75,17 @@ def test_criterion_01_hankel_identities():
         n = int(rng.integers(0, 3))
         alpha = float(rng.normal())
         seq = random_hermitian_sequence(rng, q, 2 * n + 1, alpha)
-        b = HankelData(seq, n)
-        H, T, u, v = b.H[n], b.T, b.u, b.v
+        b = HankelData(seq)
+        T, v, vg, u, ug, K = ljapunov_data(seq, n)
+        H = b.H[n]
         scale = 1.0 + np.linalg.norm(H)
         p = H.shape[0]
         resids = [
             np.linalg.norm(H @ T.conj().T - T @ H
                            - (u @ v.conj().T - v @ u.conj().T)),
             np.linalg.norm(H @ T - T.conj().T @ H
-                           - (b.ug @ b.vg.conj().T - b.vg @ b.ug.conj().T)),
-            np.linalg.norm(b.Hs[n] - (-seq.alpha * b.H[n] + b.K[n])),
+                           - (ug @ vg.conj().T - vg @ ug.conj().T)),
+            np.linalg.norm(b.Hs[n] - (-seq.alpha * b.H[n] + K)),
             np.linalg.norm(v @ v.conj().T @ H
                            - ((np.eye(p) - seq.alpha * T) @ H - T @ b.Hs[n])),
             np.linalg.norm(H @ v - stack_y(seq, 0, n)),
@@ -99,8 +100,8 @@ def test_criterion_02_generalized_inverse_suite():
     """Reflexive generalized-inverse identities on 30 extendable fixtures."""
     worst = 0.0
     for mu, seq, n in kge_fixtures(30):
-        b = HankelData(seq, n)
-        H, Hs, T = b.H[n], b.Hs[n], b.T
+        b = HankelData(seq)
+        H, Hs, T = b.H[n], b.Hs[n], shift_matrix(seq.q, n)
         D, Ds = dubovoj_candidates(seq, n)
         Hm = one_two_inverse(H, D, b.factor(n).rank)
         Hsm = one_two_inverse(Hs, Ds, b.factor(n, True).rank)
@@ -136,12 +137,12 @@ def test_criterion_02_generalized_inverse_suite():
 def test_criterion_03_dubovoj_suite():
     """Canonical invariant subspaces; the classical counterexample."""
     for mu, seq, n in kge_fixtures(30):
-        b = HankelData(seq, n)
+        b = HankelData(seq)
+        T = shift_matrix(seq.q, n)
         D, Ds = dubovoj_candidates(seq, n)
-        assert is_dubovoj(D, b.H[n], b.T)
-        assert is_dubovoj(Ds, b.Hs[n], b.T)
-        lad = schur_ladder(seq)
-        ladder = lad.L[:n + 1]
+        assert is_dubovoj(D, b.H[n], T)
+        assert is_dubovoj(Ds, b.Hs[n], T)
+        ladder = b.ladder()[:n + 1]
         smax = max(np.linalg.norm(L, 2) for L in ladder)
         cutoff = DEFAULT_TOL.tol_rank * max(smax, 1.0)
         rank_sum = sum(
@@ -149,8 +150,8 @@ def test_criterion_03_dubovoj_suite():
                                  > cutoff)) for L in ladder)
         assert D.dim == mrank(b.H[n]) == rank_sum
     thiele = scalar_seq([0, 0, 1])
-    lad = schur_ladder(thiele)
-    D = dubovoj_subspace(lad.L, HankelData(thiele).ladder_ranks())
+    d = HankelData(thiele)
+    D = dubovoj_subspace(d.ladder(), d.ladder_ranks())
     assert not is_dubovoj(D, block_hankel(thiele, 1, 0), shift_matrix(1, 1))
     assert not class_membership(thiele).in_Hgeq_e
     _report(3, "30 fixtures invariant + rank-graded; counterexample "

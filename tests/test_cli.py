@@ -212,6 +212,17 @@ def test_cmd_verify(tmp_path, capsys):
     assert code == 2 and not doc["valid"]
 
 
+def test_cmd_verify_refuses_a_level_the_moments_lack(tmp_path, capsys):
+    # A measure is checked against s_0..s_2n+1: three moments reach
+    # level 0 only, and level 1 is a usage error, not a crash.
+    seq = moment_file(tmp_path, [1, 1, 1])
+    mu = measure_file(tmp_path, [(1.0, 1.0)])
+    assert main(["verify", seq, mu, "--n", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Hs_1 needs 2n+1 = 3 <= m = 2")
+
+
 def test_cmd_transform_and_moments(tmp_path, capsys):
     mu = measure_file(tmp_path, [(1.0, 1.0)])
     code, doc = run(capsys, ["transform", mu, "--points", "1j"])

@@ -18,15 +18,16 @@ from stieltjesmp.momentseq import (
     canonical_extension,
     dubovoj_candidates,
     extended,
+    first_column_embedding,
     hankel_data,
-    rank_profile,
-    schur_ladder,
+    last_column_embedding,
+    shift_matrix,
     shift_right,
     stack_y,
     stack_z,
 )
 
-from conftest import kge_fixtures, random_hermitian_sequence
+from conftest import kge_fixtures, ljapunov_data, random_hermitian_sequence
 
 
 def scalar_seq(values, alpha=0.0):
@@ -59,18 +60,23 @@ def test_shift_right_examples():
 
 
 def test_hankel_catalog_examples():
-    b = HankelData(scalar_seq([1, 1, 1]), 1)
+    b = HankelData(scalar_seq([1, 1, 1]))
     assert np.allclose(b.H[1], np.ones((2, 2)))
-    b = HankelData(scalar_seq([1, 0, 0]), 1)
-    assert np.allclose(b.u.ravel(), [0.0, -1.0])
-    b = HankelData(scalar_seq([1, 1, 1, 1]), 1)
+    u = -stack_y(scalar_seq([1, 0, 0]), -1, 0)
+    assert np.allclose(u.ravel(), [0.0, -1.0])
+    b = HankelData(scalar_seq([1, 1, 1, 1]))
     assert np.allclose(b.Hs[1], np.ones((2, 2)))
     with pytest.raises(ValueError):
-        HankelData(scalar_seq([1, 1]), 1)
+        HankelData(scalar_seq([1, 1])).check_level(1)
     # HankelData: lower levels are leading slices of the top level, and
     # each factorization is made once and then handed out again.
     d = HankelData(scalar_seq([2, 1, 1, 1, 1]))
-    assert d.n == 2 and d.complete and len(d.Hs) == 2
+    assert len(d.H) == 3 and len(d.Hs) == 2
+    d.check_level(2)
+    d.check_level(1, shifted=True)
+    for n, shifted in ((3, False), (2, True), (-1, False), (-1, True)):
+        with pytest.raises(ValueError, match="needs 2n"):
+            d.check_level(n, shifted)
     assert np.shares_memory(d.H[0], d.H[2])
     assert np.allclose(d.Hs[1], np.ones((2, 2)))
     assert d.factor(1) is d.factor(1)
@@ -79,21 +85,13 @@ def test_hankel_catalog_examples():
                        np.linalg.pinv(block_hankel(d.seq, 1)))
     assert d.ladder() is d.ladder()
     assert np.allclose([x.item() for x in d.ladder()], [2.0, 0.5, 0.0])
-    assert hankel_data(d) is d and hankel_data(d, 1) is d
-    part = HankelData(d.seq, 1)
-    assert not part.complete and hankel_data(part, 1) is part
-    assert hankel_data(part).complete
-    with pytest.raises(ValueError):
-        part.in_Kgeq_e()
+    assert hankel_data(d) is d
 
 
 def test_hankel_bundle_embeddings():
-    b = HankelData(scalar_seq([1, 2, 3, 4]), 1)
-    assert np.allclose(b.v.ravel(), [1.0, 0.0])
-    assert np.allclose(b.vg.ravel(), [0.0, 1.0])
-    assert np.allclose(b.V.ravel(), [1.0, 0.0])
-    assert np.allclose(b.Vg.ravel(), [0.0, 1.0])
-    assert np.allclose(b.T, [[0.0, 0.0], [1.0, 0.0]])
+    assert np.allclose(first_column_embedding(1, 1).ravel(), [1.0, 0.0])
+    assert np.allclose(last_column_embedding(1, 1).ravel(), [0.0, 1.0])
+    assert np.allclose(shift_matrix(1, 1), [[0.0, 0.0], [1.0, 0.0]])
 
 
 def test_hankel_block_partitions(rng):
@@ -111,17 +109,18 @@ def test_hankel_block_partitions(rng):
 def test_ljapunov_identities(rng):
     for q, n in ((1, 1), (2, 1), (3, 2)):
         seq = random_hermitian_sequence(rng, q, 2 * n + 1, alpha=0.4)
-        b = HankelData(seq, n)
-        H, T, u, v = b.H[n], b.T, b.u, b.v
+        b = HankelData(seq)
+        T, v, vg, u, ug, K = ljapunov_data(seq, n)
+        H = b.H[n]
         scale = 1.0 + np.linalg.norm(H)
         r1 = H @ T.conj().T - T @ H - (u @ v.conj().T - v @ u.conj().T)
         assert np.linalg.norm(r1) <= 1e-12 * scale
         r2 = H @ T - T.conj().T @ H - \
-            (b.ug @ b.vg.conj().T - b.vg @ b.ug.conj().T)
+            (ug @ vg.conj().T - vg @ ug.conj().T)
         assert np.linalg.norm(r2) <= 1e-12 * scale
         # shifted-Hankel coupling and first-column identities
         Hs = b.Hs[n]
-        assert np.allclose(Hs, -seq.alpha * b.H[n] + b.K[n])
+        assert np.allclose(Hs, -seq.alpha * b.H[n] + K)
         Ra_inv = np.eye(H.shape[0]) - seq.alpha * T
         r3 = v @ v.conj().T @ H - (Ra_inv @ H - T @ Hs)
         assert np.linalg.norm(r3) <= 1e-12 * scale
@@ -130,13 +129,13 @@ def test_ljapunov_identities(rng):
 
 
 def test_schur_ladder_examples():
-    lad = schur_ladder(scalar_seq([1, 1, 1]))
-    assert np.allclose([x.item() for x in lad.L], [1.0, 0.0])
-    lad = schur_ladder(scalar_seq([0, 0, 1]))
-    assert np.allclose([x.item() for x in lad.L], [0.0, 1.0])
-    lad = schur_ladder(scalar_seq([5]))
-    assert np.allclose(lad.L[0], 5.0)
-    assert lad.Ls == []
+    lad = HankelData(scalar_seq([1, 1, 1])).ladder()
+    assert np.allclose([x.item() for x in lad], [1.0, 0.0])
+    lad = HankelData(scalar_seq([0, 0, 1])).ladder()
+    assert np.allclose([x.item() for x in lad], [0.0, 1.0])
+    d = HankelData(scalar_seq([5]))
+    assert np.allclose(d.ladder()[0], 5.0)
+    assert d.ladder(shifted=True) == []
 
 
 def test_class_membership_examples():
@@ -191,12 +190,13 @@ def test_ladder_nesting_on_extendable_fixtures():
     # Null spaces of the interleaved ladder blocks are nested:
     # N(L_0) in N(Ls_0) in N(L_1) in ...
     for mu, seq, n in kge_fixtures(8, seed=3):
-        lad = schur_ladder(seq)
+        d = HankelData(seq)
+        L, Ls = d.ladder(), d.ladder(shifted=True)
         chain = []
-        for j in range(len(lad.L)):
-            chain.append(lad.L[j])
-            if j < len(lad.Ls):
-                chain.append(lad.Ls[j])
+        for j in range(len(L)):
+            chain.append(L[j])
+            if j < len(Ls):
+                chain.append(Ls[j])
         for A, B in zip(chain, chain[1:]):
             assert range_included(A.conj().T, B.conj().T)
 
@@ -204,13 +204,14 @@ def test_ladder_nesting_on_extendable_fixtures():
 def test_dubovoj_candidates_and_rank_profile():
     for mu, seq, n in kge_fixtures(6, seed=5):
         D, Ds = dubovoj_candidates(seq, n)
-        b = HankelData(seq, n)
-        assert is_dubovoj(D, b.H[n], b.T)
-        assert is_dubovoj(Ds, b.Hs[n], b.T)
+        b = HankelData(seq)
+        T = shift_matrix(seq.q, n)
+        assert is_dubovoj(D, b.H[n], T)
+        assert is_dubovoj(Ds, b.Hs[n], T)
         assert D.dim == mrank(b.H[n])
-    prof = rank_profile(scalar_seq([1, 1, 1]))
-    assert prof["rank_H"] == 1
-    assert prof["rank_L"] == [1, 0]
+    d = HankelData(scalar_seq([1, 1, 1]))
+    assert d.factor(1).rank == 1
+    assert d.ladder_ranks() == [1, 0]
 
 
 def test_hankel_data_levels_equal_direct_assembly(rng):
@@ -241,6 +242,6 @@ def test_class_membership_factors_each_matrix_once(factor_calls):
 def test_shifted_hankel_matches_direct_assembly(seed):
     rng = np.random.default_rng(seed)
     seq = random_hermitian_sequence(rng, 2, 3, alpha=float(rng.normal()))
-    b = HankelData(seq, 1)
+    b = HankelData(seq)
     direct = block_hankel(shift_right(seq), 1, 0)
     assert np.allclose(b.Hs[1], direct)

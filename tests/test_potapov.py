@@ -254,7 +254,7 @@ def test_potapov_report_decides_on_the_schur_complement(monkeypatch):
             for j, pattern in enumerate(patterns):
                 alpha = (0.0, 0.5, -1.0)[(q + n + j) % 3]
                 mu, seq = atomic_fixture(rng, q, n, alpha, **pattern)
-                data = momentseq.hankel_data(seq, n)
+                data = momentseq.hankel_data(seq)
                 grid = standard_grid(alpha)
                 eps = 10.0 ** rng.uniform(-12.0, -1.0)
                 for shift in (0.0, eps, -eps):

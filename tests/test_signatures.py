@@ -46,3 +46,10 @@ def test_only_raw_data_constructors_take_a_tolerance():
     with_tol = {name for name, fn in names.items()
                 if "tol" in inspect.signature(fn).parameters}
     assert with_tol == KEEP_TOL
+
+
+def test_hankel_data_takes_only_the_sequence():
+    # One HankelData covers every level of its sequence; a reader of
+    # level n asks it with ``check_level`` instead of passing a level.
+    for fn in (momentseq.HankelData, momentseq.hankel_data):
+        assert list(inspect.signature(fn).parameters) == ["seq"]

@@ -7,7 +7,17 @@ import pytest
 
 from stieltjesmp import MomentSequence, class_membership
 from stieltjesmp.matcore import Subspace
-from stieltjesmp.momentseq import HankelData
+from stieltjesmp.momentseq import HankelData, dubovoj_candidates
+from stieltjesmp.potapov import (
+    FunctionSamples,
+    atomic_decomposition_residual,
+    congruence_check,
+    fq_matrices,
+    potapov_matrix,
+    potapov_report,
+    psi_polynomial,
+    sigma_matrix,
+)
 from stieltjesmp.resolvent import MatrixPolynomial, build_resolvent, \
     standard_grid
 from stieltjesmp.solver import (
@@ -22,7 +32,9 @@ from stieltjesmp.stieltjespairs import (
     AtomicMeasure,
     StieltjesFunction,
     StieltjesPair,
+    moments_of,
     pair_eval,
+    pair_in_restricted_class,
     transform,
 )
 
@@ -385,3 +397,49 @@ def test_array_evaluation_matches_scalar_loop():
                         lft_solution(R, pair), zs)
     assert kinds == {"constant", "function", "lifted"}
     assert compared >= 40
+
+
+# Calls at level n with k = 2n (on m = 2n - 1) or k = 2n + 1 (on
+# m = 2n); those reading only H_n take the first case alone.
+_LEVEL_MU = AtomicMeasure(0.5, 1, [(1.0, [[1.0]]), (2.5, [[0.5]])])
+_LEVEL_F = FunctionSamples(StieltjesFunction(None, _LEVEL_MU))
+_LEVEL_CALLS = {
+    "potapov_report": (False, lambda seq, n, k: potapov_report(
+        seq, n, _LEVEL_F, [1j, 2 + 1j])),
+    "potapov_matrix": (True, lambda seq, n, k: potapov_matrix(
+        seq, n, _LEVEL_F, 1j, k)),
+    "sigma_matrix": (True, lambda seq, n, k: sigma_matrix(
+        seq, n, _LEVEL_F, 1j, k)),
+    "fq_matrices": (True, lambda seq, n, k: fq_matrices(
+        seq, n, _LEVEL_F, 1j, k)),
+    "psi_polynomial": (True, lambda seq, n, k: psi_polynomial(
+        seq, n, k % 2)),
+    "congruence_check": (False, lambda seq, n, k: congruence_check(
+        seq, n, _LEVEL_F, 1j)),
+    "atomic_decomposition_residual": (
+        True, lambda seq, n, k: atomic_decomposition_residual(
+            seq, n, _LEVEL_MU, 1j, k)),
+    "verify_solution_measure": (True, lambda seq, n, k: verify_solution(
+        seq, n, _LEVEL_MU)),
+    "verify_solution_function": (False, lambda seq, n, k: verify_solution(
+        seq, n, StieltjesFunction(None, _LEVEL_MU))),
+    "pair_in_restricted_class": (
+        True, lambda seq, n, k: pair_in_restricted_class(
+            StieltjesPair.constant([[0.0]], [[1.0]]), seq, n)),
+    "classify": (True, lambda seq, n, k: classify(seq, n)),
+    "build_resolvent": (True, lambda seq, n, k: build_resolvent(seq, n)),
+    "dubovoj_candidates": (True, lambda seq, n, k: dubovoj_candidates(
+        seq, n)),
+    "unique_solution": (True, lambda seq, n, k: unique_solution(seq, n)),
+}
+
+
+@pytest.mark.parametrize("name, odd", [
+    pytest.param(name, odd, id=f"{name}-{'2n+1>m' if odd else '2n>m'}")
+    for name, (reads_odd, _) in sorted(_LEVEL_CALLS.items())
+    for odd in (False, True) if reads_odd or not odd])
+def test_a_level_the_sequence_lacks_is_refused(name, odd):
+    n = 2
+    seq = moments_of(_LEVEL_MU, 2 * n - 1 + odd)
+    with pytest.raises(ValueError, match=r"needs 2n(\+1)? = \d+ <= m"):
+        _LEVEL_CALLS[name][1](seq, n, 2 * n + odd)

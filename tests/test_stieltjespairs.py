@@ -204,7 +204,7 @@ def test_pair_in_restricted_class_evaluates_the_pair_once(monkeypatch):
 
 def _restricted_class_loop(p, seq, n):
     """The per-point form of the gate, as a reference."""
-    A_phi, A_psi = HankelData(seq, n).restriction_products(n)
+    A_phi, A_psi = HankelData(seq).restriction_products(n)
     bound = seq.tol.tol_identity * (1.0 + np.linalg.norm(seq.s(0))) * 10
     for k in range(n + 2 + p.degree_bound()):
         phi, psi = pair_eval(p, seq.alpha + 0.37 + 1j * (1.0 + k))
