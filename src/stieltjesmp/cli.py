@@ -44,6 +44,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NEGATIVE = 2
 
+# What indexing a JSON document of the wrong shape raises.
+_MALFORMED = (KeyError, TypeError, AttributeError)
+
 
 def load_moment_file(path, tol):
     with open(path) as fh:
@@ -53,7 +56,7 @@ def load_moment_file(path, tol):
         q = int(doc["q"])
         moments = [jsonio.json_to_matrix(m, f"moments[{j}]")
                    for j, m in enumerate(doc["moments"])]
-    except (KeyError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise ValueError(f"moment file {path}: {exc}") from exc
     return MomentSequence(alpha, q, moments, tol)
 
@@ -67,7 +70,7 @@ def load_measure_file(path, tol):
         atoms = [(float(a["t"]),
                   jsonio.json_to_matrix(a["weight"], "atom weight"))
                  for a in doc["atoms"]]
-    except (KeyError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise ValueError(f"measure file {path}: {exc}") from exc
     return AtomicMeasure(alpha, q, atoms, tol)
 
@@ -75,21 +78,24 @@ def load_measure_file(path, tol):
 def load_pair_file(path, tol):
     with open(path) as fh:
         doc = json.load(fh)
-    kind = doc.get("kind")
-    if kind == "constant":
-        phi = jsonio.json_to_matrix(doc["phi"], "phi")
-        psi = jsonio.json_to_matrix(doc["psi"], "psi")
-        return StieltjesPair.constant(phi, psi, tol)
-    if kind == "stieltjes_function":
-        alpha = float(doc.get("alpha", 0.0))
-        q = int(doc["q"])
-        atoms = [(float(a["t"]),
-                  jsonio.json_to_matrix(a["weight"], "atom weight"))
-                 for a in doc.get("atoms", [])]
-        mu = AtomicMeasure(alpha, q, atoms, tol)
-        gamma = jsonio.json_to_matrix(doc["gamma"], "gamma") \
-            if "gamma" in doc else np.zeros((q, q))
-        return StieltjesPair.from_function(StieltjesFunction(gamma, mu))
+    try:
+        kind = doc.get("kind")
+        if kind == "constant":
+            phi = jsonio.json_to_matrix(doc["phi"], "phi")
+            psi = jsonio.json_to_matrix(doc["psi"], "psi")
+            return StieltjesPair.constant(phi, psi, tol)
+        if kind == "stieltjes_function":
+            alpha = float(doc.get("alpha", 0.0))
+            q = int(doc["q"])
+            atoms = [(float(a["t"]),
+                      jsonio.json_to_matrix(a["weight"], "atom weight"))
+                     for a in doc.get("atoms", [])]
+            mu = AtomicMeasure(alpha, q, atoms, tol)
+            gamma = jsonio.json_to_matrix(doc["gamma"], "gamma") \
+                if "gamma" in doc else np.zeros((q, q))
+            return StieltjesPair.from_function(StieltjesFunction(gamma, mu))
+    except _MALFORMED as exc:
+        raise ValueError(f"pair file {path}: {exc}") from exc
     raise ValueError(f"pair file {path}: unknown kind {kind!r}")
 
 

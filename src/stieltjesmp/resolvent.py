@@ -29,88 +29,58 @@ _TRIM_TOL = 1e-12
 
 
 class MatrixPolynomial:
-    """A polynomial with square matrix coefficients, ascending degree."""
+    """A polynomial with square matrix coefficients, ascending degree:
+    ``coeffs`` is a (d + 1, size, size) array whose row j is the
+    coefficient of z^j."""
 
     def __init__(self, coeffs):
-        coeffs = [np.asarray(c, dtype=complex) for c in coeffs]
-        if not coeffs:
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if coeffs.ndim != 3 or coeffs.shape[1] != coeffs.shape[2]:
+            raise ValueError("coefficients must be square matrices of one "
+                             "shape")
+        if not len(coeffs):
             raise ValueError("need at least one coefficient")
-        shape = coeffs[0].shape
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise ValueError("coefficients must be square matrices")
-        for c in coeffs:
-            if c.shape != shape:
-                raise ValueError("coefficient shapes differ")
         self.coeffs = coeffs
-        self.size = shape[0]
+        self.size = coeffs.shape[1]
 
     @classmethod
     def constant(cls, A):
-        return cls([np.asarray(A, dtype=complex)])
-
-    @property
-    def degree(self):
-        """Index of the last numerically nonzero coefficient."""
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            if np.linalg.norm(self.coeffs[k]) > 0.0:
-                return k
-        return 0
+        return cls(np.asarray(A, dtype=complex)[None])
 
     def trimmed_degree(self):
-        scale = max(np.linalg.norm(c) for c in self.coeffs) + 1.0
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            if np.linalg.norm(self.coeffs[k]) > _TRIM_TOL * scale:
-                return k
-        return 0
-
-    def _padded(self, length):
-        z = np.zeros((self.size, self.size), dtype=complex)
-        return self.coeffs + [z] * (length - len(self.coeffs))
+        norms = np.linalg.norm(self.coeffs, axis=(1, 2))
+        nonzero = np.flatnonzero(norms > _TRIM_TOL * (norms.max() + 1.0))
+        return int(nonzero[-1]) if nonzero.size else 0
 
     def __add__(self, other):
         other = _coerce(other, self.size)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return MatrixPolynomial(
-            [a + b for a, b in zip(self._padded(n), other._padded(n))])
+        out = np.zeros((max(len(self.coeffs), len(other.coeffs)),
+                        self.size, self.size), dtype=complex)
+        out[:len(self.coeffs)] += self.coeffs
+        out[:len(other.coeffs)] += other.coeffs
+        return MatrixPolynomial(out)
 
     def __sub__(self, other):
-        other = _coerce(other, self.size)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return MatrixPolynomial(
-            [a - b for a, b in zip(self._padded(n), other._padded(n))])
-
-    def __neg__(self):
-        return MatrixPolynomial([-c for c in self.coeffs])
+        return self + MatrixPolynomial(-_coerce(other, self.size).coeffs)
 
     def __matmul__(self, other):
         other = _coerce(other, self.size)
-        out = [np.zeros((self.size, self.size), dtype=complex)
-               for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for j, a in enumerate(self.coeffs):
-            for k, b in enumerate(other.coeffs):
-                out[j + k] += a @ b
+        a, b = self.coeffs, other.coeffs
+        out = np.zeros((len(a) + len(b) - 1, self.size, self.size),
+                       dtype=complex)
+        # coefficient j + k collects a_j b_k
+        np.add.at(out, np.add.outer(np.arange(len(a)), np.arange(len(b))),
+                  a[:, None] @ b[None])
         return MatrixPolynomial(out)
-
-    def scale(self, c):
-        return MatrixPolynomial([c * A for A in self.coeffs])
 
     def times_linear(self, c0, c1):
         """Multiply by the scalar polynomial c0 + c1 z."""
-        z = np.zeros((self.size, self.size), dtype=complex)
-        out = [z.copy() for _ in range(len(self.coeffs) + 1)]
-        for j, A in enumerate(self.coeffs):
-            out[j] += c0 * A
-            out[j + 1] += c1 * A
-        return MatrixPolynomial(out)
+        return MatrixPolynomial(_times_linear(self.coeffs, c0, c1))
 
     def sandwich(self, L, R):
         """Constant congruence L @ p(z) @ R, allowing rectangular L, R."""
-        L = np.asarray(L, dtype=complex)
-        R = np.asarray(R, dtype=complex)
-        coeffs = [L @ c @ R for c in self.coeffs]
-        if coeffs[0].shape[0] != coeffs[0].shape[1]:
-            raise ValueError("sandwich result must be square")
-        return MatrixPolynomial(coeffs)
+        return MatrixPolynomial(np.asarray(L, dtype=complex) @ self.coeffs
+                                @ np.asarray(R, dtype=complex))
 
     def eval(self, z):
         """Horner evaluation at a complex point (a size x size matrix) or
@@ -118,7 +88,7 @@ class MatrixPolynomial:
         z = np.asarray(z)[..., None, None]
         out = np.empty(z.shape[:-2] + (self.size, self.size), dtype=complex)
         out[...] = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
+        for c in self.coeffs[-2::-1]:
             out = z * out + c
         return out
 
@@ -127,11 +97,20 @@ class MatrixPolynomial:
 
 
 def _coerce(x, size):
-    if isinstance(x, MatrixPolynomial):
-        if x.size != size:
-            raise ValueError("polynomial sizes differ")
-        return x
-    return MatrixPolynomial.constant(np.asarray(x, dtype=complex))
+    """``x`` as a polynomial of the given size; a matrix is a constant."""
+    if not isinstance(x, MatrixPolynomial):
+        x = MatrixPolynomial.constant(x)
+    if x.size != size:
+        raise ValueError("polynomial sizes differ")
+    return x
+
+
+def _times_linear(coeffs, c0, c1):
+    """Coefficients of (c0 + c1 z) p(z) from a (d + 1, r, c) stack of p."""
+    out = np.zeros((len(coeffs) + 1,) + coeffs.shape[1:], dtype=complex)
+    out[:-1] = c0 * coeffs
+    out[1:] += c1 * coeffs
+    return out
 
 
 def resolvent_poly(q, n, adjoint=False):
@@ -171,15 +150,6 @@ def standard_grid(alpha):
     return pts
 
 
-def _kron2(v):
-    """I_2 (x) v for a tall block-column v."""
-    rows, cols = v.shape
-    out = np.zeros((2 * rows, 2 * cols), dtype=complex)
-    out[:rows, :cols] = v
-    out[rows:, cols:] = v
-    return out
-
-
 @dataclass
 class ResolventMatrix:
     """The resolvent matrix polynomials and their cached Hankel data.
@@ -212,16 +182,6 @@ class ResolventMatrix:
     data: HankelData
     self_check: dict = field(default_factory=dict)
 
-    def block(self, i, j, tilde=False):
-        """Block (i, j) of theta (or theta tilde) as a q x q polynomial."""
-        q = self.q
-        src = self.theta_tilde if tilde else self.theta
-        sel_l = np.zeros((q, 2 * q), dtype=complex)
-        sel_l[:, i * q:(i + 1) * q] = np.eye(q)
-        sel_r = np.zeros((2 * q, q), dtype=complex)
-        sel_r[j * q:(j + 1) * q, :] = np.eye(q)
-        return src.sandwich(sel_l, sel_r)
-
 
 def build_resolvent(seq, n):
     """Construct the resolvent matrix polynomial pair for level n.
@@ -242,95 +202,73 @@ def build_resolvent(seq, n):
     Hm = one_two_inverse(H, D, data.factor(n).rank, seq.tol)
     Hsm = one_two_inverse(Hs, Ds, data.factor(n, True).rank, seq.tol)
     T, v = shift_matrix(q, n), first_column_embedding(q, n)
-    p = (n + 1) * q
-    eye = np.eye(p, dtype=complex)
-    Ralpha = shift_resolvent(q, n, seq.alpha)
-    Rinv = eye - seq.alpha * T
+    alpha = seq.alpha
+    Ralpha = shift_resolvent(q, n, alpha)
+    RTs = resolvent_poly(q, n, adjoint=True).coeffs
+    Hv = H @ v
+    X = T @ Hv
+    Xt = Hv - alpha * X                     # (I - aT) H v
 
-    RTs = resolvent_poly(q, n, adjoint=True)
-    I2v = _kron2(v)
+    # Theta = I + C_L Omega(z) C_R with C_L = diag(v* H, v*),
+    # C_R = diag(Hm Ra v, Hsm H v) and, for R = R_{T*}(z) and d = z - a,
+    #   Omega  = [[d T*, (I - aT)*], [-d I, -d I]] diag(R, R),
+    #   Omega~ = [[d T*, d (I - aT)*], [-I, -d I]] diag(R, R).
+    # Term by term, with K = [T H v, (I - aT) H v, v]* R [Hm Ra v, Hsm H v]
+    # in q x q blocks K_ij (rows i = 1, 2, 3, columns j = a, b):
+    #   Theta  = I + [[d K_1a, K_2b], [-d K_3a, -d K_3b]],
+    #   Theta~ = I + [[d K_1a, d K_2b], [-K_3a, -d K_3b]].
+    K = np.hstack([X, Xt, v]).conj().T @ RTs \
+        @ np.hstack([Hm @ Ralpha @ v, Hsm @ H @ v])
+    zK = _times_linear(K, -alpha, 1.0)               # (z - a) K
+    K = np.concatenate([K, np.zeros_like(K[:1])])    # to the degree of zK
+    (_, K2, K3), (zK1, zK2, zK3) = np.split(K, 3, 1), np.split(zK, 3, 1)
+    a, b = np.s_[..., :q], np.s_[..., q:]
+    theta = _identity_plus([[zK1[a], K2[b]], [-zK3[a], -zK3[b]]])
+    theta_tilde = _identity_plus([[zK1[a], zK2[b]], [-K3[a], -zK3[b]]])
 
-    # Omega(z) = [[(z-a)T*, Rinv*], [-(z-a)I, -(z-a)I]] (I_2 (x) R_{T*}(z))
-    def omega(tilde):
-        zero = np.zeros((p, p), dtype=complex)
-        if not tilde:
-            const = np.block([[zero, Rinv.conj().T], [zero, zero]])
-            lin = np.block([[T.conj().T, zero], [-eye, -eye]])
-        else:
-            const = np.block([[zero, zero], [-eye, zero]])
-            lin = np.block([[T.conj().T, Rinv.conj().T], [zero, -eye]])
-        base = MatrixPolynomial([const - seq.alpha * lin, lin])
-        big_RTs = MatrixPolynomial(
-            [np.block([[c, np.zeros_like(c)], [np.zeros_like(c), c]])
-             for c in RTs.coeffs])
-        return base @ big_RTs
+    def u_factor(X, G):
+        """I + (z - a) [X, -v]* R_{T*}(z) G Ra [v, X]."""
+        M = np.hstack([X, -v]).conj().T @ RTs \
+            @ (G @ Ralpha @ np.hstack([v, X]))
+        return _identity_plus([[_times_linear(M, -alpha, 1.0)]])
 
-    CL = I2v.conj().T @ np.block(
-        [[H, np.zeros((p, p), dtype=complex)],
-         [np.zeros((p, p), dtype=complex), eye]])
-    CR = np.block(
-        [[Hm @ Ralpha, np.zeros((p, p), dtype=complex)],
-         [np.zeros((p, p), dtype=complex), Hsm @ H]]) @ I2v
-    eye2q = MatrixPolynomial.constant(np.eye(2 * q, dtype=complex))
-    theta = eye2q + omega(False).sandwich(CL, CR)
-    theta_tilde = eye2q + omega(True).sandwich(CL, CR)
-
-    # U = I + (z - a) M1* R_{T*}(z) M2 and the tilde analogue.
-    def u_factor(tilde):
-        if not tilde:
-            left = np.hstack([T @ H, -eye]) @ I2v
-            right = Hm @ Ralpha @ np.hstack([eye, T @ H]) @ I2v
-        else:
-            RinvH = Rinv @ H
-            left = np.hstack([RinvH, -eye]) @ I2v
-            right = Hsm @ Ralpha @ np.hstack([eye, RinvH]) @ I2v
-        mid = RTs.sandwich(left.conj().T, right)
-        return eye2q + mid.times_linear(-seq.alpha, 1.0)
-
-    U = u_factor(False)
-    U_tilde = u_factor(True)
-
-    eye_q = np.eye(q, dtype=complex)
-    zq = np.zeros((q, q), dtype=complex)
-    RTs_alpha = Ralpha.conj().T
-    B = np.block([[eye_q, v.conj().T @ H @ Hsm @ H @ v], [zq, eye_q]])
-    B_tilde = np.block(
-        [[eye_q, zq],
-         [-v.conj().T @ RTs_alpha @ Hm @ Ralpha @ v, eye_q]])
+    U = u_factor(X, Hm)
+    U_tilde = u_factor(Xt, Hsm)
+    B = np.eye(2 * q, dtype=complex)
+    B[:q, q:] = Hv.conj().T @ Hsm @ Hv
+    B_tilde = np.eye(2 * q, dtype=complex)
+    B_tilde[q:, :q] = -v.conj().T @ Ralpha.conj().T @ Hm @ Ralpha @ v
 
     R = ResolventMatrix(
-        n=n, q=q, alpha=seq.alpha, theta=theta, theta_tilde=theta_tilde,
+        n=n, q=q, alpha=alpha, theta=theta, theta_tilde=theta_tilde,
         U=U, U_tilde=U_tilde, B=B, B_tilde=B_tilde, H=H, Hs=Hs, Hm=Hm,
         Hsm=Hsm, T=T, v=v, Ralpha=Ralpha, data=data)
     R.self_check = _self_check(R)
     return R
 
 
+def _identity_plus(blocks):
+    """I + [[b00, b01], [b10, b11]] as a polynomial, from a nested list
+    of coefficient stacks of one length."""
+    coeffs = np.concatenate([np.concatenate(row, 2) for row in blocks], 1)
+    coeffs[0] += np.eye(coeffs.shape[1])
+    return MatrixPolynomial(coeffs)
+
+
 def _self_check(R):
     """Residuals of the built-in consistency identities."""
-    ub = R.U @ MatrixPolynomial.constant(R.B)
-    utb = R.U_tilde @ MatrixPolynomial.constant(R.B_tilde)
-    nmax = max(len(R.theta.coeffs), len(ub.coeffs))
-    res_fact = max(
-        np.linalg.norm(a - c)
-        for a, c in zip(R.theta._padded(nmax), ub._padded(nmax)))
-    nmax = max(len(R.theta_tilde.coeffs), len(utb.coeffs))
-    res_fact_t = max(
-        np.linalg.norm(a - c)
-        for a, c in zip(R.theta_tilde._padded(nmax), utb._padded(nmax)))
+    def largest(diff):
+        return float(np.linalg.norm(diff, axis=(-2, -1)).max())
+
     # scaling identity theta_tilde = diag((z-a)I, I) theta diag((z-a)^{-1}I, I)
-    res_scale = 0.0
-    q = R.q
-    for z in (R.alpha + 1.3 + 0.7j, R.alpha - 2.0 + 1j, R.alpha + 0.5 - 2j):
-        d1 = np.diag(np.concatenate(
-            [np.full(q, z - R.alpha), np.ones(q)])).astype(complex)
-        d2 = np.diag(np.concatenate(
-            [np.full(q, 1.0 / (z - R.alpha)), np.ones(q)])).astype(complex)
-        res_scale = max(res_scale, np.linalg.norm(
-            R.theta_tilde(z) - d1 @ R.theta(z) @ d2))
-    return {"theta_minus_UB": res_fact,
-            "theta_tilde_minus_UtBt": res_fact_t,
-            "scaling_identity": res_scale}
+    zs = R.alpha + np.array([1.3 + 0.7j, -2.0 + 1j, 0.5 - 2j])
+    d = np.ones((len(zs), 2 * R.q), dtype=complex)
+    d[:, :R.q] = (zs - R.alpha)[:, None]
+    scaled = d[:, :, None] * R.theta(zs) / d[:, None, :]
+    return {"theta_minus_UB": largest(R.theta.coeffs - R.U.coeffs @ R.B),
+            "theta_tilde_minus_UtBt":
+                largest(R.theta_tilde.coeffs - R.U_tilde.coeffs @ R.B_tilde),
+            "scaling_identity": largest(R.theta_tilde(zs) - scaled)}
 
 
 def eval_theta(R, z, tilde=False):
@@ -359,21 +297,15 @@ def j_defect(R, z, w, variant="theta"):
         Jt - theta^{-*}(z) Jt theta^{-1}(w) against its factorized side.
     """
     J = signature_matrix(R.q)
-    p = R.H.shape[0]
-    eye = np.eye(p, dtype=complex)
-    I2v = _kron2(R.v)
-    T, H, Hs = R.T, R.H, R.Hs
+    T, H, Hs, v = R.T, R.H, R.Hs, R.v
     Ra = R.Ralpha
-    Rinv = eye - R.alpha * T
-    RinvH = Rinv @ H
+    Rinv = np.eye(H.shape[0], dtype=complex) - R.alpha * T
     q, n = R.q, R.n
 
     tilde = variant.endswith("tilde")
     Hm = R.Hsm if tilde else R.Hm
-    left_mat = (np.hstack([RinvH, -eye]) if tilde
-                else np.hstack([T @ H, -eye])) @ I2v
-    pair_mat = (np.hstack([eye, RinvH]) if tilde
-                else np.hstack([eye, T @ H])) @ I2v
+    X = (Rinv if tilde else T) @ H @ v
+    left_mat, pair_mat = np.hstack([X, -v]), np.hstack([v, X])
 
     if variant in ("theta", "theta_tilde"):
         th_z = eval_theta(R, z, tilde=tilde)

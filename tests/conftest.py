@@ -70,6 +70,16 @@ def atomic_fixture(rng, q, n, alpha=0.0, natoms=None, ranks=None,
     return mu, seq
 
 
+# ``atomic_fixture`` keyword sets, one per kind of data: full-rank
+# atoms (non-degenerate), rank-1 weights, an atom at alpha, one atom.
+WEIGHT_PATTERNS = {
+    "full": {},
+    "rankdef": {"ranks": [1]},
+    "endpoint": {"include_endpoint": True},
+    "fewatoms": {"natoms": 1},
+}
+
+
 def kge_fixtures(count, seed=7):
     """A mixed batch of extendable fixtures: (mu, seq, n) triples.
 
@@ -79,12 +89,7 @@ def kge_fixtures(count, seed=7):
     """
     rng = np.random.default_rng(seed)
     out = []
-    patterns = [
-        dict(),
-        dict(ranks=[1]),
-        dict(include_endpoint=True),
-        dict(natoms=1),
-    ]
+    patterns = list(WEIGHT_PATTERNS.values())
     sizes = [(1, 0), (1, 1), (2, 0), (2, 1), (3, 1), (2, 2)]
     k = 0
     while len(out) < count:

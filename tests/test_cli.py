@@ -111,6 +111,18 @@ def test_cmd_solve_with_pair(tmp_path, capsys):
     assert val["sigma_min_odd"] >= -1e-10
 
 
+def test_cmd_solve_rejects_a_malformed_pair_file(tmp_path, capsys):
+    moments = moment_file(tmp_path, [1, 1])
+    for doc in ([1, 2], {"kind": "stieltjes_function", "q": 1,
+                         "atoms": [1]}):
+        pair = write_json(tmp_path / "p.json", doc)
+        code = main(["solve", moments, pair, "--n", "0", "--points", "1j"])
+        captured = capsys.readouterr()
+        assert code == 1 and not captured.out
+        assert captured.err.startswith("error: pair file")
+        assert "Traceback" not in captured.err
+
+
 def test_cmd_solve_completely_degenerate_warns(tmp_path, capsys):
     pair = write_json(tmp_path / "p.json", {
         "kind": "constant", "phi": [[[1.0, 0.0]]], "psi": [[[0.0, 0.0]]]})

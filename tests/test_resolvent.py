@@ -17,9 +17,10 @@ from stieltjesmp.resolvent import (
     theta_coeffs_json,
     theta_inverse,
 )
-from stieltjesmp.momentseq import shift_matrix, shift_resolvent
+from stieltjesmp.momentseq import first_column_embedding, shift_matrix, \
+    shift_resolvent
 
-from conftest import atomic_fixture, kge_fixtures
+from conftest import WEIGHT_PATTERNS, atomic_fixture, kge_fixtures
 
 
 def scalar_seq(values, alpha=0.0):
@@ -35,10 +36,7 @@ def test_matrix_polynomial_arithmetic():
     z = 0.3 + 0.4j
     assert np.allclose(prod(z), p(z) @ q(z))
     assert np.allclose((p - q)(z), p(z) - q(z))
-    assert np.allclose((-p)(z), -p(z))
-    assert np.allclose(p.scale(2.0)(z), 2.0 * p(z))
     assert np.allclose(p.times_linear(1.0, -2.0)(z), (1 - 2 * z) * p(z))
-    assert p.degree == 1
     assert MatrixPolynomial([np.eye(2), 1e-15 * np.eye(2)]).trimmed_degree() \
         == 0
 
@@ -115,7 +113,66 @@ def test_build_resolvent_closed_forms():
                        atol=1e-12)
     assert np.allclose(eval_theta(R, 0.0), [[1.0, 1.0], [0.0, 1.0]])
     # the (2,1) block carries the factor (z - alpha)
-    assert np.allclose(R.block(1, 0)(R.alpha), 0.0, atol=1e-12)
+    q = R.q
+    assert np.allclose(MatrixPolynomial(R.theta.coeffs[:, q:, :q])(R.alpha),
+                       0.0, atol=1e-12)
+
+
+def test_resolvent_matches_its_defining_formula():
+    """Theta = I + C_L Omega(z) C_R and U = I + (z - a) L* R_{T*}(z) M,
+    with Omega, C_L, C_R, L and M assembled here from the Hankel data."""
+    rng = np.random.default_rng(29)
+    worst, built = 0.0, 0
+    for q in (1, 2, 3, 5):
+        for n in range(4):
+            p = (n + 1) * q
+            eye, zero = np.eye(p), np.zeros((p, p))
+            T, v = shift_matrix(q, n), first_column_embedding(q, n)
+            for k, kw in enumerate(WEIGHT_PATTERNS.values()):
+                alpha = (0.0, 0.5, -1.0)[(q + n + k) % 3]
+                mu, seq = atomic_fixture(rng, q, n, alpha, **kw)
+                try:
+                    R = build_resolvent(seq, n)
+                except ValueError:
+                    continue
+                built += 1
+                H, Hm, Hsm = R.H, R.Hm, R.Hsm
+                Ra = shift_resolvent(q, n, alpha)
+                Rinv = eye - alpha * T
+                CL = np.block([[v.T @ H, np.zeros((q, p))],
+                               [np.zeros((q, p)), v.T]])
+                CR = np.block([[Hm @ Ra @ v, np.zeros((p, q))],
+                               [np.zeros((p, q)), Hsm @ H @ v]])
+                for _ in range(3):
+                    z = complex(alpha + 3.0 * rng.normal(),
+                                rng.choice([-1, 1]) * rng.uniform(0.1, 3.0))
+                    Rs = shift_resolvent(q, n, z).T
+                    I2Rs = np.block([[Rs, zero], [zero, Rs]])
+                    za = z - alpha
+                    omega = {
+                        False: np.block([[za * T.T, Rinv.T],
+                                         [-za * eye, -za * eye]]) @ I2Rs,
+                        True: np.block([[za * T.T, za * Rinv.T],
+                                        [-eye, -za * eye]]) @ I2Rs}
+                    for tilde in (False, True):
+                        terms = CL @ omega[tilde] @ CR
+                        scale = 1.0 + np.linalg.norm(CL) * np.linalg.norm(
+                            omega[tilde]) * np.linalg.norm(CR)
+                        err = np.linalg.norm(eval_theta(R, z, tilde)
+                                             - np.eye(2 * q) - terms)
+                        worst = max(worst, err / scale)
+                    for U, X, G in ((R.U, T @ H @ v, Hm),
+                                    (R.U_tilde, Rinv @ H @ v, Hsm)):
+                        left = np.hstack([X, -v]).conj().T
+                        right = G @ Ra @ np.hstack([v, X])
+                        terms = za * left @ Rs @ right
+                        scale = 1.0 + abs(za) * np.linalg.norm(left) \
+                            * np.linalg.norm(Rs) * np.linalg.norm(right)
+                        err = np.linalg.norm(U(z) - np.eye(2 * q) - terms)
+                        worst = max(worst, err / scale)
+    print(f"worst relative residual {worst:.1e} over {built} resolvents")
+    assert built >= 50
+    assert worst <= 1e-12
 
 
 def test_build_resolvent_rejects_bad_input():

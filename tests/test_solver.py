@@ -38,7 +38,7 @@ from stieltjesmp.stieltjespairs import (
     transform,
 )
 
-from conftest import atomic_fixture, kge_fixtures
+from conftest import WEIGHT_PATTERNS, atomic_fixture, kge_fixtures
 
 
 def scalar_seq(values, alpha=0.0):
@@ -291,14 +291,6 @@ def test_lft_solution_gates_against_the_given_sequence():
     lft_solution(R, pair, seq=own, n=0)
     with pytest.raises(ValueError):
         lft_solution(R, pair, seq=other, n=0)
-
-
-WEIGHT_PATTERNS = {
-    "full": {},
-    "rankdef": {"ranks": [1]},
-    "endpoint": {"include_endpoint": True},
-    "fewatoms": {"natoms": 1},
-}
 
 
 def _values(S, pts):
