@@ -1,10 +1,10 @@
 """Dense complex matrix utilities.
 
-Hermitian/PSD tests, numerical rank, the one factorization of a Hermitian
-matrix that decides its rank, PSD verdict, null space and Moore-Penrose
-inverse, (1,2)-generalized inverses with prescribed range and null space,
-orthonormal subspaces with projectors, and the block-diagonal range
-subspaces of the Hankel solver with their compatibility with a shift.
+Hermitian/PSD tests, the one rank and singularity rule and the right
+division it guards, the one factorization of a Hermitian matrix that
+decides its rank, PSD verdict, null space and Moore-Penrose inverse,
+reflexive inverses with prescribed range, orthonormal subspaces with
+projectors, and the Hankel solver's block-diagonal range subspaces.
 
 All functions are pure: inputs are never mutated and no module state is
 kept, so concurrent use is safe.
@@ -26,7 +26,7 @@ class ToleranceConfig:
     tol_psd : float
         Allowed negative part of the smallest eigenvalue, relative.
     tol_rank : float
-        Singular values below ``tol_rank * sigma_max`` count as zero.
+        Singular values below ``tol_rank * ref`` count as zero (``_rank``).
     tol_identity : float
         Residual gate for algebraic identities, relative.
     """
@@ -104,11 +104,34 @@ def is_psd(A, tol=DEFAULT_TOL):
     return w.min() >= -tol.tol_psd * scale
 
 
-def _rank(s, tol):
-    """How many of the singular values ``s`` exceed ``tol_rank`` times the
-    largest of them: the rank rule of every function here.  None do when
-    ``s`` is empty or all zero."""
-    return int(np.count_nonzero(s > tol.tol_rank * np.max(s, initial=0.0)))
+def _significant(s, tol, ref):
+    """The one rule of every verdict on rank or invertibility: which of
+    the singular values ``s`` exceed ``tol_rank`` times the scale ``ref``
+    that the verdict names, elementwise."""
+    return s > tol.tol_rank * ref
+
+
+def _rank(s, tol, ref=None):
+    """How many of the singular values ``s`` are ``_significant``
+    relative to ``ref``, by default the largest; none of an empty ``s``."""
+    ref = np.max(s, initial=0.0) if ref is None else ref
+    return int(np.count_nonzero(_significant(s, tol, ref)))
+
+
+def right_divide(num, den, tol=DEFAULT_TOL):
+    """num den^-1 of square matrices or stacks, and where den is invertible
+    by the ``_significant`` rule: sigma_min(den) > tol_rank |[num; den]|_F,
+    with sigma_min read as 1 / |den^-1|_F (at most sqrt(size) below it).
+    An exactly singular den, which ``inv`` refuses, has a NaN quotient."""
+    try:
+        inv = np.linalg.inv(den)
+    except np.linalg.LinAlgError:       # one singular den fails a stack
+        if den.ndim == 2:
+            return np.full_like(num, np.nan), np.False_
+        out = [right_divide(a, b, tol) for a, b in zip(num, den)]
+        return tuple(np.array(x) for x in zip(*out))
+    fro = [np.linalg.norm(a, axis=(-2, -1)) for a in (num, den, inv)]
+    return num @ inv, _significant(1.0 / fro[2], tol, np.hypot(*fro[:2]))
 
 
 def mrank(A, tol=DEFAULT_TOL):
@@ -229,30 +252,26 @@ def projector(U):
     return B @ B.conj().T
 
 
-def one_two_inverse(A, U, rank, tol=DEFAULT_TOL):
-    """Reflexive generalized inverse of Hermitian ``A`` with range and
+def one_two_inverse(A, U, factor, tol=DEFAULT_TOL):
+    """Reflexive generalized inverse of Hermitian PSD ``A`` with range and
     null space prescribed by the subspace ``U`` and its orthocomplement.
 
     Returns the unique X with A X A = A, X A X = X, range(X) = U and
     null(X) = U-perp, computed as ``B_U (B_U* A B_U)^{-1} B_U*``.  Valid
-    when ``null(A) (+) U = C^p``; this is checked through
-    ``dim U == rank``, ``rank`` being the rank of A decided by the
-    caller, and invertibility of the compression.
+    when ``null(A) (+) U = C^p``, read from ``factor``, A's
+    :class:`HermitianFactor`: dim U is its rank and sigma_max(N* B_U) <
+    1 - tol_rank for its null basis N (no principal angle vanishes).
     """
     A = hermitize(A, tol)
-    p = A.shape[0]
-    if U.ambient_dim != p:
+    if U.ambient_dim != A.shape[0]:
         raise ValueError("subspace ambient dimension does not match matrix")
-    if U.dim != rank:
-        raise ValueError(f"dim U = {U.dim} differs from rank A = {rank}")
-    if rank == 0:
-        return np.zeros((p, p), dtype=complex)
+    if U.dim != factor.rank:
+        raise ValueError(f"dim U = {U.dim} is not rank A = {factor.rank}")
     B = U.basis
-    C = B.conj().T @ A @ B
-    s = np.linalg.svd(C, compute_uv=False)
-    if s[-1] <= tol.tol_rank * max(s[0], 1.0):
-        raise ValueError("direct-sum condition violated: compression singular")
-    X = B @ np.linalg.inv(C) @ B.conj().T
+    cos = np.linalg.svd(factor.null.conj().T @ B, compute_uv=False)
+    if np.max(cos, initial=0.0) >= 1.0 - tol.tol_rank:
+        raise ValueError("direct-sum condition violated: U meets null(A)")
+    X = B @ np.linalg.inv(B.conj().T @ A @ B) @ B.conj().T
     return 0.5 * (X + X.conj().T)
 
 

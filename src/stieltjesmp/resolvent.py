@@ -199,8 +199,8 @@ def build_resolvent(seq, n):
     q = seq.q
     H, Hs = data.H[n], data.Hs[n]
     D, Ds = dubovoj_candidates(data, n)
-    Hm = one_two_inverse(H, D, data.factor(n).rank, seq.tol)
-    Hsm = one_two_inverse(Hs, Ds, data.factor(n, True).rank, seq.tol)
+    Hm = one_two_inverse(H, D, data.factor(n), seq.tol)
+    Hsm = one_two_inverse(Hs, Ds, data.factor(n, True), seq.tol)
     T, v = shift_matrix(q, n), first_column_embedding(q, n)
     alpha = seq.alpha
     Ralpha = shift_resolvent(q, n, alpha)
@@ -256,19 +256,22 @@ def _identity_plus(blocks):
 
 
 def _self_check(R):
-    """Residuals of the built-in consistency identities."""
-    def largest(diff):
-        return float(np.linalg.norm(diff, axis=(-2, -1)).max())
+    """Residuals of the built-in consistency identities, each relative to
+    1 + the largest coefficient norm of the polynomial it checks."""
+    def largest(diff, poly):
+        norm = np.linalg.norm(poly.coeffs, axis=(-2, -1)).max()
+        return float(np.linalg.norm(diff, axis=(-2, -1)).max() / (1 + norm))
 
     # scaling identity theta_tilde = diag((z-a)I, I) theta diag((z-a)^{-1}I, I)
     zs = R.alpha + np.array([1.3 + 0.7j, -2.0 + 1j, 0.5 - 2j])
     d = np.ones((len(zs), 2 * R.q), dtype=complex)
     d[:, :R.q] = (zs - R.alpha)[:, None]
     scaled = d[:, :, None] * R.theta(zs) / d[:, None, :]
-    return {"theta_minus_UB": largest(R.theta.coeffs - R.U.coeffs @ R.B),
+    th, tt = R.theta, R.theta_tilde
+    return {"theta_minus_UB": largest(th.coeffs - R.U.coeffs @ R.B, th),
             "theta_tilde_minus_UtBt":
-                largest(R.theta_tilde.coeffs - R.U_tilde.coeffs @ R.B_tilde),
-            "scaling_identity": largest(R.theta_tilde(zs) - scaled)}
+                largest(tt.coeffs - R.U_tilde.coeffs @ R.B_tilde, tt),
+            "scaling_identity": largest(tt(zs) - scaled, tt)}
 
 
 def eval_theta(R, z, tilde=False):

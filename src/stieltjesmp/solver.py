@@ -17,7 +17,9 @@ from .matcore import (
     DEFAULT_TOL,
     Subspace,
     ToleranceConfig,
+    _rank,
     projector,
+    right_divide,
     subspace_from_columns,
 )
 from .momentseq import hankel_data
@@ -65,14 +67,12 @@ class ClassificationReport:
         }
 
 
-def _defect_subspace(A, q, cutoff):
-    """Row space of ``A`` (a subspace of C^q) with an absolute singular
-    value cutoff; returns (subspace, rank)."""
-    if A.size == 0:
-        return Subspace(q, np.zeros((q, 0))), 0
+def _defect_subspace(A, ref, tol):
+    """Row space of ``A`` (a subspace of C^q) and its rank under the
+    ``_rank`` rule relative to ``ref``."""
     _, s, vh = np.linalg.svd(A)
-    r = int(np.count_nonzero(s > cutoff))
-    return Subspace(q, vh[:r].conj().T), r
+    r = _rank(s, tol, ref)
+    return Subspace(A.shape[1], vh[:r].conj().T), r
 
 
 def classify(seq, n):
@@ -85,14 +85,11 @@ def classify(seq, n):
     tol = seq.tol
     q = seq.q
     A_phi, A_psi = data.restriction_products(n)
-    # Rank cutoffs are absolute relative to the ingredient scale: the
-    # defect products vanish identically for nondegenerate data, and a
-    # cutoff relative to their own largest singular value would then
-    # count pure numerical noise as rank.
-    scale = 1.0 + np.linalg.norm(seq.s(0)) + abs(seq.alpha)
-    cutoff = max(tol.tol_rank, 1e3 * np.finfo(float).eps) * scale
-    U, m = _defect_subspace(A_phi, q, cutoff)
-    V, ell = _defect_subspace(A_psi, q, cutoff)
+    # Each product is a null projector applied to a block, R_T(alpha) v =
+    # col(alpha^j I_q) and H_n v; its rank is relative to that block's norm.
+    U, m = _defect_subspace(A_phi, np.sqrt(
+        q * np.sum(abs(seq.alpha) ** (2.0 * np.arange(n + 1)))), tol)
+    V, ell = _defect_subspace(A_psi, np.linalg.norm(data.H[n][:, :q]), tol)
     r = q - m - ell
     if r < 0:
         raise ValueError("defect ranks exceed q; inconsistent input")
@@ -102,24 +99,14 @@ def classify(seq, n):
         case = "CompletelyDegenerate"
     else:
         case = "Degenerate"
-    comp_cols = []
+    cols = [U.basis, V.basis]
     if r:
-        P = np.eye(q, dtype=complex)
-        if U.dim:
-            P = P - projector(U)
-        if V.dim:
-            P = P - projector(V)
+        P = np.eye(q, dtype=complex) - projector(U) - projector(V)
         comp = subspace_from_columns(P, tol)
         if comp.dim != r:
             raise ValueError("complement dimension mismatch")
-        comp_cols.append(comp.basis)
-    if U.dim:
-        comp_cols.append(U.basis)
-    if V.dim:
-        comp_cols.append(V.basis)
-    W = np.hstack(comp_cols) if comp_cols else np.zeros((q, 0), dtype=complex)
-    if W.shape[1] != q:
-        raise ValueError("frame W is not square; subspaces not complementary")
+        cols.insert(0, comp.basis)
+    W = np.hstack(cols)
     return ClassificationReport(m=m, ell=ell, r=r, case=case, U=U, V=V, W=W,
                                 tol=tol)
 
@@ -176,21 +163,20 @@ class SolutionFunction:
 
     def __call__(self, z):
         """S(z) at a point (q x q) or at a 1-D array of G points
-        ((G, q, q)).  A singular denominator raises ``ValueError``
-        naming the first such point."""
+        ((G, q, q)).  A denominator singular by the rule of
+        ``right_divide`` raises ``ValueError`` naming the first such point."""
         z = np.asarray(z, dtype=complex)
         q = self.q
         th = eval_theta(self.resolvent, z)
         phi, psi = pair_eval(self.pair, z)
         num = th[..., :q, :q] @ phi + th[..., :q, q:] @ psi
         den = th[..., q:, :q] @ phi + th[..., q:, q:] @ psi
-        scale = np.maximum(1.0, np.linalg.norm(den, axis=(-2, -1)) ** q)
-        small = np.abs(np.linalg.det(den)) < 1e-14 * scale
-        singular = small.ravel().nonzero()[0]
+        S, ok = right_divide(num, den, self.resolvent.data.seq.tol)
+        singular = (~ok).ravel().nonzero()[0]
         if singular.size:
             first = complex(z.flat[singular[0]])
             raise ValueError(f"singular LFT denominator at z = {first}")
-        return num @ np.linalg.inv(den)
+        return S
 
 
 def lft_solution(R, p, seq=None, n=None):

@@ -11,7 +11,7 @@ a Stieltjes function, or lifted into a degenerate block structure.
 
 import numpy as np
 
-from .matcore import DEFAULT_TOL, as_square, is_psd, mrank
+from .matcore import DEFAULT_TOL, as_square, is_psd, mrank, right_divide
 from .momentseq import MomentSequence, hankel_data
 from .resolvent import signature_matrix, standard_grid
 
@@ -319,28 +319,20 @@ def pair_in_restricted_class(p, seq, n):
 def pairs_equivalent(p1, p2, grid=None):
     """Equivalence of pairs via equality of the Cayley transforms
     (psi + i phi)(psi - i phi)^{-1} at upper-half-plane sample points,
-    under the ``tol`` of ``p1``."""
+    under the ``tol`` of ``p1``, at the points where ``right_divide``
+    finds both denominators psi - i phi invertible."""
     if p1.q != p2.q:
         return False
     alpha = _pair_alpha(p1)
     if grid is None:
         grid = [z for z in default_pair_grid(alpha) if z.imag > 0][:8]
-    used = 0
-    for z in grid:
-        vals = []
-        skip = False
-        for p in (p1, p2):
-            phi, psi = pair_eval(p, z)
-            den = psi - 1j * phi
-            if abs(np.linalg.det(den)) < 1e-10:
-                skip = True
-                break
-            vals.append((psi + 1j * phi) @ np.linalg.inv(den))
-        if skip:
-            continue
-        used += 1
-        if np.linalg.norm(vals[0] - vals[1]) > 1e3 * p1.tol.tol_identity:
-            return False
-    if used == 0:
+    vals, usable = [], True
+    for p in (p1, p2):
+        phi, psi = pair_eval(p, np.asarray(grid, dtype=complex))
+        val, ok = right_divide(psi + 1j * phi, psi - 1j * phi, p1.tol)
+        vals.append(val)
+        usable = usable & ok
+    if not np.any(usable):
         raise ValueError("all equivalence sample points were singular")
-    return True
+    diff = np.linalg.norm(vals[0][usable] - vals[1][usable], axis=(-2, -1))
+    return bool(np.all(diff <= 1e3 * p1.tol.tol_identity))

@@ -103,8 +103,8 @@ def test_criterion_02_generalized_inverse_suite():
         b = HankelData(seq)
         H, Hs, T = b.H[n], b.Hs[n], shift_matrix(seq.q, n)
         D, Ds = dubovoj_candidates(seq, n)
-        Hm = one_two_inverse(H, D, b.factor(n).rank)
-        Hsm = one_two_inverse(Hs, Ds, b.factor(n, True).rank)
+        Hm = one_two_inverse(H, D, b.factor(n))
+        Hsm = one_two_inverse(Hs, Ds, b.factor(n, True))
         Hp = pseudo_inverse(H)
         p = H.shape[0]
         eye = np.eye(p)

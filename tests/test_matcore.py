@@ -20,6 +20,7 @@ from stieltjesmp.matcore import (
     projector,
     pseudo_inverse,
     range_included,
+    right_divide,
     subspace_from_columns,
 )
 from stieltjesmp.momentseq import HankelData, dubovoj_candidates, \
@@ -65,14 +66,19 @@ def test_range_included_examples():
     assert range_included(np.ones((2, 2)), np.array([[2.0], [2.0]]))
 
 
+def inverse_on(A, U):
+    """``one_two_inverse`` of A with range U, given A's own factor."""
+    return one_two_inverse(A, U, HermitianFactor(A))
+
+
 def test_one_two_inverse_examples():
     U = Subspace(2, np.array([[1.0], [0.0]]))
-    X = one_two_inverse(np.ones((2, 2)), U, 1)
+    X = inverse_on(np.ones((2, 2)), U)
     assert np.allclose(X, np.diag([1.0, 0.0]))
     full = Subspace(3, np.eye(3))
-    assert np.allclose(one_two_inverse(np.eye(3), full, 3), np.eye(3))
+    assert np.allclose(inverse_on(np.eye(3), full), np.eye(3))
     zero = Subspace(1, np.zeros((1, 0)))
-    assert np.allclose(one_two_inverse(np.zeros((1, 1)), zero, 0), 0.0)
+    assert np.allclose(inverse_on(np.zeros((1, 1)), zero), 0.0)
 
 
 def test_one_two_inverse_defining_identities(rng):
@@ -81,7 +87,7 @@ def test_one_two_inverse_defining_identities(rng):
     for q, rank in ((3, 2), (4, 4), (5, 1)):
         A = random_psd(rng, q, rank)
         U = subspace_from_columns(A)
-        X = one_two_inverse(A, U, rank)
+        X = inverse_on(A, U)
         assert np.linalg.norm(A @ X @ A - A) < 1e-10
         assert np.linalg.norm(X @ A @ X - X) < 1e-10
         assert np.linalg.norm(X - X.conj().T) < 1e-12
@@ -94,11 +100,27 @@ def test_one_two_inverse_defining_identities(rng):
 def test_one_two_inverse_rejects_bad_subspace():
     U = Subspace(2, np.array([[1.0], [0.0]]))
     with pytest.raises(ValueError):
-        one_two_inverse(np.eye(2), U, 2)  # dim U = 1 != rank = 2
+        inverse_on(np.eye(2), U)  # dim U = 1 != rank = 2
     # direct-sum violation: A = diag(1, 0), U = span e2
     V = Subspace(2, np.array([[0.0], [1.0]]))
     with pytest.raises(ValueError):
-        one_two_inverse(np.diag([1.0, 0.0]), V, 1)
+        inverse_on(np.diag([1.0, 0.0]), V)
+
+
+def test_right_divide_decides_singularity_relative_to_num_and_den():
+    # det I_32 = 1 and det (1e-6 I_32) = 1e-192: neither is singular.
+    for c in (1.0, 1e-6):
+        S, ok = right_divide(np.eye(32), c * np.eye(32))
+        assert ok and np.allclose(S, np.eye(32) / c)
+    # den = 1e-12 I is singular beside num = I, not beside num = 1e-12 I
+    assert not right_divide(np.eye(2), 1e-12 * np.eye(2))[1]
+    assert right_divide(1e-12 * np.eye(2), 1e-12 * np.eye(2))[1]
+    # an exactly singular member of a stack fails only itself
+    num = np.stack([np.eye(2)] * 3)
+    dens = [np.eye(2), np.zeros((2, 2)), np.diag([1.0, 1e-12])]
+    S, ok = right_divide(num, np.stack(dens))
+    assert ok.tolist() == [True, False, False]
+    assert np.isnan(S[1]).all() and np.allclose(S[0], np.eye(2))
 
 
 def test_dubovoj_subspace_examples():

@@ -182,6 +182,34 @@ def test_build_resolvent_rejects_bad_input():
         build_resolvent(scalar_seq([1, 1]), 1)
 
 
+def test_self_check_is_relative_to_the_coefficients():
+    # Scaling the moments by c scales blocks of Theta by c and 1/c, and
+    # the absolute residuals with them (2e-3 at c = 1e6); relative to the
+    # largest coefficient of the polynomial checked they stay small.
+    mu, seq = atomic_fixture(np.random.default_rng(1), 2, 2, 0.0, natoms=4)
+    for c in (1e-6, 1.0, 1e6):
+        R = build_resolvent(MomentSequence(0.0, 2, [c * s for s in
+                                                    seq.moments]), 2)
+        assert set(R.self_check) == {"theta_minus_UB", "scaling_identity",
+                                     "theta_tilde_minus_UtBt"}
+        assert max(R.self_check.values()) <= 1e-8
+
+
+@pytest.mark.parametrize("q, alpha, seed", [(1, 0.5, 1), (2, 0.0, 8)])
+def test_build_resolvent_at_condition_1e10(q, alpha, seed):
+    # n + 1 = 4 full-rank atoms above alpha make H_3 and Hs_3 positive
+    # definite, here of condition 1e10 and more; the prescribed-range
+    # inverses are decided on the one factor of each and are reflexive.
+    mu, seq = atomic_fixture(np.random.default_rng(seed), q, 3, alpha,
+                             natoms=4)
+    R = build_resolvent(seq, 3)
+    assert np.linalg.cond(R.H) >= 1e10
+    for H, Hm in ((R.H, R.Hm), (R.Hs, R.Hsm)):
+        assert np.linalg.norm(H @ Hm @ H - H) <= 1e-6 * np.linalg.norm(H)
+        assert np.linalg.norm(Hm @ H @ Hm - Hm) <= \
+            1e-6 * np.linalg.norm(Hm)
+
+
 def test_self_check_and_degree_bound():
     for mu, seq, n in kge_fixtures(6, seed=21):
         R = build_resolvent(seq, n)

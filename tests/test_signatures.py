@@ -8,6 +8,8 @@ matrices.
 """
 
 import inspect
+import re
+from pathlib import Path
 
 from stieltjesmp import momentseq, potapov, resolvent, solver, \
     stieltjespairs
@@ -53,3 +55,13 @@ def test_hankel_data_takes_only_the_sequence():
     # level n asks it with ``check_level`` instead of passing a level.
     for fn in (momentseq.HankelData, momentseq.hankel_data):
         assert list(inspect.signature(fn).parameters) == ["seq"]
+
+
+def test_no_determinant_decides_anything():
+    # Whether a matrix is singular is decided by the rank rule of
+    # ``matcore`` relative to a named scale, never by a determinant,
+    # whose size says nothing about it (det I_32 = 1, det (eps I_32) ~ 0).
+    files = list(Path(solver.__file__).parent.glob("*.py"))
+    assert len(files) > 5
+    assert not [path.name for path in files
+                if re.search(r"linalg\.det\b", path.read_text())]

@@ -38,7 +38,8 @@ from stieltjesmp.stieltjespairs import (
     transform,
 )
 
-from conftest import WEIGHT_PATTERNS, atomic_fixture, kge_fixtures
+from conftest import WEIGHT_PATTERNS, atomic_fixture, kge_fixtures, \
+    random_psd
 
 
 def scalar_seq(values, alpha=0.0):
@@ -225,6 +226,17 @@ def test_batch_with_singular_point_raises_as_scalar_loop():
     assert "atom 2.0" in str(batch.value)
 
 
+def test_exactly_singular_denominator_in_a_batch_names_the_first_point():
+    # den(0) = 0 exactly, so ``inv`` refuses any stack holding it; the
+    # error still names the first singular point in grid order.
+    S = unique_solution(scalar_seq([1, 0]), 0)   # S(z) = -1/z
+    for zs, first in (([1j, 0.0, 2j], 0j), ([1j, 1e-18, 0.0], 1e-18 + 0j),
+                      ([0.0, 1e-18], 0j)):
+        with pytest.raises(ValueError) as err:
+            S(np.array(zs))
+        assert str(err.value) == f"singular LFT denominator at z = {first}"
+
+
 def canonical_pair(report):
     """The lifted canonical pair (0, I) of the classification."""
     if report.case == "CompletelyDegenerate":
@@ -281,6 +293,31 @@ def test_classify_positive_definite_data_as_nondegenerate(q, n):
     rep = classify(seq, n)
     assert (rep.m, rep.ell, rep.r) == (0, 0, q)
     assert rep.case == "NonDegenerate"
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_classify_is_invariant_under_scaling_the_measure(q):
+    # One full-rank atom at alpha: the shifted sequence vanishes and every
+    # direction is a psi defect, at any scale c of the measure.
+    M = random_psd(np.random.default_rng(q), q)
+    for n in (0, 1):
+        for c in (1e-12, 1e-8, 1.0, 1e8):
+            mu = AtomicMeasure(0.5, q, [(0.5, c * M)])
+            rep = classify(moments_of(mu, 2 * n + 1), n)
+            assert (rep.m, rep.ell, rep.case) == \
+                (0, q, "CompletelyDegenerate")
+
+
+@pytest.mark.parametrize("q, n", [(16, 1), (16, 2), (32, 1), (32, 2)])
+def test_solution_at_large_q_evaluates_and_verifies(q, n):
+    # Positive definite data; the LFT denominator is well conditioned on
+    # the grid, whatever the size of its determinant.
+    mu, seq = atomic_fixture(np.random.default_rng(1), q, n, 0.0,
+                             natoms=n + 3)
+    S = lft_solution(build_resolvent(seq, n), canonical_pair(
+        classify(seq, n)), seq=seq, n=n)
+    assert np.all(np.isfinite(S(np.array(standard_grid(0.0)))))
+    assert verify_solution(seq, n, S)["valid"]
 
 
 def test_lft_solution_gates_against_the_given_sequence():

@@ -167,6 +167,34 @@ def test_pairs_equivalent_examples():
                             StieltjesPair.constant(phi @ g, psi @ g))
 
 
+def test_pairs_equivalent_evaluates_each_pair_once(monkeypatch):
+    calls = []
+    original = stieltjespairs.pair_eval
+
+    def counting(p, z):
+        calls.append(np.shape(z))
+        return original(p, z)
+
+    monkeypatch.setattr(stieltjespairs, "pair_eval", counting)
+    mu, _ = atomic_fixture(np.random.default_rng(5), 2, 1, 0.0)
+    p = StieltjesPair.from_function(StieltjesFunction(np.eye(2), mu))
+    assert pairs_equivalent(p, p, [1j, 1 + 2j, -3 + 1j])
+    assert calls == [(3,), (3,)]
+
+
+def test_pairs_equivalent_decides_singularity_relative_to_the_pair():
+    # psi - i phi = (2 - i) c I_3 is invertible at every scale c; an
+    # absolute test on its determinant, (5^(3/2)) c^3, is not.
+    for c in (1e-4, 1.0, 1e4):
+        scaled = StieltjesPair.constant(c * np.eye(3), 2 * c * np.eye(3))
+        assert pairs_equivalent(scaled, StieltjesPair.constant(
+            np.eye(3), 2 * np.eye(3)))
+    # psi - i phi = 0 at every point: no point is usable.
+    null = StieltjesPair.constant(np.eye(2), 1j * np.eye(2))
+    with pytest.raises(ValueError, match="all equivalence sample points"):
+        pairs_equivalent(null, null)
+
+
 def test_default_pair_grid_points():
     offsets = [-2 + 1j, -2 - 1j, -2 + 10j, -2 - 10j, 1j, -1j, 10j, -10j,
                1 + 1j, 1 - 1j, 1 + 10j, 1 - 10j,
