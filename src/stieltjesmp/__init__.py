@@ -25,7 +25,6 @@ from .momentseq import (
     MomentSequence,
     canonical_extension,
     class_membership,
-    hankel_data,
     shift_right,
 )
 from .potapov import (

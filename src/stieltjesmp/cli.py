@@ -184,11 +184,11 @@ def cmd_solve(args):
             solved.append((z, entry))
             value[z] = val
     # The report reads the finite values found above instead of
-    # evaluating S again, and the Hankel data of the resolvent.
+    # evaluating S again, and the Hankel data that S keeps alive.
     f = FunctionSamples(value.__getitem__, seq.q)
 
     def sigma_mins(zs):
-        rep = potapov_report(S.resolvent.data, n, f, zs)
+        rep = potapov_report(seq, n, f, zs)
         return list(zip(rep.smin_even, rep.smin_odd))
 
     for (_, entry), lam in zip(solved, _at_points(

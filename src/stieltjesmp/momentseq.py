@@ -9,10 +9,12 @@ solvability classes (Hankel-nonnegative, Hankel-nonnegative extendable,
 Stieltjes-nonnegative, Stieltjes-nonnegative extendable).  A
 :class:`HankelData` holds these matrices at every level of one
 sequence, with their Schur-complement ladders, and factors each of
-them at most once; the functions here that take a sequence also accept
-its HankelData, so that callers can share the work.
+them at most once.  A sequence hands out its one HankelData through
+:meth:`MomentSequence.hankel`, so every call on the sequence shares
+the work while a result that holds the data is alive.
 """
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +40,8 @@ class MomentSequence:
         Matrix size.
     moments : sequence of (q, q) arrays
         The moments s_0, ..., s_m; each must be Hermitian within
-        ``tol.tol_herm`` and is symmetrized at load.
+        ``tol.tol_herm`` and is symmetrized at load, into a tuple of
+        read-only arrays, so that no factor of them can go stale.
     """
 
     def __init__(self, alpha, q, moments, tol=DEFAULT_TOL):
@@ -49,9 +52,25 @@ class MomentSequence:
         self.alpha = float(alpha)
         self.q = int(q)
         self.tol = tol
-        self.moments = [hermitize(as_square(s, q, f"moment s_{j}"), tol,
-                                  what=f"moment s_{j}")
-                        for j, s in enumerate(moments)]
+        self.moments = tuple(_read_only(hermitize(
+            as_square(s, q, f"moment s_{j}"), tol, what=f"moment s_{j}"))
+            for j, s in enumerate(moments))
+        self._hankel = None
+
+    def hankel(self):
+        """The one :class:`HankelData` of this sequence, built on first
+        use and held weakly: it lives while a result that holds it (a
+        ``ClassificationReport`` or ``ResolventMatrix``) is alive, and
+        every call on the sequence meanwhile reads its factors."""
+        data = self._hankel and self._hankel()
+        if data is None:
+            data = HankelData(self)
+            self._hankel = weakref.ref(data)
+        return data
+
+    def __reduce__(self):
+        # A copy or an unpickled sequence is built anew, with its own data.
+        return MomentSequence, (self.alpha, self.q, self.moments, self.tol)
 
     @property
     def m(self):
@@ -67,6 +86,11 @@ class MomentSequence:
     def __repr__(self):
         return (f"MomentSequence(alpha={self.alpha}, q={self.q}, "
                 f"m={self.m})")
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 def shift_right(seq):
@@ -134,7 +158,8 @@ def last_column_embedding(q, n):
 
 
 def _levels(M, q, top):
-    """Leading (k+1)q x (k+1)q slices of ``M`` for k = 0..top."""
+    """Leading (k+1)q x (k+1)q slices of ``M`` for k = 0..top, read-only."""
+    _read_only(M)
     return [M[:(k + 1) * q, :(k + 1) * q] for k in range(top + 1)]
 
 
@@ -148,8 +173,9 @@ class HankelData:
     the top level.  Each is factored once, into the ``factor`` that
     every verdict, rank and inverse about it reads.  Factors, Schur
     ladders and class verdicts are computed when first asked for and
-    kept on this object only.  The arrays handed out are the kept ones;
-    do not write to them.  Readers of level n call :meth:`check_level`.
+    kept on this object, which the library reaches through
+    :meth:`MomentSequence.hankel` only; the matrices are read-only.
+    Readers of level n call :meth:`check_level`.
     """
 
     def __init__(self, seq):
@@ -185,6 +211,12 @@ class HankelData:
         its PSD verdict, rank, null basis and pseudo-inverse."""
         return self._once(("factor", shifted, k), lambda: HermitianFactor(
             self._mats(shifted)[k], self.seq.tol))
+
+    def spectrum(self, k, shifted=False):
+        """``np.linalg.eigh`` of H_k (Hs_k when ``shifted``) itself,
+        without equilibration: the Hankel corner of the Potapov test."""
+        return self._once(("spectrum", shifted, k), lambda: np.linalg.eigh(
+            self._mats(shifted)[k]))
 
     def ladder_ranks(self, shifted=False):
         """rank H_k - rank H_{k-1} (of Hs when ``shifted``) per level k:
@@ -265,13 +297,6 @@ class HankelData:
         return N @ (N.conj().T @ Rv), Ns @ (Ns.conj().T @ Hv)
 
 
-def hankel_data(seq):
-    """The :class:`HankelData` of ``seq``.  ``seq`` may be a
-    :class:`MomentSequence` or a HankelData, which is returned as is, so
-    callers that pass it along share its factorizations."""
-    return seq if isinstance(seq, HankelData) else HankelData(seq)
-
-
 @dataclass
 class ClassReport:
     """Membership of a sequence in the four solvability classes."""
@@ -298,15 +323,14 @@ class ClassReport:
 def class_membership(seq):
     """Evaluate membership in all four classes and a canonical witness.
 
-    ``seq`` is a :class:`MomentSequence` or its :class:`HankelData`.  The
-    witness extension is the Schur-complement-zero Hankel extension
+    The witness extension is the Schur-complement-zero Hankel extension
     s_{m+1}; it is attached whenever the sequence is
     Stieltjes-extendable.
     """
-    data = hankel_data(seq)
+    data = seq.hankel()
     in_He = data.extendable()
     in_Ke = data.in_Kgeq_e()
-    witness = canonical_extension(data) if (in_Ke and in_He) else None
+    witness = canonical_extension(seq) if (in_Ke and in_He) else None
     return ClassReport(in_Hgeq=data.nonnegative(), in_Hgeq_e=in_He,
                        in_Kgeq=data.in_Kgeq(), in_Kgeq_e=in_Ke,
                        witness_extension=witness)
@@ -317,11 +341,9 @@ def canonical_extension(seq):
 
     Returns s_{m+1} = z_{floor(m/2)+1, m} H^+ y_{floor(m/2)+1, m} with
     H the Hankel matrix of level ceil(m/2) - 1; for m = 0 the empty
-    product gives the zero matrix.  ``seq`` may be its
-    :class:`HankelData`.
+    product gives the zero matrix.
     """
-    data = hankel_data(seq)
-    seq = data.seq
+    data = seq.hankel()
     if not data.extendable():
         raise ValueError("sequence is not Hankel-extendable")
     m = seq.m
@@ -338,7 +360,7 @@ def canonical_extension(seq):
 def extended(seq):
     """New sequence with the canonical extension appended."""
     return MomentSequence(seq.alpha, seq.q,
-                         seq.moments + [canonical_extension(seq)], seq.tol)
+                          [*seq.moments, canonical_extension(seq)], seq.tol)
 
 
 def dubovoj_candidates(seq, n):
@@ -347,10 +369,9 @@ def dubovoj_candidates(seq, n):
     Returns the pair (D_n, D_shift_n) built from the Schur ladders of
     the sequence and of its right-alpha-shifted sequence via
     :func:`stieltjesmp.matcore.dubovoj_subspace`, block ranks taken
-    from the factors of the Hankel matrices.  ``seq`` may be its
-    :class:`HankelData`.
+    from the factors of the Hankel matrices.
     """
-    data = hankel_data(seq)
+    data = seq.hankel()
     data.check_level(n, shifted=True)
     return tuple(dubovoj_subspace(data.ladder(shifted)[:n + 1],
                                   data.ladder_ranks(shifted)[:n + 1])

@@ -20,7 +20,6 @@ import numpy as np
 
 from .momentseq import (
     first_column_embedding,
-    hankel_data,
     last_column_embedding,
     shift_matrix,
     shift_resolvent,
@@ -165,11 +164,9 @@ def potapov_matrix(seq, n, f, z, k):
 
     For k = 2n the matrix couples H_n with R_T(z)(v f(z) - u_n); for
     k = 2n + 1 the shifted Hankel matrix with the (z - alpha)-weighted
-    column; k = -1 gives the q x q endpoint block.  ``seq`` may be its
-    :class:`~stieltjesmp.momentseq.HankelData`, as for every function
-    here that takes a sequence.
+    column; k = -1 gives the q x q endpoint block.
     """
-    data = hankel_data(seq)
+    data = seq.hankel()
     z = complex(z)
     _check_offreal(z)
     _check_index(data, n, k)
@@ -184,12 +181,12 @@ def sigma_matrix(seq, n, f, z, k, ginverse=None):
     corner (the value is invariant under that substitution whenever P_k
     is PSD).
     """
-    data = hankel_data(seq)
+    data = seq.hankel()
     z = complex(z)
     _check_offreal(z)
     _check_index(data, n, k)
     if k == -1:
-        return potapov_matrix(data, n, f, z, -1)
+        return potapov_matrix(seq, n, f, z, -1)
     odd = k % 2 == 1
     _, col, diag = _column_data(data, n, f(z), np.asarray(z), odd)
     Hinv = data.factor(n, odd).pinv if ginverse is None else ginverse
@@ -203,7 +200,7 @@ def fq_matrices(seq, n, f, z, k):
     the shifted analogue for odd k; Q_k stacks the Hankel corner with
     F_k and its imaginary part.
     """
-    data = hankel_data(seq)
+    data = seq.hankel()
     z = complex(z)
     if k not in (2 * n, 2 * n + 1):
         raise ValueError(f"index k = {k} does not match level n = {n}")
@@ -229,7 +226,7 @@ def psi_polynomial(seq, n, parity):
     """
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
-    data = hankel_data(seq)
+    data = seq.hankel()
     data.check_level(n, shifted=(parity == 1))
     q = data.q
     H, c = _corner(data, n, parity == 1)
@@ -278,8 +275,7 @@ def congruence_check(seq, n, f, z):
 
     Returns a dict of relative residual norms.
     """
-    data = hankel_data(seq)
-    seq = data.seq
+    data = seq.hankel()     # held, so the checks below share it
     z = complex(z)
     _check_offreal(z)
     q = seq.q
@@ -288,8 +284,8 @@ def congruence_check(seq, n, f, z):
     for k, key in ((2 * n, "even"), (2 * n + 1, "odd")):
         if k > seq.m:
             continue
-        P = potapov_matrix(data, n, f, z, k)
-        _, Q = fq_matrices(data, n, f, z, k)
+        P = potapov_matrix(seq, n, f, z, k)
+        _, Q = fq_matrices(seq, n, f, z, k)
         scale = 1.0 + np.linalg.norm(P)
         out[f"P_eq_gamma_Q_gamma_{key}"] = \
             np.linalg.norm(P - gamma @ Q @ gamma.conj().T) / scale
@@ -298,14 +294,14 @@ def congruence_check(seq, n, f, z):
 
     E = compression_embedding(q, n)
     fz = f(z)
-    P = potapov_matrix(data, n, f, z, 2 * n)
+    P = potapov_matrix(seq, n, f, z, 2 * n)
     target = np.block([
         [seq.s(0), fz],
         [fz.conj().T, (fz - fz.conj().T) / (z - np.conj(z))]])
     out["compression_even"] = np.linalg.norm(
         E.conj().T @ P @ E - target) / (1.0 + np.linalg.norm(P))
     if 2 * n + 1 <= seq.m:
-        P = potapov_matrix(data, n, f, z, 2 * n + 1)
+        P = potapov_matrix(seq, n, f, z, 2 * n + 1)
         g = (z - seq.alpha) * fz
         target = np.block([
             [-seq.alpha * seq.s(0) + seq.s(1), g + seq.s(0)],
@@ -329,8 +325,8 @@ def congruence_check(seq, n, f, z):
     for k, key in ((2 * n, "even"), (2 * n + 1, "odd")):
         if k > seq.m:
             continue
-        lhs = potapov_matrix(data, n, f_refl, z, k)
-        rhs = X @ potapov_matrix(data, n, f, np.conj(z), k) @ X.conj().T
+        lhs = potapov_matrix(seq, n, f_refl, z, k)
+        rhs = X @ potapov_matrix(seq, n, f, np.conj(z), k) @ X.conj().T
         out[f"reflection_{key}"] = np.linalg.norm(lhs - rhs) / \
             (1.0 + np.linalg.norm(lhs))
     return out
@@ -369,10 +365,10 @@ def _potapov_test(data, n, k, fz, z, tol):
     :class:`PotapovReport`) and whether P_k fails the test.
 
     For k in {2n, 2n+1}, one ``eigh`` of the Hermitian Hankel corner
-    H = Q diag(w) Q* serves every point; with tau the margin of the
-    point, Y = (w + tau)^(-1/2) Q* c and Sigma^tau = d - Y* Y, whose
-    eigenvalues take one call on the (G, q, q) stack.  Where
-    w_min <= -tau the point fails and its value is w_min.
+    H = Q diag(w) Q* (``data.spectrum``) serves every point; with tau
+    the margin of the point, Y = (w + tau)^(-1/2) Q* c and Sigma^tau =
+    d - Y* Y, whose eigenvalues take one call on the (G, q, q) stack.
+    Where w_min <= -tau the point fails and its value is w_min.
     """
     if k == -1:
         P, norm = _fundamental(data, n, -1, fz, z)
@@ -380,7 +376,7 @@ def _potapov_test(data, n, k, fz, z, tol):
         return lam, lam < -tol.tol_psd * (1.0 + norm)
     H, col, diag = _column_data(data, n, fz, z, odd=(k % 2 == 1))
     tau = tol.tol_psd * (1.0 + _block_norm(H, col, diag))
-    w, Q = np.linalg.eigh(_hermitian_part(H))
+    w, Q = data.spectrum(n, k % 2 == 1)
     shifted = w + tau[..., None]
     definite = shifted[..., 0] > 0.0
     scale = np.sqrt(np.where(definite[..., None], shifted, 1.0))
@@ -404,14 +400,14 @@ def potapov_report(seq, n, f, grid):
     Appl. Math. 17, 1969), that is when Sigma^tau = d - c* (H + tau
     I)^-1 c has lambda_min >= -tau.  Where lambda_min(H) <= -tau the
     point fails, since by interlacing lambda_min(P_k) <= lambda_min(H).
-    H is factored once per k for the whole grid, and no (n+2)q x (n+2)q
-    matrix is formed.  P_-1 is already q x q and is tested directly.
+    H is factored once per k on the sequence's data, not per report,
+    and no (n+2)q x (n+2)q matrix is formed.  P_-1 is already q x q and is tested directly.
 
     f is called once with the whole grid.
     """
-    data = hankel_data(seq)
+    data = seq.hankel()
     data.check_level(n)
-    tol = data.seq.tol
+    tol = seq.tol
     grid = [complex(z) for z in grid]
     if not grid:
         raise ValueError("empty evaluation grid")
@@ -421,7 +417,7 @@ def potapov_report(seq, n, f, grid):
     smin = {}
     passed = True
     for k in (2 * n, 2 * n + 1, -1):
-        if k > data.seq.m:
+        if k > seq.m:
             smin[k] = [None] * len(grid)
             continue
         lam, failed = _potapov_test(data, n, k, fz, z, tol)
@@ -443,8 +439,7 @@ def atomic_decomposition_residual(seq, n, mu, z, k):
     with a sqrt(t - alpha) weight in the odd case; the correction charges
     only the last Hankel corner with the moment defect at order k.
     """
-    data = hankel_data(seq)
-    seq = data.seq
+    data = seq.hankel()
     z = np.asarray(z, dtype=complex)
     _check_offreal(z)
     _check_index(data, n, k)

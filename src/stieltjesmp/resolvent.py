@@ -19,7 +19,6 @@ from .momentseq import (
     HankelData,
     dubovoj_candidates,
     first_column_embedding,
-    hankel_data,
     shift_matrix,
     shift_resolvent,
 )
@@ -157,10 +156,10 @@ class ResolventMatrix:
     ``theta`` and ``theta_tilde`` are 2q x 2q matrix polynomials of
     degree at most n + 1; ``U``/``U_tilde`` are the unimodular factors
     and ``B``/``B_tilde`` the constant J-unitary factors with
-    theta = U B and theta_tilde = U_tilde B_tilde.  ``data`` is the
-    :class:`HankelData` the resolvent was built from; gating a pair
-    against the same sequence reads its factorizations, and every
-    tolerance is that of ``data.seq``.
+    theta = U B and theta_tilde = U_tilde B_tilde.  ``data``, the Hankel
+    data of the sequence, lives while the resolvent does, so later calls
+    on the sequence read its factorizations; every tolerance is that of
+    ``data.seq``.
     """
 
     n: int
@@ -179,7 +178,7 @@ class ResolventMatrix:
     T: np.ndarray
     v: np.ndarray
     Ralpha: np.ndarray
-    data: HankelData
+    data: HankelData = field(repr=False, compare=False)
     self_check: dict = field(default_factory=dict)
 
 
@@ -188,17 +187,16 @@ def build_resolvent(seq, n):
 
     Requires the sequence to be Stieltjes-extendable (class K>=e) with
     2n + 1 <= m.  The generalized inverses H^- and Hs^- are taken with
-    range equal to the canonical block-diagonal ladder subspaces.
-    ``seq`` may be its :class:`HankelData`; the result keeps it.
+    range equal to the canonical block-diagonal ladder subspaces.  The
+    result keeps the sequence's Hankel data.
     """
-    data = hankel_data(seq)
+    data = seq.hankel()
     data.check_level(n, shifted=True)
-    seq = data.seq
     if not data.in_Kgeq_e():
         raise ValueError("sequence is not Stieltjes-extendable (not in K>=e)")
     q = seq.q
     H, Hs = data.H[n], data.Hs[n]
-    D, Ds = dubovoj_candidates(data, n)
+    D, Ds = dubovoj_candidates(seq, n)
     Hm = one_two_inverse(H, D, data.factor(n), seq.tol)
     Hsm = one_two_inverse(Hs, Ds, data.factor(n, True), seq.tol)
     T, v = shift_matrix(q, n), first_column_embedding(q, n)

@@ -8,7 +8,7 @@ transformation of the resolvent matrix that produces solutions of the
 truncated moment problem, and verifies candidate solutions.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .matcore import (
     right_divide,
     subspace_from_columns,
 )
-from .momentseq import hankel_data
+from .momentseq import HankelData
 from .potapov import FunctionSamples, atomic_decomposition_residual, \
     potapov_report
 from .resolvent import build_resolvent, eval_theta, standard_grid
@@ -43,7 +43,8 @@ class ClassificationReport:
     m and ell are the ranks of the two defect products, r = q - m - ell;
     U and V are the corresponding orthogonal subspaces of C^q and W is
     the unitary frame [complement | U | V] (or [U | V] when r = 0).
-    ``tol``, the tolerance of the sequence, is left out of ``to_dict``.
+    ``tol`` and ``data``, the sequence's tolerance and the Hankel data
+    the report keeps alive for later calls, are left out of ``to_dict``.
     """
 
     m: int
@@ -54,6 +55,7 @@ class ClassificationReport:
     V: Subspace
     W: np.ndarray
     tol: ToleranceConfig = DEFAULT_TOL
+    data: HankelData = field(default=None, repr=False, compare=False)
 
     def to_dict(self):
         return {
@@ -76,12 +78,8 @@ def _defect_subspace(A, ref, tol):
 
 
 def classify(seq, n):
-    """Compute (m, ell, r), the defect subspaces, and the frame W.
-
-    ``seq`` may be its :class:`~stieltjesmp.momentseq.HankelData`.
-    """
-    data = hankel_data(seq)
-    seq = data.seq
+    """Compute (m, ell, r), the defect subspaces, and the frame W."""
+    data = seq.hankel()
     tol = seq.tol
     q = seq.q
     A_phi, A_psi = data.restriction_products(n)
@@ -108,7 +106,7 @@ def classify(seq, n):
         cols.insert(0, comp.basis)
     W = np.hstack(cols)
     return ClassificationReport(m=m, ell=ell, r=r, case=case, U=U, V=V, W=W,
-                                tol=tol)
+                                tol=tol, data=data)
 
 
 def lift_pair(report, inner=None):
@@ -184,12 +182,10 @@ def lft_solution(R, p, seq=None, n=None):
 
     When the originating sequence is supplied, the pair is gated through
     the restricted-class test at level n (that of R by default).  For
-    the sequence R was built from, the test reads R's Hankel data and
-    factors nothing again.
+    the sequence R was built from, the test reads the Hankel data R
+    holds and factors nothing again.
     """
     if seq is not None:
-        if seq is R.data.seq:
-            seq = R.data
         if not pair_in_restricted_class(p, seq, n if n is not None else R.n):
             raise ValueError("pair is not in the restricted class for "
                              "this sequence")
@@ -203,12 +199,11 @@ def unique_solution(seq, n):
     fixed constant pair and the LFT collapses to a unique rational
     function.  Classification and resolvent share one Hankel data.
     """
-    data = hankel_data(seq)
-    report = classify(data, n)
+    report = classify(seq, n)
     if report.case != "CompletelyDegenerate":
         raise ValueError("unique_solution needs the completely degenerate "
                          f"case, got {report.case}")
-    R = build_resolvent(data, n)
+    R = build_resolvent(seq, n)
     pair = lift_pair(report)
     return SolutionFunction(R, pair)
 
@@ -226,18 +221,12 @@ def verify_solution(seq, n, candidate, grid=None):
     defect at order 2n + 1, the fundamental-matrix report of their
     transform, and the exact atomic decomposition residual.  Solution
     functions are checked by the fundamental-matrix report and s_0
-    recovery at a single large imaginary point.  ``seq`` may be its
-    :class:`~stieltjesmp.momentseq.HankelData`.  A solution function
-    built from ``seq`` itself lends the Hankel data of its resolvent;
-    otherwise one is built.  Every check shares it.  A measure needs
-    2n + 1 <= m (its checks read s_2n+1), a function 2n <= m.
+    recovery at a single large imaginary point.  Every check reads the
+    Hankel data of ``seq``, which a live result on it may hold already.
+    A measure needs 2n + 1 <= m (its checks read s_2n+1), a function 2n <= m.
     """
-    if isinstance(candidate, SolutionFunction) \
-            and seq is candidate.resolvent.data.seq:
-        seq = candidate.resolvent.data
-    data = hankel_data(seq)
+    data = seq.hankel()
     data.check_level(n, shifted=isinstance(candidate, AtomicMeasure))
-    seq = data.seq
     tol = seq.tol
     if grid is None:
         grid = standard_grid(seq.alpha)
@@ -262,13 +251,13 @@ def verify_solution(seq, n, candidate, grid=None):
         out["checks"]["top_defect_lambda_min"] = lam
         out["checks"]["top_defect_psd"] = bool(defect_ok)
         f = FunctionSamples(StieltjesFunction(None, candidate), seq.q)
-        rep = potapov_report(data, n, f, grid)
+        rep = potapov_report(seq, n, f, grid)
         out["checks"]["potapov_passed"] = rep.passed
         zs = np.array(grid[:4], dtype=complex)
         dec = max([0.0] + [
             r for k in (2 * n, 2 * n + 1)
             for r in atomic_decomposition_residual(
-                data, n, candidate, zs, k).tolist()])
+                seq, n, candidate, zs, k).tolist()])
         out["checks"]["decomposition_residual"] = dec
         out["valid"] = bool(match and defect_ok and rep.passed
                             and dec <= 1e-8)
@@ -276,7 +265,7 @@ def verify_solution(seq, n, candidate, grid=None):
         return out
     # SolutionFunction (or any evaluable matrix function)
     f = FunctionSamples(candidate, seq.q)
-    rep = potapov_report(data, n, f, grid)
+    rep = potapov_report(seq, n, f, grid)
     s0_est = recover_s0(candidate)
     scale = 1.0 + np.linalg.norm(seq.s(0))
     s0_resid = float(np.linalg.norm(s0_est - seq.s(0)) / scale)

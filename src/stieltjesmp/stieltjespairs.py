@@ -12,7 +12,7 @@ a Stieltjes function, or lifted into a degenerate block structure.
 import numpy as np
 
 from .matcore import DEFAULT_TOL, as_square, is_psd, mrank, right_divide
-from .momentseq import MomentSequence, hankel_data
+from .momentseq import MomentSequence
 from .resolvent import signature_matrix, standard_grid
 
 _SLIT_GUARD = 1e-12
@@ -303,11 +303,8 @@ def _pair_alpha(p):
 def pair_in_restricted_class(p, seq, n):
     """Sampling test of the two vanishing conditions of the restricted
     class under ``seq.tol``; sample count covers the rational degree
-    bound of the pair, and the pair is evaluated at all samples at once.
-    ``seq`` may be its :class:`~stieltjesmp.momentseq.HankelData`."""
-    data = hankel_data(seq)
-    seq = data.seq
-    A_phi, A_psi = data.restriction_products(n)
+    bound of the pair, and the pair is evaluated at all samples at once."""
+    A_phi, A_psi = seq.hankel().restriction_products(n)
     bound = seq.tol.tol_identity * (1.0 + np.linalg.norm(seq.s(0))) * 10
     npts = n + 2 + p.degree_bound()
     phi, psi = pair_eval(p, seq.alpha + 0.37 + 1j * (1.0 + np.arange(npts)))

@@ -10,7 +10,8 @@ import collections
 import numpy as np
 import pytest
 
-from stieltjesmp import AtomicMeasure, MomentSequence, matcore, moments_of
+from stieltjesmp import AtomicMeasure, HankelData, MomentSequence, matcore, \
+    moments_of
 from stieltjesmp.momentseq import block_hankel, first_column_embedding, \
     last_column_embedding, shift_matrix, stack_y
 
@@ -121,16 +122,12 @@ def factor_calls(monkeypatch):
     building = []
     eigh, init = np.linalg.eigh, matcore.HermitianFactor.__init__
 
-    def key(a):
-        a = np.asarray(a)
-        return a.shape, a.tobytes()
-
     def counting_eigh(a, *args, **kwargs):
-        calls[building[-1] if building else key(a)] += 1
+        calls[building[-1] if building else _matrix_key(a)] += 1
         return eigh(a, *args, **kwargs)
 
     def tracking_init(self, A, *args, **kwargs):
-        building.append(key(A))
+        building.append(_matrix_key(A))
         try:
             init(self, A, *args, **kwargs)
         finally:
@@ -139,3 +136,19 @@ def factor_calls(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(matcore.HermitianFactor, "__init__", tracking_init)
     return calls
+
+
+def _matrix_key(a):
+    a = np.asarray(a)
+    return a.shape, a.tobytes()
+
+
+def hankel_factor_counts(seq, n=None):
+    """The ``factor_calls`` of work that factors every Hankel matrix of
+    ``seq`` once and, with ``n`` given, also takes the one plain ``eigh``
+    of each Hankel corner (H_n and Hs_n) that Potapov reports read."""
+    data = HankelData(seq)
+    out = collections.Counter(map(_matrix_key, [*data.H, *data.Hs]))
+    if n is not None:
+        out.update(map(_matrix_key, (data.H[n], data.Hs[n])))
+    return out

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from stieltjesmp import MomentSequence
 from stieltjesmp.cli import (
     complex_to_json,
     json_to_complex,
@@ -12,6 +13,8 @@ from stieltjesmp.cli import (
     main,
     matrix_to_json,
 )
+
+from conftest import hankel_factor_counts
 
 
 def write_json(path, doc):
@@ -193,6 +196,20 @@ def test_cmd_solve_evaluates_once_over_the_points(tmp_path, capsys,
     assert code == 0 and len(doc["values"]) == 4
     assert all("sigma_min_even" in v for v in doc["values"])
     assert calls == {"S": 1, "report": 1}
+
+
+def test_cmd_solve_factors_each_matrix_once(tmp_path, capsys, factor_calls):
+    # Atoms of mass 1 at t = 1, 2: classification, resolvent, pair gate
+    # and Potapov report share one Hankel data of the loaded sequence.
+    values = [2, 3, 5, 9]
+    pair = write_json(tmp_path / "p.json", {
+        "kind": "constant", "phi": [[[0.0, 0.0]]], "psi": [[[1.0, 0.0]]]})
+    code, doc = run(capsys, ["solve", moment_file(tmp_path, values), pair,
+                             "--n", "1", "--points", "1j,2-1j"])
+    assert code == 0 and doc["case"] == "NonDegenerate"
+    assert all("sigma_min_odd" in v for v in doc["values"])
+    assert factor_calls == hankel_factor_counts(
+        MomentSequence(0.0, 1, [[[v]] for v in values]), 1)
 
 
 def test_cmd_solve_stieltjes_function_pair(tmp_path, capsys):

@@ -147,10 +147,10 @@ def test_dubovoj_subspace_shared_cutoff():
     assert D.dim == 1
     for w, t in ((0.3, 1.7), (0.9, 2.3)):
         seq = moments_of(AtomicMeasure(0.0, 1, [(t, [[w]])]), 3)
-        data = HankelData(seq)
+        data = seq.hankel()
         assert data.ladder()[1].item() != 0.0   # roundoff, not zero
         assert data.ladder_ranks() == data.ladder_ranks(True) == [1, 0]
-        D, Ds = dubovoj_candidates(data, 1)
+        D, Ds = dubovoj_candidates(seq, 1)
         assert D.dim == Ds.dim == 1
 
 

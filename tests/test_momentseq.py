@@ -1,5 +1,8 @@
 """Unit tests for moment sequences, Hankel bundles, and class tests."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +22,6 @@ from stieltjesmp.momentseq import (
     dubovoj_candidates,
     extended,
     first_column_embedding,
-    hankel_data,
     last_column_embedding,
     shift_matrix,
     shift_right,
@@ -85,7 +87,38 @@ def test_hankel_catalog_examples():
                        np.linalg.pinv(block_hankel(d.seq, 1)))
     assert d.ladder() is d.ladder()
     assert np.allclose([x.item() for x in d.ladder()], [2.0, 0.5, 0.0])
-    assert hankel_data(d) is d
+    assert not d.H[2].flags.writeable and not d.Hs[1].flags.writeable
+
+
+def test_moments_are_read_only():
+    # Factors of the Hankel data are shared between calls on a sequence,
+    # so the moments they were made from must not change under them.
+    seq = scalar_seq([2, 1, 1, 1])
+    assert isinstance(seq.moments, tuple)
+    for s in (seq.s(0), seq.moments[3], shift_right(seq).s(0)):
+        with pytest.raises(ValueError, match="read-only"):
+            s[0, 0] = 5.0
+    assert seq.s(0).item() == 2.0
+    longer = extended(seq)
+    assert longer.m == 4 and seq.m == 3
+    with pytest.raises(ValueError, match="read-only"):
+        longer.s(4)[0, 0] = 5.0
+
+
+def test_a_copied_sequence_builds_its_own_hankel_data():
+    seq = scalar_seq([2, 1, 1, 1])
+    data = seq.hankel()
+    assert seq.hankel() is data
+    for twin in (copy.copy(seq), copy.deepcopy(seq),
+                 pickle.loads(pickle.dumps(seq))):
+        own = twin.hankel()
+        assert own is not data and own.seq is twin
+        assert twin.hankel() is own
+        assert np.array_equal(own.factor(1).pinv, data.factor(1).pinv)
+        with pytest.raises(ValueError, match="read-only"):
+            twin.s(0)[0, 0] = 5.0
+    # The copies did not touch the original's reference.
+    assert seq.hankel() is data
 
 
 def test_hankel_bundle_embeddings():
@@ -155,7 +188,7 @@ def test_class_membership_witness_and_implications():
         assert rep.in_Kgeq and rep.in_Hgeq_e and rep.in_Hgeq
         assert rep.witness_extension is not None
         longer = MomentSequence(seq.alpha, seq.q,
-                                seq.moments + [rep.witness_extension])
+                                [*seq.moments, rep.witness_extension])
         assert class_membership(longer).in_Hgeq
         # prefix monotonicity
         for k in range(1, seq.m + 1):

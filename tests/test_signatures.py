@@ -7,6 +7,7 @@ function, method or constructor of the problem-level modules takes a
 matrices.
 """
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -53,8 +54,11 @@ def test_only_raw_data_constructors_take_a_tolerance():
 def test_hankel_data_takes_only_the_sequence():
     # One HankelData covers every level of its sequence; a reader of
     # level n asks it with ``check_level`` instead of passing a level.
-    for fn in (momentseq.HankelData, momentseq.hankel_data):
-        assert list(inspect.signature(fn).parameters) == ["seq"]
+    # The sequence hands it out through its accessor, which takes nothing.
+    assert list(inspect.signature(momentseq.HankelData).parameters) == \
+        ["seq"]
+    assert list(inspect.signature(
+        momentseq.MomentSequence.hankel).parameters) == ["self"]
 
 
 def test_no_determinant_decides_anything():
@@ -65,3 +69,24 @@ def test_no_determinant_decides_anything():
     assert len(files) > 5
     assert not [path.name for path in files
                 if re.search(r"linalg\.det\b", path.read_text())]
+
+
+def test_only_the_sequence_builds_its_hankel_data():
+    # A sequence has one HankelData, built by ``MomentSequence.hankel``;
+    # every other reader asks the sequence for it, so no function takes
+    # a HankelData in place of its sequence.
+    builders, either = [], []
+    for path in Path(solver.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        if re.search(r"may\s+be\s+its\b", text):
+            either.append(path.name)
+        tree = ast.parse(text)
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and getattr(
+                        node.func, "id", None) == "HankelData":
+                    builders.append((path.name, fn.name))
+    assert builders == [("momentseq.py", "hankel")]
+    assert not either

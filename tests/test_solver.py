@@ -1,13 +1,14 @@
 """Unit tests for classification, lifting, and the solution map."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
 
 from stieltjesmp import MomentSequence, class_membership
 from stieltjesmp.matcore import Subspace
-from stieltjesmp.momentseq import HankelData, dubovoj_candidates
+from stieltjesmp.momentseq import dubovoj_candidates
 from stieltjesmp.potapov import (
     FunctionSamples,
     atomic_decomposition_residual,
@@ -38,8 +39,8 @@ from stieltjesmp.stieltjespairs import (
     transform,
 )
 
-from conftest import WEIGHT_PATTERNS, atomic_fixture, kge_fixtures, \
-    random_psd
+from conftest import WEIGHT_PATTERNS, atomic_fixture, \
+    hankel_factor_counts, kge_fixtures, random_psd
 
 
 def scalar_seq(values, alpha=0.0):
@@ -269,16 +270,38 @@ def test_unique_solution_factors_each_matrix_once(factor_calls):
 
 
 def test_pipeline_on_one_hankel_data_factors_each_matrix_once(factor_calls):
-    # Class tests, classification, resolvent and the pair gate all read
-    # the one factor of each Hankel matrix of the data they share.
+    # Classification, class tests, resolvent, pair gate and both
+    # verifications all read the one Hankel data of the sequence, which
+    # the classification report holds from its first call on.
     for mu, seq, n in kge_fixtures(12, seed=29):
-        data = HankelData(seq)
         factor_calls.clear()
-        assert class_membership(data).in_Kgeq_e
-        pair = canonical_pair(classify(data, n))
-        lft_solution(build_resolvent(data, n), pair, seq=data, n=n)
-        assert sorted(factor_calls.values()) == \
-            [1] * (len(data.H) + len(data.Hs))
+        report = classify(seq, n)
+        assert class_membership(seq).in_Kgeq_e
+        S = lft_solution(build_resolvent(seq, n), canonical_pair(report),
+                         seq=seq, n=n)
+        assert verify_solution(seq, n, mu)["valid"]
+        assert verify_solution(seq, n, S)["valid"]
+        assert factor_calls == hankel_factor_counts(seq, n)
+
+
+def test_hankel_data_lives_exactly_while_a_result_holds_it():
+    mu, seq, n = kge_fixtures(4, seed=41)[3]
+    data = weakref.ref(seq.hankel())
+    assert data() is None             # nothing holds it: freed at once
+    report = classify(seq, n)
+    R = build_resolvent(seq, n)
+    S = lft_solution(R, canonical_pair(report), seq=seq, n=n)
+    data = weakref.ref(seq.hankel())
+    assert report.data is data() and R.data is data()
+    assert verify_solution(seq, n, mu)["valid"] and seq.hankel() is data()
+    # The data is left out of the results' repr, comparison and JSON.
+    assert "HankelData" not in repr(report) + repr(R)
+    assert report == dataclasses.replace(report, data=None)
+    assert "data" not in report.to_dict()
+    del report, R
+    assert data() is S.resolvent.data
+    del S
+    assert data() is None
 
 
 @pytest.mark.parametrize("q, n", [(2, 2), (4, 2), (8, 2), (32, 2), (1, 3),
