@@ -15,7 +15,7 @@ the work while a result that holds the data is alive.
 """
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,8 +60,9 @@ class MomentSequence:
     def hankel(self):
         """The one :class:`HankelData` of this sequence, built on first
         use and held weakly: it lives while a result that holds it (a
-        ``ClassificationReport`` or ``ResolventMatrix``) is alive, and
-        every call on the sequence meanwhile reads its factors."""
+        ``ClassReport``, ``ClassificationReport`` or ``ResolventMatrix``)
+        is alive, and every call on the sequence meanwhile reads its
+        factors."""
         data = self._hankel and self._hankel()
         if data is None:
             data = HankelData(self)
@@ -299,13 +300,19 @@ class HankelData:
 
 @dataclass
 class ClassReport:
-    """Membership of a sequence in the four solvability classes."""
+    """Membership of a sequence in the four solvability classes.
+
+    ``data``, the Hankel data of the sequence, lives while the report
+    does, so later calls on the sequence read its factors; it is left
+    out of ``to_dict``, repr and comparison.
+    """
 
     in_Hgeq: bool
     in_Hgeq_e: bool
     in_Kgeq: bool
     in_Kgeq_e: bool
     witness_extension: np.ndarray = None
+    data: HankelData = field(default=None, repr=False, compare=False)
 
     def to_dict(self):
         d = {
@@ -333,7 +340,7 @@ def class_membership(seq):
     witness = canonical_extension(seq) if (in_Ke and in_He) else None
     return ClassReport(in_Hgeq=data.nonnegative(), in_Hgeq_e=in_He,
                        in_Kgeq=data.in_Kgeq(), in_Kgeq_e=in_Ke,
-                       witness_extension=witness)
+                       witness_extension=witness, data=data)
 
 
 def canonical_extension(seq):
@@ -369,11 +376,13 @@ def dubovoj_candidates(seq, n):
     Returns the pair (D_n, D_shift_n) built from the Schur ladders of
     the sequence and of its right-alpha-shifted sequence via
     :func:`stieltjesmp.matcore.dubovoj_subspace`, block ranks taken
-    from the factors of the Hankel matrices.
+    from the factors of the Hankel matrices.  The pair is computed once
+    per level and kept on the sequence's Hankel data.
     """
     data = seq.hankel()
     data.check_level(n, shifted=True)
-    return tuple(dubovoj_subspace(data.ladder(shifted)[:n + 1],
-                                  data.ladder_ranks(shifted)[:n + 1])
-                 for shifted in (False, True))
+    return data._once(("dubovoj", n), lambda: tuple(
+        dubovoj_subspace(data.ladder(shifted)[:n + 1],
+                         data.ladder_ranks(shifted)[:n + 1])
+        for shifted in (False, True)))
 

@@ -28,19 +28,18 @@ _TRIM_TOL = 1e-12
 
 
 class MatrixPolynomial:
-    """A polynomial with square matrix coefficients, ascending degree:
-    ``coeffs`` is a (d + 1, size, size) array whose row j is the
-    coefficient of z^j."""
+    """A polynomial with matrix coefficients, ascending degree:
+    ``coeffs`` is a (d + 1, r, c) array whose row j is the coefficient
+    of z^j, and ``shape`` is (r, c)."""
 
     def __init__(self, coeffs):
         coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.ndim != 3 or coeffs.shape[1] != coeffs.shape[2]:
-            raise ValueError("coefficients must be square matrices of one "
-                             "shape")
+        if coeffs.ndim != 3:
+            raise ValueError("coefficients must be matrices of one shape")
         if not len(coeffs):
             raise ValueError("need at least one coefficient")
         self.coeffs = coeffs
-        self.size = coeffs.shape[1]
+        self.shape = coeffs.shape[1:]
 
     @classmethod
     def constant(cls, A):
@@ -52,20 +51,23 @@ class MatrixPolynomial:
         return int(nonzero[-1]) if nonzero.size else 0
 
     def __add__(self, other):
-        other = _coerce(other, self.size)
-        out = np.zeros((max(len(self.coeffs), len(other.coeffs)),
-                        self.size, self.size), dtype=complex)
+        other = _coerce(other)
+        if other.shape != self.shape:
+            raise ValueError("polynomial shapes differ")
+        out = np.zeros((max(len(self.coeffs), len(other.coeffs)),)
+                       + self.shape, dtype=complex)
         out[:len(self.coeffs)] += self.coeffs
         out[:len(other.coeffs)] += other.coeffs
         return MatrixPolynomial(out)
 
     def __sub__(self, other):
-        return self + MatrixPolynomial(-_coerce(other, self.size).coeffs)
+        return self + MatrixPolynomial(-_coerce(other).coeffs)
 
     def __matmul__(self, other):
-        other = _coerce(other, self.size)
-        a, b = self.coeffs, other.coeffs
-        out = np.zeros((len(a) + len(b) - 1, self.size, self.size),
+        a, b = self.coeffs, _coerce(other).coeffs
+        if a.shape[2] != b.shape[1]:
+            raise ValueError("polynomial shapes do not chain")
+        out = np.zeros((len(a) + len(b) - 1, a.shape[1], b.shape[2]),
                        dtype=complex)
         # coefficient j + k collects a_j b_k
         np.add.at(out, np.add.outer(np.arange(len(a)), np.arange(len(b))),
@@ -82,26 +84,26 @@ class MatrixPolynomial:
                                 @ np.asarray(R, dtype=complex))
 
     def eval(self, z):
-        """Horner evaluation at a complex point (a size x size matrix) or
-        at a 1-D array of G points (a (G, size, size) stack)."""
-        z = np.asarray(z)[..., None, None]
-        out = np.empty(z.shape[:-2] + (self.size, self.size), dtype=complex)
+        """Horner evaluation at a complex point (an r x c matrix) or at a
+        1-D array of G points (a (G, r, c) stack), each step updating one
+        output array in place."""
+        z = np.asarray(z)
+        out = np.empty(z.shape + self.shape, dtype=complex)
         out[...] = self.coeffs[-1]
+        z = z[..., None, None]
         for c in self.coeffs[-2::-1]:
-            out = z * out + c
+            out *= z
+            out += c
         return out
 
     def __call__(self, z):
         return self.eval(z)
 
 
-def _coerce(x, size):
-    """``x`` as a polynomial of the given size; a matrix is a constant."""
-    if not isinstance(x, MatrixPolynomial):
-        x = MatrixPolynomial.constant(x)
-    if x.size != size:
-        raise ValueError("polynomial sizes differ")
-    return x
+def _coerce(x):
+    """``x`` as a polynomial; a matrix is a constant."""
+    return x if isinstance(x, MatrixPolynomial) else \
+        MatrixPolynomial.constant(x)
 
 
 def _times_linear(coeffs, c0, c1):

@@ -25,7 +25,7 @@ from .matcore import (
 from .momentseq import HankelData
 from .potapov import FunctionSamples, atomic_decomposition_residual, \
     potapov_report
-from .resolvent import build_resolvent, eval_theta, standard_grid
+from .resolvent import MatrixPolynomial, build_resolvent, standard_grid
 from .stieltjespairs import (
     AtomicMeasure,
     StieltjesFunction,
@@ -149,6 +149,10 @@ class SolutionFunction:
     Wraps the resolvent matrix and an admissible parameter pair; the
     value is the linear fractional transformation
     (Theta11 phi + Theta12 psi)(Theta21 phi + Theta22 psi)^{-1}.
+    Construction multiplies Theta by the pair's constant part B once,
+    into the polynomial N = Theta B: for a pair of degree 0, whose values
+    do not depend on z, B = [phi; psi] and N is 2q x q; otherwise B = I,
+    N = Theta and every call multiplies N(z) by [phi(z); psi(z)].
     """
 
     # Evaluators with this flag take a 1-D array of points in one call.
@@ -158,6 +162,12 @@ class SolutionFunction:
         self.resolvent = resolvent
         self.pair = pair
         self.q = resolvent.q
+        self._N = resolvent.theta
+        self._folded = pair.degree_bound() == 0
+        if self._folded:
+            # any point off the slit: the values do not depend on z
+            B = np.vstack(pair_eval(pair, resolvent.alpha - 1.0))
+            self._N = MatrixPolynomial(self._N.coeffs @ B)
 
     def __call__(self, z):
         """S(z) at a point (q x q) or at a 1-D array of G points
@@ -165,11 +175,11 @@ class SolutionFunction:
         ``right_divide`` raises ``ValueError`` naming the first such point."""
         z = np.asarray(z, dtype=complex)
         q = self.q
-        th = eval_theta(self.resolvent, z)
-        phi, psi = pair_eval(self.pair, z)
-        num = th[..., :q, :q] @ phi + th[..., :q, q:] @ psi
-        den = th[..., q:, :q] @ phi + th[..., q:, q:] @ psi
-        S, ok = right_divide(num, den, self.resolvent.data.seq.tol)
+        N = self._N.eval(z)
+        if not self._folded:
+            N = N @ np.concatenate(pair_eval(self.pair, z), axis=-2)
+        S, ok = right_divide(N[..., :q, :], N[..., q:, :],
+                             self.resolvent.data.seq.tol)
         singular = (~ok).ravel().nonzero()[0]
         if singular.size:
             first = complex(z.flat[singular[0]])

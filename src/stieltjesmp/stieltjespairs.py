@@ -87,7 +87,7 @@ def transform(mu, z):
         raise ValueError(f"evaluation point {complex(z.flat[point])} "
                          f"coincides with atom {mu.atoms[atom][0]}")
     for j, (_, M) in enumerate(mu.atoms):
-        out = out + M / d[..., j, None, None]
+        out += M / d[..., j, None, None]
     return out
 
 
@@ -127,7 +127,9 @@ class StieltjesFunction:
         """The value at a point (q x q) or at a 1-D array of points
         ((G, q, q))."""
         S = transform(self.measure, z)
-        return S if self.gamma is None else self.gamma + S
+        if self.gamma is not None:
+            S += self.gamma
+        return S
 
 
 class StieltjesPair:

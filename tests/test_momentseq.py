@@ -1,6 +1,7 @@
 """Unit tests for moment sequences, Hankel bundles, and class tests."""
 
 import copy
+import dataclasses
 import pickle
 
 import numpy as np
@@ -29,7 +30,10 @@ from stieltjesmp.momentseq import (
     stack_z,
 )
 
-from conftest import kge_fixtures, ljapunov_data, random_hermitian_sequence
+from stieltjesmp.solver import classify
+
+from conftest import hankel_factor_counts, kge_fixtures, ljapunov_data, \
+    random_hermitian_sequence
 
 
 def scalar_seq(values, alpha=0.0):
@@ -268,6 +272,21 @@ def test_class_membership_factors_each_matrix_once(factor_calls):
         factor_calls.clear()
         class_membership(seq)
         assert factor_calls and max(factor_calls.values()) == 1
+
+
+def test_class_report_holds_the_hankel_data(factor_calls):
+    # While the report lives, classify reads the factors class_membership
+    # made: each Hankel matrix of the sequence is factored once.
+    for mu, seq, n in kge_fixtures(12, seed=37):
+        factor_calls.clear()
+        report = class_membership(seq)
+        classify(seq, n)
+        assert factor_calls == hankel_factor_counts(seq)
+        assert report.data is seq.hankel()
+        # The data is left out of the report's repr, comparison and JSON.
+        assert "HankelData" not in repr(report)
+        assert report == dataclasses.replace(report, data=None)
+        assert "data" not in report.to_dict()
 
 
 @settings(max_examples=10, deadline=None)

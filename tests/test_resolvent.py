@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stieltjesmp import MomentSequence
+from stieltjesmp import MomentSequence, momentseq
 from stieltjesmp.resolvent import (
     MatrixPolynomial,
     build_resolvent,
@@ -19,6 +19,7 @@ from stieltjesmp.resolvent import (
 )
 from stieltjesmp.momentseq import first_column_embedding, shift_matrix, \
     shift_resolvent
+from stieltjesmp.solver import classify, unique_solution
 
 from conftest import WEIGHT_PATTERNS, atomic_fixture, kge_fixtures
 
@@ -39,6 +40,30 @@ def test_matrix_polynomial_arithmetic():
     assert np.allclose(p.times_linear(1.0, -2.0)(z), (1 - 2 * z) * p(z))
     assert MatrixPolynomial([np.eye(2), 1e-15 * np.eye(2)]).trimmed_degree() \
         == 0
+
+
+def test_horner_matches_the_power_sum_on_rectangular_stacks():
+    rng = np.random.default_rng(61)
+    zs = np.array([0.3 + 0.8j, -1.2 + 0.1j, 2.0, 0.0])
+    for d, r, c in ((0, 2, 3), (3, 4, 2), (5, 1, 6), (2, 3, 3)):
+        coeffs = rng.normal(size=(d + 1, r, c)) \
+            + 1j * rng.normal(size=(d + 1, r, c))
+        p = MatrixPolynomial(coeffs)
+        want = [sum(z ** j * C for j, C in enumerate(coeffs)) for z in zs]
+        got = p.eval(zs)
+        assert p.shape == (r, c) and got.shape == (len(zs), r, c)
+        for z, g, w in zip(zs, got, want):
+            assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(w)
+            one = p.eval(z)                       # a 0-d point
+            assert one.shape == (r, c)
+            assert np.linalg.norm(one - w) <= 1e-13 * np.linalg.norm(w)
+    a = MatrixPolynomial(rng.normal(size=(2, 2, 3)))
+    b = MatrixPolynomial(rng.normal(size=(3, 3, 4)))
+    assert np.allclose((a @ b)(zs), a(zs) @ b(zs))
+    with pytest.raises(ValueError):
+        b @ a
+    with pytest.raises(ValueError):
+        a + b
 
 
 def test_resolvent_poly_examples():
@@ -283,7 +308,7 @@ def test_kernel_polys():
     R = build_resolvent(seq, n)
     P, Q, S = kernel_polys(R)
     for poly in (P, Q, S):
-        assert np.allclose(poly(seq.alpha), np.eye(P.size), atol=1e-10)
+        assert np.allclose(poly(seq.alpha), np.eye(*P.shape), atol=1e-10)
     # nondegenerate data: projector factors vanish and all three are I
     rng = np.random.default_rng(12)
     mu2, seq2 = atomic_fixture(rng, 2, 1, alpha=0.25)
@@ -291,7 +316,7 @@ def test_kernel_polys():
     P2, Q2, S2 = kernel_polys(R2)
     z = 1.3 - 2.2j
     for poly in (P2, Q2, S2):
-        assert np.allclose(poly(z), np.eye(poly.size), atol=1e-8)
+        assert np.allclose(poly(z), np.eye(*poly.shape), atol=1e-8)
     # s = (1, 0), n = 0: T = 0 kills every correction term
     R3 = build_resolvent(scalar_seq([1, 0]), 0)
     P3, Q3, S3 = kernel_polys(R3)
@@ -317,3 +342,23 @@ def test_build_resolvent_factors_each_matrix_once(factor_calls):
         R = build_resolvent(seq, n)
         assert factor_calls and max(factor_calls.values()) == 1
         assert R.data.seq is seq
+
+
+def test_second_build_reads_the_dubovoj_subspaces(monkeypatch):
+    # While a resolvent holds the Hankel data, a second build (the one
+    # unique_solution makes) reads the range subspaces from it.
+    calls = []
+    subspace = momentseq.dubovoj_subspace
+    monkeypatch.setattr(momentseq, "dubovoj_subspace",
+                        lambda *args: calls.append(1) or subspace(*args))
+    for mu, seq, n in kge_fixtures(12, seed=43):
+        calls.clear()
+        R = build_resolvent(seq, n)
+        assert len(calls) == 2                 # D_n and its shifted twin
+        calls.clear()
+        again = build_resolvent(seq, n)
+        if classify(seq, n).case == "CompletelyDegenerate":
+            unique_solution(seq, n)
+        assert not calls
+        assert np.array_equal(again.Hm, R.Hm)
+        assert np.array_equal(again.Hsm, R.Hsm)

@@ -1,13 +1,14 @@
 """Unit tests for classification, lifting, and the solution map."""
 
+import collections
 import dataclasses
 import weakref
 
 import numpy as np
 import pytest
 
-from stieltjesmp import MomentSequence, class_membership
-from stieltjesmp.matcore import Subspace
+from stieltjesmp import MomentSequence, class_membership, resolvent, solver
+from stieltjesmp.matcore import Subspace, right_divide
 from stieltjesmp.momentseq import dubovoj_candidates
 from stieltjesmp.potapov import (
     FunctionSamples,
@@ -20,7 +21,7 @@ from stieltjesmp.potapov import (
     sigma_matrix,
 )
 from stieltjesmp.resolvent import MatrixPolynomial, build_resolvent, \
-    standard_grid
+    eval_theta, standard_grid
 from stieltjesmp.solver import (
     classify,
     lft_solution,
@@ -236,6 +237,114 @@ def test_exactly_singular_denominator_in_a_batch_names_the_first_point():
         with pytest.raises(ValueError) as err:
             S(np.array(zs))
         assert str(err.value) == f"singular LFT denominator at z = {first}"
+
+
+def _unfolded_lft(R, pair, z):
+    """(Theta11 phi + Theta12 psi)(Theta21 phi + Theta22 psi)^-1 from
+    Theta(z) and the pair's values at z, each evaluated on its own."""
+    q = R.q
+    th = eval_theta(R, z)
+    phi, psi = pair_eval(pair, z)
+    num = th[..., :q, :q] @ phi + th[..., :q, q:] @ psi
+    den = th[..., q:, :q] @ phi + th[..., q:, q:] @ psi
+    return num, den
+
+
+def test_folded_solution_matches_the_unfolded_lft():
+    # S at one point against S over an array is
+    # test_array_evaluation_matches_scalar_loop, for the same pair kinds.
+    rng = np.random.default_rng(53)
+    kinds = set()
+    for q in (1, 2, 3):
+        for n in range(3):
+            for kw in WEIGHT_PATTERNS.values():
+                alpha = (0.0, 0.5, -1.0)[(q + n) % 3]
+                mu, seq = atomic_fixture(rng, q, n, alpha, **kw)
+                report = classify(seq, n)
+                R = build_resolvent(seq, n)
+                if report.case == "CompletelyDegenerate":
+                    pairs = [lift_pair(report)]
+                else:
+                    r = report.r
+                    f = StieltjesFunction(np.eye(r), AtomicMeasure(
+                        alpha, r, [(alpha + 0.7, random_psd(rng, r))]))
+                    pairs = [lift_pair(report, inner) for inner in (
+                        StieltjesPair.constant(np.zeros((r, r)), np.eye(r)),
+                        StieltjesPair.constant(np.eye(r), np.eye(r)),
+                        StieltjesPair.from_function(f))]
+                zs = np.array(standard_grid(alpha)[::5] + [alpha - 1.5])
+                for pair in pairs:
+                    inner = getattr(pair, "inner", None)
+                    kinds.add((pair.kind, inner and inner.kind))
+                    S = lft_solution(R, pair)
+                    got = S(zs)
+                    num, den = _unfolded_lft(R, pair, zs)
+                    want = num @ np.linalg.inv(den)
+                    for g, w in zip(got, want):
+                        assert np.linalg.norm(g - w) <= \
+                            1e-12 * np.linalg.norm(w)
+    assert kinds == {("constant", None), ("function", None),
+                     ("lifted", "constant"), ("lifted", "function")}
+
+
+def test_singular_denominator_names_the_first_point_for_every_pair_kind():
+    seq = scalar_seq([1, 1])
+    R = build_resolvent(seq, 0)
+    f = StieltjesFunction([[0.0]], delta(1.0))
+    # S = -1/z for the constant pair (1, 0), folded; the function pair
+    # gives (2 - z)/(z^2 - 3z + 1), whose denominator vanishes at root.
+    root = (3.0 - np.sqrt(5.0)) / 2.0
+    for pair, pole in ((StieltjesPair.constant([[1.0]], [[0.0]]), 0.0),
+                       (StieltjesPair.from_function(f), root)):
+        S = lft_solution(R, pair, seq=seq, n=0)
+        message = f"singular LFT denominator at z = {complex(pole)}"
+        zs = np.array([1j, pole, 2.0 + 1j, pole])
+        num, den = _unfolded_lft(R, pair, zs)
+        assert not right_divide(num, den, seq.tol)[1][1]
+        for call in (lambda: S(pole), lambda: S(zs), lambda: S(zs[1:])):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
+
+
+def test_constant_pair_solution_evaluates_neither_pair_nor_theta(
+        monkeypatch):
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solver, "pair_eval",
+                        counting("pair_eval", solver.pair_eval))
+    monkeypatch.setattr(resolvent, "eval_theta",
+                        counting("eval_theta", resolvent.eval_theta))
+    zs = np.array([1j, -0.5 + 2j, 3.0 - 1j])
+    checked = set()
+    for mu, seq, n in kge_fixtures(24, seed=59):
+        report = classify(seq, n)
+        R = build_resolvent(seq, n)
+        monkeypatch.setattr(R.theta, "eval",
+                            counting("theta", R.theta.eval))
+        pairs = [(canonical_pair(report), 0)]
+        if report.r:
+            r = report.r
+            f = StieltjesFunction(None, AtomicMeasure(
+                seq.alpha, r, [(seq.alpha + 1.0, np.eye(r))]))
+            pairs.append((lift_pair(report, StieltjesPair.from_function(f)),
+                          1))
+        for pair, per_call in pairs:
+            S = lft_solution(R, pair)
+            calls.clear()
+            S(zs[0])
+            S(zs)
+            assert calls["pair_eval"] == calls["theta"] == 2 * per_call
+            assert calls["eval_theta"] == 0
+            checked.add((pair.kind, per_call))
+    assert checked == {("constant", 0), ("function", 1), ("lifted", 0),
+                       ("lifted", 1)}
 
 
 def canonical_pair(report):
