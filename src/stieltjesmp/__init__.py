@@ -11,13 +11,10 @@ from .matcore import (
     Subspace,
     ToleranceConfig,
     dubovoj_subspace,
-    is_dubovoj,
     is_psd,
     mrank,
     one_two_inverse,
     projector,
-    pseudo_inverse,
-    range_included,
 )
 from .momentseq import (
     ClassReport,
@@ -29,25 +26,15 @@ from .momentseq import (
 )
 from .potapov import (
     FunctionSamples,
-    congruence_check,
-    fq_matrices,
-    potapov_matrix,
     potapov_report,
-    psi_polynomial,
-    sigma_matrix,
 )
 from .resolvent import (
     MatrixPolynomial,
     ResolventMatrix,
     build_resolvent,
-    eval_theta,
-    j_defect,
-    kernel_polys,
     monomial_stack,
     resolvent_poly,
-    signature_matrix,
     standard_grid,
-    theta_inverse,
 )
 from .solver import (
     ClassificationReport,
@@ -66,9 +53,6 @@ from .stieltjespairs import (
     moments_of,
     pair_eval,
     pair_in_restricted_class,
-    pair_is_valid,
-    pairs_equivalent,
-    sharp_measure,
     transform,
 )
 

@@ -1,10 +1,13 @@
 """Dense complex matrix utilities.
 
-Hermitian/PSD tests, the one rank and singularity rule and the right
-division it guards, the one factorization of a Hermitian matrix that
-decides its rank, PSD verdict, null space and Moore-Penrose inverse,
-reflexive inverses with prescribed range, orthonormal subspaces with
-projectors, and the Hankel solver's block-diagonal range subspaces.
+The Hermitian gate and PSD test, the one rank and singularity rule and
+the right division it guards, the one factorization of a Hermitian
+matrix that decides its rank, PSD verdict, null space and Moore-Penrose
+inverse, reflexive inverses with prescribed range, orthonormal subspaces
+with projectors, and the Hankel solver's block-diagonal range subspaces.
+The checks the tests hold these to (range inclusion, the invariant
+complement test, an SVD null space and pseudo-inverse) live in
+``tests/identities.py``.
 
 All functions are pure: inputs are never mutated and no module state is
 kept, so concurrent use is safe.
@@ -60,15 +63,6 @@ def as_square(A, q, what):
     if M.shape != (q, q):
         raise ValueError(f"{what} must be {q} x {q}, got shape {M.shape}")
     return M
-
-
-def is_hermitian(A, tol=DEFAULT_TOL):
-    """True iff ``A`` is square and Hermitian within ``tol.tol_herm``."""
-    A = as_matrix(A)
-    if A.shape[0] != A.shape[1]:
-        return False
-    scale = 1.0 + np.linalg.norm(A)
-    return np.linalg.norm(A - A.conj().T) <= tol.tol_herm * scale
 
 
 def hermitize(A, tol=DEFAULT_TOL, what="matrix"):
@@ -172,27 +166,6 @@ class HermitianFactor:
         self.pinv = (R / w[:r]) @ R.conj().T
 
 
-def pseudo_inverse(A, tol=DEFAULT_TOL):
-    """Moore-Penrose inverse with singular values cut at tol_rank * sigma_max."""
-    A = as_matrix(A)
-    if A.size == 0:
-        return A.conj().T.copy()
-    return np.linalg.pinv(A, rcond=tol.tol_rank)
-
-
-def range_included(B, A, tol=DEFAULT_TOL):
-    """True iff the column space of ``A`` is contained in that of ``B``.
-
-    Implemented as ``|A - B B^+ A| <= tol_identity * (1 + |A|)``.
-    """
-    A = as_matrix(A)
-    B = as_matrix(B)
-    if A.shape[0] != B.shape[0]:
-        raise ValueError("range_included needs matching row counts")
-    resid = A - B @ (pseudo_inverse(B, tol) @ A)
-    return np.linalg.norm(resid) <= tol.tol_identity * (1.0 + np.linalg.norm(A))
-
-
 class Subspace:
     """A subspace of C^p represented by an orthonormal basis matrix.
 
@@ -232,16 +205,6 @@ def subspace_from_columns(M, tol=DEFAULT_TOL):
         return Subspace(p, np.zeros((p, 0)))
     U, s, _ = np.linalg.svd(M, full_matrices=False)
     return Subspace(p, U[:, :_rank(s, tol)])
-
-
-def null_space(A, tol=DEFAULT_TOL):
-    """Orthonormal basis of the null space of ``A`` as a Subspace."""
-    A = as_matrix(A)
-    p = A.shape[1]
-    if A.size == 0:
-        return Subspace(p, np.eye(p))
-    _, s, vh = np.linalg.svd(A)
-    return Subspace(p, vh[_rank(s, tol):].conj().T)
 
 
 def projector(U):
@@ -295,27 +258,3 @@ def dubovoj_subspace(L, ranks):
         basis[j * q:(j + 1) * q, col:col + r] = np.linalg.svd(Lj)[0][:, :r]
         col += r
     return Subspace(len(blocks) * q, basis)
-
-
-def is_dubovoj(D, H, T, tol=DEFAULT_TOL):
-    """Check the two defining conditions of an invariant complement.
-
-    True iff T*(D) is contained in D and null(H) (+) D = C^p, checked as
-    ``|(I - P_D) T* P_D| <= tol_identity * (1 + |T|)`` plus a dimension
-    and full-rank test on the stacked bases.
-    """
-    H = as_matrix(H)
-    T = as_matrix(T)
-    p = D.ambient_dim
-    if H.shape != (p, p) or T.shape != (p, p):
-        raise ValueError("H and T must be square of the ambient dimension")
-    P = projector(D)
-    invariant = np.linalg.norm((np.eye(p) - P) @ T.conj().T @ P) \
-        <= tol.tol_identity * (1.0 + np.linalg.norm(T))
-    N = null_space(H, tol)
-    if N.dim + D.dim != p:
-        return False
-    stacked = np.hstack([N.basis, D.basis]) if (N.dim + D.dim) else \
-        np.zeros((p, 0))
-    direct = (mrank(stacked, tol) == p) if p else True
-    return bool(invariant and direct)

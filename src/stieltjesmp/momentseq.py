@@ -364,12 +364,6 @@ def canonical_extension(seq):
     return 0.5 * (s_next + s_next.conj().T)
 
 
-def extended(seq):
-    """New sequence with the canonical extension appended."""
-    return MomentSequence(seq.alpha, seq.q,
-                          [*seq.moments, canonical_extension(seq)], seq.tol)
-
-
 def dubovoj_candidates(seq, n):
     """Canonical block-diagonal range subspaces at level n.
 

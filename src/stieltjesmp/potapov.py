@@ -3,10 +3,12 @@
 For a candidate solution function f, the matrices P_k[f](z) couple the
 block Hankel data of the moment sequence with the values of f; their
 joint positive semidefiniteness off the real axis characterizes
-solutions of the truncated moment problem.  This module assembles the
-P_k, their Schur complements Sigma_k, the auxiliary F_k/Q_k/Psi_k
-matrices, and the congruence identities connecting all of them, each of
-which doubles as an independent test oracle.
+solutions of the truncated moment problem.  This module decides that
+positivity on a grid (``potapov_report``) and computes the exact atomic
+decomposition residual of P_k for a measure.  The P_k themselves, their
+Schur complements Sigma_k, the auxiliary F_k/Q_k/Psi_k matrices and the
+congruence identities connecting them are test oracles, in
+``tests/identities.py``.
 
 ``potapov_report`` decides P_k >= 0 on a grid without forming P_k: up
 to a margin tau, P_k + tau I >= 0 holds exactly when the Hankel corner
@@ -18,14 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .momentseq import (
-    first_column_embedding,
-    last_column_embedding,
-    shift_matrix,
-    shift_resolvent,
-    stack_y,
-)
-from .resolvent import MatrixPolynomial, monomial_stack, resolvent_poly
+from .momentseq import last_column_embedding, stack_y
+from .resolvent import monomial_stack
 from .stieltjespairs import StieltjesFunction
 
 _IM_GUARD = 1e-8
@@ -42,16 +38,15 @@ class FunctionSamples:
     ``ValueError`` naming the first such point.
     """
 
-    def __init__(self, evaluator, q=1, label="f"):
+    def __init__(self, evaluator, q=1):
         self.evaluator = evaluator
         self.q = q
-        self.label = label
 
     def __call__(self, z):
         if np.ndim(z) == 0:
             val = np.atleast_2d(np.asarray(self.evaluator(z), dtype=complex))
             if not np.all(np.isfinite(val)):
-                raise ValueError(f"{self.label}({z}) is not finite")
+                raise ValueError(f"f({z}) is not finite")
             return val
         z = np.asarray(z, dtype=complex)
         if not getattr(self.evaluator, "takes_arrays", False):
@@ -60,14 +55,8 @@ class FunctionSamples:
         finite = np.isfinite(val).all(axis=(-2, -1))
         if not finite.all():
             first = complex(z[np.argmin(finite)])
-            raise ValueError(f"{self.label}({first}) is not finite")
+            raise ValueError(f"f({first}) is not finite")
         return val
-
-    def conjugate_reflection(self):
-        """The function z -> f(conj z)* on the reflected domain."""
-        return FunctionSamples(
-            lambda z: self(np.conj(z)).conj().T, self.q,
-            label=f"{self.label}_reflected")
 
 
 def _check_offreal(z):
@@ -157,179 +146,6 @@ def _fundamental(data, n, k, fz, z):
     np.conjugate(np.swapaxes(col, -1, -2), out=P[..., p:, :p])
     P[..., p:, p:] = diag
     return P, _block_norm(H, col, diag)
-
-
-def potapov_matrix(seq, n, f, z, k):
-    """The fundamental matrix P_k[f](z) for k in {-1, 2n, 2n+1}.
-
-    For k = 2n the matrix couples H_n with R_T(z)(v f(z) - u_n); for
-    k = 2n + 1 the shifted Hankel matrix with the (z - alpha)-weighted
-    column; k = -1 gives the q x q endpoint block.
-    """
-    data = seq.hankel()
-    z = complex(z)
-    _check_offreal(z)
-    _check_index(data, n, k)
-    return _fundamental(data, n, k, f(z), np.asarray(z))[0]
-
-
-def sigma_matrix(seq, n, f, z, k, ginverse=None):
-    """Schur complement Sigma_k[f](z) of the Hankel corner of P_k.
-
-    Uses the Moore-Penrose inverse, cut under ``seq.tol``, by default;
-    ``ginverse`` substitutes any reflexive {1}-inverse of the Hankel
-    corner (the value is invariant under that substitution whenever P_k
-    is PSD).
-    """
-    data = seq.hankel()
-    z = complex(z)
-    _check_offreal(z)
-    _check_index(data, n, k)
-    if k == -1:
-        return potapov_matrix(seq, n, f, z, -1)
-    odd = k % 2 == 1
-    _, col, diag = _column_data(data, n, f(z), np.asarray(z), odd)
-    Hinv = data.factor(n, odd).pinv if ginverse is None else ginverse
-    return diag - col.conj().T @ Hinv @ col
-
-
-def fq_matrices(seq, n, f, z, k):
-    """The pair (F_k(z), Q_k[f](z)).
-
-    F_2n(z) = H_n T* R_{T*}(z) + R_T(z)(v f(z) - u_n) v* R_{T*}(z) and
-    the shifted analogue for odd k; Q_k stacks the Hankel corner with
-    F_k and its imaginary part.
-    """
-    data = seq.hankel()
-    z = complex(z)
-    if k not in (2 * n, 2 * n + 1):
-        raise ValueError(f"index k = {k} does not match level n = {n}")
-    data.check_level(n, shifted=(k == 2 * n + 1))
-    _check_offreal(z)
-    q = data.q
-    H, col, _ = _column_data(data, n, f(z), np.asarray(z),
-                             odd=(k % 2 == 1))
-    RTs = shift_resolvent(q, n, z).T
-    T = shift_matrix(q, n)
-    v = first_column_embedding(q, n)
-    F = H @ T.conj().T @ RTs + col @ v.conj().T @ RTs
-    Q = np.block([[H, F], [F.conj().T, _im_quotient(F, np.asarray(z))]])
-    return F, Q
-
-
-def psi_polynomial(seq, n, parity):
-    """The Hermitian-on-R polynomial Psi_k for k = 2n (parity 0) or
-    2n + 1 (parity 1).
-
-    Psi_2n(z) = R_T(z)(H T* - u v* - z T H T*) R_{T*}(z), with the
-    shifted Hankel matrix and coupling in the odd case.
-    """
-    if parity not in (0, 1):
-        raise ValueError("parity must be 0 or 1")
-    data = seq.hankel()
-    data.check_level(n, shifted=(parity == 1))
-    q = data.q
-    H, c = _corner(data, n, parity == 1)
-    v = first_column_embedding(q, n)
-    T = shift_matrix(q, n)
-    mid = MatrixPolynomial([
-        H @ T.conj().T - c @ v.conj().T,
-        -T @ H @ T.conj().T,
-    ])
-    RT = resolvent_poly(q, n, adjoint=False)
-    RTs = resolvent_poly(q, n, adjoint=True)
-    return RT @ mid @ RTs
-
-
-def congruence_matrices(q, n, z):
-    """The congruence factors (Gamma_k(z), Delta_k(z)) linking P and Q.
-
-    Gamma maps Q to P via P = Gamma Q Gamma*; Delta maps back via
-    Q = Delta P Delta*.  Both depend only on the parity-independent
-    shift data.
-    """
-    T = shift_matrix(q, n)
-    v = first_column_embedding(q, n)
-    RTs_star = shift_resolvent(q, n, z).conj()
-    p = (n + 1) * q
-    gamma = np.block([
-        [np.eye(p, dtype=complex), np.zeros((p, p), dtype=complex)],
-        [-v.conj().T @ RTs_star @ T, v.conj().T],
-    ])
-    delta = np.block([
-        [np.eye(p, dtype=complex), np.zeros((p, q), dtype=complex)],
-        [RTs_star @ T, RTs_star @ v],
-    ])
-    return gamma, delta
-
-
-def compression_embedding(q, n):
-    """[v_{q,n+1}, vg_{q,n+1}]: picks the corner 2q x 2q compression."""
-    return np.hstack([first_column_embedding(q, n + 1),
-                      last_column_embedding(q, n + 1)])
-
-
-def congruence_check(seq, n, f, z):
-    """Residuals of the P/Q congruences, corner compressions, and the
-    conjugate-reflection relation, each side assembled independently.
-
-    Returns a dict of relative residual norms.
-    """
-    data = seq.hankel()     # held, so the checks below share it
-    z = complex(z)
-    _check_offreal(z)
-    q = seq.q
-    out = {}
-    gamma, delta = congruence_matrices(q, n, z)
-    for k, key in ((2 * n, "even"), (2 * n + 1, "odd")):
-        if k > seq.m:
-            continue
-        P = potapov_matrix(seq, n, f, z, k)
-        _, Q = fq_matrices(seq, n, f, z, k)
-        scale = 1.0 + np.linalg.norm(P)
-        out[f"P_eq_gamma_Q_gamma_{key}"] = \
-            np.linalg.norm(P - gamma @ Q @ gamma.conj().T) / scale
-        out[f"Q_eq_delta_P_delta_{key}"] = \
-            np.linalg.norm(Q - delta @ P @ delta.conj().T) / scale
-
-    E = compression_embedding(q, n)
-    fz = f(z)
-    P = potapov_matrix(seq, n, f, z, 2 * n)
-    target = np.block([
-        [seq.s(0), fz],
-        [fz.conj().T, (fz - fz.conj().T) / (z - np.conj(z))]])
-    out["compression_even"] = np.linalg.norm(
-        E.conj().T @ P @ E - target) / (1.0 + np.linalg.norm(P))
-    if 2 * n + 1 <= seq.m:
-        P = potapov_matrix(seq, n, f, z, 2 * n + 1)
-        g = (z - seq.alpha) * fz
-        target = np.block([
-            [-seq.alpha * seq.s(0) + seq.s(1), g + seq.s(0)],
-            [(g + seq.s(0)).conj().T, (g - g.conj().T) / (z - np.conj(z))]])
-        out["compression_odd"] = np.linalg.norm(
-            E.conj().T @ P @ E - target) / (1.0 + np.linalg.norm(P))
-
-    # conjugate reflection: P_k[f_refl](z) = X_k(z) P_k[f](conj z) X_k*(z)
-    f_refl = f.conjugate_reflection()
-    p = (n + 1) * q
-    A = np.block([
-        [np.eye(p) - np.conj(z) * shift_matrix(q, n),
-         np.zeros((p, q), dtype=complex)],
-        [np.zeros((q, p), dtype=complex), np.eye(q, dtype=complex)]])
-    Bm = np.eye(p + q, dtype=complex)
-    Bm[:p, p:] = (z - np.conj(z)) * first_column_embedding(q, n)
-    C = np.block([
-        [shift_resolvent(q, n, z), np.zeros((p, q), dtype=complex)],
-        [np.zeros((q, p), dtype=complex), np.eye(q, dtype=complex)]])
-    X = C @ Bm @ A
-    for k, key in ((2 * n, "even"), (2 * n + 1, "odd")):
-        if k > seq.m:
-            continue
-        lhs = potapov_matrix(seq, n, f_refl, z, k)
-        rhs = X @ potapov_matrix(seq, n, f, np.conj(z), k) @ X.conj().T
-        out[f"reflection_{key}"] = np.linalg.norm(lhs - rhs) / \
-            (1.0 + np.linalg.norm(lhs))
-    return out
 
 
 @dataclass

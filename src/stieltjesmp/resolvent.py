@@ -1,12 +1,14 @@
 """Shift resolvents and the 2q x 2q resolvent matrix polynomial.
 
-Provides exact coefficient arithmetic for matrix polynomials, the
-nilpotent block shift T_{q,n} with its polynomial resolvent
-R_T(z) = (I - zT)^{-1} = sum_j z^j T^j, the signature matrix
-Jt = [[0, -iI], [iI, 0]], and the construction of the polynomials
-Theta and Theta-tilde whose linear fractional transformations
-parametrize the solution set of the truncated half-line moment problem,
-together with the J-form identities used to validate them.
+Provides matrix polynomials as coefficient stacks with Horner
+evaluation, the polynomial resolvent R_{T*}(z) = sum_j z^j (T*)^j of
+the nilpotent block shift T_{q,n}, and the construction of the
+polynomials Theta and Theta-tilde whose linear fractional
+transformations parametrize the solution set of the truncated
+half-line moment problem, with the consistency residuals recorded on
+each build.  The J-form identities and kernel polynomials that the
+tests check Theta against, with the coefficient arithmetic they need,
+live in ``tests/identities.py``.
 """
 
 from dataclasses import dataclass, field
@@ -41,47 +43,10 @@ class MatrixPolynomial:
         self.coeffs = coeffs
         self.shape = coeffs.shape[1:]
 
-    @classmethod
-    def constant(cls, A):
-        return cls(np.asarray(A, dtype=complex)[None])
-
     def trimmed_degree(self):
         norms = np.linalg.norm(self.coeffs, axis=(1, 2))
         nonzero = np.flatnonzero(norms > _TRIM_TOL * (norms.max() + 1.0))
         return int(nonzero[-1]) if nonzero.size else 0
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if other.shape != self.shape:
-            raise ValueError("polynomial shapes differ")
-        out = np.zeros((max(len(self.coeffs), len(other.coeffs)),)
-                       + self.shape, dtype=complex)
-        out[:len(self.coeffs)] += self.coeffs
-        out[:len(other.coeffs)] += other.coeffs
-        return MatrixPolynomial(out)
-
-    def __sub__(self, other):
-        return self + MatrixPolynomial(-_coerce(other).coeffs)
-
-    def __matmul__(self, other):
-        a, b = self.coeffs, _coerce(other).coeffs
-        if a.shape[2] != b.shape[1]:
-            raise ValueError("polynomial shapes do not chain")
-        out = np.zeros((len(a) + len(b) - 1, a.shape[1], b.shape[2]),
-                       dtype=complex)
-        # coefficient j + k collects a_j b_k
-        np.add.at(out, np.add.outer(np.arange(len(a)), np.arange(len(b))),
-                  a[:, None] @ b[None])
-        return MatrixPolynomial(out)
-
-    def times_linear(self, c0, c1):
-        """Multiply by the scalar polynomial c0 + c1 z."""
-        return MatrixPolynomial(_times_linear(self.coeffs, c0, c1))
-
-    def sandwich(self, L, R):
-        """Constant congruence L @ p(z) @ R, allowing rectangular L, R."""
-        return MatrixPolynomial(np.asarray(L, dtype=complex) @ self.coeffs
-                                @ np.asarray(R, dtype=complex))
 
     def eval(self, z):
         """Horner evaluation at a complex point (an r x c matrix) or at a
@@ -100,12 +65,6 @@ class MatrixPolynomial:
         return self.eval(z)
 
 
-def _coerce(x):
-    """``x`` as a polynomial; a matrix is a constant."""
-    return x if isinstance(x, MatrixPolynomial) else \
-        MatrixPolynomial.constant(x)
-
-
 def _times_linear(coeffs, c0, c1):
     """Coefficients of (c0 + c1 z) p(z) from a (d + 1, r, c) stack of p."""
     out = np.zeros((len(coeffs) + 1,) + coeffs.shape[1:], dtype=complex)
@@ -114,30 +73,22 @@ def _times_linear(coeffs, c0, c1):
     return out
 
 
-def resolvent_poly(q, n, adjoint=False):
-    """R_T(z) = sum_{j=0}^n z^j T^j as a matrix polynomial.
-
-    With ``adjoint=True`` returns R_{T*}(z) = sum z^j (T*)^j, the
+def resolvent_poly(q, n):
+    """R_{T*}(z) = sum_{j=0}^n z^j (T*)^j as a matrix polynomial, the
     adjoint-shift resolvent satisfying R_{T*}(z) = [R_T(conj z)]*.
-    Its value at one point is ``momentseq.shift_resolvent(q, n, z)``.
-    The coefficient T^j = kron(eye(n + 1, k=-j), I_q) is the identity
-    shifted down by j blocks.
+
+    T is real, so its value at one point is the transpose of
+    ``momentseq.shift_resolvent(q, n, z)``.  The coefficient (T*)^j =
+    kron(eye(n + 1, k=j), I_q) is the identity shifted up by j blocks.
     """
-    p, k = (n + 1) * q, (q if adjoint else -q)
-    return MatrixPolynomial([np.eye(p, k=k * j) for j in range(n + 1)])
+    p = (n + 1) * q
+    return MatrixPolynomial([np.eye(p, k=q * j) for j in range(n + 1)])
 
 
 def monomial_stack(q, n, z):
     """E_{q,n}(z) = col(z^j I_q)_{j=0}^n; satisfies R_T(z) v = E(z)."""
     return np.vstack([(z ** j) * np.eye(q, dtype=complex)
                       for j in range(n + 1)])
-
-
-def signature_matrix(q):
-    """Jt = [[0, -iI_q], [iI_q, 0]]."""
-    z = np.zeros((q, q), dtype=complex)
-    eye = np.eye(q, dtype=complex)
-    return np.block([[z, -1j * eye], [1j * eye, z]])
 
 
 def standard_grid(alpha):
@@ -158,10 +109,12 @@ class ResolventMatrix:
     ``theta`` and ``theta_tilde`` are 2q x 2q matrix polynomials of
     degree at most n + 1; ``U``/``U_tilde`` are the unimodular factors
     and ``B``/``B_tilde`` the constant J-unitary factors with
-    theta = U B and theta_tilde = U_tilde B_tilde.  ``data``, the Hankel
-    data of the sequence, lives while the resolvent does, so later calls
-    on the sequence read its factorizations; every tolerance is that of
-    ``data.seq``.
+    theta = U B and theta_tilde = U_tilde B_tilde.  ``Hm`` and ``Hsm``
+    are the reflexive inverses of H_n and Hs_n with the canonical ranges.
+    ``data``, the Hankel data of the sequence, lives while the resolvent
+    does, so later calls on the sequence read its factorizations (H_n
+    is ``data.H[n]``, Hs_n is ``data.Hs[n]``); every tolerance is that
+    of ``data.seq``.
     """
 
     n: int
@@ -173,13 +126,8 @@ class ResolventMatrix:
     U_tilde: MatrixPolynomial
     B: np.ndarray
     B_tilde: np.ndarray
-    H: np.ndarray
-    Hs: np.ndarray
     Hm: np.ndarray
     Hsm: np.ndarray
-    T: np.ndarray
-    v: np.ndarray
-    Ralpha: np.ndarray
     data: HankelData = field(repr=False, compare=False)
     self_check: dict = field(default_factory=dict)
 
@@ -204,7 +152,7 @@ def build_resolvent(seq, n):
     T, v = shift_matrix(q, n), first_column_embedding(q, n)
     alpha = seq.alpha
     Ralpha = shift_resolvent(q, n, alpha)
-    RTs = resolvent_poly(q, n, adjoint=True).coeffs
+    RTs = resolvent_poly(q, n).coeffs
     Hv = H @ v
     X = T @ Hv
     Xt = Hv - alpha * X                     # (I - aT) H v
@@ -241,8 +189,8 @@ def build_resolvent(seq, n):
 
     R = ResolventMatrix(
         n=n, q=q, alpha=alpha, theta=theta, theta_tilde=theta_tilde,
-        U=U, U_tilde=U_tilde, B=B, B_tilde=B_tilde, H=H, Hs=Hs, Hm=Hm,
-        Hsm=Hsm, T=T, v=v, Ralpha=Ralpha, data=data)
+        U=U, U_tilde=U_tilde, B=B, B_tilde=B_tilde, Hm=Hm, Hsm=Hsm,
+        data=data)
     R.self_check = _self_check(R)
     return R
 
@@ -272,102 +220,6 @@ def _self_check(R):
             "theta_tilde_minus_UtBt":
                 largest(tt.coeffs - R.U_tilde.coeffs @ R.B_tilde, tt),
             "scaling_identity": largest(tt(zs) - scaled, tt)}
-
-
-def eval_theta(R, z, tilde=False):
-    """Value of theta (or theta tilde) at z via Horner evaluation; a
-    (G, 2q, 2q) stack at a 1-D array of G points."""
-    return (R.theta_tilde if tilde else R.theta).eval(z)
-
-
-def theta_inverse(R, z, tilde=False):
-    """Inverse of theta(z) through the J-symmetry Jt theta*(conj z) Jt."""
-    J = signature_matrix(R.q)
-    th_bar = eval_theta(R, np.conj(z), tilde=tilde)
-    return J @ th_bar.conj().T @ J
-
-
-def j_defect(R, z, w, variant="theta"):
-    """Both sides of a J-form identity, assembled independently.
-
-    Variants
-    --------
-    ``theta`` / ``theta_tilde``
-        Jt - theta(z) Jt theta*(w) against the rank-factorized right side.
-    ``adjoint`` / ``adjoint_tilde``
-        Jt - theta*(w) Jt theta(z) against its factorized right side.
-    ``inverse`` / ``inverse_tilde``
-        Jt - theta^{-*}(z) Jt theta^{-1}(w) against its factorized side.
-    """
-    J = signature_matrix(R.q)
-    T, H, Hs, v = R.T, R.H, R.Hs, R.v
-    Ra = R.Ralpha
-    Rinv = np.eye(H.shape[0], dtype=complex) - R.alpha * T
-    q, n = R.q, R.n
-
-    tilde = variant.endswith("tilde")
-    Hm = R.Hsm if tilde else R.Hm
-    X = (Rinv if tilde else T) @ H @ v
-    left_mat, pair_mat = np.hstack([X, -v]), np.hstack([v, X])
-
-    if variant in ("theta", "theta_tilde"):
-        th_z = eval_theta(R, z, tilde=tilde)
-        th_w = eval_theta(R, w, tilde=tilde)
-        lhs = J - th_z @ J @ th_w.conj().T
-        rhs = -1j * (z - np.conj(w)) * (
-            left_mat.conj().T @ shift_resolvent(q, n, z).T @ Hm
-            @ shift_resolvent(q, n, w).conj() @ left_mat)
-        return lhs, rhs
-
-    if variant in ("adjoint", "adjoint_tilde"):
-        th_z = eval_theta(R, z, tilde=tilde)
-        th_w = eval_theta(R, w, tilde=tilde)
-        Bc = R.B_tilde if tilde else R.B
-        Hmat = Hs if tilde else H
-        lhs = J - th_w.conj().T @ J @ th_z
-        core = (pair_mat.conj().T @ Ra.conj().T @ Hm
-                @ shift_resolvent(q, n, w).conj() @ Rinv @ Hmat
-                @ Rinv.conj().T @ shift_resolvent(q, n, z).T @ Hm @ Ra
-                @ pair_mat)
-        rhs = 1j * (np.conj(w) - z) * (Bc.conj().T @ core @ Bc)
-        return lhs, rhs
-
-    if variant in ("inverse", "inverse_tilde"):
-        thi_z = theta_inverse(R, z, tilde=tilde)
-        thi_w = theta_inverse(R, w, tilde=tilde)
-        lhs = J - thi_z.conj().T @ J @ thi_w
-        rhs = -1j * (np.conj(z) - w) * (
-            pair_mat.conj().T @ shift_resolvent(q, n, np.conj(z)).T @ Hm
-            @ shift_resolvent(q, n, w) @ pair_mat)
-        return lhs, rhs
-
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def kernel_polys(R):
-    """The three kernel polynomials P, Q, S with value I at alpha.
-
-    P(z) = I + (z - a)(I - H^+ H) T R_T(z) (I - H H^-) and the analogues
-    built from the shifted Hankel matrix; their determinants vanish only
-    on finite sets.
-    """
-    p = R.H.shape[0]
-    eye = np.eye(p, dtype=complex)
-    Hp = R.data.factor(R.n).pinv
-    Hsp = R.data.factor(R.n, shifted=True).pinv
-    PH = eye - Hp @ R.H
-    PHs = eye - Hsp @ R.Hs
-    QH = eye - R.H @ R.Hm
-    QHs = eye - R.Hs @ R.Hsm
-    RT = resolvent_poly(R.q, R.n, adjoint=False)
-    Ppoly = MatrixPolynomial.constant(eye) + \
-        RT.sandwich(PH @ R.T, QH).times_linear(-R.alpha, 1.0)
-    Qpoly = MatrixPolynomial.constant(eye) + \
-        RT.sandwich(PHs @ R.T, QHs).times_linear(-R.alpha, 1.0)
-    Spoly = MatrixPolynomial.constant(eye) - \
-        MatrixPolynomial.constant(PHs @ R.Ralpha @ R.T @ QHs).times_linear(
-            -R.alpha, 1.0)
-    return Ppoly, Qpoly, Spoly
 
 
 def theta_coeffs_json(R):

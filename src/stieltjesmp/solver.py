@@ -218,8 +218,9 @@ def unique_solution(seq, n):
     return SolutionFunction(R, pair)
 
 
-def recover_s0(S, y=1e6):
-    """Estimate sigma([alpha, oo)) = s_0 from -iy S(iy) at one large y."""
+def recover_s0(S):
+    """Estimate sigma([alpha, oo)) = s_0 from -iy S(iy) at y = 1e6."""
+    y = 1e6
     val = -1j * y * S(1j * y)
     return 0.5 * (val + val.conj().T)
 

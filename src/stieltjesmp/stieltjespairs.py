@@ -7,13 +7,15 @@ and every in-scope identity about such measures reduces to an exact
 finite sum.  A :class:`StieltjesPair` is the evaluable parameter (phi,
 psi) of the linear-fractional solution description: constant, backed by
 a Stieltjes function, or lifted into a degenerate block structure.
+Its restricted-class gate is here; the validity and equivalence checks
+of pairs, and the reweighted measure, are test oracles in
+``tests/identities.py``.
 """
 
 import numpy as np
 
-from .matcore import DEFAULT_TOL, as_square, is_psd, mrank, right_divide
+from .matcore import DEFAULT_TOL, as_square, is_psd, mrank
 from .momentseq import MomentSequence
-from .resolvent import signature_matrix, standard_grid
 
 _SLIT_GUARD = 1e-12
 
@@ -43,12 +45,6 @@ class AtomicMeasure:
             else:
                 merged[t] = M
         self.atoms = [(t, merged[t]) for t in sorted(merged)]
-
-    def total_mass(self):
-        out = np.zeros((self.q, self.q), dtype=complex)
-        for _, M in self.atoms:
-            out = out + M
-        return out
 
     def __repr__(self):
         return (f"AtomicMeasure(alpha={self.alpha}, q={self.q}, "
@@ -89,17 +85,6 @@ def transform(mu, z):
     for j, (_, M) in enumerate(mu.atoms):
         out += M / d[..., j, None, None]
     return out
-
-
-def sharp_measure(mu):
-    """The (t - alpha)-reweighted measure: atoms (t, (t - alpha) M).
-
-    Its moments satisfy s_j^sharp = s_{j+1} - alpha s_j; atoms at the
-    endpoint are annihilated.
-    """
-    atoms = [(t, (t - mu.alpha) * M) for t, M in mu.atoms
-             if (t - mu.alpha) > 0.0]
-    return AtomicMeasure(mu.alpha, mu.q, atoms, mu.tol)
 
 
 class StieltjesFunction:
@@ -245,63 +230,6 @@ def _blockdiag(blocks, shape):
     return out
 
 
-def default_pair_grid(alpha):
-    """Evaluation grid for pair checks: the points of ``standard_grid``
-    with |Im z| >= 1 in both half planes, plus a real point left of
-    alpha."""
-    return [z for z in standard_grid(alpha) if abs(z.imag) >= 1.0] + \
-        [alpha - 3.0 + 0j]
-
-
-def pair_is_valid(p, grid=None):
-    """Check the defining positivity and rank conditions of a pair under
-    its ``tol``.
-
-    At every non-real grid point both quadratic J-forms (the plain one
-    and the (z - alpha)-weighted one) must be PSD and col(phi; psi)
-    must have full rank q; at real points x < alpha the Hermitian part
-    of psi* phi must be PSD.
-    """
-    tol = p.tol
-    alpha = _pair_alpha(p)
-    if grid is None:
-        grid = default_pair_grid(alpha)
-    J = signature_matrix(p.q)
-    for z in grid:
-        z = complex(z)
-        try:
-            phi, psi = pair_eval(p, z)
-        except ValueError:
-            continue
-        col = np.vstack([phi, psi])
-        if mrank(col, tol) != p.q:
-            return False
-        if abs(z.imag) > 1e-9:
-            form = col.conj().T @ (-J / (2.0 * z.imag)) @ col
-            if not is_psd(_herm(form), tol):
-                return False
-            colw = np.vstack([(z - alpha) * phi, psi])
-            formw = colw.conj().T @ (-J / (2.0 * z.imag)) @ colw
-            if not is_psd(_herm(formw), tol):
-                return False
-        elif z.real < alpha:
-            if not is_psd(_herm(psi.conj().T @ phi), tol):
-                return False
-    return True
-
-
-def _herm(A):
-    return 0.5 * (A + A.conj().T)
-
-
-def _pair_alpha(p):
-    if p.kind == "function":
-        return p.f.measure.alpha
-    if p.kind == "lifted":
-        return _pair_alpha(p.inner)
-    return 0.0
-
-
 def pair_in_restricted_class(p, seq, n):
     """Sampling test of the two vanishing conditions of the restricted
     class under ``seq.tol``; sample count covers the rational degree
@@ -314,24 +242,3 @@ def pair_in_restricted_class(p, seq, n):
                 and np.all(np.linalg.norm(A_psi @ psi, axis=(-2, -1))
                            <= bound))
 
-
-def pairs_equivalent(p1, p2, grid=None):
-    """Equivalence of pairs via equality of the Cayley transforms
-    (psi + i phi)(psi - i phi)^{-1} at upper-half-plane sample points,
-    under the ``tol`` of ``p1``, at the points where ``right_divide``
-    finds both denominators psi - i phi invertible."""
-    if p1.q != p2.q:
-        return False
-    alpha = _pair_alpha(p1)
-    if grid is None:
-        grid = [z for z in default_pair_grid(alpha) if z.imag > 0][:8]
-    vals, usable = [], True
-    for p in (p1, p2):
-        phi, psi = pair_eval(p, np.asarray(grid, dtype=complex))
-        val, ok = right_divide(psi + 1j * phi, psi - 1j * phi, p1.tol)
-        vals.append(val)
-        usable = usable & ok
-    if not np.any(usable):
-        raise ValueError("all equivalence sample points were singular")
-    diff = np.linalg.norm(vals[0][usable] - vals[1][usable], axis=(-2, -1))
-    return bool(np.all(diff <= 1e3 * p1.tol.tol_identity))

@@ -30,6 +30,14 @@ def random_hermitian(rng, q, scale=1.0):
     return scale * 0.5 * (A + A.conj().T)
 
 
+def scalar_seq(values, alpha=0.0):
+    return MomentSequence(alpha, 1, [[[float(v)]] for v in values])
+
+
+def delta(t, mass=1.0, alpha=0.0):
+    return AtomicMeasure(alpha, 1, [(t, [[mass]])])
+
+
 def random_hermitian_sequence(rng, q, m, alpha=0.0):
     """A sequence of random Hermitian moments (no positivity imposed)."""
     return MomentSequence(alpha, q, [random_hermitian(rng, q)

@@ -1,0 +1,519 @@
+"""The paper's identity oracles, kept apart from the production path.
+
+Each function here assembles both sides of an identity of the paper, or
+tests a defining property of an object, independently of how the
+package computes it, and the tests hold the library to it.  Nothing in
+``stieltjesmp`` calls these functions.
+"""
+
+import numpy as np
+
+from stieltjesmp.matcore import DEFAULT_TOL, Subspace, _rank, as_matrix, \
+    is_psd, mrank, projector, right_divide
+from stieltjesmp.momentseq import MomentSequence, canonical_extension, \
+    first_column_embedding, last_column_embedding, shift_matrix, \
+    shift_resolvent
+from stieltjesmp.potapov import FunctionSamples, _check_index, \
+    _check_offreal, _column_data, _corner, _fundamental, _im_quotient
+from stieltjesmp.resolvent import MatrixPolynomial, _times_linear, \
+    resolvent_poly, standard_grid
+from stieltjesmp.stieltjespairs import AtomicMeasure, pair_eval
+
+
+def is_hermitian(A, tol=DEFAULT_TOL):
+    """True iff ``A`` is square and Hermitian within ``tol.tol_herm``."""
+    A = as_matrix(A)
+    if A.shape[0] != A.shape[1]:
+        return False
+    scale = 1.0 + np.linalg.norm(A)
+    return np.linalg.norm(A - A.conj().T) <= tol.tol_herm * scale
+
+
+def pseudo_inverse(A, tol=DEFAULT_TOL):
+    """Moore-Penrose inverse with singular values cut at tol_rank * sigma_max."""
+    A = as_matrix(A)
+    if A.size == 0:
+        return A.conj().T.copy()
+    return np.linalg.pinv(A, rcond=tol.tol_rank)
+
+
+def range_included(B, A, tol=DEFAULT_TOL):
+    """True iff the column space of ``A`` is contained in that of ``B``.
+
+    Implemented as ``|A - B B^+ A| <= tol_identity * (1 + |A|)``.
+    """
+    A = as_matrix(A)
+    B = as_matrix(B)
+    if A.shape[0] != B.shape[0]:
+        raise ValueError("range_included needs matching row counts")
+    resid = A - B @ (pseudo_inverse(B, tol) @ A)
+    return np.linalg.norm(resid) <= tol.tol_identity * (1.0 + np.linalg.norm(A))
+
+
+def null_space(A, tol=DEFAULT_TOL):
+    """Orthonormal basis of the null space of ``A`` as a Subspace."""
+    A = as_matrix(A)
+    p = A.shape[1]
+    if A.size == 0:
+        return Subspace(p, np.eye(p))
+    _, s, vh = np.linalg.svd(A)
+    return Subspace(p, vh[_rank(s, tol):].conj().T)
+
+
+def is_dubovoj(D, H, T, tol=DEFAULT_TOL):
+    """Check the two defining conditions of an invariant complement.
+
+    True iff T*(D) is contained in D and null(H) (+) D = C^p, checked as
+    ``|(I - P_D) T* P_D| <= tol_identity * (1 + |T|)`` plus a dimension
+    and full-rank test on the stacked bases.
+    """
+    H = as_matrix(H)
+    T = as_matrix(T)
+    p = D.ambient_dim
+    if H.shape != (p, p) or T.shape != (p, p):
+        raise ValueError("H and T must be square of the ambient dimension")
+    P = projector(D)
+    invariant = np.linalg.norm((np.eye(p) - P) @ T.conj().T @ P) \
+        <= tol.tol_identity * (1.0 + np.linalg.norm(T))
+    N = null_space(H, tol)
+    if N.dim + D.dim != p:
+        return False
+    stacked = np.hstack([N.basis, D.basis]) if (N.dim + D.dim) else \
+        np.zeros((p, 0))
+    direct = (mrank(stacked, tol) == p) if p else True
+    return bool(invariant and direct)
+
+
+def extended(seq):
+    """New sequence with the canonical extension appended."""
+    return MomentSequence(seq.alpha, seq.q,
+                          [*seq.moments, canonical_extension(seq)], seq.tol)
+
+
+class Poly(MatrixPolynomial):
+    """A :class:`MatrixPolynomial` with exact coefficient arithmetic;
+    each result is a ``Poly`` again, and a matrix operand is a
+    constant."""
+
+    @classmethod
+    def constant(cls, A):
+        return cls(np.asarray(A, dtype=complex)[None])
+
+    def __add__(self, other):
+        other = _coerce(other)
+        if other.shape != self.shape:
+            raise ValueError("polynomial shapes differ")
+        out = np.zeros((max(len(self.coeffs), len(other.coeffs)),)
+                       + self.shape, dtype=complex)
+        out[:len(self.coeffs)] += self.coeffs
+        out[:len(other.coeffs)] += other.coeffs
+        return Poly(out)
+
+    def __sub__(self, other):
+        return self + Poly(-_coerce(other).coeffs)
+
+    def __matmul__(self, other):
+        a, b = self.coeffs, _coerce(other).coeffs
+        if a.shape[2] != b.shape[1]:
+            raise ValueError("polynomial shapes do not chain")
+        out = np.zeros((len(a) + len(b) - 1, a.shape[1], b.shape[2]),
+                       dtype=complex)
+        # coefficient j + k collects a_j b_k
+        np.add.at(out, np.add.outer(np.arange(len(a)), np.arange(len(b))),
+                  a[:, None] @ b[None])
+        return Poly(out)
+
+    def times_linear(self, c0, c1):
+        """Multiply by the scalar polynomial c0 + c1 z."""
+        return Poly(_times_linear(self.coeffs, c0, c1))
+
+    def sandwich(self, L, R):
+        """Constant congruence L @ p(z) @ R, allowing rectangular L, R."""
+        return Poly(np.asarray(L, dtype=complex) @ self.coeffs
+                    @ np.asarray(R, dtype=complex))
+
+
+def _coerce(x):
+    """``x`` as a polynomial; a matrix is a constant."""
+    return x if isinstance(x, MatrixPolynomial) else Poly.constant(x)
+
+
+def shift_resolvent_poly(q, n):
+    """R_T(z) = sum_{j=0}^n z^j T^j as a polynomial: T is real, so its
+    coefficients are the transposed ones of ``resolvent_poly``'s
+    R_{T*}(z)."""
+    return Poly(np.swapaxes(resolvent_poly(q, n).coeffs, -1, -2))
+
+
+def signature_matrix(q):
+    """Jt = [[0, -iI_q], [iI_q, 0]]."""
+    z = np.zeros((q, q), dtype=complex)
+    eye = np.eye(q, dtype=complex)
+    return np.block([[z, -1j * eye], [1j * eye, z]])
+
+
+def theta_inverse(R, z, tilde=False):
+    """Inverse of theta(z) through the J-symmetry Jt theta*(conj z) Jt."""
+    J = signature_matrix(R.q)
+    th_bar = (R.theta_tilde if tilde else R.theta)(np.conj(z))
+    return J @ th_bar.conj().T @ J
+
+
+def j_defect(R, z, w, variant="theta"):
+    """Both sides of a J-form identity, assembled independently.
+
+    Variants
+    --------
+    ``theta`` / ``theta_tilde``
+        Jt - theta(z) Jt theta*(w) against the rank-factorized right side.
+    ``adjoint`` / ``adjoint_tilde``
+        Jt - theta*(w) Jt theta(z) against its factorized right side.
+    ``inverse`` / ``inverse_tilde``
+        Jt - theta^{-*}(z) Jt theta^{-1}(w) against its factorized side.
+    """
+    J = signature_matrix(R.q)
+    q, n = R.q, R.n
+    T, v = shift_matrix(q, n), first_column_embedding(q, n)
+    H, Hs = R.data.H[n], R.data.Hs[n]
+    Ra = shift_resolvent(q, n, R.alpha)
+    Rinv = np.eye(H.shape[0], dtype=complex) - R.alpha * T
+
+    tilde = variant.endswith("tilde")
+    theta = R.theta_tilde if tilde else R.theta
+    Hm = R.Hsm if tilde else R.Hm
+    X = (Rinv if tilde else T) @ H @ v
+    left_mat, pair_mat = np.hstack([X, -v]), np.hstack([v, X])
+
+    if variant in ("theta", "theta_tilde"):
+        th_z, th_w = theta(z), theta(w)
+        lhs = J - th_z @ J @ th_w.conj().T
+        rhs = -1j * (z - np.conj(w)) * (
+            left_mat.conj().T @ shift_resolvent(q, n, z).T @ Hm
+            @ shift_resolvent(q, n, w).conj() @ left_mat)
+        return lhs, rhs
+
+    if variant in ("adjoint", "adjoint_tilde"):
+        th_z, th_w = theta(z), theta(w)
+        Bc = R.B_tilde if tilde else R.B
+        Hmat = Hs if tilde else H
+        lhs = J - th_w.conj().T @ J @ th_z
+        core = (pair_mat.conj().T @ Ra.conj().T @ Hm
+                @ shift_resolvent(q, n, w).conj() @ Rinv @ Hmat
+                @ Rinv.conj().T @ shift_resolvent(q, n, z).T @ Hm @ Ra
+                @ pair_mat)
+        rhs = 1j * (np.conj(w) - z) * (Bc.conj().T @ core @ Bc)
+        return lhs, rhs
+
+    if variant in ("inverse", "inverse_tilde"):
+        thi_z = theta_inverse(R, z, tilde=tilde)
+        thi_w = theta_inverse(R, w, tilde=tilde)
+        lhs = J - thi_z.conj().T @ J @ thi_w
+        rhs = -1j * (np.conj(z) - w) * (
+            pair_mat.conj().T @ shift_resolvent(q, n, np.conj(z)).T @ Hm
+            @ shift_resolvent(q, n, w) @ pair_mat)
+        return lhs, rhs
+
+    raise ValueError(f"unknown variant {variant!r}")
+
+
+def kernel_polys(R):
+    """The three kernel polynomials P, Q, S with value I at alpha.
+
+    P(z) = I + (z - a)(I - H^+ H) T R_T(z) (I - H H^-) and the analogues
+    built from the shifted Hankel matrix; their determinants vanish only
+    on finite sets.
+    """
+    q, n = R.q, R.n
+    H, Hs = R.data.H[n], R.data.Hs[n]
+    T, Ra = shift_matrix(q, n), shift_resolvent(q, n, R.alpha)
+    eye = np.eye(H.shape[0], dtype=complex)
+    Hp = R.data.factor(n).pinv
+    Hsp = R.data.factor(n, shifted=True).pinv
+    PH = eye - Hp @ H
+    PHs = eye - Hsp @ Hs
+    QH = eye - H @ R.Hm
+    QHs = eye - Hs @ R.Hsm
+    RT = shift_resolvent_poly(q, n)
+    Ppoly = Poly.constant(eye) + \
+        RT.sandwich(PH @ T, QH).times_linear(-R.alpha, 1.0)
+    Qpoly = Poly.constant(eye) + \
+        RT.sandwich(PHs @ T, QHs).times_linear(-R.alpha, 1.0)
+    Spoly = Poly.constant(eye) - \
+        Poly.constant(PHs @ Ra @ T @ QHs).times_linear(-R.alpha, 1.0)
+    return Ppoly, Qpoly, Spoly
+
+
+def conjugate_reflection(f):
+    """The function z -> f(conj z)* of a ``FunctionSamples`` f, on the
+    reflected domain."""
+    return FunctionSamples(lambda z: f(np.conj(z)).conj().T, f.q)
+
+
+def potapov_matrix(seq, n, f, z, k):
+    """The fundamental matrix P_k[f](z) for k in {-1, 2n, 2n+1}.
+
+    For k = 2n the matrix couples H_n with R_T(z)(v f(z) - u_n); for
+    k = 2n + 1 the shifted Hankel matrix with the (z - alpha)-weighted
+    column; k = -1 gives the q x q endpoint block.
+    """
+    data = seq.hankel()
+    z = complex(z)
+    _check_offreal(z)
+    _check_index(data, n, k)
+    return _fundamental(data, n, k, f(z), np.asarray(z))[0]
+
+
+def sigma_matrix(seq, n, f, z, k, ginverse=None):
+    """Schur complement Sigma_k[f](z) of the Hankel corner of P_k.
+
+    Uses the Moore-Penrose inverse, cut under ``seq.tol``, by default;
+    ``ginverse`` substitutes any reflexive {1}-inverse of the Hankel
+    corner (the value is invariant under that substitution whenever P_k
+    is PSD).
+    """
+    data = seq.hankel()
+    z = complex(z)
+    _check_offreal(z)
+    _check_index(data, n, k)
+    if k == -1:
+        return potapov_matrix(seq, n, f, z, -1)
+    odd = k % 2 == 1
+    _, col, diag = _column_data(data, n, f(z), np.asarray(z), odd)
+    Hinv = data.factor(n, odd).pinv if ginverse is None else ginverse
+    return diag - col.conj().T @ Hinv @ col
+
+
+def fq_matrices(seq, n, f, z, k):
+    """The pair (F_k(z), Q_k[f](z)).
+
+    F_2n(z) = H_n T* R_{T*}(z) + R_T(z)(v f(z) - u_n) v* R_{T*}(z) and
+    the shifted analogue for odd k; Q_k stacks the Hankel corner with
+    F_k and its imaginary part.
+    """
+    data = seq.hankel()
+    z = complex(z)
+    if k not in (2 * n, 2 * n + 1):
+        raise ValueError(f"index k = {k} does not match level n = {n}")
+    data.check_level(n, shifted=(k == 2 * n + 1))
+    _check_offreal(z)
+    q = data.q
+    H, col, _ = _column_data(data, n, f(z), np.asarray(z),
+                             odd=(k % 2 == 1))
+    RTs = shift_resolvent(q, n, z).T
+    T = shift_matrix(q, n)
+    v = first_column_embedding(q, n)
+    F = H @ T.conj().T @ RTs + col @ v.conj().T @ RTs
+    Q = np.block([[H, F], [F.conj().T, _im_quotient(F, np.asarray(z))]])
+    return F, Q
+
+
+def psi_polynomial(seq, n, parity):
+    """The Hermitian-on-R polynomial Psi_k for k = 2n (parity 0) or
+    2n + 1 (parity 1).
+
+    Psi_2n(z) = R_T(z)(H T* - u v* - z T H T*) R_{T*}(z), with the
+    shifted Hankel matrix and coupling in the odd case.
+    """
+    if parity not in (0, 1):
+        raise ValueError("parity must be 0 or 1")
+    data = seq.hankel()
+    data.check_level(n, shifted=(parity == 1))
+    q = data.q
+    H, c = _corner(data, n, parity == 1)
+    v = first_column_embedding(q, n)
+    T = shift_matrix(q, n)
+    mid = Poly([
+        H @ T.conj().T - c @ v.conj().T,
+        -T @ H @ T.conj().T,
+    ])
+    return shift_resolvent_poly(q, n) @ mid @ resolvent_poly(q, n)
+
+
+def congruence_matrices(q, n, z):
+    """The congruence factors (Gamma_k(z), Delta_k(z)) linking P and Q.
+
+    Gamma maps Q to P via P = Gamma Q Gamma*; Delta maps back via
+    Q = Delta P Delta*.  Both depend only on the parity-independent
+    shift data.
+    """
+    T = shift_matrix(q, n)
+    v = first_column_embedding(q, n)
+    RTs_star = shift_resolvent(q, n, z).conj()
+    p = (n + 1) * q
+    gamma = np.block([
+        [np.eye(p, dtype=complex), np.zeros((p, p), dtype=complex)],
+        [-v.conj().T @ RTs_star @ T, v.conj().T],
+    ])
+    delta = np.block([
+        [np.eye(p, dtype=complex), np.zeros((p, q), dtype=complex)],
+        [RTs_star @ T, RTs_star @ v],
+    ])
+    return gamma, delta
+
+
+def compression_embedding(q, n):
+    """[v_{q,n+1}, vg_{q,n+1}]: picks the corner 2q x 2q compression."""
+    return np.hstack([first_column_embedding(q, n + 1),
+                      last_column_embedding(q, n + 1)])
+
+
+def congruence_check(seq, n, f, z):
+    """Residuals of the P/Q congruences, corner compressions, and the
+    conjugate-reflection relation, each side assembled independently.
+
+    Returns a dict of relative residual norms.
+    """
+    data = seq.hankel()     # held, so the checks below share it
+    z = complex(z)
+    _check_offreal(z)
+    q = seq.q
+    out = {}
+    gamma, delta = congruence_matrices(q, n, z)
+    for k, key in ((2 * n, "even"), (2 * n + 1, "odd")):
+        if k > seq.m:
+            continue
+        P = potapov_matrix(seq, n, f, z, k)
+        _, Q = fq_matrices(seq, n, f, z, k)
+        scale = 1.0 + np.linalg.norm(P)
+        out[f"P_eq_gamma_Q_gamma_{key}"] = \
+            np.linalg.norm(P - gamma @ Q @ gamma.conj().T) / scale
+        out[f"Q_eq_delta_P_delta_{key}"] = \
+            np.linalg.norm(Q - delta @ P @ delta.conj().T) / scale
+
+    E = compression_embedding(q, n)
+    fz = f(z)
+    P = potapov_matrix(seq, n, f, z, 2 * n)
+    target = np.block([
+        [seq.s(0), fz],
+        [fz.conj().T, (fz - fz.conj().T) / (z - np.conj(z))]])
+    out["compression_even"] = np.linalg.norm(
+        E.conj().T @ P @ E - target) / (1.0 + np.linalg.norm(P))
+    if 2 * n + 1 <= seq.m:
+        P = potapov_matrix(seq, n, f, z, 2 * n + 1)
+        g = (z - seq.alpha) * fz
+        target = np.block([
+            [-seq.alpha * seq.s(0) + seq.s(1), g + seq.s(0)],
+            [(g + seq.s(0)).conj().T, (g - g.conj().T) / (z - np.conj(z))]])
+        out["compression_odd"] = np.linalg.norm(
+            E.conj().T @ P @ E - target) / (1.0 + np.linalg.norm(P))
+
+    # conjugate reflection: P_k[f_refl](z) = X_k(z) P_k[f](conj z) X_k*(z)
+    f_refl = conjugate_reflection(f)
+    p = (n + 1) * q
+    A = np.block([
+        [np.eye(p) - np.conj(z) * shift_matrix(q, n),
+         np.zeros((p, q), dtype=complex)],
+        [np.zeros((q, p), dtype=complex), np.eye(q, dtype=complex)]])
+    Bm = np.eye(p + q, dtype=complex)
+    Bm[:p, p:] = (z - np.conj(z)) * first_column_embedding(q, n)
+    C = np.block([
+        [shift_resolvent(q, n, z), np.zeros((p, q), dtype=complex)],
+        [np.zeros((q, p), dtype=complex), np.eye(q, dtype=complex)]])
+    X = C @ Bm @ A
+    for k, key in ((2 * n, "even"), (2 * n + 1, "odd")):
+        if k > seq.m:
+            continue
+        lhs = potapov_matrix(seq, n, f_refl, z, k)
+        rhs = X @ potapov_matrix(seq, n, f, np.conj(z), k) @ X.conj().T
+        out[f"reflection_{key}"] = np.linalg.norm(lhs - rhs) / \
+            (1.0 + np.linalg.norm(lhs))
+    return out
+
+
+def total_mass(mu):
+    """The sum of the atom weights of ``mu``, its mass on [alpha, oo)."""
+    out = np.zeros((mu.q, mu.q), dtype=complex)
+    for _, M in mu.atoms:
+        out = out + M
+    return out
+
+
+def sharp_measure(mu):
+    """The (t - alpha)-reweighted measure: atoms (t, (t - alpha) M).
+
+    Its moments satisfy s_j^sharp = s_{j+1} - alpha s_j; atoms at the
+    endpoint are annihilated.
+    """
+    atoms = [(t, (t - mu.alpha) * M) for t, M in mu.atoms
+             if (t - mu.alpha) > 0.0]
+    return AtomicMeasure(mu.alpha, mu.q, atoms, mu.tol)
+
+
+def default_pair_grid(alpha):
+    """Evaluation grid for pair checks: the points of ``standard_grid``
+    with |Im z| >= 1 in both half planes, plus a real point left of
+    alpha."""
+    return [z for z in standard_grid(alpha) if abs(z.imag) >= 1.0] + \
+        [alpha - 3.0 + 0j]
+
+
+def pair_is_valid(p, grid=None):
+    """Check the defining positivity and rank conditions of a pair under
+    its ``tol``.
+
+    At every non-real grid point both quadratic J-forms (the plain one
+    and the (z - alpha)-weighted one) must be PSD and col(phi; psi)
+    must have full rank q; at real points x < alpha the Hermitian part
+    of psi* phi must be PSD.
+    """
+    tol = p.tol
+    alpha = _pair_alpha(p)
+    if grid is None:
+        grid = default_pair_grid(alpha)
+    J = signature_matrix(p.q)
+    for z in grid:
+        z = complex(z)
+        try:
+            phi, psi = pair_eval(p, z)
+        except ValueError:
+            continue
+        col = np.vstack([phi, psi])
+        if mrank(col, tol) != p.q:
+            return False
+        if abs(z.imag) > 1e-9:
+            form = col.conj().T @ (-J / (2.0 * z.imag)) @ col
+            if not is_psd(_herm(form), tol):
+                return False
+            colw = np.vstack([(z - alpha) * phi, psi])
+            formw = colw.conj().T @ (-J / (2.0 * z.imag)) @ colw
+            if not is_psd(_herm(formw), tol):
+                return False
+        elif z.real < alpha:
+            if not is_psd(_herm(psi.conj().T @ phi), tol):
+                return False
+    return True
+
+
+def _herm(A):
+    return 0.5 * (A + A.conj().T)
+
+
+def _pair_alpha(p):
+    if p.kind == "function":
+        return p.f.measure.alpha
+    if p.kind == "lifted":
+        return _pair_alpha(p.inner)
+    return 0.0
+
+
+def pairs_equivalent(p1, p2, grid=None):
+    """Equivalence of pairs via equality of the Cayley transforms
+    (psi + i phi)(psi - i phi)^{-1} at upper-half-plane sample points,
+    under the ``tol`` of ``p1``, at the points where ``right_divide``
+    finds both denominators psi - i phi invertible."""
+    if p1.q != p2.q:
+        return False
+    alpha = _pair_alpha(p1)
+    if grid is None:
+        grid = [z for z in default_pair_grid(alpha) if z.imag > 0][:8]
+    vals, usable = [], True
+    for p in (p1, p2):
+        phi, psi = pair_eval(p, np.asarray(grid, dtype=complex))
+        val, ok = right_divide(psi + 1j * phi, psi - 1j * phi, p1.tol)
+        vals.append(val)
+        usable = usable & ok
+    if not np.any(usable):
+        raise ValueError("all equivalence sample points were singular")
+    diff = np.linalg.norm(vals[0][usable] - vals[1][usable], axis=(-2, -1))
+    return bool(np.all(diff <= 1e3 * p1.tol.tol_identity))
+

@@ -11,11 +11,9 @@ from stieltjesmp.cli import main as cli_main
 from stieltjesmp.matcore import (
     DEFAULT_TOL,
     dubovoj_subspace,
-    is_dubovoj,
     mrank,
     one_two_inverse,
     projector,
-    pseudo_inverse,
 )
 from stieltjesmp.momentseq import (
     HankelData,
@@ -27,18 +25,9 @@ from stieltjesmp.momentseq import (
 from stieltjesmp.potapov import (
     FunctionSamples,
     atomic_decomposition_residual,
-    congruence_check,
-    potapov_matrix,
     potapov_report,
 )
-from stieltjesmp.resolvent import (
-    build_resolvent,
-    eval_theta,
-    j_defect,
-    signature_matrix,
-    standard_grid,
-    theta_inverse,
-)
+from stieltjesmp.resolvent import build_resolvent, standard_grid
 from stieltjesmp.solver import (
     lft_solution,
     recover_s0,
@@ -53,13 +42,11 @@ from stieltjesmp.stieltjespairs import (
 )
 
 from conftest import atomic_fixture, kge_fixtures, ljapunov_data, \
-    random_hermitian_sequence
+    random_hermitian_sequence, scalar_seq
+from identities import congruence_check, is_dubovoj, j_defect, \
+    potapov_matrix, pseudo_inverse, signature_matrix, theta_inverse
 
 import json
-
-
-def scalar_seq(values, alpha=0.0):
-    return MomentSequence(alpha, 1, [[[float(v)]] for v in values])
 
 
 def _report(num, detail):
@@ -167,12 +154,12 @@ def test_criterion_04_theta_identity_suite():
         R = build_resolvent(seq, n)
         q = seq.q
         J = signature_matrix(q)
-        scale = (1.0 + np.linalg.norm(R.H)) ** 2
+        scale = (1.0 + np.linalg.norm(R.data.H[n])) ** 2
         assert R.self_check["theta_minus_UB"] <= 1e-10 * scale
         assert R.self_check["theta_tilde_minus_UtBt"] <= 1e-10 * scale
         for x in (seq.alpha - 3, seq.alpha - 1, seq.alpha,
                   seq.alpha + 2, seq.alpha + 5):
-            th = eval_theta(R, x)
+            th = R.theta(x)
             assert np.linalg.norm(J - th @ J @ th.conj().T) <= 1e-10 * scale
         pairs = [(complex(rng.normal(), rng.normal() + 0.3),
                   complex(rng.normal(), rng.normal() - 0.3))
@@ -185,7 +172,7 @@ def test_criterion_04_theta_identity_suite():
                 worst = max(worst, resid / scale)
                 assert resid <= 1e-9 * scale, variant
         for z, _ in pairs[:6]:
-            prod = eval_theta(R, z) @ theta_inverse(R, z)
+            prod = R.theta(z) @ theta_inverse(R, z)
             assert np.linalg.norm(prod - np.eye(2 * q)) <= 1e-9 * scale
             d1 = np.diag(np.concatenate(
                 [np.full(q, z - seq.alpha), np.ones(q)])).astype(complex)
@@ -193,7 +180,7 @@ def test_criterion_04_theta_identity_suite():
                 [np.full(q, 1.0 / (z - seq.alpha)),
                  np.ones(q)])).astype(complex)
             resid = np.linalg.norm(
-                eval_theta(R, z, tilde=True) - d1 @ eval_theta(R, z) @ d2)
+                R.theta_tilde(z) - d1 @ R.theta(z) @ d2)
             assert resid <= 1e-12 * scale
     _report(4, f"8 fixtures x 6 variants x 12 point pairs, worst "
                f"J-defect residual {worst:.2e}")
@@ -264,7 +251,7 @@ def test_criterion_07_closed_forms():
     pts = [0.5 + 0.5j, -1.0 + 2j, 1j, -3.0 - 1j, 2.0 + 0.25j,
            -0.5 - 0.5j, 0.1 + 3j, 4.0 - 2j]
     for z in pts:
-        assert np.allclose(eval_theta(R, z),
+        assert np.allclose(R.theta(z),
                            [[1.0, 1.0], [-z, 1.0 - z]], atol=1e-12)
     S1 = lft_solution(R, StieltjesPair.constant([[0.0]], [[1.0]]),
                       seq=seq, n=0)

@@ -11,15 +11,10 @@ from stieltjesmp.matcore import (
     ToleranceConfig,
     dubovoj_subspace,
     hermitize,
-    is_dubovoj,
-    is_hermitian,
     is_psd,
     mrank,
-    null_space,
     one_two_inverse,
     projector,
-    pseudo_inverse,
-    range_included,
     right_divide,
     subspace_from_columns,
 )
@@ -28,6 +23,8 @@ from stieltjesmp.momentseq import HankelData, dubovoj_candidates, \
 from stieltjesmp.stieltjespairs import AtomicMeasure, moments_of
 
 from conftest import random_psd
+from identities import is_dubovoj, is_hermitian, null_space, \
+    pseudo_inverse, range_included
 
 
 def test_tolerance_config_rejects_nonpositive():

@@ -10,18 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stieltjesmp import MomentSequence, class_membership
-from stieltjesmp.matcore import (
-    is_dubovoj,
-    is_psd,
-    mrank,
-    range_included,
-)
+from stieltjesmp.matcore import is_psd, mrank
 from stieltjesmp.momentseq import (
     HankelData,
     block_hankel,
     canonical_extension,
     dubovoj_candidates,
-    extended,
     first_column_embedding,
     last_column_embedding,
     shift_matrix,
@@ -33,11 +27,8 @@ from stieltjesmp.momentseq import (
 from stieltjesmp.solver import classify
 
 from conftest import hankel_factor_counts, kge_fixtures, ljapunov_data, \
-    random_hermitian_sequence
-
-
-def scalar_seq(values, alpha=0.0):
-    return MomentSequence(alpha, 1, [[[float(v)]] for v in values])
+    random_hermitian_sequence, scalar_seq
+from identities import extended, is_dubovoj, range_included
 
 
 def test_moment_sequence_validation():

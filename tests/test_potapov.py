@@ -7,27 +7,18 @@ import numpy as np
 import pytest
 
 from stieltjesmp import MomentSequence, ToleranceConfig, momentseq
-from stieltjesmp.potapov import (
-    FunctionSamples,
-    atomic_decomposition_residual,
-    congruence_check,
-    fq_matrices,
-    potapov_matrix,
-    potapov_report,
-    psi_polynomial,
-    sigma_matrix,
-)
+from stieltjesmp.potapov import FunctionSamples, \
+    atomic_decomposition_residual, potapov_report
 from stieltjesmp.resolvent import build_resolvent, monomial_stack, \
     standard_grid
 from stieltjesmp.solver import lft_solution, verify_solution
 from stieltjesmp.stieltjespairs import AtomicMeasure, StieltjesPair, \
     transform
 
-from conftest import atomic_fixture, kge_fixtures, random_hermitian_sequence
-
-
-def scalar_seq(values, alpha=0.0):
-    return MomentSequence(alpha, 1, [[[float(v)]] for v in values])
+from conftest import atomic_fixture, kge_fixtures, \
+    random_hermitian_sequence, scalar_seq
+from identities import congruence_check, conjugate_reflection, fq_matrices, \
+    potapov_matrix, psi_polynomial, sigma_matrix
 
 
 def scalar_f(fn):
@@ -171,7 +162,7 @@ def test_atomic_decomposition_exact():
 
 def test_conjugate_reflection_handle():
     f = scalar_f(lambda z: 1.0 / (1.0 - z))
-    g = f.conjugate_reflection()
+    g = conjugate_reflection(f)
     z = 0.2 + 0.7j
     assert np.allclose(g(z), f(np.conj(z)).conj().T)
 

@@ -4,33 +4,21 @@ import numpy as np
 import pytest
 
 from stieltjesmp import MomentSequence, momentseq
-from stieltjesmp.resolvent import (
-    MatrixPolynomial,
-    build_resolvent,
-    eval_theta,
-    j_defect,
-    kernel_polys,
-    monomial_stack,
-    resolvent_poly,
-    signature_matrix,
-    standard_grid,
-    theta_coeffs_json,
-    theta_inverse,
-)
+from stieltjesmp.resolvent import MatrixPolynomial, build_resolvent, \
+    monomial_stack, resolvent_poly, standard_grid, theta_coeffs_json
 from stieltjesmp.momentseq import first_column_embedding, shift_matrix, \
     shift_resolvent
 from stieltjesmp.solver import classify, unique_solution
 
-from conftest import WEIGHT_PATTERNS, atomic_fixture, kge_fixtures
-
-
-def scalar_seq(values, alpha=0.0):
-    return MomentSequence(alpha, 1, [[[float(v)]] for v in values])
+from conftest import WEIGHT_PATTERNS, atomic_fixture, kge_fixtures, \
+    scalar_seq
+from identities import Poly, j_defect, kernel_polys, shift_resolvent_poly, \
+    signature_matrix, theta_inverse
 
 
 def test_matrix_polynomial_arithmetic():
-    p = MatrixPolynomial([np.eye(2), 2 * np.eye(2)])   # I + 2zI
-    q = MatrixPolynomial([np.zeros((2, 2)), np.eye(2)])  # zI
+    p = Poly([np.eye(2), 2 * np.eye(2)])   # I + 2zI
+    q = Poly([np.zeros((2, 2)), np.eye(2)])  # zI
     s = p + q
     assert np.allclose(s(1.5), (1 + 3 * 1.5) * np.eye(2))
     prod = p @ q
@@ -57,8 +45,8 @@ def test_horner_matches_the_power_sum_on_rectangular_stacks():
             one = p.eval(z)                       # a 0-d point
             assert one.shape == (r, c)
             assert np.linalg.norm(one - w) <= 1e-13 * np.linalg.norm(w)
-    a = MatrixPolynomial(rng.normal(size=(2, 2, 3)))
-    b = MatrixPolynomial(rng.normal(size=(3, 3, 4)))
+    a = Poly(rng.normal(size=(2, 2, 3)))
+    b = Poly(rng.normal(size=(3, 3, 4)))
     assert np.allclose((a @ b)(zs), a(zs) @ b(zs))
     with pytest.raises(ValueError):
         b @ a
@@ -69,13 +57,13 @@ def test_horner_matches_the_power_sum_on_rectangular_stacks():
 def test_resolvent_poly_examples():
     assert np.allclose(shift_matrix(1, 0), [[0.0]])
     assert np.allclose(resolvent_poly(1, 0)(3.7), 1.0)
-    R = resolvent_poly(1, 1)
+    R = shift_resolvent_poly(1, 1)
     z = 2.5
     assert np.allclose(R(z), [[1.0, 0.0], [z, 1.0]])
     assert np.allclose(resolvent_poly(2, 2)(0.0), np.eye(6))
     # adjoint resolvent is the conjugate transpose at conjugate points
-    Rs = resolvent_poly(2, 2, adjoint=True)
-    R2 = resolvent_poly(2, 2)
+    Rs = resolvent_poly(2, 2)
+    R2 = shift_resolvent_poly(2, 2)
     z = 1.1 - 0.3j
     assert np.allclose(Rs(z), R2(np.conj(z)).conj().T)
     # the value R_T(z) = (I - zT)^{-1}, whose adjoint is its transpose
@@ -86,19 +74,20 @@ def test_resolvent_poly_examples():
             eye = np.eye((n + 1) * q)
             T = shift_matrix(q, n)
             for j, c in enumerate(resolvent_poly(q, n).coeffs):
-                assert np.array_equal(c, np.linalg.matrix_power(T, j))
+                assert np.array_equal(c, np.linalg.matrix_power(T.T, j))
             for _ in range(3):
                 z = complex(*(2.0 * rng.normal(size=2)))
                 R = shift_resolvent(q, n, z)
                 tol = 1e-12 * (1.0 + np.linalg.norm(R))
-                assert np.linalg.norm(R - resolvent_poly(q, n)(z)) <= tol
+                assert np.linalg.norm(
+                    R - shift_resolvent_poly(q, n)(z)) <= tol
                 assert np.linalg.norm(R @ (eye - z * T) - eye) <= tol
                 assert np.linalg.norm(
-                    R.T - resolvent_poly(q, n, adjoint=True)(z)) <= tol
+                    R.T - resolvent_poly(q, n)(z)) <= tol
 
 
 def test_resolvent_identity():
-    R = resolvent_poly(2, 2)
+    R = shift_resolvent_poly(2, 2)
     T = shift_matrix(2, 2)
     for z, w in ((0.5 + 1j, -2.0), (3.0 - 0.25j, 1j)):
         lhs = R(z) - R(w)
@@ -110,10 +99,10 @@ def test_monomial_stack_examples():
     assert np.allclose(monomial_stack(3, 0, 5.0), np.eye(3))
     assert np.allclose(monomial_stack(1, 2, 2.0).ravel(), [1.0, 2.0, 4.0])
     # R_T(z) v = E(z)
-    from stieltjesmp.momentseq import first_column_embedding
     z = 0.3 + 2j
     v = first_column_embedding(2, 2)
-    assert np.allclose(resolvent_poly(2, 2)(z) @ v, monomial_stack(2, 2, z))
+    assert np.allclose(shift_resolvent_poly(2, 2)(z) @ v,
+                       monomial_stack(2, 2, z))
 
 
 def test_signature_matrix():
@@ -132,11 +121,11 @@ def test_standard_grid():
 def test_build_resolvent_closed_forms():
     R = build_resolvent(scalar_seq([1, 0]), 0)
     z = 1.7 - 0.4j
-    assert np.allclose(eval_theta(R, z), [[1.0, 0.0], [-z, 1.0]], atol=1e-12)
+    assert np.allclose(R.theta(z), [[1.0, 0.0], [-z, 1.0]], atol=1e-12)
     R = build_resolvent(scalar_seq([1, 1]), 0)
-    assert np.allclose(eval_theta(R, z), [[1.0, 1.0], [-z, 1.0 - z]],
+    assert np.allclose(R.theta(z), [[1.0, 1.0], [-z, 1.0 - z]],
                        atol=1e-12)
-    assert np.allclose(eval_theta(R, 0.0), [[1.0, 1.0], [0.0, 1.0]])
+    assert np.allclose(R.theta(0.0), [[1.0, 1.0], [0.0, 1.0]])
     # the (2,1) block carries the factor (z - alpha)
     q = R.q
     assert np.allclose(MatrixPolynomial(R.theta.coeffs[:, q:, :q])(R.alpha),
@@ -161,7 +150,7 @@ def test_resolvent_matches_its_defining_formula():
                 except ValueError:
                     continue
                 built += 1
-                H, Hm, Hsm = R.H, R.Hm, R.Hsm
+                H, Hm, Hsm = R.data.H[n], R.Hm, R.Hsm
                 Ra = shift_resolvent(q, n, alpha)
                 Rinv = eye - alpha * T
                 CL = np.block([[v.T @ H, np.zeros((q, p))],
@@ -179,12 +168,13 @@ def test_resolvent_matches_its_defining_formula():
                                          [-za * eye, -za * eye]]) @ I2Rs,
                         True: np.block([[za * T.T, za * Rinv.T],
                                         [-eye, -za * eye]]) @ I2Rs}
-                    for tilde in (False, True):
+                    for tilde, theta in ((False, R.theta),
+                                         (True, R.theta_tilde)):
                         terms = CL @ omega[tilde] @ CR
                         scale = 1.0 + np.linalg.norm(CL) * np.linalg.norm(
                             omega[tilde]) * np.linalg.norm(CR)
-                        err = np.linalg.norm(eval_theta(R, z, tilde)
-                                             - np.eye(2 * q) - terms)
+                        err = np.linalg.norm(theta(z) - np.eye(2 * q)
+                                             - terms)
                         worst = max(worst, err / scale)
                     for U, X, G in ((R.U, T @ H @ v, Hm),
                                     (R.U_tilde, Rinv @ H @ v, Hsm)):
@@ -228,8 +218,8 @@ def test_build_resolvent_at_condition_1e10(q, alpha, seed):
     mu, seq = atomic_fixture(np.random.default_rng(seed), q, 3, alpha,
                              natoms=4)
     R = build_resolvent(seq, 3)
-    assert np.linalg.cond(R.H) >= 1e10
-    for H, Hm in ((R.H, R.Hm), (R.Hs, R.Hsm)):
+    assert np.linalg.cond(R.data.H[3]) >= 1e10
+    for H, Hm in ((R.data.H[3], R.Hm), (R.data.Hs[3], R.Hsm)):
         assert np.linalg.norm(H @ Hm @ H - H) <= 1e-6 * np.linalg.norm(H)
         assert np.linalg.norm(Hm @ H @ Hm - Hm) <= \
             1e-6 * np.linalg.norm(Hm)
@@ -238,7 +228,7 @@ def test_build_resolvent_at_condition_1e10(q, alpha, seed):
 def test_self_check_and_degree_bound():
     for mu, seq, n in kge_fixtures(6, seed=21):
         R = build_resolvent(seq, n)
-        scale = 1.0 + np.linalg.norm(R.H)
+        scale = 1.0 + np.linalg.norm(R.data.H[n])
         assert R.self_check["theta_minus_UB"] <= 1e-10 * scale
         assert R.self_check["theta_tilde_minus_UtBt"] <= 1e-10 * scale
         assert R.self_check["scaling_identity"] <= 1e-10 * scale
@@ -254,11 +244,11 @@ def test_j_unitary_on_real_axis():
     for mu, seq, n in kge_fixtures(4, seed=33):
         R = build_resolvent(seq, n)
         J = signature_matrix(seq.q)
-        scale = 1.0 + np.linalg.norm(R.H)
+        scale = 1.0 + np.linalg.norm(R.data.H[n])
         for x in (seq.alpha - 3, seq.alpha - 1, seq.alpha,
                   seq.alpha + 2, seq.alpha + 5):
-            for tilde in (False, True):
-                th = eval_theta(R, x, tilde=tilde)
+            for theta in (R.theta, R.theta_tilde):
+                th = theta(x)
                 assert np.linalg.norm(J - th @ J @ th.conj().T) \
                     <= 1e-10 * scale ** 2
 
@@ -266,7 +256,7 @@ def test_j_unitary_on_real_axis():
 def test_j_defect_variants():
     mu, seq, n = kge_fixtures(5, seed=8)[3]
     R = build_resolvent(seq, n)
-    scale = (1.0 + np.linalg.norm(R.H)) ** 2
+    scale = (1.0 + np.linalg.norm(R.data.H[n])) ** 2
     zs = [0.4 + 1.2j, -1.5 - 0.8j, seq.alpha + 2.0 + 0.5j]
     ws = [1.0 - 2.0j, 0.2 + 0.3j, seq.alpha - 1.0 + 1j]
     for variant in ("theta", "theta_tilde", "adjoint", "adjoint_tilde",
@@ -280,10 +270,10 @@ def test_j_contractivity_on_grid():
     mu, seq, n = kge_fixtures(3, seed=17)[1]
     R = build_resolvent(seq, n)
     J = signature_matrix(seq.q)
-    scale = (1.0 + np.linalg.norm(R.H)) ** 2
+    scale = (1.0 + np.linalg.norm(R.data.H[n])) ** 2
     for z in standard_grid(seq.alpha):
-        for tilde in (False, True):
-            th = eval_theta(R, z, tilde=tilde)
+        for theta in (R.theta, R.theta_tilde):
+            th = theta(z)
             form = (J - th @ J @ th.conj().T) / (2.0 * z.imag)
             form = 0.5 * (form + form.conj().T)
             assert np.linalg.eigvalsh(form).min() >= -1e-9 * scale
@@ -297,8 +287,8 @@ def test_theta_inverse():
     rng = np.random.default_rng(4)
     for _ in range(10):
         z = complex(rng.normal(), rng.normal() + 0.2)
-        prod = eval_theta(R, z) @ theta_inverse(R, z)
-        cond = np.linalg.norm(eval_theta(R, z)) * \
+        prod = R.theta(z) @ theta_inverse(R, z)
+        cond = np.linalg.norm(R.theta(z)) * \
             np.linalg.norm(theta_inverse(R, z))
         assert np.linalg.norm(prod - np.eye(2 * seq.q)) <= 1e-9 * (1 + cond)
 

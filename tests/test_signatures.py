@@ -4,14 +4,19 @@ Every decision reads the ``ToleranceConfig`` of the object it decides
 about (a sequence, its Hankel data, a measure or a pair), so no public
 function, method or constructor of the problem-level modules takes a
 ``tol`` argument, apart from the few that build such objects from raw
-matrices.
+matrices.  The package exports only what its production path runs; the
+identity oracles the tests hold it to live in ``tests/identities.py``.
 """
 
 import ast
+import importlib
 import inspect
+import pkgutil
 import re
 from pathlib import Path
 
+import identities
+import stieltjesmp
 from stieltjesmp import momentseq, potapov, resolvent, solver, \
     stieltjespairs
 
@@ -90,3 +95,45 @@ def test_only_the_sequence_builds_its_hankel_data():
                     builders.append((path.name, fn.name))
     assert builders == [("momentseq.py", "hankel")]
     assert not either
+
+
+# What ``classify``, ``build_resolvent``, the solutions, ``verify_solution``,
+# ``potapov_report`` and the CLI execute, and nothing else.
+PUBLIC = {
+    "AtomicMeasure", "ClassReport", "ClassificationReport", "DEFAULT_TOL",
+    "FunctionSamples", "HankelData", "MatrixPolynomial", "MomentSequence",
+    "ResolventMatrix", "SolutionFunction", "StieltjesFunction",
+    "StieltjesPair", "Subspace", "ToleranceConfig", "build_resolvent",
+    "canonical_extension", "class_membership", "classify",
+    "dubovoj_subspace", "is_psd", "jsonio", "lft_solution", "lift_pair",
+    "matcore", "moments_of", "momentseq", "monomial_stack", "mrank",
+    "one_two_inverse", "pair_eval", "pair_in_restricted_class", "potapov",
+    "potapov_report", "projector", "recover_s0", "resolvent",
+    "resolvent_poly", "shift_right", "solver", "standard_grid",
+    "stieltjespairs", "transform", "unique_solution", "verify_solution"}
+
+def test_the_package_exports_only_its_production_path():
+    assert len(stieltjesmp.__all__) == len(PUBLIC) == 44
+    assert set(stieltjesmp.__all__) == PUBLIC
+
+
+def test_the_identity_oracles_live_in_the_tests():
+    # No module or class of the package has a function of identities.py
+    # or eval_theta (gone: callers evaluate R.theta or R.theta_tilde).
+    oracles = {name for name, obj in vars(identities).items()
+               if inspect.isfunction(obj)
+               and obj.__module__ == identities.__name__} | {"eval_theta"}
+    assert {"potapov_matrix", "j_defect", "pair_is_valid", "is_dubovoj",
+            "extended", "total_mass", "conjugate_reflection"} <= oracles
+    modules = [stieltjesmp] + [
+        importlib.import_module(f"stieltjesmp.{info.name}")
+        for info in pkgutil.iter_modules(stieltjesmp.__path__)]
+    assert len(modules) == 9
+    classes = {obj for mod in modules for obj in vars(mod).values()
+               if inspect.isclass(obj) and obj.__module__ == mod.__name__}
+    assert len(classes) > 10
+    for owner in modules + list(classes):
+        assert not oracles & set(vars(owner)), owner.__name__
+    arithmetic = set(vars(identities.Poly)) - {"__module__", "__doc__"}
+    assert {"__add__", "__matmul__", "times_linear"} <= arithmetic
+    assert not arithmetic & set(vars(stieltjesmp.MatrixPolynomial))

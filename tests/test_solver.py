@@ -7,21 +7,13 @@ import weakref
 import numpy as np
 import pytest
 
-from stieltjesmp import MomentSequence, class_membership, resolvent, solver
+from stieltjesmp import MomentSequence, class_membership, solver
 from stieltjesmp.matcore import Subspace, right_divide
 from stieltjesmp.momentseq import dubovoj_candidates
-from stieltjesmp.potapov import (
-    FunctionSamples,
-    atomic_decomposition_residual,
-    congruence_check,
-    fq_matrices,
-    potapov_matrix,
-    potapov_report,
-    psi_polynomial,
-    sigma_matrix,
-)
+from stieltjesmp.potapov import FunctionSamples, \
+    atomic_decomposition_residual, potapov_report
 from stieltjesmp.resolvent import MatrixPolynomial, build_resolvent, \
-    eval_theta, standard_grid
+    standard_grid
 from stieltjesmp.solver import (
     classify,
     lft_solution,
@@ -40,16 +32,10 @@ from stieltjesmp.stieltjespairs import (
     transform,
 )
 
-from conftest import WEIGHT_PATTERNS, atomic_fixture, \
-    hankel_factor_counts, kge_fixtures, random_psd
-
-
-def scalar_seq(values, alpha=0.0):
-    return MomentSequence(alpha, 1, [[[float(v)]] for v in values])
-
-
-def delta(t, mass=1.0, alpha=0.0):
-    return AtomicMeasure(alpha, 1, [(t, [[mass]])])
+from conftest import WEIGHT_PATTERNS, atomic_fixture, delta, \
+    hankel_factor_counts, kge_fixtures, random_psd, scalar_seq
+from identities import congruence_check, fq_matrices, potapov_matrix, \
+    psi_polynomial, sigma_matrix
 
 
 Q2_SEQ = MomentSequence(0.0, 2, [np.diag([1.0, 0.0]), np.zeros((2, 2))])
@@ -243,7 +229,7 @@ def _unfolded_lft(R, pair, z):
     """(Theta11 phi + Theta12 psi)(Theta21 phi + Theta22 psi)^-1 from
     Theta(z) and the pair's values at z, each evaluated on its own."""
     q = R.q
-    th = eval_theta(R, z)
+    th = R.theta(z)
     phi, psi = pair_eval(pair, z)
     num = th[..., :q, :q] @ phi + th[..., :q, q:] @ psi
     den = th[..., q:, :q] @ phi + th[..., q:, q:] @ psi
@@ -319,8 +305,6 @@ def test_constant_pair_solution_evaluates_neither_pair_nor_theta(
 
     monkeypatch.setattr(solver, "pair_eval",
                         counting("pair_eval", solver.pair_eval))
-    monkeypatch.setattr(resolvent, "eval_theta",
-                        counting("eval_theta", resolvent.eval_theta))
     zs = np.array([1j, -0.5 + 2j, 3.0 - 1j])
     checked = set()
     for mu, seq, n in kge_fixtures(24, seed=59):
@@ -341,7 +325,6 @@ def test_constant_pair_solution_evaluates_neither_pair_nor_theta(
             S(zs[0])
             S(zs)
             assert calls["pair_eval"] == calls["theta"] == 2 * per_call
-            assert calls["eval_theta"] == 0
             checked.add((pair.kind, per_call))
     assert checked == {("constant", 0), ("function", 1), ("lifted", 0),
                        ("lifted", 1)}
@@ -538,7 +521,7 @@ def test_array_evaluation_matches_scalar_loop():
                     continue
                 R = build_resolvent(seq, n)
                 for poly in (R.theta, R.U_tilde,
-                             MatrixPolynomial.constant(R.B)):
+                             MatrixPolynomial(R.B[None])):
                     assert _agrees_with_scalar_loop(poly.eval, zs)
                 if report.case == "CompletelyDegenerate":
                     pairs = [lift_pair(report)]

@@ -9,25 +9,16 @@ from stieltjesmp.stieltjespairs import (
     AtomicMeasure,
     StieltjesFunction,
     StieltjesPair,
-    default_pair_grid,
     moments_of,
     pair_eval,
     pair_in_restricted_class,
-    pair_is_valid,
-    pairs_equivalent,
-    sharp_measure,
     transform,
 )
 
-from conftest import atomic_fixture, kge_fixtures
-
-
-def delta(t, mass=1.0, alpha=0.0):
-    return AtomicMeasure(alpha, 1, [(t, [[mass]])])
-
-
-def scalar_seq(values, alpha=0.0):
-    return MomentSequence(alpha, 1, [[[float(v)]] for v in values])
+import identities
+from conftest import atomic_fixture, delta, kge_fixtures, scalar_seq
+from identities import default_pair_grid, pair_is_valid, pairs_equivalent, \
+    sharp_measure, total_mass
 
 
 def test_atomic_measure_validation():
@@ -41,7 +32,7 @@ def test_atomic_measure_validation():
                                 (2.0, [[0.25]])])
     assert [t for t, _ in mu.atoms] == [1.0, 2.0]
     assert np.allclose(mu.atoms[1][1], 1.25)
-    assert np.allclose(mu.total_mass(), 1.75)
+    assert np.allclose(total_mass(mu), 1.75)
 
 
 def test_moments_of_examples():
@@ -77,7 +68,7 @@ def test_transform_symmetry_and_positivity(rng):
 
 def test_transform_asymptotics(rng):
     mu, _ = atomic_fixture(rng, 2, 1, alpha=0.0)
-    mass = mu.total_mass()
+    mass = total_mass(mu)
     tmax = max(t for t, _ in mu.atoms)
     C = 2.0 * tmax * np.linalg.norm(mass)
     for y in (1e3, 1e4, 1e5):
@@ -169,13 +160,13 @@ def test_pairs_equivalent_examples():
 
 def test_pairs_equivalent_evaluates_each_pair_once(monkeypatch):
     calls = []
-    original = stieltjespairs.pair_eval
+    original = identities.pair_eval
 
     def counting(p, z):
         calls.append(np.shape(z))
         return original(p, z)
 
-    monkeypatch.setattr(stieltjespairs, "pair_eval", counting)
+    monkeypatch.setattr(identities, "pair_eval", counting)
     mu, _ = atomic_fixture(np.random.default_rng(5), 2, 1, 0.0)
     p = StieltjesPair.from_function(StieltjesFunction(np.eye(2), mu))
     assert pairs_equivalent(p, p, [1j, 1 + 2j, -3 + 1j])
