@@ -176,7 +176,7 @@ def cmd_solve(args):
     entries = [{"z": jsonio.complex_to_json(z)} for z in points]
     solved, value = [], {}
     for z, entry, val in zip(points, entries,
-                             _at_points(FunctionSamples(S, seq.q), points)):
+                             _at_points(FunctionSamples(S), points)):
         if isinstance(val, ValueError):
             entry["singular"] = str(val)
         else:
@@ -185,7 +185,7 @@ def cmd_solve(args):
             value[z] = val
     # The report reads the finite values found above instead of
     # evaluating S again, and the Hankel data that S keeps alive.
-    f = FunctionSamples(value.__getitem__, seq.q)
+    f = FunctionSamples(value.__getitem__)
 
     def sigma_mins(zs):
         rep = potapov_report(seq, n, f, zs)

@@ -38,9 +38,8 @@ class FunctionSamples:
     ``ValueError`` naming the first such point.
     """
 
-    def __init__(self, evaluator, q=1):
+    def __init__(self, evaluator):
         self.evaluator = evaluator
-        self.q = q
 
     def __call__(self, z):
         if np.ndim(z) == 0:
@@ -260,7 +259,7 @@ def atomic_decomposition_residual(seq, n, mu, z, k):
     _check_offreal(z)
     _check_index(data, n, k)
     q = seq.q
-    f = FunctionSamples(StieltjesFunction(None, mu), q)
+    f = FunctionSamples(StieltjesFunction(None, mu))
     P, _ = _fundamental(data, n, k, f(z), z)
     odd = (k % 2 == 1)
     total = np.zeros_like(P)

@@ -31,7 +31,6 @@ from .stieltjespairs import (
     StieltjesFunction,
     StieltjesPair,
     moments_of,
-    pair_eval,
     pair_in_restricted_class,
 )
 
@@ -121,23 +120,11 @@ def lift_pair(report, inner=None):
         if inner is None:
             raise ValueError("non-degenerate lift needs an inner pair")
         return inner
-    q = report.W.shape[0]
     if report.case == "CompletelyDegenerate":
-        m, ell = report.m, report.ell
-        if m == 0:
-            phi = np.eye(q, dtype=complex)
-            psi = np.zeros((q, q), dtype=complex)
-        elif ell == 0:
-            phi = np.zeros((q, q), dtype=complex)
-            psi = np.eye(q, dtype=complex)
-        else:
-            dphi = np.zeros((q, q), dtype=complex)
-            dphi[m:, m:] = np.eye(ell)
-            dpsi = np.zeros((q, q), dtype=complex)
-            dpsi[:m, :m] = np.eye(m)
-            phi = report.W @ dphi
-            psi = report.W @ dpsi
-        return StieltjesPair.constant(phi, psi, report.tol)
+        # W = [U | V]: phi = W diag(0_m, I_ell), psi = W diag(I_m, 0_ell)
+        on_v = np.arange(report.W.shape[1]) >= report.m
+        return StieltjesPair.constant(report.W * on_v, report.W * ~on_v,
+                                      report.tol)
     if inner is None or inner.q != report.r:
         raise ValueError(f"inner pair must be {report.r} x {report.r}")
     return StieltjesPair.lifted(report.W, inner, report.m, report.ell)
@@ -149,10 +136,10 @@ class SolutionFunction:
     Wraps the resolvent matrix and an admissible parameter pair; the
     value is the linear fractional transformation
     (Theta11 phi + Theta12 psi)(Theta21 phi + Theta22 psi)^{-1}.
-    Construction multiplies Theta by the pair's constant part B once,
-    into the polynomial N = Theta B: for a pair of degree 0, whose values
-    do not depend on z, B = [phi; psi] and N is 2q x q; otherwise B = I,
-    N = Theta and every call multiplies N(z) by [phi(z); psi(z)].
+    With the pair's [phi; psi](z) = B + E f(z) F, construction
+    multiplies Theta out once into the polynomials N = Theta B and, for
+    a pair with f, M = Theta E; a call evaluates N(z) + M(z) f(z) F and
+    never Theta itself.
     """
 
     # Evaluators with this flag take a 1-D array of points in one call.
@@ -162,12 +149,10 @@ class SolutionFunction:
         self.resolvent = resolvent
         self.pair = pair
         self.q = resolvent.q
-        self._N = resolvent.theta
-        self._folded = pair.degree_bound() == 0
-        if self._folded:
-            # any point off the slit: the values do not depend on z
-            B = np.vstack(pair_eval(pair, resolvent.alpha - 1.0))
-            self._N = MatrixPolynomial(self._N.coeffs @ B)
+        theta = resolvent.theta.coeffs
+        self._N = MatrixPolynomial(theta @ pair.B)
+        self._M = None if pair.f is None else \
+            MatrixPolynomial(theta @ pair.E)
 
     def __call__(self, z):
         """S(z) at a point (q x q) or at a 1-D array of G points
@@ -176,8 +161,8 @@ class SolutionFunction:
         z = np.asarray(z, dtype=complex)
         q = self.q
         N = self._N.eval(z)
-        if not self._folded:
-            N = N @ np.concatenate(pair_eval(self.pair, z), axis=-2)
+        if self._M is not None:
+            N += self._M.eval(z) @ (self.pair.f(z) @ self.pair.F)
         S, ok = right_divide(N[..., :q, :], N[..., q:, :],
                              self.resolvent.data.seq.tol)
         singular = (~ok).ravel().nonzero()[0]
@@ -261,7 +246,7 @@ def verify_solution(seq, n, candidate, grid=None):
         out["checks"]["moment_match"] = match
         out["checks"]["top_defect_lambda_min"] = lam
         out["checks"]["top_defect_psd"] = bool(defect_ok)
-        f = FunctionSamples(StieltjesFunction(None, candidate), seq.q)
+        f = FunctionSamples(StieltjesFunction(None, candidate))
         rep = potapov_report(seq, n, f, grid)
         out["checks"]["potapov_passed"] = rep.passed
         zs = np.array(grid[:4], dtype=complex)
@@ -275,7 +260,7 @@ def verify_solution(seq, n, candidate, grid=None):
         out["potapov"] = rep.to_dict()
         return out
     # SolutionFunction (or any evaluable matrix function)
-    f = FunctionSamples(candidate, seq.q)
+    f = FunctionSamples(candidate)
     rep = potapov_report(seq, n, f, grid)
     s0_est = recover_s0(candidate)
     scale = 1.0 + np.linalg.norm(seq.s(0))

@@ -5,8 +5,9 @@ q x q measure on [alpha, oo).  Its Stieltjes transform
 S(z) = sum (t_k - z)^{-1} M_k belongs to the half-line Nevanlinna class,
 and every in-scope identity about such measures reduces to an exact
 finite sum.  A :class:`StieltjesPair` is the evaluable parameter (phi,
-psi) of the linear-fractional solution description: constant, backed by
-a Stieltjes function, or lifted into a degenerate block structure.
+psi) of the linear-fractional solution description, affine in at most
+one Stieltjes function: constant, backed by a Stieltjes function, or
+lifted into a degenerate block structure.
 Its restricted-class gate is here; the validity and equivalence checks
 of pairs, and the reweighted measure, are test oracles in
 ``tests/identities.py``.
@@ -118,116 +119,91 @@ class StieltjesFunction:
 
 
 class StieltjesPair:
-    """An evaluable parameter pair (phi, psi).
+    """An evaluable parameter pair (phi, psi), affine in at most one
+    Stieltjes function f: [phi; psi](z) = B + E f(z) F.
 
-    Kinds
-    -----
-    constant
-        Fixed matrices (Phi, Psi) with rank col(Phi; Psi) = q.
-    function
-        (f(z), I_q) for a Stieltjes function f.
-    lifted
-        W diag(phi_r, 0_m, I_l), W diag(psi_r, I_m, 0_l) around an inner
-        r x r pair, with the obvious reductions when m = 0 or l = 0.
+    B is 2q x q; with f (r x r), E is 2q x r and F is r x q.
+
+    ``constant``
+        B = [Phi; Psi] with rank B = q, and no f.
+    ``from_function``
+        (f(z), I_q): B = [0; I], E = [I; 0], F = I.
+    ``lifted``
+        W diag(phi_r, 0_m, I_ell), W diag(psi_r, I_m, 0_ell) around an
+        inner r x r pair, whose B, E and F it composes with W once.
 
     ``tol`` is that of a constant pair; a function or lifted pair takes
     the one of its measure or inner pair.
     """
 
-    def __init__(self, kind, q, phi=None, psi=None, f=None, W=None,
-                 inner=None, m=0, ell=0, tol=DEFAULT_TOL):
-        self.kind = kind
-        self.q = int(q)
+    def __init__(self, B, f=None, E=None, F=None, tol=DEFAULT_TOL):
+        self.B = np.asarray(B, dtype=complex)
+        self.q = self.B.shape[1]
+        if self.B.shape != (2 * self.q, self.q):
+            raise ValueError(f"B must be 2q x q, got {self.B.shape}")
+        self.f = f
+        self.E = E
+        self.F = F
         self.tol = tol
-        if kind == "constant":
-            self.phi = as_square(phi, q, "phi")
-            self.psi = as_square(psi, q, "psi")
-            if mrank(np.vstack([self.phi, self.psi]), tol) != q:
-                raise ValueError("constant pair must have full column rank")
-        elif kind == "function":
-            if f.q != q:
-                raise ValueError("function size mismatch")
-            self.f = f
-            self.tol = f.measure.tol
-        elif kind == "lifted":
-            self.W = as_square(W, q, "W")
-            if np.linalg.norm(self.W.conj().T @ self.W - np.eye(q)) > 1e-8:
-                raise ValueError("W must be unitary")
-            self.inner = inner
-            self.tol = inner.tol
-            self.m = int(m)
-            self.ell = int(ell)
-            r = q - self.m - self.ell
-            if r < 1:
-                raise ValueError("lifted pairs need r = q - m - ell >= 1")
-            if inner.q != r:
-                raise ValueError(f"inner pair must be {r} x {r}")
-        else:
-            raise ValueError(f"unknown pair kind {kind!r}")
 
     @classmethod
     def constant(cls, phi, psi, tol=DEFAULT_TOL):
         phi = np.atleast_2d(np.asarray(phi, dtype=complex))
-        return cls("constant", phi.shape[0], phi=phi, psi=psi, tol=tol)
+        q = phi.shape[0]
+        B = np.vstack([as_square(phi, q, "phi"), as_square(psi, q, "psi")])
+        if mrank(B, tol) != q:
+            raise ValueError("constant pair must have full column rank")
+        return cls(B, tol=tol)
 
     @classmethod
     def from_function(cls, f):
-        return cls("function", f.q, f=f)
+        eye = np.eye(f.q, dtype=complex)
+        zero = np.zeros_like(eye)
+        return cls(np.vstack([zero, eye]), f, np.vstack([eye, zero]), eye,
+                   f.measure.tol)
 
     @classmethod
     def lifted(cls, W, inner, m, ell):
-        W = np.asarray(W, dtype=complex)
-        return cls("lifted", W.shape[0], W=W, inner=inner, m=m, ell=ell)
+        q = len(W)
+        W = as_square(W, q, "W")
+        if np.linalg.norm(W.conj().T @ W - np.eye(q)) > 1e-8:
+            raise ValueError("W must be unitary")
+        m, ell = int(m), int(ell)
+        r = q - m - ell
+        if r < 1:
+            raise ValueError("lifted pairs need r = q - m - ell >= 1")
+        if inner.q != r:
+            raise ValueError(f"inner pair must be {r} x {r}")
+        # [phi; psi] = [W diag(.); W diag(.)] of the inner halves, padded
+        blocks = np.zeros((2, q, q), dtype=complex)
+        blocks[:, :r, :r] = inner.B.reshape(2, r, r)
+        blocks[0, r + m:, r + m:] = np.eye(ell)
+        blocks[1, r:r + m, r:r + m] = np.eye(m)
+        B = (W @ blocks).reshape(2 * q, q)
+        if inner.f is None:
+            return cls(B, tol=inner.tol)
+        k = inner.F.shape[0]
+        E = np.zeros((2, q, k), dtype=complex)
+        E[:, :r] = inner.E.reshape(2, r, k)
+        F = np.zeros((k, q), dtype=complex)
+        F[:, :r] = inner.F
+        return cls(B, inner.f, (W @ E).reshape(2 * q, k), F, inner.tol)
 
     def degree_bound(self):
         """Degree bound of the rational entries, for sampling decisions."""
-        if self.kind == "constant":
-            return 0
-        if self.kind == "function":
-            return len(self.f.measure.atoms)
-        return self.inner.degree_bound()
+        return 0 if self.f is None else len(self.f.measure.atoms)
 
 
 def pair_eval(p, z):
-    """Values (phi(z), psi(z)) of the pair at z off the slit: q x q
-    matrices at a point, (G, q, q) stacks at a 1-D array of G points."""
+    """Values (phi(z), psi(z)) = B + E f(z) F of the pair at z off the
+    slit: q x q matrices at a point, (G, q, q) stacks at a 1-D array of
+    G points."""
     z = np.asarray(z, dtype=complex)
-    shape = z.shape + (p.q, p.q)
-    if p.kind == "constant":
-        return _at_each_point(p.phi, shape), _at_each_point(p.psi, shape)
-    if p.kind == "function":
-        return p.f(z), _at_each_point(np.eye(p.q), shape)
-    phi_r, psi_r = pair_eval(p.inner, z)
-    blocks_phi = [phi_r]
-    blocks_psi = [psi_r]
-    if p.m:
-        blocks_phi.append(np.zeros((p.m, p.m), dtype=complex))
-        blocks_psi.append(np.eye(p.m, dtype=complex))
-    if p.ell:
-        blocks_phi.append(np.eye(p.ell, dtype=complex))
-        blocks_psi.append(np.zeros((p.ell, p.ell), dtype=complex))
-    phi = p.W @ _blockdiag(blocks_phi, shape)
-    psi = p.W @ _blockdiag(blocks_psi, shape)
-    return phi, psi
-
-
-def _at_each_point(A, shape):
-    """A new array of ``shape`` holding the matrix A at every point."""
-    out = np.empty(shape, dtype=complex)
-    out[...] = A
-    return out
-
-
-def _blockdiag(blocks, shape):
-    """The block diagonal matrix of ``blocks`` at every point: an array of
-    ``shape``; a block without point axes is the same at every point."""
-    out = np.zeros(shape, dtype=complex)
-    pos = 0
-    for b in blocks:
-        k = b.shape[-1]
-        out[..., pos:pos + k, pos:pos + k] = b
-        pos += k
-    return out
+    val = np.zeros(z.shape + p.B.shape, dtype=complex)
+    val += p.B
+    if p.f is not None:
+        val += p.E @ p.f(z) @ p.F
+    return val[..., :p.q, :], val[..., p.q:, :]
 
 
 def pair_in_restricted_class(p, seq, n):

@@ -246,7 +246,7 @@ def kernel_polys(R):
 def conjugate_reflection(f):
     """The function z -> f(conj z)* of a ``FunctionSamples`` f, on the
     reflected domain."""
-    return FunctionSamples(lambda z: f(np.conj(z)).conj().T, f.q)
+    return FunctionSamples(lambda z: f(np.conj(z)).conj().T)
 
 
 def potapov_matrix(seq, n, f, z, k):
@@ -489,11 +489,7 @@ def _herm(A):
 
 
 def _pair_alpha(p):
-    if p.kind == "function":
-        return p.f.measure.alpha
-    if p.kind == "lifted":
-        return _pair_alpha(p.inner)
-    return 0.0
+    return 0.0 if p.f is None else p.f.measure.alpha
 
 
 def pairs_equivalent(p1, p2, grid=None):

@@ -195,7 +195,7 @@ def test_criterion_05_necessity_decomposition():
         n = int(rng.integers(0, 2))
         alpha = float(rng.uniform(-1.0, 1.0))
         mu, seq = atomic_fixture(rng, q, n, alpha)
-        f = FunctionSamples(lambda z: transform(mu, z), q)
+        f = FunctionSamples(lambda z: transform(mu, z))
         grid = standard_grid(alpha)
         assert len(grid) == 24
         for z in grid:
@@ -233,7 +233,7 @@ def test_criterion_06_parametrization_forward():
         grid = [z for z in standard_grid(alpha)]
         for p in pairs:
             S = lft_solution(R, p, seq=seq, n=n)
-            f = FunctionSamples(lambda z: S(z), q)
+            f = FunctionSamples(lambda z: S(z))
             rep = potapov_report(seq, n, f, grid)
             assert rep.passed
             s0 = recover_s0(S)
@@ -315,7 +315,7 @@ def test_criterion_09_negative_controls(tmp_path, capsys):
          "atoms": [{"t": 1.0, "weight": [[[1.0, 0.0]]]}]}))
     assert cli_main(["verify", str(seq10), str(d1), "--n", "0"]) == 2
     capsys.readouterr()
-    f = FunctionSamples(lambda z: [[1.0 / (1.0 - z)]], 1)
+    f = FunctionSamples(lambda z: [[1.0 / (1.0 - z)]])
     rep = potapov_report(scalar_seq([1, 0]), 0, f, standard_grid(0.0))
     assert not rep.passed
     lams = [x for x in rep.smin_even + rep.smin_odd if x is not None]
@@ -336,7 +336,7 @@ def test_criterion_10_congruence_suite():
         pmu, _ = atomic_fixture(rng, q, 0, alpha, natoms=2)
         gamma = rng.uniform(0.0, 1.0) * np.eye(q)
         fobj = StieltjesFunction(gamma, pmu)
-        f = FunctionSamples(lambda z: fobj(z), q)
+        f = FunctionSamples(lambda z: fobj(z))
         z = complex(rng.normal(), rng.normal() + 0.5)
         out = congruence_check(seq, n, f, z)
         assert out

@@ -22,7 +22,7 @@ from identities import congruence_check, conjugate_reflection, fq_matrices, \
 
 
 def scalar_f(fn):
-    return FunctionSamples(lambda z: [[fn(z)]], 1)
+    return FunctionSamples(lambda z: [[fn(z)]])
 
 
 def test_potapov_matrix_hand_example():
@@ -57,7 +57,7 @@ def test_sigma_invariant_under_generalized_inverse():
     for idx in (1, 3):
         mu, seq, n = kge_fixtures(4, seed=2)[idx]
         R = build_resolvent(seq, n)
-        f = FunctionSamples(lambda z: transform(mu, z), seq.q)
+        f = FunctionSamples(lambda z: transform(mu, z))
         z = 0.7 + 1.3j
         for k, g in ((2 * n, R.Hm), (2 * n + 1, R.Hsm)):
             s_mp = sigma_matrix(seq, n, f, z, k)
@@ -73,7 +73,7 @@ def test_fq_matrices():
     F, Q = fq_matrices(seq, 0, f, z, 0)
     assert np.allclose(F, f(z))  # n = 0: T = 0 and u_0 = 0
     mu, seq2, n = kge_fixtures(3, seed=6)[1]
-    f2 = FunctionSamples(lambda zz: transform(mu, zz), seq2.q)
+    f2 = FunctionSamples(lambda zz: transform(mu, zz))
     F2, Q2 = fq_matrices(seq2, n, f2, z, 2 * n)
     p = (n + 1) * seq2.q
     assert np.array_equal(Q2[:p, :p],
@@ -117,7 +117,7 @@ def test_congruence_check_residuals(rng):
     seq = random_hermitian_sequence(rng, 2, 3, alpha=0.6)
     gamma = np.eye(2)
     mu = AtomicMeasure(0.6, 2, [(1.5, np.eye(2))])
-    f = FunctionSamples(lambda z: gamma + transform(mu, z), 2)
+    f = FunctionSamples(lambda z: gamma + transform(mu, z))
     out = congruence_check(seq, 1, f, 1.0 + 1.0j)
     assert out and all(v <= 1e-10 for v in out.values())
 
@@ -138,7 +138,7 @@ def test_congruence_level_zero_p_equals_q():
 def test_potapov_report_positive_and_negative():
     mu = AtomicMeasure(0.0, 1, [(1.0, [[1.0]])])
     seq = scalar_seq([1, 1])
-    good = FunctionSamples(lambda z: transform(mu, z), 1)
+    good = FunctionSamples(lambda z: transform(mu, z))
     grid = standard_grid(0.0)
     rep = potapov_report(seq, 0, good, grid)
     assert rep.passed
@@ -176,7 +176,7 @@ def test_potapov_report_evaluates_f_once_per_point():
         return transform(mu, z)
 
     grid = standard_grid(0.5)
-    rep = potapov_report(seq, 1, FunctionSamples(evaluator, 2), grid)
+    rep = potapov_report(seq, 1, FunctionSamples(evaluator), grid)
     assert rep.passed
     assert calls == grid
 
@@ -250,8 +250,7 @@ def test_potapov_report_decides_on_the_schur_complement(monkeypatch):
                 eps = 10.0 ** rng.uniform(-12.0, -1.0)
                 for shift in (0.0, eps, -eps):
                     f = FunctionSamples(
-                        lambda z, s=shift: transform(mu, z) + s * np.eye(q),
-                        q)
+                        lambda z, s=shift: transform(mu, z) + s * np.eye(q))
                     shapes.clear()
                     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
                     rep = potapov_report(seq, n, f, grid)
@@ -313,7 +312,7 @@ def test_potapov_report_calls_eigvalsh_once_per_k(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     mu, seq = atomic_fixture(np.random.default_rng(24), 2, 1, 0.5)
-    f = FunctionSamples(lambda z: transform(mu, z), 2)
+    f = FunctionSamples(lambda z: transform(mu, z))
     grid = standard_grid(0.5)
     for points in (grid[:1], grid[:4], grid):
         calls.clear()
@@ -338,7 +337,7 @@ def test_potapov_report_decides_with_the_sequence_tolerance():
     mu, seq = atomic_fixture(np.random.default_rng(26), 2, 1, 0.5)
     loose = MomentSequence(seq.alpha, seq.q, seq.moments,
                            ToleranceConfig(tol_psd=1e-1))
-    f = FunctionSamples(lambda z: transform(mu, z) + 1e-4j * np.eye(2), 2)
+    f = FunctionSamples(lambda z: transform(mu, z) + 1e-4j * np.eye(2))
     grid = standard_grid(0.5)
     assert not potapov_report(seq, 1, f, grid).passed
     assert potapov_report(loose, 1, f, grid).passed

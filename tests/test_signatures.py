@@ -15,6 +15,8 @@ import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
+
 import identities
 import stieltjesmp
 from stieltjesmp import momentseq, potapov, resolvent, solver, \
@@ -23,8 +25,9 @@ from stieltjesmp import momentseq, potapov, resolvent, solver, \
 MODULES = (momentseq, resolvent, potapov, solver, stieltjespairs)
 
 # Objects built from raw matrices take their tolerance here: the
-# ``StieltjesPair`` constructor is the one ``StieltjesPair.constant``
-# calls (its ``tol`` is that of a constant pair), and a
+# ``StieltjesPair`` constructor takes the affine form B + E f F and the
+# tolerance of the pair (``constant`` passes its own, ``from_function``
+# and ``lifted`` that of the measure or inner pair), and a
 # ``ClassificationReport`` records the tolerance its sequence was
 # classified under.
 KEEP_TOL = {"MomentSequence", "AtomicMeasure", "StieltjesPair",
@@ -54,6 +57,38 @@ def test_only_raw_data_constructors_take_a_tolerance():
     with_tol = {name for name, fn in names.items()
                 if "tol" in inspect.signature(fn).parameters}
     assert with_tol == KEEP_TOL
+
+
+def _reads_kind(node):
+    """``x.kind`` or ``getattr(x, "kind", ...)``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "kind"
+    return isinstance(node, ast.Call) and \
+        getattr(node.func, "id", None) == "getattr" and \
+        any(getattr(arg, "value", None) == "kind" for arg in node.args)
+
+
+def test_every_pair_is_one_affine_form():
+    # [phi; psi](z) = B + E f(z) F for every pair, so the constructor
+    # takes the form and its tolerance, and no package code dispatches
+    # on a kind of pair.
+    assert list(inspect.signature(stieltjespairs.StieltjesPair).parameters) \
+        == ["B", "f", "E", "F", "tol"]
+    compared = []
+    for path in Path(solver.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare) and any(
+                    _reads_kind(part)
+                    for side in [node.left] + node.comparators
+                    for part in ast.walk(side)):
+                compared.append(path.name)
+    assert not compared
+    inner = stieltjespairs.StieltjesPair.constant([[0.0]], [[1.0]])
+    f = stieltjespairs.StieltjesFunction(None, stieltjespairs.AtomicMeasure(
+        0.0, 1, [(1.0, [[1.0]])]))
+    for pair in (inner, stieltjespairs.StieltjesPair.from_function(f),
+                 stieltjespairs.StieltjesPair.lifted(np.eye(2), inner, 1, 0)):
+        assert not hasattr(pair, "kind")
 
 
 def test_hankel_data_takes_only_the_sequence():

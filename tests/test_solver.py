@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from stieltjesmp import MomentSequence, class_membership, solver
+from stieltjesmp import MomentSequence, class_membership
 from stieltjesmp.matcore import Subspace, right_divide
 from stieltjesmp.momentseq import dubovoj_candidates
 from stieltjesmp.potapov import FunctionSamples, \
@@ -238,9 +238,10 @@ def _unfolded_lft(R, pair, z):
 
 def test_folded_solution_matches_the_unfolded_lft():
     # S at one point against S over an array is
-    # test_array_evaluation_matches_scalar_loop, for the same pair kinds.
+    # test_array_evaluation_matches_scalar_loop, for the same pairs:
+    # with and without a Stieltjes function f, lifted (r < q) and not.
     rng = np.random.default_rng(53)
-    kinds = set()
+    covered = set()
     for q in (1, 2, 3):
         for n in range(3):
             for kw in WEIGHT_PATTERNS.values():
@@ -260,8 +261,7 @@ def test_folded_solution_matches_the_unfolded_lft():
                         StieltjesPair.from_function(f))]
                 zs = np.array(standard_grid(alpha)[::5] + [alpha - 1.5])
                 for pair in pairs:
-                    inner = getattr(pair, "inner", None)
-                    kinds.add((pair.kind, inner and inner.kind))
+                    covered.add((pair.f is not None, report.r < q))
                     S = lft_solution(R, pair)
                     got = S(zs)
                     num, den = _unfolded_lft(R, pair, zs)
@@ -269,8 +269,8 @@ def test_folded_solution_matches_the_unfolded_lft():
                     for g, w in zip(got, want):
                         assert np.linalg.norm(g - w) <= \
                             1e-12 * np.linalg.norm(w)
-    assert kinds == {("constant", None), ("function", None),
-                     ("lifted", "constant"), ("lifted", "function")}
+    assert covered == {(False, False), (True, False), (False, True),
+                       (True, True)}
 
 
 def test_singular_denominator_names_the_first_point_for_every_pair_kind():
@@ -295,6 +295,8 @@ def test_singular_denominator_names_the_first_point_for_every_pair_kind():
 
 def test_constant_pair_solution_evaluates_neither_pair_nor_theta(
         monkeypatch):
+    # No call evaluates Theta; a pair without f evaluates no function,
+    # a pair with f calls f once per call.
     calls = collections.Counter()
 
     def counting(name, fn):
@@ -303,8 +305,8 @@ def test_constant_pair_solution_evaluates_neither_pair_nor_theta(
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(solver, "pair_eval",
-                        counting("pair_eval", solver.pair_eval))
+    monkeypatch.setattr(StieltjesFunction, "__call__",
+                        counting("f", StieltjesFunction.__call__))
     zs = np.array([1j, -0.5 + 2j, 3.0 - 1j])
     checked = set()
     for mu, seq, n in kge_fixtures(24, seed=59):
@@ -324,10 +326,9 @@ def test_constant_pair_solution_evaluates_neither_pair_nor_theta(
             calls.clear()
             S(zs[0])
             S(zs)
-            assert calls["pair_eval"] == calls["theta"] == 2 * per_call
-            checked.add((pair.kind, per_call))
-    assert checked == {("constant", 0), ("function", 1), ("lifted", 0),
-                       ("lifted", 1)}
+            assert (calls["theta"], calls["f"]) == (0, 2 * per_call)
+            checked.add((report.r < seq.q, per_call))
+    assert checked == {(False, 0), (False, 1), (True, 0), (True, 1)}
 
 
 def canonical_pair(report):
@@ -505,7 +506,7 @@ def _agrees_with_scalar_loop(fn, zs):
 
 def test_array_evaluation_matches_scalar_loop():
     rng = np.random.default_rng(4)
-    kinds = set()
+    covered = set()
     compared = 0
     for q in (1, 2, 3):
         for n in range(4):
@@ -533,13 +534,14 @@ def test_array_evaluation_matches_scalar_loop():
                         StieltjesPair.constant(np.zeros((r, r)), np.eye(r)),
                         StieltjesPair.from_function(f))]
                 for pair in pairs:
-                    kinds.add(pair.kind)
+                    covered.add((pair.f is not None, report.r < q))
                     assert _agrees_with_scalar_loop(
                         lambda z: np.concatenate(pair_eval(pair, z), -1),
                         zs)
                     compared += _agrees_with_scalar_loop(
                         lft_solution(R, pair), zs)
-    assert kinds == {"constant", "function", "lifted"}
+    assert covered == {(False, False), (True, False), (False, True),
+                       (True, True)}
     assert compared >= 40
 
 

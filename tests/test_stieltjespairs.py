@@ -16,7 +16,8 @@ from stieltjesmp.stieltjespairs import (
 )
 
 import identities
-from conftest import atomic_fixture, delta, kge_fixtures, scalar_seq
+from conftest import atomic_fixture, delta, kge_fixtures, random_psd, \
+    scalar_seq
 from identities import default_pair_grid, pair_is_valid, pairs_equivalent, \
     sharp_measure, total_mass
 
@@ -111,6 +112,45 @@ def test_pair_eval_examples():
     assert np.allclose(phi, np.zeros((2, 2)))
     assert np.allclose(psi, np.eye(2))
     assert lifted.degree_bound() == 0
+
+
+def _by_hand(W, phi_r, psi_r, m, ell):
+    """W diag(phi_r, 0_m, I_ell) and W diag(psi_r, I_m, 0_ell), with
+    the point axes of phi_r and psi_r kept."""
+    r = phi_r.shape[-1]
+    q = r + m + ell
+    phi = np.zeros(phi_r.shape[:-2] + (q, q), dtype=complex)
+    psi = np.zeros_like(phi)
+    phi[..., :r, :r] = phi_r
+    psi[..., :r, :r] = psi_r
+    phi[..., r + m:, r + m:] = np.eye(ell)
+    psi[..., r:r + m, r:r + m] = np.eye(m)
+    return W @ phi, W @ psi
+
+
+def test_lifted_pair_places_the_inner_blocks():
+    rng = np.random.default_rng(61)
+    zs = np.array([1j, -0.5 + 2j, 3.0 - 1j])
+    covered = set()
+    for m, ell in ((1, 0), (0, 1), (1, 1)):
+        for r in (1, 2):
+            q = r + m + ell
+            W = np.linalg.qr(rng.normal(size=(q, q))
+                             + 1j * rng.normal(size=(q, q)))[0]
+            f = StieltjesFunction(random_psd(rng, r), AtomicMeasure(
+                0.0, r, [(0.5, random_psd(rng, r)), (2.0, np.eye(r))]))
+            for inner in (StieltjesPair.constant(random_psd(rng, r),
+                                                 np.eye(r)),
+                          StieltjesPair.from_function(f)):
+                lifted = StieltjesPair.lifted(W, inner, m, ell)
+                for z in (zs[0], zs):
+                    want = _by_hand(W, *pair_eval(inner, z), m, ell)
+                    for got, ref in zip(pair_eval(lifted, z), want):
+                        assert got.shape == ref.shape
+                        assert np.linalg.norm(got - ref) <= \
+                            1e-12 * np.linalg.norm(ref)
+                covered.add((inner.degree_bound() > 0, m, ell))
+    assert len(covered) == 6
 
 
 def test_pair_constructors_reject_bad_input():
