@@ -136,10 +136,10 @@ class SolutionFunction:
     Wraps the resolvent matrix and an admissible parameter pair; the
     value is the linear fractional transformation
     (Theta11 phi + Theta12 psi)(Theta21 phi + Theta22 psi)^{-1}.
-    With the pair's [phi; psi](z) = B + E f(z) F, construction
-    multiplies Theta out once into the polynomials N = Theta B and, for
-    a pair with f, M = Theta E; a call evaluates N(z) + M(z) f(z) F and
-    never Theta itself.
+    With the pair's [phi; psi](z) = B + E f(z) [I_k, 0], construction
+    multiplies Theta out once into the polynomial P = Theta [E | B]; a
+    call is one Horner pass, P(z), times [f(z), 0; I_q] for a pair with
+    f, and never evaluates Theta itself.
     """
 
     # Evaluators with this flag take a 1-D array of points in one call.
@@ -149,10 +149,8 @@ class SolutionFunction:
         self.resolvent = resolvent
         self.pair = pair
         self.q = resolvent.q
-        theta = resolvent.theta.coeffs
-        self._N = MatrixPolynomial(theta @ pair.B)
-        self._M = None if pair.f is None else \
-            MatrixPolynomial(theta @ pair.E)
+        self._P = MatrixPolynomial(
+            resolvent.theta.coeffs @ np.hstack([pair.E, pair.B]))
 
     def __call__(self, z):
         """S(z) at a point (q x q) or at a 1-D array of G points
@@ -160,9 +158,13 @@ class SolutionFunction:
         ``right_divide`` raises ``ValueError`` naming the first such point."""
         z = np.asarray(z, dtype=complex)
         q = self.q
-        N = self._N.eval(z)
-        if self._M is not None:
-            N += self._M.eval(z) @ (self.pair.f(z) @ self.pair.F)
+        N = self._P.eval(z)
+        if self.pair.f is not None:
+            k = self.pair.f.q
+            X = np.zeros(z.shape + (k + q, q), dtype=complex)
+            X[..., :k, :k] = self.pair.f(z)
+            X[..., k:, :] = np.eye(q)
+            N = N @ X
         S, ok = right_divide(N[..., :q, :], N[..., q:, :],
                              self.resolvent.data.seq.tol)
         singular = (~ok).ravel().nonzero()[0]

@@ -120,46 +120,51 @@ class StieltjesFunction:
 
 class StieltjesPair:
     """An evaluable parameter pair (phi, psi), affine in at most one
-    Stieltjes function f: [phi; psi](z) = B + E f(z) F.
+    Stieltjes function f: [phi; psi](z) = B + E f(z) [I_k, 0].
 
-    B is 2q x q; with f (r x r), E is 2q x r and F is r x q.
+    B is 2q x q of full column rank; with f (k x k, k <= q), E is
+    2q x k, and without f it is empty (2q x 0).
 
     ``constant``
-        B = [Phi; Psi] with rank B = q, and no f.
+        B = [Phi; Psi], and no f.
     ``from_function``
-        (f(z), I_q): B = [0; I], E = [I; 0], F = I.
+        (f(z), I_q): B = [0; I], E = [I; 0].
     ``lifted``
         W diag(phi_r, 0_m, I_ell), W diag(psi_r, I_m, 0_ell) around an
-        inner r x r pair, whose B, E and F it composes with W once.
+        inner r x r pair, whose B and E it composes with W once.
 
     ``tol`` is that of a constant pair; a function or lifted pair takes
     the one of its measure or inner pair.
     """
 
-    def __init__(self, B, f=None, E=None, F=None, tol=DEFAULT_TOL):
+    def __init__(self, B, f=None, E=None, tol=DEFAULT_TOL):
         self.B = np.asarray(B, dtype=complex)
-        self.q = self.B.shape[1]
-        if self.B.shape != (2 * self.q, self.q):
+        q = self.q = self.B.shape[1]
+        if self.B.shape != (2 * q, q):
             raise ValueError(f"B must be 2q x q, got {self.B.shape}")
+        if mrank(self.B, tol) != q:
+            raise ValueError("pair must have full column rank")
+        k = 0 if f is None else f.q
+        self.E = np.zeros((2 * q, 0), dtype=complex) if E is None \
+            else np.asarray(E, dtype=complex)
+        if k > q or self.E.shape != (2 * q, k):
+            raise ValueError(f"E must be 2q x k = {2 * q} x {k}, "
+                             f"got {self.E.shape}")
         self.f = f
-        self.E = E
-        self.F = F
         self.tol = tol
 
     @classmethod
     def constant(cls, phi, psi, tol=DEFAULT_TOL):
         phi = np.atleast_2d(np.asarray(phi, dtype=complex))
         q = phi.shape[0]
-        B = np.vstack([as_square(phi, q, "phi"), as_square(psi, q, "psi")])
-        if mrank(B, tol) != q:
-            raise ValueError("constant pair must have full column rank")
-        return cls(B, tol=tol)
+        return cls(np.vstack([as_square(phi, q, "phi"),
+                              as_square(psi, q, "psi")]), tol=tol)
 
     @classmethod
     def from_function(cls, f):
         eye = np.eye(f.q, dtype=complex)
         zero = np.zeros_like(eye)
-        return cls(np.vstack([zero, eye]), f, np.vstack([eye, zero]), eye,
+        return cls(np.vstack([zero, eye]), f, np.vstack([eye, zero]),
                    f.measure.tol)
 
     @classmethod
@@ -179,15 +184,11 @@ class StieltjesPair:
         blocks[:, :r, :r] = inner.B.reshape(2, r, r)
         blocks[0, r + m:, r + m:] = np.eye(ell)
         blocks[1, r:r + m, r:r + m] = np.eye(m)
-        B = (W @ blocks).reshape(2 * q, q)
-        if inner.f is None:
-            return cls(B, tol=inner.tol)
-        k = inner.F.shape[0]
+        k = inner.E.shape[1]
         E = np.zeros((2, q, k), dtype=complex)
         E[:, :r] = inner.E.reshape(2, r, k)
-        F = np.zeros((k, q), dtype=complex)
-        F[:, :r] = inner.F
-        return cls(B, inner.f, (W @ E).reshape(2 * q, k), F, inner.tol)
+        return cls((W @ blocks).reshape(2 * q, q), inner.f,
+                   (W @ E).reshape(2 * q, k), inner.tol)
 
     def degree_bound(self):
         """Degree bound of the rational entries, for sampling decisions."""
@@ -195,14 +196,14 @@ class StieltjesPair:
 
 
 def pair_eval(p, z):
-    """Values (phi(z), psi(z)) = B + E f(z) F of the pair at z off the
-    slit: q x q matrices at a point, (G, q, q) stacks at a 1-D array of
-    G points."""
+    """Values (phi(z), psi(z)) = B + E f(z) [I_k, 0] of the pair at z off
+    the slit: q x q matrices at a point, (G, q, q) stacks at a 1-D array
+    of G points."""
     z = np.asarray(z, dtype=complex)
     val = np.zeros(z.shape + p.B.shape, dtype=complex)
     val += p.B
     if p.f is not None:
-        val += p.E @ p.f(z) @ p.F
+        val[..., :p.f.q] += p.E @ p.f(z)
     return val[..., :p.q, :], val[..., p.q:, :]
 
 

@@ -25,7 +25,7 @@ from stieltjesmp import momentseq, potapov, resolvent, solver, \
 MODULES = (momentseq, resolvent, potapov, solver, stieltjespairs)
 
 # Objects built from raw matrices take their tolerance here: the
-# ``StieltjesPair`` constructor takes the affine form B + E f F and the
+# ``StieltjesPair`` constructor takes the affine form B + E f [I, 0] and the
 # tolerance of the pair (``constant`` passes its own, ``from_function``
 # and ``lifted`` that of the measure or inner pair), and a
 # ``ClassificationReport`` records the tolerance its sequence was
@@ -69,11 +69,11 @@ def _reads_kind(node):
 
 
 def test_every_pair_is_one_affine_form():
-    # [phi; psi](z) = B + E f(z) F for every pair, so the constructor
-    # takes the form and its tolerance, and no package code dispatches
-    # on a kind of pair.
+    # [phi; psi](z) = B + E f(z) [I_k, 0] for every pair, so the
+    # constructor takes B, f, E and the tolerance, and no package code
+    # dispatches on a kind of pair.
     assert list(inspect.signature(stieltjespairs.StieltjesPair).parameters) \
-        == ["B", "f", "E", "F", "tol"]
+        == ["B", "f", "E", "tol"]
     compared = []
     for path in Path(solver.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):

@@ -163,6 +163,22 @@ def test_pair_constructors_reject_bad_input():
         StieltjesPair.lifted(np.eye(2), inner, 1, 1)  # r = 0 not liftable
     with pytest.raises(ValueError):
         StieltjesPair.lifted(2 * np.eye(2), inner, 1, 0)  # not unitary
+    # the constructor checks every pair it is given, not only constant ones
+    f = StieltjesFunction(None, delta(1.0))
+    B = np.vstack([np.zeros((2, 2)), np.eye(2)])
+    with pytest.raises(ValueError, match="full column rank"):
+        StieltjesPair(np.zeros((4, 2)), f, np.ones((4, 1)))
+    with pytest.raises(ValueError, match="B must be 2q x q"):
+        StieltjesPair(np.eye(2))
+    with pytest.raises(ValueError, match="E must be 2q x k = 4 x 1"):
+        StieltjesPair(B, f, np.ones((4, 2)))
+    with pytest.raises(ValueError, match="E must be 2q x k = 4 x 1"):
+        StieltjesPair(B, f)
+    with pytest.raises(ValueError, match="E must be 2q x k = 4 x 0"):
+        StieltjesPair(B, E=np.ones((4, 1)))
+    wide = StieltjesFunction(None, AtomicMeasure(0.0, 3, [(1.0, np.eye(3))]))
+    with pytest.raises(ValueError, match="E must be 2q x k = 4 x 3"):
+        StieltjesPair(B, wide, np.ones((4, 3)))
 
 
 def test_pair_is_valid_examples():
