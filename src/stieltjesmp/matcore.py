@@ -124,8 +124,15 @@ def right_divide(num, den, tol=DEFAULT_TOL):
             return np.full_like(num, np.nan), np.False_
         out = [right_divide(a, b, tol) for a, b in zip(num, den)]
         return tuple(np.array(x) for x in zip(*out))
-    fro = [np.linalg.norm(a, axis=(-2, -1)) for a in (num, den, inv)]
+    fro = [_fro(a) for a in (num, den, inv)]
     return num @ inv, _significant(1.0 / fro[2], tol, np.hypot(*fro[:2]))
+
+
+def _fro(a):
+    """Frobenius norm of a matrix, or of each matrix of a stack."""
+    if a.ndim == 2:
+        return np.sqrt(np.vdot(a, a).real)
+    return np.linalg.norm(a, axis=(-2, -1))
 
 
 def mrank(A, tol=DEFAULT_TOL):

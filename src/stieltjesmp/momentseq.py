@@ -176,7 +176,9 @@ class HankelData:
     ladders and class verdicts are computed when first asked for and
     kept on this object, which the library reaches through
     :meth:`MomentSequence.hankel` only; the matrices are read-only.
-    Readers of level n call :meth:`check_level`.
+    Readers of level n call :meth:`check_level`.  Per-level results
+    that hold this object (a classification report, a resolvent) are
+    handed out again by :meth:`live` while they are alive.
     """
 
     def __init__(self, seq):
@@ -190,11 +192,21 @@ class HankelData:
             top = (seq.m - 1) // 2
             self.Hs = _levels(block_hankel(self.shifted, top, 0), seq.q, top)
         self._memo = {}
+        self._live = weakref.WeakValueDictionary()
 
     def _once(self, key, compute):
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
+
+    def live(self, key, build):
+        """The result ``build()`` made for ``key`` while it is alive,
+        else a new one, held weakly as :meth:`MomentSequence.hankel`
+        holds this object: the result holds the data, never the reverse."""
+        obj = self._live.get(key)
+        if obj is None:
+            obj = self._live[key] = build()
+        return obj
 
     def _mats(self, shifted):
         return self.Hs if shifted else self.H

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .momentseq import last_column_embedding, stack_y
-from .resolvent import monomial_stack
-from .stieltjespairs import StieltjesFunction
+from .matcore import _fro
+from .momentseq import stack_y
+from .stieltjespairs import transform
 
 _IM_GUARD = 1e-8
 
@@ -77,11 +77,6 @@ def _adjoint(A):
 
 def _hermitian_part(A):
     return 0.5 * (A + _adjoint(A))
-
-
-def _fro(A):
-    """Frobenius norm of each matrix of a stack."""
-    return np.linalg.norm(A, axis=(-2, -1))
 
 
 def _im_quotient(g, z):
@@ -253,32 +248,39 @@ def atomic_decomposition_residual(seq, n, mu, z, k):
     P_2n[S](z) = sum_k [E(t); (t - conj z)^{-1} I] M [..]* + correction,
     with a sqrt(t - alpha) weight in the odd case; the correction charges
     only the last Hankel corner with the moment defect at order k.
+
+    The sum is formed block by block, with w = t - alpha for odd k and
+    w = 1 otherwise.  Its Hankel corner, the same at every point, is the
+    block Hankel matrix of the weighted moments sum w t^j M of mu, the
+    correction setting its last block to that of the sequence.  Its
+    coupling column, blocks sum w t^j M / (t - z), and its diagonal
+    block sum w M / |t - z|^2 come from one contraction over the atoms,
+    and ||P_k - sum||_F from the norms of the blocks.
     """
     data = seq.hankel()
     z = np.asarray(z, dtype=complex)
     _check_offreal(z)
     _check_index(data, n, k)
+    if k == -1:
+        raise ValueError("the atomic decomposition is of P_2n and P_2n+1")
     q = seq.q
-    f = FunctionSamples(StieltjesFunction(None, mu))
-    P, _ = _fundamental(data, n, k, f(z), z)
     odd = (k % 2 == 1)
-    total = np.zeros_like(P)
-    s_top = np.zeros((q, q), dtype=complex)
-    eye = np.eye(q)
-    for t, M in mu.atoms:
-        E = monomial_stack(q, n, t)
-        colblk = np.concatenate(
-            [np.broadcast_to(E, z.shape + E.shape),
-             (1.0 / (t - np.conj(z)))[..., None, None] * eye], axis=-2)
-        weight = (t - mu.alpha) if odd else 1.0
-        total += weight * (colblk @ M @ _adjoint(colblk))
-        s_top += (t ** k) * M if not odd else \
-            (t - mu.alpha) * (t ** (2 * n)) * M
-    vg = last_column_embedding(q, n)
-    corr_col = np.vstack([vg, np.zeros((q, q), dtype=complex)])
-    if odd:
-        defect = (-seq.alpha * seq.s(2 * n) + seq.s(2 * n + 1)) - s_top
-    else:
-        defect = seq.s(k) - s_top
-    total += corr_col @ defect @ corr_col.conj().T
-    return (_fro(P - total) / (1.0 + _fro(P)))[()]
+    H, col, diag = _column_data(data, n, transform(mu, z), z, odd)
+    t = np.array([t for t, _ in mu.atoms], dtype=float)
+    M = np.array([M for _, M in mu.atoms], dtype=complex).reshape(-1, q * q)
+    w = t - mu.alpha if odd else np.ones_like(t)
+    wt = w * t ** np.arange(2 * n + 1)[:, None]         # w t^j, j = 0..2n
+    moments = wt @ M
+    corner = moments[np.add.outer(np.arange(n + 1), np.arange(n + 1))]
+    corner = corner.reshape(n + 1, n + 1, q, q).swapaxes(1, 2).reshape(
+        H.shape)
+    corner[-q:, -q:] += H[-q:, -q:] - moments[-1].reshape(q, q)
+    # per point, the weights of the coupling blocks j = 0..n and, in the
+    # last row, of the diagonal block
+    d = (t - z[..., None])[..., None, :]
+    coef = np.concatenate([wt[:n + 1] / d, w / np.abs(d) ** 2], axis=-2)
+    sums = (coef @ M).reshape(z.shape + (n + 2, q, q))
+    resid = _block_norm(H - corner,
+                        col - sums[..., :-1, :, :].reshape(col.shape),
+                        diag - sums[..., -1, :, :])
+    return (resid / (1.0 + _block_norm(H, col, diag)))[()]

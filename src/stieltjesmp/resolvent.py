@@ -51,11 +51,15 @@ class MatrixPolynomial:
     def eval(self, z):
         """Horner evaluation at a complex point (an r x c matrix) or at a
         1-D array of G points (a (G, r, c) stack), each step updating one
-        output array in place."""
-        z = np.asarray(z)
-        out = np.empty(z.shape + self.shape, dtype=complex)
-        out[...] = self.coeffs[-1]
-        z = z[..., None, None]
+        output array in place; a point is taken as a Python complex, which
+        NumPy multiplies by without broadcasting."""
+        if np.ndim(z) == 0:
+            z, out = complex(z), self.coeffs[-1].copy()
+        else:
+            z = np.asarray(z)
+            out = np.empty(z.shape + self.shape, dtype=complex)
+            out[...] = self.coeffs[-1]
+            z = z[..., None, None]
         for c in self.coeffs[-2::-1]:
             out *= z
             out += c
@@ -138,9 +142,15 @@ def build_resolvent(seq, n):
     Requires the sequence to be Stieltjes-extendable (class K>=e) with
     2n + 1 <= m.  The generalized inverses H^- and Hs^- are taken with
     range equal to the canonical block-diagonal ladder subspaces.  The
-    result keeps the sequence's Hankel data.
+    result keeps the sequence's Hankel data; while it is alive, it is
+    returned again.
     """
     data = seq.hankel()
+    return data.live(("resolvent", n), lambda: _build_resolvent(data, n))
+
+
+def _build_resolvent(data, n):
+    seq = data.seq
     data.check_level(n, shifted=True)
     if not data.in_Kgeq_e():
         raise ValueError("sequence is not Stieltjes-extendable (not in K>=e)")

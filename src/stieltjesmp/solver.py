@@ -77,8 +77,16 @@ def _defect_subspace(A, ref, tol):
 
 
 def classify(seq, n):
-    """Compute (m, ell, r), the defect subspaces, and the frame W."""
+    """Compute (m, ell, r), the defect subspaces, and the frame W.
+
+    While a report of ``seq`` at level n is alive, it is returned again.
+    """
     data = seq.hankel()
+    return data.live(("classify", n), lambda: _classify(data, n))
+
+
+def _classify(data, n):
+    seq = data.seq
     tol = seq.tol
     q = seq.q
     A_phi, A_psi = data.restriction_products(n)
@@ -167,9 +175,8 @@ class SolutionFunction:
             N = N @ X
         S, ok = right_divide(N[..., :q, :], N[..., q:, :],
                              self.resolvent.data.seq.tol)
-        singular = (~ok).ravel().nonzero()[0]
-        if singular.size:
-            first = complex(z.flat[singular[0]])
+        if not ok.all():
+            first = complex(z.flat[np.argmin(ok)])
             raise ValueError(f"singular LFT denominator at z = {first}")
         return S
 
@@ -194,7 +201,9 @@ def unique_solution(seq, n):
 
     Classification must yield r = 0; the parameter is then forced to the
     fixed constant pair and the LFT collapses to a unique rational
-    function.  Classification and resolvent share one Hankel data.
+    function.  A report or resolvent of ``seq`` at level n that the
+    caller holds is the one used, so nothing is classified or built
+    twice.
     """
     report = classify(seq, n)
     if report.case != "CompletelyDegenerate":

@@ -72,6 +72,16 @@ def transform(mu, z):
     A point within the slit guard of an atom raises ``ValueError``
     naming the first such point, and for it the first such atom.
     """
+    if np.ndim(z) == 0:
+        # one point: Python complex arithmetic, the same sum in the same
+        # order, without the cost of NumPy's 0-d arrays
+        z = complex(z)
+        out = np.zeros((mu.q, mu.q), dtype=complex)
+        for t, M in mu.atoms:
+            if abs(t - z) <= _SLIT_GUARD:
+                raise _on_atom(z, t)
+            out += M / (t - z)
+        return out
     z = np.asarray(z, dtype=complex)
     out = np.zeros(z.shape + (mu.q, mu.q), dtype=complex)
     if not mu.atoms:
@@ -81,11 +91,14 @@ def transform(mu, z):
     near = (np.abs(d) <= _SLIT_GUARD).ravel().nonzero()[0]
     if near.size:
         point, atom = divmod(near[0], len(mu.atoms))
-        raise ValueError(f"evaluation point {complex(z.flat[point])} "
-                         f"coincides with atom {mu.atoms[atom][0]}")
+        raise _on_atom(complex(z.flat[point]), mu.atoms[atom][0])
     for j, (_, M) in enumerate(mu.atoms):
         out += M / d[..., j, None, None]
     return out
+
+
+def _on_atom(z, t):
+    return ValueError(f"evaluation point {z} coincides with atom {t}")
 
 
 class StieltjesFunction:
@@ -128,7 +141,7 @@ class StieltjesPair:
     ``constant``
         B = [Phi; Psi], and no f.
     ``from_function``
-        (f(z), I_q): B = [0; I], E = [I; 0].
+        (f(z), I_q): B = [0; I], E = [I; 0], two views of one buffer.
     ``lifted``
         W diag(phi_r, 0_m, I_ell), W diag(psi_r, I_m, 0_ell) around an
         inner r x r pair, whose B and E it composes with W once.
@@ -162,10 +175,12 @@ class StieltjesPair:
 
     @classmethod
     def from_function(cls, f):
-        eye = np.eye(f.q, dtype=complex)
-        zero = np.zeros_like(eye)
-        return cls(np.vstack([zero, eye]), f, np.vstack([eye, zero]),
-                   f.measure.tol)
+        # B = [0; I] and E = [I; 0] are read-only views of one [0; I; 0]
+        q = f.q
+        stack = np.zeros((3 * q, q), dtype=complex)
+        stack[q:2 * q] = np.eye(q)
+        stack.flags.writeable = False
+        return cls(stack[:2 * q], f, stack[q:], f.measure.tol)
 
     @classmethod
     def lifted(cls, W, inner, m, ell):

@@ -8,16 +8,17 @@ package computes it, and the tests hold the library to it.  Nothing in
 
 import numpy as np
 
-from stieltjesmp.matcore import DEFAULT_TOL, Subspace, _rank, as_matrix, \
-    is_psd, mrank, projector, right_divide
+from stieltjesmp.matcore import DEFAULT_TOL, Subspace, _fro, _rank, \
+    as_matrix, is_psd, mrank, projector, right_divide
 from stieltjesmp.momentseq import MomentSequence, canonical_extension, \
     first_column_embedding, last_column_embedding, shift_matrix, \
     shift_resolvent
-from stieltjesmp.potapov import FunctionSamples, _check_index, \
+from stieltjesmp.potapov import FunctionSamples, _adjoint, _check_index, \
     _check_offreal, _column_data, _corner, _fundamental, _im_quotient
 from stieltjesmp.resolvent import MatrixPolynomial, _times_linear, \
-    resolvent_poly, standard_grid
-from stieltjesmp.stieltjespairs import AtomicMeasure, pair_eval
+    monomial_stack, resolvent_poly, standard_grid
+from stieltjesmp.stieltjespairs import AtomicMeasure, StieltjesFunction, \
+    pair_eval
 
 
 def is_hermitian(A, tol=DEFAULT_TOL):
@@ -513,3 +514,42 @@ def pairs_equivalent(p1, p2, grid=None):
     diff = np.linalg.norm(vals[0][usable] - vals[1][usable], axis=(-2, -1))
     return bool(np.all(diff <= 1e3 * p1.tol.tol_identity))
 
+
+def decomposition_residual_per_atom(seq, n, mu, z, k):
+    """Residual of the exact integral decomposition of P_k for an atomic
+    measure mu whose transform plays the role of f, summed atom by atom
+    over the full (n+2)q x (n+2)q matrices: a number at a point z, an
+    array of residuals at a 1-D array of points.
+
+    P_2n[S](z) = sum_k [E(t); (t - conj z)^{-1} I] M [..]* + correction,
+    with a sqrt(t - alpha) weight in the odd case; the correction charges
+    only the last Hankel corner with the moment defect at order k.
+    """
+    data = seq.hankel()
+    z = np.asarray(z, dtype=complex)
+    _check_offreal(z)
+    _check_index(data, n, k)
+    q = seq.q
+    f = FunctionSamples(StieltjesFunction(None, mu))
+    P, _ = _fundamental(data, n, k, f(z), z)
+    odd = (k % 2 == 1)
+    total = np.zeros_like(P)
+    s_top = np.zeros((q, q), dtype=complex)
+    eye = np.eye(q)
+    for t, M in mu.atoms:
+        E = monomial_stack(q, n, t)
+        colblk = np.concatenate(
+            [np.broadcast_to(E, z.shape + E.shape),
+             (1.0 / (t - np.conj(z)))[..., None, None] * eye], axis=-2)
+        weight = (t - mu.alpha) if odd else 1.0
+        total += weight * (colblk @ M @ _adjoint(colblk))
+        s_top += (t ** k) * M if not odd else \
+            (t - mu.alpha) * (t ** (2 * n)) * M
+    vg = last_column_embedding(q, n)
+    corr_col = np.vstack([vg, np.zeros((q, q), dtype=complex)])
+    if odd:
+        defect = (-seq.alpha * seq.s(2 * n) + seq.s(2 * n + 1)) - s_top
+    else:
+        defect = seq.s(k) - s_top
+    total += corr_col @ defect @ corr_col.conj().T
+    return (_fro(P - total) / (1.0 + _fro(P)))[()]

@@ -15,10 +15,11 @@ from stieltjesmp.solver import lft_solution, verify_solution
 from stieltjesmp.stieltjespairs import AtomicMeasure, StieltjesPair, \
     transform
 
-from conftest import atomic_fixture, kge_fixtures, \
+from conftest import WEIGHT_PATTERNS, atomic_fixture, kge_fixtures, \
     random_hermitian_sequence, scalar_seq
-from identities import congruence_check, conjugate_reflection, fq_matrices, \
-    potapov_matrix, psi_polynomial, sigma_matrix
+from identities import congruence_check, conjugate_reflection, \
+    decomposition_residual_per_atom, fq_matrices, potapov_matrix, \
+    psi_polynomial, sigma_matrix
 
 
 def scalar_f(fn):
@@ -331,6 +332,38 @@ def test_atomic_decomposition_residual_on_arrays():
             one = atomic_decomposition_residual(seq, 1, mu, z, k)
             assert np.ndim(one) == 0
             assert abs(r - one) <= 1e-15 and r <= 1e-12
+
+
+def test_block_residual_matches_the_per_atom_sum():
+    # The block-wise residual against the atom-by-atom sum over the full
+    # (n+2)q x (n+2)q matrices, at one point and on an array.
+    rng = np.random.default_rng(61)
+    for q in (1, 3, 8):
+        for n in range(4):
+            for kw in WEIGHT_PATTERNS.values():
+                alpha = (0.0, 0.5, -1.0)[(q + n) % 3]
+                mu, seq = atomic_fixture(rng, q, n, alpha, **kw)
+                zs = np.array(standard_grid(alpha)[:4])
+                for k in (2 * n, 2 * n + 1):
+                    for z in (zs, zs[1]):
+                        got = atomic_decomposition_residual(seq, n, mu, z, k)
+                        want = decomposition_residual_per_atom(
+                            seq, n, mu, z, k)
+                        assert np.shape(got) == np.shape(want)
+                        assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_decomposition_residual_sees_a_wrong_moment():
+    mu, seq = atomic_fixture(np.random.default_rng(62), 2, 1, 0.5)
+    moments = list(seq.moments)
+    moments[1] = moments[1] + 1e-3 * np.eye(2)
+    off = MomentSequence(seq.alpha, seq.q, moments)
+    zs = np.array(standard_grid(0.5)[:4])
+    for residual in (atomic_decomposition_residual,
+                     decomposition_residual_per_atom):
+        for k in (2, 3):
+            assert residual(seq, 1, mu, zs, k).max() <= 1e-12
+            assert residual(off, 1, mu, zs, k).min() > 1e-8
 
 
 def test_potapov_report_decides_with_the_sequence_tolerance():

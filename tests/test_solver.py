@@ -1,13 +1,16 @@
 """Unit tests for classification, lifting, and the solution map."""
 
 import collections
+import copy
 import dataclasses
+import gc
+import pickle
 import weakref
 
 import numpy as np
 import pytest
 
-from stieltjesmp import MomentSequence, class_membership
+from stieltjesmp import MomentSequence, class_membership, resolvent
 from stieltjesmp.matcore import Subspace, right_divide
 from stieltjesmp.momentseq import dubovoj_candidates
 from stieltjesmp.potapov import FunctionSamples, \
@@ -397,6 +400,73 @@ def test_hankel_data_lives_exactly_while_a_result_holds_it():
     assert data() is None
 
 
+def _count_calls(monkeypatch, module, name, calls):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_a_live_report_or_resolvent_is_returned_again(monkeypatch):
+    mu, seq = atomic_fixture(np.random.default_rng(43), 2, 1, 0.5,
+                             natoms=1)
+    builds = collections.Counter()
+    _count_calls(monkeypatch, resolvent, "_self_check", builds)
+    report = classify(seq, 1)
+    assert report.case == "CompletelyDegenerate"
+    assert classify(seq, 1) is report
+    R = build_resolvent(seq, 1)
+    assert build_resolvent(seq, 1) is R
+    assert unique_solution(seq, 1).resolvent is R
+    assert builds["_self_check"] == 1
+    for twin in (copy.copy(seq), pickle.loads(pickle.dumps(seq))):
+        assert classify(twin, 1) is not report
+        assert build_resolvent(twin, 1) is not R
+    assert builds["_self_check"] == 3
+    # The results hold the data and the data holds them weakly, so no
+    # cycle keeps them: dropping them frees them at once.
+    dropped = weakref.ref(report), weakref.ref(R), weakref.ref(seq.hankel())
+    gc.disable()
+    try:
+        del report, R
+        assert [ref() for ref in dropped] == [None] * 3
+    finally:
+        gc.enable()
+    gc.collect()
+    assert classify(seq, 1).case == "CompletelyDegenerate"
+    build_resolvent(seq, 1)
+    assert builds["_self_check"] == 4
+
+
+@pytest.mark.parametrize("kw, case", [
+    ({"natoms": 1}, "CompletelyDegenerate"), ({}, "NonDegenerate")])
+def test_the_verify_pipeline_does_each_piece_of_work_once(
+        monkeypatch, factor_calls, kw, case):
+    # The per-problem pipeline of the dense verification benchmark: S at
+    # points one by one and both verifications, with the report and the
+    # resolvent held throughout.
+    mu, seq = atomic_fixture(np.random.default_rng(44), 8, 1, 0.5, **kw)
+    calls = collections.Counter()
+    for name in ("_self_check", "one_two_inverse"):
+        _count_calls(monkeypatch, resolvent, name, calls)
+    report = classify(seq, 1)
+    assert report.case == case
+    R = build_resolvent(seq, 1)
+    if case == "CompletelyDegenerate":
+        S = unique_solution(seq, 1)
+    else:
+        S = lft_solution(R, canonical_pair(report), seq=seq, n=1)
+    for z in standard_grid(0.5)[:6]:
+        assert np.all(np.isfinite(S(z)))
+    assert verify_solution(seq, 1, mu)["valid"]
+    assert verify_solution(seq, 1, S)["valid"]
+    assert calls == {"_self_check": 1, "one_two_inverse": 2}
+    assert factor_calls == hankel_factor_counts(seq, 1)
+
+
 @pytest.mark.parametrize("q, n", [(2, 2), (4, 2), (8, 2), (32, 2), (1, 3),
                                   (1, 4), (2, 3), (2, 4)])
 def test_classify_positive_definite_data_as_nondegenerate(q, n):
@@ -504,6 +574,38 @@ def _agrees_with_scalar_loop(fn, zs):
     return True
 
 
+def _array_matches_scalar_loop(rng, q, n, kw, covered):
+    """Array calls against point-by-point calls on one fixture; returns
+    how many solutions had their values compared."""
+    alpha = (0.0, 0.5, -1.0)[(q + n) % 3]
+    mu, seq = atomic_fixture(rng, q, n, alpha, **kw)
+    zs = np.array(standard_grid(alpha)[::3] + [alpha - 1.5])
+    assert _agrees_with_scalar_loop(lambda z: transform(mu, z), zs)
+    try:
+        report = classify(seq, n)
+    except ValueError:
+        return 0
+    R = build_resolvent(seq, n)
+    for poly in (R.theta, R.U_tilde, MatrixPolynomial(R.B[None])):
+        assert _agrees_with_scalar_loop(poly.eval, zs)
+    if report.case == "CompletelyDegenerate":
+        pairs = [lift_pair(report)]
+    else:
+        r = report.r
+        f = StieltjesFunction(np.eye(r), AtomicMeasure(
+            alpha, r, [(alpha + 0.7, np.eye(r))]))
+        pairs = [lift_pair(report, inner) for inner in (
+            StieltjesPair.constant(np.zeros((r, r)), np.eye(r)),
+            StieltjesPair.from_function(f))]
+    compared = 0
+    for pair in pairs:
+        covered.add((pair.f is not None, report.r < q))
+        assert _agrees_with_scalar_loop(
+            lambda z: np.concatenate(pair_eval(pair, z), -1), zs)
+        compared += _agrees_with_scalar_loop(lft_solution(R, pair), zs)
+    return compared
+
+
 def test_array_evaluation_matches_scalar_loop():
     rng = np.random.default_rng(4)
     covered = set()
@@ -511,38 +613,17 @@ def test_array_evaluation_matches_scalar_loop():
     for q in (1, 2, 3):
         for n in range(4):
             for kw in WEIGHT_PATTERNS.values():
-                alpha = (0.0, 0.5, -1.0)[(q + n) % 3]
-                mu, seq = atomic_fixture(rng, q, n, alpha, **kw)
-                zs = np.array(standard_grid(alpha)[::3] + [alpha - 1.5])
-                assert _agrees_with_scalar_loop(
-                    lambda z: transform(mu, z), zs)
-                try:
-                    report = classify(seq, n)
-                except ValueError:
-                    continue
-                R = build_resolvent(seq, n)
-                for poly in (R.theta, R.U_tilde,
-                             MatrixPolynomial(R.B[None])):
-                    assert _agrees_with_scalar_loop(poly.eval, zs)
-                if report.case == "CompletelyDegenerate":
-                    pairs = [lift_pair(report)]
-                else:
-                    r = report.r
-                    f = StieltjesFunction(np.eye(r), AtomicMeasure(
-                        alpha, r, [(alpha + 0.7, np.eye(r))]))
-                    pairs = [lift_pair(report, inner) for inner in (
-                        StieltjesPair.constant(np.zeros((r, r)), np.eye(r)),
-                        StieltjesPair.from_function(f))]
-                for pair in pairs:
-                    covered.add((pair.f is not None, report.r < q))
-                    assert _agrees_with_scalar_loop(
-                        lambda z: np.concatenate(pair_eval(pair, z), -1),
-                        zs)
-                    compared += _agrees_with_scalar_loop(
-                        lft_solution(R, pair), zs)
+                compared += _array_matches_scalar_loop(rng, q, n, kw, covered)
     assert covered == {(False, False), (True, False), (False, True),
                        (True, True)}
     assert compared >= 40
+    # the sizes of the dense verification benchmark
+    large = set()
+    for q, kw in ((8, {"ranks": [3]}), (16, WEIGHT_PATTERNS["full"])):
+        assert _array_matches_scalar_loop(
+            np.random.default_rng(4), q, 1, kw, large) == 2
+    assert large == {(False, False), (True, False), (False, True),
+                     (True, True)}
 
 
 # Calls at level n with k = 2n (on m = 2n - 1) or k = 2n + 1 (on

@@ -114,6 +114,16 @@ def test_pair_eval_examples():
     assert lifted.degree_bound() == 0
 
 
+def test_a_function_pair_shares_one_read_only_buffer():
+    mu = AtomicMeasure(0.0, 3, [(1.0, np.eye(3))])
+    p = StieltjesPair.from_function(StieltjesFunction(None, mu))
+    eye, zero = np.eye(3), np.zeros((3, 3))
+    assert np.array_equal(p.B, np.vstack([zero, eye]))
+    assert np.array_equal(p.E, np.vstack([eye, zero]))
+    assert p.B.base is p.E.base and p.B.base.nbytes == 9 * 16 * 3
+    assert not (p.B.flags.writeable or p.E.flags.writeable)
+
+
 def _by_hand(W, phi_r, psi_r, m, ell):
     """W diag(phi_r, 0_m, I_ell) and W diag(psi_r, I_m, 0_ell), with
     the point axes of phi_r and psi_r kept."""
