@@ -42,6 +42,7 @@ from .solver import (
     classify,
     lft_solution,
     lift_pair,
+    pair_in_restricted_class,
     recover_s0,
     unique_solution,
     verify_solution,
@@ -51,8 +52,6 @@ from .stieltjespairs import (
     StieltjesFunction,
     StieltjesPair,
     moments_of,
-    pair_eval,
-    pair_in_restricted_class,
     transform,
 )
 

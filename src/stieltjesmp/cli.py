@@ -25,10 +25,12 @@ from .jsonio import (  # noqa: F401
 )
 from .matcore import ToleranceConfig
 from .momentseq import MomentSequence, class_membership
+from .potapov import FunctionSamples, potapov_report
 from .resolvent import build_resolvent, standard_grid, theta_coeffs_json
 from .solver import (
     classify,
     lft_solution,
+    lift_pair,
     unique_solution,
     verify_solution,
 )
@@ -165,14 +167,12 @@ def cmd_solve(args):
             raise ValueError("a pair file is required unless the data is "
                              "completely degenerate")
         pair = load_pair_file(args.pair, tol)
-        from .solver import lift_pair
         if report.case == "Degenerate":
             pair = lift_pair(report, pair)
         R = build_resolvent(seq, n)
         S = lft_solution(R, pair, seq=seq, n=n)
     points = _points(args) if args.points else \
         [z for z in standard_grid(seq.alpha) if z.imag > 0][:4]
-    from .potapov import FunctionSamples, potapov_report
     entries = [{"z": jsonio.complex_to_json(z)} for z in points]
     solved, value = [], {}
     for z, entry, val in zip(points, entries,

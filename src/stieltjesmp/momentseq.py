@@ -301,8 +301,9 @@ class HankelData:
         """(A_phi, A_psi) = ((I - H^+ H) R_T(alpha) v, (I - Hs^+ Hs) H v)
         at level n, formed as N N* R_T(alpha) v and Ns Ns* H v from the
         null bases of H_n and Hs_n, so both are exactly zero when these
-        are nonsingular; a pair is in the restricted class when A_phi phi
-        and A_psi psi vanish identically."""
+        are nonsingular.  ``classify`` ranks them: their row spaces are
+        the defect subspaces U and V, on which the phi and psi of a pair
+        in the restricted class vanish."""
         self.check_level(n, shifted=True)
         N, Ns = self.factor(n).null, self.factor(n, True).null
         Rv = shift_resolvent(self.q, n, self.seq.alpha)[:, :self.q]

@@ -3,7 +3,8 @@
 Given a Stieltjes-extendable moment sequence, this module computes the
 degeneracy ranks (m, ell, r), builds the unitary frame W aligning the
 two defect subspaces, lifts low-dimensional parameter pairs into the
-full-size degenerate structure, forms the linear fractional
+full-size degenerate structure, decides from the defect subspaces
+whether a pair is in the restricted class, forms the linear fractional
 transformation of the resolvent matrix that produces solutions of the
 truncated moment problem, and verifies candidate solutions.
 """
@@ -31,7 +32,6 @@ from .stieltjespairs import (
     StieltjesFunction,
     StieltjesPair,
     moments_of,
-    pair_in_restricted_class,
 )
 
 
@@ -181,18 +181,43 @@ class SolutionFunction:
         return S
 
 
-def lft_solution(R, p, seq=None, n=None):
-    """Build the solution function for an admissible pair.
+def pair_in_restricted_class(p, seq, n):
+    """Whether phi vanishes on the defect subspace U and psi on V of
+    ``classify(seq, n)``, decided under ``seq.tol``.
 
-    When the originating sequence is supplied, the pair is gated through
-    the restricted-class test at level n (that of R by default).  For
-    the sequence R was built from, the test reads the Hankel data R
-    holds and factors nothing again.
+    With f = gamma + sum M_i / (t_i - z), whose poles are distinct (the
+    measure merges duplicate atoms), [phi; psi] = B + E f [I_k, 0] is a
+    constant plus linearly independent partial fractions.  So U* phi
+    vanishes identically exactly when U* C_phi = 0, and V* psi when
+    V* C_psi = 0, for the top and bottom halves of the coefficient
+    block C = [B + E gamma [I_k, 0] | E M_1 | ... | E M_a].  The bound
+    is relative to |C|, so the verdict does not change when the pair is
+    scaled.
     """
-    if seq is not None:
-        if not pair_in_restricted_class(p, seq, n if n is not None else R.n):
-            raise ValueError("pair is not in the restricted class for "
-                             "this sequence")
+    rep = classify(seq, n)
+    C = p.B
+    if p.f is not None:
+        C = np.hstack([p.B] + [p.E @ M for _, M in p.f.measure.atoms])
+        if p.f.gamma is not None:
+            C[:, :p.f.q] += p.E @ p.f.gamma
+    bound = 10 * seq.tol.tol_identity * np.linalg.norm(C)
+    return bool(np.linalg.norm(rep.U.basis.conj().T @ C[:p.q]) <= bound
+                and np.linalg.norm(rep.V.basis.conj().T @ C[p.q:]) <= bound)
+
+
+def lft_solution(R, p, seq=None, n=None):
+    """Build the solution function for a pair in the restricted class.
+
+    The pair is gated at level n of ``seq``, by default the level and
+    the sequence R was built from; a pair outside the class raises
+    ``ValueError``.  The gate reads the classification of ``seq``, the
+    live one when the caller holds it, and the Hankel data R holds, so
+    on R's own sequence it factors nothing again.
+    """
+    seq = R.data.seq if seq is None else seq
+    if not pair_in_restricted_class(p, seq, R.n if n is None else n):
+        raise ValueError("pair is not in the restricted class for "
+                         "this sequence")
     return SolutionFunction(R, p)
 
 

@@ -4,13 +4,13 @@ An :class:`AtomicMeasure` is a finitely atomic nonnegative-Hermitian
 q x q measure on [alpha, oo).  Its Stieltjes transform
 S(z) = sum (t_k - z)^{-1} M_k belongs to the half-line Nevanlinna class,
 and every in-scope identity about such measures reduces to an exact
-finite sum.  A :class:`StieltjesPair` is the evaluable parameter (phi,
-psi) of the linear-fractional solution description, affine in at most
-one Stieltjes function: constant, backed by a Stieltjes function, or
-lifted into a degenerate block structure.
-Its restricted-class gate is here; the validity and equivalence checks
-of pairs, and the reweighted measure, are test oracles in
-``tests/identities.py``.
+finite sum.  A :class:`StieltjesPair` is the parameter (phi, psi) of
+the linear-fractional solution description, affine in at most one
+Stieltjes function: constant, backed by a Stieltjes function, or lifted
+into a degenerate block structure.
+Its restricted-class gate reads the classification and lives in
+``solver``; evaluating a pair, its validity and equivalence checks,
+and the reweighted measure are test oracles in ``tests/identities.py``.
 """
 
 import numpy as np
@@ -132,7 +132,7 @@ class StieltjesFunction:
 
 
 class StieltjesPair:
-    """An evaluable parameter pair (phi, psi), affine in at most one
+    """A parameter pair (phi, psi), affine in at most one
     Stieltjes function f: [phi; psi](z) = B + E f(z) [I_k, 0].
 
     B is 2q x q of full column rank; with f (k x k, k <= q), E is
@@ -204,33 +204,3 @@ class StieltjesPair:
         E[:, :r] = inner.E.reshape(2, r, k)
         return cls((W @ blocks).reshape(2 * q, q), inner.f,
                    (W @ E).reshape(2 * q, k), inner.tol)
-
-    def degree_bound(self):
-        """Degree bound of the rational entries, for sampling decisions."""
-        return 0 if self.f is None else len(self.f.measure.atoms)
-
-
-def pair_eval(p, z):
-    """Values (phi(z), psi(z)) = B + E f(z) [I_k, 0] of the pair at z off
-    the slit: q x q matrices at a point, (G, q, q) stacks at a 1-D array
-    of G points."""
-    z = np.asarray(z, dtype=complex)
-    val = np.zeros(z.shape + p.B.shape, dtype=complex)
-    val += p.B
-    if p.f is not None:
-        val[..., :p.f.q] += p.E @ p.f(z)
-    return val[..., :p.q, :], val[..., p.q:, :]
-
-
-def pair_in_restricted_class(p, seq, n):
-    """Sampling test of the two vanishing conditions of the restricted
-    class under ``seq.tol``; sample count covers the rational degree
-    bound of the pair, and the pair is evaluated at all samples at once."""
-    A_phi, A_psi = seq.hankel().restriction_products(n)
-    bound = seq.tol.tol_identity * (1.0 + np.linalg.norm(seq.s(0))) * 10
-    npts = n + 2 + p.degree_bound()
-    phi, psi = pair_eval(p, seq.alpha + 0.37 + 1j * (1.0 + np.arange(npts)))
-    return bool(np.all(np.linalg.norm(A_phi @ phi, axis=(-2, -1)) <= bound)
-                and np.all(np.linalg.norm(A_psi @ psi, axis=(-2, -1))
-                           <= bound))
-

@@ -10,8 +10,8 @@ import collections
 import numpy as np
 import pytest
 
-from stieltjesmp import AtomicMeasure, HankelData, MomentSequence, matcore, \
-    moments_of
+from stieltjesmp import AtomicMeasure, HankelData, MomentSequence, \
+    StieltjesPair, lift_pair, matcore, moments_of
 from stieltjesmp.momentseq import block_hankel, first_column_embedding, \
     last_column_embedding, shift_matrix, stack_y
 
@@ -111,6 +111,15 @@ def kge_fixtures(count, seed=7):
         out.append((mu, seq, n))
         k += 1
     return out
+
+
+def canonical_pair(report):
+    """The lifted canonical pair (0, I) of a classification."""
+    if report.case == "CompletelyDegenerate":
+        return lift_pair(report)
+    r = report.r
+    return lift_pair(report, StieltjesPair.constant(np.zeros((r, r)),
+                                                    np.eye(r)))
 
 
 @pytest.fixture(scope="session")

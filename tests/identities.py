@@ -17,8 +17,7 @@ from stieltjesmp.potapov import FunctionSamples, _adjoint, _check_index, \
     _check_offreal, _column_data, _corner, _fundamental, _im_quotient
 from stieltjesmp.resolvent import MatrixPolynomial, _times_linear, \
     monomial_stack, resolvent_poly, standard_grid
-from stieltjesmp.stieltjespairs import AtomicMeasure, StieltjesFunction, \
-    pair_eval
+from stieltjesmp.stieltjespairs import AtomicMeasure, StieltjesFunction
 
 
 def is_hermitian(A, tol=DEFAULT_TOL):
@@ -438,6 +437,40 @@ def sharp_measure(mu):
     atoms = [(t, (t - mu.alpha) * M) for t, M in mu.atoms
              if (t - mu.alpha) > 0.0]
     return AtomicMeasure(mu.alpha, mu.q, atoms, mu.tol)
+
+
+def pair_eval(p, z):
+    """Values (phi(z), psi(z)) = B + E f(z) [I_k, 0] of the pair at z off
+    the slit: q x q matrices at a point, (G, q, q) stacks at a 1-D array
+    of G points."""
+    z = np.asarray(z, dtype=complex)
+    val = np.zeros(z.shape + p.B.shape, dtype=complex)
+    val += p.B
+    if p.f is not None:
+        val[..., :p.f.q] += p.E @ p.f(z)
+    return val[..., :p.q, :], val[..., p.q:, :]
+
+
+def in_restricted_class_at_points(p, seq, n, zs):
+    """The two vanishing conditions of the restricted class, A_phi phi(z)
+    = 0 and A_psi psi(z) = 0 with (A_phi, A_psi) the restriction products
+    (I - H^+ H) R_T(alpha) v and (I - Hs^+ Hs) H v of level n, tested
+    point by point under ``seq.tol``.  Each residual is bounded relative
+    to the block the projector acts on times |[phi; psi](z)|.  Decisive
+    when ``zs`` holds more points off the slit than the pair has poles."""
+    data = seq.hankel()
+    A_phi, A_psi = data.restriction_products(n)
+    q = seq.q
+    ref_phi = np.linalg.norm(shift_resolvent(q, n, seq.alpha)[:, :q])
+    ref_psi = np.linalg.norm(data.H[n][:, :q])
+    for z in zs:
+        phi, psi = pair_eval(p, z)
+        bound = 10 * seq.tol.tol_identity * np.linalg.norm(
+            np.vstack([phi, psi]))
+        if np.linalg.norm(A_phi @ phi) > bound * ref_phi or \
+                np.linalg.norm(A_psi @ psi) > bound * ref_psi:
+            return False
+    return True
 
 
 def default_pair_grid(alpha):

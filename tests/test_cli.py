@@ -177,9 +177,9 @@ def test_cmd_solve_reports_each_point(tmp_path, capsys):
 
 def test_cmd_solve_evaluates_once_over_the_points(tmp_path, capsys,
                                                   monkeypatch):
-    from stieltjesmp import potapov, solver
+    from stieltjesmp import cli, solver
     calls = {"S": 0, "report": 0}
-    call, report = solver.SolutionFunction.__call__, potapov.potapov_report
+    call, report = solver.SolutionFunction.__call__, cli.potapov_report
 
     def counting_call(self, z):
         calls["S"] += 1
@@ -190,7 +190,7 @@ def test_cmd_solve_evaluates_once_over_the_points(tmp_path, capsys,
         return report(*args, **kwargs)
 
     monkeypatch.setattr(solver.SolutionFunction, "__call__", counting_call)
-    monkeypatch.setattr(potapov, "potapov_report", counting_report)
+    monkeypatch.setattr(cli, "potapov_report", counting_report)
     code, doc = run(capsys, ["solve", moment_file(tmp_path, [1, 0]),
                              "--n", "0", "--points", "1j,2j,-1+0.5j,3-1j"])
     assert code == 0 and len(doc["values"]) == 4

@@ -142,13 +142,13 @@ PUBLIC = {
     "canonical_extension", "class_membership", "classify",
     "dubovoj_subspace", "is_psd", "jsonio", "lft_solution", "lift_pair",
     "matcore", "moments_of", "momentseq", "monomial_stack", "mrank",
-    "one_two_inverse", "pair_eval", "pair_in_restricted_class", "potapov",
+    "one_two_inverse", "pair_in_restricted_class", "potapov",
     "potapov_report", "projector", "recover_s0", "resolvent",
     "resolvent_poly", "shift_right", "solver", "standard_grid",
     "stieltjespairs", "transform", "unique_solution", "verify_solution"}
 
 def test_the_package_exports_only_its_production_path():
-    assert len(stieltjesmp.__all__) == len(PUBLIC) == 44
+    assert len(stieltjesmp.__all__) == len(PUBLIC) == 43
     assert set(stieltjesmp.__all__) == PUBLIC
 
 

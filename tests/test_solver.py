@@ -21,6 +21,7 @@ from stieltjesmp.solver import (
     classify,
     lft_solution,
     lift_pair,
+    pair_in_restricted_class,
     recover_s0,
     unique_solution,
     verify_solution,
@@ -30,15 +31,13 @@ from stieltjesmp.stieltjespairs import (
     StieltjesFunction,
     StieltjesPair,
     moments_of,
-    pair_eval,
-    pair_in_restricted_class,
     transform,
 )
 
-from conftest import WEIGHT_PATTERNS, atomic_fixture, delta, \
-    hankel_factor_counts, kge_fixtures, random_psd, scalar_seq
-from identities import congruence_check, fq_matrices, potapov_matrix, \
-    psi_polynomial, sigma_matrix
+from conftest import WEIGHT_PATTERNS, atomic_fixture, canonical_pair, \
+    delta, hankel_factor_counts, kge_fixtures, random_psd, scalar_seq
+from identities import congruence_check, fq_matrices, pair_eval, \
+    potapov_matrix, psi_polynomial, sigma_matrix
 
 
 Q2_SEQ = MomentSequence(0.0, 2, [np.diag([1.0, 0.0]), np.zeros((2, 2))])
@@ -110,11 +109,12 @@ def test_lft_solution_closed_forms():
 
 
 def test_lft_solution_gates_restricted_class():
+    # Without seq, the gate reads the sequence and level of R.
     seq = scalar_seq([1, 0])
     R = build_resolvent(seq, 0)
-    with pytest.raises(ValueError):
-        lft_solution(R, StieltjesPair.constant([[0.0]], [[1.0]]),
-                     seq=seq, n=0)
+    for kw in ({"seq": seq, "n": 0}, {}):
+        with pytest.raises(ValueError, match="not in the restricted class"):
+            lft_solution(R, StieltjesPair.constant([[0.0]], [[1.0]]), **kw)
 
 
 def test_unique_solution_examples():
@@ -332,15 +332,6 @@ def test_constant_pair_solution_evaluates_neither_pair_nor_theta(
             assert (calls["theta"], calls["f"]) == (0, 2 * per_call)
             checked.add((report.r < seq.q, per_call))
     assert checked == {(False, 0), (False, 1), (True, 0), (True, 1)}
-
-
-def canonical_pair(report):
-    """The lifted canonical pair (0, I) of the classification."""
-    if report.case == "CompletelyDegenerate":
-        return lift_pair(report)
-    r = report.r
-    return lift_pair(report, StieltjesPair.constant(np.zeros((r, r)),
-                                                    np.eye(r)))
 
 
 def test_lft_solution_on_own_sequence_factors_nothing(factor_calls):

@@ -3,23 +3,21 @@
 import numpy as np
 import pytest
 
-from stieltjesmp import HankelData, MomentSequence, ToleranceConfig, \
-    stieltjespairs
+from stieltjesmp import MomentSequence, ToleranceConfig
+from stieltjesmp.solver import classify, lift_pair, pair_in_restricted_class
 from stieltjesmp.stieltjespairs import (
     AtomicMeasure,
     StieltjesFunction,
     StieltjesPair,
     moments_of,
-    pair_eval,
-    pair_in_restricted_class,
     transform,
 )
 
 import identities
-from conftest import atomic_fixture, delta, kge_fixtures, random_psd, \
-    scalar_seq
-from identities import default_pair_grid, pair_is_valid, pairs_equivalent, \
-    sharp_measure, total_mass
+from conftest import atomic_fixture, canonical_pair, delta, kge_fixtures, \
+    random_psd, scalar_seq
+from identities import default_pair_grid, in_restricted_class_at_points, \
+    pair_eval, pair_is_valid, pairs_equivalent, sharp_measure, total_mass
 
 
 def test_atomic_measure_validation():
@@ -111,7 +109,6 @@ def test_pair_eval_examples():
     phi, psi = pair_eval(lifted, 1j)
     assert np.allclose(phi, np.zeros((2, 2)))
     assert np.allclose(psi, np.eye(2))
-    assert lifted.degree_bound() == 0
 
 
 def test_a_function_pair_shares_one_read_only_buffer():
@@ -159,7 +156,7 @@ def test_lifted_pair_places_the_inner_blocks():
                         assert got.shape == ref.shape
                         assert np.linalg.norm(got - ref) <= \
                             1e-12 * np.linalg.norm(ref)
-                covered.add((inner.degree_bound() > 0, m, ell))
+                covered.add((inner.f is not None, m, ell))
     assert len(covered) == 6
 
 
@@ -269,37 +266,62 @@ def test_pair_in_restricted_class_decides_with_the_sequence_tolerance():
     assert pair_in_restricted_class(near, loose, 0)
 
 
-def test_pair_in_restricted_class_evaluates_the_pair_once(monkeypatch):
-    calls = []
-    original = stieltjespairs.pair_eval
-
-    def counting(p, z):
-        calls.append(np.shape(z))
-        return original(p, z)
-
-    monkeypatch.setattr(stieltjespairs, "pair_eval", counting)
-    mu, seq = atomic_fixture(np.random.default_rng(27), 2, 1, 0.5)
-    f = StieltjesFunction(np.eye(2), mu)
-    for pair in (StieltjesPair.constant(np.zeros((2, 2)), np.eye(2)),
-                 StieltjesPair.from_function(f)):
-        calls.clear()
-        assert pair_in_restricted_class(pair, seq, 1)
-        assert calls == [(1 + 2 + pair.degree_bound(),)]
-
-
-def _restricted_class_loop(p, seq, n):
-    """The per-point form of the gate, as a reference."""
-    A_phi, A_psi = HankelData(seq).restriction_products(n)
-    bound = seq.tol.tol_identity * (1.0 + np.linalg.norm(seq.s(0))) * 10
-    for k in range(n + 2 + p.degree_bound()):
-        phi, psi = pair_eval(p, seq.alpha + 0.37 + 1j * (1.0 + k))
-        if np.linalg.norm(A_phi @ phi) > bound or \
-                np.linalg.norm(A_psi @ psi) > bound:
-            return False
-    return True
+def test_pair_in_restricted_class_does_not_depend_on_the_scale_of_the_pair():
+    # (phi, psi) and (c phi, c psi) are one parameter, so they get one
+    # verdict: psi = c is never in the class for s = (1, 0), and c times
+    # the lifted canonical pair of degenerate data always is.
+    seq10 = scalar_seq([1, 0])
+    degenerate = []
+    for mu, seq, n in kge_fixtures(80, seed=31):
+        report = classify(seq, n)
+        if report.case == "Degenerate":
+            degenerate.append((seq, n, canonical_pair(report)))
+    assert len(degenerate) == 6
+    for c in (1e-12, 1e-6, 1.0, 1e4, 1e8, 1e12):
+        assert not pair_in_restricted_class(
+            StieltjesPair.constant([[0.0]], [[c]]), seq10, 0)
+        for seq, n, pair in degenerate:
+            assert pair_in_restricted_class(StieltjesPair(c * pair.B),
+                                            seq, n)
 
 
-def test_pair_in_restricted_class_matches_the_per_point_loop():
+def _gate_agrees_with_points(rng, pair, seq, n):
+    """The gate's verdict, checked against the oracle at random points
+    off the slit, more of them than the pair has poles."""
+    npts = n + 2 + (0 if pair.f is None else len(pair.f.measure.atoms))
+    zs = seq.alpha + rng.uniform(-3.0, 3.0, npts) + 1j * rng.choice(
+        [-1.0, 1.0], npts) * rng.uniform(0.5, 3.0, npts)
+    verdict = pair_in_restricted_class(pair, seq, n)
+    assert verdict == in_restricted_class_at_points(pair, seq, n, zs)
+    return verdict
+
+
+def test_pair_in_restricted_class_matches_the_pointwise_conditions():
+    # The gate reads the pair's coefficients, the oracle its values.
+    # Lifted constant and function pairs of degenerate data are in the
+    # class; moving B or E by 1e-3 takes them out.
+    rng = np.random.default_rng(11)
+    verdicts = []
+    for mu, seq, n in kge_fixtures(200, seed=11):
+        report = classify(seq, n)
+        if report.case != "Degenerate":
+            continue
+        q, r, alpha = seq.q, report.r, seq.alpha
+        f = StieltjesFunction(np.eye(r), AtomicMeasure(
+            alpha, r, [(alpha + 1.0, np.eye(r)),
+                       (alpha + 2.5, random_psd(rng, r))]))
+        const = canonical_pair(report)
+        func = lift_pair(report, StieltjesPair.from_function(f))
+        dB, dE = (1e-3 * (rng.normal(size=(2 * q, c))
+                          + 1j * rng.normal(size=(2 * q, c)))
+                  for c in (q, func.E.shape[1]))
+        for pair in (const, StieltjesPair(const.B + dB),
+                     func, StieltjesPair(func.B + dB, f, func.E),
+                     StieltjesPair(func.B, f, func.E + dE),
+                     StieltjesPair(func.B + dB, f, func.E + dE)):
+            verdicts.append(_gate_agrees_with_points(rng, pair, seq, n))
+    assert verdicts == [True, False, True, False, False, False] * 16
+    # Unlifted pairs on every kind of data, in the class or not.
     verdicts = []
     for mu, seq, n in kge_fixtures(16, seed=8):
         q = seq.q
@@ -308,9 +330,7 @@ def test_pair_in_restricted_class_matches_the_per_point_loop():
         for pair in (StieltjesPair.constant(np.zeros((q, q)), np.eye(q)),
                      StieltjesPair.constant(np.eye(q), np.zeros((q, q))),
                      StieltjesPair.from_function(f)):
-            verdict = pair_in_restricted_class(pair, seq, n)
-            assert verdict == _restricted_class_loop(pair, seq, n)
-            verdicts.append(verdict)
+            verdicts.append(_gate_agrees_with_points(rng, pair, seq, n))
     assert any(verdicts) and not all(verdicts)
 
 
