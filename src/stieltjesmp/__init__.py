@@ -24,15 +24,11 @@ from .momentseq import (
     class_membership,
     shift_right,
 )
-from .potapov import (
-    FunctionSamples,
-    potapov_report,
-)
+from .potapov import potapov_report
 from .resolvent import (
     MatrixPolynomial,
     ResolventMatrix,
     build_resolvent,
-    monomial_stack,
     resolvent_poly,
     standard_grid,
 )

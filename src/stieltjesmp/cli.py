@@ -25,7 +25,7 @@ from .jsonio import (  # noqa: F401
 )
 from .matcore import ToleranceConfig
 from .momentseq import MomentSequence, class_membership
-from .potapov import FunctionSamples, potapov_report
+from .potapov import potapov_report
 from .resolvent import build_resolvent, standard_grid, theta_coeffs_json
 from .solver import (
     classify,
@@ -102,7 +102,7 @@ def load_pair_file(path, tol):
 
 
 def _emit(doc, args):
-    if getattr(args, "pretty", False):
+    if args.pretty:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(json.dumps(doc, sort_keys=True))
@@ -110,18 +110,17 @@ def _emit(doc, args):
 
 def _tol(args):
     kwargs = {}
-    if getattr(args, "tol_psd", None) is not None:
+    if args.tol_psd is not None:
         kwargs["tol_psd"] = args.tol_psd
-    if getattr(args, "tol_rank", None) is not None:
+    if args.tol_rank is not None:
         kwargs["tol_rank"] = args.tol_rank
     return ToleranceConfig(**kwargs)
 
 
 def _grid(args, alpha):
-    spec = getattr(args, "grid", None)
-    if spec in (None, "standard"):
+    if args.grid in (None, "standard"):
         return standard_grid(alpha)
-    return [complex(tok) for tok in spec.split(",")]
+    return [complex(tok) for tok in args.grid.split(",")]
 
 
 def _points(args):
@@ -174,25 +173,20 @@ def cmd_solve(args):
     points = _points(args) if args.points else \
         [z for z in standard_grid(seq.alpha) if z.imag > 0][:4]
     entries = [{"z": jsonio.complex_to_json(z)} for z in points]
-    solved, value = [], {}
-    for z, entry, val in zip(points, entries,
-                             _at_points(FunctionSamples(S), points)):
+    solved = []
+    for z, entry, val in zip(points, entries, _at_points(S, points)):
         if isinstance(val, ValueError):
             entry["singular"] = str(val)
         else:
             entry["S"] = jsonio.matrix_to_json(val)
-            solved.append((z, entry))
-            value[z] = val
-    # The report reads the finite values found above instead of
-    # evaluating S again, and the Hankel data that S keeps alive.
-    f = FunctionSamples(value.__getitem__)
+            solved.append((z, entry, val))
 
-    def sigma_mins(zs):
-        rep = potapov_report(seq, n, f, zs)
+    def sigma_mins(rows):
+        rep = potapov_report(seq, n, [val for _, _, val in rows],
+                             [z for z, _, _ in rows])
         return list(zip(rep.smin_even, rep.smin_odd))
 
-    for (_, entry), lam in zip(solved, _at_points(
-            sigma_mins, [z for z, _ in solved])):
+    for (_, entry, _), lam in zip(solved, _at_points(sigma_mins, solved)):
         if isinstance(lam, ValueError):
             entry["singular"] = str(lam)
         else:
@@ -201,19 +195,20 @@ def cmd_solve(args):
     return EXIT_OK
 
 
-def _at_points(fn, points):
-    """``fn(points)`` as a list with one result per point.  When the
-    batch raises ``ValueError``, ``fn`` runs point by point instead, and
-    a point that raises gets its error in place of a result."""
-    if not points:
+def _at_points(fn, items):
+    """``fn(items)`` as a list with one result per item, such as a
+    point.  When the batch raises ``ValueError``, ``fn`` runs item by
+    item instead, and an item that raises gets its error in place of a
+    result."""
+    if not items:
         return []
     try:
-        return list(fn(points))
+        return list(fn(items))
     except ValueError:
         out = []
-        for z in points:
+        for item in items:
             try:
-                out.append(fn([z])[0])
+                out.append(fn([item])[0])
             except ValueError as exc:
                 out.append(exc)
         return out

@@ -151,13 +151,6 @@ def first_column_embedding(q, n):
     return v
 
 
-def last_column_embedding(q, n):
-    """vg_{q,n} = col(delta_{n-j,0} I_q), the last block column of I."""
-    v = np.zeros(((n + 1) * q, q), dtype=complex)
-    v[n * q:, :] = np.eye(q)
-    return v
-
-
 def _levels(M, q, top):
     """Leading (k+1)q x (k+1)q slices of ``M`` for k = 0..top, read-only."""
     _read_only(M)

@@ -27,37 +27,6 @@ from .stieltjespairs import transform
 _IM_GUARD = 1e-8
 
 
-class FunctionSamples:
-    """An evaluable q x q matrix function handle.
-
-    At a point it returns f(z) as a q x q matrix, at a 1-D array of G
-    points a (G, q, q) stack.  An evaluator whose class sets
-    ``takes_arrays`` (the library's solution and Stieltjes functions)
-    gets the whole array in one call; any other evaluator is called once
-    per point, in order.  A value that is not finite raises
-    ``ValueError`` naming the first such point.
-    """
-
-    def __init__(self, evaluator):
-        self.evaluator = evaluator
-
-    def __call__(self, z):
-        if np.ndim(z) == 0:
-            val = np.atleast_2d(np.asarray(self.evaluator(z), dtype=complex))
-            if not np.all(np.isfinite(val)):
-                raise ValueError(f"f({z}) is not finite")
-            return val
-        z = np.asarray(z, dtype=complex)
-        if not getattr(self.evaluator, "takes_arrays", False):
-            return np.stack([self(w) for w in z.tolist()])
-        val = np.asarray(self.evaluator(z), dtype=complex)
-        finite = np.isfinite(val).all(axis=(-2, -1))
-        if not finite.all():
-            first = complex(z[np.argmin(finite)])
-            raise ValueError(f"f({first}) is not finite")
-        return val
-
-
 def _check_offreal(z):
     if np.any(np.abs(np.imag(z)) < _IM_GUARD):
         raise ValueError("the fundamental matrices are only defined off R")
@@ -126,22 +95,6 @@ def _block_norm(H, col, diag):
                    + _fro(diag) ** 2)
 
 
-def _fundamental(data, n, k, fz, z):
-    """P_k at the points z from fz = f(z), one matrix per point, and its
-    Frobenius norm per point."""
-    if k == -1:
-        P = _im_quotient(_weighted(data, fz, z), z)
-        return P, _fro(P)
-    H, col, diag = _column_data(data, n, fz, z, odd=(k % 2 == 1))
-    p = H.shape[0]
-    P = np.empty(z.shape + (p + data.q, p + data.q), dtype=complex)
-    P[..., :p, :p] = H
-    P[..., :p, p:] = col
-    np.conjugate(np.swapaxes(col, -1, -2), out=P[..., p:, :p])
-    P[..., p:, p:] = diag
-    return P, _block_norm(H, col, diag)
-
-
 @dataclass
 class PotapovReport:
     """Smallest-eigenvalue table of the Potapov test on a grid.
@@ -181,9 +134,9 @@ def _potapov_test(data, n, k, fz, z, tol):
     Where w_min <= -tau the point fails and its value is w_min.
     """
     if k == -1:
-        P, norm = _fundamental(data, n, -1, fz, z)
+        P = _im_quotient(_weighted(data, fz, z), z)
         lam = np.linalg.eigvalsh(_hermitian_part(P)).min(axis=-1)
-        return lam, lam < -tol.tol_psd * (1.0 + norm)
+        return lam, lam < -tol.tol_psd * (1.0 + _fro(P))
     H, col, diag = _column_data(data, n, fz, z, odd=(k % 2 == 1))
     tau = tol.tol_psd * (1.0 + _block_norm(H, col, diag))
     w, Q = data.spectrum(n, k % 2 == 1)
@@ -196,9 +149,10 @@ def _potapov_test(data, n, k, fz, z, tol):
     return np.where(definite, lam, w[0]), ~definite | (lam < -tau)
 
 
-def potapov_report(seq, n, f, grid):
+def potapov_report(seq, n, fz, grid):
     """Decide P_2n, P_2n+1, P_-1 >= 0 (up to the margin) over a non-real
-    grid.
+    grid, for the candidate whose values at the grid points are the
+    (G, q, q) stack ``fz``.
 
     A point passes for k when lambda_min of the Hermitian part of P_k is
     at least -tau, tau = tol_psd (1 + ||P_k||_F) with the ``tol_psd`` of
@@ -211,9 +165,12 @@ def potapov_report(seq, n, f, grid):
     I)^-1 c has lambda_min >= -tau.  Where lambda_min(H) <= -tau the
     point fails, since by interlacing lambda_min(P_k) <= lambda_min(H).
     H is factored once per k on the sequence's data, not per report,
-    and no (n+2)q x (n+2)q matrix is formed.  P_-1 is already q x q and is tested directly.
+    and no (n+2)q x (n+2)q matrix is formed.  P_-1 is already q x q and
+    is tested directly.
 
-    f is called once with the whole grid.
+    An ``fz`` of another shape than (len(grid), q, q) raises
+    ``ValueError``, and so does a value that is not finite, naming the
+    first such point.
     """
     data = seq.hankel()
     data.check_level(n)
@@ -223,7 +180,13 @@ def potapov_report(seq, n, f, grid):
         raise ValueError("empty evaluation grid")
     z = np.array(grid)
     _check_offreal(z)
-    fz = f(z)
+    fz = np.asarray(fz, dtype=complex)
+    shape = (len(grid), seq.q, seq.q)
+    if fz.shape != shape:
+        raise ValueError(f"values of shape {fz.shape}, expected {shape}")
+    finite = np.isfinite(fz).all(axis=(-2, -1))
+    if not finite.all():
+        raise ValueError(f"f({grid[np.argmin(finite)]}) is not finite")
     smin = {}
     passed = True
     for k in (2 * n, 2 * n + 1, -1):

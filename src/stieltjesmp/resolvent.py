@@ -89,12 +89,6 @@ def resolvent_poly(q, n):
     return MatrixPolynomial([np.eye(p, k=q * j) for j in range(n + 1)])
 
 
-def monomial_stack(q, n, z):
-    """E_{q,n}(z) = col(z^j I_q)_{j=0}^n; satisfies R_T(z) v = E(z)."""
-    return np.vstack([(z ** j) * np.eye(q, dtype=complex)
-                      for j in range(n + 1)])
-
-
 def standard_grid(alpha):
     """24 complex test points around the slit: 4 real offsets x 3 heights
     in each half plane."""

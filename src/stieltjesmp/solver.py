@@ -24,14 +24,13 @@ from .matcore import (
     subspace_from_columns,
 )
 from .momentseq import HankelData
-from .potapov import FunctionSamples, atomic_decomposition_residual, \
-    potapov_report
+from .potapov import atomic_decomposition_residual, potapov_report
 from .resolvent import MatrixPolynomial, build_resolvent, standard_grid
 from .stieltjespairs import (
     AtomicMeasure,
-    StieltjesFunction,
     StieltjesPair,
     moments_of,
+    transform,
 )
 
 
@@ -150,9 +149,6 @@ class SolutionFunction:
     f, and never evaluates Theta itself.
     """
 
-    # Evaluators with this flag take a 1-D array of points in one call.
-    takes_arrays = True
-
     def __init__(self, resolvent, pair):
         self.resolvent = resolvent
         self.pair = pair
@@ -251,9 +247,11 @@ def verify_solution(seq, n, candidate, grid=None):
 
     Measures are checked by exact moment matching for j <= 2n, a Loewner
     defect at order 2n + 1, the fundamental-matrix report of their
-    transform, and the exact atomic decomposition residual.  Solution
-    functions are checked by the fundamental-matrix report and s_0
-    recovery at a single large imaginary point.  Every check reads the
+    transform at the grid, and the exact atomic decomposition residual.
+    A function candidate, such as a ``SolutionFunction``, is called once
+    with the grid as a 1-D array and returns the (G, q, q) stack of its
+    values, which the fundamental-matrix report reads; s_0 is recovered
+    from it at a single large imaginary point.  Every check reads the
     Hankel data of ``seq``, which a live result on it may hold already.
     A measure needs 2n + 1 <= m (its checks read s_2n+1), a function 2n <= m.
     """
@@ -262,6 +260,7 @@ def verify_solution(seq, n, candidate, grid=None):
     tol = seq.tol
     if grid is None:
         grid = standard_grid(seq.alpha)
+    z = np.asarray(grid, dtype=complex)
     out = {"valid": True, "checks": {}}
     if isinstance(candidate, AtomicMeasure):
         mom = moments_of(candidate, 2 * n + 1)
@@ -282,22 +281,19 @@ def verify_solution(seq, n, candidate, grid=None):
         out["checks"]["moment_match"] = match
         out["checks"]["top_defect_lambda_min"] = lam
         out["checks"]["top_defect_psd"] = bool(defect_ok)
-        f = FunctionSamples(StieltjesFunction(None, candidate))
-        rep = potapov_report(seq, n, f, grid)
+        rep = potapov_report(seq, n, transform(candidate, z), grid)
         out["checks"]["potapov_passed"] = rep.passed
-        zs = np.array(grid[:4], dtype=complex)
         dec = max([0.0] + [
             r for k in (2 * n, 2 * n + 1)
             for r in atomic_decomposition_residual(
-                seq, n, candidate, zs, k).tolist()])
+                seq, n, candidate, z[:4], k).tolist()])
         out["checks"]["decomposition_residual"] = dec
         out["valid"] = bool(match and defect_ok and rep.passed
                             and dec <= 1e-8)
         out["potapov"] = rep.to_dict()
         return out
-    # SolutionFunction (or any evaluable matrix function)
-    f = FunctionSamples(candidate)
-    rep = potapov_report(seq, n, f, grid)
+    # SolutionFunction (or any function of a 1-D array of points)
+    rep = potapov_report(seq, n, candidate(z), grid)
     s0_est = recover_s0(candidate)
     scale = 1.0 + np.linalg.norm(seq.s(0))
     s0_resid = float(np.linalg.norm(s0_est - seq.s(0)) / scale)

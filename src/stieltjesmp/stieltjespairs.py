@@ -109,9 +109,6 @@ class StieltjesFunction:
     upper half plane and PSD values on (-oo, alpha).
     """
 
-    # Evaluators with this flag take a 1-D array of points in one call.
-    takes_arrays = True
-
     def __init__(self, gamma, measure):
         self.measure = measure
         self.q = measure.q

@@ -13,7 +13,9 @@ import pytest
 from stieltjesmp import AtomicMeasure, HankelData, MomentSequence, \
     StieltjesPair, lift_pair, matcore, moments_of
 from stieltjesmp.momentseq import block_hankel, first_column_embedding, \
-    last_column_embedding, shift_matrix, stack_y
+    shift_matrix, stack_y
+
+from identities import last_column_embedding
 
 
 def random_psd(rng, q, rank=None, scale=1.0):

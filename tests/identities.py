@@ -11,13 +11,12 @@ import numpy as np
 from stieltjesmp.matcore import DEFAULT_TOL, Subspace, _fro, _rank, \
     as_matrix, is_psd, mrank, projector, right_divide
 from stieltjesmp.momentseq import MomentSequence, canonical_extension, \
-    first_column_embedding, last_column_embedding, shift_matrix, \
-    shift_resolvent
-from stieltjesmp.potapov import FunctionSamples, _adjoint, _check_index, \
-    _check_offreal, _column_data, _corner, _fundamental, _im_quotient
+    first_column_embedding, shift_matrix, shift_resolvent
+from stieltjesmp.potapov import _adjoint, _block_norm, _check_index, \
+    _check_offreal, _column_data, _corner, _im_quotient, _weighted
 from stieltjesmp.resolvent import MatrixPolynomial, _times_linear, \
-    monomial_stack, resolvent_poly, standard_grid
-from stieltjesmp.stieltjespairs import AtomicMeasure, StieltjesFunction
+    resolvent_poly, standard_grid
+from stieltjesmp.stieltjespairs import AtomicMeasure, transform
 
 
 def is_hermitian(A, tol=DEFAULT_TOL):
@@ -244,9 +243,38 @@ def kernel_polys(R):
 
 
 def conjugate_reflection(f):
-    """The function z -> f(conj z)* of a ``FunctionSamples`` f, on the
-    reflected domain."""
-    return FunctionSamples(lambda z: f(np.conj(z)).conj().T)
+    """The function z -> f(conj z)* of a matrix function f of a point, on
+    the reflected domain."""
+    return lambda z: f(np.conj(z)).conj().T
+
+
+def monomial_stack(q, n, z):
+    """E_{q,n}(z) = col(z^j I_q)_{j=0}^n; satisfies R_T(z) v = E(z)."""
+    return np.vstack([(z ** j) * np.eye(q, dtype=complex)
+                      for j in range(n + 1)])
+
+
+def last_column_embedding(q, n):
+    """vg_{q,n} = col(delta_{n-j,0} I_q), the last block column of I."""
+    v = np.zeros(((n + 1) * q, q), dtype=complex)
+    v[n * q:, :] = np.eye(q)
+    return v
+
+
+def _fundamental(data, n, k, fz, z):
+    """P_k at the points z from fz = f(z), one matrix per point, and its
+    Frobenius norm per point."""
+    if k == -1:
+        P = _im_quotient(_weighted(data, fz, z), z)
+        return P, _fro(P)
+    H, col, diag = _column_data(data, n, fz, z, odd=(k % 2 == 1))
+    p = H.shape[0]
+    P = np.empty(z.shape + (p + data.q, p + data.q), dtype=complex)
+    P[..., :p, :p] = H
+    P[..., :p, p:] = col
+    np.conjugate(np.swapaxes(col, -1, -2), out=P[..., p:, :p])
+    P[..., p:, p:] = diag
+    return P, _block_norm(H, col, diag)
 
 
 def potapov_matrix(seq, n, f, z, k):
@@ -563,8 +591,7 @@ def decomposition_residual_per_atom(seq, n, mu, z, k):
     _check_offreal(z)
     _check_index(data, n, k)
     q = seq.q
-    f = FunctionSamples(StieltjesFunction(None, mu))
-    P, _ = _fundamental(data, n, k, f(z), z)
+    P, _ = _fundamental(data, n, k, transform(mu, z), z)
     odd = (k % 2 == 1)
     total = np.zeros_like(P)
     s_top = np.zeros((q, q), dtype=complex)

@@ -4,6 +4,8 @@ Every criterion prints a single ``[criterion NN] PASS`` line on success;
 a failing assertion marks the criterion as failed.
 """
 
+from functools import partial
+
 import numpy as np
 
 from stieltjesmp import MomentSequence, class_membership
@@ -23,7 +25,6 @@ from stieltjesmp.momentseq import (
     stack_y,
 )
 from stieltjesmp.potapov import (
-    FunctionSamples,
     atomic_decomposition_residual,
     potapov_report,
 )
@@ -195,7 +196,7 @@ def test_criterion_05_necessity_decomposition():
         n = int(rng.integers(0, 2))
         alpha = float(rng.uniform(-1.0, 1.0))
         mu, seq = atomic_fixture(rng, q, n, alpha)
-        f = FunctionSamples(lambda z: transform(mu, z))
+        f = partial(transform, mu)
         grid = standard_grid(alpha)
         assert len(grid) == 24
         for z in grid:
@@ -233,8 +234,7 @@ def test_criterion_06_parametrization_forward():
         grid = [z for z in standard_grid(alpha)]
         for p in pairs:
             S = lft_solution(R, p, seq=seq, n=n)
-            f = FunctionSamples(lambda z: S(z))
-            rep = potapov_report(seq, n, f, grid)
+            rep = potapov_report(seq, n, S(np.array(grid)), grid)
             assert rep.passed
             s0 = recover_s0(S)
             resid = np.linalg.norm(s0 - seq.s(0)) / \
@@ -315,8 +315,9 @@ def test_criterion_09_negative_controls(tmp_path, capsys):
          "atoms": [{"t": 1.0, "weight": [[[1.0, 0.0]]]}]}))
     assert cli_main(["verify", str(seq10), str(d1), "--n", "0"]) == 2
     capsys.readouterr()
-    f = FunctionSamples(lambda z: [[1.0 / (1.0 - z)]])
-    rep = potapov_report(scalar_seq([1, 0]), 0, f, standard_grid(0.0))
+    grid = standard_grid(0.0)
+    values = np.array([[[1.0 / (1.0 - z)]] for z in grid])
+    rep = potapov_report(scalar_seq([1, 0]), 0, values, grid)
     assert not rep.passed
     lams = [x for x in rep.smin_even + rep.smin_odd if x is not None]
     assert min(lams) < -1e-6
@@ -335,8 +336,7 @@ def test_criterion_10_congruence_suite():
         seq = random_hermitian_sequence(rng, q, 2 * n + 1, alpha)
         pmu, _ = atomic_fixture(rng, q, 0, alpha, natoms=2)
         gamma = rng.uniform(0.0, 1.0) * np.eye(q)
-        fobj = StieltjesFunction(gamma, pmu)
-        f = FunctionSamples(lambda z: fobj(z))
+        f = StieltjesFunction(gamma, pmu)
         z = complex(rng.normal(), rng.normal() + 0.5)
         out = congruence_check(seq, n, f, z)
         assert out

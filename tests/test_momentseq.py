@@ -17,7 +17,6 @@ from stieltjesmp.momentseq import (
     canonical_extension,
     dubovoj_candidates,
     first_column_embedding,
-    last_column_embedding,
     shift_matrix,
     shift_right,
     stack_y,
@@ -28,7 +27,8 @@ from stieltjesmp.solver import classify
 
 from conftest import hankel_factor_counts, kge_fixtures, ljapunov_data, \
     random_hermitian_sequence, scalar_seq
-from identities import extended, is_dubovoj, range_included
+from identities import extended, is_dubovoj, last_column_embedding, \
+    range_included
 
 
 def test_moment_sequence_validation():

@@ -1,16 +1,17 @@
 """Unit tests for the fundamental block-matrix machinery."""
 
+import re
 import sys
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
 from stieltjesmp import MomentSequence, ToleranceConfig, momentseq
-from stieltjesmp.potapov import FunctionSamples, \
-    atomic_decomposition_residual, potapov_report
-from stieltjesmp.resolvent import build_resolvent, monomial_stack, \
-    standard_grid
+from stieltjesmp.potapov import atomic_decomposition_residual, \
+    potapov_report
+from stieltjesmp.resolvent import build_resolvent, standard_grid
 from stieltjesmp.solver import lft_solution, verify_solution
 from stieltjesmp.stieltjespairs import AtomicMeasure, StieltjesPair, \
     transform
@@ -18,12 +19,13 @@ from stieltjesmp.stieltjespairs import AtomicMeasure, StieltjesPair, \
 from conftest import WEIGHT_PATTERNS, atomic_fixture, kge_fixtures, \
     random_hermitian_sequence, scalar_seq
 from identities import congruence_check, conjugate_reflection, \
-    decomposition_residual_per_atom, fq_matrices, potapov_matrix, \
-    psi_polynomial, sigma_matrix
+    decomposition_residual_per_atom, fq_matrices, monomial_stack, \
+    potapov_matrix, psi_polynomial, sigma_matrix
 
 
 def scalar_f(fn):
-    return FunctionSamples(lambda z: [[fn(z)]])
+    """The 1 x 1 matrix function of a point with value fn(z)."""
+    return lambda z: np.array([[fn(z)]], dtype=complex)
 
 
 def test_potapov_matrix_hand_example():
@@ -58,7 +60,7 @@ def test_sigma_invariant_under_generalized_inverse():
     for idx in (1, 3):
         mu, seq, n = kge_fixtures(4, seed=2)[idx]
         R = build_resolvent(seq, n)
-        f = FunctionSamples(lambda z: transform(mu, z))
+        f = partial(transform, mu)
         z = 0.7 + 1.3j
         for k, g in ((2 * n, R.Hm), (2 * n + 1, R.Hsm)):
             s_mp = sigma_matrix(seq, n, f, z, k)
@@ -74,7 +76,7 @@ def test_fq_matrices():
     F, Q = fq_matrices(seq, 0, f, z, 0)
     assert np.allclose(F, f(z))  # n = 0: T = 0 and u_0 = 0
     mu, seq2, n = kge_fixtures(3, seed=6)[1]
-    f2 = FunctionSamples(lambda zz: transform(mu, zz))
+    f2 = partial(transform, mu)
     F2, Q2 = fq_matrices(seq2, n, f2, z, 2 * n)
     p = (n + 1) * seq2.q
     assert np.array_equal(Q2[:p, :p],
@@ -118,8 +120,8 @@ def test_congruence_check_residuals(rng):
     seq = random_hermitian_sequence(rng, 2, 3, alpha=0.6)
     gamma = np.eye(2)
     mu = AtomicMeasure(0.6, 2, [(1.5, np.eye(2))])
-    f = FunctionSamples(lambda z: gamma + transform(mu, z))
-    out = congruence_check(seq, 1, f, 1.0 + 1.0j)
+    out = congruence_check(seq, 1, lambda z: gamma + transform(mu, z),
+                           1.0 + 1.0j)
     assert out and all(v <= 1e-10 for v in out.values())
 
 
@@ -139,8 +141,8 @@ def test_congruence_level_zero_p_equals_q():
 def test_potapov_report_positive_and_negative():
     mu = AtomicMeasure(0.0, 1, [(1.0, [[1.0]])])
     seq = scalar_seq([1, 1])
-    good = FunctionSamples(lambda z: transform(mu, z))
     grid = standard_grid(0.0)
+    good = transform(mu, np.array(grid))
     rep = potapov_report(seq, 0, good, grid)
     assert rep.passed
     assert len(rep.points) == 24
@@ -168,18 +170,32 @@ def test_conjugate_reflection_handle():
     assert np.allclose(g(z), f(np.conj(z)).conj().T)
 
 
-def test_potapov_report_evaluates_f_once_per_point():
+def test_potapov_report_refuses_misshaped_and_nonfinite_values():
     mu, seq = atomic_fixture(np.random.default_rng(21), 2, 1, 0.5)
-    calls = []
-
-    def evaluator(z):
-        calls.append(z)
-        return transform(mu, z)
-
     grid = standard_grid(0.5)
-    rep = potapov_report(seq, 1, FunctionSamples(evaluator), grid)
-    assert rep.passed
-    assert calls == grid
+    fz = transform(mu, np.array(grid))
+    assert potapov_report(seq, 1, fz, grid).passed
+    for bad in (fz[:-1], fz[:, :1], fz[0], fz.reshape(len(grid), 4),
+                np.concatenate([fz, fz])):
+        with pytest.raises(ValueError, match="shape"):
+            potapov_report(seq, 1, bad, grid)
+    # A function of scalars gives one number per point, not a 1 x 1
+    # matrix; its values are refused rather than broadcast.
+    scalar = scalar_seq([1, 1])
+    grid0 = standard_grid(0.0)
+    values = np.array([1.0 / (1.0 - z) for z in grid0])
+    with pytest.raises(ValueError, match="shape"):
+        potapov_report(scalar, 0, values, grid0)
+    assert potapov_report(scalar, 0, values[:, None, None], grid0).passed
+    # A value that is not finite is refused, naming the first such point.
+    for value in (np.nan, np.inf, complex(0.0, -np.inf)):
+        for first, later in ((0, 5), (3, 23), (17, 18)):
+            bad = fz.copy()
+            bad[later] = value
+            bad[first, 1, 0] = value
+            name = re.escape(f"f({grid[first]}) is not finite")
+            with pytest.raises(ValueError, match=name):
+                potapov_report(seq, 1, bad, grid)
 
 
 def test_verify_solution_assembles_hankel_matrices_once(monkeypatch):
@@ -250,11 +266,12 @@ def test_potapov_report_decides_on_the_schur_complement(monkeypatch):
                 grid = standard_grid(alpha)
                 eps = 10.0 ** rng.uniform(-12.0, -1.0)
                 for shift in (0.0, eps, -eps):
-                    f = FunctionSamples(
-                        lambda z, s=shift: transform(mu, z) + s * np.eye(q))
+                    def f(z, s=shift):
+                        return transform(mu, z) + s * np.eye(q)
+                    fz = np.array([f(z) for z in grid])
                     shapes.clear()
                     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-                    rep = potapov_report(seq, n, f, grid)
+                    rep = potapov_report(seq, n, fz, grid)
                     monkeypatch.setattr(np.linalg, "eigvalsh", original)
                     assert shapes and \
                         all(shape == (len(grid), q, q) for shape in shapes)
@@ -293,7 +310,7 @@ def test_potapov_report_reads_an_indefinite_hankel_corner():
     grid = standard_grid(0.0)
     for values, n, k in (([1, 0, -1, 0], 1, 2), ([1, -1], 0, 1)):
         seq = scalar_seq(values)
-        rep = potapov_report(seq, n, f, grid)
+        rep = potapov_report(seq, n, np.array([f(z) for z in grid]), grid)
         assert not rep.passed
         smin = rep.smin_even if k % 2 == 0 else rep.smin_odd
         for z, value in zip(grid, smin):
@@ -313,11 +330,11 @@ def test_potapov_report_calls_eigvalsh_once_per_k(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     mu, seq = atomic_fixture(np.random.default_rng(24), 2, 1, 0.5)
-    f = FunctionSamples(lambda z: transform(mu, z))
     grid = standard_grid(0.5)
     for points in (grid[:1], grid[:4], grid):
         calls.clear()
-        assert potapov_report(seq, 1, f, points).passed
+        fz = transform(mu, np.array(points))
+        assert potapov_report(seq, 1, fz, points).passed
         assert 0 < len(calls) <= 3
         assert all(shape[0] == len(points) for shape in calls)
 
@@ -370,7 +387,7 @@ def test_potapov_report_decides_with_the_sequence_tolerance():
     mu, seq = atomic_fixture(np.random.default_rng(26), 2, 1, 0.5)
     loose = MomentSequence(seq.alpha, seq.q, seq.moments,
                            ToleranceConfig(tol_psd=1e-1))
-    f = FunctionSamples(lambda z: transform(mu, z) + 1e-4j * np.eye(2))
     grid = standard_grid(0.5)
-    assert not potapov_report(seq, 1, f, grid).passed
-    assert potapov_report(loose, 1, f, grid).passed
+    fz = transform(mu, np.array(grid)) + 1e-4j * np.eye(2)
+    assert not potapov_report(seq, 1, fz, grid).passed
+    assert potapov_report(loose, 1, fz, grid).passed

@@ -101,6 +101,21 @@ def test_hankel_data_takes_only_the_sequence():
         momentseq.MomentSequence.hankel).parameters) == ["self"]
 
 
+def test_the_potapov_report_takes_values():
+    # The report reads the candidate's (G, q, q) values at the grid, so no
+    # class of the package flags how it wants to be evaluated.
+    assert list(inspect.signature(potapov.potapov_report).parameters) == \
+        ["seq", "n", "fz", "grid"]
+    modules = [importlib.import_module(f"stieltjesmp.{info.name}")
+               for info in pkgutil.iter_modules(stieltjesmp.__path__)]
+    classes = [obj for mod in modules for obj in vars(mod).values()
+               if inspect.isclass(obj) and obj.__module__ == mod.__name__]
+    assert {"SolutionFunction", "StieltjesFunction"} <= \
+        {cls.__name__ for cls in classes}
+    assert not [cls.__name__ for cls in classes
+                if "takes_arrays" in vars(cls)]
+
+
 def test_no_determinant_decides_anything():
     # Whether a matrix is singular is decided by the rank rule of
     # ``matcore`` relative to a named scale, never by a determinant,
@@ -136,19 +151,18 @@ def test_only_the_sequence_builds_its_hankel_data():
 # ``potapov_report`` and the CLI execute, and nothing else.
 PUBLIC = {
     "AtomicMeasure", "ClassReport", "ClassificationReport", "DEFAULT_TOL",
-    "FunctionSamples", "HankelData", "MatrixPolynomial", "MomentSequence",
-    "ResolventMatrix", "SolutionFunction", "StieltjesFunction",
-    "StieltjesPair", "Subspace", "ToleranceConfig", "build_resolvent",
-    "canonical_extension", "class_membership", "classify",
-    "dubovoj_subspace", "is_psd", "jsonio", "lft_solution", "lift_pair",
-    "matcore", "moments_of", "momentseq", "monomial_stack", "mrank",
-    "one_two_inverse", "pair_in_restricted_class", "potapov",
+    "HankelData", "MatrixPolynomial", "MomentSequence", "ResolventMatrix",
+    "SolutionFunction", "StieltjesFunction", "StieltjesPair", "Subspace",
+    "ToleranceConfig", "build_resolvent", "canonical_extension",
+    "class_membership", "classify", "dubovoj_subspace", "is_psd", "jsonio",
+    "lft_solution", "lift_pair", "matcore", "moments_of", "momentseq",
+    "mrank", "one_two_inverse", "pair_in_restricted_class", "potapov",
     "potapov_report", "projector", "recover_s0", "resolvent",
     "resolvent_poly", "shift_right", "solver", "standard_grid",
     "stieltjespairs", "transform", "unique_solution", "verify_solution"}
 
 def test_the_package_exports_only_its_production_path():
-    assert len(stieltjesmp.__all__) == len(PUBLIC) == 43
+    assert len(stieltjesmp.__all__) == len(PUBLIC) == 41
     assert set(stieltjesmp.__all__) == PUBLIC
 
 

@@ -13,8 +13,8 @@ import pytest
 from stieltjesmp import MomentSequence, class_membership, resolvent
 from stieltjesmp.matcore import Subspace, right_divide
 from stieltjesmp.momentseq import dubovoj_candidates
-from stieltjesmp.potapov import FunctionSamples, \
-    atomic_decomposition_residual, potapov_report
+from stieltjesmp.potapov import atomic_decomposition_residual, \
+    potapov_report
 from stieltjesmp.resolvent import MatrixPolynomial, build_resolvent, \
     standard_grid
 from stieltjesmp.solver import (
@@ -620,10 +620,10 @@ def test_array_evaluation_matches_scalar_loop():
 # Calls at level n with k = 2n (on m = 2n - 1) or k = 2n + 1 (on
 # m = 2n); those reading only H_n take the first case alone.
 _LEVEL_MU = AtomicMeasure(0.5, 1, [(1.0, [[1.0]]), (2.5, [[0.5]])])
-_LEVEL_F = FunctionSamples(StieltjesFunction(None, _LEVEL_MU))
+_LEVEL_F = StieltjesFunction(None, _LEVEL_MU)
 _LEVEL_CALLS = {
     "potapov_report": (False, lambda seq, n, k: potapov_report(
-        seq, n, _LEVEL_F, [1j, 2 + 1j])),
+        seq, n, _LEVEL_F(np.array([1j, 2 + 1j])), [1j, 2 + 1j])),
     "potapov_matrix": (True, lambda seq, n, k: potapov_matrix(
         seq, n, _LEVEL_F, 1j, k)),
     "sigma_matrix": (True, lambda seq, n, k: sigma_matrix(
