@@ -218,12 +218,6 @@ class HankelData:
         return self._once(("factor", shifted, k), lambda: HermitianFactor(
             self._mats(shifted)[k], self.seq.tol))
 
-    def spectrum(self, k, shifted=False):
-        """``np.linalg.eigh`` of H_k (Hs_k when ``shifted``) itself,
-        without equilibration: the Hankel corner of the Potapov test."""
-        return self._once(("spectrum", shifted, k), lambda: np.linalg.eigh(
-            self._mats(shifted)[k]))
-
     def ladder_ranks(self, shifted=False):
         """rank H_k - rank H_{k-1} (of Hs when ``shifted``) per level k:
         the rank of the Schur complement L_k when H_k is PSD."""

@@ -14,6 +14,10 @@ congruence identities connecting them are test oracles, in
 to a margin tau, P_k + tau I >= 0 holds exactly when the Hankel corner
 H + tau I is positive definite and the q x q Schur complement
 Sigma^tau_k = d - c* (H + tau I)^-1 c has no eigenvalue below -tau.
+With H = Q diag(w) Q*, the coupling column c = R_T(z)(v g - c_0) is a
+polynomial in z, so Q* c = K(z) g - b(z) for two N x q matrix
+polynomials built once per level and parity from Q and c_0: a point
+costs one (N x q)(q x q) product and a q x q eigenvalue problem.
 """
 
 from dataclasses import dataclass
@@ -44,13 +48,11 @@ def _adjoint(A):
     return np.swapaxes(A, -1, -2).conj()
 
 
-def _hermitian_part(A):
-    return 0.5 * (A + _adjoint(A))
-
-
 def _im_quotient(g, z):
     """(g - g*) / (z - conj z) at the points z (an array, 0-d for one
-    point), for g the stack of values there."""
+    point), for g the stack of values there.  It is Hermitian as it
+    stands: g - g* is skew-Hermitian entry by entry, and z - conj z has
+    real part exactly 0."""
     return (g - _adjoint(g)) / (z - np.conj(z))[..., None, None]
 
 
@@ -87,12 +89,11 @@ def _column_data(data, n, fz, z, odd):
     return H, y.reshape(z.shape + c.shape), _im_quotient(g, z)
 
 
-def _block_norm(H, col, diag):
+def _block_norm(corner, col, diag):
     """Frobenius norm of P_k per point, formed from the norms of its
-    blocks: the Hankel corner, the coupling column (twice) and the
-    diagonal block."""
-    return np.sqrt(np.linalg.norm(H) ** 2 + 2.0 * _fro(col) ** 2
-                   + _fro(diag) ** 2)
+    blocks: the norm of the Hankel corner, the coupling column (twice)
+    and the diagonal block."""
+    return np.sqrt(corner ** 2 + 2.0 * _fro(col) ** 2 + _fro(diag) ** 2)
 
 
 @dataclass
@@ -123,29 +124,67 @@ class PotapovReport:
         }
 
 
-def _potapov_test(data, n, k, fz, z, tol):
-    """Per point of z: the reported value of P_k (see
-    :class:`PotapovReport`) and whether P_k fails the test.
+def _coupling(data, n, odd):
+    """The Hankel corner H of P_2n (of P_2n+1 when ``odd``), factored
+    as H = Q diag(w) Q*, and the coupling polynomials of its column.
 
-    For k in {2n, 2n+1}, one ``eigh`` of the Hermitian Hankel corner
-    H = Q diag(w) Q* (``data.spectrum``) serves every point; with tau
-    the margin of the point, Y = (w + tau)^(-1/2) Q* c and Sigma^tau =
-    d - Y* Y, whose eigenvalues take one call on the (G, q, q) stack.
-    Where w_min <= -tau the point fails and its value is w_min.
+    The column c(z) = R_T(z)(v g - c_0) = E(z) g - sum_d z^d T^d c_0,
+    with E(z) = col(z^j I_q), so Q* c(z) = K(z) g - b(z) with
+    K_j = Q*[:, jq:(j+1)q] and b_d = sum_i K_{i+d} c_{0,i}.  Returns w,
+    the coefficient stacks of K and b, each (n+1, N q) and C-contiguous,
+    and ||H||_F.
+    """
+    H, c = _corner(data, n, odd)
+    w, Q = np.linalg.eigh(H)
+    q = data.q
+    N = H.shape[0]
+    K = Q.conj().T.reshape(N, n + 1, q).transpose(1, 0, 2)
+    c = c.reshape(n + 1, q, q)
+    b = np.stack([(K[d:] @ c[:n + 1 - d]).sum(axis=0)
+                  for d in range(n + 1)])
+    return (w, np.ascontiguousarray(K).reshape(n + 1, N * q),
+            b.reshape(n + 1, N * q), np.linalg.norm(H))
+
+
+def _projected_column(data, n, odd, g, z):
+    """Q* c(z) = K(z) g - b(z) at the points z (an array, 0-d for one
+    point) for g = f(z) (k = 2n) or (z - alpha) f(z) (k = 2n + 1,
+    ``odd``), with the coupling of :func:`_coupling`, built once per
+    level and parity on the sequence's data; also w and ||H||_F."""
+    w, K, b, hnorm = data._once(("coupling", odd, n),
+                                lambda: _coupling(data, n, odd))
+    V = np.vander(z.ravel(), n + 1, increasing=True).reshape(
+        z.shape + (n + 1,))
+    shape = z.shape + (-1, data.q)
+    X = (V @ K).reshape(shape) @ g
+    X -= (V @ b).reshape(shape)
+    return X, w, hnorm
+
+
+def _potapov_test(data, n, k, g, diag, z, tol):
+    """Per point of the 1-D array z: the reported value of P_k (see
+    :class:`PotapovReport`) and whether P_k fails the test, from g, the
+    value f(z) (k = 2n) or (z - alpha) f(z) (k in {2n+1, -1}), and the
+    diagonal block diag = (g - g*) / (z - conj z), which is all of P_-1.
+
+    For k in {2n, 2n+1}, the Hankel corner H = Q diag(w) Q* is factored
+    once per level and parity (:func:`_coupling`), and each point costs
+    X = Q* c = K(z) g - b(z), one (N x q)(q x q) product.  As Q is
+    unitary, ||c||_F = ||X||_F.  With tau the margin of the point,
+    Y = (w + tau)^(-1/2) X and Sigma^tau = diag - Y* Y, whose
+    eigenvalues take one call on the (G, q, q) stack.  Where
+    w_min <= -tau the point fails and its value is w_min.
     """
     if k == -1:
-        P = _im_quotient(_weighted(data, fz, z), z)
-        lam = np.linalg.eigvalsh(_hermitian_part(P)).min(axis=-1)
-        return lam, lam < -tol.tol_psd * (1.0 + _fro(P))
-    H, col, diag = _column_data(data, n, fz, z, odd=(k % 2 == 1))
-    tau = tol.tol_psd * (1.0 + _block_norm(H, col, diag))
-    w, Q = data.spectrum(n, k % 2 == 1)
-    shifted = w + tau[..., None]
-    definite = shifted[..., 0] > 0.0
-    scale = np.sqrt(np.where(definite[..., None], shifted, 1.0))
-    Y = (Q.conj().T @ col) / scale[..., None]
-    lam = np.linalg.eigvalsh(
-        _hermitian_part(diag) - _adjoint(Y) @ Y).min(axis=-1)
+        lam = np.linalg.eigvalsh(diag).min(axis=-1)
+        return lam, lam < -tol.tol_psd * (1.0 + _fro(diag))
+    X, w, hnorm = _projected_column(data, n, k % 2 == 1, g, z)
+    tau = tol.tol_psd * (1.0 + _block_norm(hnorm, X, diag))
+    shifted = w + tau[:, None]
+    definite = shifted[:, 0] > 0.0
+    X *= (1.0 / np.sqrt(np.where(definite[:, None], shifted, 1.0)))[
+        :, :, None]
+    lam = np.linalg.eigvalsh(diag - _adjoint(X) @ X).min(axis=-1)
     return np.where(definite, lam, w[0]), ~definite | (lam < -tau)
 
 
@@ -164,9 +203,9 @@ def potapov_report(seq, n, fz, grid):
     Appl. Math. 17, 1969), that is when Sigma^tau = d - c* (H + tau
     I)^-1 c has lambda_min >= -tau.  Where lambda_min(H) <= -tau the
     point fails, since by interlacing lambda_min(P_k) <= lambda_min(H).
-    H is factored once per k on the sequence's data, not per report,
-    and no (n+2)q x (n+2)q matrix is formed.  P_-1 is already q x q and
-    is tested directly.
+    H is factored once per level and parity on the sequence's data, not
+    per report, and no (n+2)q x (n+2)q matrix is formed.  P_-1 is
+    already q x q and is tested directly.
 
     An ``fz`` of another shape than (len(grid), q, q) raises
     ``ValueError``, and so does a value that is not finite, naming the
@@ -187,13 +226,17 @@ def potapov_report(seq, n, fz, grid):
     finite = np.isfinite(fz).all(axis=(-2, -1))
     if not finite.all():
         raise ValueError(f"f({grid[np.argmin(finite)]}) is not finite")
+    weighted = _weighted(data, fz, z)
+    endpoint = _im_quotient(weighted, z)
+    blocks = {2 * n: (fz, _im_quotient(fz, z)),
+              2 * n + 1: (weighted, endpoint), -1: (weighted, endpoint)}
     smin = {}
     passed = True
     for k in (2 * n, 2 * n + 1, -1):
         if k > seq.m:
             smin[k] = [None] * len(grid)
             continue
-        lam, failed = _potapov_test(data, n, k, fz, z, tol)
+        lam, failed = _potapov_test(data, n, k, *blocks[k], z, tol)
         if np.any(failed):
             passed = False
         smin[k] = lam.tolist()
@@ -226,9 +269,16 @@ def atomic_decomposition_residual(seq, n, mu, z, k):
     _check_index(data, n, k)
     if k == -1:
         raise ValueError("the atomic decomposition is of P_2n and P_2n+1")
-    q = seq.q
-    odd = (k % 2 == 1)
-    H, col, diag = _column_data(data, n, transform(mu, z), z, odd)
+    return _decomposition_residual(data, n, mu, transform(mu, z), z,
+                                   k % 2 == 1)
+
+
+def _decomposition_residual(data, n, mu, fz, z, odd):
+    """:func:`atomic_decomposition_residual` of P_2n (P_2n+1 when
+    ``odd``) from fz, the transform of mu at the points z, which the
+    caller has checked."""
+    q = data.q
+    H, col, diag = _column_data(data, n, fz, z, odd)
     t = np.array([t for t, _ in mu.atoms], dtype=float)
     M = np.array([M for _, M in mu.atoms], dtype=complex).reshape(-1, q * q)
     w = t - mu.alpha if odd else np.ones_like(t)
@@ -243,7 +293,7 @@ def atomic_decomposition_residual(seq, n, mu, z, k):
     d = (t - z[..., None])[..., None, :]
     coef = np.concatenate([wt[:n + 1] / d, w / np.abs(d) ** 2], axis=-2)
     sums = (coef @ M).reshape(z.shape + (n + 2, q, q))
-    resid = _block_norm(H - corner,
+    resid = _block_norm(np.linalg.norm(H - corner),
                         col - sums[..., :-1, :, :].reshape(col.shape),
                         diag - sums[..., -1, :, :])
-    return (resid / (1.0 + _block_norm(H, col, diag)))[()]
+    return (resid / (1.0 + _block_norm(np.linalg.norm(H), col, diag)))[()]

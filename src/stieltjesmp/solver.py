@@ -24,7 +24,7 @@ from .matcore import (
     subspace_from_columns,
 )
 from .momentseq import HankelData
-from .potapov import atomic_decomposition_residual, potapov_report
+from .potapov import _decomposition_residual, potapov_report
 from .resolvent import MatrixPolynomial, build_resolvent, standard_grid
 from .stieltjespairs import (
     AtomicMeasure,
@@ -247,7 +247,9 @@ def verify_solution(seq, n, candidate, grid=None):
 
     Measures are checked by exact moment matching for j <= 2n, a Loewner
     defect at order 2n + 1, the fundamental-matrix report of their
-    transform at the grid, and the exact atomic decomposition residual.
+    transform at the grid, and the exact atomic decomposition residual
+    of P_2n and P_2n+1 at the first four grid points; the transform is
+    evaluated once, and the report and both residuals read its values.
     A function candidate, such as a ``SolutionFunction``, is called once
     with the grid as a 1-D array and returns the (G, q, q) stack of its
     values, which the fundamental-matrix report reads; s_0 is recovered
@@ -281,12 +283,13 @@ def verify_solution(seq, n, candidate, grid=None):
         out["checks"]["moment_match"] = match
         out["checks"]["top_defect_lambda_min"] = lam
         out["checks"]["top_defect_psd"] = bool(defect_ok)
-        rep = potapov_report(seq, n, transform(candidate, z), grid)
+        fz = transform(candidate, z)
+        rep = potapov_report(seq, n, fz, grid)
         out["checks"]["potapov_passed"] = rep.passed
         dec = max([0.0] + [
-            r for k in (2 * n, 2 * n + 1)
-            for r in atomic_decomposition_residual(
-                seq, n, candidate, z[:4], k).tolist()])
+            r for odd in (False, True)
+            for r in _decomposition_residual(
+                data, n, candidate, fz[:4], z[:4], odd).tolist()])
         out["checks"]["decomposition_residual"] = dec
         out["valid"] = bool(match and defect_ok and rep.passed
                             and dec <= 1e-8)

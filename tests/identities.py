@@ -274,7 +274,7 @@ def _fundamental(data, n, k, fz, z):
     P[..., :p, p:] = col
     np.conjugate(np.swapaxes(col, -1, -2), out=P[..., p:, :p])
     P[..., p:, p:] = diag
-    return P, _block_norm(H, col, diag)
+    return P, _block_norm(np.linalg.norm(H), col, diag)
 
 
 def potapov_matrix(seq, n, f, z, k):

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from stieltjesmp import MomentSequence, ToleranceConfig, momentseq
-from stieltjesmp.potapov import atomic_decomposition_residual, \
-    potapov_report
+from stieltjesmp.matcore import _fro
+from stieltjesmp.potapov import _adjoint, _column_data, _corner, \
+    _im_quotient, _projected_column, _weighted, \
+    atomic_decomposition_residual, potapov_report
 from stieltjesmp.resolvent import build_resolvent, standard_grid
 from stieltjesmp.solver import lft_solution, verify_solution
 from stieltjesmp.stieltjespairs import AtomicMeasure, StieltjesPair, \
@@ -337,6 +339,53 @@ def test_potapov_report_calls_eigvalsh_once_per_k(monkeypatch):
         assert potapov_report(seq, 1, fz, points).passed
         assert 0 < len(calls) <= 3
         assert all(shape[0] == len(points) for shape in calls)
+
+
+def test_the_coupling_polynomial_is_the_projected_column():
+    # Q* c(z) = K(z) g - b(z) against the coupling column built block by
+    # block, with H = Q diag(w) Q* factored here, for both parities.  On
+    # the first four grid points, one and all, the column is held to its
+    # own norm.  Far from the slit c(z) is much smaller than the terms
+    # z^j g and z^d T^d c_0 that sum to it, so over the whole grid both
+    # are held to the size of those terms.
+    rng = np.random.default_rng(62)
+    for q in (1, 3, 8):
+        for n in range(4):
+            for kw in WEIGHT_PATTERNS.values():
+                alpha = (0.0, 0.5, -1.0)[(q + n) % 3]
+                mu, seq = atomic_fixture(rng, q, n, alpha, **kw)
+                data = seq.hankel()
+                zs = np.array(standard_grid(alpha))
+                for odd in (False, True):
+                    c0 = np.linalg.norm(_corner(data, n, odd)[1])
+                    for z in (zs, zs[:4], zs[1]):
+                        fz = transform(mu, z)
+                        g = _weighted(data, fz, z) if odd else fz
+                        H, col, _ = _column_data(data, n, fz, z, odd)
+                        w, Q = np.linalg.eigh(H)
+                        X, w_got, hnorm = _projected_column(
+                            data, n, odd, g, z)
+                        assert X.shape == col.shape
+                        assert np.array_equal(w_got, w)
+                        assert hnorm == np.linalg.norm(H)
+                        err = _fro(Q.conj().T @ col - X)
+                        gap = np.abs(_fro(X) - _fro(col))
+                        if z is zs:
+                            terms = (_fro(g) + c0) * np.sum(np.abs(
+                                z[:, None]) ** np.arange(n + 1), axis=-1)
+                            assert np.all(err <= 1e-14 * terms)
+                            assert np.all(gap <= 1e-14 * terms)
+                        else:
+                            assert np.all(err <= 1e-13 * _fro(col))
+                            assert np.all(gap <= 1e-14 * _fro(col))
+                        # The diagonal block is Hermitian as it stands,
+                        # so the test reads it without symmetrizing;
+                        # only the sign of a zero may differ.
+                        diag = _im_quotient(g, z)
+                        assert np.array_equal(diag, _adjoint(diag))
+                        assert np.array_equal(
+                            np.linalg.eigvalsh(diag),
+                            np.linalg.eigvalsh(0.5 * (diag + _adjoint(diag))))
 
 
 def test_atomic_decomposition_residual_on_arrays():

@@ -10,7 +10,8 @@ import weakref
 import numpy as np
 import pytest
 
-from stieltjesmp import MomentSequence, class_membership, resolvent
+from stieltjesmp import MomentSequence, class_membership, potapov, \
+    resolvent, solver
 from stieltjesmp.matcore import Subspace, right_divide
 from stieltjesmp.momentseq import dubovoj_candidates
 from stieltjesmp.potapov import atomic_decomposition_residual, \
@@ -443,6 +444,7 @@ def test_the_verify_pipeline_does_each_piece_of_work_once(
     calls = collections.Counter()
     for name in ("_self_check", "one_two_inverse"):
         _count_calls(monkeypatch, resolvent, name, calls)
+    _count_calls(monkeypatch, potapov, "_coupling", calls)
     report = classify(seq, 1)
     assert report.case == case
     R = build_resolvent(seq, 1)
@@ -454,8 +456,30 @@ def test_the_verify_pipeline_does_each_piece_of_work_once(
         assert np.all(np.isfinite(S(z)))
     assert verify_solution(seq, 1, mu)["valid"]
     assert verify_solution(seq, 1, S)["valid"]
-    assert calls == {"_self_check": 1, "one_two_inverse": 2}
+    # Both verifications share one coupling per parity: beyond the
+    # factors, one plain eigh of H_1 and one of Hs_1.
+    assert calls == {"_self_check": 1, "one_two_inverse": 2, "_coupling": 2}
     assert factor_calls == hankel_factor_counts(seq, 1)
+
+
+def test_verify_solution_evaluates_the_transform_of_a_measure_once(
+        monkeypatch):
+    # The report and the residuals of both parities read one evaluation
+    # of the transform over the grid, and the residual is that of the
+    # public function.
+    calls = collections.Counter()
+    for module in (solver, potapov):
+        _count_calls(monkeypatch, module, "transform", calls)
+    for n, kw in ((1, {}), (2, {"include_endpoint": True})):
+        mu, seq = atomic_fixture(np.random.default_rng(45), 3, n, -1.0, **kw)
+        calls.clear()
+        out = verify_solution(seq, n, mu)
+        assert out["valid"]
+        assert calls == {"transform": 1}
+        z = np.array(standard_grid(-1.0)[:4])
+        assert out["checks"]["decomposition_residual"] == max(
+            atomic_decomposition_residual(seq, n, mu, z, k).max()
+            for k in (2 * n, 2 * n + 1))
 
 
 @pytest.mark.parametrize("q, n", [(2, 2), (4, 2), (8, 2), (32, 2), (1, 3),
