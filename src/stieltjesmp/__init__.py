@@ -29,7 +29,6 @@ from .resolvent import (
     MatrixPolynomial,
     ResolventMatrix,
     build_resolvent,
-    resolvent_poly,
     standard_grid,
 )
 from .solver import (

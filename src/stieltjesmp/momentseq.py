@@ -4,7 +4,9 @@ A :class:`MomentSequence` stores Hermitian q x q moment matrices
 s_0, ..., s_m together with the left endpoint alpha of the half line
 [alpha, oo).  The module assembles block Hankel matrices, the shifted
 Hankel matrices of the right-alpha-shifted sequence, the associated
-stacked vectors and shift matrices, and membership tests for the four
+stacked vectors, the one stack T^j x of powers of the block shift T
+applied to a block column (``shift_stack``, from which every product
+with T, R_T(z) or R_{T*}(z) is read), and membership tests for the four
 solvability classes (Hankel-nonnegative, Hankel-nonnegative extendable,
 Stieltjes-nonnegative, Stieltjes-nonnegative extendable).  A
 :class:`HankelData` holds these matrices at every level of one
@@ -122,33 +124,17 @@ def block_hankel(seq, n, offset=0):
     return H
 
 
-def shift_matrix(q, n):
-    """Block shift T_{q,n} = [delta_{j,k+1} I_q], nilpotent of order n+1."""
-    T = np.zeros(((n + 1) * q, (n + 1) * q), dtype=complex)
-    for j in range(1, n + 1):
-        T[j * q:(j + 1) * q, (j - 1) * q:j * q] = np.eye(q)
-    return T
-
-
-def shift_resolvent(q, n, z):
-    """R_T(z) = (I - zT)^{-1} = sum_j z^j T^j for T = T_{q,n}: the block
-    Toeplitz matrix with z^j I_q on its j-th block subdiagonal.  T is
-    real, so R_{T*}(z) is its transpose."""
-    p = (n + 1) * q
-    R = np.zeros((p, p), dtype=complex)
-    idx = np.arange(p)
-    zj = 1.0
-    for j in range(n + 1):
-        R[idx[j * q:], idx[:p - j * q]] = zj
-        zj = zj * z
-    return R
-
-
-def first_column_embedding(q, n):
-    """v_{q,n} = col(delta_{j,0} I_q), the first block column of I."""
-    v = np.zeros(((n + 1) * q, q), dtype=complex)
-    v[:q, :] = np.eye(q)
-    return v
+def shift_stack(x, q):
+    """The stack T^j x, j = 0..n, of an N x r block column ``x``, for the
+    block shift T = T_{q,n} = [delta_{j,k+1} I_q] and N = (n + 1) q:
+    row j is x moved down j blocks, so it is the coefficient stack of
+    R_T(z) x = (I - zT)^{-1} x = sum_j z^j T^j x, and (T^j L)* M is that
+    of L* R_{T*}(z) M.  For n = 0, T = 0 and the stack is x alone."""
+    N = x.shape[0]
+    out = np.zeros((N // q,) + x.shape, dtype=complex)
+    for j in range(N // q):
+        out[j, j * q:] = x[:N - j * q]
+    return out
 
 
 def _levels(M, q, top):
@@ -293,7 +279,9 @@ class HankelData:
         in the restricted class vanish."""
         self.check_level(n, shifted=True)
         N, Ns = self.factor(n).null, self.factor(n, True).null
-        Rv = shift_resolvent(self.q, n, self.seq.alpha)[:, :self.q]
+        # R_T(alpha) v = col(alpha^j I_q) and H v, the first block columns
+        Rv = np.kron(self.seq.alpha ** np.arange(n + 1)[:, None],
+                     np.eye(self.q))
         Hv = self.H[n][:, :self.q]
         return N @ (N.conj().T @ Rv), Ns @ (Ns.conj().T @ Hv)
 

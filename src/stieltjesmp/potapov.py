@@ -16,8 +16,12 @@ H + tau I is positive definite and the q x q Schur complement
 Sigma^tau_k = d - c* (H + tau I)^-1 c has no eigenvalue below -tau.
 With H = Q diag(w) Q*, the coupling column c = R_T(z)(v g - c_0) is a
 polynomial in z, so Q* c = K(z) g - b(z) for two N x q matrix
-polynomials built once per level and parity from Q and c_0: a point
-costs one (N x q)(q x q) product and a q x q eigenvalue problem.
+polynomials built once per level and parity from Q and the stack
+T^j [v, c_0] (``momentseq.shift_stack``): a point costs one
+(N x q)(q x q) product and a q x q eigenvalue problem.  The
+decomposition residual compares this same projected column with the
+atomic sum in H's eigenbasis, so no coupling column is formed in the
+standard basis.
 """
 
 from dataclasses import dataclass
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import _fro
-from .momentseq import stack_y
+from .momentseq import shift_stack, stack_y
 from .stieltjespairs import transform
 
 _IM_GUARD = 1e-8
@@ -71,24 +75,6 @@ def _weighted(data, fz, z):
     return (z - data.seq.alpha)[..., None, None] * fz
 
 
-def _column_data(data, n, fz, z, odd):
-    """Hankel corner, interior column R_T(z)(v g - c) and diagonal value
-    of P_k at the points z (an array, 0-d for one point) from fz = f(z),
-    with g = fz for k = 2n and g = (z - alpha) fz for k = 2n + 1
-    (``odd``).  R_T(z) x is summed block by block, y_j = z y_{j-1} + x_j,
-    for all points at once."""
-    H, c = _corner(data, n, odd)
-    g = _weighted(data, fz, z) if odd else fz
-    q = data.q
-    y = np.broadcast_to(-c.reshape(n + 1, q, q),
-                        z.shape + (n + 1, q, q)).copy()
-    y[..., 0, :, :] += g
-    zc = z[..., None, None]
-    for j in range(1, n + 1):
-        y[..., j, :, :] += zc * y[..., j - 1, :, :]
-    return H, y.reshape(z.shape + c.shape), _im_quotient(g, z)
-
-
 def _block_norm(corner, col, diag):
     """Frobenius norm of P_k per point, formed from the norms of its
     blocks: the norm of the Hankel corner, the coupling column (twice)
@@ -128,22 +114,20 @@ def _coupling(data, n, odd):
     """The Hankel corner H of P_2n (of P_2n+1 when ``odd``), factored
     as H = Q diag(w) Q*, and the coupling polynomials of its column.
 
-    The column c(z) = R_T(z)(v g - c_0) = E(z) g - sum_d z^d T^d c_0,
-    with E(z) = col(z^j I_q), so Q* c(z) = K(z) g - b(z) with
-    K_j = Q*[:, jq:(j+1)q] and b_d = sum_i K_{i+d} c_{0,i}.  Returns w,
-    the coefficient stacks of K and b, each (n+1, N q) and C-contiguous,
-    and ||H||_F.
+    The column c(z) = R_T(z)(v g - c_0) = sum_j z^j T^j (v g - c_0), so
+    Q* c(z) = K(z) g - b(z) with K_j = Q* T^j v = Q*[:, jq:(j+1)q] and
+    b_j = Q* T^j c_0, both read from one stack T^j [v, c_0].  Returns
+    w, the coefficient stacks of K and b, each (n+1, N q) and
+    C-contiguous, and ||H||_F.
     """
     H, c = _corner(data, n, odd)
     w, Q = np.linalg.eigh(H)
     q = data.q
     N = H.shape[0]
-    K = Q.conj().T.reshape(N, n + 1, q).transpose(1, 0, 2)
-    c = c.reshape(n + 1, q, q)
-    b = np.stack([(K[d:] @ c[:n + 1 - d]).sum(axis=0)
-                  for d in range(n + 1)])
-    return (w, np.ascontiguousarray(K).reshape(n + 1, N * q),
-            b.reshape(n + 1, N * q), np.linalg.norm(H))
+    Kb = Q.conj().T @ shift_stack(np.hstack([np.eye(N, q), c]), q)
+    return (w, np.ascontiguousarray(Kb[..., :q]).reshape(n + 1, N * q),
+            np.ascontiguousarray(Kb[..., q:]).reshape(n + 1, N * q),
+            np.linalg.norm(H))
 
 
 def _projected_column(data, n, odd, g, z):
@@ -255,13 +239,17 @@ def atomic_decomposition_residual(seq, n, mu, z, k):
     with a sqrt(t - alpha) weight in the odd case; the correction charges
     only the last Hankel corner with the moment defect at order k.
 
-    The sum is formed block by block, with w = t - alpha for odd k and
-    w = 1 otherwise.  Its Hankel corner, the same at every point, is the
-    block Hankel matrix of the weighted moments sum w t^j M of mu, the
-    correction setting its last block to that of the sequence.  Its
-    coupling column, blocks sum w t^j M / (t - z), and its diagonal
-    block sum w M / |t - z|^2 come from one contraction over the atoms,
-    and ||P_k - sum||_F from the norms of the blocks.
+    The sum is formed block by block, with w = t - alpha for odd k,
+    alpha that of the sequence, and w = 1 otherwise.  Its Hankel corner,
+    the same at every point, is the block Hankel matrix of the weighted
+    moments sum w t^j M of mu, the correction setting its last block to
+    that of the sequence.  The coupling columns are compared in the
+    eigenbasis Q of that corner of P_k, where the column of P_k is the
+    K(z) g - b(z) that :func:`potapov_report` decides on and the sum's
+    column sum w E(t) M / (t - z) is sum K(t) w M / (t - z).  They and
+    the diagonal block sum w M / |t - z|^2 come from one contraction
+    over the atoms each, and ||P_k - sum||_F from the norms of the
+    blocks, as Q is unitary.
     """
     data = seq.hankel()
     z = np.asarray(z, dtype=complex)
@@ -278,22 +266,28 @@ def _decomposition_residual(data, n, mu, fz, z, odd):
     ``odd``) from fz, the transform of mu at the points z, which the
     caller has checked."""
     q = data.q
-    H, col, diag = _column_data(data, n, fz, z, odd)
+    H, _ = _corner(data, n, odd)
+    g = _weighted(data, fz, z) if odd else fz
+    X, _, hnorm = _projected_column(data, n, odd, g, z)
+    diag = _im_quotient(g, z)
     t = np.array([t for t, _ in mu.atoms], dtype=float)
-    M = np.array([M for _, M in mu.atoms], dtype=complex).reshape(-1, q * q)
-    w = t - mu.alpha if odd else np.ones_like(t)
+    M = np.array([M for _, M in mu.atoms], dtype=complex)
+    w = t - data.seq.alpha if odd else np.ones_like(t)
     wt = w * t ** np.arange(2 * n + 1)[:, None]         # w t^j, j = 0..2n
-    moments = wt @ M
+    moments = wt @ M.reshape(-1, q * q)
     corner = moments[np.add.outer(np.arange(n + 1), np.arange(n + 1))]
     corner = corner.reshape(n + 1, n + 1, q, q).swapaxes(1, 2).reshape(
         H.shape)
     corner[-q:, -q:] += H[-q:, -q:] - moments[-1].reshape(q, q)
-    # per point, the weights of the coupling blocks j = 0..n and, in the
-    # last row, of the diagonal block
-    d = (t - z[..., None])[..., None, :]
-    coef = np.concatenate([wt[:n + 1] / d, w / np.abs(d) ** 2], axis=-2)
-    sums = (coef @ M).reshape(z.shape + (n + 2, q, q))
-    resid = _block_norm(np.linalg.norm(H - corner),
-                        col - sums[..., :-1, :, :].reshape(col.shape),
-                        diag - sums[..., -1, :, :])
-    return (resid / (1.0 + _block_norm(np.linalg.norm(H), col, diag)))[()]
+    # In H's eigenbasis the sum's coupling column, sum w E(t) M / (t - z)
+    # with E(t) = col(t^j I_q), is sum K(t) w M / (t - z), for the K of
+    # the coupling X = Q* c(z) reads.
+    K = data._once(("coupling", odd, n), lambda: _coupling(data, n, odd))[1]
+    KwM = (np.vander(t, n + 1, increasing=True) @ K).reshape(
+        len(t), -1, q) @ (w[:, None, None] * M)
+    d = t - z[..., None]
+    col = ((1.0 / d) @ KwM.reshape(len(t), -1)).reshape(X.shape)
+    diag_sum = ((w / np.abs(d) ** 2) @ M.reshape(-1, q * q)).reshape(
+        diag.shape)
+    resid = _block_norm(np.linalg.norm(H - corner), X - col, diag - diag_sum)
+    return (resid / (1.0 + _block_norm(hnorm, X, diag)))[()]

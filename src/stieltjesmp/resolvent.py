@@ -1,14 +1,15 @@
-"""Shift resolvents and the 2q x 2q resolvent matrix polynomial.
+"""The 2q x 2q resolvent matrix polynomial.
 
 Provides matrix polynomials as coefficient stacks with Horner
-evaluation, the polynomial resolvent R_{T*}(z) = sum_j z^j (T*)^j of
-the nilpotent block shift T_{q,n}, and the construction of the
-polynomials Theta and Theta-tilde whose linear fractional
-transformations parametrize the solution set of the truncated
-half-line moment problem, with the consistency residuals recorded on
-each build.  The J-form identities and kernel polynomials that the
-tests check Theta against, with the coefficient arithmetic they need,
-live in ``tests/identities.py``.
+evaluation, and builds the polynomials Theta and Theta-tilde whose
+linear fractional transformations parametrize the solution set of the
+truncated half-line moment problem, with the consistency residuals
+recorded on each build.  Every product of the construction with the
+block shift T_{q,n}, with R_T(alpha) or with the adjoint resolvent
+R_{T*}(z) is read from the stack T^j x of ``momentseq.shift_stack``.
+The J-form identities and kernel polynomials that the tests check
+Theta against, with the coefficient arithmetic they need, live in
+``tests/identities.py``.
 """
 
 from dataclasses import dataclass, field
@@ -17,13 +18,7 @@ import numpy as np
 
 from . import jsonio
 from .matcore import one_two_inverse
-from .momentseq import (
-    HankelData,
-    dubovoj_candidates,
-    first_column_embedding,
-    shift_matrix,
-    shift_resolvent,
-)
+from .momentseq import HankelData, dubovoj_candidates, shift_stack
 
 # Relative size below which ``trimmed_degree`` counts a coefficient as zero.
 _TRIM_TOL = 1e-12
@@ -75,18 +70,6 @@ def _times_linear(coeffs, c0, c1):
     out[:-1] = c0 * coeffs
     out[1:] += c1 * coeffs
     return out
-
-
-def resolvent_poly(q, n):
-    """R_{T*}(z) = sum_{j=0}^n z^j (T*)^j as a matrix polynomial, the
-    adjoint-shift resolvent satisfying R_{T*}(z) = [R_T(conj z)]*.
-
-    T is real, so its value at one point is the transpose of
-    ``momentseq.shift_resolvent(q, n, z)``.  The coefficient (T*)^j =
-    kron(eye(n + 1, k=j), I_q) is the identity shifted up by j blocks.
-    """
-    p = (n + 1) * q
-    return MatrixPolynomial([np.eye(p, k=q * j) for j in range(n + 1)])
 
 
 def standard_grid(alpha):
@@ -153,24 +136,26 @@ def _build_resolvent(data, n):
     D, Ds = dubovoj_candidates(seq, n)
     Hm = one_two_inverse(H, D, data.factor(n), seq.tol)
     Hsm = one_two_inverse(Hs, Ds, data.factor(n, True), seq.tol)
-    T, v = shift_matrix(q, n), first_column_embedding(q, n)
     alpha = seq.alpha
-    Ralpha = shift_resolvent(q, n, alpha)
-    RTs = resolvent_poly(q, n).coeffs
-    Hv = H @ v
-    X = T @ Hv
-    Xt = Hv - alpha * X                     # (I - aT) H v
+    v = np.eye(H.shape[0], q)                # col(I_q, 0, ..., 0)
+    Hv = H[:, :q]
+    X = shift_stack(Hv, q)[1] if n else np.zeros_like(Hv)   # T H v
+    Xt = Hv - alpha * X                      # (I - aT) H v
+    # With L = [X, Xt, v], the stack T^j L gives R_T(a) L = sum_j a^j T^j L
+    # and the coefficients (T^j L)* M of L* R_{T*}(z) M.
+    TL = shift_stack(np.hstack([X, Xt, v]), q)
+    RaL = np.tensordot(alpha ** np.arange(n + 1), TL, 1)
+    Rav = RaL[:, 2 * q:]
 
     # Theta = I + C_L Omega(z) C_R with C_L = diag(v* H, v*),
     # C_R = diag(Hm Ra v, Hsm H v) and, for R = R_{T*}(z) and d = z - a,
     #   Omega  = [[d T*, (I - aT)*], [-d I, -d I]] diag(R, R),
     #   Omega~ = [[d T*, d (I - aT)*], [-I, -d I]] diag(R, R).
-    # Term by term, with K = [T H v, (I - aT) H v, v]* R [Hm Ra v, Hsm H v]
-    # in q x q blocks K_ij (rows i = 1, 2, 3, columns j = a, b):
+    # Term by term, with K = L* R [Hm Ra v, Hsm H v] in q x q blocks
+    # K_ij (rows i = 1, 2, 3, columns j = a, b):
     #   Theta  = I + [[d K_1a, K_2b], [-d K_3a, -d K_3b]],
     #   Theta~ = I + [[d K_1a, d K_2b], [-K_3a, -d K_3b]].
-    K = np.hstack([X, Xt, v]).conj().T @ RTs \
-        @ np.hstack([Hm @ Ralpha @ v, Hsm @ H @ v])
+    K = TL.conj().transpose(0, 2, 1) @ np.hstack([Hm @ Rav, Hsm @ Hv])
     zK = _times_linear(K, -alpha, 1.0)               # (z - a) K
     K = np.concatenate([K, np.zeros_like(K[:1])])    # to the degree of zK
     (_, K2, K3), (zK1, zK2, zK3) = np.split(K, 3, 1), np.split(zK, 3, 1)
@@ -178,18 +163,18 @@ def _build_resolvent(data, n):
     theta = _identity_plus([[zK1[a], K2[b]], [-zK3[a], -zK3[b]]])
     theta_tilde = _identity_plus([[zK1[a], zK2[b]], [-K3[a], -zK3[b]]])
 
-    def u_factor(X, G):
-        """I + (z - a) [X, -v]* R_{T*}(z) G Ra [v, X]."""
-        M = np.hstack([X, -v]).conj().T @ RTs \
-            @ (G @ Ralpha @ np.hstack([v, X]))
+    def u_factor(TY, RaY, G):
+        """I + (z - a) [Y, -v]* R_{T*}(z) G Ra [v, Y] from TY = T^j Y."""
+        left = np.concatenate([TY, -TL[..., 2 * q:]], axis=-1)
+        M = left.conj().transpose(0, 2, 1) @ (G @ np.hstack([Rav, RaY]))
         return _identity_plus([[_times_linear(M, -alpha, 1.0)]])
 
-    U = u_factor(X, Hm)
-    U_tilde = u_factor(Xt, Hsm)
+    U = u_factor(TL[..., :q], RaL[:, :q], Hm)
+    U_tilde = u_factor(TL[..., q:2 * q], RaL[:, q:2 * q], Hsm)
     B = np.eye(2 * q, dtype=complex)
     B[:q, q:] = Hv.conj().T @ Hsm @ Hv
     B_tilde = np.eye(2 * q, dtype=complex)
-    B_tilde[q:, :q] = -v.conj().T @ Ralpha.conj().T @ Hm @ Ralpha @ v
+    B_tilde[q:, :q] = -Rav.conj().T @ Hm @ Rav
 
     R = ResolventMatrix(
         n=n, q=q, alpha=alpha, theta=theta, theta_tilde=theta_tilde,

@@ -208,8 +208,12 @@ def lft_solution(R, p, seq=None, n=None):
     the sequence R was built from; a pair outside the class raises
     ``ValueError``.  The gate reads the classification of ``seq``, the
     live one when the caller holds it, and the Hankel data R holds, so
-    on R's own sequence it factors nothing again.
+    on R's own sequence it factors nothing again.  A pair of another
+    size than R's q raises ``ValueError`` before the gate.
     """
+    if p.q != R.q:
+        raise ValueError(f"pair is {p.q} x {p.q}, the moment data "
+                         f"{R.q} x {R.q}")
     seq = R.data.seq if seq is None else seq
     if not pair_in_restricted_class(p, seq, R.n if n is None else n):
         raise ValueError("pair is not in the restricted class for "

@@ -12,10 +12,10 @@ import pytest
 
 from stieltjesmp import AtomicMeasure, HankelData, MomentSequence, \
     StieltjesPair, lift_pair, matcore, moments_of
-from stieltjesmp.momentseq import block_hankel, first_column_embedding, \
-    shift_matrix, stack_y
+from stieltjesmp.momentseq import block_hankel, stack_y
 
-from identities import last_column_embedding
+from identities import first_column_embedding, last_column_embedding, \
+    shift_matrix
 
 
 def random_psd(rng, q, rank=None, scale=1.0):

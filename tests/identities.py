@@ -10,12 +10,11 @@ import numpy as np
 
 from stieltjesmp.matcore import DEFAULT_TOL, Subspace, _fro, _rank, \
     as_matrix, is_psd, mrank, projector, right_divide
-from stieltjesmp.momentseq import MomentSequence, canonical_extension, \
-    first_column_embedding, shift_matrix, shift_resolvent
+from stieltjesmp.momentseq import MomentSequence, canonical_extension
 from stieltjesmp.potapov import _adjoint, _block_norm, _check_index, \
-    _check_offreal, _column_data, _corner, _im_quotient, _weighted
+    _check_offreal, _corner, _im_quotient, _weighted
 from stieltjesmp.resolvent import MatrixPolynomial, _times_linear, \
-    resolvent_poly, standard_grid
+    standard_grid
 from stieltjesmp.stieltjespairs import AtomicMeasure, transform
 
 
@@ -135,6 +134,47 @@ class Poly(MatrixPolynomial):
 def _coerce(x):
     """``x`` as a polynomial; a matrix is a constant."""
     return x if isinstance(x, MatrixPolynomial) else Poly.constant(x)
+
+
+def shift_matrix(q, n):
+    """Block shift T_{q,n} = [delta_{j,k+1} I_q], nilpotent of order n+1."""
+    T = np.zeros(((n + 1) * q, (n + 1) * q), dtype=complex)
+    for j in range(1, n + 1):
+        T[j * q:(j + 1) * q, (j - 1) * q:j * q] = np.eye(q)
+    return T
+
+
+def shift_resolvent(q, n, z):
+    """R_T(z) = (I - zT)^{-1} = sum_j z^j T^j for T = T_{q,n}: the block
+    Toeplitz matrix with z^j I_q on its j-th block subdiagonal.  T is
+    real, so R_{T*}(z) is its transpose."""
+    p = (n + 1) * q
+    R = np.zeros((p, p), dtype=complex)
+    idx = np.arange(p)
+    zj = 1.0
+    for j in range(n + 1):
+        R[idx[j * q:], idx[:p - j * q]] = zj
+        zj = zj * z
+    return R
+
+
+def first_column_embedding(q, n):
+    """v_{q,n} = col(delta_{j,0} I_q), the first block column of I."""
+    v = np.zeros(((n + 1) * q, q), dtype=complex)
+    v[:q, :] = np.eye(q)
+    return v
+
+
+def resolvent_poly(q, n):
+    """R_{T*}(z) = sum_{j=0}^n z^j (T*)^j as a matrix polynomial, the
+    adjoint-shift resolvent satisfying R_{T*}(z) = [R_T(conj z)]*.
+
+    T is real, so its value at one point is the transpose of
+    ``shift_resolvent(q, n, z)``.  The coefficient (T*)^j =
+    kron(eye(n + 1, k=j), I_q) is the identity shifted up by j blocks.
+    """
+    p = (n + 1) * q
+    return MatrixPolynomial([np.eye(p, k=q * j) for j in range(n + 1)])
 
 
 def shift_resolvent_poly(q, n):
@@ -259,6 +299,24 @@ def last_column_embedding(q, n):
     v = np.zeros(((n + 1) * q, q), dtype=complex)
     v[n * q:, :] = np.eye(q)
     return v
+
+
+def _column_data(data, n, fz, z, odd):
+    """Hankel corner, interior column R_T(z)(v g - c) and diagonal value
+    of P_k at the points z (an array, 0-d for one point) from fz = f(z),
+    with g = fz for k = 2n and g = (z - alpha) fz for k = 2n + 1
+    (``odd``).  R_T(z) x is summed block by block, y_j = z y_{j-1} + x_j,
+    for all points at once."""
+    H, c = _corner(data, n, odd)
+    g = _weighted(data, fz, z) if odd else fz
+    q = data.q
+    y = np.broadcast_to(-c.reshape(n + 1, q, q),
+                        z.shape + (n + 1, q, q)).copy()
+    y[..., 0, :, :] += g
+    zc = z[..., None, None]
+    for j in range(1, n + 1):
+        y[..., j, :, :] += zc * y[..., j - 1, :, :]
+    return H, y.reshape(z.shape + c.shape), _im_quotient(g, z)
 
 
 def _fundamental(data, n, k, fz, z):
@@ -583,8 +641,9 @@ def decomposition_residual_per_atom(seq, n, mu, z, k):
     array of residuals at a 1-D array of points.
 
     P_2n[S](z) = sum_k [E(t); (t - conj z)^{-1} I] M [..]* + correction,
-    with a sqrt(t - alpha) weight in the odd case; the correction charges
-    only the last Hankel corner with the moment defect at order k.
+    with a sqrt(t - alpha) weight, alpha that of the sequence, in the odd
+    case; the correction charges only the last Hankel corner with the
+    moment defect at order k.
     """
     data = seq.hankel()
     z = np.asarray(z, dtype=complex)
@@ -601,10 +660,10 @@ def decomposition_residual_per_atom(seq, n, mu, z, k):
         colblk = np.concatenate(
             [np.broadcast_to(E, z.shape + E.shape),
              (1.0 / (t - np.conj(z)))[..., None, None] * eye], axis=-2)
-        weight = (t - mu.alpha) if odd else 1.0
+        weight = (t - seq.alpha) if odd else 1.0
         total += weight * (colblk @ M @ _adjoint(colblk))
         s_top += (t ** k) * M if not odd else \
-            (t - mu.alpha) * (t ** (2 * n)) * M
+            (t - seq.alpha) * (t ** (2 * n)) * M
     vg = last_column_embedding(q, n)
     corr_col = np.vstack([vg, np.zeros((q, q), dtype=complex)])
     if odd:

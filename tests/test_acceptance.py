@@ -21,7 +21,6 @@ from stieltjesmp.momentseq import (
     HankelData,
     block_hankel,
     dubovoj_candidates,
-    shift_matrix,
     stack_y,
 )
 from stieltjesmp.potapov import (
@@ -45,7 +44,8 @@ from stieltjesmp.stieltjespairs import (
 from conftest import atomic_fixture, kge_fixtures, ljapunov_data, \
     random_hermitian_sequence, scalar_seq
 from identities import congruence_check, is_dubovoj, j_defect, \
-    potapov_matrix, pseudo_inverse, signature_matrix, theta_inverse
+    potapov_matrix, pseudo_inverse, shift_matrix, signature_matrix, \
+    theta_inverse
 
 import json
 

@@ -126,6 +126,18 @@ def test_cmd_solve_rejects_a_malformed_pair_file(tmp_path, capsys):
         assert "Traceback" not in captured.err
 
 
+def test_cmd_solve_refuses_a_pair_of_another_size(tmp_path, capsys):
+    moments = write_json(tmp_path / "m2.json", {
+        "alpha": 0.0, "q": 2,
+        "moments": [matrix_to_json(np.eye(2))] * 2})
+    pair = write_json(tmp_path / "p.json", {
+        "kind": "constant", "phi": [[[0.0, 0.0]]], "psi": [[[1.0, 0.0]]]})
+    code = main(["solve", moments, pair, "--n", "0", "--points", "1j"])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err == "error: pair is 1 x 1, the moment data 2 x 2\n"
+
+
 def test_cmd_solve_completely_degenerate_warns(tmp_path, capsys):
     pair = write_json(tmp_path / "p.json", {
         "kind": "constant", "phi": [[[1.0, 0.0]]], "psi": [[[0.0, 0.0]]]})

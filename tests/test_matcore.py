@@ -18,13 +18,12 @@ from stieltjesmp.matcore import (
     right_divide,
     subspace_from_columns,
 )
-from stieltjesmp.momentseq import HankelData, dubovoj_candidates, \
-    shift_matrix
+from stieltjesmp.momentseq import HankelData, dubovoj_candidates
 from stieltjesmp.stieltjespairs import AtomicMeasure, moments_of
 
 from conftest import random_psd
 from identities import is_dubovoj, is_hermitian, null_space, \
-    pseudo_inverse, range_included
+    pseudo_inverse, range_included, shift_matrix
 
 
 def test_tolerance_config_rejects_nonpositive():

@@ -16,19 +16,19 @@ from stieltjesmp.momentseq import (
     block_hankel,
     canonical_extension,
     dubovoj_candidates,
-    first_column_embedding,
-    shift_matrix,
     shift_right,
+    shift_stack,
     stack_y,
     stack_z,
 )
-
+from stieltjesmp.resolvent import MatrixPolynomial
 from stieltjesmp.solver import classify
 
-from conftest import hankel_factor_counts, kge_fixtures, ljapunov_data, \
-    random_hermitian_sequence, scalar_seq
-from identities import extended, is_dubovoj, last_column_embedding, \
-    range_included
+from conftest import atomic_fixture, hankel_factor_counts, kge_fixtures, \
+    ljapunov_data, random_hermitian_sequence, scalar_seq
+from identities import extended, first_column_embedding, is_dubovoj, \
+    last_column_embedding, range_included, resolvent_poly, shift_matrix, \
+    shift_resolvent
 
 
 def test_moment_sequence_validation():
@@ -240,6 +240,78 @@ def test_dubovoj_candidates_and_rank_profile():
     d = HankelData(scalar_seq([1, 1, 1]))
     assert d.factor(1).rank == 1
     assert d.ladder_ranks() == [1, 0]
+
+
+def _complex_normal(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def test_shift_stack_is_the_block_shift_of_its_column():
+    # Row j is T^j x for the dense T of the definition; n = 0 has T = 0
+    # and a stack of length one.
+    rng = np.random.default_rng(43)
+    for q in (1, 2, 3):
+        for n in range(4):
+            N = (n + 1) * q
+            T = shift_matrix(q, n)
+            for r in (1, q, 2 * q + 1):
+                x = _complex_normal(rng, N, r)
+                stack = shift_stack(x, q)
+                assert stack.shape == (n + 1, N, r)
+                for j in range(n + 1):
+                    assert np.array_equal(
+                        stack[j], np.linalg.matrix_power(T, j) @ x)
+
+
+def test_shift_stack_gives_the_shift_resolvents():
+    # The stack is the coefficient stack of R_T(z) x, and (T^j L)* M that
+    # of L* R_{T*}(z) M, at one point and at an array of points.
+    rng = np.random.default_rng(47)
+    for q in (1, 2, 3):
+        for n in range(4):
+            N = (n + 1) * q
+            zs = _complex_normal(rng, 5)
+            x = _complex_normal(rng, N, q + 1)
+            Rx = MatrixPolynomial(shift_stack(x, q))
+            dense = np.array([shift_resolvent(q, n, z) @ x for z in zs])
+            scale = 1e-13 * (1.0 + np.linalg.norm(dense, axis=(1, 2)))
+            assert np.all(np.linalg.norm(Rx(zs) - dense, axis=(1, 2))
+                          <= scale)
+            assert np.linalg.norm(Rx(zs[0]) - dense[0]) <= scale[0]
+            L, M = _complex_normal(rng, N, 2), _complex_normal(rng, N, 3)
+            coeffs = shift_stack(L, q).conj().transpose(0, 2, 1) @ M
+            for j, c in enumerate(coeffs):
+                want = L.conj().T @ np.linalg.matrix_power(
+                    shift_matrix(q, n).T, j) @ M
+                assert np.linalg.norm(c - want) <= 1e-13 * (
+                    1.0 + np.linalg.norm(want))
+            LRM = MatrixPolynomial(coeffs)
+            for z in zs:
+                want = L.conj().T @ resolvent_poly(q, n)(z) @ M
+                assert np.linalg.norm(LRM(z) - want) <= 1e-13 * (
+                    1.0 + np.linalg.norm(want))
+
+
+def test_the_shift_resolvent_of_v_is_the_power_column():
+    # R_T(alpha) v = col(alpha^j I_q), from the stack of v and in the
+    # closed form the restriction products read, against the dense
+    # R_T(alpha) of the definition; on data with one atom, where the
+    # null projector N N* of H_n is not zero.
+    rng = np.random.default_rng(53)
+    for q in (1, 2, 3):
+        for n in range(4):
+            v = first_column_embedding(q, n)
+            for alpha in (0.0, 0.5, -1.0, 1.7):
+                Rv = shift_resolvent(q, n, alpha) @ v
+                tol = 1e-14 * (1.0 + np.linalg.norm(Rv))
+                assert np.linalg.norm(
+                    MatrixPolynomial(shift_stack(v, q))(alpha) - Rv) <= tol
+                _, seq = atomic_fixture(rng, q, n, alpha, natoms=1)
+                data = seq.hankel()
+                N = data.factor(n).null
+                A_phi, _ = data.restriction_products(n)
+                assert N.shape[1] == n * q
+                assert np.linalg.norm(A_phi - N @ (N.conj().T @ Rv)) <= tol
 
 
 def test_hankel_data_levels_equal_direct_assembly(rng):

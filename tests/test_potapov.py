@@ -10,19 +10,19 @@ import pytest
 
 from stieltjesmp import MomentSequence, ToleranceConfig, momentseq
 from stieltjesmp.matcore import _fro
-from stieltjesmp.potapov import _adjoint, _column_data, _corner, \
-    _im_quotient, _projected_column, _weighted, \
-    atomic_decomposition_residual, potapov_report
+from stieltjesmp.potapov import _adjoint, _corner, _im_quotient, \
+    _projected_column, _weighted, atomic_decomposition_residual, \
+    potapov_report
 from stieltjesmp.resolvent import build_resolvent, standard_grid
 from stieltjesmp.solver import lft_solution, verify_solution
 from stieltjesmp.stieltjespairs import AtomicMeasure, StieltjesPair, \
-    transform
+    moments_of, transform
 
 from conftest import WEIGHT_PATTERNS, atomic_fixture, kge_fixtures, \
     random_hermitian_sequence, scalar_seq
-from identities import congruence_check, conjugate_reflection, \
-    decomposition_residual_per_atom, fq_matrices, monomial_stack, \
-    potapov_matrix, psi_polynomial, sigma_matrix
+from identities import _column_data, congruence_check, \
+    conjugate_reflection, decomposition_residual_per_atom, fq_matrices, \
+    monomial_stack, potapov_matrix, psi_polynomial, sigma_matrix
 
 
 def scalar_f(fn):
@@ -430,6 +430,26 @@ def test_decomposition_residual_sees_a_wrong_moment():
         for k in (2, 3):
             assert residual(seq, 1, mu, zs, k).max() <= 1e-12
             assert residual(off, 1, mu, zs, k).min() > 1e-8
+
+
+def test_the_odd_residual_weights_atoms_by_the_sequence_alpha():
+    # The atoms of a solution on [0, oo) declared on [-1, oo): the moments
+    # match and P_k passes, and the decomposition of P_2n+1 weights each
+    # atom by t - alpha with the alpha of the sequence, as P_2n+1 does.
+    atoms = [(1.0, [[1.0]]), (2.0, [[0.5]]), (3.5, [[0.25]])]
+    seq = moments_of(AtomicMeasure(0.0, 1, atoms), 3)
+    mu = AtomicMeasure(-1.0, 1, atoms)
+    out = verify_solution(seq, 1, mu)
+    assert out["checks"]["moment_match"]
+    assert out["checks"]["potapov_passed"]
+    assert out["checks"]["decomposition_residual"] <= 1e-14
+    assert out["valid"]
+    zs = np.array(standard_grid(seq.alpha)[:4])
+    for k in (2, 3):
+        got = atomic_decomposition_residual(seq, 1, mu, zs, k)
+        assert np.max(np.abs(
+            got - decomposition_residual_per_atom(seq, 1, mu, zs, k))) \
+            <= 1e-15
 
 
 def test_potapov_report_decides_with_the_sequence_tolerance():

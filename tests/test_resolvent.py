@@ -5,15 +5,14 @@ import pytest
 
 from stieltjesmp import MomentSequence, momentseq
 from stieltjesmp.resolvent import MatrixPolynomial, build_resolvent, \
-    resolvent_poly, standard_grid, theta_coeffs_json
-from stieltjesmp.momentseq import first_column_embedding, shift_matrix, \
-    shift_resolvent
+    standard_grid, theta_coeffs_json
 from stieltjesmp.solver import classify, unique_solution
 
 from conftest import WEIGHT_PATTERNS, atomic_fixture, kge_fixtures, \
     scalar_seq
-from identities import Poly, j_defect, kernel_polys, monomial_stack, \
-    shift_resolvent_poly, signature_matrix, theta_inverse
+from identities import Poly, first_column_embedding, j_defect, \
+    kernel_polys, monomial_stack, resolvent_poly, shift_matrix, \
+    shift_resolvent, shift_resolvent_poly, signature_matrix, theta_inverse
 
 
 def test_matrix_polynomial_arithmetic():

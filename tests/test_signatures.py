@@ -158,11 +158,11 @@ PUBLIC = {
     "lft_solution", "lift_pair", "matcore", "moments_of", "momentseq",
     "mrank", "one_two_inverse", "pair_in_restricted_class", "potapov",
     "potapov_report", "projector", "recover_s0", "resolvent",
-    "resolvent_poly", "shift_right", "solver", "standard_grid",
+    "shift_right", "solver", "standard_grid",
     "stieltjespairs", "transform", "unique_solution", "verify_solution"}
 
 def test_the_package_exports_only_its_production_path():
-    assert len(stieltjesmp.__all__) == len(PUBLIC) == 41
+    assert len(stieltjesmp.__all__) == len(PUBLIC) == 40
     assert set(stieltjesmp.__all__) == PUBLIC
 
 
@@ -186,3 +186,18 @@ def test_the_identity_oracles_live_in_the_tests():
     arithmetic = set(vars(identities.Poly)) - {"__module__", "__doc__"}
     assert {"__add__", "__matmul__", "times_linear"} <= arithmetic
     assert not arithmetic & set(vars(stieltjesmp.MatrixPolynomial))
+
+
+def test_one_implementation_of_the_shift_resolvent():
+    # Every product with T, R_T(z) or R_{T*}(z) reads the one stack T^j x
+    # of momentseq.shift_stack.  The dense T, v and resolvents and the
+    # block recursion of the coupling column are oracles of the tests.
+    gone = {"shift_matrix", "shift_resolvent", "first_column_embedding",
+            "resolvent_poly", "_column_data"}
+    assert gone <= set(vars(identities))
+    modules = [stieltjesmp] + [
+        importlib.import_module(f"stieltjesmp.{info.name}")
+        for info in pkgutil.iter_modules(stieltjesmp.__path__)]
+    for mod in modules:
+        assert not gone & set(vars(mod)), mod.__name__
+    assert callable(momentseq.shift_stack)

@@ -118,6 +118,20 @@ def test_lft_solution_gates_restricted_class():
             lft_solution(R, StieltjesPair.constant([[0.0]], [[1.0]]), **kw)
 
 
+def test_lft_solution_refuses_a_pair_of_another_size():
+    # Non-degenerate data pass the pair through lift_pair unchanged, so
+    # the size is checked before the gate multiplies with it.
+    seq = MomentSequence(0.0, 2, [np.eye(2), np.eye(2)])
+    rep = classify(seq, 0)
+    assert rep.case == "NonDegenerate"
+    R = build_resolvent(seq, 0)
+    pair = lift_pair(rep, StieltjesPair.constant([[0.0]], [[1.0]]))
+    for kw in ({"seq": seq, "n": 0}, {}):
+        with pytest.raises(ValueError,
+                           match=r"pair is 1 x 1, the moment data 2 x 2"):
+            lft_solution(R, pair, **kw)
+
+
 def test_unique_solution_examples():
     S = unique_solution(scalar_seq([1, 0]), 0)
     for z in (1j, 0.5 + 2j, -2.0 + 0.1j):

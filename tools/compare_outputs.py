@@ -1,0 +1,281 @@
+#!/usr/bin/env python3
+"""Compare the outputs of two source trees of stieltjesmp on the
+benchmark's problems.
+
+Run from the repository root, with two ``src`` roots, for example a
+checkout of the parent commit against this one:
+
+    python3 tools/compare_outputs.py /path/to/parent/src src --seeds 1 2 3
+
+Each tree runs in its own process (``PYTHONPATH=<src root>``) on the
+seeded problems of ``perfbench/fixtures.py``, which is read and never
+changed, through the calls that ``perfbench/workloads.py`` times:
+
+- ``parametrize`` and ``verify_dense``: class membership, the
+  classification, Theta and Theta-tilde, the solutions at the
+  workload's points (three pairs, or one, as the workload takes them,
+  or the unique solution), and ``verify_solution`` of the generating
+  measure and of the canonical solution;
+- ``cli_cold``: every subcommand call of the workload, through
+  ``cli.main`` in the process.
+
+It prints the largest deviation of each quantity over all problems,
+where it occurs, and the distribution of the deviation of S.  It exits
+with status 1 when a label, rank, class verdict, ``valid``, boolean
+check, error message, singular point, CLI exit code, CLI message or
+non-float CLI JSON value differs, and with 0 otherwise; the float
+deviations are reported, not judged.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+WORKLOADS = ("parametrize", "verify_dense", "cli_cold")
+
+
+# -- one tree: run the pipeline and record its outputs ------------------
+
+def _verify(solver, p, candidate):
+    """The verdicts, checks and Potapov lists of ``verify_solution``, or
+    the message of the ``ValueError`` it raised."""
+    try:
+        out = solver.verify_solution(p.seq, p.n, candidate)
+    except ValueError as exc:
+        return {"error": str(exc)}
+    sigma = {key: np.array([np.nan if x is None else x for x in vals])
+             for key, vals in out["potapov"].items()
+             if key.startswith("sigma_min")}
+    return {"valid": out["valid"], "checks": out["checks"], "sigma": sigma}
+
+
+def _problem(modules, workload, p):
+    fixtures, momentseq, resolvent, solver, workloads = modules
+    if workload == "parametrize":
+        points, npairs = p.points, 3
+    else:
+        points, npairs = fixtures.dense_points(p.alpha), 1
+    cm = momentseq.class_membership(p.seq)
+    rep = solver.classify(p.seq, p.n)
+    R = resolvent.build_resolvent(p.seq, p.n)
+    sols = workloads._InProcess().solutions(p, rep, R, npairs)
+    return {
+        "class": (cm.in_Hgeq, cm.in_Hgeq_e, cm.in_Kgeq, cm.in_Kgeq_e),
+        "label": (rep.case, rep.m, rep.ell, rep.r),
+        "theta": R.theta.coeffs,
+        "theta_tilde": R.theta_tilde.coeffs,
+        "self_check": dict(R.self_check),
+        "S": np.array([workloads.evaluate(S, points, p.q) for S in sols]),
+        "measure": _verify(solver, p, p.mu),
+        "solution": _verify(solver, p, sols[0]),
+    }
+
+
+def _cli_calls(seed, workdir):
+    import workloads
+    from stieltjesmp import cli
+    out = []
+    for item in workloads.CliCold(seed, workdir, str(ROOT)).items:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = cli.main(list(item.argv))
+        text = stdout.getvalue()
+        out.append((item.pid, {"code": code, "stderr": stderr.getvalue(),
+                               "doc": json.loads(text) if text else None}))
+    return out
+
+
+def dump(workload, seed, path):
+    """Record the outputs of the tree on PYTHONPATH into ``path``."""
+    sys.path.insert(0, str(PERFBENCH))
+    import fixtures
+    import workloads
+    from stieltjesmp import momentseq, resolvent, solver
+    if workload == "cli_cold":
+        with tempfile.TemporaryDirectory() as workdir:
+            records = _cli_calls(seed, workdir)
+    else:
+        problems = (fixtures.parametrize_problems(seed)
+                    if workload == "parametrize"
+                    else fixtures.verify_dense_problems(seed))
+        modules = (fixtures, momentseq, resolvent, solver, workloads)
+        records = [(p.pid, _problem(modules, workload, p)) for p in problems]
+    with open(path, "wb") as fh:
+        pickle.dump(records, fh)
+
+
+def run_tree(src, workload, seed, path):
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    subprocess.run([sys.executable, __file__, "--dump", workload, str(seed),
+                    str(path)], env=env, cwd=ROOT, check=True)
+    with open(path, "rb") as fh:
+        return pickle.load(fh)
+
+
+# -- two trees: compare ------------------------------------------------
+
+class Tally:
+    """Largest deviation per quantity, with where it occurred, and the
+    differences in discrete outputs."""
+
+    def __init__(self):
+        self.worst = {}
+        self.samples = {}
+        self.diffs = []
+
+    def float(self, name, dev, where):
+        dev = float(dev)
+        self.samples.setdefault(name, []).append(dev)
+        if name not in self.worst or dev > self.worst[name][0]:
+            self.worst[name] = (dev, where)
+
+    def same(self, name, a, b, where):
+        if a != b:
+            self.diffs.append(f"{where}: {name} {a!r} -> {b!r}")
+
+
+def _rel(a, b):
+    """|a - b| / |a| over whole arrays (0 when both are zero)."""
+    scale = np.linalg.norm(a)
+    diff = np.linalg.norm(a - b)
+    return diff / scale if scale else diff
+
+
+def _per_one(a, b):
+    """max |a - b| / (1 + |a|) over finite entries."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    ok = np.isfinite(a) & np.isfinite(b)
+    return float(np.max(np.abs(a - b)[ok] / (1.0 + np.abs(a[ok])),
+                        initial=0.0))
+
+
+def _compare_verify(tally, who, a, b, where):
+    tally.same(f"{who} error", a.get("error"), b.get("error"), where)
+    if "error" in a or "error" in b:
+        return
+    tally.same(f"{who} valid", a["valid"], b["valid"], where)
+    tally.same(f"{who} checks", sorted(a["checks"]), sorted(b["checks"]),
+               where)
+    for key, x in a["checks"].items():
+        y = b["checks"].get(key)
+        if isinstance(x, bool) or y is None:
+            tally.same(f"{who} {key}", x, y, where)
+        elif key == "decomposition_residual":
+            tally.float(f"{who} {key} (abs)", abs(x - y), where)
+        else:
+            tally.float(f"{who} {key} (/(1+|x|))", _per_one(x, y), where)
+    for key, x in a["sigma"].items():
+        y = b["sigma"][key]
+        tally.same(f"{who} {key} present", np.isnan(x).tolist(),
+                   np.isnan(y).tolist(), where)
+        tally.float(f"{who} {key} (/(1+|x|))", _per_one(x, y), where)
+
+
+def compare_problem(tally, a, b, where):
+    tally.same("class verdicts", a["class"], b["class"], where)
+    tally.same("label and ranks", a["label"], b["label"], where)
+    for key in ("theta", "theta_tilde"):
+        tally.float(f"{key} (rel)", _rel(a[key], b[key]), where)
+    for key, x in a["self_check"].items():
+        tally.float(f"self_check {key} (abs)",
+                    abs(x - b["self_check"][key]), where)
+    Sa, Sb = a["S"], b["S"]
+    singular = np.isnan(Sa).any(axis=(-2, -1))
+    tally.same("singular points", singular.tolist(),
+               np.isnan(Sb).any(axis=(-2, -1)).tolist(), where)
+    ok = ~singular & ~np.isnan(Sb).any(axis=(-2, -1))
+    dev = (np.linalg.norm(Sa[ok] - Sb[ok], axis=(-2, -1))
+           / np.linalg.norm(Sa[ok], axis=(-2, -1)))
+    tally.float("S (rel, per point)", dev.max(initial=0.0), where)
+    for who in ("measure", "solution"):
+        _compare_verify(tally, who, a[who], b[who], where)
+
+
+def _json_leaves(doc, path=""):
+    if isinstance(doc, dict):
+        for key in doc:
+            yield from _json_leaves(doc[key], f"{path}/{key}")
+    elif isinstance(doc, list):
+        for i, x in enumerate(doc):
+            yield from _json_leaves(x, f"{path}/{i}")
+    else:
+        yield path, doc
+
+
+def compare_cli(tally, a, b, where):
+    tally.same("cli exit code", a["code"], b["code"], where)
+    tally.same("cli stderr", a["stderr"], b["stderr"], where)
+    la, lb = list(_json_leaves(a["doc"])), list(_json_leaves(b["doc"]))
+    tally.same("cli JSON paths", [p for p, _ in la], [p for p, _ in lb],
+               where)
+    for (path, x), (_, y) in zip(la, lb):
+        if isinstance(x, float) and isinstance(y, float):
+            tally.float("cli float (/max(|x|,|y|,1))",
+                        abs(x - y) / max(abs(x), abs(y), 1.0),
+                        f"{where}{path}")
+        else:
+            tally.same("cli JSON value", x, y, f"{where}{path}")
+
+
+def report(tally):
+    print(f"{'quantity':<44} {'largest':>9}  where")
+    for name in sorted(tally.worst):
+        dev, where = tally.worst[name]
+        print(f"{name:<44} {dev:9.2e}  {where}")
+    if "S (rel, per point)" in tally.samples:
+        dev = np.array(tally.samples["S (rel, per point)"])
+        print(f"S: {dev.size} problems; median {np.median(dev):.1e}, "
+              f"99th percentile {np.quantile(dev, 0.99):.1e}; "
+              + ", ".join(f"{int((dev > c).sum())} above {c:.0e}"
+                          for c in (1e-14, 1e-12, 1e-10, 1e-8)))
+    print(f"discrete differences: {len(tally.diffs)}")
+    for line in tally.diffs[:40]:
+        print("  " + line)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--dump", nargs=3, metavar=("WORKLOAD", "SEED", "FILE"),
+                    help=argparse.SUPPRESS)
+    ap.add_argument("old", nargs="?", help="src root of the reference tree")
+    ap.add_argument("new", nargs="?", help="src root of the tree compared")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    args = ap.parse_args(argv)
+    if args.dump:
+        workload, seed, path = args.dump
+        dump(workload, int(seed), path)
+        return 0
+    if not (args.old and args.new):
+        ap.error("give the two src roots")
+    tally = Tally()
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in args.seeds:
+            for workload in WORKLOADS:
+                old = run_tree(args.old, workload, seed, Path(tmp, "old"))
+                new = run_tree(args.new, workload, seed, Path(tmp, "new"))
+                tally.same("problems", [pid for pid, _ in old],
+                           [pid for pid, _ in new], f"{workload} {seed}")
+                compare = compare_cli if workload == "cli_cold" \
+                    else compare_problem
+                for (pid, a), (_, b) in zip(old, new):
+                    compare(tally, a, b, f"seed {seed} {pid}")
+                print(f"seed {seed} {workload}: {len(old)} compared",
+                      flush=True)
+    report(tally)
+    return 1 if tally.diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
