@@ -54,8 +54,8 @@ def load_moment_file(path, tol):
     with open(path) as fh:
         doc = json.load(fh)
     try:
-        alpha = float(doc["alpha"])
-        q = int(doc["q"])
+        alpha = jsonio.json_to_real(doc["alpha"], "alpha")
+        q = jsonio.json_to_real(doc["q"], "q", integer=True)
         moments = [jsonio.json_to_matrix(m, f"moments[{j}]")
                    for j, m in enumerate(doc["moments"])]
     except _MALFORMED as exc:
@@ -67,9 +67,9 @@ def load_measure_file(path, tol):
     with open(path) as fh:
         doc = json.load(fh)
     try:
-        alpha = float(doc["alpha"])
-        q = int(doc["q"])
-        atoms = [(float(a["t"]),
+        alpha = jsonio.json_to_real(doc["alpha"], "alpha")
+        q = jsonio.json_to_real(doc["q"], "q", integer=True)
+        atoms = [(jsonio.json_to_real(a["t"], "t"),
                   jsonio.json_to_matrix(a["weight"], "atom weight"))
                  for a in doc["atoms"]]
     except _MALFORMED as exc:
@@ -87,9 +87,9 @@ def load_pair_file(path, tol):
             psi = jsonio.json_to_matrix(doc["psi"], "psi")
             return StieltjesPair.constant(phi, psi, tol)
         if kind == "stieltjes_function":
-            alpha = float(doc.get("alpha", 0.0))
-            q = int(doc["q"])
-            atoms = [(float(a["t"]),
+            alpha = jsonio.json_to_real(doc.get("alpha", 0.0), "alpha")
+            q = jsonio.json_to_real(doc["q"], "q", integer=True)
+            atoms = [(jsonio.json_to_real(a["t"], "t"),
                       jsonio.json_to_matrix(a["weight"], "atom weight"))
                      for a in doc.get("atoms", [])]
             mu = AtomicMeasure(alpha, q, atoms, tol)

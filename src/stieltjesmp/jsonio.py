@@ -1,8 +1,11 @@
 """JSON encoding of complex scalars and matrices.
 
 A complex number is the two-element array [re, im]; a matrix is a list
-of rows of such entries.  Real JSON numbers are accepted on input.
+of rows of such entries.  Real JSON numbers, not booleans or strings,
+are read.
 """
+
+import json
 
 import numpy as np
 
@@ -12,12 +15,22 @@ def complex_to_json(z):
     return [z.real, z.imag]
 
 
+def json_to_real(v, where="value", integer=False):
+    """A JSON number as a float (an int when ``integer``), refusing a
+    boolean, a string and, where an integer is asked for, a fraction."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or (
+            integer and not float(v).is_integer()):
+        raise ValueError(f"{where}: {json.dumps(v)} is not "
+                         f"{'an integer' if integer else 'a number'}")
+    return int(v) if integer else float(v)
+
+
 def json_to_complex(v, where="value"):
     if isinstance(v, (int, float)):
-        return complex(v)
+        return complex(json_to_real(v, where))
     if (not isinstance(v, list)) or len(v) != 2:
         raise ValueError(f"{where}: complex numbers must be [re, im]")
-    return complex(float(v[0]), float(v[1]))
+    return complex(json_to_real(v[0], where), json_to_real(v[1], where))
 
 
 def matrix_to_json(M):

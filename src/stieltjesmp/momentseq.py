@@ -2,18 +2,20 @@
 
 A :class:`MomentSequence` stores Hermitian q x q moment matrices
 s_0, ..., s_m together with the left endpoint alpha of the half line
-[alpha, oo).  The module assembles block Hankel matrices, the shifted
-Hankel matrices of the right-alpha-shifted sequence, the associated
-stacked vectors, the one stack T^j x of powers of the block shift T
-applied to a block column (``shift_stack``, from which every product
-with T, R_T(z) or R_{T*}(z) is read), and membership tests for the four
-solvability classes (Hankel-nonnegative, Hankel-nonnegative extendable,
+[alpha, oo).  The module assembles block Hankel matrices, the
+right-alpha-shifted sequence, the associated stacked vectors, the one
+stack T^j x of powers of the block shift T applied to a block column
+(``shift_stack``, from which every product with T, R_T(z) or R_{T*}(z)
+is read), and membership tests for the four solvability classes
+(Hankel-nonnegative, Hankel-nonnegative extendable,
 Stieltjes-nonnegative, Stieltjes-nonnegative extendable).  A
-:class:`HankelData` holds these matrices at every level of one
-sequence, with their Schur-complement ladders, and factors each of
-them at most once.  A sequence hands out its one HankelData through
-:meth:`MomentSequence.hankel`, so every call on the sequence shares
-the work while a result that holds the data is alive.
+:class:`HankelData` holds the Hankel matrices at every level of one
+sequence, with their Schur-complement ladders, and factors each of them
+at most once; the shifted Hankel matrices Hs_k are the H_k of the
+shifted sequence's own data, ``data.shift``.  A sequence hands out its
+one HankelData through :meth:`MomentSequence.hankel`, so every call on
+the sequence shares the work while a result that holds the data is
+alive.
 """
 
 import weakref
@@ -137,23 +139,17 @@ def shift_stack(x, q):
     return out
 
 
-def _levels(M, q, top):
-    """Leading (k+1)q x (k+1)q slices of ``M`` for k = 0..top, read-only."""
-    _read_only(M)
-    return [M[:(k + 1) * q, :(k + 1) * q] for k in range(top + 1)]
-
-
 class HankelData:
     """Block Hankel matrices of one sequence at every level, each factored
     at most once.
 
-    ``H[k]`` (2k <= m) and ``Hs[k]`` (2k + 1 <= m) are the level-k block
-    Hankel matrices of the sequence and of its right-alpha-shifted
-    sequence ``shifted``; both are leading slices of the matrix built at
-    the top level.  Each is factored once, into the ``factor`` that
-    every verdict, rank and inverse about it reads.  Factors, Schur
-    ladders and class verdicts are computed when first asked for and
-    kept on this object, which the library reaches through
+    ``H[k]`` (2k <= m) is the level-k block Hankel matrix of the
+    sequence, a leading slice of the matrix built at the top level.  Each
+    is factored once, into the ``factor`` that every verdict, rank and
+    inverse about it reads.  The right-alpha-shifted sequence is a
+    sequence too, with Hankel data of its own, :attr:`shift`.  Factors,
+    Schur ladders and class verdicts are computed when first asked for
+    and kept on this object, which the library reaches through
     :meth:`MomentSequence.hankel` only; the matrices are read-only.
     Readers of level n call :meth:`check_level`.  Per-level results
     that hold this object (a classification report, a resolvent) are
@@ -163,13 +159,8 @@ class HankelData:
     def __init__(self, seq):
         self.seq = seq
         self.q = seq.q
-        top = seq.m // 2
-        self.H = _levels(block_hankel(seq, top, 0), seq.q, top)
-        self.shifted = shift_right(seq) if seq.m >= 1 else None
-        self.Hs = []
-        if self.shifted is not None:
-            top = (seq.m - 1) // 2
-            self.Hs = _levels(block_hankel(self.shifted, top, 0), seq.q, top)
+        H = _read_only(block_hankel(seq, seq.m // 2, 0))
+        self.H = [H[:k, :k] for k in range(seq.q, len(H) + 1, seq.q)]
         self._memo = {}
         self._live = weakref.WeakValueDictionary()
 
@@ -187,62 +178,59 @@ class HankelData:
             obj = self._live[key] = build()
         return obj
 
-    def _mats(self, shifted):
-        return self.Hs if shifted else self.H
+    @property
+    def shift(self):
+        """The HankelData of ``shift_right(seq)``, whose ``H[k]`` is Hs_k,
+        built on first use and held by this object; a one-moment
+        sequence has none and raises ``ValueError``."""
+        return self._once("shift", lambda: shift_right(self.seq).hankel())
 
     def check_level(self, n, shifted=False):
         """Refuse a level n the sequence lacks: H_n needs the moments up
         to s_2n, Hs_n (``shifted``) those up to s_2n+1."""
-        if not 0 <= n < len(self._mats(shifted)):
+        if not 0 <= 2 * n + shifted <= self.seq.m:
             need = f"2n+1 = {2 * n + 1}" if shifted else f"2n = {2 * n}"
             raise ValueError(f"{'Hs' if shifted else 'H'}_{n} needs "
                              f"{need} <= m = {self.seq.m}")
 
-    def factor(self, k, shifted=False):
-        """The factor of H_k (Hs_k when ``shifted``) under ``seq.tol``:
-        its PSD verdict, rank, null basis and pseudo-inverse."""
-        return self._once(("factor", shifted, k), lambda: HermitianFactor(
-            self._mats(shifted)[k], self.seq.tol))
+    def factor(self, k):
+        """The factor of H_k under ``seq.tol``: its PSD verdict, rank,
+        null basis and pseudo-inverse."""
+        return self._once(("factor", k), lambda: HermitianFactor(
+            self.H[k], self.seq.tol))
 
-    def ladder_ranks(self, shifted=False):
-        """rank H_k - rank H_{k-1} (of Hs when ``shifted``) per level k:
-        the rank of the Schur complement L_k when H_k is PSD."""
-        ranks = [self.factor(k, shifted).rank
-                 for k in range(len(self._mats(shifted)))]
+    def ladder_ranks(self):
+        """rank H_k - rank H_{k-1} per level k: the rank of the Schur
+        complement L_k when H_k is PSD."""
+        ranks = [self.factor(k).rank for k in range(len(self.H))]
         return np.diff(ranks, prepend=0).tolist()
 
-    def ladder(self, shifted=False):
-        """Schur complements L_k = s_2k - z_{k,2k-1} H_{k-1}^+ y_{k,2k-1}
-        of the sequence (of ``shifted`` when ``shifted``), one per level."""
-        return self._once(("ladder", shifted), lambda: self._ladder(shifted))
+    def ladder(self):
+        """Schur complements L_k = s_2k - z_{k,2k-1} H_{k-1}^+ y_{k,2k-1},
+        one per level."""
+        return self._once("ladder", self._ladder)
 
-    def _ladder(self, shifted):
-        seq = self.shifted if shifted else self.seq
-        out = []
-        for k in range(len(self._mats(shifted))):
-            if k == 0:
-                out.append(seq.s(0).copy())
-            else:
-                y = stack_y(seq, k, 2 * k - 1)
-                z = stack_z(seq, k, 2 * k - 1)
-                Hp = self.factor(k - 1, shifted).pinv
-                out.append(seq.s(2 * k) - z @ Hp @ y)
+    def _ladder(self):
+        seq = self.seq
+        out = [seq.s(0).copy()]
+        for k in range(1, len(self.H)):
+            y = stack_y(seq, k, 2 * k - 1)
+            z = stack_z(seq, k, 2 * k - 1)
+            out.append(seq.s(2 * k) - z @ self.factor(k - 1).pinv @ y)
         return out
 
-    def nonnegative(self, shifted=False):
-        """Membership of the sequence (of ``shifted``) in class H>=."""
-        return all(self.factor(k, shifted).psd
-                   for k in range(len(self._mats(shifted))))
+    def nonnegative(self):
+        """Membership of the sequence in class H>=."""
+        return all(self.factor(k).psd for k in range(len(self.H)))
 
-    def extendable(self, shifted=False):
-        """Membership of the sequence (of ``shifted``) in class H>=,e."""
-        return self._once(("extendable", shifted),
-                          lambda: self._extendable(shifted))
+    def extendable(self):
+        """Membership of the sequence in class H>=,e."""
+        return self._once("extendable", self._extendable)
 
-    def _extendable(self, shifted):
-        seq = self.shifted if shifted else self.seq
+    def _extendable(self):
+        seq = self.seq
         m = seq.m
-        if not self.factor(m // 2, shifted).psd:
+        if not self.factor(m // 2).psd:
             return False
         if m == 0:
             # Both completing moments are free; s_1 = 0 always works.
@@ -252,23 +240,22 @@ class HankelData:
         # null vectors of H_{m/2} with a zero last block, the ones that
         # no choice of the free s_{m+1} can meet.
         y = stack_y(seq, m // 2 + 1, m)
-        N = self.factor((m - 1) // 2, shifted).null
+        N = self.factor((m - 1) // 2).null
         return bool(np.linalg.norm(N.conj().T @ y)
                     <= seq.tol.tol_identity * (1.0 + np.linalg.norm(y)))
 
     def in_Kgeq(self):
         """Membership in the Stieltjes class K>=."""
-        if not self.nonnegative():
-            return False
-        return self.seq.m == 0 or self.factor(len(self.Hs) - 1, True).psd
+        return self.nonnegative() and (
+            self.seq.m == 0 or self.shift.factor((self.seq.m - 1) // 2).psd)
 
     def in_Kgeq_e(self):
         """Membership in the Stieltjes-extendable class K>=,e."""
         if self.seq.m == 0:
             return self.factor(0).psd
         if self.seq.m % 2 == 1:
-            return self.extendable() and self.nonnegative(shifted=True)
-        return self.nonnegative() and self.extendable(shifted=True)
+            return self.extendable() and self.shift.nonnegative()
+        return self.nonnegative() and self.shift.extendable()
 
     def restriction_products(self, n):
         """(A_phi, A_psi) = ((I - H^+ H) R_T(alpha) v, (I - Hs^+ Hs) H v)
@@ -278,7 +265,7 @@ class HankelData:
         the defect subspaces U and V, on which the phi and psi of a pair
         in the restricted class vanish."""
         self.check_level(n, shifted=True)
-        N, Ns = self.factor(n).null, self.factor(n, True).null
+        N, Ns = self.factor(n).null, self.shift.factor(n).null
         # R_T(alpha) v = col(alpha^j I_q) and H v, the first block columns
         Rv = np.kron(self.seq.alpha ** np.arange(n + 1)[:, None],
                      np.eye(self.q))
@@ -364,7 +351,6 @@ def dubovoj_candidates(seq, n):
     data = seq.hankel()
     data.check_level(n, shifted=True)
     return data._once(("dubovoj", n), lambda: tuple(
-        dubovoj_subspace(data.ladder(shifted)[:n + 1],
-                         data.ladder_ranks(shifted)[:n + 1])
-        for shifted in (False, True)))
+        dubovoj_subspace(d.ladder()[:n + 1], d.ladder_ranks()[:n + 1])
+        for d in (data, data.shift)))
 

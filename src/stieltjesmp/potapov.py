@@ -16,12 +16,13 @@ H + tau I is positive definite and the q x q Schur complement
 Sigma^tau_k = d - c* (H + tau I)^-1 c has no eigenvalue below -tau.
 With H = Q diag(w) Q*, the coupling column c = R_T(z)(v g - c_0) is a
 polynomial in z, so Q* c = K(z) g - b(z) for two N x q matrix
-polynomials built once per level and parity from Q and the stack
-T^j [v, c_0] (``momentseq.shift_stack``): a point costs one
-(N x q)(q x q) product and a q x q eigenvalue problem.  The
-decomposition residual compares this same projected column with the
-atomic sum in H's eigenbasis, so no coupling column is formed in the
-standard basis.
+polynomials built once per level from Q and the stack T^j [v, c_0]
+(``momentseq.shift_stack``): a point costs one (N x q)(q x q) product
+and a q x q eigenvalue problem.  The decomposition residual compares
+this same projected column with the atomic sum in H's eigenbasis, so
+no coupling column is formed in the standard basis.  P_2n+1[f] of a
+sequence is P_2n[(z - alpha) f + s_0] of its right-alpha-shifted
+sequence, so only P_2n is built, on ``data`` or ``data.shift``.
 """
 
 from dataclasses import dataclass
@@ -60,19 +61,19 @@ def _im_quotient(g, z):
     return (g - _adjoint(g)) / (z - np.conj(z))[..., None, None]
 
 
-def _corner(data, n, odd):
-    """Hankel corner and coupling column of P_2n: (H_n, u_n); of P_2n+1
-    (``odd``): (Hs_n, -alpha u_n - y_{0,n})."""
-    seq = data.seq
-    u = -stack_y(seq, -1, n - 1)
-    if not odd:
-        return data.H[n], u
-    return data.Hs[n], -seq.alpha * u - stack_y(seq, 0, n)
-
-
 def _weighted(data, fz, z):
     """(z - alpha) f(z) at the points z."""
     return (z - data.seq.alpha)[..., None, None] * fz
+
+
+def _as_p2n(data, n, fz, z):
+    """P_2n[f] and, where the sequence has s_2n+1, P_2n+1[f] at the
+    points z, each as the P_2n[g] of some Hankel data: (data, f(z)) and
+    (data.shift, (z - alpha) f(z) + s_0)."""
+    forms = [(data, fz)]
+    if 2 * n + 1 <= data.seq.m:
+        forms.append((data.shift, _weighted(data, fz, z) + data.seq.s(0)))
+    return forms
 
 
 def _block_norm(corner, col, diag):
@@ -110,17 +111,17 @@ class PotapovReport:
         }
 
 
-def _coupling(data, n, odd):
-    """The Hankel corner H of P_2n (of P_2n+1 when ``odd``), factored
-    as H = Q diag(w) Q*, and the coupling polynomials of its column.
+def _coupling(data, n):
+    """The Hankel corner H = H_n of P_2n, factored as H = Q diag(w) Q*,
+    and the coupling polynomials of its column.
 
-    The column c(z) = R_T(z)(v g - c_0) = sum_j z^j T^j (v g - c_0), so
-    Q* c(z) = K(z) g - b(z) with K_j = Q* T^j v = Q*[:, jq:(j+1)q] and
-    b_j = Q* T^j c_0, both read from one stack T^j [v, c_0].  Returns
-    w, the coefficient stacks of K and b, each (n+1, N q) and
-    C-contiguous, and ||H||_F.
+    The column c(z) = R_T(z)(v g - c_0) = sum_j z^j T^j (v g - c_0),
+    with c_0 = u_n, so Q* c(z) = K(z) g - b(z) with K_j = Q* T^j v =
+    Q*[:, jq:(j+1)q] and b_j = Q* T^j c_0, both read from one stack
+    T^j [v, c_0].  Returns w, the coefficient stacks of K and b, each
+    (n+1, N q) and C-contiguous, and ||H||_F.
     """
-    H, c = _corner(data, n, odd)
+    H, c = data.H[n], -stack_y(data.seq, -1, n - 1)
     w, Q = np.linalg.eigh(H)
     q = data.q
     N = H.shape[0]
@@ -130,13 +131,11 @@ def _coupling(data, n, odd):
             np.linalg.norm(H))
 
 
-def _projected_column(data, n, odd, g, z):
-    """Q* c(z) = K(z) g - b(z) at the points z (an array, 0-d for one
-    point) for g = f(z) (k = 2n) or (z - alpha) f(z) (k = 2n + 1,
-    ``odd``), with the coupling of :func:`_coupling`, built once per
-    level and parity on the sequence's data; also w and ||H||_F."""
-    w, K, b, hnorm = data._once(("coupling", odd, n),
-                                lambda: _coupling(data, n, odd))
+def _projected_column(data, n, g, z):
+    """Q* c(z) = K(z) g - b(z) of P_2n[g] at the points z (an array, 0-d
+    for one point), with the coupling of :func:`_coupling`, built once
+    per level on ``data``; also w and ||H||_F."""
+    w, K, b, hnorm = data._once(("coupling", n), lambda: _coupling(data, n))
     V = np.vander(z.ravel(), n + 1, increasing=True).reshape(
         z.shape + (n + 1,))
     shape = z.shape + (-1, data.q)
@@ -145,24 +144,20 @@ def _projected_column(data, n, odd, g, z):
     return X, w, hnorm
 
 
-def _potapov_test(data, n, k, g, diag, z, tol):
-    """Per point of the 1-D array z: the reported value of P_k (see
-    :class:`PotapovReport`) and whether P_k fails the test, from g, the
-    value f(z) (k = 2n) or (z - alpha) f(z) (k in {2n+1, -1}), and the
-    diagonal block diag = (g - g*) / (z - conj z), which is all of P_-1.
+def _potapov_test(data, n, g, diag, z, tol):
+    """Per point of the 1-D array z: the reported value of P_2n[g] (see
+    :class:`PotapovReport`) and whether it fails the test, from g and
+    the diagonal block diag = (g - g*) / (z - conj z).
 
-    For k in {2n, 2n+1}, the Hankel corner H = Q diag(w) Q* is factored
-    once per level and parity (:func:`_coupling`), and each point costs
-    X = Q* c = K(z) g - b(z), one (N x q)(q x q) product.  As Q is
-    unitary, ||c||_F = ||X||_F.  With tau the margin of the point,
-    Y = (w + tau)^(-1/2) X and Sigma^tau = diag - Y* Y, whose
-    eigenvalues take one call on the (G, q, q) stack.  Where
-    w_min <= -tau the point fails and its value is w_min.
+    The Hankel corner H = Q diag(w) Q* is factored once per level
+    (:func:`_coupling`), and each point costs X = Q* c = K(z) g - b(z),
+    one (N x q)(q x q) product.  As Q is unitary, ||c||_F = ||X||_F.
+    With tau the margin of the point, Y = (w + tau)^(-1/2) X and
+    Sigma^tau = diag - Y* Y, whose eigenvalues take one call on the
+    (G, q, q) stack.  Where w_min <= -tau the point fails and its value
+    is w_min.
     """
-    if k == -1:
-        lam = np.linalg.eigvalsh(diag).min(axis=-1)
-        return lam, lam < -tol.tol_psd * (1.0 + _fro(diag))
-    X, w, hnorm = _projected_column(data, n, k % 2 == 1, g, z)
+    X, w, hnorm = _projected_column(data, n, g, z)
     tau = tol.tol_psd * (1.0 + _block_norm(hnorm, X, diag))
     shifted = w + tau[:, None]
     definite = shifted[:, 0] > 0.0
@@ -187,9 +182,10 @@ def potapov_report(seq, n, fz, grid):
     Appl. Math. 17, 1969), that is when Sigma^tau = d - c* (H + tau
     I)^-1 c has lambda_min >= -tau.  Where lambda_min(H) <= -tau the
     point fails, since by interlacing lambda_min(P_k) <= lambda_min(H).
-    H is factored once per level and parity on the sequence's data, not
-    per report, and no (n+2)q x (n+2)q matrix is formed.  P_-1 is
-    already q x q and is tested directly.
+    P_2n+1 is tested as P_2n[(z - alpha) f + s_0] of the shifted
+    sequence.  H is factored once per level on the Hankel data it
+    belongs to, not per report, and no (n+2)q x (n+2)q matrix is
+    formed.  P_-1 is already q x q and is tested directly.
 
     An ``fz`` of another shape than (len(grid), q, q) raises
     ``ValueError``, and so does a value that is not finite, naming the
@@ -210,23 +206,17 @@ def potapov_report(seq, n, fz, grid):
     finite = np.isfinite(fz).all(axis=(-2, -1))
     if not finite.all():
         raise ValueError(f"f({grid[np.argmin(finite)]}) is not finite")
-    weighted = _weighted(data, fz, z)
-    endpoint = _im_quotient(weighted, z)
-    blocks = {2 * n: (fz, _im_quotient(fz, z)),
-              2 * n + 1: (weighted, endpoint), -1: (weighted, endpoint)}
-    smin = {}
-    passed = True
-    for k in (2 * n, 2 * n + 1, -1):
-        if k > seq.m:
-            smin[k] = [None] * len(grid)
-            continue
-        lam, failed = _potapov_test(data, n, k, *blocks[k], z, tol)
-        if np.any(failed):
-            passed = False
-        smin[k] = lam.tolist()
-    return PotapovReport(points=grid, smin_even=smin[2 * n],
-                         smin_odd=smin[2 * n + 1], smin_endpoint=smin[-1],
-                         passed=passed)
+    tests = [_potapov_test(d, n, g, _im_quotient(g, z), z, tol)
+             for d, g in _as_p2n(data, n, fz, z)]
+    endpoint = _im_quotient(_weighted(data, fz, z), z)
+    lam = np.linalg.eigvalsh(endpoint).min(axis=-1)
+    tests.append((lam, lam < -tol.tol_psd * (1.0 + _fro(endpoint))))
+    smin = [lam.tolist() for lam, _ in tests]
+    return PotapovReport(
+        points=grid, smin_even=smin[0],
+        smin_odd=smin[1] if len(smin) == 3 else [None] * len(grid),
+        smin_endpoint=smin[-1],
+        passed=not any(failed.any() for _, failed in tests))
 
 
 def atomic_decomposition_residual(seq, n, mu, z, k):
@@ -236,20 +226,9 @@ def atomic_decomposition_residual(seq, n, mu, z, k):
     of them at once.
 
     P_2n[S](z) = sum_k [E(t); (t - conj z)^{-1} I] M [..]* + correction,
-    with a sqrt(t - alpha) weight in the odd case; the correction charges
-    only the last Hankel corner with the moment defect at order k.
-
-    The sum is formed block by block, with w = t - alpha for odd k,
-    alpha that of the sequence, and w = 1 otherwise.  Its Hankel corner,
-    the same at every point, is the block Hankel matrix of the weighted
-    moments sum w t^j M of mu, the correction setting its last block to
-    that of the sequence.  The coupling columns are compared in the
-    eigenbasis Q of that corner of P_k, where the column of P_k is the
-    K(z) g - b(z) that :func:`potapov_report` decides on and the sum's
-    column sum w E(t) M / (t - z) is sum K(t) w M / (t - z).  They and
-    the diagonal block sum w M / |t - z|^2 come from one contraction
-    over the atoms each, and ||P_k - sum||_F from the norms of the
-    blocks, as Q is unitary.
+    with a sqrt(t - alpha) weight, alpha that of the sequence, in the
+    odd case; the correction charges only the last Hankel corner with
+    the moment defect at order k.
     """
     data = seq.hankel()
     z = np.asarray(z, dtype=complex)
@@ -257,37 +236,51 @@ def atomic_decomposition_residual(seq, n, mu, z, k):
     _check_index(data, n, k)
     if k == -1:
         raise ValueError("the atomic decomposition is of P_2n and P_2n+1")
-    return _decomposition_residual(data, n, mu, transform(mu, z), z,
-                                   k % 2 == 1)
+    return _decomposition_residuals(data, n, mu, transform(mu, z), z)[
+        k - 2 * n]
 
 
-def _decomposition_residual(data, n, mu, fz, z, odd):
-    """:func:`atomic_decomposition_residual` of P_2n (P_2n+1 when
-    ``odd``) from fz, the transform of mu at the points z, which the
-    caller has checked."""
-    q = data.q
-    H, _ = _corner(data, n, odd)
-    g = _weighted(data, fz, z) if odd else fz
-    X, _, hnorm = _projected_column(data, n, odd, g, z)
-    diag = _im_quotient(g, z)
+def _decomposition_residuals(data, n, mu, fz, z):
+    """:func:`atomic_decomposition_residual` of P_2n and, where the
+    sequence has s_2n+1, of P_2n+1, from fz = S(z) at the checked points
+    z.  P_2n+1 is the P_2n[g] of the shifted sequence (:func:`_as_p2n`),
+    whose sum weighs the atoms by t - alpha."""
     t = np.array([t for t, _ in mu.atoms], dtype=float)
     M = np.array([M for _, M in mu.atoms], dtype=complex)
-    w = t - data.seq.alpha if odd else np.ones_like(t)
-    wt = w * t ** np.arange(2 * n + 1)[:, None]         # w t^j, j = 0..2n
-    moments = wt @ M.reshape(-1, q * q)
+    weights = (M, (t - data.seq.alpha)[:, None, None] * M)
+    return [_decomposition_residual(d, n, t, W, g, z)
+            for (d, g), W in zip(_as_p2n(data, n, fz, z), weights)]
+
+
+def _decomposition_residual(data, n, t, W, g, z):
+    """Residual of P_2n[g] of ``data`` at the points z against its sum
+    over the atoms t with weights W, formed block by block.
+
+    The sum's Hankel corner, the same at every point, is the block
+    Hankel matrix of the moments sum t^j W, the correction setting its
+    last block to that of the sequence.  The coupling columns are
+    compared in the eigenbasis Q of that corner of P_2n, where the
+    column of P_2n is the K(z) g - b(z) that :func:`potapov_report`
+    decides on and the sum's column sum E(t) W / (t - z) is
+    sum K(t) W / (t - z).  They and the diagonal block sum W / |t - z|^2
+    come from one contraction over the atoms each, and ||P_2n - sum||_F
+    from the norms of the blocks, as Q is unitary.
+    """
+    q = data.q
+    H = data.H[n]
+    X, _, hnorm = _projected_column(data, n, g, z)
+    diag = _im_quotient(g, z)
+    moments = t ** np.arange(2 * n + 1)[:, None] @ W.reshape(-1, q * q)
     corner = moments[np.add.outer(np.arange(n + 1), np.arange(n + 1))]
     corner = corner.reshape(n + 1, n + 1, q, q).swapaxes(1, 2).reshape(
         H.shape)
     corner[-q:, -q:] += H[-q:, -q:] - moments[-1].reshape(q, q)
-    # In H's eigenbasis the sum's coupling column, sum w E(t) M / (t - z)
-    # with E(t) = col(t^j I_q), is sum K(t) w M / (t - z), for the K of
-    # the coupling X = Q* c(z) reads.
-    K = data._once(("coupling", odd, n), lambda: _coupling(data, n, odd))[1]
-    KwM = (np.vander(t, n + 1, increasing=True) @ K).reshape(
-        len(t), -1, q) @ (w[:, None, None] * M)
+    K = data._once(("coupling", n), lambda: _coupling(data, n))[1]
+    KW = (np.vander(t, n + 1, increasing=True) @ K).reshape(
+        len(t), -1, q) @ W
     d = t - z[..., None]
-    col = ((1.0 / d) @ KwM.reshape(len(t), -1)).reshape(X.shape)
-    diag_sum = ((w / np.abs(d) ** 2) @ M.reshape(-1, q * q)).reshape(
+    col = ((1.0 / d) @ KW.reshape(len(t), -1)).reshape(X.shape)
+    diag_sum = ((1.0 / np.abs(d) ** 2) @ W.reshape(-1, q * q)).reshape(
         diag.shape)
     resid = _block_norm(np.linalg.norm(H - corner), X - col, diag - diag_sum)
     return (resid / (1.0 + _block_norm(hnorm, X, diag)))[()]

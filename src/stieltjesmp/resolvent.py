@@ -94,8 +94,8 @@ class ResolventMatrix:
     are the reflexive inverses of H_n and Hs_n with the canonical ranges.
     ``data``, the Hankel data of the sequence, lives while the resolvent
     does, so later calls on the sequence read its factorizations (H_n
-    is ``data.H[n]``, Hs_n is ``data.Hs[n]``); every tolerance is that
-    of ``data.seq``.
+    is ``data.H[n]``, Hs_n is ``data.shift.H[n]``); every tolerance is
+    that of ``data.seq``.
     """
 
     n: int
@@ -132,10 +132,10 @@ def _build_resolvent(data, n):
     if not data.in_Kgeq_e():
         raise ValueError("sequence is not Stieltjes-extendable (not in K>=e)")
     q = seq.q
-    H, Hs = data.H[n], data.Hs[n]
+    H, Hs = data.H[n], data.shift.H[n]
     D, Ds = dubovoj_candidates(seq, n)
     Hm = one_two_inverse(H, D, data.factor(n), seq.tol)
-    Hsm = one_two_inverse(Hs, Ds, data.factor(n, True), seq.tol)
+    Hsm = one_two_inverse(Hs, Ds, data.shift.factor(n), seq.tol)
     alpha = seq.alpha
     v = np.eye(H.shape[0], q)                # col(I_q, 0, ..., 0)
     Hv = H[:, :q]

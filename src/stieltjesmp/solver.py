@@ -24,7 +24,7 @@ from .matcore import (
     subspace_from_columns,
 )
 from .momentseq import HankelData
-from .potapov import _decomposition_residual, potapov_report
+from .potapov import _decomposition_residuals, potapov_report
 from .resolvent import MatrixPolynomial, build_resolvent, standard_grid
 from .stieltjespairs import (
     AtomicMeasure,
@@ -75,6 +75,24 @@ def _defect_subspace(A, ref, tol):
     return Subspace(A.shape[1], vh[:r].conj().T), r
 
 
+def _defects(data, n):
+    """(U, m, V, ell): the defect subspaces of level n and their ranks,
+    kept on the sequence's Hankel data.  Each product is a null
+    projector applied to a block, R_T(alpha) v = col(alpha^j I_q) and
+    H_n v; its rank is relative to that block's norm."""
+    def defects():
+        q, tol = data.q, data.seq.tol
+        A_phi, A_psi = data.restriction_products(n)
+        U, m = _defect_subspace(A_phi, np.sqrt(q * np.sum(
+            abs(data.seq.alpha) ** (2.0 * np.arange(n + 1)))), tol)
+        V, ell = _defect_subspace(A_psi, np.linalg.norm(data.H[n][:, :q]),
+                                  tol)
+        if m + ell > q:
+            raise ValueError("defect ranks exceed q; inconsistent input")
+        return U, m, V, ell
+    return data._once(("defects", n), defects)
+
+
 def classify(seq, n):
     """Compute (m, ell, r), the defect subspaces, and the frame W.
 
@@ -85,18 +103,9 @@ def classify(seq, n):
 
 
 def _classify(data, n):
-    seq = data.seq
-    tol = seq.tol
-    q = seq.q
-    A_phi, A_psi = data.restriction_products(n)
-    # Each product is a null projector applied to a block, R_T(alpha) v =
-    # col(alpha^j I_q) and H_n v; its rank is relative to that block's norm.
-    U, m = _defect_subspace(A_phi, np.sqrt(
-        q * np.sum(abs(seq.alpha) ** (2.0 * np.arange(n + 1)))), tol)
-    V, ell = _defect_subspace(A_psi, np.linalg.norm(data.H[n][:, :q]), tol)
+    tol, q = data.seq.tol, data.q
+    U, m, V, ell = _defects(data, n)
     r = q - m - ell
-    if r < 0:
-        raise ValueError("defect ranks exceed q; inconsistent input")
     if m == 0 and ell == 0:
         case = "NonDegenerate"
     elif r == 0:
@@ -179,7 +188,7 @@ class SolutionFunction:
 
 def pair_in_restricted_class(p, seq, n):
     """Whether phi vanishes on the defect subspace U and psi on V of
-    ``classify(seq, n)``, decided under ``seq.tol``.
+    ``classify(seq, n)``, decided under ``seq.tol``; no report is built.
 
     With f = gamma + sum M_i / (t_i - z), whose poles are distinct (the
     measure merges duplicate atoms), [phi; psi] = B + E f [I_k, 0] is a
@@ -190,15 +199,15 @@ def pair_in_restricted_class(p, seq, n):
     is relative to |C|, so the verdict does not change when the pair is
     scaled.
     """
-    rep = classify(seq, n)
+    U, _, V, _ = _defects(seq.hankel(), n)
     C = p.B
     if p.f is not None:
         C = np.hstack([p.B] + [p.E @ M for _, M in p.f.measure.atoms])
         if p.f.gamma is not None:
             C[:, :p.f.q] += p.E @ p.f.gamma
     bound = 10 * seq.tol.tol_identity * np.linalg.norm(C)
-    return bool(np.linalg.norm(rep.U.basis.conj().T @ C[:p.q]) <= bound
-                and np.linalg.norm(rep.V.basis.conj().T @ C[p.q:]) <= bound)
+    return bool(np.linalg.norm(U.basis.conj().T @ C[:p.q]) <= bound
+                and np.linalg.norm(V.basis.conj().T @ C[p.q:]) <= bound)
 
 
 def lft_solution(R, p, seq=None, n=None):
@@ -290,10 +299,8 @@ def verify_solution(seq, n, candidate, grid=None):
         fz = transform(candidate, z)
         rep = potapov_report(seq, n, fz, grid)
         out["checks"]["potapov_passed"] = rep.passed
-        dec = max([0.0] + [
-            r for odd in (False, True)
-            for r in _decomposition_residual(
-                data, n, candidate, fz[:4], z[:4], odd).tolist()])
+        dec = float(np.max(_decomposition_residuals(
+            data, n, candidate, fz[:4], z[:4]), initial=0.0))
         out["checks"]["decomposition_residual"] = dec
         out["valid"] = bool(match and defect_ok and rep.passed
                             and dec <= 1e-8)

@@ -167,7 +167,7 @@ def hankel_factor_counts(seq, n=None):
     ``seq`` once and, with ``n`` given, also takes the one plain ``eigh``
     of each Hankel corner (H_n and Hs_n) that Potapov reports read."""
     data = HankelData(seq)
-    out = collections.Counter(map(_matrix_key, [*data.H, *data.Hs]))
+    out = collections.Counter(map(_matrix_key, [*data.H, *data.shift.H]))
     if n is not None:
-        out.update(map(_matrix_key, (data.H[n], data.Hs[n])))
+        out.update(map(_matrix_key, (data.H[n], data.shift.H[n])))
     return out

@@ -10,9 +10,10 @@ import numpy as np
 
 from stieltjesmp.matcore import DEFAULT_TOL, Subspace, _fro, _rank, \
     as_matrix, is_psd, mrank, projector, right_divide
-from stieltjesmp.momentseq import MomentSequence, canonical_extension
+from stieltjesmp.momentseq import MomentSequence, block_hankel, \
+    canonical_extension, shift_right, stack_y
 from stieltjesmp.potapov import _adjoint, _block_norm, _check_index, \
-    _check_offreal, _corner, _im_quotient, _weighted
+    _check_offreal, _im_quotient, _weighted
 from stieltjesmp.resolvent import MatrixPolynomial, _times_linear, \
     standard_grid
 from stieltjesmp.stieltjespairs import AtomicMeasure, transform
@@ -213,7 +214,7 @@ def j_defect(R, z, w, variant="theta"):
     J = signature_matrix(R.q)
     q, n = R.q, R.n
     T, v = shift_matrix(q, n), first_column_embedding(q, n)
-    H, Hs = R.data.H[n], R.data.Hs[n]
+    H, Hs = R.data.H[n], R.data.shift.H[n]
     Ra = shift_resolvent(q, n, R.alpha)
     Rinv = np.eye(H.shape[0], dtype=complex) - R.alpha * T
 
@@ -263,11 +264,11 @@ def kernel_polys(R):
     on finite sets.
     """
     q, n = R.q, R.n
-    H, Hs = R.data.H[n], R.data.Hs[n]
+    H, Hs = R.data.H[n], R.data.shift.H[n]
     T, Ra = shift_matrix(q, n), shift_resolvent(q, n, R.alpha)
     eye = np.eye(H.shape[0], dtype=complex)
     Hp = R.data.factor(n).pinv
-    Hsp = R.data.factor(n, shifted=True).pinv
+    Hsp = R.data.shift.factor(n).pinv
     PH = eye - Hp @ H
     PHs = eye - Hsp @ Hs
     QH = eye - H @ R.Hm
@@ -301,13 +302,25 @@ def last_column_embedding(q, n):
     return v
 
 
+def fundamental_corner(seq, n, odd):
+    """Hankel corner and coupling column of P_2n, (H_n, u_n), and of
+    P_2n+1 (``odd``), (Hs_n, -alpha u_n - y_{0,n}), assembled from the
+    definitions: H_n and Hs_n are the block Hankel matrices of the
+    sequence and of its right-alpha-shifted sequence."""
+    u = -stack_y(seq, -1, n - 1)
+    if not odd:
+        return block_hankel(seq, n), u
+    return block_hankel(shift_right(seq), n), \
+        -seq.alpha * u - stack_y(seq, 0, n)
+
+
 def _column_data(data, n, fz, z, odd):
     """Hankel corner, interior column R_T(z)(v g - c) and diagonal value
     of P_k at the points z (an array, 0-d for one point) from fz = f(z),
     with g = fz for k = 2n and g = (z - alpha) fz for k = 2n + 1
     (``odd``).  R_T(z) x is summed block by block, y_j = z y_{j-1} + x_j,
     for all points at once."""
-    H, c = _corner(data, n, odd)
+    H, c = fundamental_corner(data.seq, n, odd)
     g = _weighted(data, fz, z) if odd else fz
     q = data.q
     y = np.broadcast_to(-c.reshape(n + 1, q, q),
@@ -365,7 +378,8 @@ def sigma_matrix(seq, n, f, z, k, ginverse=None):
         return potapov_matrix(seq, n, f, z, -1)
     odd = k % 2 == 1
     _, col, diag = _column_data(data, n, f(z), np.asarray(z), odd)
-    Hinv = data.factor(n, odd).pinv if ginverse is None else ginverse
+    Hinv = (data.shift if odd else data).factor(n).pinv \
+        if ginverse is None else ginverse
     return diag - col.conj().T @ Hinv @ col
 
 
@@ -405,7 +419,7 @@ def psi_polynomial(seq, n, parity):
     data = seq.hankel()
     data.check_level(n, shifted=(parity == 1))
     q = data.q
-    H, c = _corner(data, n, parity == 1)
+    H, c = fundamental_corner(seq, n, parity == 1)
     v = first_column_embedding(q, n)
     T = shift_matrix(q, n)
     mid = Poly([

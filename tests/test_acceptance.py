@@ -73,9 +73,9 @@ def test_criterion_01_hankel_identities():
                            - (u @ v.conj().T - v @ u.conj().T)),
             np.linalg.norm(H @ T - T.conj().T @ H
                            - (ug @ vg.conj().T - vg @ ug.conj().T)),
-            np.linalg.norm(b.Hs[n] - (-seq.alpha * b.H[n] + K)),
-            np.linalg.norm(v @ v.conj().T @ H
-                           - ((np.eye(p) - seq.alpha * T) @ H - T @ b.Hs[n])),
+            np.linalg.norm(b.shift.H[n] - (-seq.alpha * b.H[n] + K)),
+            np.linalg.norm(v @ v.conj().T @ H - (
+                (np.eye(p) - seq.alpha * T) @ H - T @ b.shift.H[n])),
             np.linalg.norm(H @ v - stack_y(seq, 0, n)),
             np.linalg.norm(-T @ H @ v - u),
         ]
@@ -89,10 +89,10 @@ def test_criterion_02_generalized_inverse_suite():
     worst = 0.0
     for mu, seq, n in kge_fixtures(30):
         b = HankelData(seq)
-        H, Hs, T = b.H[n], b.Hs[n], shift_matrix(seq.q, n)
+        H, Hs, T = b.H[n], b.shift.H[n], shift_matrix(seq.q, n)
         D, Ds = dubovoj_candidates(seq, n)
         Hm = one_two_inverse(H, D, b.factor(n))
-        Hsm = one_two_inverse(Hs, Ds, b.factor(n, True))
+        Hsm = one_two_inverse(Hs, Ds, b.shift.factor(n))
         Hp = pseudo_inverse(H)
         p = H.shape[0]
         eye = np.eye(p)
@@ -129,7 +129,7 @@ def test_criterion_03_dubovoj_suite():
         T = shift_matrix(seq.q, n)
         D, Ds = dubovoj_candidates(seq, n)
         assert is_dubovoj(D, b.H[n], T)
-        assert is_dubovoj(Ds, b.Hs[n], T)
+        assert is_dubovoj(Ds, b.shift.H[n], T)
         ladder = b.ladder()[:n + 1]
         smax = max(np.linalg.norm(L, 2) for L in ladder)
         cutoff = DEFAULT_TOL.tol_rank * max(smax, 1.0)

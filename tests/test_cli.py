@@ -264,6 +264,60 @@ def test_cmd_verify_refuses_a_level_the_moments_lack(tmp_path, capsys):
     assert captured.err.startswith("error: Hs_1 needs 2n+1 = 3 <= m = 2")
 
 
+def _document(kind):
+    if kind == "moments":
+        return {"alpha": 0.0, "q": 1,
+                "moments": [[[[1.0, 0.0]]], [[[1.0, 0.0]]]]}
+    doc = {"alpha": 0.0, "q": 1,
+           "atoms": [{"t": 1.0, "weight": [[[1.0, 0.0]]]}]}
+    if kind == "pair":
+        doc.update(kind="stieltjes_function", gamma=[[[0.0, 0.0]]])
+    return doc
+
+
+@pytest.mark.parametrize("kind, path, value, message", [
+    ("moments", ["q"], 1.9, "q: 1.9 is not an integer"),
+    ("moments", ["q"], True, "q: true is not an integer"),
+    ("moments", ["alpha"], True, "alpha: true is not a number"),
+    ("moments", ["alpha"], "0.5", 'alpha: "0.5" is not a number'),
+    ("moments", ["q"], "1", 'q: "1" is not an integer'),
+    ("moments", ["moments", 0, 0, 0], True, "moments[0]: true is not a"),
+    ("moments", ["moments", 1, 0, 0, 1], False, "moments[1]: false is not"),
+    ("measure", ["q"], 2.5, "q: 2.5 is not an integer"),
+    ("measure", ["q"], True, "q: true is not an integer"),
+    ("measure", ["alpha"], False, "alpha: false is not a number"),
+    ("measure", ["atoms", 0, "t"], True, "t: true is not a number"),
+    ("measure", ["atoms", 0, "weight", 0, 0], True, "weight: true is not"),
+    ("pair", ["q"], 1.5, "q: 1.5 is not an integer"),
+    ("pair", ["q"], True, "q: true is not an integer"),
+    ("pair", ["alpha"], True, "alpha: true is not a number"),
+    ("pair", ["atoms", 0, "t"], False, "t: false is not a number"),
+    ("pair", ["gamma", 0, 0, 0], True, "gamma: true is not a number"),
+])
+def test_json_readers_refuse_booleans_and_fractional_sizes(
+        tmp_path, capsys, kind, path, value, message):
+    # Python counts true as the integer 1, int() truncates 1.9 to 1 and
+    # float() reads the string "0.5"; a file that says any of these is
+    # refused, not read as a number.
+    doc = _document(kind)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = write_json(tmp_path / "bad.json", doc)
+    moments = write_json(tmp_path / "m.json", _document("moments"))
+    argv = {"moments": ["check", bad],
+            "measure": ["transform", bad, "--points", "1j"],
+            "pair": ["solve", moments, bad, "--n", "0", "--points", "1j"]}
+    assert main(argv[kind]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("error: ") and message in captured.err
+    # The same file without the edit is read.
+    write_json(tmp_path / "bad.json", _document(kind))
+    assert main(argv[kind]) == 0
+
+
 def test_cmd_transform_and_moments(tmp_path, capsys):
     mu = measure_file(tmp_path, [(1.0, 1.0)])
     code, doc = run(capsys, ["transform", mu, "--points", "1j"])

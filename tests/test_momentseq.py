@@ -62,27 +62,27 @@ def test_hankel_catalog_examples():
     u = -stack_y(scalar_seq([1, 0, 0]), -1, 0)
     assert np.allclose(u.ravel(), [0.0, -1.0])
     b = HankelData(scalar_seq([1, 1, 1, 1]))
-    assert np.allclose(b.Hs[1], np.ones((2, 2)))
+    assert np.allclose(b.shift.H[1], np.ones((2, 2)))
     with pytest.raises(ValueError):
         HankelData(scalar_seq([1, 1])).check_level(1)
     # HankelData: lower levels are leading slices of the top level, and
     # each factorization is made once and then handed out again.
     d = HankelData(scalar_seq([2, 1, 1, 1, 1]))
-    assert len(d.H) == 3 and len(d.Hs) == 2
+    assert len(d.H) == 3 and len(d.shift.H) == 2
     d.check_level(2)
     d.check_level(1, shifted=True)
     for n, shifted in ((3, False), (2, True), (-1, False), (-1, True)):
         with pytest.raises(ValueError, match="needs 2n"):
             d.check_level(n, shifted)
     assert np.shares_memory(d.H[0], d.H[2])
-    assert np.allclose(d.Hs[1], np.ones((2, 2)))
+    assert np.allclose(d.shift.H[1], np.ones((2, 2)))
     assert d.factor(1) is d.factor(1)
     assert d.factor(1).pinv is d.factor(1).pinv
     assert np.allclose(d.factor(1).pinv,
                        np.linalg.pinv(block_hankel(d.seq, 1)))
     assert d.ladder() is d.ladder()
     assert np.allclose([x.item() for x in d.ladder()], [2.0, 0.5, 0.0])
-    assert not d.H[2].flags.writeable and not d.Hs[1].flags.writeable
+    assert not d.H[2].flags.writeable and not d.shift.H[1].flags.writeable
 
 
 def test_moments_are_read_only():
@@ -147,7 +147,7 @@ def test_ljapunov_identities(rng):
             (ug @ vg.conj().T - vg @ ug.conj().T)
         assert np.linalg.norm(r2) <= 1e-12 * scale
         # shifted-Hankel coupling and first-column identities
-        Hs = b.Hs[n]
+        Hs = b.shift.H[n]
         assert np.allclose(Hs, -seq.alpha * b.H[n] + K)
         Ra_inv = np.eye(H.shape[0]) - seq.alpha * T
         r3 = v @ v.conj().T @ H - (Ra_inv @ H - T @ Hs)
@@ -163,7 +163,8 @@ def test_schur_ladder_examples():
     assert np.allclose([x.item() for x in lad], [0.0, 1.0])
     d = HankelData(scalar_seq([5]))
     assert np.allclose(d.ladder()[0], 5.0)
-    assert d.ladder(shifted=True) == []
+    with pytest.raises(ValueError):
+        d.shift
 
 
 def test_class_membership_examples():
@@ -219,7 +220,7 @@ def test_ladder_nesting_on_extendable_fixtures():
     # N(L_0) in N(Ls_0) in N(L_1) in ...
     for mu, seq, n in kge_fixtures(8, seed=3):
         d = HankelData(seq)
-        L, Ls = d.ladder(), d.ladder(shifted=True)
+        L, Ls = d.ladder(), d.shift.ladder()
         chain = []
         for j in range(len(L)):
             chain.append(L[j])
@@ -235,7 +236,7 @@ def test_dubovoj_candidates_and_rank_profile():
         b = HankelData(seq)
         T = shift_matrix(seq.q, n)
         assert is_dubovoj(D, b.H[n], T)
-        assert is_dubovoj(Ds, b.Hs[n], T)
+        assert is_dubovoj(Ds, b.shift.H[n], T)
         assert D.dim == mrank(b.H[n])
     d = HankelData(scalar_seq([1, 1, 1]))
     assert d.factor(1).rank == 1
@@ -318,10 +319,16 @@ def test_hankel_data_levels_equal_direct_assembly(rng):
     for q, m in ((1, 0), (1, 3), (2, 4), (2, 5), (3, 3)):
         seq = random_hermitian_sequence(rng, q, m, alpha=0.7)
         d = HankelData(seq)
-        assert len(d.H) == m // 2 + 1 and len(d.Hs) == (m - 1) // 2 + 1
+        assert len(d.H) == m // 2 + 1
         for k, H in enumerate(d.H):
             assert np.array_equal(H, block_hankel(seq, k, 0))
-        for k, Hs in enumerate(d.Hs):
+        if m == 0:
+            # A one-moment sequence has no shifted sequence.
+            with pytest.raises(ValueError):
+                d.shift
+            continue
+        assert len(d.shift.H) == (m - 1) // 2 + 1
+        for k, Hs in enumerate(d.shift.H):
             assert np.array_equal(Hs, block_hankel(shift_right(seq), k, 0))
 
 
@@ -359,4 +366,4 @@ def test_shifted_hankel_matches_direct_assembly(seed):
     seq = random_hermitian_sequence(rng, 2, 3, alpha=float(rng.normal()))
     b = HankelData(seq)
     direct = block_hankel(shift_right(seq), 1, 0)
-    assert np.allclose(b.Hs[1], direct)
+    assert np.allclose(b.shift.H[1], direct)

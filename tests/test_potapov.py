@@ -10,7 +10,7 @@ import pytest
 
 from stieltjesmp import MomentSequence, ToleranceConfig, momentseq
 from stieltjesmp.matcore import _fro
-from stieltjesmp.potapov import _adjoint, _corner, _im_quotient, \
+from stieltjesmp.potapov import _adjoint, _im_quotient, \
     _projected_column, _weighted, atomic_decomposition_residual, \
     potapov_report
 from stieltjesmp.resolvent import build_resolvent, standard_grid
@@ -22,7 +22,8 @@ from conftest import WEIGHT_PATTERNS, atomic_fixture, kge_fixtures, \
     random_hermitian_sequence, scalar_seq
 from identities import _column_data, congruence_check, \
     conjugate_reflection, decomposition_residual_per_atom, fq_matrices, \
-    monomial_stack, potapov_matrix, psi_polynomial, sigma_matrix
+    fundamental_corner, monomial_stack, potapov_matrix, psi_polynomial, \
+    sigma_matrix
 
 
 def scalar_f(fn):
@@ -41,6 +42,33 @@ def test_potapov_matrix_hand_example():
     assert np.allclose(P1, expected, atol=1e-14)
     Pend = potapov_matrix(seq, 0, scalar_f(lambda z: -1.0 / z), 1j, -1)
     assert np.allclose(Pend, 0.0, atol=1e-14)
+
+
+def test_p_odd_is_p_even_of_the_shifted_sequence():
+    # P_2n+1[f](z) of a sequence is P_2n[(z - alpha) f(z) + s_0](z) of its
+    # right-alpha-shifted sequence: the corner Hs_n is H_n of the shifted
+    # sequence, the column -alpha u_n - y_{0,n} its u_n minus v s_0, and
+    # the diagonal block is unchanged as s_0 is Hermitian.  Both sides
+    # are assembled by the oracle from the definitions.
+    worst = 0.0
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        for q in (1, 2, 3):
+            for n in (0, 1, 2):
+                for alpha in (0.0, 0.5, -1.0):
+                    mu, seq = atomic_fixture(rng, q, n, alpha)
+                    shifted = momentseq.shift_right(seq)
+                    f = partial(transform, mu)
+
+                    def g(z, f=f, alpha=alpha, s0=seq.s(0)):
+                        return (z - alpha) * f(z) + s0
+
+                    for z in standard_grid(alpha):
+                        odd = potapov_matrix(seq, n, f, z, 2 * n + 1)
+                        even = potapov_matrix(shifted, n, g, z, 2 * n)
+                        worst = max(worst, np.linalg.norm(odd - even)
+                                    / np.linalg.norm(odd))
+    assert worst <= 1e-14
 
 
 def test_potapov_matrix_rejects_bad_points():
@@ -343,7 +371,9 @@ def test_potapov_report_calls_eigvalsh_once_per_k(monkeypatch):
 
 def test_the_coupling_polynomial_is_the_projected_column():
     # Q* c(z) = K(z) g - b(z) against the coupling column built block by
-    # block, with H = Q diag(w) Q* factored here, for both parities.  On
+    # block, with H = Q diag(w) Q* factored here, for both parities: P_2n
+    # of the sequence's data at f, and P_2n+1 as P_2n of the shifted
+    # sequence's data at (z - alpha) f + s_0.  On
     # the first four grid points, one and all, the column is held to its
     # own norm.  Far from the slit c(z) is much smaller than the terms
     # z^j g and z^d T^d c_0 that sum to it, so over the whole grid both
@@ -357,14 +387,15 @@ def test_the_coupling_polynomial_is_the_projected_column():
                 data = seq.hankel()
                 zs = np.array(standard_grid(alpha))
                 for odd in (False, True):
-                    c0 = np.linalg.norm(_corner(data, n, odd)[1])
+                    c0 = np.linalg.norm(fundamental_corner(seq, n, odd)[1])
+                    d = data.shift if odd else data
                     for z in (zs, zs[:4], zs[1]):
                         fz = transform(mu, z)
                         g = _weighted(data, fz, z) if odd else fz
                         H, col, _ = _column_data(data, n, fz, z, odd)
                         w, Q = np.linalg.eigh(H)
                         X, w_got, hnorm = _projected_column(
-                            data, n, odd, g, z)
+                            d, n, g + seq.s(0) if odd else g, z)
                         assert X.shape == col.shape
                         assert np.array_equal(w_got, w)
                         assert hnorm == np.linalg.norm(H)

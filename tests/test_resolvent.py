@@ -218,7 +218,7 @@ def test_build_resolvent_at_condition_1e10(q, alpha, seed):
                              natoms=4)
     R = build_resolvent(seq, 3)
     assert np.linalg.cond(R.data.H[3]) >= 1e10
-    for H, Hm in ((R.data.H[3], R.Hm), (R.data.Hs[3], R.Hsm)):
+    for H, Hm in ((R.data.H[3], R.Hm), (R.data.shift.H[3], R.Hsm)):
         assert np.linalg.norm(H @ Hm @ H - H) <= 1e-6 * np.linalg.norm(H)
         assert np.linalg.norm(Hm @ H @ Hm - Hm) <= \
             1e-6 * np.linalg.norm(Hm)

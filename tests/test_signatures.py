@@ -201,3 +201,30 @@ def test_one_implementation_of_the_shift_resolvent():
     for mod in modules:
         assert not gone & set(vars(mod)), mod.__name__
     assert callable(momentseq.shift_stack)
+
+
+def test_the_shifted_sequence_is_a_sequence():
+    # Hs_k is the H_k of the shifted sequence's own HankelData, and P_2n+1
+    # is P_2n of that data, so the level check, which names Hs_n in its
+    # refusal, is the one function of the package with a parity flag.
+    flagged = []
+    for path in Path(solver.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.Lambda)) and {
+                    arg.arg for arg in ast.walk(fn.args)
+                    if isinstance(arg, ast.arg)} & {"shifted", "odd",
+                                                    "parity"}:
+                flagged.append((path.name, getattr(fn, "name", "lambda")))
+    assert flagged == [("momentseq.py", "check_level")]
+    assert not hasattr(potapov, "_corner")
+    mu = stieltjespairs.AtomicMeasure(0.0, 1, [(1.0, [[1.0]]), (2.0, [[1.0]])])
+    seq = stieltjespairs.moments_of(mu, 3)
+    data = seq.hankel()
+    assert not {"Hs", "shifted", "_mats"} & set(dir(data))
+    assert data.shift is data.shift and data.shift.seq.m == seq.m - 1
+    grid = resolvent.standard_grid(0.0)
+    assert potapov.potapov_report(
+        seq, 1, stieltjespairs.transform(mu, np.array(grid)), grid).passed
+    for d in (data, data.shift):
+        assert [key for key in d._memo if key[0] == "coupling"] == \
+            [("coupling", 1)]

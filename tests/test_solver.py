@@ -447,6 +447,26 @@ def test_a_live_report_or_resolvent_is_returned_again(monkeypatch):
     assert builds["_self_check"] == 4
 
 
+@pytest.mark.parametrize("kw", WEIGHT_PATTERNS.values())
+def test_a_dropped_report_is_not_classified_again(monkeypatch, kw):
+    # lft_solution gates every pair on the defect subspaces of its level.
+    # They are kept on the Hankel data R holds, so with R held and the
+    # report dropped, only the first classification computes them.
+    mu, seq = atomic_fixture(np.random.default_rng(45), 8, 1, 0.5, **kw)
+    calls = collections.Counter()
+    _count_calls(monkeypatch, solver, "_defect_subspace", calls)
+    R = build_resolvent(seq, 1)
+    report = classify(seq, 1)
+    pair = canonical_pair(report)
+    assert calls["_defect_subspace"] == 2          # U and V
+    dropped = weakref.ref(report)
+    del report
+    assert dropped() is None
+    for _ in range(10):
+        lft_solution(R, pair)
+    assert calls["_defect_subspace"] == 2
+
+
 @pytest.mark.parametrize("kw, case", [
     ({"natoms": 1}, "CompletelyDegenerate"), ({}, "NonDegenerate")])
 def test_the_verify_pipeline_does_each_piece_of_work_once(
