@@ -31,6 +31,7 @@ import numpy as np
 
 from .matcore import _fro
 from .momentseq import shift_stack, stack_y
+from .resolvent import MatrixPolynomial
 from .stieltjespairs import transform
 
 _IM_GUARD = 1e-8
@@ -118,16 +119,14 @@ def _coupling(data, n):
     The column c(z) = R_T(z)(v g - c_0) = sum_j z^j T^j (v g - c_0),
     with c_0 = u_n, so Q* c(z) = K(z) g - b(z) with K_j = Q* T^j v =
     Q*[:, jq:(j+1)q] and b_j = Q* T^j c_0, both read from one stack
-    T^j [v, c_0].  Returns w, the coefficient stacks of K and b, each
-    (n+1, N q) and C-contiguous, and ||H||_F.
+    T^j [v, c_0].  Returns w, K and b as N x q matrix polynomials, and
+    ||H||_F.
     """
     H, c = data.H[n], -stack_y(data.seq, -1, n - 1)
     w, Q = np.linalg.eigh(H)
     q = data.q
-    N = H.shape[0]
-    Kb = Q.conj().T @ shift_stack(np.hstack([np.eye(N, q), c]), q)
-    return (w, np.ascontiguousarray(Kb[..., :q]).reshape(n + 1, N * q),
-            np.ascontiguousarray(Kb[..., q:]).reshape(n + 1, N * q),
+    Kb = Q.conj().T @ shift_stack(np.hstack([np.eye(len(H), q), c]), q)
+    return (w, MatrixPolynomial(Kb[..., :q]), MatrixPolynomial(Kb[..., q:]),
             np.linalg.norm(H))
 
 
@@ -136,11 +135,8 @@ def _projected_column(data, n, g, z):
     for one point), with the coupling of :func:`_coupling`, built once
     per level on ``data``; also w and ||H||_F."""
     w, K, b, hnorm = data._once(("coupling", n), lambda: _coupling(data, n))
-    V = np.vander(z.ravel(), n + 1, increasing=True).reshape(
-        z.shape + (n + 1,))
-    shape = z.shape + (-1, data.q)
-    X = (V @ K).reshape(shape) @ g
-    X -= (V @ b).reshape(shape)
+    X = K(z) @ g
+    X -= b(z)
     return X, w, hnorm
 
 
@@ -245,8 +241,7 @@ def _decomposition_residuals(data, n, mu, fz, z):
     sequence has s_2n+1, of P_2n+1, from fz = S(z) at the checked points
     z.  P_2n+1 is the P_2n[g] of the shifted sequence (:func:`_as_p2n`),
     whose sum weighs the atoms by t - alpha."""
-    t = np.array([t for t, _ in mu.atoms], dtype=float)
-    M = np.array([M for _, M in mu.atoms], dtype=complex)
+    t, M = mu.positions, mu.weights
     weights = (M, (t - data.seq.alpha)[:, None, None] * M)
     return [_decomposition_residual(d, n, t, W, g, z)
             for (d, g), W in zip(_as_p2n(data, n, fz, z), weights)]
@@ -276,8 +271,7 @@ def _decomposition_residual(data, n, t, W, g, z):
         H.shape)
     corner[-q:, -q:] += H[-q:, -q:] - moments[-1].reshape(q, q)
     K = data._once(("coupling", n), lambda: _coupling(data, n))[1]
-    KW = (np.vander(t, n + 1, increasing=True) @ K).reshape(
-        len(t), -1, q) @ W
+    KW = K(t) @ W
     d = t - z[..., None]
     col = ((1.0 / d) @ KW.reshape(len(t), -1)).reshape(X.shape)
     diag_sum = ((1.0 / np.abs(d) ** 2) @ W.reshape(-1, q * q)).reshape(

@@ -1,10 +1,10 @@
 """The 2q x 2q resolvent matrix polynomial.
 
-Provides matrix polynomials as coefficient stacks with Horner
-evaluation, and builds the polynomials Theta and Theta-tilde whose
-linear fractional transformations parametrize the solution set of the
-truncated half-line moment problem, with the consistency residuals
-recorded on each build.  Every product of the construction with the
+Provides matrix polynomials as coefficient stacks, evaluated as one
+product with the powers of z, and builds the polynomials Theta and
+Theta-tilde whose linear fractional transformations parametrize the
+solution set of the truncated half-line moment problem, with the
+consistency residuals recorded on each build.  Every product of the construction with the
 block shift T_{q,n}, with R_T(alpha) or with the adjoint resolvent
 R_{T*}(z) is read from the stack T^j x of ``momentseq.shift_stack``.
 The J-form identities and kernel polynomials that the tests check
@@ -26,11 +26,11 @@ _TRIM_TOL = 1e-12
 
 class MatrixPolynomial:
     """A polynomial with matrix coefficients, ascending degree:
-    ``coeffs`` is a (d + 1, r, c) array whose row j is the coefficient
-    of z^j, and ``shape`` is (r, c)."""
+    ``coeffs`` is a C-contiguous (d + 1, r, c) array whose row j is the
+    coefficient of z^j, and ``shape`` is (r, c)."""
 
     def __init__(self, coeffs):
-        coeffs = np.asarray(coeffs, dtype=complex)
+        coeffs = np.ascontiguousarray(coeffs, dtype=complex)
         if coeffs.ndim != 3:
             raise ValueError("coefficients must be matrices of one shape")
         if not len(coeffs):
@@ -44,21 +44,13 @@ class MatrixPolynomial:
         return int(nonzero[-1]) if nonzero.size else 0
 
     def eval(self, z):
-        """Horner evaluation at a complex point (an r x c matrix) or at a
-        1-D array of G points (a (G, r, c) stack), each step updating one
-        output array in place; a point is taken as a Python complex, which
-        NumPy multiplies by without broadcasting."""
-        if np.ndim(z) == 0:
-            z, out = complex(z), self.coeffs[-1].copy()
-        else:
-            z = np.asarray(z)
-            out = np.empty(z.shape + self.shape, dtype=complex)
-            out[...] = self.coeffs[-1]
-            z = z[..., None, None]
-        for c in self.coeffs[-2::-1]:
-            out *= z
-            out += c
-        return out
+        """The value at a complex point (an r x c matrix) or at an array
+        of points (a z.shape + (r, c) stack): one product of the powers
+        z^j with the coefficients."""
+        z = np.asarray(z, dtype=complex)
+        d = len(self.coeffs)
+        out = (z[..., None] ** np.arange(d)) @ self.coeffs.reshape(d, -1)
+        return out.reshape(z.shape + self.shape)
 
     def __call__(self, z):
         return self.eval(z)
@@ -144,7 +136,7 @@ def _build_resolvent(data, n):
     # With L = [X, Xt, v], the stack T^j L gives R_T(a) L = sum_j a^j T^j L
     # and the coefficients (T^j L)* M of L* R_{T*}(z) M.
     TL = shift_stack(np.hstack([X, Xt, v]), q)
-    RaL = np.tensordot(alpha ** np.arange(n + 1), TL, 1)
+    RaL = MatrixPolynomial(TL)(alpha)
     Rav = RaL[:, 2 * q:]
 
     # Theta = I + C_L Omega(z) C_R with C_L = diag(v* H, v*),

@@ -154,7 +154,7 @@ class SolutionFunction:
     (Theta11 phi + Theta12 psi)(Theta21 phi + Theta22 psi)^{-1}.
     With the pair's [phi; psi](z) = B + E f(z) [I_k, 0], construction
     multiplies Theta out once into the polynomial P = Theta [E | B]; a
-    call is one Horner pass, P(z), times [f(z), 0; I_q] for a pair with
+    call is one evaluation, P(z), times [f(z), 0; I_q] for a pair with
     f, and never evaluates Theta itself.
     """
 

@@ -25,7 +25,10 @@ class AtomicMeasure:
     """Finitely atomic nonnegative-Hermitian measure on [alpha, oo).
 
     Atoms are (t, M) with t >= alpha and M PSD; duplicate positions are
-    merged at load and atoms are stored in increasing position order.
+    merged at load and atoms are stored once, in increasing position
+    order, as the read-only arrays ``positions`` (a,) and ``weights``
+    (a, q, q).  ``atoms`` lists the (t, M) pairs, each M a view into
+    ``weights``.
     """
 
     def __init__(self, alpha, q, atoms, tol=DEFAULT_TOL):
@@ -45,7 +48,13 @@ class AtomicMeasure:
                 merged[t] = merged[t] + M
             else:
                 merged[t] = M
-        self.atoms = [(t, merged[t]) for t in sorted(merged)]
+        positions = sorted(merged)
+        self.positions = np.array(positions, dtype=float)
+        self.weights = np.array([merged[t] for t in positions],
+                                dtype=complex).reshape(-1, self.q, self.q)
+        self.positions.flags.writeable = False
+        self.weights.flags.writeable = False
+        self.atoms = list(zip(positions, self.weights))
 
     def __repr__(self):
         return (f"AtomicMeasure(alpha={self.alpha}, q={self.q}, "
@@ -67,34 +76,21 @@ def moments_of(mu, m):
 
 def transform(mu, z):
     """Stieltjes transform S(z) = sum (t - z)^{-1} M off the slit, at a
-    point (q x q) or at a 1-D array of G points ((G, q, q)).
+    point (q x q) or at an array of points (a z.shape + (q, q) stack):
+    one product of the reciprocals 1 / (t - z) with the weights.
 
     A point within the slit guard of an atom raises ``ValueError``
     naming the first such point, and for it the first such atom.
     """
-    if np.ndim(z) == 0:
-        # one point: Python complex arithmetic, the same sum in the same
-        # order, without the cost of NumPy's 0-d arrays
-        z = complex(z)
-        out = np.zeros((mu.q, mu.q), dtype=complex)
-        for t, M in mu.atoms:
-            if abs(t - z) <= _SLIT_GUARD:
-                raise _on_atom(z, t)
-            out += M / (t - z)
-        return out
     z = np.asarray(z, dtype=complex)
-    out = np.zeros(z.shape + (mu.q, mu.q), dtype=complex)
-    if not mu.atoms:
-        return out
-    # t - z for every point (rows) and atom (columns)
-    d = np.array([t for t, _ in mu.atoms]) - z[..., None]
-    near = (np.abs(d) <= _SLIT_GUARD).ravel().nonzero()[0]
-    if near.size:
-        point, atom = divmod(near[0], len(mu.atoms))
+    d = mu.positions - z[..., None]          # t - z, per point and atom
+    near = np.abs(d) <= _SLIT_GUARD
+    if near.any():
+        point, atom = divmod(near.argmax(), len(mu.positions))
         raise _on_atom(complex(z.flat[point]), mu.atoms[atom][0])
-    for j, (_, M) in enumerate(mu.atoms):
-        out += M / d[..., j, None, None]
-    return out
+    q = mu.q
+    return (np.reciprocal(d) @ mu.weights.reshape(-1, q * q)).reshape(
+        z.shape + (q, q))
 
 
 def _on_atom(z, t):

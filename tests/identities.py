@@ -132,6 +132,19 @@ class Poly(MatrixPolynomial):
                     @ np.asarray(R, dtype=complex))
 
 
+def horner(coeffs, z):
+    """sum_j z^j C_j of a (d + 1, r, c) coefficient stack by Horner's
+    scheme, at a point or an array of points, each step updating one
+    output array in place: the reference for ``MatrixPolynomial.eval``."""
+    z = np.asarray(z, dtype=complex)[..., None, None]
+    out = np.empty(z.shape[:-2] + coeffs.shape[1:], dtype=complex)
+    out[...] = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        out *= z
+        out += c
+    return out
+
+
 def _coerce(x):
     """``x`` as a polynomial; a matrix is a constant."""
     return x if isinstance(x, MatrixPolynomial) else Poly.constant(x)
@@ -525,6 +538,17 @@ def total_mass(mu):
     out = np.zeros((mu.q, mu.q), dtype=complex)
     for _, M in mu.atoms:
         out = out + M
+    return out
+
+
+def transform_per_atom(mu, z):
+    """S(z) = sum_k M_k / (t_k - z) summed atom by atom, at a point or an
+    array of points, refusing no point: the reference for
+    ``transform``."""
+    z = np.asarray(z, dtype=complex)[..., None, None]
+    out = np.zeros(z.shape[:-2] + (mu.q, mu.q), dtype=complex)
+    for t, M in mu.atoms:
+        out += M / (t - z)
     return out
 
 

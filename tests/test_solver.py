@@ -37,8 +37,8 @@ from stieltjesmp.stieltjespairs import (
 
 from conftest import WEIGHT_PATTERNS, atomic_fixture, canonical_pair, \
     delta, hankel_factor_counts, kge_fixtures, random_psd, scalar_seq
-from identities import congruence_check, fq_matrices, pair_eval, \
-    potapov_matrix, psi_polynomial, sigma_matrix
+from identities import congruence_check, fq_matrices, horner, pair_eval, \
+    potapov_matrix, psi_polynomial, sigma_matrix, transform_per_atom
 
 
 Q2_SEQ = MomentSequence(0.0, 2, [np.diag([1.0, 0.0]), np.zeros((2, 2))])
@@ -673,6 +673,77 @@ def test_array_evaluation_matches_scalar_loop():
             np.random.default_rng(4), q, 1, kw, large) == 2
     assert large == {(False, False), (True, False), (False, True),
                      (True, True)}
+
+
+def test_evaluation_matches_the_horner_and_per_atom_references():
+    # MatrixPolynomial.eval (one product with the powers of z) and
+    # transform (one product with the reciprocals 1 / (t - z)) against
+    # the loops they replaced, entrywise, at single points, on stacks and
+    # at the point 1e6j where recover_s0 evaluates.  Each way of summing
+    # sum_j z^j C_j errs by at most about 2 (d + 1) eps sum_j |C_j| |z|^j,
+    # and each way of summing sum_k M_k / (t_k - z) by at most about
+    # 2 (a + 2) eps sum_k |M_k| / |t_k - z|, so the two are held to twice
+    # that; on an empty measure both give exact zeros.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(63)
+
+    def points(zs):
+        return [np.asarray(z, dtype=complex) for z in (zs, *zs, 1e6j)]
+
+    def check_poly(p, zs):
+        d = len(p.coeffs)
+        size = np.abs(p.coeffs).reshape(d, -1)
+        for z in points(zs):
+            bound = 4 * d * eps * ((np.abs(z[..., None]) ** np.arange(d))
+                                   @ size).reshape(z.shape + p.shape)
+            got, want = p.eval(z), horner(p.coeffs, z)
+            assert got.shape == want.shape == z.shape + p.shape
+            assert np.all(np.abs(got - want) <= bound)
+
+    def check_measure(mu, zs):
+        a, q = len(mu.atoms), mu.q
+        size = np.abs(mu.weights).reshape(a, q * q)
+        for z in points(zs):
+            bound = 4 * (a + 2) * eps * (
+                (1.0 / np.abs(mu.positions - z[..., None])) @ size).reshape(
+                z.shape + (q, q))
+            got, want = transform(mu, z), transform_per_atom(mu, z)
+            assert got.shape == want.shape == z.shape + (q, q)
+            assert np.all(np.abs(got - want) <= bound)
+
+    for d, r, c in ((0, 2, 3), (3, 4, 2), (5, 1, 6)):
+        check_poly(MatrixPolynomial(rng.normal(size=(d + 1, r, c))
+                                    + 1j * rng.normal(size=(d + 1, r, c))),
+                   np.array([0.3 + 0.8j, -1.2 + 0.1j, 2.0, 0.0]))
+    empty = AtomicMeasure(0.5, 3, [])
+    check_measure(empty, np.array(standard_grid(0.5)))
+    assert not np.any(transform(empty, np.array(standard_grid(0.5))))
+    polys = 0
+    for q in (1, 3, 8):
+        for n in range(4):
+            for kw in WEIGHT_PATTERNS.values():
+                alpha = (0.0, 0.5, -1.0)[(q + n) % 3]
+                mu, seq = atomic_fixture(rng, q, n, alpha, **kw)
+                zs = np.array(standard_grid(alpha) + [alpha - 1.5])
+                check_measure(mu, zs)
+                _, K, b, _ = potapov._coupling(seq.hankel(), n)
+                for p in (K, b):
+                    check_poly(p, zs)
+                try:
+                    report = classify(seq, n)
+                except ValueError:
+                    continue
+                R = build_resolvent(seq, n)
+                r = report.r
+                pair = lift_pair(report) if not r else lift_pair(
+                    report, StieltjesPair.from_function(StieltjesFunction(
+                        None, AtomicMeasure(alpha, r, [(alpha + 0.7,
+                                                        np.eye(r))]))))
+                for p in (R.theta, R.theta_tilde, R.U, R.U_tilde,
+                          lft_solution(R, pair)._P):
+                    check_poly(p, zs)
+                    polys += 1
+    assert polys >= 150
 
 
 # Calls at level n with k = 2n (on m = 2n - 1) or k = 2n + 1 (on

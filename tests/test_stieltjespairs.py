@@ -53,6 +53,33 @@ def test_transform_examples():
         transform(delta(1.0), 1.0)
 
 
+def test_the_slit_refusal_names_the_first_point_and_its_first_atom():
+    # The third point lies within the slit guard of the second and third
+    # atoms, and a later point on the first atom: a stack raises for the
+    # third point and the second atom, as the point-by-point loop does.
+    near = 2.5 + 2.5e-13j
+    mu = AtomicMeasure(0.0, 2, [(1.0, np.eye(2)), (2.5, 0.5 * np.eye(2)),
+                                (2.5 + 5e-13, np.eye(2)), (4.0, np.eye(2))])
+    zs = np.array([1j, 3.0 - 1j, near, 0.5 + 2j, 1.0])
+    with pytest.raises(ValueError) as loop:
+        for z in zs:
+            transform(mu, complex(z))
+    assert str(loop.value) == \
+        f"evaluation point {near} coincides with atom 2.5"
+    for f in (lambda z: transform(mu, z), StieltjesFunction(np.eye(2), mu)):
+        with pytest.raises(ValueError) as batch:
+            f(zs)
+        assert str(batch.value) == str(loop.value)
+    # the stored atoms are read-only, through every view of them
+    for write in (lambda: mu.positions.__setitem__(0, 0.5),
+                  lambda: mu.weights.__setitem__(0, 0.0),
+                  lambda: mu.atoms[0][1].__setitem__(0, 0.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            write()
+    assert np.array_equal(mu.positions, [1.0, 2.5, 2.5 + 5e-13, 4.0])
+    assert np.array_equal(mu.weights[0], np.eye(2))
+
+
 def test_transform_symmetry_and_positivity(rng):
     mu, _ = atomic_fixture(rng, 2, 1, alpha=0.5)
     for z in (0.3 + 1.2j, -2.0 + 0.4j):

@@ -14,8 +14,10 @@ changed, through the calls that ``perfbench/workloads.py`` times:
 - ``parametrize`` and ``verify_dense``: class membership, the
   classification, Theta and Theta-tilde, the solutions at the
   workload's points (three pairs, or one, as the workload takes them,
-  or the unique solution), and ``verify_solution`` of the generating
-  measure and of the canonical solution;
+  or the unique solution), the transform of the generating measure at
+  those points, its moments up to order 2n + 1 (through which the
+  benchmark builds its sequences), and ``verify_solution`` of the
+  generating measure and of the canonical solution;
 - ``cli_cold``: every subcommand call of the workload, through
   ``cli.main`` in the process.
 
@@ -23,8 +25,9 @@ It prints the largest deviation of each quantity over all problems,
 where it occurs, and the distribution of the deviation of S.  It exits
 with status 1 when a label, rank, class verdict, ``valid``, boolean
 check, error message, singular point, CLI exit code, CLI message or
-non-float CLI JSON value differs, and with 0 otherwise; the float
-deviations are reported, not judged.
+non-float CLI JSON value differs, or when the moments of a measure are
+not bit-identical, and with 0 otherwise; the float deviations are
+reported, not judged.
 """
 
 import argparse
@@ -61,7 +64,8 @@ def _verify(solver, p, candidate):
 
 
 def _problem(modules, workload, p):
-    fixtures, momentseq, resolvent, solver, workloads = modules
+    fixtures, momentseq, resolvent, solver, stieltjespairs, workloads = \
+        modules
     if workload == "parametrize":
         points, npairs = p.points, 3
     else:
@@ -77,6 +81,9 @@ def _problem(modules, workload, p):
         "theta_tilde": R.theta_tilde.coeffs,
         "self_check": dict(R.self_check),
         "S": np.array([workloads.evaluate(S, points, p.q) for S in sols]),
+        "transform": stieltjespairs.transform(p.mu, np.array(points)),
+        "moments": np.array(
+            stieltjespairs.moments_of(p.mu, 2 * p.n + 1).moments),
         "measure": _verify(solver, p, p.mu),
         "solution": _verify(solver, p, sols[0]),
     }
@@ -102,7 +109,7 @@ def dump(workload, seed, path):
     sys.path.insert(0, str(PERFBENCH))
     import fixtures
     import workloads
-    from stieltjesmp import momentseq, resolvent, solver
+    from stieltjesmp import momentseq, resolvent, solver, stieltjespairs
     if workload == "cli_cold":
         with tempfile.TemporaryDirectory() as workdir:
             records = _cli_calls(seed, workdir)
@@ -110,7 +117,8 @@ def dump(workload, seed, path):
         problems = (fixtures.parametrize_problems(seed)
                     if workload == "parametrize"
                     else fixtures.verify_dense_problems(seed))
-        modules = (fixtures, momentseq, resolvent, solver, workloads)
+        modules = (fixtures, momentseq, resolvent, solver, stieltjespairs,
+                   workloads)
         records = [(p.pid, _problem(modules, workload, p)) for p in problems]
     with open(path, "wb") as fh:
         pickle.dump(records, fh)
@@ -144,6 +152,11 @@ class Tally:
     def same(self, name, a, b, where):
         if a != b:
             self.diffs.append(f"{where}: {name} {a!r} -> {b!r}")
+
+    def identical(self, name, a, b, where):
+        """A difference unless the arrays a and b are bit-identical."""
+        if a.shape != b.shape or a.tobytes() != b.tobytes():
+            self.diffs.append(f"{where}: {name} not bit-identical")
 
 
 def _rel(a, b):
@@ -199,6 +212,11 @@ def compare_problem(tally, a, b, where):
     dev = (np.linalg.norm(Sa[ok] - Sb[ok], axis=(-2, -1))
            / np.linalg.norm(Sa[ok], axis=(-2, -1)))
     tally.float("S (rel, per point)", dev.max(initial=0.0), where)
+    Ta, Tb = a["transform"], b["transform"]
+    tally.float("transform (rel, per point)", np.max(
+        np.linalg.norm(Ta - Tb, axis=(-2, -1))
+        / np.linalg.norm(Ta, axis=(-2, -1)), initial=0.0), where)
+    tally.identical("measure moments", a["moments"], b["moments"], where)
     for who in ("measure", "solution"):
         _compare_verify(tally, who, a[who], b[who], where)
 
