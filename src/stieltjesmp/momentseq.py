@@ -139,6 +139,13 @@ def shift_stack(x, q):
     return out
 
 
+def resolvent_column(alpha, q, n):
+    """R_T(alpha) v = col(alpha^j I_q), j = 0..n, for v = col(I_q, 0, ...,
+    0): T^j v is I_q in block j, so the sum has one term per block."""
+    powers = alpha ** np.arange(n + 1)
+    return (powers[:, None, None] * np.eye(q)).reshape(-1, q)
+
+
 class HankelData:
     """Block Hankel matrices of one sequence at every level, each factored
     at most once.
@@ -266,9 +273,7 @@ class HankelData:
         in the restricted class vanish."""
         self.check_level(n, shifted=True)
         N, Ns = self.factor(n).null, self.shift.factor(n).null
-        # R_T(alpha) v = col(alpha^j I_q) and H v, the first block columns
-        Rv = np.kron(self.seq.alpha ** np.arange(n + 1)[:, None],
-                     np.eye(self.q))
+        Rv = resolvent_column(self.seq.alpha, self.q, n)
         Hv = self.H[n][:, :self.q]
         return N @ (N.conj().T @ Rv), Ns @ (Ns.conj().T @ Hv)
 

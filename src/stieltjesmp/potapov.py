@@ -32,7 +32,6 @@ import numpy as np
 from .matcore import _fro
 from .momentseq import shift_stack, stack_y
 from .resolvent import MatrixPolynomial
-from .stieltjespairs import transform
 
 _IM_GUARD = 1e-8
 
@@ -40,13 +39,6 @@ _IM_GUARD = 1e-8
 def _check_offreal(z):
     if np.any(np.abs(np.imag(z)) < _IM_GUARD):
         raise ValueError("the fundamental matrices are only defined off R")
-
-
-def _check_index(data, n, k):
-    """Refuse a k outside {-1, 2n, 2n+1} and a level the sequence lacks."""
-    if k not in (-1, 2 * n, 2 * n + 1):
-        raise ValueError(f"index k = {k} does not match level n = {n}")
-    data.check_level(n, shifted=(k == 2 * n + 1))
 
 
 def _adjoint(A):
@@ -215,32 +207,17 @@ def potapov_report(seq, n, fz, grid):
         passed=not any(failed.any() for _, failed in tests))
 
 
-def atomic_decomposition_residual(seq, n, mu, z, k):
-    """Residual of the exact integral decomposition of P_k for an atomic
-    measure mu whose transform plays the role of f: a number at a point
-    z, an array of residuals at a 1-D array of points, computed for all
-    of them at once.
+def _decomposition_residuals(data, n, mu, fz, z):
+    """Residuals of the exact integral decomposition of P_2n and, where
+    the sequence has s_2n+1, of P_2n+1 for an atomic measure mu whose
+    transform plays the role of f, from fz = S_mu(z) at the checked
+    points z, for all of them at once.
 
     P_2n[S](z) = sum_k [E(t); (t - conj z)^{-1} I] M [..]* + correction,
-    with a sqrt(t - alpha) weight, alpha that of the sequence, in the
-    odd case; the correction charges only the last Hankel corner with
-    the moment defect at order k.
-    """
-    data = seq.hankel()
-    z = np.asarray(z, dtype=complex)
-    _check_offreal(z)
-    _check_index(data, n, k)
-    if k == -1:
-        raise ValueError("the atomic decomposition is of P_2n and P_2n+1")
-    return _decomposition_residuals(data, n, mu, transform(mu, z), z)[
-        k - 2 * n]
-
-
-def _decomposition_residuals(data, n, mu, fz, z):
-    """:func:`atomic_decomposition_residual` of P_2n and, where the
-    sequence has s_2n+1, of P_2n+1, from fz = S(z) at the checked points
-    z.  P_2n+1 is the P_2n[g] of the shifted sequence (:func:`_as_p2n`),
-    whose sum weighs the atoms by t - alpha."""
+    the correction charging only the last Hankel corner with the moment
+    defect at order 2n.  P_2n+1 is the P_2n[g] of the shifted sequence
+    (:func:`_as_p2n`), whose sum weighs the atoms by t - alpha, alpha
+    that of the sequence."""
     t, M = mu.positions, mu.weights
     weights = (M, (t - data.seq.alpha)[:, None, None] * M)
     return [_decomposition_residual(d, n, t, W, g, z)

@@ -4,10 +4,12 @@ Provides matrix polynomials as coefficient stacks, evaluated as one
 product with the powers of z, and builds the polynomials Theta and
 Theta-tilde whose linear fractional transformations parametrize the
 solution set of the truncated half-line moment problem, with the
-consistency residuals recorded on each build.  Every product of the construction with the
-block shift T_{q,n}, with R_T(alpha) or with the adjoint resolvent
-R_{T*}(z) is read from the stack T^j x of ``momentseq.shift_stack``.
-The J-form identities and kernel polynomials that the tests check
+residual of Theta's J-form identity recorded on each build.  Every
+product of the construction with the block shift T_{q,n} or with the
+adjoint resolvent R_{T*}(z) is read from the stack T^j x of
+``momentseq.shift_stack``, and R_T(alpha) v from its closed form
+``momentseq.resolvent_column``.  The factorization Theta = U B, the
+other J-form identities and the kernel polynomials that the tests check
 Theta against, with the coefficient arithmetic they need, live in
 ``tests/identities.py``.
 """
@@ -18,10 +20,14 @@ import numpy as np
 
 from . import jsonio
 from .matcore import one_two_inverse
-from .momentseq import HankelData, dubovoj_candidates, shift_stack
+from .momentseq import HankelData, dubovoj_candidates, resolvent_column, \
+    shift_stack
 
 # Relative size below which ``trimmed_degree`` counts a coefficient as zero.
 _TRIM_TOL = 1e-12
+
+# The point pair (z, w), as offsets from alpha, of the J-form residual.
+_J_PAIR = np.array([1.3 + 0.7j, -2.0 + 1j])
 
 
 class MatrixPolynomial:
@@ -80,10 +86,10 @@ class ResolventMatrix:
     """The resolvent matrix polynomials and their cached Hankel data.
 
     ``theta`` and ``theta_tilde`` are 2q x 2q matrix polynomials of
-    degree at most n + 1; ``U``/``U_tilde`` are the unimodular factors
-    and ``B``/``B_tilde`` the constant J-unitary factors with
-    theta = U B and theta_tilde = U_tilde B_tilde.  ``Hm`` and ``Hsm``
-    are the reflexive inverses of H_n and Hs_n with the canonical ranges.
+    degree at most n + 1.  ``Hm`` and ``Hsm`` are the reflexive inverses
+    of H_n and Hs_n with the canonical ranges.  ``self_check`` holds
+    ``j_form``, the relative residual of theta's J-form identity at one
+    point pair (:func:`_self_check`).
     ``data``, the Hankel data of the sequence, lives while the resolvent
     does, so later calls on the sequence read its factorizations (H_n
     is ``data.H[n]``, Hs_n is ``data.shift.H[n]``); every tolerance is
@@ -95,10 +101,6 @@ class ResolventMatrix:
     alpha: float
     theta: MatrixPolynomial
     theta_tilde: MatrixPolynomial
-    U: MatrixPolynomial
-    U_tilde: MatrixPolynomial
-    B: np.ndarray
-    B_tilde: np.ndarray
     Hm: np.ndarray
     Hsm: np.ndarray
     data: HankelData = field(repr=False, compare=False)
@@ -133,11 +135,10 @@ def _build_resolvent(data, n):
     Hv = H[:, :q]
     X = shift_stack(Hv, q)[1] if n else np.zeros_like(Hv)   # T H v
     Xt = Hv - alpha * X                      # (I - aT) H v
-    # With L = [X, Xt, v], the stack T^j L gives R_T(a) L = sum_j a^j T^j L
-    # and the coefficients (T^j L)* M of L* R_{T*}(z) M.
+    # With L = [X, Xt, v], the stack T^j L gives the coefficients
+    # (T^j L)* M of L* R_{T*}(z) M.
     TL = shift_stack(np.hstack([X, Xt, v]), q)
-    RaL = MatrixPolynomial(TL)(alpha)
-    Rav = RaL[:, 2 * q:]
+    Rav = resolvent_column(alpha, q, n)      # R_T(a) v
 
     # Theta = I + C_L Omega(z) C_R with C_L = diag(v* H, v*),
     # C_R = diag(Hm Ra v, Hsm H v) and, for R = R_{T*}(z) and d = z - a,
@@ -154,25 +155,9 @@ def _build_resolvent(data, n):
     a, b = np.s_[..., :q], np.s_[..., q:]
     theta = _identity_plus([[zK1[a], K2[b]], [-zK3[a], -zK3[b]]])
     theta_tilde = _identity_plus([[zK1[a], zK2[b]], [-K3[a], -zK3[b]]])
-
-    def u_factor(TY, RaY, G):
-        """I + (z - a) [Y, -v]* R_{T*}(z) G Ra [v, Y] from TY = T^j Y."""
-        left = np.concatenate([TY, -TL[..., 2 * q:]], axis=-1)
-        M = left.conj().transpose(0, 2, 1) @ (G @ np.hstack([Rav, RaY]))
-        return _identity_plus([[_times_linear(M, -alpha, 1.0)]])
-
-    U = u_factor(TL[..., :q], RaL[:, :q], Hm)
-    U_tilde = u_factor(TL[..., q:2 * q], RaL[:, q:2 * q], Hsm)
-    B = np.eye(2 * q, dtype=complex)
-    B[:q, q:] = Hv.conj().T @ Hsm @ Hv
-    B_tilde = np.eye(2 * q, dtype=complex)
-    B_tilde[q:, :q] = -Rav.conj().T @ Hm @ Rav
-
-    R = ResolventMatrix(
-        n=n, q=q, alpha=alpha, theta=theta, theta_tilde=theta_tilde,
-        U=U, U_tilde=U_tilde, B=B, B_tilde=B_tilde, Hm=Hm, Hsm=Hsm,
-        data=data)
-    R.self_check = _self_check(R)
+    R = ResolventMatrix(n=n, q=q, alpha=alpha, theta=theta,
+                        theta_tilde=theta_tilde, Hm=Hm, Hsm=Hsm, data=data)
+    R.self_check = _self_check(R, TL)
     return R
 
 
@@ -184,23 +169,26 @@ def _identity_plus(blocks):
     return MatrixPolynomial(coeffs)
 
 
-def _self_check(R):
-    """Residuals of the built-in consistency identities, each relative to
-    1 + the largest coefficient norm of the polynomial it checks."""
-    def largest(diff, poly):
-        norm = np.linalg.norm(poly.coeffs, axis=(-2, -1)).max()
-        return float(np.linalg.norm(diff, axis=(-2, -1)).max() / (1 + norm))
+def _self_check(R, TL):
+    """The residual ``j_form`` of theta's J-form identity
 
-    # scaling identity theta_tilde = diag((z-a)I, I) theta diag((z-a)^{-1}I, I)
-    zs = R.alpha + np.array([1.3 + 0.7j, -2.0 + 1j, 0.5 - 2j])
-    d = np.ones((len(zs), 2 * R.q), dtype=complex)
-    d[:, :R.q] = (zs - R.alpha)[:, None]
-    scaled = d[:, :, None] * R.theta(zs) / d[:, None, :]
-    th, tt = R.theta, R.theta_tilde
-    return {"theta_minus_UB": largest(th.coeffs - R.U.coeffs @ R.B, th),
-            "theta_tilde_minus_UtBt":
-                largest(tt.coeffs - R.U_tilde.coeffs @ R.B_tilde, tt),
-            "scaling_identity": largest(tt(zs) - scaled, tt)}
+        Jt - theta(z) Jt theta(w)*
+            = -i (z - conj w) L* R_{T*}(z) Hm R_T(conj w) L,
+
+    Jt = [[0, -iI], [iI, 0]] and L = [T H v, -v], at the point pair
+    alpha + ``_J_PAIR``, relative to 1 + |theta(z)|_F |theta(w)|_F.
+    R_T(conj z) L, whose adjoint is L* R_{T*}(z), is read from the
+    build's stack ``TL`` = T^j [T H v, (I - aT) H v, v]."""
+    q = R.q
+    z, w = R.alpha + _J_PAIR
+    TLv = np.concatenate([TL[..., :q], -TL[..., 2 * q:]], axis=-1)
+    Lz, Lw = MatrixPolynomial(TLv)(np.conj([z, w]))
+    rhs = -1j * (z - np.conj(w)) * (Lz.conj().T @ R.Hm @ Lw)
+    J = 1j * (np.eye(2 * q, k=-q) - np.eye(2 * q, k=q))
+    th_z, th_w = R.theta([z, w])
+    lhs = J - th_z @ J @ th_w.conj().T
+    scale = 1.0 + np.linalg.norm(th_z) * np.linalg.norm(th_w)
+    return {"j_form": float(np.linalg.norm(lhs - rhs) / scale)}
 
 
 def theta_coeffs_json(R):

@@ -202,7 +202,8 @@ def pair_in_restricted_class(p, seq, n):
     U, _, V, _ = _defects(seq.hankel(), n)
     C = p.B
     if p.f is not None:
-        C = np.hstack([p.B] + [p.E @ M for _, M in p.f.measure.atoms])
+        EM = p.E @ p.f.measure.weights           # E M_i, (a, 2q, k)
+        C = np.hstack([p.B, EM.transpose(1, 0, 2).reshape(len(p.B), -1)])
         if p.f.gamma is not None:
             C[:, :p.f.q] += p.E @ p.f.gamma
     bound = 10 * seq.tol.tol_identity * np.linalg.norm(C)

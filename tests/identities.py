@@ -12,8 +12,8 @@ from stieltjesmp.matcore import DEFAULT_TOL, Subspace, _fro, _rank, \
     as_matrix, is_psd, mrank, projector, right_divide
 from stieltjesmp.momentseq import MomentSequence, block_hankel, \
     canonical_extension, shift_right, stack_y
-from stieltjesmp.potapov import _adjoint, _block_norm, _check_index, \
-    _check_offreal, _im_quotient, _weighted
+from stieltjesmp.potapov import _adjoint, _block_norm, _check_offreal, \
+    _decomposition_residuals, _im_quotient, _weighted
 from stieltjesmp.resolvent import MatrixPolynomial, _times_linear, \
     standard_grid
 from stieltjesmp.stieltjespairs import AtomicMeasure, transform
@@ -212,6 +212,45 @@ def theta_inverse(R, z, tilde=False):
     return J @ th_bar.conj().T @ J
 
 
+def ub_factors(R, tilde=False):
+    """The factors of theta = U B (of theta-tilde = U~ B~ with ``tilde``),
+    assembled from the dense T, v and R_T(alpha):
+
+        U  = I + (z - a) [X, -v]* R_{T*}(z) G R_T(a) [v, X],
+        B  = [[I, v* H Hs^- H v], [0, I]],
+        B~ = [[I, 0], [-v* R_T(a)* H^- R_T(a) v, I]],
+
+    with X = T H v and G = H^- for theta, X = (I - aT) H v and G = Hs^-
+    for theta-tilde.  U is a matrix polynomial, B a constant J-unitary
+    matrix."""
+    q, n, a = R.q, R.n, R.alpha
+    T, v = shift_matrix(q, n), first_column_embedding(q, n)
+    H = R.data.H[n]
+    Rav = shift_resolvent(q, n, a) @ v
+    X = ((np.eye(len(T)) - a * T) if tilde else T) @ H @ v
+    G = R.Hsm if tilde else R.Hm
+    U = Poly.constant(np.eye(2 * q)) + Poly(resolvent_poly(q, n).coeffs) \
+        .sandwich(np.hstack([X, -v]).conj().T,
+                  G @ np.hstack([Rav, shift_resolvent(q, n, a) @ X])) \
+        .times_linear(-a, 1.0)
+    B = np.eye(2 * q, dtype=complex)
+    if tilde:
+        B[q:, :q] = -Rav.conj().T @ R.Hm @ Rav
+    else:
+        B[:q, q:] = (H @ v).conj().T @ R.Hsm @ H @ v
+    return U, B
+
+
+def ub_residual(R, tilde=False):
+    """max_j |theta_j - (U B)_j|_F over the coefficients, relative to 1 +
+    the largest |theta_j|_F, for the factors of :func:`ub_factors`."""
+    theta = R.theta_tilde if tilde else R.theta
+    U, B = ub_factors(R, tilde)
+    norms = np.linalg.norm(theta.coeffs, axis=(-2, -1))
+    diff = np.linalg.norm(theta.coeffs - U.coeffs @ B, axis=(-2, -1))
+    return float(diff.max() / (1.0 + norms.max()))
+
+
 def j_defect(R, z, w, variant="theta"):
     """Both sides of a J-form identity, assembled independently.
 
@@ -247,7 +286,7 @@ def j_defect(R, z, w, variant="theta"):
 
     if variant in ("adjoint", "adjoint_tilde"):
         th_z, th_w = theta(z), theta(w)
-        Bc = R.B_tilde if tilde else R.B
+        Bc = ub_factors(R, tilde)[1]
         Hmat = Hs if tilde else H
         lhs = J - th_w.conj().T @ J @ th_z
         core = (pair_mat.conj().T @ Ra.conj().T @ Hm
@@ -294,6 +333,13 @@ def kernel_polys(R):
     Spoly = Poly.constant(eye) - \
         Poly.constant(PHs @ Ra @ T @ QHs).times_linear(-R.alpha, 1.0)
     return Ppoly, Qpoly, Spoly
+
+
+def _check_index(data, n, k):
+    """Refuse a k outside {-1, 2n, 2n+1} and a level the sequence lacks."""
+    if k not in (-1, 2 * n, 2 * n + 1):
+        raise ValueError(f"index k = {k} does not match level n = {n}")
+    data.check_level(n, shifted=(k == 2 * n + 1))
 
 
 def conjugate_reflection(f):
@@ -670,6 +716,21 @@ def pairs_equivalent(p1, p2, grid=None):
         raise ValueError("all equivalence sample points were singular")
     diff = np.linalg.norm(vals[0][usable] - vals[1][usable], axis=(-2, -1))
     return bool(np.all(diff <= 1e3 * p1.tol.tol_identity))
+
+
+def atomic_decomposition_residual(seq, n, mu, z, k):
+    """Residual of the exact integral decomposition of P_k[S_mu] for an
+    atomic measure mu, k in {2n, 2n + 1}, as ``verify_solution`` computes
+    it: a number at a point z, an array of residuals at a 1-D array of
+    points, computed for all of them at once."""
+    data = seq.hankel()
+    z = np.asarray(z, dtype=complex)
+    _check_offreal(z)
+    _check_index(data, n, k)
+    if k == -1:
+        raise ValueError("the atomic decomposition is of P_2n and P_2n+1")
+    return _decomposition_residuals(data, n, mu, transform(mu, z), z)[
+        k - 2 * n]
 
 
 def decomposition_residual_per_atom(seq, n, mu, z, k):

@@ -23,10 +23,7 @@ from stieltjesmp.momentseq import (
     dubovoj_candidates,
     stack_y,
 )
-from stieltjesmp.potapov import (
-    atomic_decomposition_residual,
-    potapov_report,
-)
+from stieltjesmp.potapov import potapov_report
 from stieltjesmp.resolvent import build_resolvent, standard_grid
 from stieltjesmp.solver import (
     lft_solution,
@@ -43,9 +40,9 @@ from stieltjesmp.stieltjespairs import (
 
 from conftest import atomic_fixture, kge_fixtures, ljapunov_data, \
     random_hermitian_sequence, scalar_seq
-from identities import congruence_check, is_dubovoj, j_defect, \
-    potapov_matrix, pseudo_inverse, shift_matrix, signature_matrix, \
-    theta_inverse
+from identities import atomic_decomposition_residual, congruence_check, \
+    is_dubovoj, j_defect, potapov_matrix, pseudo_inverse, shift_matrix, \
+    signature_matrix, theta_inverse, ub_residual
 
 import json
 
@@ -156,8 +153,8 @@ def test_criterion_04_theta_identity_suite():
         q = seq.q
         J = signature_matrix(q)
         scale = (1.0 + np.linalg.norm(R.data.H[n])) ** 2
-        assert R.self_check["theta_minus_UB"] <= 1e-10 * scale
-        assert R.self_check["theta_tilde_minus_UtBt"] <= 1e-10 * scale
+        assert ub_residual(R) <= 1e-10 * scale
+        assert ub_residual(R, tilde=True) <= 1e-10 * scale
         for x in (seq.alpha - 3, seq.alpha - 1, seq.alpha,
                   seq.alpha + 2, seq.alpha + 5):
             th = R.theta(x)

@@ -97,7 +97,8 @@ def test_cmd_resolvent(tmp_path, capsys):
                                [[0.0, 0.0], [1.0, 0.0]]]
     assert doc["theta"][1] == [[[0.0, 0.0], [0.0, 0.0]],
                                [[-1.0, 0.0], [0.0, 0.0]]]
-    assert all(v <= 1e-10 for v in doc["residuals"].values())
+    assert set(doc["residuals"]) == {"j_form"}
+    assert doc["residuals"]["j_form"] <= 1e-10
 
 
 def test_cmd_solve_with_pair(tmp_path, capsys):

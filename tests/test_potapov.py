@@ -11,8 +11,7 @@ import pytest
 from stieltjesmp import MomentSequence, ToleranceConfig, momentseq
 from stieltjesmp.matcore import _fro
 from stieltjesmp.potapov import _adjoint, _im_quotient, \
-    _projected_column, _weighted, atomic_decomposition_residual, \
-    potapov_report
+    _projected_column, _weighted, potapov_report
 from stieltjesmp.resolvent import build_resolvent, standard_grid
 from stieltjesmp.solver import lft_solution, verify_solution
 from stieltjesmp.stieltjespairs import AtomicMeasure, StieltjesPair, \
@@ -20,10 +19,10 @@ from stieltjesmp.stieltjespairs import AtomicMeasure, StieltjesPair, \
 
 from conftest import WEIGHT_PATTERNS, atomic_fixture, kge_fixtures, \
     random_hermitian_sequence, scalar_seq
-from identities import _column_data, congruence_check, \
-    conjugate_reflection, decomposition_residual_per_atom, fq_matrices, \
-    fundamental_corner, monomial_stack, potapov_matrix, psi_polynomial, \
-    sigma_matrix
+from identities import _column_data, atomic_decomposition_residual, \
+    congruence_check, conjugate_reflection, \
+    decomposition_residual_per_atom, fq_matrices, fundamental_corner, \
+    monomial_stack, potapov_matrix, psi_polynomial, sigma_matrix
 
 
 def scalar_f(fn):

@@ -1,9 +1,11 @@
 """Unit tests for the resolvent matrix polynomial machinery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from stieltjesmp import MomentSequence, momentseq
+from stieltjesmp import MomentSequence, momentseq, resolvent
 from stieltjesmp.resolvent import MatrixPolynomial, build_resolvent, \
     standard_grid, theta_coeffs_json
 from stieltjesmp.solver import classify, unique_solution
@@ -12,7 +14,8 @@ from conftest import WEIGHT_PATTERNS, atomic_fixture, kge_fixtures, \
     scalar_seq
 from identities import Poly, first_column_embedding, j_defect, \
     kernel_polys, monomial_stack, resolvent_poly, shift_matrix, \
-    shift_resolvent, shift_resolvent_poly, signature_matrix, theta_inverse
+    shift_resolvent, shift_resolvent_poly, signature_matrix, \
+    theta_inverse, ub_factors, ub_residual
 
 
 def test_matrix_polynomial_arithmetic():
@@ -132,10 +135,11 @@ def test_build_resolvent_closed_forms():
 
 
 def test_resolvent_matches_its_defining_formula():
-    """Theta = I + C_L Omega(z) C_R and U = I + (z - a) L* R_{T*}(z) M,
-    with Omega, C_L, C_R, L and M assembled here from the Hankel data."""
+    """Theta = I + C_L Omega(z) C_R and Theta = U B with
+    U = I + (z - a) L* R_{T*}(z) M, with Omega, C_L, C_R, L and M
+    assembled here from the Hankel data and B from the oracle."""
     rng = np.random.default_rng(29)
-    worst, built = 0.0, 0
+    worst, worst_ub, built = 0.0, 0.0, 0
     for q in (1, 2, 3, 5):
         for n in range(4):
             p = (n + 1) * q
@@ -175,8 +179,9 @@ def test_resolvent_matches_its_defining_formula():
                         err = np.linalg.norm(theta(z) - np.eye(2 * q)
                                              - terms)
                         worst = max(worst, err / scale)
-                    for U, X, G in ((R.U, T @ H @ v, Hm),
-                                    (R.U_tilde, Rinv @ H @ v, Hsm)):
+                    for tilde, X, G in ((False, T @ H @ v, Hm),
+                                        (True, Rinv @ H @ v, Hsm)):
+                        U, B = ub_factors(R, tilde)
                         left = np.hstack([X, -v]).conj().T
                         right = G @ Ra @ np.hstack([v, X])
                         terms = za * left @ Rs @ right
@@ -184,9 +189,15 @@ def test_resolvent_matches_its_defining_formula():
                             * np.linalg.norm(Rs) * np.linalg.norm(right)
                         err = np.linalg.norm(U(z) - np.eye(2 * q) - terms)
                         worst = max(worst, err / scale)
-    print(f"worst relative residual {worst:.1e} over {built} resolvents")
+                        theta = R.theta_tilde if tilde else R.theta
+                        err = np.linalg.norm(theta(z) - U(z) @ B)
+                        worst_ub = max(worst_ub, err / (
+                            1.0 + np.linalg.norm(U(z)) * np.linalg.norm(B)))
+    print(f"worst relative residual {worst:.1e}, theta - U B "
+          f"{worst_ub:.1e}, over {built} resolvents")
     assert built >= 50
     assert worst <= 1e-12
+    assert worst_ub <= 1e-10
 
 
 def test_build_resolvent_rejects_bad_input():
@@ -198,15 +209,67 @@ def test_build_resolvent_rejects_bad_input():
 
 def test_self_check_is_relative_to_the_coefficients():
     # Scaling the moments by c scales blocks of Theta by c and 1/c, and
-    # the absolute residuals with them (2e-3 at c = 1e6); relative to the
-    # largest coefficient of the polynomial checked they stay small.
+    # both sides of the J-form identity with them; relative to
+    # 1 + |Theta(z)| |Theta(w)| the residual stays small.
     mu, seq = atomic_fixture(np.random.default_rng(1), 2, 2, 0.0, natoms=4)
     for c in (1e-6, 1.0, 1e6):
         R = build_resolvent(MomentSequence(0.0, 2, [c * s for s in
                                                     seq.moments]), 2)
-        assert set(R.self_check) == {"theta_minus_UB", "scaling_identity",
-                                     "theta_tilde_minus_UtBt"}
-        assert max(R.self_check.values()) <= 1e-8
+        assert set(R.self_check) == {"j_form"}
+        assert R.self_check["j_form"] <= 1e-10
+
+
+def _build_with_stack(monkeypatch, seq, n):
+    """build_resolvent(seq, n) and the stack T^j L its self-check read."""
+    stacks = []
+    check = resolvent._self_check
+    monkeypatch.setattr(resolvent, "_self_check",
+                        lambda R, TL: stacks.append(TL) or check(R, TL))
+    return build_resolvent(seq, n), stacks[-1]
+
+
+def test_j_form_sees_a_wrong_coefficient_block(monkeypatch):
+    # The self-check reads Theta against the paper's right side, so a
+    # 1e-6 relative change in any q x q block of a coefficient of Theta
+    # holding a tenth of the largest coefficient's norm or more shows:
+    # above 1e-8 at n = 1 (1e-9 at n = 2, cond H_2 = 8e5), and 1e4 times
+    # the reading of the true Theta or more.
+    for q, n, alpha, floor in ((1, 1, 0.0, 1e-8), (2, 1, 0.0, 1e-8),
+                               (2, 2, 0.5, 1e-9)):
+        mu, seq = atomic_fixture(np.random.default_rng(7 + q), q, n, alpha)
+        R, TL = _build_with_stack(monkeypatch, seq, n)
+        clean = R.self_check["j_form"]
+        assert resolvent._self_check(R, TL) == R.self_check
+        assert clean <= 1e-12
+        coeffs = R.theta.coeffs
+        largest = np.linalg.norm(coeffs, axis=(-2, -1)).max()
+        blocks = [(j, rows, cols) for j in range(n + 2)
+                  for rows in (np.s_[:q], np.s_[q:])
+                  for cols in (np.s_[:q], np.s_[q:])
+                  if np.linalg.norm(coeffs[j][rows, cols]) >= 0.1 * largest]
+        assert len(blocks) >= 5
+        for j, rows, cols in blocks:
+            wrong = coeffs.copy()
+            wrong[j][rows, cols] *= 1.0 + 1e-6
+            bad = dataclasses.replace(R, theta=MatrixPolynomial(wrong))
+            got = resolvent._self_check(bad, TL)["j_form"]
+            assert got > max(floor, 1e4 * clean)
+
+
+def test_j_form_closed_forms_at_level_0(monkeypatch):
+    # At n = 0, T = 0 and L = [0, -v]: the stack the self-check reads
+    # has a zero first column, and the right side of the J-form identity
+    # is -i (z - conj w) diag(0, s_0^-), which Theta meets at the pair.
+    J = signature_matrix(1)
+    for moments, alpha in (([1, 0], 0.0), ([1, 1], 0.0), ([2, 3], 0.5)):
+        seq = MomentSequence(alpha, 1, [np.array([[x]]) for x in moments])
+        R, TL = _build_with_stack(monkeypatch, seq, 0)
+        assert np.array_equal(TL[0][:, :1], [[0.0]])
+        z, w = alpha + resolvent._J_PAIR
+        lhs = J - R.theta(z) @ J @ R.theta(w).conj().T
+        rhs = -1j * (z - np.conj(w)) * np.diag([0.0, 1.0 / moments[0]])
+        assert np.linalg.norm(lhs - rhs) <= 1e-14 * np.linalg.norm(rhs)
+        assert R.self_check["j_form"] <= 1e-15
 
 
 @pytest.mark.parametrize("q, alpha, seed", [(1, 0.5, 1), (2, 0.0, 8)])
@@ -228,14 +291,15 @@ def test_self_check_and_degree_bound():
     for mu, seq, n in kge_fixtures(6, seed=21):
         R = build_resolvent(seq, n)
         scale = 1.0 + np.linalg.norm(R.data.H[n])
-        assert R.self_check["theta_minus_UB"] <= 1e-10 * scale
-        assert R.self_check["theta_tilde_minus_UtBt"] <= 1e-10 * scale
-        assert R.self_check["scaling_identity"] <= 1e-10 * scale
+        assert R.self_check["j_form"] <= 1e-10 * scale
+        assert ub_residual(R) <= 1e-10 * scale
+        assert ub_residual(R, tilde=True) <= 1e-10 * scale
         assert R.theta.trimmed_degree() <= n + 1
         assert R.theta_tilde.trimmed_degree() <= n + 1
         # B factors are J-unitary constants
         J = signature_matrix(seq.q)
-        for Bc in (R.B, R.B_tilde):
+        for tilde in (False, True):
+            Bc = ub_factors(R, tilde)[1]
             assert np.linalg.norm(Bc @ J @ Bc.conj().T - J) <= 1e-12 * scale
 
 
@@ -322,7 +386,8 @@ def test_theta_coeffs_json():
                                [[0.0, 0.0], [1.0, 0.0]]]
     assert doc["theta"][1] == [[[0.0, 0.0], [0.0, 0.0]],
                                [[-1.0, 0.0], [0.0, 0.0]]]
-    assert all(v <= 1e-10 for v in doc["residuals"].values())
+    assert set(doc["residuals"]) == {"j_form"}
+    assert doc["residuals"]["j_form"] <= 1e-10
 
 
 def test_build_resolvent_factors_each_matrix_once(factor_calls):

@@ -24,10 +24,12 @@ changed, through the calls that ``perfbench/workloads.py`` times:
 It prints the largest deviation of each quantity over all problems,
 where it occurs, and the distribution of the deviation of S.  It exits
 with status 1 when a label, rank, class verdict, ``valid``, boolean
-check, error message, singular point, CLI exit code, CLI message or
-non-float CLI JSON value differs, or when the moments of a measure are
-not bit-identical, and with 0 otherwise; the float deviations are
-reported, not judged.
+check, error message, singular point, CLI exit code, CLI message,
+non-float CLI JSON value, key set of the resolvent's ``self_check`` or
+set of CLI JSON paths differs, or when the moments of a measure are not
+bit-identical, and with 0 otherwise; the float deviations are reported,
+not judged.  Floats are compared on the keys and JSON paths that both
+trees have.
 """
 
 import argparse
@@ -201,9 +203,12 @@ def compare_problem(tally, a, b, where):
     tally.same("label and ranks", a["label"], b["label"], where)
     for key in ("theta", "theta_tilde"):
         tally.float(f"{key} (rel)", _rel(a[key], b[key]), where)
+    tally.same("self_check keys", sorted(a["self_check"]),
+               sorted(b["self_check"]), where)
     for key, x in a["self_check"].items():
-        tally.float(f"self_check {key} (abs)",
-                    abs(x - b["self_check"][key]), where)
+        if key in b["self_check"]:
+            tally.float(f"self_check {key} (abs)",
+                        abs(x - b["self_check"][key]), where)
     Sa, Sb = a["S"], b["S"]
     singular = np.isnan(Sa).any(axis=(-2, -1))
     tally.same("singular points", singular.tolist(),
@@ -235,10 +240,16 @@ def _json_leaves(doc, path=""):
 def compare_cli(tally, a, b, where):
     tally.same("cli exit code", a["code"], b["code"], where)
     tally.same("cli stderr", a["stderr"], b["stderr"], where)
-    la, lb = list(_json_leaves(a["doc"])), list(_json_leaves(b["doc"]))
-    tally.same("cli JSON paths", [p for p, _ in la], [p for p, _ in lb],
-               where)
-    for (path, x), (_, y) in zip(la, lb):
+    la, lb = dict(_json_leaves(a["doc"])), dict(_json_leaves(b["doc"]))
+    if la.keys() == lb.keys():
+        tally.same("cli JSON path order", list(la), list(lb), where)
+    else:
+        tally.same("cli JSON paths", sorted(la.keys() - lb.keys()),
+                   sorted(lb.keys() - la.keys()), where)
+    for path, x in la.items():
+        if path not in lb:
+            continue
+        y = lb[path]
         if isinstance(x, float) and isinstance(y, float):
             tally.float("cli float (/max(|x|,|y|,1))",
                         abs(x - y) / max(abs(x), abs(y), 1.0),
