@@ -11,8 +11,6 @@ from .matcore import (
     Subspace,
     ToleranceConfig,
     dubovoj_subspace,
-    is_psd,
-    mrank,
     one_two_inverse,
     projector,
 )

@@ -1,10 +1,11 @@
 """Dense complex matrix utilities.
 
-The Hermitian gate and PSD test, the one rank and singularity rule and
-the right division it guards, the one factorization of a Hermitian
-matrix that decides its rank, PSD verdict, null space and Moore-Penrose
-inverse, reflexive inverses with prescribed range, orthonormal subspaces
-with projectors, and the Hankel solver's block-diagonal range subspaces.
+The Hermitian gate, the one PSD rule, the one rank and singularity
+rule and the right division it guards, the one factorization of a
+Hermitian matrix that decides its rank, PSD verdict, null space and
+Moore-Penrose inverse, reflexive inverses with prescribed range,
+orthonormal subspaces with projectors, and the Hankel solver's
+block-diagonal range subspaces.
 The checks the tests hold these to (range inclusion, the invariant
 complement test, an SVD null space and pseudo-inverse) live in
 ``tests/identities.py``.
@@ -80,22 +81,11 @@ def hermitize(A, tol=DEFAULT_TOL, what="matrix"):
     return 0.5 * (A + A.conj().T)
 
 
-def is_psd(A, tol=DEFAULT_TOL):
-    """True iff ``A`` is Hermitian and positive semidefinite within tol.
-
-    The test is ``|A - A*| <= tol_herm * (1 + |A|)`` together with
-    ``lambda_min((A + A*)/2) >= -tol_psd * (1 + |A|)``.
-    """
-    A = as_matrix(A)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("is_psd needs a square matrix")
-    if A.shape[0] == 0:
-        return True
-    scale = 1.0 + np.linalg.norm(A)
-    if np.linalg.norm(A - A.conj().T) > tol.tol_herm * scale:
-        return False
-    w = np.linalg.eigvalsh(0.5 * (A + A.conj().T))
-    return w.min() >= -tol.tol_psd * scale
+def _psd_margin(tol, ref):
+    """The one margin of every PSD verdict: a Hermitian matrix passes iff
+    its lambda_min >= -tol_psd (1 + ref), ``ref`` the scale that the
+    verdict names (elementwise for an array of scales)."""
+    return tol.tol_psd * (1.0 + ref)
 
 
 def _significant(s, tol, ref):
@@ -135,11 +125,6 @@ def _fro(a):
     return np.linalg.norm(a, axis=(-2, -1))
 
 
-def mrank(A, tol=DEFAULT_TOL):
-    """Numerical rank: number of singular values above tol_rank * sigma_max."""
-    return _rank(np.linalg.svd(as_matrix(A), compute_uv=False), tol)
-
-
 class HermitianFactor:
     """One ``eigh`` of the equilibrated D A D of a Hermitian matrix A, and
     every verdict on A read from it.
@@ -149,8 +134,9 @@ class HermitianFactor:
     scaled by the largest instead, so that a row of roundoff stays
     roundoff.  D A D has the inertia of A and null(A) = D null(D A D).
     ``rank`` is the ``_rank`` rule on the moduli of its eigenvalues;
-    ``psd`` is lambda_min(D A D) >= -tol_psd (1 + |A|) min(D)^2, which
-    implies the ``is_psd`` gate on A; ``null`` is an orthonormal basis
+    ``psd`` is lambda_min(D A D) >= -tol_psd (1 + |A|) min(D)^2, the
+    ``_psd_margin`` of A scaled to D A D, which implies lambda_min(A) >=
+    -tol_psd (1 + |A|); ``null`` is an orthonormal basis
     of null(A) and ``pinv`` the Moore-Penrose inverse of A.
     """
 
@@ -162,8 +148,8 @@ class HermitianFactor:
         order = np.argsort(-np.abs(w), kind="stable")
         w, B = w[order], D[:, None] * Q[:, order]
         self.rank = r = _rank(np.abs(w), tol)
-        self.psd = bool(w.min(initial=0.0) >= -tol.tol_psd * (
-            1.0 + np.linalg.norm(A)) / dmax)
+        self.psd = bool(w.min(initial=0.0) >= -_psd_margin(
+            tol, np.linalg.norm(A)) / dmax)
         self.null, R = B[:, r:], B[:, :r]
         if r < len(d):
             # R diag(1/w_r) R* inverts A on its range; with R projected

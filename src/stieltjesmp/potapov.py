@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import _fro
+from .matcore import _fro, _psd_margin
 from .momentseq import shift_stack, stack_y
 from .resolvent import MatrixPolynomial
 
@@ -146,7 +146,7 @@ def _potapov_test(data, n, g, diag, z, tol):
     is w_min.
     """
     X, w, hnorm = _projected_column(data, n, g, z)
-    tau = tol.tol_psd * (1.0 + _block_norm(hnorm, X, diag))
+    tau = _psd_margin(tol, _block_norm(hnorm, X, diag))
     shifted = w + tau[:, None]
     definite = shifted[:, 0] > 0.0
     X *= (1.0 / np.sqrt(np.where(definite[:, None], shifted, 1.0)))[
@@ -161,8 +161,8 @@ def potapov_report(seq, n, fz, grid):
     (G, q, q) stack ``fz``.
 
     A point passes for k when lambda_min of the Hermitian part of P_k is
-    at least -tau, tau = tol_psd (1 + ||P_k||_F) with the ``tol_psd`` of
-    ``seq.tol``.  For k in {2n, 2n+1} the test runs on the q x q Schur
+    at least -tau, tau = tol_psd (1 + ||P_k||_F) (``_psd_margin`` with
+    ``seq.tol``).  For k in {2n, 2n+1} the test runs on the q x q Schur
     complement of the Hankel corner H (H_n, or Hs_n for odd k), with c
     the coupling column and d the Hermitian part of the diagonal block:
     P + tau I >= 0 holds exactly when H + tau I > 0 and its Schur
@@ -198,7 +198,7 @@ def potapov_report(seq, n, fz, grid):
              for d, g in _as_p2n(data, n, fz, z)]
     endpoint = _im_quotient(_weighted(data, fz, z), z)
     lam = np.linalg.eigvalsh(endpoint).min(axis=-1)
-    tests.append((lam, lam < -tol.tol_psd * (1.0 + _fro(endpoint))))
+    tests.append((lam, lam < -_psd_margin(tol, _fro(endpoint))))
     smin = [lam.tolist() for lam, _ in tests]
     return PotapovReport(
         points=grid, smin_even=smin[0],

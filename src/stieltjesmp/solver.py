@@ -18,7 +18,9 @@ from .matcore import (
     DEFAULT_TOL,
     Subspace,
     ToleranceConfig,
+    _psd_margin,
     _rank,
+    hermitize,
     projector,
     right_divide,
     subspace_from_columns,
@@ -269,7 +271,8 @@ def verify_solution(seq, n, candidate, grid=None):
     values, which the fundamental-matrix report reads; s_0 is recovered
     from it at a single large imaginary point.  Every check reads the
     Hankel data of ``seq``, which a live result on it may hold already.
-    A measure needs 2n + 1 <= m (its checks read s_2n+1), a function 2n <= m.
+    A measure needs 2n + 1 <= m (its checks read s_2n+1), a function 2n <= m,
+    and a measure of another size than the sequence's q raises ``ValueError``.
     """
     data = seq.hankel()
     data.check_level(n, shifted=isinstance(candidate, AtomicMeasure))
@@ -279,6 +282,9 @@ def verify_solution(seq, n, candidate, grid=None):
     z = np.asarray(grid, dtype=complex)
     out = {"valid": True, "checks": {}}
     if isinstance(candidate, AtomicMeasure):
+        if candidate.q != seq.q:
+            raise ValueError(f"measure is {candidate.q} x {candidate.q}, "
+                             f"the moment data {seq.q} x {seq.q}")
         mom = moments_of(candidate, 2 * n + 1)
         match = True
         worst = 0.0
@@ -288,11 +294,10 @@ def verify_solution(seq, n, candidate, grid=None):
             worst = max(worst, resid)
             if resid > 100 * tol.tol_identity:
                 match = False
-        defect = seq.s(2 * n + 1) - mom.s(2 * n + 1)
-        defect = 0.5 * (defect + defect.conj().T)
-        lam = float(np.linalg.eigvalsh(defect).min()) if seq.q else 0.0
-        scale = 1.0 + np.linalg.norm(seq.s(2 * n + 1))
-        defect_ok = lam >= -tol.tol_psd * scale
+        defect = hermitize(seq.s(2 * n + 1) - mom.s(2 * n + 1), tol,
+                           "top moment defect")
+        lam = float(np.linalg.eigvalsh(defect).min())
+        defect_ok = lam >= -_psd_margin(tol, np.linalg.norm(seq.s(2 * n + 1)))
         out["checks"]["moment_match_residual"] = worst
         out["checks"]["moment_match"] = match
         out["checks"]["top_defect_lambda_min"] = lam

@@ -15,7 +15,8 @@ and the reweighted measure are test oracles in ``tests/identities.py``.
 
 import numpy as np
 
-from .matcore import DEFAULT_TOL, as_square, is_psd, mrank
+from .matcore import DEFAULT_TOL, _psd_margin, _rank, as_matrix, \
+    as_square, hermitize
 from .momentseq import MomentSequence
 
 _SLIT_GUARD = 1e-12
@@ -38,12 +39,14 @@ class AtomicMeasure:
         merged = {}
         for t, M in atoms:
             t = float(t)
-            M = as_square(M, q, f"atom weight at t = {t}")
+            what = f"atom weight at t = {t}"
+            M = as_square(M, q, what)
             if t < self.alpha - _SLIT_GUARD:
                 raise ValueError(f"atom position {t} below alpha = {alpha}")
-            if not is_psd(M, tol):
-                raise ValueError(f"atom weight at t = {t} is not PSD")
-            M = 0.5 * (M + M.conj().T)
+            M = hermitize(M, tol, what)
+            if np.linalg.eigvalsh(M).min() < -_psd_margin(
+                    tol, np.linalg.norm(M)):
+                raise ValueError(f"{what} is not PSD")
             if t in merged:
                 merged[t] = merged[t] + M
             else:
@@ -108,12 +111,13 @@ class StieltjesFunction:
     def __init__(self, gamma, measure):
         self.measure = measure
         self.q = measure.q
-        self.gamma = None
         if gamma is not None:
-            gamma = as_square(gamma, self.q, "gamma")
-            if not is_psd(gamma, measure.tol):
+            gamma = hermitize(as_square(gamma, self.q, "gamma"),
+                              measure.tol, "gamma")
+            if np.linalg.eigvalsh(gamma).min() < -_psd_margin(
+                    measure.tol, np.linalg.norm(gamma)):
                 raise ValueError("gamma must be PSD")
-            self.gamma = 0.5 * (gamma + gamma.conj().T)
+        self.gamma = gamma
 
     def __call__(self, z):
         """The value at a point (q x q) or at a 1-D array of points
@@ -148,7 +152,8 @@ class StieltjesPair:
         q = self.q = self.B.shape[1]
         if self.B.shape != (2 * q, q):
             raise ValueError(f"B must be 2q x q, got {self.B.shape}")
-        if mrank(self.B, tol) != q:
+        if _rank(np.linalg.svd(as_matrix(self.B), compute_uv=False),
+                 tol) != q:
             raise ValueError("pair must have full column rank")
         k = 0 if f is None else f.q
         self.E = np.zeros((2 * q, 0), dtype=complex) if E is None \

@@ -9,7 +9,7 @@ package computes it, and the tests hold the library to it.  Nothing in
 import numpy as np
 
 from stieltjesmp.matcore import DEFAULT_TOL, Subspace, _fro, _rank, \
-    as_matrix, is_psd, mrank, projector, right_divide
+    as_matrix, projector, right_divide
 from stieltjesmp.momentseq import MomentSequence, block_hankel, \
     canonical_extension, shift_right, stack_y
 from stieltjesmp.potapov import _adjoint, _block_norm, _check_offreal, \
@@ -26,6 +26,29 @@ def is_hermitian(A, tol=DEFAULT_TOL):
         return False
     scale = 1.0 + np.linalg.norm(A)
     return np.linalg.norm(A - A.conj().T) <= tol.tol_herm * scale
+
+
+def is_psd(A, tol=DEFAULT_TOL):
+    """True iff ``A`` is Hermitian and positive semidefinite within tol.
+
+    The test is ``|A - A*| <= tol_herm * (1 + |A|)`` together with
+    ``lambda_min((A + A*)/2) >= -tol_psd * (1 + |A|)``.
+    """
+    A = as_matrix(A)
+    if A.shape[0] != A.shape[1]:
+        raise ValueError("is_psd needs a square matrix")
+    if A.shape[0] == 0:
+        return True
+    scale = 1.0 + np.linalg.norm(A)
+    if np.linalg.norm(A - A.conj().T) > tol.tol_herm * scale:
+        return False
+    w = np.linalg.eigvalsh(0.5 * (A + A.conj().T))
+    return w.min() >= -tol.tol_psd * scale
+
+
+def mrank(A, tol=DEFAULT_TOL):
+    """Numerical rank: number of singular values above tol_rank * sigma_max."""
+    return _rank(np.linalg.svd(as_matrix(A), compute_uv=False), tol)
 
 
 def pseudo_inverse(A, tol=DEFAULT_TOL):

@@ -13,7 +13,6 @@ from stieltjesmp.cli import main as cli_main
 from stieltjesmp.matcore import (
     DEFAULT_TOL,
     dubovoj_subspace,
-    mrank,
     one_two_inverse,
     projector,
 )
@@ -41,8 +40,8 @@ from stieltjesmp.stieltjespairs import (
 from conftest import atomic_fixture, kge_fixtures, ljapunov_data, \
     random_hermitian_sequence, scalar_seq
 from identities import atomic_decomposition_residual, congruence_check, \
-    is_dubovoj, j_defect, potapov_matrix, pseudo_inverse, shift_matrix, \
-    signature_matrix, theta_inverse, ub_residual
+    is_dubovoj, j_defect, mrank, potapov_matrix, pseudo_inverse, \
+    shift_matrix, signature_matrix, theta_inverse, ub_residual
 
 import json
 

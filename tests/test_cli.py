@@ -254,6 +254,18 @@ def test_cmd_verify(tmp_path, capsys):
     assert code == 2 and not doc["valid"]
 
 
+def test_cmd_verify_refuses_a_measure_of_another_size(tmp_path, capsys):
+    moments = write_json(tmp_path / "m2.json", {
+        "alpha": 0.0, "q": 2,
+        "moments": [matrix_to_json(np.eye(2))] * 2})
+    mu = measure_file(tmp_path, [(1.0, 1.0)])
+    assert main(["verify", moments, mu, "--n", "0"]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == \
+        "error: measure is 1 x 1, the moment data 2 x 2\n"
+
+
 def test_cmd_verify_refuses_a_level_the_moments_lack(tmp_path, capsys):
     # A measure is checked against s_0..s_2n+1: three moments reach
     # level 0 only, and level 1 is a usage error, not a crash.

@@ -11,8 +11,6 @@ from stieltjesmp.matcore import (
     ToleranceConfig,
     dubovoj_subspace,
     hermitize,
-    is_psd,
-    mrank,
     one_two_inverse,
     projector,
     right_divide,
@@ -22,8 +20,8 @@ from stieltjesmp.momentseq import HankelData, dubovoj_candidates
 from stieltjesmp.stieltjespairs import AtomicMeasure, moments_of
 
 from conftest import random_psd
-from identities import is_dubovoj, is_hermitian, null_space, \
-    pseudo_inverse, range_included, shift_matrix
+from identities import is_dubovoj, is_hermitian, is_psd, mrank, \
+    null_space, pseudo_inverse, range_included, shift_matrix
 
 
 def test_tolerance_config_rejects_nonpositive():

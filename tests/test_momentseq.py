@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stieltjesmp import MomentSequence, class_membership
-from stieltjesmp.matcore import is_psd, mrank
 from stieltjesmp.momentseq import (
     HankelData,
     block_hankel,
@@ -27,8 +26,8 @@ from stieltjesmp.solver import classify
 from conftest import atomic_fixture, hankel_factor_counts, kge_fixtures, \
     ljapunov_data, random_hermitian_sequence, scalar_seq
 from identities import extended, first_column_embedding, is_dubovoj, \
-    last_column_embedding, range_included, resolvent_poly, shift_matrix, \
-    shift_resolvent
+    is_psd, last_column_embedding, mrank, range_included, resolvent_poly, \
+    shift_matrix, shift_resolvent
 
 
 def test_moment_sequence_validation():

@@ -126,6 +126,26 @@ def test_no_determinant_decides_anything():
                 if re.search(r"linalg\.det\b", path.read_text())]
 
 
+def test_one_rule_decides_every_psd_verdict():
+    # Every PSD verdict compares lambda_min with ``matcore._psd_margin``,
+    # tol_psd (1 + ref) for the scale ref it names, so no other function
+    # reads tol_psd; the CLI's ``_tol`` only passes --tol-psd on.
+    readers = set()
+    for path in Path(solver.__file__).parent.glob("*.py"):
+        readers |= {(path.name, fn.name)
+                    for fn in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(fn, ast.FunctionDef)
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Attribute)
+                    and node.attr == "tol_psd"}
+    assert readers == {("matcore.py", "_psd_margin"), ("cli.py", "_tol")}
+    modules = [stieltjesmp] + [
+        importlib.import_module(f"stieltjesmp.{info.name}")
+        for info in pkgutil.iter_modules(stieltjesmp.__path__)]
+    for mod in modules:
+        assert not {"is_psd", "mrank"} & set(vars(mod)), mod.__name__
+
+
 def test_only_the_sequence_builds_its_hankel_data():
     # A sequence has one HankelData, built by ``MomentSequence.hankel``;
     # every other reader asks the sequence for it, so no function takes
@@ -154,15 +174,15 @@ PUBLIC = {
     "HankelData", "MatrixPolynomial", "MomentSequence", "ResolventMatrix",
     "SolutionFunction", "StieltjesFunction", "StieltjesPair", "Subspace",
     "ToleranceConfig", "build_resolvent", "canonical_extension",
-    "class_membership", "classify", "dubovoj_subspace", "is_psd", "jsonio",
+    "class_membership", "classify", "dubovoj_subspace", "jsonio",
     "lft_solution", "lift_pair", "matcore", "moments_of", "momentseq",
-    "mrank", "one_two_inverse", "pair_in_restricted_class", "potapov",
+    "one_two_inverse", "pair_in_restricted_class", "potapov",
     "potapov_report", "projector", "recover_s0", "resolvent",
     "shift_right", "solver", "standard_grid",
     "stieltjespairs", "transform", "unique_solution", "verify_solution"}
 
 def test_the_package_exports_only_its_production_path():
-    assert len(stieltjesmp.__all__) == len(PUBLIC) == 40
+    assert len(stieltjesmp.__all__) == len(PUBLIC) == 38
     assert set(stieltjesmp.__all__) == PUBLIC
 
 

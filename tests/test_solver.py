@@ -164,6 +164,19 @@ def test_verify_solution_measures():
     assert not out["valid"]
 
 
+def test_verify_solution_refuses_a_measure_of_another_size():
+    # The sizes are compared before any moment arithmetic, which would
+    # broadcast a 1 x 1 measure against 2 x 2 moments.
+    one = MomentSequence(0.0, 1, [[[1.0]]] * 2)
+    two = MomentSequence(0.0, 2, [np.eye(2)] * 2)
+    mu2 = AtomicMeasure(0.0, 2, [(1.0, np.eye(2))])
+    for seq, mu, k in ((two, delta(1.0), 1), (one, mu2, 2)):
+        with pytest.raises(ValueError) as err:
+            verify_solution(seq, 0, mu)
+        assert str(err.value) == (f"measure is {k} x {k}, the moment data "
+                                  f"{seq.q} x {seq.q}")
+
+
 def test_verify_solution_function():
     seq = scalar_seq([1, 1])
     S = unique_solution(scalar_seq([1, 0]), 0)  # wrong data for seq

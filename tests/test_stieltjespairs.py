@@ -27,6 +27,15 @@ def test_atomic_measure_validation():
         AtomicMeasure(0.0, 1, [(1.0, [[-1.0]])])
     with pytest.raises(ValueError, match="atom weight at t = 1.0"):
         AtomicMeasure(0.0, 2, [(1.0, [[1.0, 0.0, 0.0, 1.0]])])
+    # A weight is Hermitian within tol_herm, then PSD within tol_psd.
+    skew = [[1.0, 1.0], [0.0, 1.0]]
+    with pytest.raises(ValueError, match=r"^atom weight at t = 1\.0 is not "
+                                         r"Hermitian within tolerance$"):
+        AtomicMeasure(0.0, 2, [(1.0, skew)])
+    with pytest.raises(ValueError,
+                       match=r"^atom weight at t = 2\.0 is not PSD$"):
+        AtomicMeasure(0.0, 2, [(1.0, np.eye(2)), (2.0, [[1.0, 2.0],
+                                                        [2.0, 1.0]])])
     mu = AtomicMeasure(0.0, 1, [(2.0, [[1.0]]), (1.0, [[0.5]]),
                                 (2.0, [[0.25]])])
     assert [t for t, _ in mu.atoms] == [1.0, 2.0]
@@ -122,6 +131,12 @@ def test_stieltjes_function():
         StieltjesFunction([[-1.0]], delta(1.0))
     with pytest.raises(ValueError, match="gamma must be 2 x 2"):
         StieltjesFunction([[1.0, 0.0, 0.0, 1.0]], AtomicMeasure(0.0, 2, []))
+    mu2 = AtomicMeasure(0.0, 2, [(1.0, np.eye(2))])
+    with pytest.raises(ValueError,
+                       match="^gamma is not Hermitian within tolerance$"):
+        StieltjesFunction([[1.0, 1j], [0.0, 1.0]], mu2)
+    with pytest.raises(ValueError, match="^gamma must be PSD$"):
+        StieltjesFunction([[1.0, 2.0], [2.0, 1.0]], mu2)
 
 
 def test_pair_eval_examples():
