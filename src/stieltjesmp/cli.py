@@ -186,10 +186,9 @@ def cmd_solve(args):
                              [z for z, _, _ in rows])
         return list(zip(rep.smin_even, rep.smin_odd))
 
+    # The Potapov report is defined off R only; a real point keeps its S.
     for (_, entry, _), lam in zip(solved, _at_points(sigma_mins, solved)):
-        if isinstance(lam, ValueError):
-            entry["singular"] = str(lam)
-        else:
+        if not isinstance(lam, ValueError):
             entry["sigma_min_even"], entry["sigma_min_odd"] = lam
     _emit({"case": report.case, "values": entries}, args)
     return EXIT_OK

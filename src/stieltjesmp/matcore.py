@@ -1,11 +1,11 @@
 """Dense complex matrix utilities.
 
 The Hermitian gate, the one PSD rule, the one rank and singularity
-rule and the right division it guards, the one factorization of a
-Hermitian matrix that decides its rank, PSD verdict, null space and
-Moore-Penrose inverse, reflexive inverses with prescribed range,
-orthonormal subspaces with projectors, and the Hankel solver's
-block-diagonal range subspaces.
+rule and the right division of a column [num; den] it guards, the one
+factorization of a Hermitian matrix that decides its rank, PSD verdict,
+null space and Moore-Penrose inverse, reflexive inverses with
+prescribed range, orthonormal subspaces with projectors, and the Hankel
+solver's block-diagonal range subspaces.
 The checks the tests hold these to (range inclusion, the invariant
 complement test, an SVD null space and pseudo-inverse) live in
 ``tests/identities.py``.
@@ -102,20 +102,21 @@ def _rank(s, tol, ref=None):
     return int(np.count_nonzero(_significant(s, tol, ref)))
 
 
-def right_divide(num, den, tol=DEFAULT_TOL):
-    """num den^-1 of square matrices or stacks, and where den is invertible
-    by the ``_significant`` rule: sigma_min(den) > tol_rank |[num; den]|_F,
-    with sigma_min read as 1 / |den^-1|_F (at most sqrt(size) below it).
-    An exactly singular den, which ``inv`` refuses, has a NaN quotient."""
+def right_divide(N, tol=DEFAULT_TOL):
+    """num den^-1 of the halves of a 2q x q column N = [num; den] or of a
+    stack of them, and where den is invertible by the ``_significant``
+    rule: sigma_min(den) > tol_rank |N|_F, with sigma_min read as
+    1 / |den^-1|_F (at most sqrt(q) below it).  An exactly singular den,
+    which ``inv`` refuses, has a NaN quotient."""
+    q = N.shape[-1]
+    num, den = N[..., :q, :], N[..., q:, :]
     try:
         inv = np.linalg.inv(den)
     except np.linalg.LinAlgError:       # one singular den fails a stack
-        if den.ndim == 2:
+        if N.ndim == 2:
             return np.full_like(num, np.nan), np.False_
-        out = [right_divide(a, b, tol) for a, b in zip(num, den)]
-        return tuple(np.array(x) for x in zip(*out))
-    fro = [_fro(a) for a in (num, den, inv)]
-    return num @ inv, _significant(1.0 / fro[2], tol, np.hypot(*fro[:2]))
+        return tuple(map(np.array, zip(*(right_divide(a, tol) for a in N))))
+    return num @ inv, _significant(1.0 / _fro(inv), tol, _fro(N))
 
 
 def _fro(a):

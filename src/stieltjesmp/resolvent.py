@@ -33,7 +33,8 @@ _J_PAIR = np.array([1.3 + 0.7j, -2.0 + 1j])
 class MatrixPolynomial:
     """A polynomial with matrix coefficients, ascending degree:
     ``coeffs`` is a C-contiguous (d + 1, r, c) array whose row j is the
-    coefficient of z^j, and ``shape`` is (r, c)."""
+    coefficient of z^j, and ``shape`` is (r, c).  The exponents 0..d and
+    the flat (d + 1, r c) view of the coefficients are kept for ``eval``."""
 
     def __init__(self, coeffs):
         coeffs = np.ascontiguousarray(coeffs, dtype=complex)
@@ -43,6 +44,8 @@ class MatrixPolynomial:
             raise ValueError("need at least one coefficient")
         self.coeffs = coeffs
         self.shape = coeffs.shape[1:]
+        self._exps = np.arange(len(coeffs))
+        self._flat = coeffs.reshape(len(coeffs), -1)
 
     def trimmed_degree(self):
         norms = np.linalg.norm(self.coeffs, axis=(1, 2))
@@ -54,8 +57,7 @@ class MatrixPolynomial:
         of points (a z.shape + (r, c) stack): one product of the powers
         z^j with the coefficients."""
         z = np.asarray(z, dtype=complex)
-        d = len(self.coeffs)
-        out = (z[..., None] ** np.arange(d)) @ self.coeffs.reshape(d, -1)
+        out = (z[..., None] ** self._exps) @ self._flat
         return out.reshape(z.shape + self.shape)
 
     def __call__(self, z):

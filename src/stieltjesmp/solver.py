@@ -18,6 +18,7 @@ from .matcore import (
     DEFAULT_TOL,
     Subspace,
     ToleranceConfig,
+    _fro,
     _psd_margin,
     _rank,
     hermitize,
@@ -155,9 +156,10 @@ class SolutionFunction:
     value is the linear fractional transformation
     (Theta11 phi + Theta12 psi)(Theta21 phi + Theta22 psi)^{-1}.
     With the pair's [phi; psi](z) = B + E f(z) [I_k, 0], construction
-    multiplies Theta out once into the polynomial P = Theta [E | B]; a
-    call is one evaluation, P(z), times [f(z), 0; I_q] for a pair with
-    f, and never evaluates Theta itself.
+    multiplies Theta out once into the polynomial P = Theta [E | B] =
+    [P_E | P_B]; a call evaluates P(z), adds P_E(z) f(z) into the first
+    k columns of P_B(z) for a pair with f, and divides the top q rows
+    of that column by its bottom q rows.  It never evaluates Theta.
     """
 
     def __init__(self, resolvent, pair):
@@ -166,22 +168,18 @@ class SolutionFunction:
         self.q = resolvent.q
         self._P = MatrixPolynomial(
             resolvent.theta.coeffs @ np.hstack([pair.E, pair.B]))
+        self._k, self._tol = pair.E.shape[1], resolvent.data.seq.tol
 
     def __call__(self, z):
-        """S(z) at a point (q x q) or at a 1-D array of G points
-        ((G, q, q)).  A denominator singular by the rule of
+        """S(z) at a point (q x q) or at an array of points (a
+        z.shape + (q, q) stack).  A denominator singular by the rule of
         ``right_divide`` raises ``ValueError`` naming the first such point."""
         z = np.asarray(z, dtype=complex)
-        q = self.q
-        N = self._P.eval(z)
+        P, k = self._P.eval(z), self._k
+        N = P[..., k:]                          # P_B(z), in place below
         if self.pair.f is not None:
-            k = self.pair.f.q
-            X = np.zeros(z.shape + (k + q, q), dtype=complex)
-            X[..., :k, :k] = self.pair.f(z)
-            X[..., k:, :] = np.eye(q)
-            N = N @ X
-        S, ok = right_divide(N[..., :q, :], N[..., q:, :],
-                             self.resolvent.data.seq.tol)
+            N[..., :k] += P[..., :k] @ self.pair.f(z)
+        S, ok = right_divide(N, self._tol)
         if not ok.all():
             first = complex(z.flat[np.argmin(ok)])
             raise ValueError(f"singular LFT denominator at z = {first}")
@@ -208,9 +206,9 @@ def pair_in_restricted_class(p, seq, n):
         C = np.hstack([p.B, EM.transpose(1, 0, 2).reshape(len(p.B), -1)])
         if p.f.gamma is not None:
             C[:, :p.f.q] += p.E @ p.f.gamma
-    bound = 10 * seq.tol.tol_identity * np.linalg.norm(C)
-    return bool(np.linalg.norm(U.basis.conj().T @ C[:p.q]) <= bound
-                and np.linalg.norm(V.basis.conj().T @ C[p.q:]) <= bound)
+    bound = 10 * seq.tol.tol_identity * _fro(C)
+    return bool(_fro(U.basis.conj().T @ C[:p.q]) <= bound
+                and _fro(V.basis.conj().T @ C[p.q:]) <= bound)
 
 
 def lft_solution(R, p, seq=None, n=None):

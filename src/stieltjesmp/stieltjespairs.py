@@ -87,9 +87,9 @@ def transform(mu, z):
     """
     z = np.asarray(z, dtype=complex)
     d = mu.positions - z[..., None]          # t - z, per point and atom
-    near = np.abs(d) <= _SLIT_GUARD
-    if near.any():
-        point, atom = divmod(near.argmax(), len(mu.positions))
+    dist = np.abs(d)
+    if dist.min(initial=np.inf) <= _SLIT_GUARD:   # inf: no atom, no point
+        point, atom = divmod(np.argmax(dist <= _SLIT_GUARD), d.shape[-1])
         raise _on_atom(complex(z.flat[point]), mu.atoms[atom][0])
     q = mu.q
     return (np.reciprocal(d) @ mu.weights.reshape(-1, q * q)).reshape(

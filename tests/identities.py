@@ -9,7 +9,7 @@ package computes it, and the tests hold the library to it.  Nothing in
 import numpy as np
 
 from stieltjesmp.matcore import DEFAULT_TOL, Subspace, _fro, _rank, \
-    as_matrix, projector, right_divide
+    _significant, as_matrix, projector, right_divide
 from stieltjesmp.momentseq import MomentSequence, block_hankel, \
     canonical_extension, shift_right, stack_y
 from stieltjesmp.potapov import _adjoint, _block_norm, _check_offreal, \
@@ -49,6 +49,24 @@ def is_psd(A, tol=DEFAULT_TOL):
 def mrank(A, tol=DEFAULT_TOL):
     """Numerical rank: number of singular values above tol_rank * sigma_max."""
     return _rank(np.linalg.svd(as_matrix(A), compute_uv=False), tol)
+
+
+def right_divide_three_norms(num, den, tol=DEFAULT_TOL):
+    """The earlier form of ``matcore.right_divide``, kept as its
+    reference: num den^-1 of square matrices or stacks, and where
+    sigma_min(den) > tol_rank |[num; den]|_F, the norm read as the
+    ``hypot`` of the norms of num and den and sigma_min as
+    1 / |den^-1|_F.  An exactly singular den has a NaN quotient."""
+    try:
+        inv = np.linalg.inv(den)
+    except np.linalg.LinAlgError:       # one singular den fails a stack
+        if den.ndim == 2:
+            return np.full_like(num, np.nan), np.False_
+        out = [right_divide_three_norms(a, b, tol)
+               for a, b in zip(num, den)]
+        return tuple(np.array(x) for x in zip(*out))
+    fro = [_fro(a) for a in (num, den, inv)]
+    return num @ inv, _significant(1.0 / fro[2], tol, np.hypot(*fro[:2]))
 
 
 def pseudo_inverse(A, tol=DEFAULT_TOL):
@@ -732,7 +750,8 @@ def pairs_equivalent(p1, p2, grid=None):
     vals, usable = [], True
     for p in (p1, p2):
         phi, psi = pair_eval(p, np.asarray(grid, dtype=complex))
-        val, ok = right_divide(psi + 1j * phi, psi - 1j * phi, p1.tol)
+        val, ok = right_divide(
+            np.concatenate([psi + 1j * phi, psi - 1j * phi], -2), p1.tol)
         vals.append(val)
         usable = usable & ok
     if not np.any(usable):

@@ -184,8 +184,30 @@ def test_cmd_solve_reports_each_point(tmp_path, capsys):
     assert np.allclose(other["S"], [[[0.0, 0.5]]])
     assert set(singular) == {"z", "singular"}
     assert "singular LFT denominator" in singular["singular"]
-    assert set(real) == {"z", "S", "singular"}
-    assert "off R" in real["singular"]
+    assert set(real) == {"z", "S"}
+    assert np.allclose(real["S"], [[[-1.0 / 3.0, 0.0]]])
+
+
+def test_cmd_solve_at_a_real_point_gives_s_and_no_singular_key(tmp_path,
+                                                                capsys):
+    # z = -1 lies left of alpha = 0, where S is finite: the entry holds S
+    # and, as the Potapov report is defined off R only, no sigma_min_*
+    # keys and no "singular" key, which readers take for a rejected point.
+    pair = write_json(tmp_path / "p.json", {
+        "kind": "constant", "phi": [[[0.0, 0.0]]], "psi": [[[1.0, 0.0]]]})
+    for argv, case in (
+            (["solve", moment_file(tmp_path, [1, 0]), "--n", "0"],
+             "CompletelyDegenerate"),
+            (["solve", moment_file(tmp_path, [2, 3, 5, 9], name="m2.json"),
+              pair, "--n", "1"],
+             "NonDegenerate")):
+        code, doc = run(capsys, argv + ["--points=-1.0,1j"])
+        assert code == 0 and doc["case"] == case
+        real, off = doc["values"]
+        assert set(real) == {"z", "S"} and np.isfinite(real["S"]).all()
+        assert set(off) == {"z", "S", "sigma_min_even", "sigma_min_odd"}
+        if case == "CompletelyDegenerate":    # S(z) = -1/z
+            assert np.allclose(real["S"], [[[1.0, 0.0]]])
 
 
 def test_cmd_solve_evaluates_once_over_the_points(tmp_path, capsys,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stieltjesmp.matcore import (
+    DEFAULT_TOL,
     HermitianFactor,
     Subspace,
     ToleranceConfig,
@@ -21,7 +22,8 @@ from stieltjesmp.stieltjespairs import AtomicMeasure, moments_of
 
 from conftest import random_psd
 from identities import is_dubovoj, is_hermitian, is_psd, mrank, \
-    null_space, pseudo_inverse, range_included, shift_matrix
+    null_space, pseudo_inverse, range_included, right_divide_three_norms, \
+    shift_matrix
 
 
 def test_tolerance_config_rejects_nonpositive():
@@ -101,20 +103,75 @@ def test_one_two_inverse_rejects_bad_subspace():
         inverse_on(np.diag([1.0, 0.0]), V)
 
 
+def _stacked(num, den):
+    return np.concatenate([num, den], -2)
+
+
 def test_right_divide_decides_singularity_relative_to_num_and_den():
     # det I_32 = 1 and det (1e-6 I_32) = 1e-192: neither is singular.
     for c in (1.0, 1e-6):
-        S, ok = right_divide(np.eye(32), c * np.eye(32))
+        S, ok = right_divide(_stacked(np.eye(32), c * np.eye(32)))
         assert ok and np.allclose(S, np.eye(32) / c)
     # den = 1e-12 I is singular beside num = I, not beside num = 1e-12 I
-    assert not right_divide(np.eye(2), 1e-12 * np.eye(2))[1]
-    assert right_divide(1e-12 * np.eye(2), 1e-12 * np.eye(2))[1]
+    assert not right_divide(_stacked(np.eye(2), 1e-12 * np.eye(2)))[1]
+    assert right_divide(_stacked(1e-12 * np.eye(2), 1e-12 * np.eye(2)))[1]
     # an exactly singular member of a stack fails only itself
     num = np.stack([np.eye(2)] * 3)
     dens = [np.eye(2), np.zeros((2, 2)), np.diag([1.0, 1e-12])]
-    S, ok = right_divide(num, np.stack(dens))
+    S, ok = right_divide(_stacked(num, np.stack(dens)))
     assert ok.tolist() == [True, False, False]
     assert np.isnan(S[1]).all() and np.allclose(S[0], np.eye(2))
+
+
+def test_right_divide_matches_the_three_norm_reference():
+    # The stacked column's |N|_F is the hypot of |num|_F and |den|_F up
+    # to rounding, so the verdict is the reference's and the quotient is
+    # the same product with the same inverse, bit for bit: on the cases
+    # above, random stacks, stacks scaled from 1e-150 to 1e150, stacks
+    # whose den sits a factor 0.3 to 3 from the singularity threshold,
+    # and stacks holding an exactly singular den.
+    rng = np.random.default_rng(31)
+
+    def cases():
+        for c in (1.0, 1e-6):
+            yield np.eye(32), c * np.eye(32)
+        yield np.eye(2), 1e-12 * np.eye(2)
+        yield 1e-12 * np.eye(2), 1e-12 * np.eye(2)
+        yield np.stack([np.eye(2)] * 3), np.stack(
+            [np.eye(2), np.zeros((2, 2)), np.diag([1.0, 1e-12])])
+        for q in (1, 2, 3, 8):
+            for shape in ((), (5,), (2, 3)):
+                num, den = (rng.normal(size=(2,) + shape + (q, q))
+                            + 1j * rng.normal(size=(2,) + shape + (q, q)))
+                yield num, den
+                for scale in 10.0 ** np.arange(-150, 151, 50):
+                    yield scale * num, scale * den
+                # den = Q diag(s) with sigma_min a factor c from the
+                # threshold tol_rank |[num; den]|_F (1 + eps)
+                Q = np.linalg.qr(den)[0]
+                for c in (0.3, 0.9, 1.1, 3.0):
+                    s = np.ones(q)
+                    s[-1] = 0.0
+                    ref = np.linalg.norm(np.concatenate(
+                        [num, Q * s[..., None, :]], -2), axis=(-2, -1))
+                    s = s + (c * DEFAULT_TOL.tol_rank
+                             * ref[..., None] * (np.arange(q) == q - 1))
+                    yield num, Q * s[..., None, :]
+                if shape:
+                    sing = den.copy()
+                    sing.reshape((-1, q, q))[-1, :, 0] = 0.0
+                    yield num, sing
+
+    verdicts = set()
+    for num, den in cases():
+        S, ok = right_divide(_stacked(num, den))
+        S_ref, ok_ref = right_divide_three_norms(num, den)
+        assert np.shape(ok) == np.shape(ok_ref) == num.shape[:-2]
+        assert np.array_equal(ok, ok_ref)
+        assert S.shape == S_ref.shape == num.shape
+        assert S.dtype == S_ref.dtype and S.tobytes() == S_ref.tobytes()
+        verdicts.update(np.ravel(ok).tolist())
+    assert verdicts == {True, False}
 
 
 def test_dubovoj_subspace_examples():

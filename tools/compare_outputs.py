@@ -22,7 +22,10 @@ changed, through the calls that ``perfbench/workloads.py`` times:
   ``cli.main`` in the process.
 
 It prints the largest deviation of each quantity over all problems,
-where it occurs, and the distribution of the deviation of S.  It exits
+where it occurs, and the distribution of the deviation of S.  S is also
+reported per kind of pair (constant, function, or the unique solution
+of completely degenerate data; lifted pairs count by their inner pair),
+with how many solutions of each kind are bit-identical.  It exits
 with status 1 when a label, rank, class verdict, ``valid``, boolean
 check, error message, singular point, CLI exit code, CLI message,
 non-float CLI JSON value, key set of the resolvent's ``self_check`` or
@@ -65,6 +68,15 @@ def _verify(solver, p, candidate):
     return {"valid": out["valid"], "checks": out["checks"], "sigma": sigma}
 
 
+def _kind(rep, S):
+    """The kind of pair a solution is built on: the unique solution of
+    completely degenerate data, or a constant or function pair (lifted
+    or not)."""
+    if rep.case == "CompletelyDegenerate":
+        return "unique solution"
+    return "constant pair" if S.pair.f is None else "function pair"
+
+
 def _problem(modules, workload, p):
     fixtures, momentseq, resolvent, solver, stieltjespairs, workloads = \
         modules
@@ -77,6 +89,7 @@ def _problem(modules, workload, p):
     R = resolvent.build_resolvent(p.seq, p.n)
     sols = workloads._InProcess().solutions(p, rep, R, npairs)
     return {
+        "kinds": [_kind(rep, S) for S in sols],
         "class": (cm.in_Hgeq, cm.in_Hgeq_e, cm.in_Kgeq, cm.in_Kgeq_e),
         "label": (rep.case, rep.m, rep.ell, rep.r),
         "theta": R.theta.coeffs,
@@ -144,6 +157,7 @@ class Tally:
         self.worst = {}
         self.samples = {}
         self.diffs = []
+        self.counts = {}
 
     def float(self, name, dev, where):
         dev = float(dev)
@@ -154,6 +168,10 @@ class Tally:
     def same(self, name, a, b, where):
         if a != b:
             self.diffs.append(f"{where}: {name} {a!r} -> {b!r}")
+
+    def count(self, name, yes):
+        """Count the yes and no answers to the question ``name``."""
+        self.counts.setdefault(name, [0, 0])[not yes] += 1
 
     def identical(self, name, a, b, where):
         """A difference unless the arrays a and b are bit-identical."""
@@ -217,6 +235,12 @@ def compare_problem(tally, a, b, where):
     dev = (np.linalg.norm(Sa[ok] - Sb[ok], axis=(-2, -1))
            / np.linalg.norm(Sa[ok], axis=(-2, -1)))
     tally.float("S (rel, per point)", dev.max(initial=0.0), where)
+    for kind, sa, sb, good in zip(a["kinds"], Sa, Sb, ok):
+        tally.float(f"S {kind} (rel, per point)", np.max(
+            np.linalg.norm(sa[good] - sb[good], axis=(-2, -1))
+            / np.linalg.norm(sa[good], axis=(-2, -1)), initial=0.0), where)
+        tally.count(f"S {kind} bit-identical",
+                    sa[good].tobytes() == sb[good].tobytes())
     Ta, Tb = a["transform"], b["transform"]
     tally.float("transform (rel, per point)", np.max(
         np.linalg.norm(Ta - Tb, axis=(-2, -1))
@@ -269,6 +293,8 @@ def report(tally):
               f"99th percentile {np.quantile(dev, 0.99):.1e}; "
               + ", ".join(f"{int((dev > c).sum())} above {c:.0e}"
                           for c in (1e-14, 1e-12, 1e-10, 1e-8)))
+    for name, (same, differ) in sorted(tally.counts.items()):
+        print(f"{name}: {same} solutions yes, {differ} no")
     print(f"discrete differences: {len(tally.diffs)}")
     for line in tally.diffs[:40]:
         print("  " + line)
