@@ -25,7 +25,7 @@ from .jsonio import (  # noqa: F401
 )
 from .matcore import ToleranceConfig
 from .momentseq import MomentSequence, class_membership
-from .potapov import potapov_report
+from .potapov import _IM_GUARD, potapov_report
 from .resolvent import build_resolvent, standard_grid, theta_coeffs_json
 from .solver import (
     classify,
@@ -177,8 +177,11 @@ def cmd_solve(args):
     for z, entry, val in zip(points, entries, _at_points(S, points)):
         if isinstance(val, ValueError):
             entry["singular"] = str(val)
-        else:
-            entry["S"] = jsonio.matrix_to_json(val)
+            continue
+        entry["S"] = jsonio.matrix_to_json(val)
+        # The Potapov report is defined off R only; a real point keeps
+        # its S and is left out of the one report on the others.
+        if abs(z.imag) >= _IM_GUARD:
             solved.append((z, entry, val))
 
     def sigma_mins(rows):
@@ -186,7 +189,6 @@ def cmd_solve(args):
                              [z for z, _, _ in rows])
         return list(zip(rep.smin_even, rep.smin_odd))
 
-    # The Potapov report is defined off R only; a real point keeps its S.
     for (_, entry, _), lam in zip(solved, _at_points(sigma_mins, solved)):
         if not isinstance(lam, ValueError):
             entry["sigma_min_even"], entry["sigma_min_odd"] = lam

@@ -1,9 +1,10 @@
 """Moment sequences on a half line and their block Hankel machinery.
 
 A :class:`MomentSequence` stores Hermitian q x q moment matrices
-s_0, ..., s_m together with the left endpoint alpha of the half line
-[alpha, oo).  The module assembles block Hankel matrices, the
-right-alpha-shifted sequence, the associated stacked vectors, the one
+s_0, ..., s_m as one (m + 1, q, q) array, together with the left
+endpoint alpha of the half line [alpha, oo).  The module reads block
+Hankel matrices, the right-alpha-shifted sequence and the associated
+stacked vectors as indices of that array, and assembles the one
 stack T^j x of powers of the block shift T applied to a block column
 (``shift_stack``, from which every product with T, R_T(z) or R_{T*}(z)
 is read), and membership tests for the four solvability classes
@@ -44,8 +45,10 @@ class MomentSequence:
         Matrix size.
     moments : sequence of (q, q) arrays
         The moments s_0, ..., s_m; each must be Hermitian within
-        ``tol.tol_herm`` and is symmetrized at load, into a tuple of
-        read-only arrays, so that no factor of them can go stale.
+        ``tol.tol_herm`` and is symmetrized at load.  They are stored as
+        one read-only (m + 1, q, q) array ``moments``, so that no factor
+        of them can go stale; ``moments[j]`` is s_j, and every block
+        stack and block Hankel matrix of the sequence is an index of it.
     """
 
     def __init__(self, alpha, q, moments, tol=DEFAULT_TOL):
@@ -56,9 +59,9 @@ class MomentSequence:
         self.alpha = float(alpha)
         self.q = int(q)
         self.tol = tol
-        self.moments = tuple(_read_only(hermitize(
-            as_square(s, q, f"moment s_{j}"), tol, what=f"moment s_{j}"))
-            for j, s in enumerate(moments))
+        self.moments = _read_only(np.array([hermitize(
+            as_square(s, q, f"moment s_{j}"), tol, what=f"moment s_{j}")
+            for j, s in enumerate(moments)]))
         self._hankel = None
 
     def hankel(self):
@@ -82,12 +85,6 @@ class MomentSequence:
         """Largest available moment index."""
         return len(self.moments) - 1
 
-    def s(self, j):
-        """Moment s_j, with the convention s_{-1} = 0."""
-        if j == -1:
-            return np.zeros((self.q, self.q), dtype=complex)
-        return self.moments[j]
-
     def __repr__(self):
         return (f"MomentSequence(alpha={self.alpha}, q={self.q}, "
                 f"m={self.m})")
@@ -102,28 +99,24 @@ def shift_right(seq):
     """Right-alpha-shifted sequence: s_shift_j = -alpha s_j + s_{j+1}."""
     if seq.m < 1:
         raise ValueError("shift_right needs at least two moments")
-    shifted = [-seq.alpha * seq.s(j) + seq.s(j + 1) for j in range(seq.m)]
-    return MomentSequence(seq.alpha, seq.q, shifted, seq.tol)
+    s = seq.moments
+    return MomentSequence(seq.alpha, seq.q, -seq.alpha * s[:-1] + s[1:],
+                          seq.tol)
 
 
-def stack_y(seq, lo, hi):
-    """Column stack col(s_j)_{j=lo}^{hi} (lo may be -1, giving a zero block)."""
-    return np.vstack([seq.s(j) for j in range(lo, hi + 1)])
+def stack_y(s, lo, hi):
+    """Column stack col(s_j)_{j=lo}^{hi} of a (m + 1, q, q) moment stack
+    ``s``, a read-only view when ``s`` is one.  Its conjugate transpose
+    is the row stack row(s_j), exactly so for Hermitian s_j."""
+    return s[lo:hi + 1].reshape(-1, s.shape[-1])
 
 
-def stack_z(seq, lo, hi):
-    """Row stack row(s_j)_{j=lo}^{hi}."""
-    return np.hstack([seq.s(j) for j in range(lo, hi + 1)])
-
-
-def block_hankel(seq, n, offset=0):
-    """Block Hankel matrix [s_{j+k+offset}]_{j,k=0}^{n}."""
-    q = seq.q
-    H = np.zeros(((n + 1) * q, (n + 1) * q), dtype=complex)
-    for j in range(n + 1):
-        for k in range(n + 1):
-            H[j * q:(j + 1) * q, k * q:(k + 1) * q] = seq.s(j + k + offset)
-    return H
+def block_hankel(s, n):
+    """Block Hankel matrix [s_{j+k}]_{j,k=0}^{n} of a moment stack ``s``
+    (a slice ``s[1:]`` gives [s_{j+k+1}])."""
+    q = s.shape[-1]
+    idx = np.add.outer(np.arange(n + 1), np.arange(n + 1))
+    return s[idx].swapaxes(1, 2).reshape((n + 1) * q, -1)
 
 
 def shift_stack(x, q):
@@ -166,7 +159,7 @@ class HankelData:
     def __init__(self, seq):
         self.seq = seq
         self.q = seq.q
-        H = _read_only(block_hankel(seq, seq.m // 2, 0))
+        H = _read_only(block_hankel(seq.moments, seq.m // 2))
         self.H = [H[:k, :k] for k in range(seq.q, len(H) + 1, seq.q)]
         self._memo = {}
         self._live = weakref.WeakValueDictionary()
@@ -218,12 +211,11 @@ class HankelData:
         return self._once("ladder", self._ladder)
 
     def _ladder(self):
-        seq = self.seq
-        out = [seq.s(0).copy()]
+        s = self.seq.moments
+        out = [s[0].copy()]
         for k in range(1, len(self.H)):
-            y = stack_y(seq, k, 2 * k - 1)
-            z = stack_z(seq, k, 2 * k - 1)
-            out.append(seq.s(2 * k) - z @ self.factor(k - 1).pinv @ y)
+            y = stack_y(s, k, 2 * k - 1)
+            out.append(s[2 * k] - y.conj().T @ self.factor(k - 1).pinv @ y)
         return out
 
     def nonnegative(self):
@@ -246,7 +238,7 @@ class HankelData:
         # orthogonal to null(H_{(m-1)//2}).  For even m these are the
         # null vectors of H_{m/2} with a zero last block, the ones that
         # no choice of the free s_{m+1} can meet.
-        y = stack_y(seq, m // 2 + 1, m)
+        y = stack_y(seq.moments, m // 2 + 1, m)
         N = self.factor((m - 1) // 2).null
         return bool(np.linalg.norm(N.conj().T @ y)
                     <= seq.tol.tol_identity * (1.0 + np.linalg.norm(y)))
@@ -338,9 +330,8 @@ def canonical_extension(seq):
         return np.zeros((seq.q, seq.q), dtype=complex)
     lo = m // 2 + 1
     lvl = (m + 1) // 2 - 1
-    y = stack_y(seq, lo, m)
-    z = stack_z(seq, lo, m)
-    s_next = z @ data.factor(lvl).pinv @ y
+    y = stack_y(seq.moments, lo, m)
+    s_next = y.conj().T @ data.factor(lvl).pinv @ y
     return 0.5 * (s_next + s_next.conj().T)
 
 

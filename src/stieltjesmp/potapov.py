@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import _fro, _psd_margin
-from .momentseq import shift_stack, stack_y
+from .momentseq import block_hankel, shift_stack, stack_y
 from .resolvent import MatrixPolynomial
 
 _IM_GUARD = 1e-8
@@ -65,7 +65,8 @@ def _as_p2n(data, n, fz, z):
     (data.shift, (z - alpha) f(z) + s_0)."""
     forms = [(data, fz)]
     if 2 * n + 1 <= data.seq.m:
-        forms.append((data.shift, _weighted(data, fz, z) + data.seq.s(0)))
+        s0 = data.seq.moments[0]
+        forms.append((data.shift, _weighted(data, fz, z) + s0))
     return forms
 
 
@@ -109,14 +110,15 @@ def _coupling(data, n):
     and the coupling polynomials of its column.
 
     The column c(z) = R_T(z)(v g - c_0) = sum_j z^j T^j (v g - c_0),
-    with c_0 = u_n, so Q* c(z) = K(z) g - b(z) with K_j = Q* T^j v =
-    Q*[:, jq:(j+1)q] and b_j = Q* T^j c_0, both read from one stack
-    T^j [v, c_0].  Returns w, K and b as N x q matrix polynomials, and
-    ||H||_F.
+    with c_0 = u_n = -col(0, s_0, ..., s_{n-1}), so Q* c(z) = K(z) g -
+    b(z) with K_j = Q* T^j v = Q*[:, jq:(j+1)q] and b_j = Q* T^j c_0,
+    both read from one stack T^j [v, c_0].  Returns w, K and b as N x q
+    matrix polynomials, and ||H||_F.
     """
-    H, c = data.H[n], -stack_y(data.seq, -1, n - 1)
+    H, q = data.H[n], data.q
+    c = np.zeros((len(H), q), dtype=complex)
+    c[q:] = -stack_y(data.seq.moments, 0, n - 1)
     w, Q = np.linalg.eigh(H)
-    q = data.q
     Kb = Q.conj().T @ shift_stack(np.hstack([np.eye(len(H), q), c]), q)
     return (w, MatrixPolynomial(Kb[..., :q]), MatrixPolynomial(Kb[..., q:]),
             np.linalg.norm(H))
@@ -242,11 +244,10 @@ def _decomposition_residual(data, n, t, W, g, z):
     H = data.H[n]
     X, _, hnorm = _projected_column(data, n, g, z)
     diag = _im_quotient(g, z)
-    moments = t ** np.arange(2 * n + 1)[:, None] @ W.reshape(-1, q * q)
-    corner = moments[np.add.outer(np.arange(n + 1), np.arange(n + 1))]
-    corner = corner.reshape(n + 1, n + 1, q, q).swapaxes(1, 2).reshape(
-        H.shape)
-    corner[-q:, -q:] += H[-q:, -q:] - moments[-1].reshape(q, q)
+    moments = (t ** np.arange(2 * n + 1)[:, None] @ W.reshape(-1, q * q)
+               ).reshape(-1, q, q)
+    corner = block_hankel(moments, n)
+    corner[-q:, -q:] += H[-q:, -q:] - moments[-1]
     K = data._once(("coupling", n), lambda: _coupling(data, n))[1]
     KW = K(t) @ W
     d = t - z[..., None]

@@ -79,10 +79,11 @@ def _defect_subspace(A, ref, tol):
 
 
 def _defects(data, n):
-    """(U, m, V, ell): the defect subspaces of level n and their ranks,
-    kept on the sequence's Hankel data.  Each product is a null
-    projector applied to a block, R_T(alpha) v = col(alpha^j I_q) and
-    H_n v; its rank is relative to that block's norm."""
+    """(U, m, V, ell, W): the defect subspaces of level n, their ranks
+    and the frame W = [complement | U | V], kept on the sequence's
+    Hankel data.  Each product is a null projector applied to a block,
+    R_T(alpha) v = col(alpha^j I_q) and H_n v; its rank is relative to
+    that block's norm."""
     def defects():
         q, tol = data.q, data.seq.tol
         A_phi, A_psi = data.restriction_products(n)
@@ -92,39 +93,38 @@ def _defects(data, n):
                                   tol)
         if m + ell > q:
             raise ValueError("defect ranks exceed q; inconsistent input")
-        return U, m, V, ell
+        cols = [U.basis, V.basis]
+        if m + ell < q:
+            P = np.eye(q, dtype=complex) - projector(U) - projector(V)
+            comp = subspace_from_columns(P, tol)
+            if comp.dim != q - m - ell:
+                raise ValueError("complement dimension mismatch")
+            cols.insert(0, comp.basis)
+        return U, m, V, ell, np.hstack(cols)
     return data._once(("defects", n), defects)
 
 
 def classify(seq, n):
     """Compute (m, ell, r), the defect subspaces, and the frame W.
 
-    While a report of ``seq`` at level n is alive, it is returned again.
+    While a report of ``seq`` at level n is alive, it is returned again;
+    while the sequence's Hankel data is, a new report reads its defects.
     """
     data = seq.hankel()
     return data.live(("classify", n), lambda: _classify(data, n))
 
 
 def _classify(data, n):
-    tol, q = data.seq.tol, data.q
-    U, m, V, ell = _defects(data, n)
-    r = q - m - ell
+    U, m, V, ell, W = _defects(data, n)
+    r = data.q - m - ell
     if m == 0 and ell == 0:
         case = "NonDegenerate"
     elif r == 0:
         case = "CompletelyDegenerate"
     else:
         case = "Degenerate"
-    cols = [U.basis, V.basis]
-    if r:
-        P = np.eye(q, dtype=complex) - projector(U) - projector(V)
-        comp = subspace_from_columns(P, tol)
-        if comp.dim != r:
-            raise ValueError("complement dimension mismatch")
-        cols.insert(0, comp.basis)
-    W = np.hstack(cols)
     return ClassificationReport(m=m, ell=ell, r=r, case=case, U=U, V=V, W=W,
-                                tol=tol, data=data)
+                                tol=data.seq.tol, data=data)
 
 
 def lift_pair(report, inner=None):
@@ -199,7 +199,7 @@ def pair_in_restricted_class(p, seq, n):
     is relative to |C|, so the verdict does not change when the pair is
     scaled.
     """
-    U, _, V, _ = _defects(seq.hankel(), n)
+    U, _, V, _, _ = _defects(seq.hankel(), n)
     C = p.B
     if p.f is not None:
         EM = p.E @ p.f.measure.weights           # E M_i, (a, 2q, k)
@@ -283,19 +283,14 @@ def verify_solution(seq, n, candidate, grid=None):
         if candidate.q != seq.q:
             raise ValueError(f"measure is {candidate.q} x {candidate.q}, "
                              f"the moment data {seq.q} x {seq.q}")
-        mom = moments_of(candidate, 2 * n + 1)
-        match = True
-        worst = 0.0
-        for j in range(2 * n + 1):
-            scale = 1.0 + np.linalg.norm(seq.s(j))
-            resid = np.linalg.norm(mom.s(j) - seq.s(j)) / scale
-            worst = max(worst, resid)
-            if resid > 100 * tol.tol_identity:
-                match = False
-        defect = hermitize(seq.s(2 * n + 1) - mom.s(2 * n + 1), tol,
-                           "top moment defect")
+        s = seq.moments
+        mom = moments_of(candidate, 2 * n + 1).moments
+        worst = float(np.max(_fro(mom[:-1] - s[:2 * n + 1])
+                             / (1.0 + _fro(s[:2 * n + 1]))))
+        match = worst <= 100 * tol.tol_identity
+        defect = hermitize(s[2 * n + 1] - mom[-1], tol, "top moment defect")
         lam = float(np.linalg.eigvalsh(defect).min())
-        defect_ok = lam >= -_psd_margin(tol, np.linalg.norm(seq.s(2 * n + 1)))
+        defect_ok = lam >= -_psd_margin(tol, np.linalg.norm(s[2 * n + 1]))
         out["checks"]["moment_match_residual"] = worst
         out["checks"]["moment_match"] = match
         out["checks"]["top_defect_lambda_min"] = lam
@@ -313,8 +308,8 @@ def verify_solution(seq, n, candidate, grid=None):
     # SolutionFunction (or any function of a 1-D array of points)
     rep = potapov_report(seq, n, candidate(z), grid)
     s0_est = recover_s0(candidate)
-    scale = 1.0 + np.linalg.norm(seq.s(0))
-    s0_resid = float(np.linalg.norm(s0_est - seq.s(0)) / scale)
+    s0 = seq.moments[0]
+    s0_resid = float(np.linalg.norm(s0_est - s0) / (1.0 + np.linalg.norm(s0)))
     out["checks"]["potapov_passed"] = rep.passed
     out["checks"]["s0_recovery_residual"] = s0_resid
     out["valid"] = bool(rep.passed and s0_resid <= 1e-4)

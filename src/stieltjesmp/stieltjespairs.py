@@ -65,16 +65,16 @@ class AtomicMeasure:
 
 
 def moments_of(mu, m):
-    """Moment sequence s_j = sum t^j M for j = 0..m (exact finite sums)."""
+    """Moment sequence s_j = sum t^j M for j = 0..m (exact finite sums),
+    its (m + 1, q, q) stack filled atom by atom.  The powers t^j are
+    taken one by one, as Python floats: NumPy's ``t ** np.arange`` may
+    differ from them in the last bit."""
     if m < 0:
         raise ValueError("moment order must be nonnegative")
-    moments = []
-    for j in range(m + 1):
-        s = np.zeros((mu.q, mu.q), dtype=complex)
-        for t, M in mu.atoms:
-            s = s + (t ** j) * M
-        moments.append(s)
-    return MomentSequence(mu.alpha, mu.q, moments, mu.tol)
+    s = np.zeros((m + 1, mu.q, mu.q), dtype=complex)
+    for t, M in mu.atoms:
+        s += np.array([t ** j for j in range(m + 1)])[:, None, None] * M
+    return MomentSequence(mu.alpha, mu.q, s, mu.tol)
 
 
 def transform(mu, z):

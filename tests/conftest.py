@@ -51,12 +51,12 @@ def ljapunov_data(seq, n):
     (2n + 1 <= m): the block shift, the first and last block columns of
     I, the coupling columns u = -col(s_{j-1})_{j=0}^{n} and
     ug = col(-s_{n+1}, ..., -s_2n, 0), and K_n = [s_{j+k+1}]."""
-    q = seq.q
+    s, q = seq.moments, seq.q
     zero = np.zeros((q, q), dtype=complex)
-    ug = zero if n == 0 else np.vstack([-stack_y(seq, n + 1, 2 * n), zero])
+    ug = zero if n == 0 else np.vstack([-stack_y(s, n + 1, 2 * n), zero])
+    u = -np.vstack([zero, stack_y(s, 0, n - 1)])
     return (shift_matrix(q, n), first_column_embedding(q, n),
-            last_column_embedding(q, n), -stack_y(seq, -1, n - 1), ug,
-            block_hankel(seq, n, 1))
+            last_column_embedding(q, n), u, ug, block_hankel(s[1:], n))
 
 
 def atomic_fixture(rng, q, n, alpha=0.0, natoms=None, ranks=None,

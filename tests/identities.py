@@ -10,13 +10,25 @@ import numpy as np
 
 from stieltjesmp.matcore import DEFAULT_TOL, Subspace, _fro, _rank, \
     _significant, as_matrix, projector, right_divide
-from stieltjesmp.momentseq import MomentSequence, block_hankel, \
-    canonical_extension, shift_right, stack_y
+from stieltjesmp.momentseq import MomentSequence, canonical_extension, \
+    shift_right, stack_y
 from stieltjesmp.potapov import _adjoint, _block_norm, _check_offreal, \
     _decomposition_residuals, _im_quotient, _weighted
 from stieltjesmp.resolvent import MatrixPolynomial, _times_linear, \
     standard_grid
 from stieltjesmp.stieltjespairs import AtomicMeasure, transform
+
+
+def block_hankel_by_blocks(s, n):
+    """Block Hankel matrix [s_{j+k}]_{j,k=0}^{n} of a moment stack ``s``,
+    assembled block by block: the reference for
+    ``momentseq.block_hankel``."""
+    q = s.shape[-1]
+    H = np.zeros(((n + 1) * q, (n + 1) * q), dtype=complex)
+    for j in range(n + 1):
+        for k in range(n + 1):
+            H[j * q:(j + 1) * q, k * q:(k + 1) * q] = s[j + k]
+    return H
 
 
 def is_hermitian(A, tol=DEFAULT_TOL):
@@ -407,11 +419,12 @@ def fundamental_corner(seq, n, odd):
     P_2n+1 (``odd``), (Hs_n, -alpha u_n - y_{0,n}), assembled from the
     definitions: H_n and Hs_n are the block Hankel matrices of the
     sequence and of its right-alpha-shifted sequence."""
-    u = -stack_y(seq, -1, n - 1)
+    s = seq.moments
+    u = -np.vstack([np.zeros_like(s[0]), stack_y(s, 0, n - 1)])
     if not odd:
-        return block_hankel(seq, n), u
-    return block_hankel(shift_right(seq), n), \
-        -seq.alpha * u - stack_y(seq, 0, n)
+        return block_hankel_by_blocks(s, n), u
+    return block_hankel_by_blocks(shift_right(seq).moments, n), \
+        -seq.alpha * u - stack_y(s, 0, n)
 
 
 def _column_data(data, n, fz, z, odd):
@@ -584,7 +597,7 @@ def congruence_check(seq, n, f, z):
     fz = f(z)
     P = potapov_matrix(seq, n, f, z, 2 * n)
     target = np.block([
-        [seq.s(0), fz],
+        [seq.moments[0], fz],
         [fz.conj().T, (fz - fz.conj().T) / (z - np.conj(z))]])
     out["compression_even"] = np.linalg.norm(
         E.conj().T @ P @ E - target) / (1.0 + np.linalg.norm(P))
@@ -592,8 +605,9 @@ def congruence_check(seq, n, f, z):
         P = potapov_matrix(seq, n, f, z, 2 * n + 1)
         g = (z - seq.alpha) * fz
         target = np.block([
-            [-seq.alpha * seq.s(0) + seq.s(1), g + seq.s(0)],
-            [(g + seq.s(0)).conj().T, (g - g.conj().T) / (z - np.conj(z))]])
+            [-seq.alpha * seq.moments[0] + seq.moments[1], g + seq.moments[0]],
+            [(g + seq.moments[0]).conj().T,
+             (g - g.conj().T) / (z - np.conj(z))]])
         out["compression_odd"] = np.linalg.norm(
             E.conj().T @ P @ E - target) / (1.0 + np.linalg.norm(P))
 
@@ -808,8 +822,9 @@ def decomposition_residual_per_atom(seq, n, mu, z, k):
     vg = last_column_embedding(q, n)
     corr_col = np.vstack([vg, np.zeros((q, q), dtype=complex)])
     if odd:
-        defect = (-seq.alpha * seq.s(2 * n) + seq.s(2 * n + 1)) - s_top
+        s = seq.moments
+        defect = (-seq.alpha * s[2 * n] + s[2 * n + 1]) - s_top
     else:
-        defect = seq.s(k) - s_top
+        defect = seq.moments[k] - s_top
     total += corr_col @ defect @ corr_col.conj().T
     return (_fro(P - total) / (1.0 + _fro(P)))[()]

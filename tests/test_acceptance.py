@@ -72,7 +72,7 @@ def test_criterion_01_hankel_identities():
             np.linalg.norm(b.shift.H[n] - (-seq.alpha * b.H[n] + K)),
             np.linalg.norm(v @ v.conj().T @ H - (
                 (np.eye(p) - seq.alpha * T) @ H - T @ b.shift.H[n])),
-            np.linalg.norm(H @ v - stack_y(seq, 0, n)),
+            np.linalg.norm(H @ v - stack_y(seq.moments, 0, n)),
             np.linalg.norm(-T @ H @ v - u),
         ]
         worst = max(worst, max(resids) / scale)
@@ -136,7 +136,8 @@ def test_criterion_03_dubovoj_suite():
     thiele = scalar_seq([0, 0, 1])
     d = HankelData(thiele)
     D = dubovoj_subspace(d.ladder(), d.ladder_ranks())
-    assert not is_dubovoj(D, block_hankel(thiele, 1, 0), shift_matrix(1, 1))
+    assert not is_dubovoj(D, block_hankel(thiele.moments, 1),
+                          shift_matrix(1, 1))
     assert not class_membership(thiele).in_Hgeq_e
     _report(3, "30 fixtures invariant + rank-graded; counterexample "
                "rejected")
@@ -233,8 +234,8 @@ def test_criterion_06_parametrization_forward():
             rep = potapov_report(seq, n, S(np.array(grid)), grid)
             assert rep.passed
             s0 = recover_s0(S)
-            resid = np.linalg.norm(s0 - seq.s(0)) / \
-                (1.0 + np.linalg.norm(seq.s(0)))
+            resid = np.linalg.norm(s0 - seq.moments[0]) / \
+                (1.0 + np.linalg.norm(seq.moments[0]))
             assert resid <= 1e-4
     _report(6, "10 nondegenerate fixtures x 5 pairs: positivity report "
                "and mass recovery passed")
@@ -286,7 +287,7 @@ def test_criterion_08_completely_degenerate_uniqueness():
         for z in pts:
             assert np.linalg.norm(Sp(z) - S2(z)) <= 1e-9
     # recovered moments: s_0 exact, top-order defect nonnegative
-    assert np.linalg.norm(recover_s0(S2) - q2.s(0)) <= 1e-9
+    assert np.linalg.norm(recover_s0(S2) - q2.moments[0]) <= 1e-9
     sol_measure = AtomicMeasure(0.0, 2, [(0.0, np.diag([1.0, 0.0]))])
     out = verify_solution(q2, 0, sol_measure)
     assert out["valid"]

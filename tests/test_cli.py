@@ -233,6 +233,28 @@ def test_cmd_solve_evaluates_once_over_the_points(tmp_path, capsys,
     assert calls == {"S": 1, "report": 1}
 
 
+def test_cmd_solve_reports_once_over_the_points_off_r(tmp_path, capsys,
+                                                      monkeypatch):
+    # The real point keeps its S and stays out of the one Potapov report
+    # on the three others; it does not send the report point by point.
+    from stieltjesmp import cli
+    calls = []
+    report = cli.potapov_report
+
+    def counting_report(seq, n, fz, grid):
+        calls.append(len(grid))
+        return report(seq, n, fz, grid)
+
+    monkeypatch.setattr(cli, "potapov_report", counting_report)
+    code, doc = run(capsys, ["solve", moment_file(tmp_path, [1, 0]),
+                             "--n", "0", "--points=-1.0,1j,2j,3j"])
+    assert code == 0 and calls == [3]
+    real, *off = doc["values"]
+    assert set(real) == {"z", "S"}
+    assert all(set(v) == {"z", "S", "sigma_min_even", "sigma_min_odd"}
+               for v in off)
+
+
 def test_cmd_solve_factors_each_matrix_once(tmp_path, capsys, factor_calls):
     # Atoms of mass 1 at t = 1, 2: classification, resolvent, pair gate
     # and Potapov report share one Hankel data of the loaded sequence.

@@ -18,16 +18,15 @@ from stieltjesmp.momentseq import (
     shift_right,
     shift_stack,
     stack_y,
-    stack_z,
 )
 from stieltjesmp.resolvent import MatrixPolynomial
 from stieltjesmp.solver import classify
 
 from conftest import atomic_fixture, hankel_factor_counts, kge_fixtures, \
     ljapunov_data, random_hermitian_sequence, scalar_seq
-from identities import extended, first_column_embedding, is_dubovoj, \
-    is_psd, last_column_embedding, mrank, range_included, resolvent_poly, \
-    shift_matrix, shift_resolvent
+from identities import block_hankel_by_blocks, extended, \
+    first_column_embedding, is_dubovoj, is_psd, last_column_embedding, \
+    mrank, range_included, resolvent_poly, shift_matrix, shift_resolvent
 
 
 def test_moment_sequence_validation():
@@ -39,18 +38,18 @@ def test_moment_sequence_validation():
         MomentSequence(0.0, 2, [[[1.0, 0.0, 0.0, 1.0]]])
     seq = scalar_seq([1, 2, 3])
     assert seq.m == 2
-    assert np.allclose(seq.s(-1), 0.0)
 
 
 def test_shift_right_examples():
-    assert np.allclose(shift_right(scalar_seq([1, 1])).s(0), 1.0)
-    assert np.allclose(shift_right(scalar_seq([1, 3], alpha=2.0)).s(0), 1.0)
+    assert np.allclose(shift_right(scalar_seq([1, 1])).moments[0], 1.0)
+    assert np.allclose(
+        shift_right(scalar_seq([1, 3], alpha=2.0)).moments[0], 1.0)
     rng = np.random.default_rng(0)
     seq = random_hermitian_sequence(rng, 2, 2, alpha=0.0)
     sh = shift_right(seq)
     assert sh.m == 1
-    assert np.allclose(sh.s(0), seq.s(1))
-    assert np.allclose(sh.s(1), seq.s(2))
+    assert np.allclose(sh.moments[0], seq.moments[1])
+    assert np.allclose(sh.moments[1], seq.moments[2])
     with pytest.raises(ValueError):
         shift_right(scalar_seq([1]))
 
@@ -58,8 +57,8 @@ def test_shift_right_examples():
 def test_hankel_catalog_examples():
     b = HankelData(scalar_seq([1, 1, 1]))
     assert np.allclose(b.H[1], np.ones((2, 2)))
-    u = -stack_y(scalar_seq([1, 0, 0]), -1, 0)
-    assert np.allclose(u.ravel(), [0.0, -1.0])
+    y = stack_y(scalar_seq([1, 0, 2]).moments, 0, 1)
+    assert np.array_equal(y.ravel(), [1.0, 0.0])
     b = HankelData(scalar_seq([1, 1, 1, 1]))
     assert np.allclose(b.shift.H[1], np.ones((2, 2)))
     with pytest.raises(ValueError):
@@ -78,7 +77,7 @@ def test_hankel_catalog_examples():
     assert d.factor(1) is d.factor(1)
     assert d.factor(1).pinv is d.factor(1).pinv
     assert np.allclose(d.factor(1).pinv,
-                       np.linalg.pinv(block_hankel(d.seq, 1)))
+                       np.linalg.pinv(block_hankel(d.seq.moments, 1)))
     assert d.ladder() is d.ladder()
     assert np.allclose([x.item() for x in d.ladder()], [2.0, 0.5, 0.0])
     assert not d.H[2].flags.writeable and not d.shift.H[1].flags.writeable
@@ -88,15 +87,16 @@ def test_moments_are_read_only():
     # Factors of the Hankel data are shared between calls on a sequence,
     # so the moments they were made from must not change under them.
     seq = scalar_seq([2, 1, 1, 1])
-    assert isinstance(seq.moments, tuple)
-    for s in (seq.s(0), seq.moments[3], shift_right(seq).s(0)):
+    assert seq.moments.shape == (4, 1, 1)
+    assert not seq.moments.flags.writeable
+    for s in (seq.moments[0], seq.moments[3], shift_right(seq).moments[0]):
         with pytest.raises(ValueError, match="read-only"):
             s[0, 0] = 5.0
-    assert seq.s(0).item() == 2.0
+    assert seq.moments[0].item() == 2.0
     longer = extended(seq)
     assert longer.m == 4 and seq.m == 3
     with pytest.raises(ValueError, match="read-only"):
-        longer.s(4)[0, 0] = 5.0
+        longer.moments[4][0, 0] = 5.0
 
 
 def test_a_copied_sequence_builds_its_own_hankel_data():
@@ -110,7 +110,7 @@ def test_a_copied_sequence_builds_its_own_hankel_data():
         assert twin.hankel() is own
         assert np.array_equal(own.factor(1).pinv, data.factor(1).pinv)
         with pytest.raises(ValueError, match="read-only"):
-            twin.s(0)[0, 0] = 5.0
+            twin.moments[0][0, 0] = 5.0
     # The copies did not touch the original's reference.
     assert seq.hankel() is data
 
@@ -123,14 +123,16 @@ def test_hankel_bundle_embeddings():
 
 def test_hankel_block_partitions(rng):
     # The level-n Hankel matrix contains the level-(n-1) matrices of
-    # offsets 0 and 2 as its corner blocks, flanked by the y/z stacks.
-    seq = random_hermitian_sequence(rng, 2, 4, alpha=0.3)
+    # the stack and of the stack from s_2 as its corner blocks, flanked
+    # by the column stack y and the row stack, its conjugate transpose.
+    s = random_hermitian_sequence(rng, 2, 4, alpha=0.3).moments
     q, n = 2, 2
-    H = block_hankel(seq, n, 0)
-    assert np.allclose(H[:n * q, :n * q], block_hankel(seq, n - 1, 0))
-    assert np.allclose(H[q:, q:], block_hankel(seq, n - 1, 2))
-    assert np.allclose(H[:n * q, n * q:], stack_y(seq, n, 2 * n - 1))
-    assert np.allclose(H[n * q:, :n * q], stack_z(seq, n, 2 * n - 1))
+    H = block_hankel(s, n)
+    assert np.array_equal(H[:n * q, :n * q], block_hankel(s, n - 1))
+    assert np.array_equal(H[q:, q:], block_hankel(s[2:], n - 1))
+    y = stack_y(s, n, 2 * n - 1)
+    assert np.array_equal(H[:n * q, n * q:], y)
+    assert np.array_equal(H[n * q:, :n * q], y.conj().T)
 
 
 def test_ljapunov_identities(rng):
@@ -151,7 +153,7 @@ def test_ljapunov_identities(rng):
         Ra_inv = np.eye(H.shape[0]) - seq.alpha * T
         r3 = v @ v.conj().T @ H - (Ra_inv @ H - T @ Hs)
         assert np.linalg.norm(r3) <= 1e-12 * scale
-        assert np.allclose(H @ v, stack_y(seq, 0, n))
+        assert np.allclose(H @ v, stack_y(seq.moments, 0, n))
         assert np.allclose(-T @ H @ v, u)
 
 
@@ -199,19 +201,19 @@ def test_canonical_extension_examples():
     with pytest.raises(ValueError):
         canonical_extension(scalar_seq([0, 0, 1]))
     longer = extended(scalar_seq([1, 1]))
-    assert longer.m == 2 and np.allclose(longer.s(2), 1.0)
+    assert longer.m == 2 and np.allclose(longer.moments[2], 1.0)
 
 
 def test_zero_mass_forces_zero_moments():
     # A PSD Hankel matrix with vanishing (0,0) block forces the coupled
     # moments to vanish.
     seq = scalar_seq([0, 0, 1])
-    H = block_hankel(seq, 1, 0)
+    H = block_hankel(seq.moments, 1)
     assert is_psd(H)
-    assert np.allclose(seq.s(0), 0.0) and np.allclose(seq.s(1), 0.0)
+    assert np.allclose(seq.moments[:2], 0.0)
     # any Hermitian completion with d_1 != 0 breaks positivity
     bad = scalar_seq([0, 0.5, 1])
-    assert not is_psd(block_hankel(bad, 1, 0))
+    assert not is_psd(block_hankel(bad.moments, 1))
 
 
 def test_ladder_nesting_on_extendable_fixtures():
@@ -314,21 +316,35 @@ def test_the_shift_resolvent_of_v_is_the_power_column():
                 assert np.linalg.norm(A_phi - N @ (N.conj().T @ Rv)) <= tol
 
 
+def test_block_hankel_equals_assembly_block_by_block(rng):
+    # The one fancy index against the double loop, bit for bit, on a
+    # stack and on the stacks from s_1 and s_2.
+    for q in (1, 2, 3):
+        s = random_hermitian_sequence(rng, q, 8).moments
+        for n in range(4):
+            for lo in (0, 1, 2):
+                assert np.array_equal(block_hankel(s[lo:], n),
+                                      block_hankel_by_blocks(s[lo:], n))
+
+
 def test_hankel_data_levels_equal_direct_assembly(rng):
-    for q, m in ((1, 0), (1, 3), (2, 4), (2, 5), (3, 3)):
-        seq = random_hermitian_sequence(rng, q, m, alpha=0.7)
-        d = HankelData(seq)
-        assert len(d.H) == m // 2 + 1
-        for k, H in enumerate(d.H):
-            assert np.array_equal(H, block_hankel(seq, k, 0))
-        if m == 0:
-            # A one-moment sequence has no shifted sequence.
-            with pytest.raises(ValueError):
-                d.shift
-            continue
-        assert len(d.shift.H) == (m - 1) // 2 + 1
-        for k, Hs in enumerate(d.shift.H):
-            assert np.array_equal(Hs, block_hankel(shift_right(seq), k, 0))
+    for q in (1, 2, 3):
+        for m in (0, 3, 4, 6, 7):
+            seq = random_hermitian_sequence(rng, q, m, alpha=0.7)
+            d = HankelData(seq)
+            assert len(d.H) == m // 2 + 1
+            for k, H in enumerate(d.H):
+                assert np.array_equal(H, block_hankel_by_blocks(
+                    seq.moments, k))
+            if m == 0:
+                # A one-moment sequence has no shifted sequence.
+                with pytest.raises(ValueError):
+                    d.shift
+                continue
+            assert len(d.shift.H) == (m - 1) // 2 + 1
+            for k, Hs in enumerate(d.shift.H):
+                assert np.array_equal(Hs, block_hankel_by_blocks(
+                    shift_right(seq).moments, k))
 
 
 def test_class_membership_factors_each_matrix_once(factor_calls):
@@ -362,7 +378,12 @@ def test_class_report_holds_the_hankel_data(factor_calls):
 @given(st.integers(0, 10 ** 6))
 def test_shifted_hankel_matches_direct_assembly(seed):
     rng = np.random.default_rng(seed)
-    seq = random_hermitian_sequence(rng, 2, 3, alpha=float(rng.normal()))
+    q = int(rng.integers(1, 4))
+    seq = random_hermitian_sequence(rng, q, 7, alpha=float(rng.normal()))
     b = HankelData(seq)
-    direct = block_hankel(shift_right(seq), 1, 0)
-    assert np.allclose(b.shift.H[1], direct)
+    shifted = shift_right(seq).moments
+    assert np.array_equal(shifted, [-seq.alpha * seq.moments[j]
+                                    + seq.moments[j + 1] for j in range(7)])
+    for n in range(4):
+        assert np.array_equal(b.shift.H[n],
+                              block_hankel_by_blocks(shifted, n))

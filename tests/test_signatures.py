@@ -19,8 +19,8 @@ import numpy as np
 
 import identities
 import stieltjesmp
-from stieltjesmp import momentseq, potapov, resolvent, solver, \
-    stieltjespairs
+from stieltjesmp import MomentSequence, momentseq, potapov, resolvent, \
+    solver, stieltjespairs
 
 MODULES = (momentseq, resolvent, potapov, solver, stieltjespairs)
 
@@ -248,3 +248,31 @@ def test_the_shifted_sequence_is_a_sequence():
     for d in (data, data.shift):
         assert [key for key in d._memo if key[0] == "coupling"] == \
             [("coupling", 1)]
+
+
+def test_a_moment_sequence_is_one_array():
+    # Every block stack and block Hankel matrix of a sequence is an index
+    # of its (m + 1, q, q) stack ``moments``: no package module defines a
+    # row-stack assembler, reads a moment through an accessor ``.s(j)``
+    # (whose s_{-1} = 0 would now read s_m) or passes block_hankel an
+    # offset in place of a slice of the stack.
+    found = []
+    for path in Path(solver.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name == "stack_z":
+                found.append((path.name, "stack_z"))
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name == "s" and isinstance(node.func, ast.Attribute):
+                found.append((path.name, ".s("))
+            if name == "block_hankel" and (len(node.args) > 2 or any(
+                    kw.arg == "offset" for kw in node.keywords)):
+                found.append((path.name, "block_hankel offset"))
+    assert not found
+    assert list(inspect.signature(momentseq.block_hankel).parameters) == \
+        ["s", "n"]
+    assert not hasattr(MomentSequence, "s")
+    seq = MomentSequence(0.0, 2, [np.eye(2)] * 3)
+    assert isinstance(seq.moments, np.ndarray)
+    assert seq.moments.shape == (3, 2, 2)

@@ -70,6 +70,31 @@ def test_classify_degenerate_case(rng):
     assert rep.m + rep.ell + rep.r == 2
 
 
+def test_a_new_report_on_live_data_makes_no_second_svd(monkeypatch):
+    # The complement of U + V and the frame W are kept with the defect
+    # subspaces on the Hankel data, so a report dropped while the data
+    # lives and asked for again reads them: one complement SVD in all.
+    calls = []
+    original = solver.subspace_from_columns
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(solver, "subspace_from_columns", counting)
+    mu = AtomicMeasure(0.0, 2, [(1.0, np.diag([1.0, 0.0])),
+                                (2.0, np.diag([1.0, 0.0]))])
+    seq = moments_of(mu, 1)
+    data = seq.hankel()
+    first = classify(seq, 0)
+    assert (first.case, first.r) == ("Degenerate", 1)
+    W = first.W
+    del first
+    second = classify(seq, 0)
+    assert second.data is data and np.array_equal(second.W, W)
+    assert len(calls) == 1
+
+
 def test_lift_pair_examples():
     nd = classify(scalar_seq([1, 1]), 0)
     inner = StieltjesPair.constant([[0.0]], [[1.0]])

@@ -45,12 +45,11 @@ def test_atomic_measure_validation():
 
 def test_moments_of_examples():
     seq = moments_of(delta(1.0), 3)
-    assert np.allclose([seq.s(j).item() for j in range(4)], [1, 1, 1, 1])
+    assert np.allclose(seq.moments.ravel(), [1, 1, 1, 1])
     empty = AtomicMeasure(0.0, 2, [])
-    assert np.allclose(moments_of(empty, 2).s(1), 0.0)
+    assert np.allclose(moments_of(empty, 2).moments[1], 0.0)
     mu = AtomicMeasure(0.0, 1, [(0.0, [[0.5]]), (2.0, [[0.5]])])
-    assert np.allclose([moments_of(mu, 2).s(j).item() for j in range(3)],
-                       [1.0, 1.0, 2.0])
+    assert np.allclose(moments_of(mu, 2).moments.ravel(), [1.0, 1.0, 2.0])
 
 
 def test_transform_examples():
@@ -120,8 +119,8 @@ def test_sharp_measure():
     assert [t for t, _ in sh.atoms] == [2.0]
     base = moments_of(mu, 3)
     sharp = moments_of(sh, 2)
-    for j in range(3):
-        assert np.allclose(sharp.s(j), base.s(j + 1) - mu.alpha * base.s(j))
+    s = base.moments
+    assert np.allclose(sharp.moments, s[1:] - mu.alpha * s[:-1])
 
 
 def test_stieltjes_function():
