@@ -148,8 +148,9 @@ class HankelData:
     is factored once, into the ``factor`` that every verdict, rank and
     inverse about it reads.  The right-alpha-shifted sequence is a
     sequence too, with Hankel data of its own, :attr:`shift`.  Factors,
-    Schur ladders and class verdicts are computed when first asked for
-    and kept on this object, which the library reaches through
+    Schur ladders, class verdicts and the canonical witness extension
+    (read-only) are computed when first asked for and kept on this
+    object, which the library reaches through
     :meth:`MomentSequence.hankel` only; the matrices are read-only.
     Readers of level n call :meth:`check_level`.  Per-level results
     that hold this object (a classification report, a resolvent) are
@@ -320,11 +321,18 @@ def canonical_extension(seq):
 
     Returns s_{m+1} = z_{floor(m/2)+1, m} H^+ y_{floor(m/2)+1, m} with
     H the Hankel matrix of level ceil(m/2) - 1; for m = 0 the empty
-    product gives the zero matrix.
+    product gives the zero matrix.  It is computed once and kept,
+    read-only, on the sequence's Hankel data, so ``class_membership``
+    and this function hand out the same array while the data lives.
     """
     data = seq.hankel()
     if not data.extendable():
         raise ValueError("sequence is not Hankel-extendable")
+    return data._once("witness", lambda: _read_only(_witness(data)))
+
+
+def _witness(data):
+    seq = data.seq
     m = seq.m
     if m == 0:
         return np.zeros((seq.q, seq.q), dtype=complex)

@@ -173,14 +173,16 @@ class SolutionFunction:
     def __call__(self, z):
         """S(z) at a point (q x q) or at an array of points (a
         z.shape + (q, q) stack).  A denominator singular by the rule of
-        ``right_divide`` raises ``ValueError`` naming the first such point."""
+        ``right_divide`` raises ``ValueError`` naming the first such point.
+        Whether every point is defined is read by iterating the flags,
+        not by a NumPy reduction, which costs more on one flag."""
         z = np.asarray(z, dtype=complex)
         P, k = self._P.eval(z), self._k
         N = P[..., k:]                          # P_B(z), in place below
         if self.pair.f is not None:
             N[..., :k] += P[..., :k] @ self.pair.f(z)
         S, ok = right_divide(N, self._tol)
-        if not ok.all():
+        if not all(ok.flat):
             first = complex(z.flat[np.argmin(ok)])
             raise ValueError(f"singular LFT denominator at z = {first}")
         return S
@@ -189,9 +191,12 @@ class SolutionFunction:
 def pair_in_restricted_class(p, seq, n):
     """Whether phi vanishes on the defect subspace U and psi on V of
     ``classify(seq, n)``, decided under ``seq.tol``; no report is built.
+    A pair of another size than the sequence's q raises ``ValueError``.
 
-    With f = gamma + sum M_i / (t_i - z), whose poles are distinct (the
-    measure merges duplicate atoms), [phi; psi] = B + E f [I_k, 0] is a
+    On non-degenerate data (m = ell = 0) U and V are {0} and every pair
+    is in the class, so the pair is not read.  Otherwise, with f =
+    gamma + sum M_i / (t_i - z), whose poles are distinct (the measure
+    merges duplicate atoms), [phi; psi] = B + E f [I_k, 0] is a
     constant plus linearly independent partial fractions.  So U* phi
     vanishes identically exactly when U* C_phi = 0, and V* psi when
     V* C_psi = 0, for the top and bottom halves of the coefficient
@@ -199,7 +204,10 @@ def pair_in_restricted_class(p, seq, n):
     is relative to |C|, so the verdict does not change when the pair is
     scaled.
     """
-    U, _, V, _, _ = _defects(seq.hankel(), n)
+    _check_size("pair", p.q, seq.q)
+    U, m, V, ell, _ = _defects(seq.hankel(), n)
+    if m == ell == 0:
+        return True
     C = p.B
     if p.f is not None:
         EM = p.E @ p.f.measure.weights           # E M_i, (a, 2q, k)
@@ -209,6 +217,12 @@ def pair_in_restricted_class(p, seq, n):
     bound = 10 * seq.tol.tol_identity * _fro(C)
     return bool(_fro(U.basis.conj().T @ C[:p.q]) <= bound
                 and _fro(V.basis.conj().T @ C[p.q:]) <= bound)
+
+
+def _check_size(what, k, q):
+    """Refuse a k x k pair or measure for q x q moment data."""
+    if k != q:
+        raise ValueError(f"{what} is {k} x {k}, the moment data {q} x {q}")
 
 
 def lft_solution(R, p, seq=None, n=None):
@@ -221,9 +235,7 @@ def lft_solution(R, p, seq=None, n=None):
     on R's own sequence it factors nothing again.  A pair of another
     size than R's q raises ``ValueError`` before the gate.
     """
-    if p.q != R.q:
-        raise ValueError(f"pair is {p.q} x {p.q}, the moment data "
-                         f"{R.q} x {R.q}")
+    _check_size("pair", p.q, R.q)
     seq = R.data.seq if seq is None else seq
     if not pair_in_restricted_class(p, seq, R.n if n is None else n):
         raise ValueError("pair is not in the restricted class for "
@@ -280,9 +292,7 @@ def verify_solution(seq, n, candidate, grid=None):
     z = np.asarray(grid, dtype=complex)
     out = {"valid": True, "checks": {}}
     if isinstance(candidate, AtomicMeasure):
-        if candidate.q != seq.q:
-            raise ValueError(f"measure is {candidate.q} x {candidate.q}, "
-                             f"the moment data {seq.q} x {seq.q}")
+        _check_size("measure", candidate.q, seq.q)
         s = seq.moments
         mom = moments_of(candidate, 2 * n + 1).moments
         worst = float(np.max(_fro(mom[:-1] - s[:2 * n + 1])

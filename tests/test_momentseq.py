@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stieltjesmp import MomentSequence, class_membership
+from stieltjesmp import MomentSequence, class_membership, momentseq
 from stieltjesmp.momentseq import (
     HankelData,
     block_hankel,
@@ -202,6 +202,29 @@ def test_canonical_extension_examples():
         canonical_extension(scalar_seq([0, 0, 1]))
     longer = extended(scalar_seq([1, 1]))
     assert longer.m == 2 and np.allclose(longer.moments[2], 1.0)
+
+
+def test_the_witness_is_computed_once_and_read_only(monkeypatch):
+    # While the first report holds the data, a second class_membership
+    # and canonical_extension hand out its witness and stack nothing.
+    stack, calls = momentseq.stack_y, []
+
+    def counting(*args):
+        calls.append(args[1:])
+        return stack(*args)
+
+    seqs = [seq for mu, seq, n in kge_fixtures(6, seed=11)] + [
+        scalar_seq([1]), scalar_seq([1, 1, 2]),
+        MomentSequence(0.0, 2, [np.eye(2), np.eye(2), 2 * np.eye(2)])]
+    for seq in seqs:
+        first = class_membership(seq)
+        witness = first.witness_extension
+        assert witness is not None and not witness.flags.writeable
+        monkeypatch.setattr(momentseq, "stack_y", counting)
+        assert class_membership(seq).witness_extension is witness
+        assert canonical_extension(seq) is witness
+        assert calls == []
+        monkeypatch.undo()
 
 
 def test_zero_mass_forces_zero_moments():

@@ -157,6 +157,50 @@ def test_lft_solution_refuses_a_pair_of_another_size():
             lft_solution(R, pair, **kw)
 
 
+def test_the_gate_refuses_a_pair_of_another_size():
+    # Non-degenerate data accept a pair unread, so the gate checks its
+    # size itself, on degenerate data too.
+    cases = ((MomentSequence(0.0, 2, [np.eye(2), np.eye(2)]), 1,
+              "NonDegenerate"), (Q2_SEQ, 1, "CompletelyDegenerate"),
+             (scalar_seq([1, 1]), 2, "NonDegenerate"),
+             (scalar_seq([1, 0]), 2, "CompletelyDegenerate"))
+    for seq, k, case in cases:
+        assert classify(seq, 0).case == case
+        pair = StieltjesPair.constant(np.zeros((k, k)), np.eye(k))
+        with pytest.raises(ValueError) as err:
+            pair_in_restricted_class(pair, seq, 0)
+        assert str(err.value) == \
+            f"pair is {k} x {k}, the moment data {seq.q} x {seq.q}"
+
+
+def test_the_gate_accepts_every_pair_on_non_degenerate_data_unread(
+        monkeypatch):
+    # U = V = {0}: constant and function pairs, bare and lifted by the
+    # frame W, are in the class, and the gate takes no norm of their
+    # coefficients.
+    fro, calls = solver._fro, []
+
+    def counting(a):
+        calls.append(a.shape)
+        return fro(a)
+
+    monkeypatch.setattr(solver, "_fro", counting)
+    checked = 0
+    for mu, seq, n in kge_fixtures(24, seed=59):
+        report = classify(seq, n)
+        if report.case != "NonDegenerate":
+            continue
+        q = seq.q
+        f = StieltjesFunction(np.eye(q), AtomicMeasure(
+            seq.alpha, q, [(seq.alpha + 1.0, np.eye(q))]))
+        for inner in (StieltjesPair.constant(np.zeros((q, q)), np.eye(q)),
+                      StieltjesPair.from_function(f)):
+            for pair in (inner, StieltjesPair.lifted(report.W, inner, 0, 0)):
+                assert pair_in_restricted_class(pair, seq, n)
+        checked += 1
+    assert checked == 14 and calls == []
+
+
 def test_unique_solution_examples():
     S = unique_solution(scalar_seq([1, 0]), 0)
     for z in (1j, 0.5 + 2j, -2.0 + 0.1j):
@@ -246,9 +290,14 @@ def test_classify_basis_independence():
 
 
 def test_solution_reports_singular_points():
-    S = unique_solution(scalar_seq([1, 0]), 0)
-    with pytest.raises(ValueError):
-        S(1e-18)
+    # A 0-d point, below the singularity bound or exactly singular, is
+    # named as the first singular point of an array is.
+    S = unique_solution(scalar_seq([1, 0]), 0)   # S(z) = -1/z
+    for z in (1e-18, 0.0, np.float64(0.0), np.array(1e-18 + 0j)):
+        with pytest.raises(ValueError) as err:
+            S(z)
+        assert str(err.value) == \
+            f"singular LFT denominator at z = {complex(z)}"
 
 
 def test_batch_with_singular_point_raises_as_scalar_loop():

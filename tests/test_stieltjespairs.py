@@ -337,6 +337,24 @@ def _gate_agrees_with_points(rng, pair, seq, n):
     return verdict
 
 
+def _pairs_in_and_out(rng, report, seq):
+    """A lifted constant and function pair of ``report`` and four pairs
+    with B, E or both moved by 1e-3."""
+    q, r, alpha = seq.q, report.r, seq.alpha
+    f = StieltjesFunction(np.eye(r), AtomicMeasure(
+        alpha, r, [(alpha + 1.0, np.eye(r)),
+                   (alpha + 2.5, random_psd(rng, r))]))
+    const = canonical_pair(report)
+    func = lift_pair(report, StieltjesPair.from_function(f))
+    dB, dE = (1e-3 * (rng.normal(size=(2 * q, c))
+                      + 1j * rng.normal(size=(2 * q, c)))
+              for c in (q, func.E.shape[1]))
+    return (const, StieltjesPair(const.B + dB),
+            func, StieltjesPair(func.B + dB, f, func.E),
+            StieltjesPair(func.B, f, func.E + dE),
+            StieltjesPair(func.B + dB, f, func.E + dE))
+
+
 def test_pair_in_restricted_class_matches_the_pointwise_conditions():
     # The gate reads the pair's coefficients, the oracle its values.
     # Lifted constant and function pairs of degenerate data are in the
@@ -347,19 +365,7 @@ def test_pair_in_restricted_class_matches_the_pointwise_conditions():
         report = classify(seq, n)
         if report.case != "Degenerate":
             continue
-        q, r, alpha = seq.q, report.r, seq.alpha
-        f = StieltjesFunction(np.eye(r), AtomicMeasure(
-            alpha, r, [(alpha + 1.0, np.eye(r)),
-                       (alpha + 2.5, random_psd(rng, r))]))
-        const = canonical_pair(report)
-        func = lift_pair(report, StieltjesPair.from_function(f))
-        dB, dE = (1e-3 * (rng.normal(size=(2 * q, c))
-                          + 1j * rng.normal(size=(2 * q, c)))
-                  for c in (q, func.E.shape[1]))
-        for pair in (const, StieltjesPair(const.B + dB),
-                     func, StieltjesPair(func.B + dB, f, func.E),
-                     StieltjesPair(func.B, f, func.E + dE),
-                     StieltjesPair(func.B + dB, f, func.E + dE)):
+        for pair in _pairs_in_and_out(rng, report, seq):
             verdicts.append(_gate_agrees_with_points(rng, pair, seq, n))
     assert verdicts == [True, False, True, False, False, False] * 16
     # Unlifted pairs on every kind of data, in the class or not.
@@ -373,6 +379,17 @@ def test_pair_in_restricted_class_matches_the_pointwise_conditions():
                      StieltjesPair.from_function(f)):
             verdicts.append(_gate_agrees_with_points(rng, pair, seq, n))
     assert any(verdicts) and not all(verdicts)
+    # On non-degenerate data U = V = {0}: every pair is in the class, as
+    # the oracle finds it at the points, moved or not.
+    rng_nd = np.random.default_rng(12)
+    verdicts = []
+    for mu, seq, n in kge_fixtures(200, seed=11):
+        report = classify(seq, n)
+        if report.case != "NonDegenerate":
+            continue
+        for pair in _pairs_in_and_out(rng_nd, report, seq):
+            verdicts.append(_gate_agrees_with_points(rng_nd, pair, seq, n))
+    assert len(verdicts) == 6 * 117 and all(verdicts)
 
 
 def test_pair_checks_decide_with_the_pair_tolerance():

@@ -11,13 +11,14 @@ Each tree runs in its own process (``PYTHONPATH=<src root>``) on the
 seeded problems of ``perfbench/fixtures.py``, which is read and never
 changed, through the calls that ``perfbench/workloads.py`` times:
 
-- ``parametrize`` and ``verify_dense``: class membership, the
-  classification, Theta and Theta-tilde, the solutions at the
-  workload's points (three pairs, or one, as the workload takes them,
-  or the unique solution), the transform of the generating measure at
-  those points, its moments up to order 2n + 1 (through which the
-  benchmark builds its sequences), and ``verify_solution`` of the
-  generating measure and of the canonical solution;
+- ``parametrize`` and ``verify_dense``: class membership and its
+  witness extension, the classification, Theta and Theta-tilde, the
+  solutions at the workload's points (three pairs, or one, as the
+  workload takes them, or the unique solution), the transform of the
+  generating measure at those points, its moments up to order 2n + 1
+  (through which the benchmark builds its sequences), and
+  ``verify_solution`` of the generating measure and of the canonical
+  solution;
 - ``cli_cold``: every subcommand call of the workload, through
   ``cli.main`` in the process.
 
@@ -29,10 +30,10 @@ with how many solutions of each kind are bit-identical.  It exits
 with status 1 when a label, rank, class verdict, ``valid``, boolean
 check, error message, singular point, CLI exit code, CLI message,
 non-float CLI JSON value, key set of the resolvent's ``self_check`` or
-set of CLI JSON paths differs, or when the moments of a measure are not
-bit-identical, and with 0 otherwise; the float deviations are reported,
-not judged.  Floats are compared on the keys and JSON paths that both
-trees have.
+set of CLI JSON paths differs, or when the moments of a measure or the
+witness extension are not bit-identical, and with 0 otherwise; the
+float deviations are reported, not judged.  Floats are compared on the
+keys and JSON paths that both trees have.
 """
 
 import argparse
@@ -91,6 +92,7 @@ def _problem(modules, workload, p):
     return {
         "kinds": [_kind(rep, S) for S in sols],
         "class": (cm.in_Hgeq, cm.in_Hgeq_e, cm.in_Kgeq, cm.in_Kgeq_e),
+        "witness": cm.witness_extension,
         "label": (rep.case, rep.m, rep.ell, rep.r),
         "theta": R.theta.coeffs,
         "theta_tilde": R.theta_tilde.coeffs,
@@ -218,6 +220,10 @@ def _compare_verify(tally, who, a, b, where):
 
 def compare_problem(tally, a, b, where):
     tally.same("class verdicts", a["class"], b["class"], where)
+    wa, wb = a["witness"], b["witness"]
+    tally.same("witness present", wa is not None, wb is not None, where)
+    if wa is not None and wb is not None:
+        tally.identical("witness extension", wa, wb, where)
     tally.same("label and ranks", a["label"], b["label"], where)
     for key in ("theta", "theta_tilde"):
         tally.float(f"{key} (rel)", _rel(a[key], b[key]), where)
