@@ -8,11 +8,8 @@ nonnegative-Hermitian matrix measures on [alpha, oo).
 
 from .matcore import (
     DEFAULT_TOL,
-    Subspace,
     ToleranceConfig,
     dubovoj_subspace,
-    one_two_inverse,
-    projector,
 )
 from .momentseq import (
     ClassReport,

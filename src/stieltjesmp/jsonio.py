@@ -1,11 +1,12 @@
 """JSON encoding of complex scalars and matrices.
 
 A complex number is the two-element array [re, im]; a matrix is a list
-of rows of such entries.  Real JSON numbers, not booleans or strings,
-are read.
+of rows of such entries.  Finite real JSON numbers, not booleans,
+strings, ``NaN`` or ``Infinity``, are read.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -17,11 +18,14 @@ def complex_to_json(z):
 
 def json_to_real(v, where="value", integer=False):
     """A JSON number as a float (an int when ``integer``), refusing a
-    boolean, a string and, where an integer is asked for, a fraction."""
+    boolean, a string, ``NaN`` and ``Infinity`` (which Python's ``json``
+    reads) and, where an integer is asked for, a fraction."""
     if isinstance(v, bool) or not isinstance(v, (int, float)) or (
             integer and not float(v).is_integer()):
         raise ValueError(f"{where}: {json.dumps(v)} is not "
                          f"{'an integer' if integer else 'a number'}")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError(f"{where}: {json.dumps(v)} is not a finite number")
     return int(v) if integer else float(v)
 
 

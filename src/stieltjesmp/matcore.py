@@ -3,12 +3,12 @@
 The Hermitian gate, the one PSD rule, the one rank and singularity
 rule and the right division of a column [num; den] it guards, the one
 factorization of a Hermitian matrix that decides its rank, PSD verdict,
-null space and Moore-Penrose inverse, reflexive inverses with
-prescribed range, orthonormal subspaces with projectors, and the Hankel
-solver's block-diagonal range subspaces.
+null space and Moore-Penrose inverse, and the orthonormal basis of the
+Hankel solver's block-diagonal range subspace.  A subspace is its
+basis, an array with orthonormal columns.
 The checks the tests hold these to (range inclusion, the invariant
-complement test, an SVD null space and pseudo-inverse) live in
-``tests/identities.py``.
+complement test, an SVD null space and pseudo-inverse, the reflexive
+inverse with prescribed range) live in ``tests/identities.py``.
 
 All functions are pure: inputs are never mutated and no module state is
 kept, so concurrent use is safe.
@@ -160,80 +160,9 @@ class HermitianFactor:
         self.pinv = (R / w[:r]) @ R.conj().T
 
 
-class Subspace:
-    """A subspace of C^p represented by an orthonormal basis matrix.
-
-    Parameters
-    ----------
-    ambient_dim : int
-        Dimension p of the ambient space.
-    basis : array, shape (p, d)
-        Matrix with orthonormal columns spanning the subspace; d may be 0.
-    """
-
-    def __init__(self, ambient_dim, basis):
-        basis = np.asarray(basis, dtype=complex).reshape(ambient_dim, -1)
-        if basis.shape[1] > ambient_dim:
-            raise ValueError("subspace dimension exceeds ambient dimension")
-        gram = basis.conj().T @ basis
-        if basis.shape[1] and np.linalg.norm(gram - np.eye(basis.shape[1])) > 1e-8:
-            raise ValueError("basis columns are not orthonormal")
-        self.ambient_dim = int(ambient_dim)
-        self.basis = basis
-
-    @property
-    def dim(self):
-        return self.basis.shape[1]
-
-    def __repr__(self):
-        return f"Subspace(ambient_dim={self.ambient_dim}, dim={self.dim})"
-
-
-def subspace_from_columns(M, tol=DEFAULT_TOL):
-    """Orthonormal basis of the column space of ``M``: the leading left
-    singular vectors, as many as singular values above
-    ``tol_rank * sigma_max``."""
-    M = as_matrix(M)
-    p = M.shape[0]
-    if M.size == 0:
-        return Subspace(p, np.zeros((p, 0)))
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
-    return Subspace(p, U[:, :_rank(s, tol)])
-
-
-def projector(U):
-    """Orthogonal projector B_U B_U* onto the subspace ``U``."""
-    B = U.basis
-    if B.shape[1] == 0:
-        return np.zeros((U.ambient_dim, U.ambient_dim), dtype=complex)
-    return B @ B.conj().T
-
-
-def one_two_inverse(A, U, factor, tol=DEFAULT_TOL):
-    """Reflexive generalized inverse of Hermitian PSD ``A`` with range and
-    null space prescribed by the subspace ``U`` and its orthocomplement.
-
-    Returns the unique X with A X A = A, X A X = X, range(X) = U and
-    null(X) = U-perp, computed as ``B_U (B_U* A B_U)^{-1} B_U*``.  Valid
-    when ``null(A) (+) U = C^p``, read from ``factor``, A's
-    :class:`HermitianFactor`: dim U is its rank and sigma_max(N* B_U) <
-    1 - tol_rank for its null basis N (no principal angle vanishes).
-    """
-    A = hermitize(A, tol)
-    if U.ambient_dim != A.shape[0]:
-        raise ValueError("subspace ambient dimension does not match matrix")
-    if U.dim != factor.rank:
-        raise ValueError(f"dim U = {U.dim} is not rank A = {factor.rank}")
-    B = U.basis
-    cos = np.linalg.svd(factor.null.conj().T @ B, compute_uv=False)
-    if np.max(cos, initial=0.0) >= 1.0 - tol.tol_rank:
-        raise ValueError("direct-sum condition violated: U meets null(A)")
-    X = B @ np.linalg.inv(B.conj().T @ A @ B) @ B.conj().T
-    return 0.5 * (X + X.conj().T)
-
-
 def dubovoj_subspace(L, ranks):
-    """Orthonormal basis of range(diag(L_0, ..., L_n)), built blockwise.
+    """Orthonormal basis of range(diag(L_0, ..., L_n)), built blockwise,
+    as an (n + 1) q x rank H_n array.
 
     Block j contributes its ``ranks[j]`` leading left singular vectors,
     embedded into the matching block of C^{(n+1)q}.  The ranks are
@@ -241,9 +170,9 @@ def dubovoj_subspace(L, ranks):
     from, so that the subspace has the dimension rank H_n.
     """
     blocks = [as_matrix(Lj) for Lj in L]
-    q = blocks[0].shape[0]
-    if any(Lj.shape != (q, q) for Lj in blocks) or len(ranks) != \
-            len(blocks) or not all(0 <= r <= q for r in ranks):
+    q = blocks[0].shape[0] if blocks else 0
+    if not blocks or any(Lj.shape != (q, q) for Lj in blocks) or \
+            len(ranks) != len(blocks) or not all(0 <= r <= q for r in ranks):
         raise ValueError(f"need q x q ladder blocks with one rank in 0..q "
                          f"each, got ranks {list(ranks)}")
     basis = np.zeros((len(blocks) * q, sum(ranks)), dtype=complex)
@@ -251,4 +180,4 @@ def dubovoj_subspace(L, ranks):
     for j, (Lj, r) in enumerate(zip(blocks, ranks)):
         basis[j * q:(j + 1) * q, col:col + r] = np.linalg.svd(Lj)[0][:, :r]
         col += r
-    return Subspace(len(blocks) * q, basis)
+    return basis

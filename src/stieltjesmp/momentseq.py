@@ -40,7 +40,7 @@ class MomentSequence:
     Parameters
     ----------
     alpha : float
-        Left endpoint of the half line [alpha, oo).
+        Left endpoint of the half line [alpha, oo), a finite number.
     q : int
         Matrix size.
     moments : sequence of (q, q) arrays
@@ -57,6 +57,8 @@ class MomentSequence:
         if len(moments) == 0:
             raise ValueError("at least one moment matrix is required")
         self.alpha = float(alpha)
+        if not np.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         self.q = int(q)
         self.tol = tol
         self.moments = _read_only(np.array([hermitize(
@@ -346,8 +348,8 @@ def _witness(data):
 def dubovoj_candidates(seq, n):
     """Canonical block-diagonal range subspaces at level n.
 
-    Returns the pair (D_n, D_shift_n) built from the Schur ladders of
-    the sequence and of its right-alpha-shifted sequence via
+    Returns the orthonormal bases (D_n, D_shift_n) built from the Schur
+    ladders of the sequence and of its right-alpha-shifted sequence via
     :func:`stieltjesmp.matcore.dubovoj_subspace`, block ranks taken
     from the factors of the Hankel matrices.  The pair is computed once
     per level and kept on the sequence's Hankel data.

@@ -8,7 +8,9 @@ residual of Theta's J-form identity recorded on each build.  Every
 product of the construction with the block shift T_{q,n} or with the
 adjoint resolvent R_{T*}(z) is read from the stack T^j x of
 ``momentseq.shift_stack``, and R_T(alpha) v from its closed form
-``momentseq.resolvent_column``.  The factorization Theta = U B, the
+``momentseq.resolvent_column``; every product with the reflexive
+inverse of H_n or Hs_n comes from one solve with its canonical range
+basis, and neither inverse is formed.  The factorization Theta = U B, the
 other J-form identities and the kernel polynomials that the tests check
 Theta against, with the coefficient arithmetic they need, live in
 ``tests/identities.py``.
@@ -19,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonio
-from .matcore import one_two_inverse
 from .momentseq import HankelData, dubovoj_candidates, resolvent_column, \
     shift_stack
 
@@ -88,8 +89,9 @@ class ResolventMatrix:
     """The resolvent matrix polynomials and their cached Hankel data.
 
     ``theta`` and ``theta_tilde`` are 2q x 2q matrix polynomials of
-    degree at most n + 1.  ``Hm`` and ``Hsm`` are the reflexive inverses
-    of H_n and Hs_n with the canonical ranges.  ``self_check`` holds
+    degree at most n + 1, built from the reflexive inverses of H_n and
+    Hs_n with the canonical ranges, of which the build solves for the
+    two block columns it reads and keeps neither.  ``self_check`` holds
     ``j_form``, the relative residual of theta's J-form identity at one
     point pair (:func:`_self_check`).
     ``data``, the Hankel data of the sequence, lives while the resolvent
@@ -103,8 +105,6 @@ class ResolventMatrix:
     alpha: float
     theta: MatrixPolynomial
     theta_tilde: MatrixPolynomial
-    Hm: np.ndarray
-    Hsm: np.ndarray
     data: HankelData = field(repr=False, compare=False)
     self_check: dict = field(default_factory=dict)
 
@@ -127,12 +127,9 @@ def _build_resolvent(data, n):
     data.check_level(n, shifted=True)
     if not data.in_Kgeq_e():
         raise ValueError("sequence is not Stieltjes-extendable (not in K>=e)")
-    q = seq.q
+    q, tol, alpha = seq.q, seq.tol, seq.alpha
     H, Hs = data.H[n], data.shift.H[n]
     D, Ds = dubovoj_candidates(seq, n)
-    Hm = one_two_inverse(H, D, data.factor(n), seq.tol)
-    Hsm = one_two_inverse(Hs, Ds, data.shift.factor(n), seq.tol)
-    alpha = seq.alpha
     v = np.eye(H.shape[0], q)                # col(I_q, 0, ..., 0)
     Hv = H[:, :q]
     X = shift_stack(Hv, q)[1] if n else np.zeros_like(Hv)   # T H v
@@ -140,17 +137,26 @@ def _build_resolvent(data, n):
     # With L = [X, Xt, v], the stack T^j L gives the coefficients
     # (T^j L)* M of L* R_{T*}(z) M.
     TL = shift_stack(np.hstack([X, Xt, v]), q)
-    Rav = resolvent_column(alpha, q, n)      # R_T(a) v
+    # R_T(conj z) [X, -v] and R_T(conj w) [X, -v] at the J-form pair.
+    z, w = alpha + _J_PAIR
+    TLv = np.concatenate([TL[..., :q], -TL[..., 2 * q:]], axis=-1)
+    Lz, Lw = MatrixPolynomial(TLv)(np.conj([z, w]))
+    # H^- [R_T(a) v, Lw] and Hs^- H v, for the reflexive inverses with
+    # the canonical ranges D and Ds, one solve each.
+    HmRav, HmLw = np.split(_reflexive_solve(
+        H, D, data.factor(n), np.hstack([resolvent_column(alpha, q, n), Lw]),
+        tol), [q], axis=1)
+    HsmHv = _reflexive_solve(Hs, Ds, data.shift.factor(n), Hv, tol)
 
     # Theta = I + C_L Omega(z) C_R with C_L = diag(v* H, v*),
-    # C_R = diag(Hm Ra v, Hsm H v) and, for R = R_{T*}(z) and d = z - a,
+    # C_R = diag(H^- Ra v, Hs^- H v) and, for R = R_{T*}(z) and d = z - a,
     #   Omega  = [[d T*, (I - aT)*], [-d I, -d I]] diag(R, R),
     #   Omega~ = [[d T*, d (I - aT)*], [-I, -d I]] diag(R, R).
-    # Term by term, with K = L* R [Hm Ra v, Hsm H v] in q x q blocks
+    # Term by term, with K = L* R [H^- Ra v, Hs^- H v] in q x q blocks
     # K_ij (rows i = 1, 2, 3, columns j = a, b):
     #   Theta  = I + [[d K_1a, K_2b], [-d K_3a, -d K_3b]],
     #   Theta~ = I + [[d K_1a, d K_2b], [-K_3a, -d K_3b]].
-    K = TL.conj().transpose(0, 2, 1) @ np.hstack([Hm @ Rav, Hsm @ Hv])
+    K = TL.conj().transpose(0, 2, 1) @ np.hstack([HmRav, HsmHv])
     zK = _times_linear(K, -alpha, 1.0)               # (z - a) K
     K = np.concatenate([K, np.zeros_like(K[:1])])    # to the degree of zK
     (_, K2, K3), (zK1, zK2, zK3) = np.split(K, 3, 1), np.split(zK, 3, 1)
@@ -158,9 +164,27 @@ def _build_resolvent(data, n):
     theta = _identity_plus([[zK1[a], K2[b]], [-zK3[a], -zK3[b]]])
     theta_tilde = _identity_plus([[zK1[a], zK2[b]], [-K3[a], -zK3[b]]])
     R = ResolventMatrix(n=n, q=q, alpha=alpha, theta=theta,
-                        theta_tilde=theta_tilde, Hm=Hm, Hsm=Hsm, data=data)
-    R.self_check = _self_check(R, TL)
+                        theta_tilde=theta_tilde, data=data)
+    R.self_check = _self_check(R, Lz.conj().T @ HmLw)
     return R
+
+
+def _reflexive_solve(A, B, factor, b, tol):
+    """X b for the reflexive inverse X = B (B* A B)^-1 B* of a Hermitian
+    PSD ``A`` with range(X) = range(B) and null(X) = range(B)-perp, by one
+    solve; X itself is not formed.  ``B`` has orthonormal columns and
+    ``factor`` is A's :class:`~stieltjesmp.matcore.HermitianFactor`.  X
+    exists when null(A) (+) range(B) = C^p: B has rank A columns and
+    sigma_max(N* B) < 1 - tol_rank for A's null basis N (no principal
+    angle vanishes); otherwise ``ValueError``."""
+    if B.shape[1] != factor.rank:
+        raise ValueError(f"dim U = {B.shape[1]} is not rank A = "
+                         f"{factor.rank}")
+    cos = np.linalg.svd(factor.null.conj().T @ B, compute_uv=False)
+    if np.max(cos, initial=0.0) >= 1.0 - tol.tol_rank:
+        raise ValueError("direct-sum condition violated: U meets null(A)")
+    Bh = B.conj().T
+    return B @ np.linalg.solve(Bh @ A @ B, Bh @ b)
 
 
 def _identity_plus(blocks):
@@ -171,21 +195,19 @@ def _identity_plus(blocks):
     return MatrixPolynomial(coeffs)
 
 
-def _self_check(R, TL):
+def _self_check(R, LHL):
     """The residual ``j_form`` of theta's J-form identity
 
         Jt - theta(z) Jt theta(w)*
-            = -i (z - conj w) L* R_{T*}(z) Hm R_T(conj w) L,
+            = -i (z - conj w) L* R_{T*}(z) H^- R_T(conj w) L,
 
     Jt = [[0, -iI], [iI, 0]] and L = [T H v, -v], at the point pair
     alpha + ``_J_PAIR``, relative to 1 + |theta(z)|_F |theta(w)|_F.
-    R_T(conj z) L, whose adjoint is L* R_{T*}(z), is read from the
-    build's stack ``TL`` = T^j [T H v, (I - aT) H v, v]."""
+    ``LHL`` is the 2q x 2q product L* R_{T*}(z) H^- R_T(conj w) L, which
+    the build reads from its solve with H."""
     q = R.q
     z, w = R.alpha + _J_PAIR
-    TLv = np.concatenate([TL[..., :q], -TL[..., 2 * q:]], axis=-1)
-    Lz, Lw = MatrixPolynomial(TLv)(np.conj([z, w]))
-    rhs = -1j * (z - np.conj(w)) * (Lz.conj().T @ R.Hm @ Lw)
+    rhs = -1j * (z - np.conj(w)) * LHL
     J = 1j * (np.eye(2 * q, k=-q) - np.eye(2 * q, k=q))
     th_z, th_w = R.theta([z, w])
     lhs = J - th_z @ J @ th_w.conj().T

@@ -16,15 +16,12 @@ import numpy as np
 from . import jsonio
 from .matcore import (
     DEFAULT_TOL,
-    Subspace,
     ToleranceConfig,
     _fro,
     _psd_margin,
     _rank,
     hermitize,
-    projector,
     right_divide,
-    subspace_from_columns,
 )
 from .momentseq import HankelData
 from .potapov import _decomposition_residuals, potapov_report
@@ -42,8 +39,9 @@ class ClassificationReport:
     """Degeneracy data of a sequence at level n.
 
     m and ell are the ranks of the two defect products, r = q - m - ell;
-    U and V are the corresponding orthogonal subspaces of C^q and W is
-    the unitary frame [complement | U | V] (or [U | V] when r = 0).
+    U and V are orthonormal bases (q x m and q x ell) of the
+    corresponding orthogonal subspaces of C^q and W is the unitary frame
+    [complement | U | V] (or [U | V] when r = 0).
     ``tol`` and ``data``, the sequence's tolerance and the Hankel data
     the report keeps alive for later calls, are left out of ``to_dict``.
     """
@@ -52,8 +50,8 @@ class ClassificationReport:
     ell: int
     r: int
     case: str
-    U: Subspace
-    V: Subspace
+    U: np.ndarray
+    V: np.ndarray
     W: np.ndarray
     tol: ToleranceConfig = DEFAULT_TOL
     data: HankelData = field(default=None, repr=False, compare=False)
@@ -64,18 +62,18 @@ class ClassificationReport:
             "ell": self.ell,
             "r": self.r,
             "case": self.case,
-            "U_basis": jsonio.matrix_to_json(self.U.basis),
-            "V_basis": jsonio.matrix_to_json(self.V.basis),
+            "U_basis": jsonio.matrix_to_json(self.U),
+            "V_basis": jsonio.matrix_to_json(self.V),
             "W": jsonio.matrix_to_json(self.W),
         }
 
 
 def _defect_subspace(A, ref, tol):
-    """Row space of ``A`` (a subspace of C^q) and its rank under the
-    ``_rank`` rule relative to ``ref``."""
+    """An orthonormal basis of the row space of ``A`` (a subspace of
+    C^q) and its rank under the ``_rank`` rule relative to ``ref``."""
     _, s, vh = np.linalg.svd(A)
     r = _rank(s, tol, ref)
-    return Subspace(A.shape[1], vh[:r].conj().T), r
+    return vh[:r].conj().T, r
 
 
 def _defects(data, n):
@@ -93,13 +91,13 @@ def _defects(data, n):
                                   tol)
         if m + ell > q:
             raise ValueError("defect ranks exceed q; inconsistent input")
-        cols = [U.basis, V.basis]
+        cols = [U, V]
         if m + ell < q:
-            P = np.eye(q, dtype=complex) - projector(U) - projector(V)
-            comp = subspace_from_columns(P, tol)
-            if comp.dim != q - m - ell:
+            P = np.eye(q, dtype=complex) - U @ U.conj().T - V @ V.conj().T
+            comp, s, _ = np.linalg.svd(P, full_matrices=False)
+            if _rank(s, tol) != q - m - ell:
                 raise ValueError("complement dimension mismatch")
-            cols.insert(0, comp.basis)
+            cols.insert(0, comp[:, :q - m - ell])
         return U, m, V, ell, np.hstack(cols)
     return data._once(("defects", n), defects)
 
@@ -215,8 +213,8 @@ def pair_in_restricted_class(p, seq, n):
         if p.f.gamma is not None:
             C[:, :p.f.q] += p.E @ p.f.gamma
     bound = 10 * seq.tol.tol_identity * _fro(C)
-    return bool(_fro(U.basis.conj().T @ C[:p.q]) <= bound
-                and _fro(V.basis.conj().T @ C[p.q:]) <= bound)
+    return bool(_fro(U.conj().T @ C[:p.q]) <= bound
+                and _fro(V.conj().T @ C[p.q:]) <= bound)
 
 
 def _check_size(what, k, q):

@@ -6,12 +6,13 @@ package computes it, and the tests hold the library to it.  Nothing in
 ``stieltjesmp`` calls these functions.
 """
 
+import mpmath
 import numpy as np
 
-from stieltjesmp.matcore import DEFAULT_TOL, Subspace, _fro, _rank, \
-    _significant, as_matrix, projector, right_divide
+from stieltjesmp.matcore import DEFAULT_TOL, _fro, _rank, _significant, \
+    as_matrix, hermitize, right_divide
 from stieltjesmp.momentseq import MomentSequence, canonical_extension, \
-    shift_right, stack_y
+    dubovoj_candidates, shift_right, stack_y
 from stieltjesmp.potapov import _adjoint, _block_norm, _check_offreal, \
     _decomposition_residuals, _im_quotient, _weighted
 from stieltjesmp.resolvent import MatrixPolynomial, _times_linear, \
@@ -103,13 +104,49 @@ def range_included(B, A, tol=DEFAULT_TOL):
 
 
 def null_space(A, tol=DEFAULT_TOL):
-    """Orthonormal basis of the null space of ``A`` as a Subspace."""
+    """Orthonormal basis of the null space of ``A``, one column per
+    dimension."""
     A = as_matrix(A)
-    p = A.shape[1]
     if A.size == 0:
-        return Subspace(p, np.eye(p))
+        return np.eye(A.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(A)
-    return Subspace(p, vh[_rank(s, tol):].conj().T)
+    return vh[_rank(s, tol):].conj().T
+
+
+def one_two_inverse(A, U, factor, tol=DEFAULT_TOL):
+    """Reflexive generalized inverse of Hermitian PSD ``A`` with range and
+    null space prescribed by the subspace with orthonormal basis ``U``
+    and its orthocomplement.
+
+    Returns the unique X with A X A = A, X A X = X, range(X) = range(U)
+    and null(X) = range(U)-perp, formed explicitly as
+    ``U (U* A U)^{-1} U*``: the reference for the build's solves.  Valid
+    when ``null(A) (+) range(U) = C^p``, read from ``factor``, A's
+    ``HermitianFactor``: U has rank A columns and sigma_max(N* U) <
+    1 - tol_rank for its null basis N (no principal angle vanishes).
+    """
+    A = hermitize(A, tol)
+    if U.shape[0] != A.shape[0]:
+        raise ValueError("subspace ambient dimension does not match matrix")
+    if U.shape[1] != factor.rank:
+        raise ValueError(f"dim U = {U.shape[1]} is not rank A = "
+                         f"{factor.rank}")
+    cos = np.linalg.svd(factor.null.conj().T @ U, compute_uv=False)
+    if np.max(cos, initial=0.0) >= 1.0 - tol.tol_rank:
+        raise ValueError("direct-sum condition violated: U meets null(A)")
+    X = U @ np.linalg.inv(U.conj().T @ A @ U) @ U.conj().T
+    return 0.5 * (X + X.conj().T)
+
+
+def reflexive_inverses(R):
+    """(H^-, Hs^-): the reflexive inverses of H_n and Hs_n with the
+    canonical ranges that the resolvent R is built from, formed by
+    :func:`one_two_inverse`."""
+    data, n = R.data, R.n
+    D, Ds = dubovoj_candidates(data.seq, n)
+    return (one_two_inverse(data.H[n], D, data.factor(n), data.seq.tol),
+            one_two_inverse(data.shift.H[n], Ds, data.shift.factor(n),
+                            data.seq.tol))
 
 
 def is_dubovoj(D, H, T, tol=DEFAULT_TOL):
@@ -121,18 +158,16 @@ def is_dubovoj(D, H, T, tol=DEFAULT_TOL):
     """
     H = as_matrix(H)
     T = as_matrix(T)
-    p = D.ambient_dim
+    p = D.shape[0]
     if H.shape != (p, p) or T.shape != (p, p):
         raise ValueError("H and T must be square of the ambient dimension")
-    P = projector(D)
+    P = D @ D.conj().T
     invariant = np.linalg.norm((np.eye(p) - P) @ T.conj().T @ P) \
         <= tol.tol_identity * (1.0 + np.linalg.norm(T))
     N = null_space(H, tol)
-    if N.dim + D.dim != p:
+    if N.shape[1] + D.shape[1] != p:
         return False
-    stacked = np.hstack([N.basis, D.basis]) if (N.dim + D.dim) else \
-        np.zeros((p, 0))
-    direct = (mrank(stacked, tol) == p) if p else True
+    direct = (mrank(np.hstack([N, D]), tol) == p) if p else True
     return bool(invariant and direct)
 
 
@@ -281,16 +316,17 @@ def ub_factors(R, tilde=False):
     H = R.data.H[n]
     Rav = shift_resolvent(q, n, a) @ v
     X = ((np.eye(len(T)) - a * T) if tilde else T) @ H @ v
-    G = R.Hsm if tilde else R.Hm
+    Hm, Hsm = reflexive_inverses(R)
+    G = Hsm if tilde else Hm
     U = Poly.constant(np.eye(2 * q)) + Poly(resolvent_poly(q, n).coeffs) \
         .sandwich(np.hstack([X, -v]).conj().T,
                   G @ np.hstack([Rav, shift_resolvent(q, n, a) @ X])) \
         .times_linear(-a, 1.0)
     B = np.eye(2 * q, dtype=complex)
     if tilde:
-        B[q:, :q] = -Rav.conj().T @ R.Hm @ Rav
+        B[q:, :q] = -Rav.conj().T @ Hm @ Rav
     else:
-        B[:q, q:] = (H @ v).conj().T @ R.Hsm @ H @ v
+        B[:q, q:] = (H @ v).conj().T @ Hsm @ H @ v
     return U, B
 
 
@@ -325,7 +361,7 @@ def j_defect(R, z, w, variant="theta"):
 
     tilde = variant.endswith("tilde")
     theta = R.theta_tilde if tilde else R.theta
-    Hm = R.Hsm if tilde else R.Hm
+    Hm = reflexive_inverses(R)[1 if tilde else 0]
     X = (Rinv if tilde else T) @ H @ v
     left_mat, pair_mat = np.hstack([X, -v]), np.hstack([v, X])
 
@@ -361,6 +397,53 @@ def j_defect(R, z, w, variant="theta"):
     raise ValueError(f"unknown variant {variant!r}")
 
 
+def exact_canonical_S(seq, n, z):
+    """The canonical solution S(z) = Theta12(z) Theta22(z)^-1 of the pair
+    (0, I) on non-degenerate data, to 60 digits, taking the float
+    moments as exact: Theta = I + C_L Omega(z) C_R assembled densely in
+    mpmath, with C_L = diag(v* H, v*), C_R = diag(H^-1 R_T(a) v,
+    Hs^-1 H v), exact inverses of the positive definite H_n and Hs_n,
+    and, for R = R_{T*}(z) and d = z - a,
+    Omega = [[d T*, (I - aT)*], [-d I, -d I]] diag(R, R)."""
+    with mpmath.workdps(60):
+        q, a, z = seq.q, mpmath.mpf(seq.alpha), mpmath.mpc(z)
+        p = (n + 1) * q
+        s = [mpmath.matrix(m.tolist()) for m in seq.moments]
+        H, Hs = mpmath.zeros(p, p), mpmath.zeros(p, p)
+        T, v, eye = mpmath.zeros(p, p), mpmath.zeros(p, q), mpmath.eye(p)
+        for j in range(n + 1):
+            for k in range(n + 1):
+                for r in range(q):
+                    for c in range(q):
+                        H[j * q + r, k * q + c] = s[j + k][r, c]
+                        Hs[j * q + r, k * q + c] = \
+                            s[j + k + 1][r, c] - a * s[j + k][r, c]
+        for r in range(q):
+            v[r, r] = 1
+            for j in range(1, n + 1):
+                T[j * q + r, (j - 1) * q + r] = 1
+        R, d = (eye - z * T.H) ** -1, z - a
+        C_L = _mp_blocks([[v.H * H, None], [None, v.H]], q, p)
+        C_R = _mp_blocks([[H ** -1 * (eye - a * T) ** -1 * v, None],
+                          [None, Hs ** -1 * H * v]], p, q)
+        Omega = _mp_blocks([[d * T.H * R, (eye - a * T).H * R],
+                            [-d * R, -d * R]], p, p)
+        theta = mpmath.eye(2 * q) + C_L * Omega * C_R
+        S = theta[:q, q:] * theta[q:, q:] ** -1
+        return np.array(S.tolist(), dtype=complex)
+
+
+def _mp_blocks(blocks, r, c):
+    """The 2r x 2c mpmath matrix of a 2 x 2 nested list of r x c blocks,
+    None for a zero block."""
+    out = mpmath.zeros(2 * r, 2 * c)
+    for i, row in enumerate(blocks):
+        for j, b in enumerate(row):
+            if b is not None:
+                out[i * r:(i + 1) * r, j * c:(j + 1) * c] = b
+    return out
+
+
 def kernel_polys(R):
     """The three kernel polynomials P, Q, S with value I at alpha.
 
@@ -376,8 +459,9 @@ def kernel_polys(R):
     Hsp = R.data.shift.factor(n).pinv
     PH = eye - Hp @ H
     PHs = eye - Hsp @ Hs
-    QH = eye - H @ R.Hm
-    QHs = eye - Hs @ R.Hsm
+    Hm, Hsm = reflexive_inverses(R)
+    QH = eye - H @ Hm
+    QHs = eye - Hs @ Hsm
     RT = shift_resolvent_poly(q, n)
     Ppoly = Poly.constant(eye) + \
         RT.sandwich(PH @ T, QH).times_linear(-R.alpha, 1.0)

@@ -375,6 +375,21 @@ def test_json_readers_refuse_booleans_and_fractional_sizes(
     assert main(argv[kind]) == 0
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   -float("inf")])
+def test_a_non_finite_alpha_is_refused_by_name(tmp_path, capsys, value):
+    # Python's json reads NaN and Infinity; the reader refuses them as
+    # the alpha they stand for, before any matrix is formed.
+    doc = _document("moments")
+    doc["alpha"] = value
+    bad = write_json(tmp_path / "bad.json", doc)
+    assert main(["check", bad]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == (f"error: alpha: {json.dumps(value)} is not a "
+                            f"finite number\n")
+
+
 def test_cmd_transform_and_moments(tmp_path, capsys):
     mu = measure_file(tmp_path, [(1.0, 1.0)])
     code, doc = run(capsys, ["transform", mu, "--points", "1j"])

@@ -8,22 +8,18 @@ from hypothesis import strategies as st
 from stieltjesmp.matcore import (
     DEFAULT_TOL,
     HermitianFactor,
-    Subspace,
     ToleranceConfig,
     dubovoj_subspace,
     hermitize,
-    one_two_inverse,
-    projector,
     right_divide,
-    subspace_from_columns,
 )
 from stieltjesmp.momentseq import HankelData, dubovoj_candidates
 from stieltjesmp.stieltjespairs import AtomicMeasure, moments_of
 
 from conftest import random_psd
 from identities import is_dubovoj, is_hermitian, is_psd, mrank, \
-    null_space, pseudo_inverse, range_included, right_divide_three_norms, \
-    shift_matrix
+    null_space, one_two_inverse, pseudo_inverse, range_included, \
+    right_divide_three_norms, shift_matrix
 
 
 def test_tolerance_config_rejects_nonpositive():
@@ -68,12 +64,11 @@ def inverse_on(A, U):
 
 
 def test_one_two_inverse_examples():
-    U = Subspace(2, np.array([[1.0], [0.0]]))
+    U = np.array([[1.0], [0.0]])
     X = inverse_on(np.ones((2, 2)), U)
     assert np.allclose(X, np.diag([1.0, 0.0]))
-    full = Subspace(3, np.eye(3))
-    assert np.allclose(inverse_on(np.eye(3), full), np.eye(3))
-    zero = Subspace(1, np.zeros((1, 0)))
+    assert np.allclose(inverse_on(np.eye(3), np.eye(3)), np.eye(3))
+    zero = np.zeros((1, 0))
     assert np.allclose(inverse_on(np.zeros((1, 1)), zero), 0.0)
 
 
@@ -82,23 +77,23 @@ def test_one_two_inverse_defining_identities(rng):
     # reduces to the Moore-Penrose inverse; the four axioms must hold.
     for q, rank in ((3, 2), (4, 4), (5, 1)):
         A = random_psd(rng, q, rank)
-        U = subspace_from_columns(A)
+        U = np.linalg.svd(A)[0][:, :mrank(A)]
         X = inverse_on(A, U)
         assert np.linalg.norm(A @ X @ A - A) < 1e-10
         assert np.linalg.norm(X @ A @ X - X) < 1e-10
         assert np.linalg.norm(X - X.conj().T) < 1e-12
-        P = projector(U)
+        P = U @ U.conj().T
         assert np.linalg.norm(X - P @ X) < 1e-12
         assert np.linalg.norm(X - X @ P) < 1e-12
         assert is_psd(X)
 
 
 def test_one_two_inverse_rejects_bad_subspace():
-    U = Subspace(2, np.array([[1.0], [0.0]]))
+    U = np.array([[1.0], [0.0]])
     with pytest.raises(ValueError):
         inverse_on(np.eye(2), U)  # dim U = 1 != rank = 2
     # direct-sum violation: A = diag(1, 0), U = span e2
-    V = Subspace(2, np.array([[0.0], [1.0]]))
+    V = np.array([[0.0], [1.0]])
     with pytest.raises(ValueError):
         inverse_on(np.diag([1.0, 0.0]), V)
 
@@ -176,16 +171,16 @@ def test_right_divide_matches_the_three_norm_reference():
 
 def test_dubovoj_subspace_examples():
     D = dubovoj_subspace([np.array([[1.0]]), np.array([[0.0]])], [1, 0])
-    assert D.dim == 1
-    assert np.allclose(np.abs(D.basis.ravel()), [1.0, 0.0])
+    assert D.shape == (2, 1)
+    assert np.allclose(np.abs(D.ravel()), [1.0, 0.0])
     D = dubovoj_subspace([np.array([[0.0]]), np.array([[1.0]])], [0, 1])
-    assert np.allclose(np.abs(D.basis.ravel()), [0.0, 1.0])
+    assert np.allclose(np.abs(D.ravel()), [0.0, 1.0])
     D = dubovoj_subspace([np.eye(3)], [3])
-    assert D.dim == 3
+    assert D.shape == (3, 3)
     one = np.array([[1.0]])
     for blocks, ranks in (([one], [2]), ([one, one], [1]),
-                          ([one, one], [1, -1])):
-        with pytest.raises(ValueError):
+                          ([one, one], [1, -1]), ([], [])):
+        with pytest.raises(ValueError, match="need q x q ladder blocks"):
             dubovoj_subspace(blocks, ranks)
 
 
@@ -195,38 +190,30 @@ def test_dubovoj_subspace_shared_cutoff():
     # Hankel matrices, which see one atom as rank 1 at every level.
     eps = 1e-15
     D = dubovoj_subspace([np.array([[1.0]]), np.array([[eps]])], [1, 0])
-    assert D.dim == 1
+    assert D.shape[1] == 1
     for w, t in ((0.3, 1.7), (0.9, 2.3)):
         seq = moments_of(AtomicMeasure(0.0, 1, [(t, [[w]])]), 3)
         data = seq.hankel()
         assert data.ladder()[1].item() != 0.0   # roundoff, not zero
         assert data.ladder_ranks() == data.shift.ladder_ranks() == [1, 0]
         D, Ds = dubovoj_candidates(seq, 1)
-        assert D.dim == Ds.dim == 1
+        assert D.shape[1] == Ds.shape[1] == 1
 
 
 def test_is_dubovoj_examples():
     T = shift_matrix(1, 1)
-    D1 = Subspace(2, np.array([[1.0], [0.0]]))
+    D1 = np.array([[1.0], [0.0]])
     assert is_dubovoj(D1, np.ones((2, 2)), T)
-    D2 = Subspace(2, np.array([[0.0], [1.0]]))
+    D2 = np.array([[0.0], [1.0]])
     assert not is_dubovoj(D2, np.diag([0.0, 1.0]), T)
-    full = Subspace(2, np.eye(2))
-    assert is_dubovoj(full, np.eye(2), T)
-
-
-def test_projector_examples():
-    assert np.allclose(projector(Subspace(2, np.eye(2))), np.eye(2))
-    assert np.allclose(projector(Subspace(2, np.zeros((2, 0)))), 0.0)
-    b = np.array([[1.0], [1.0]]) / np.sqrt(2)
-    assert np.allclose(projector(Subspace(2, b)), 0.5 * np.ones((2, 2)))
+    assert is_dubovoj(np.eye(2), np.eye(2), T)
 
 
 def test_null_space_complements_rank(rng):
     A = random_psd(rng, 4, 2)
     N = null_space(A)
-    assert N.dim == 4 - mrank(A)
-    assert np.linalg.norm(A @ N.basis) < 1e-10
+    assert N.shape[1] == 4 - mrank(A)
+    assert np.linalg.norm(A @ N) < 1e-10
 
 
 @settings(max_examples=15, deadline=None)
@@ -281,13 +268,12 @@ def test_rank_rule_on_zero_and_empty_matrices():
     # matrix, with no special case for either.
     zero = np.zeros((3, 3))
     assert mrank(zero) == 0 and mrank(np.zeros((3, 0))) == 0
-    assert subspace_from_columns(zero).dim == 0
-    assert null_space(zero).dim == 3
+    assert null_space(zero).shape[1] == 3
     assert HermitianFactor(zero).rank == 0
     assert HermitianFactor(zero).null.shape == (3, 3)
     tight = ToleranceConfig(tol_rank=0.5)
     assert mrank(np.diag([1.0, 0.6, 0.4]), tight) == 2
-    assert null_space(np.diag([1.0, 0.6, 0.4]), tight).dim == 1
+    assert null_space(np.diag([1.0, 0.6, 0.4]), tight).shape[1] == 1
     # Equilibration scales 0.6 to 1 and leaves 0.4, at or below
     # tol_rank times the largest diagonal entry, as it is.
     f = HermitianFactor(np.diag([1.0, 0.6, 0.4]).astype(complex), tight)

@@ -36,6 +36,9 @@ def test_moment_sequence_validation():
         MomentSequence(0.0, 2, [np.array([[0.0, 1.0], [0.0, 0.0]])])
     with pytest.raises(ValueError, match="moment s_0 must be 2 x 2"):
         MomentSequence(0.0, 2, [[[1.0, 0.0, 0.0, 1.0]]])
+    for alpha in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            MomentSequence(alpha, 1, [[[1.0]]])
     seq = scalar_seq([1, 2, 3])
     assert seq.m == 2
 
@@ -261,7 +264,7 @@ def test_dubovoj_candidates_and_rank_profile():
         T = shift_matrix(seq.q, n)
         assert is_dubovoj(D, b.H[n], T)
         assert is_dubovoj(Ds, b.shift.H[n], T)
-        assert D.dim == mrank(b.H[n])
+        assert D.shape[1] == mrank(b.H[n])
     d = HankelData(scalar_seq([1, 1, 1]))
     assert d.factor(1).rank == 1
     assert d.ladder_ranks() == [1, 0]

@@ -22,7 +22,8 @@ from conftest import WEIGHT_PATTERNS, atomic_fixture, kge_fixtures, \
 from identities import _column_data, atomic_decomposition_residual, \
     congruence_check, conjugate_reflection, \
     decomposition_residual_per_atom, fq_matrices, fundamental_corner, \
-    monomial_stack, potapov_matrix, psi_polynomial, sigma_matrix
+    monomial_stack, potapov_matrix, psi_polynomial, reflexive_inverses, \
+    sigma_matrix
 
 
 def scalar_f(fn):
@@ -91,7 +92,7 @@ def test_sigma_invariant_under_generalized_inverse():
         R = build_resolvent(seq, n)
         f = partial(transform, mu)
         z = 0.7 + 1.3j
-        for k, g in ((2 * n, R.Hm), (2 * n + 1, R.Hsm)):
+        for k, g in zip((2 * n, 2 * n + 1), reflexive_inverses(R)):
             s_mp = sigma_matrix(seq, n, f, z, k)
             s_g = sigma_matrix(seq, n, f, z, k, ginverse=g)
             assert np.linalg.norm(s_mp - s_g) <= \

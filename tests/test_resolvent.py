@@ -5,17 +5,20 @@ import dataclasses
 import numpy as np
 import pytest
 
-from stieltjesmp import MomentSequence, momentseq, resolvent
+from stieltjesmp import MomentSequence, StieltjesPair, momentseq, resolvent
+from stieltjesmp.matcore import DEFAULT_TOL, HermitianFactor
+from stieltjesmp.momentseq import dubovoj_candidates
 from stieltjesmp.resolvent import MatrixPolynomial, build_resolvent, \
     standard_grid, theta_coeffs_json
-from stieltjesmp.solver import classify, unique_solution
+from stieltjesmp.solver import classify, lft_solution, unique_solution
 
 from conftest import WEIGHT_PATTERNS, atomic_fixture, kge_fixtures, \
     scalar_seq
-from identities import Poly, first_column_embedding, j_defect, \
-    kernel_polys, monomial_stack, resolvent_poly, shift_matrix, \
-    shift_resolvent, shift_resolvent_poly, signature_matrix, \
-    theta_inverse, ub_factors, ub_residual
+from identities import Poly, exact_canonical_S, first_column_embedding, \
+    j_defect, kernel_polys, monomial_stack, one_two_inverse, \
+    reflexive_inverses, resolvent_poly, shift_matrix, shift_resolvent, \
+    shift_resolvent_poly, signature_matrix, theta_inverse, ub_factors, \
+    ub_residual
 
 
 def test_matrix_polynomial_arithmetic():
@@ -153,13 +156,15 @@ def test_resolvent_matches_its_defining_formula():
                 except ValueError:
                     continue
                 built += 1
-                H, Hm, Hsm = R.data.H[n], R.Hm, R.Hsm
+                H, Hs = R.data.H[n], R.data.shift.H[n]
+                D, Ds = dubovoj_candidates(seq, n)
+                Hm, Hsm = reflexive_inverses(R)
                 Ra = shift_resolvent(q, n, alpha)
                 Rinv = eye - alpha * T
                 CL = np.block([[v.T @ H, np.zeros((q, p))],
                                [np.zeros((q, p)), v.T]])
-                CR = np.block([[Hm @ Ra @ v, np.zeros((p, q))],
-                               [np.zeros((p, q)), Hsm @ H @ v]])
+                CR = np.block([[_solve(H, D, Ra @ v), np.zeros((p, q))],
+                               [np.zeros((p, q)), _solve(Hs, Ds, H @ v)]])
                 for _ in range(3):
                     z = complex(alpha + 3.0 * rng.normal(),
                                 rng.choice([-1, 1]) * rng.uniform(0.1, 3.0))
@@ -200,6 +205,51 @@ def test_resolvent_matches_its_defining_formula():
     assert worst_ub <= 1e-10
 
 
+def _solve(A, B, b):
+    """X b for the reflexive inverse X = B (B* A B)^-1 B* with range
+    range(B), by a solve, as the build forms C_R's columns."""
+    return B @ np.linalg.solve(B.conj().T @ A @ B, B.conj().T @ b)
+
+
+def test_reflexive_solve_is_the_oracle_inverse_on_its_columns():
+    # The build's solve applies the explicit reflexive inverse of the
+    # oracle, refusing what the oracle refuses with the same messages.
+    for mu, seq, n in kge_fixtures(12, seed=31):
+        data = seq.hankel()
+        for d, B in zip((data, data.shift), dubovoj_candidates(seq, n)):
+            A, f = d.H[n], d.factor(n)
+            b = np.random.default_rng(n).normal(size=(len(A), 2))
+            got = resolvent._reflexive_solve(A, B, f, b, seq.tol)
+            want = one_two_inverse(A, B, f) @ b
+            assert np.linalg.norm(got - want) <= 1e-8 * (
+                1.0 + np.linalg.norm(want))
+    for A, B, message in ((np.eye(2), np.array([[1.0], [0.0]]),
+                           "dim U = 1 is not rank A = 2"),
+                          (np.diag([1.0, 0.0]), np.array([[0.0], [1.0]]),
+                           "direct-sum condition violated: U meets null")):
+        f = HermitianFactor(A.astype(complex))
+        for inverse in (lambda: one_two_inverse(A, B, f),
+                        lambda: resolvent._reflexive_solve(
+                            A, B, f, np.eye(2), DEFAULT_TOL)):
+            with pytest.raises(ValueError, match=message):
+                inverse()
+
+
+def test_canonical_solution_matches_a_60_digit_reference():
+    # On positive definite H_4 and Hs_4 (q = 2, seven atoms), S of the
+    # pair (0, I) at alpha + 1 + 0.1i lies within 5e-8 of S assembled
+    # from the same float moments in 60-digit arithmetic; an explicit
+    # float inverse in the build reads 2e-7 and more here.
+    for s in (5, 3):
+        mu, seq = atomic_fixture(np.random.default_rng(s), 2, 4, 0.5,
+                                 natoms=7)
+        z = seq.alpha + 1.0 + 0.1j
+        ref = exact_canonical_S(seq, 4, z)
+        S = lft_solution(build_resolvent(seq, 4), StieltjesPair.constant(
+            np.zeros((2, 2)), np.eye(2)))(z)
+        assert np.linalg.norm(S - ref) <= 5e-8 * np.linalg.norm(ref)
+
+
 def test_build_resolvent_rejects_bad_input():
     with pytest.raises(ValueError):
         build_resolvent(scalar_seq([1, -1]), 0)
@@ -219,13 +269,14 @@ def test_self_check_is_relative_to_the_coefficients():
         assert R.self_check["j_form"] <= 1e-10
 
 
-def _build_with_stack(monkeypatch, seq, n):
-    """build_resolvent(seq, n) and the stack T^j L its self-check read."""
-    stacks = []
+def _build_with_core(monkeypatch, seq, n):
+    """build_resolvent(seq, n) and the product L* R_{T*}(z) H^- R_T(conj
+    w) L its self-check read."""
+    cores = []
     check = resolvent._self_check
     monkeypatch.setattr(resolvent, "_self_check",
-                        lambda R, TL: stacks.append(TL) or check(R, TL))
-    return build_resolvent(seq, n), stacks[-1]
+                        lambda R, LHL: cores.append(LHL) or check(R, LHL))
+    return build_resolvent(seq, n), cores[-1]
 
 
 def test_j_form_sees_a_wrong_coefficient_block(monkeypatch):
@@ -237,9 +288,9 @@ def test_j_form_sees_a_wrong_coefficient_block(monkeypatch):
     for q, n, alpha, floor in ((1, 1, 0.0, 1e-8), (2, 1, 0.0, 1e-8),
                                (2, 2, 0.5, 1e-9)):
         mu, seq = atomic_fixture(np.random.default_rng(7 + q), q, n, alpha)
-        R, TL = _build_with_stack(monkeypatch, seq, n)
+        R, LHL = _build_with_core(monkeypatch, seq, n)
         clean = R.self_check["j_form"]
-        assert resolvent._self_check(R, TL) == R.self_check
+        assert resolvent._self_check(R, LHL) == R.self_check
         assert clean <= 1e-12
         coeffs = R.theta.coeffs
         largest = np.linalg.norm(coeffs, axis=(-2, -1)).max()
@@ -252,19 +303,21 @@ def test_j_form_sees_a_wrong_coefficient_block(monkeypatch):
             wrong = coeffs.copy()
             wrong[j][rows, cols] *= 1.0 + 1e-6
             bad = dataclasses.replace(R, theta=MatrixPolynomial(wrong))
-            got = resolvent._self_check(bad, TL)["j_form"]
+            got = resolvent._self_check(bad, LHL)["j_form"]
             assert got > max(floor, 1e4 * clean)
 
 
 def test_j_form_closed_forms_at_level_0(monkeypatch):
-    # At n = 0, T = 0 and L = [0, -v]: the stack the self-check reads
-    # has a zero first column, and the right side of the J-form identity
-    # is -i (z - conj w) diag(0, s_0^-), which Theta meets at the pair.
+    # At n = 0, T = 0 and L = [0, -v]: the product the self-check reads
+    # is L* H^- L = diag(0, s_0^-), so the right side of the J-form
+    # identity is -i (z - conj w) diag(0, s_0^-), which Theta meets at
+    # the pair.
     J = signature_matrix(1)
     for moments, alpha in (([1, 0], 0.0), ([1, 1], 0.0), ([2, 3], 0.5)):
         seq = MomentSequence(alpha, 1, [np.array([[x]]) for x in moments])
-        R, TL = _build_with_stack(monkeypatch, seq, 0)
-        assert np.array_equal(TL[0][:, :1], [[0.0]])
+        R, LHL = _build_with_core(monkeypatch, seq, 0)
+        assert np.linalg.norm(LHL - np.diag([0.0, 1.0 / moments[0]])) \
+            <= 1e-15
         z, w = alpha + resolvent._J_PAIR
         lhs = J - R.theta(z) @ J @ R.theta(w).conj().T
         rhs = -1j * (z - np.conj(w)) * np.diag([0.0, 1.0 / moments[0]])
@@ -276,12 +329,16 @@ def test_j_form_closed_forms_at_level_0(monkeypatch):
 def test_build_resolvent_at_condition_1e10(q, alpha, seed):
     # n + 1 = 4 full-rank atoms above alpha make H_3 and Hs_3 positive
     # definite, here of condition 1e10 and more; the prescribed-range
-    # inverses are decided on the one factor of each and are reflexive.
+    # inverses are decided on the one factor of each and, formed by the
+    # build's solve, are reflexive.
     mu, seq = atomic_fixture(np.random.default_rng(seed), q, 3, alpha,
                              natoms=4)
     R = build_resolvent(seq, 3)
     assert np.linalg.cond(R.data.H[3]) >= 1e10
-    for H, Hm in ((R.data.H[3], R.Hm), (R.data.shift.H[3], R.Hsm)):
+    for d, B in zip((R.data, R.data.shift), dubovoj_candidates(seq, 3)):
+        H = d.H[3]
+        Hm = resolvent._reflexive_solve(H, B, d.factor(3), np.eye(len(H)),
+                                        seq.tol)
         assert np.linalg.norm(H @ Hm @ H - H) <= 1e-6 * np.linalg.norm(H)
         assert np.linalg.norm(Hm @ H @ Hm - Hm) <= \
             1e-6 * np.linalg.norm(Hm)
@@ -414,5 +471,4 @@ def test_second_build_reads_the_dubovoj_subspaces(monkeypatch):
         if classify(seq, n).case == "CompletelyDegenerate":
             unique_solution(seq, n)
         assert not calls
-        assert np.array_equal(again.Hm, R.Hm)
-        assert np.array_equal(again.Hsm, R.Hsm)
+        assert again is R

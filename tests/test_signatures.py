@@ -172,17 +172,17 @@ def test_only_the_sequence_builds_its_hankel_data():
 PUBLIC = {
     "AtomicMeasure", "ClassReport", "ClassificationReport", "DEFAULT_TOL",
     "HankelData", "MatrixPolynomial", "MomentSequence", "ResolventMatrix",
-    "SolutionFunction", "StieltjesFunction", "StieltjesPair", "Subspace",
+    "SolutionFunction", "StieltjesFunction", "StieltjesPair",
     "ToleranceConfig", "build_resolvent", "canonical_extension",
     "class_membership", "classify", "dubovoj_subspace", "jsonio",
     "lft_solution", "lift_pair", "matcore", "moments_of", "momentseq",
-    "one_two_inverse", "pair_in_restricted_class", "potapov",
-    "potapov_report", "projector", "recover_s0", "resolvent",
+    "pair_in_restricted_class", "potapov",
+    "potapov_report", "recover_s0", "resolvent",
     "shift_right", "solver", "standard_grid",
     "stieltjespairs", "transform", "unique_solution", "verify_solution"}
 
 def test_the_package_exports_only_its_production_path():
-    assert len(stieltjesmp.__all__) == len(PUBLIC) == 38
+    assert len(stieltjesmp.__all__) == len(PUBLIC) == 35
     assert set(stieltjesmp.__all__) == PUBLIC
 
 
