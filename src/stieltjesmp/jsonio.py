@@ -1,12 +1,13 @@
 """JSON encoding of complex scalars and matrices.
 
 A complex number is the two-element array [re, im]; a matrix is a list
-of rows of such entries.  Finite real JSON numbers, not booleans,
-strings, ``NaN`` or ``Infinity``, are read.
+of rows of such entries.  Finite real JSON numbers are read; booleans,
+strings, ``NaN``, ``Infinity`` and integers no float holds are not.
 """
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -18,14 +19,18 @@ def complex_to_json(z):
 
 def json_to_real(v, where="value", integer=False):
     """A JSON number as a float (an int when ``integer``), refusing a
-    boolean, a string, ``NaN`` and ``Infinity`` (which Python's ``json``
-    reads) and, where an integer is asked for, a fraction."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or (
-            integer and not float(v).is_integer()):
+    boolean, a string, ``NaN``, ``Infinity`` and an int no float holds
+    (which Python's ``json`` reads) and, for ``integer``, a fraction."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"{where}: {json.dumps(v)} is not "
                          f"{'an integer' if integer else 'a number'}")
-    if isinstance(v, float) and not math.isfinite(v):
+    if isinstance(v, int) and abs(v) > sys.float_info.max:
+        raise ValueError(f"{where}: an integer of {len(str(abs(v)))} "
+                         "digits is not a finite number")
+    if not math.isfinite(v):
         raise ValueError(f"{where}: {json.dumps(v)} is not a finite number")
+    if integer and not float(v).is_integer():
+        raise ValueError(f"{where}: {json.dumps(v)} is not an integer")
     return int(v) if integer else float(v)
 
 

@@ -151,12 +151,12 @@ class HankelData:
     inverse about it reads.  The right-alpha-shifted sequence is a
     sequence too, with Hankel data of its own, :attr:`shift`.  Factors,
     Schur ladders, class verdicts and the canonical witness extension
-    (read-only) are computed when first asked for and kept on this
-    object, which the library reaches through
-    :meth:`MomentSequence.hankel` only; the matrices are read-only.
-    Readers of level n call :meth:`check_level`.  Per-level results
-    that hold this object (a classification report, a resolvent) are
-    handed out again by :meth:`live` while they are alive.
+    (read-only), and per level the defects of ``classify`` and the parts
+    of ``build_resolvent``, are computed when first asked for and kept in
+    one memo (``_once``); the library reaches this object through
+    :meth:`MomentSequence.hankel` only, and the matrices are read-only.
+    Readers of level n call :meth:`check_level`.  The results assembled
+    from the memo hold this object, and the memo holds none of them.
     """
 
     def __init__(self, seq):
@@ -165,21 +165,11 @@ class HankelData:
         H = _read_only(block_hankel(seq.moments, seq.m // 2))
         self.H = [H[:k, :k] for k in range(seq.q, len(H) + 1, seq.q)]
         self._memo = {}
-        self._live = weakref.WeakValueDictionary()
 
     def _once(self, key, compute):
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
-
-    def live(self, key, build):
-        """The result ``build()`` made for ``key`` while it is alive,
-        else a new one, held weakly as :meth:`MomentSequence.hankel`
-        holds this object: the result holds the data, never the reverse."""
-        obj = self._live.get(key)
-        if obj is None:
-            obj = self._live[key] = build()
-        return obj
 
     @property
     def shift(self):
@@ -351,12 +341,13 @@ def dubovoj_candidates(seq, n):
     Returns the orthonormal bases (D_n, D_shift_n) built from the Schur
     ladders of the sequence and of its right-alpha-shifted sequence via
     :func:`stieltjesmp.matcore.dubovoj_subspace`, block ranks taken
-    from the factors of the Hankel matrices.  The pair is computed once
-    per level and kept on the sequence's Hankel data.
+    from the factors of the Hankel matrices.  The pair is not kept: its
+    one reader, ``build_resolvent``, runs once per level while the data
+    lives.
     """
     data = seq.hankel()
     data.check_level(n, shifted=True)
-    return data._once(("dubovoj", n), lambda: tuple(
-        dubovoj_subspace(d.ladder()[:n + 1], d.ladder_ranks()[:n + 1])
-        for d in (data, data.shift)))
+    return tuple(dubovoj_subspace(d.ladder()[:n + 1],
+                                  d.ladder_ranks()[:n + 1])
+                 for d in (data, data.shift))
 

@@ -93,7 +93,8 @@ class ResolventMatrix:
     Hs_n with the canonical ranges, of which the build solves for the
     two block columns it reads and keeps neither.  ``self_check`` holds
     ``j_form``, the relative residual of theta's J-form identity at one
-    point pair (:func:`_self_check`).
+    point pair (:func:`_self_check`).  The three are shared through the
+    Hankel data's memo with every resolvent of level n: do not mutate them.
     ``data``, the Hankel data of the sequence, lives while the resolvent
     does, so later calls on the sequence read its factorizations (H_n
     is ``data.H[n]``, Hs_n is ``data.shift.H[n]``); every tolerance is
@@ -105,8 +106,8 @@ class ResolventMatrix:
     alpha: float
     theta: MatrixPolynomial
     theta_tilde: MatrixPolynomial
+    self_check: dict
     data: HankelData = field(repr=False, compare=False)
-    self_check: dict = field(default_factory=dict)
 
 
 def build_resolvent(seq, n):
@@ -115,11 +116,14 @@ def build_resolvent(seq, n):
     Requires the sequence to be Stieltjes-extendable (class K>=e) with
     2n + 1 <= m.  The generalized inverses H^- and Hs^- are taken with
     range equal to the canonical block-diagonal ladder subspaces.  The
-    result keeps the sequence's Hankel data; while it is alive, it is
-    returned again.
+    parts of the build, theta, theta-tilde and the self-check, are kept
+    in the memo of the sequence's Hankel data, which the result holds:
+    while the data lives, each call wraps the same parts in a new
+    resolvent and builds nothing again.
     """
     data = seq.hankel()
-    return data.live(("resolvent", n), lambda: _build_resolvent(data, n))
+    return ResolventMatrix(n, seq.q, seq.alpha, *data._once(
+        ("resolvent", n), lambda: _build_resolvent(data, n)), data)
 
 
 def _build_resolvent(data, n):
@@ -163,10 +167,7 @@ def _build_resolvent(data, n):
     a, b = np.s_[..., :q], np.s_[..., q:]
     theta = _identity_plus([[zK1[a], K2[b]], [-zK3[a], -zK3[b]]])
     theta_tilde = _identity_plus([[zK1[a], zK2[b]], [-K3[a], -zK3[b]]])
-    R = ResolventMatrix(n=n, q=q, alpha=alpha, theta=theta,
-                        theta_tilde=theta_tilde, data=data)
-    R.self_check = _self_check(R, Lz.conj().T @ HmLw)
-    return R
+    return theta, theta_tilde, _self_check(theta, alpha, Lz.conj().T @ HmLw)
 
 
 def _reflexive_solve(A, B, factor, b, tol):
@@ -195,8 +196,9 @@ def _identity_plus(blocks):
     return MatrixPolynomial(coeffs)
 
 
-def _self_check(R, LHL):
-    """The residual ``j_form`` of theta's J-form identity
+def _self_check(theta, alpha, LHL):
+    """The residual ``j_form`` of the J-form identity of the 2q x 2q
+    polynomial ``theta``
 
         Jt - theta(z) Jt theta(w)*
             = -i (z - conj w) L* R_{T*}(z) H^- R_T(conj w) L,
@@ -205,11 +207,11 @@ def _self_check(R, LHL):
     alpha + ``_J_PAIR``, relative to 1 + |theta(z)|_F |theta(w)|_F.
     ``LHL`` is the 2q x 2q product L* R_{T*}(z) H^- R_T(conj w) L, which
     the build reads from its solve with H."""
-    q = R.q
-    z, w = R.alpha + _J_PAIR
+    q = theta.shape[0] // 2
+    z, w = alpha + _J_PAIR
     rhs = -1j * (z - np.conj(w)) * LHL
     J = 1j * (np.eye(2 * q, k=-q) - np.eye(2 * q, k=q))
-    th_z, th_w = R.theta([z, w])
+    th_z, th_w = theta([z, w])
     lhs = J - th_z @ J @ th_w.conj().T
     scale = 1.0 + np.linalg.norm(th_z) * np.linalg.norm(th_w)
     return {"j_form": float(np.linalg.norm(lhs - rhs) / scale)}

@@ -41,7 +41,8 @@ class ClassificationReport:
     m and ell are the ranks of the two defect products, r = q - m - ell;
     U and V are orthonormal bases (q x m and q x ell) of the
     corresponding orthogonal subspaces of C^q and W is the unitary frame
-    [complement | U | V] (or [U | V] when r = 0).
+    [complement | U | V] (or [U | V] when r = 0); every report of level
+    n shares these arrays through the Hankel data's memo: do not mutate.
     ``tol`` and ``data``, the sequence's tolerance and the Hankel data
     the report keeps alive for later calls, are left out of ``to_dict``.
     """
@@ -105,16 +106,13 @@ def _defects(data, n):
 def classify(seq, n):
     """Compute (m, ell, r), the defect subspaces, and the frame W.
 
-    While a report of ``seq`` at level n is alive, it is returned again;
-    while the sequence's Hankel data is, a new report reads its defects.
+    Each call returns a new report, assembled from the defects kept in
+    the memo of the sequence's Hankel data, which the report holds:
+    while the data lives, nothing is computed again.
     """
     data = seq.hankel()
-    return data.live(("classify", n), lambda: _classify(data, n))
-
-
-def _classify(data, n):
     U, m, V, ell, W = _defects(data, n)
-    r = data.q - m - ell
+    r = seq.q - m - ell
     if m == 0 and ell == 0:
         case = "NonDegenerate"
     elif r == 0:
@@ -122,7 +120,7 @@ def _classify(data, n):
     else:
         case = "Degenerate"
     return ClassificationReport(m=m, ell=ell, r=r, case=case, U=U, V=V, W=W,
-                                tol=data.seq.tol, data=data)
+                                tol=seq.tol, data=data)
 
 
 def lift_pair(report, inner=None):
@@ -228,10 +226,10 @@ def lft_solution(R, p, seq=None, n=None):
 
     The pair is gated at level n of ``seq``, by default the level and
     the sequence R was built from; a pair outside the class raises
-    ``ValueError``.  The gate reads the classification of ``seq``, the
-    live one when the caller holds it, and the Hankel data R holds, so
-    on R's own sequence it factors nothing again.  A pair of another
-    size than R's q raises ``ValueError`` before the gate.
+    ``ValueError``.  The gate reads the defects of ``seq`` kept in the
+    memo of its Hankel data, which R holds, so on R's own sequence it
+    factors and classifies nothing again.  A pair of another size than
+    R's q raises ``ValueError`` before the gate.
     """
     _check_size("pair", p.q, R.q)
     seq = R.data.seq if seq is None else seq
@@ -246,9 +244,9 @@ def unique_solution(seq, n):
 
     Classification must yield r = 0; the parameter is then forced to the
     fixed constant pair and the LFT collapses to a unique rational
-    function.  A report or resolvent of ``seq`` at level n that the
-    caller holds is the one used, so nothing is classified or built
-    twice.
+    function.  The report and the resolvent are assembled from the memo
+    of the sequence's Hankel data, so while the caller holds a result
+    that keeps the data alive, nothing is classified or built twice.
     """
     report = classify(seq, n)
     if report.case != "CompletelyDegenerate":
@@ -278,7 +276,7 @@ def verify_solution(seq, n, candidate, grid=None):
     with the grid as a 1-D array and returns the (G, q, q) stack of its
     values, which the fundamental-matrix report reads; s_0 is recovered
     from it at a single large imaginary point.  Every check reads the
-    Hankel data of ``seq``, which a live result on it may hold already.
+    Hankel data of ``seq``, alive while any result on it is held.
     A measure needs 2n + 1 <= m (its checks read s_2n+1), a function 2n <= m,
     and a measure of another size than the sequence's q raises ``ValueError``.
     """

@@ -34,6 +34,8 @@ class AtomicMeasure:
 
     def __init__(self, alpha, q, atoms, tol=DEFAULT_TOL):
         self.alpha = float(alpha)
+        if not np.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         self.q = int(q)
         self.tol = tol
         merged = {}

@@ -350,12 +350,19 @@ def _document(kind):
     ("pair", ["alpha"], True, "alpha: true is not a number"),
     ("pair", ["atoms", 0, "t"], False, "t: false is not a number"),
     ("pair", ["gamma", 0, 0, 0], True, "gamma: true is not a number"),
+    pytest.param("moments", ["alpha"], 10 ** 400, "alpha: an integer of "
+                 "401 digits is not a finite number", id="alpha-10^400"),
+    pytest.param("moments", ["q"], 10 ** 400, "q: an integer of 401 "
+                 "digits is not a finite number", id="q-10^400"),
+    pytest.param("measure", ["atoms", 0, "t"], -10 ** 400, "t: an integer "
+                 "of 401 digits is not a finite number", id="t--10^400"),
 ])
 def test_json_readers_refuse_booleans_and_fractional_sizes(
         tmp_path, capsys, kind, path, value, message):
-    # Python counts true as the integer 1, int() truncates 1.9 to 1 and
-    # float() reads the string "0.5"; a file that says any of these is
-    # refused, not read as a number.
+    # Python counts true as the integer 1, int() truncates 1.9 to 1,
+    # float() reads the string "0.5" and json reads 10^400 as an int that
+    # float() overflows on; a file that says any of these is refused, not
+    # read as a number.
     doc = _document(kind)
     node = doc
     for key in path[:-1]:

@@ -276,3 +276,15 @@ def test_a_moment_sequence_is_one_array():
     seq = MomentSequence(0.0, 2, [np.eye(2)] * 3)
     assert isinstance(seq.moments, np.ndarray)
     assert seq.moments.shape == (3, 2, 2)
+
+
+def test_a_sequence_has_one_cache():
+    # Reused work lives in one memo on the Hankel data, from which every
+    # report and resolvent is assembled: no package module keeps results
+    # in a weak table, and the data hands out no live results.
+    found = [path.name for path in Path(solver.__file__).parent.glob("*.py")
+             if "WeakValueDictionary" in path.read_text()]
+    assert not found
+    assert not hasattr(momentseq.HankelData, "live")
+    data = MomentSequence(0.0, 1, [np.eye(1)] * 3).hankel()
+    assert not hasattr(data, "_live")

@@ -508,35 +508,62 @@ def _count_calls(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, counted)
 
 
-def test_a_live_report_or_resolvent_is_returned_again(monkeypatch):
+def test_a_second_call_shares_the_memo_and_does_no_work(monkeypatch):
+    # A report or resolvent is assembled anew on each call from the parts
+    # kept on the Hankel data: a second call shares W and theta and
+    # neither classifies nor builds again.
     mu, seq = atomic_fixture(np.random.default_rng(43), 2, 1, 0.5,
                              natoms=1)
-    builds = collections.Counter()
-    _count_calls(monkeypatch, resolvent, "_self_check", builds)
+    work = collections.Counter()
+    _count_calls(monkeypatch, resolvent, "_self_check", work)
+    _count_calls(monkeypatch, solver, "_defect_subspace", work)
     report = classify(seq, 1)
     assert report.case == "CompletelyDegenerate"
-    assert classify(seq, 1) is report
     R = build_resolvent(seq, 1)
-    assert build_resolvent(seq, 1) is R
-    assert unique_solution(seq, 1).resolvent is R
-    assert builds["_self_check"] == 1
+    assert work == {"_self_check": 1, "_defect_subspace": 2}
+    again = classify(seq, 1)
+    assert again is not report and again.data is report.data
+    assert again.W is report.W and again.U is report.U and \
+        again.V is report.V
+    rebuilt = build_resolvent(seq, 1)
+    assert rebuilt.theta is R.theta and \
+        rebuilt.theta_tilde is R.theta_tilde
+    S = unique_solution(seq, 1)
+    assert S.resolvent.theta is R.theta
+    assert work == {"_self_check": 1, "_defect_subspace": 2}
     for twin in (copy.copy(seq), pickle.loads(pickle.dumps(seq))):
-        assert classify(twin, 1) is not report
-        assert build_resolvent(twin, 1) is not R
-    assert builds["_self_check"] == 3
-    # The results hold the data and the data holds them weakly, so no
+        assert classify(twin, 1).W is not report.W
+        assert build_resolvent(twin, 1).theta is not R.theta
+    assert work == {"_self_check": 3, "_defect_subspace": 6}
+    # The results hold the data and the data holds none of them, so no
     # cycle keeps them: dropping them frees them at once.
     dropped = weakref.ref(report), weakref.ref(R), weakref.ref(seq.hankel())
     gc.disable()
     try:
-        del report, R
+        del report, R, again, rebuilt, S
         assert [ref() for ref in dropped] == [None] * 3
     finally:
         gc.enable()
     gc.collect()
     assert classify(seq, 1).case == "CompletelyDegenerate"
     build_resolvent(seq, 1)
-    assert builds["_self_check"] == 4
+    assert work["_self_check"] == 4
+
+
+def test_a_dropped_resolvent_is_not_built_again(monkeypatch):
+    # With a report holding the Hankel data, a resolvent dropped and
+    # asked for again is assembled from the parts the data keeps.
+    mu, seq = atomic_fixture(np.random.default_rng(43), 2, 1, 0.5)
+    builds = collections.Counter()
+    _count_calls(monkeypatch, resolvent, "_self_check", builds)
+    report = classify(seq, 1)
+    R = build_resolvent(seq, 1)
+    theta, dropped = R.theta, weakref.ref(R)
+    del R
+    assert dropped() is None
+    again = build_resolvent(seq, 1)
+    assert builds["_self_check"] == 1
+    assert again.data is report.data and again.theta is theta
 
 
 @pytest.mark.parametrize("kw", WEIGHT_PATTERNS.values())

@@ -36,6 +36,12 @@ def test_atomic_measure_validation():
                        match=r"^atom weight at t = 2\.0 is not PSD$"):
         AtomicMeasure(0.0, 2, [(1.0, np.eye(2)), (2.0, [[1.0, 2.0],
                                                         [2.0, 1.0]])])
+    # A NaN alpha would pass every atom; alpha is refused as a moment
+    # sequence refuses it.
+    for alpha in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError,
+                           match=f"^alpha must be finite, got {alpha}$"):
+            AtomicMeasure(alpha, 1, [(1.0, [[1.0]])])
     mu = AtomicMeasure(0.0, 1, [(2.0, [[1.0]]), (1.0, [[0.5]]),
                                 (2.0, [[0.25]])])
     assert [t for t, _ in mu.atoms] == [1.0, 2.0]
