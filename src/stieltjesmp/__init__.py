@@ -6,11 +6,7 @@ set, and verification of candidate solutions, for finitely atomic
 nonnegative-Hermitian matrix measures on [alpha, oo).
 """
 
-from .matcore import (
-    DEFAULT_TOL,
-    ToleranceConfig,
-    dubovoj_subspace,
-)
+from .matcore import DEFAULT_TOL, ToleranceConfig
 from .momentseq import (
     ClassReport,
     HankelData,

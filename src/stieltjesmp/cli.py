@@ -117,14 +117,24 @@ def _tol(args):
     return ToleranceConfig(**kwargs)
 
 
+def _complex_list(text, flag):
+    """The comma-separated complex numbers of ``text``; one that is not
+    finite is refused, naming ``flag``."""
+    points = [complex(tok) for tok in text.split(",")]
+    for z in points:
+        if not np.isfinite(z):
+            raise ValueError(f"{flag}: point {z} is not finite")
+    return points
+
+
 def _grid(args, alpha):
     if args.grid in (None, "standard"):
         return standard_grid(alpha)
-    return [complex(tok) for tok in args.grid.split(",")]
+    return _complex_list(args.grid, "--grid")
 
 
 def _points(args):
-    return [complex(tok) for tok in args.points.split(",")]
+    return _complex_list(args.points, "--points")
 
 
 def cmd_check(args):
@@ -170,7 +180,7 @@ def cmd_solve(args):
             pair = lift_pair(report, pair)
         R = build_resolvent(seq, n)
         S = lft_solution(R, pair, seq=seq, n=n)
-    points = _points(args) if args.points else \
+    points = _points(args) if args.points is not None else \
         [z for z in standard_grid(seq.alpha) if z.imag > 0][:4]
     entries = [{"z": jsonio.complex_to_json(z)} for z in points]
     solved = []

@@ -1,14 +1,14 @@
 """Dense complex matrix utilities.
 
 The Hermitian gate, the one PSD rule, the one rank and singularity
-rule and the right division of a column [num; den] it guards, the one
-factorization of a Hermitian matrix that decides its rank, PSD verdict,
-null space and Moore-Penrose inverse, and the orthonormal basis of the
-Hankel solver's block-diagonal range subspace.  A subspace is its
+rule and the right division of a column [num; den] it guards, and the
+one factorization of a Hermitian matrix that decides its rank, PSD
+verdict, null space and Moore-Penrose inverse.  A subspace is its
 basis, an array with orthonormal columns.
 The checks the tests hold these to (range inclusion, the invariant
 complement test, an SVD null space and pseudo-inverse, the reflexive
-inverse with prescribed range) live in ``tests/identities.py``.
+inverse with prescribed range, the Schur ladder and its block-diagonal
+range basis) live in ``tests/identities.py``.
 
 All functions are pure: inputs are never mutated and no module state is
 kept, so concurrent use is safe.
@@ -138,7 +138,9 @@ class HermitianFactor:
     ``psd`` is lambda_min(D A D) >= -tol_psd (1 + |A|) min(D)^2, the
     ``_psd_margin`` of A scaled to D A D, which implies lambda_min(A) >=
     -tol_psd (1 + |A|); ``null`` is an orthonormal basis
-    of null(A) and ``pinv`` the Moore-Penrose inverse of A.
+    of null(A), from which the Dubovoj range basis is read, and ``pinv``
+    the Moore-Penrose inverse of A, which only the canonical witness
+    extension reads.
     """
 
     def __init__(self, A, tol=DEFAULT_TOL):
@@ -159,25 +161,3 @@ class HermitianFactor:
             R = R - self.null @ (self.null.conj().T @ R)
         self.pinv = (R / w[:r]) @ R.conj().T
 
-
-def dubovoj_subspace(L, ranks):
-    """Orthonormal basis of range(diag(L_0, ..., L_n)), built blockwise,
-    as an (n + 1) q x rank H_n array.
-
-    Block j contributes its ``ranks[j]`` leading left singular vectors,
-    embedded into the matching block of C^{(n+1)q}.  The ranks are
-    rank H_j - rank H_{j-1} of the Hankel matrices the ladder comes
-    from, so that the subspace has the dimension rank H_n.
-    """
-    blocks = [as_matrix(Lj) for Lj in L]
-    q = blocks[0].shape[0] if blocks else 0
-    if not blocks or any(Lj.shape != (q, q) for Lj in blocks) or \
-            len(ranks) != len(blocks) or not all(0 <= r <= q for r in ranks):
-        raise ValueError(f"need q x q ladder blocks with one rank in 0..q "
-                         f"each, got ranks {list(ranks)}")
-    basis = np.zeros((len(blocks) * q, sum(ranks)), dtype=complex)
-    col = 0
-    for j, (Lj, r) in enumerate(zip(blocks, ranks)):
-        basis[j * q:(j + 1) * q, col:col + r] = np.linalg.svd(Lj)[0][:, :r]
-        col += r
-    return basis

@@ -11,12 +11,14 @@ is read), and membership tests for the four solvability classes
 (Hankel-nonnegative, Hankel-nonnegative extendable,
 Stieltjes-nonnegative, Stieltjes-nonnegative extendable).  A
 :class:`HankelData` holds the Hankel matrices at every level of one
-sequence, with their Schur-complement ladders, and factors each of them
-at most once; the shifted Hankel matrices Hs_k are the H_k of the
-shifted sequence's own data, ``data.shift``.  A sequence hands out its
-one HankelData through :meth:`MomentSequence.hankel`, so every call on
-the sequence shares the work while a result that holds the data is
-alive.
+sequence and factors each of them at most once; the shifted Hankel
+matrices Hs_k are the H_k of the shifted sequence's own data,
+``data.shift``.  The canonical (Dubovoj) range bases of the resolvent
+build are read from the null spaces of those factors
+(``dubovoj_candidates``), and no Schur complement is formed.  A
+sequence hands out its one HankelData through
+:meth:`MomentSequence.hankel`, so every call on the sequence shares the
+work while a result that holds the data is alive.
 """
 
 import weakref
@@ -25,13 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonio
-from .matcore import (
-    DEFAULT_TOL,
-    HermitianFactor,
-    as_square,
-    dubovoj_subspace,
-    hermitize,
-)
+from .matcore import DEFAULT_TOL, HermitianFactor, as_square, hermitize
 
 
 class MomentSequence:
@@ -150,9 +146,9 @@ class HankelData:
     is factored once, into the ``factor`` that every verdict, rank and
     inverse about it reads.  The right-alpha-shifted sequence is a
     sequence too, with Hankel data of its own, :attr:`shift`.  Factors,
-    Schur ladders, class verdicts and the canonical witness extension
-    (read-only), and per level the defects of ``classify`` and the parts
-    of ``build_resolvent``, are computed when first asked for and kept in
+    class verdicts and the canonical witness extension (read-only), and
+    per level the defects of ``classify`` and the parts of
+    ``build_resolvent``, are computed when first asked for and kept in
     one memo (``_once``); the library reaches this object through
     :meth:`MomentSequence.hankel` only, and the matrices are read-only.
     Readers of level n call :meth:`check_level`.  The results assembled
@@ -191,25 +187,6 @@ class HankelData:
         null basis and pseudo-inverse."""
         return self._once(("factor", k), lambda: HermitianFactor(
             self.H[k], self.seq.tol))
-
-    def ladder_ranks(self):
-        """rank H_k - rank H_{k-1} per level k: the rank of the Schur
-        complement L_k when H_k is PSD."""
-        ranks = [self.factor(k).rank for k in range(len(self.H))]
-        return np.diff(ranks, prepend=0).tolist()
-
-    def ladder(self):
-        """Schur complements L_k = s_2k - z_{k,2k-1} H_{k-1}^+ y_{k,2k-1},
-        one per level."""
-        return self._once("ladder", self._ladder)
-
-    def _ladder(self):
-        s = self.seq.moments
-        out = [s[0].copy()]
-        for k in range(1, len(self.H)):
-            y = stack_y(s, k, 2 * k - 1)
-            out.append(s[2 * k] - y.conj().T @ self.factor(k - 1).pinv @ y)
-        return out
 
     def nonnegative(self):
         """Membership of the sequence in class H>=."""
@@ -338,16 +315,38 @@ def _witness(data):
 def dubovoj_candidates(seq, n):
     """Canonical block-diagonal range subspaces at level n.
 
-    Returns the orthonormal bases (D_n, D_shift_n) built from the Schur
-    ladders of the sequence and of its right-alpha-shifted sequence via
-    :func:`stieltjesmp.matcore.dubovoj_subspace`, block ranks taken
-    from the factors of the Hankel matrices.  The pair is not kept: its
-    one reader, ``build_resolvent``, runs once per level while the data
-    lives.
+    Returns the orthonormal bases (D_n, D_shift_n) of range diag(L_0,
+    ..., L_n), L_k the Schur complement of H_{k-1} in H_k, for the
+    sequence and for its right-alpha-shifted sequence, both read from the
+    factors of the Hankel matrices (``_range_basis``).  The pair is not
+    kept: its one reader, ``build_resolvent``, runs once per level while
+    the data lives.
     """
     data = seq.hankel()
     data.check_level(n, shifted=True)
-    return tuple(dubovoj_subspace(d.ladder()[:n + 1],
-                                  d.ladder_ranks()[:n + 1])
-                 for d in (data, data.shift))
+    return _range_basis(data, n), _range_basis(data.shift, n)
 
+
+def _range_basis(data, n):
+    """Orthonormal basis of range diag(L_0, ..., L_n), an (n + 1) q x
+    rank H_n array, read from the factors of H_0, ..., H_n.
+
+    For PSD H_k = [[H_{k-1}, y], [y*, s_2k]], w is in null(L_k) iff some
+    [u; w] is in null(H_k) (u = -H_{k-1}^+ y w; conversely null(H_{k-1})
+    lies in null(y*)), so range(L_k) is the orthogonal complement of the
+    span of the last block rows P of the null basis of H_k.  Block k is
+    the r_k = rank H_k - rank H_{k-1} left singular vectors of P that lie
+    least in its range; a nonsingular H_k has an empty P and gives I_q.
+    """
+    q = data.q
+    ranks = np.diff([data.factor(k).rank for k in range(n + 1)], prepend=0)
+    if not all(0 <= r <= q for r in ranks):
+        raise ValueError(f"block ranks {ranks.tolist()} of the Dubovoj "
+                         f"basis must lie in 0..{q}")
+    basis = np.zeros(((n + 1) * q, ranks.sum()), dtype=complex)
+    col = 0
+    for k, r in enumerate(ranks):
+        P = data.factor(k).null[-q:]
+        basis[k * q:(k + 1) * q, col:col + r] = np.linalg.svd(P)[0][:, q - r:]
+        col += r
+    return basis

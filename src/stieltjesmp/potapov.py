@@ -127,11 +127,11 @@ def _coupling(data, n):
 def _projected_column(data, n, g, z):
     """Q* c(z) = K(z) g - b(z) of P_2n[g] at the points z (an array, 0-d
     for one point), with the coupling of :func:`_coupling`, built once
-    per level on ``data``; also w and ||H||_F."""
+    per level on ``data``; also w, K and ||H||_F."""
     w, K, b, hnorm = data._once(("coupling", n), lambda: _coupling(data, n))
     X = K(z) @ g
     X -= b(z)
-    return X, w, hnorm
+    return X, w, K, hnorm
 
 
 def _potapov_test(data, n, g, diag, z, tol):
@@ -147,7 +147,7 @@ def _potapov_test(data, n, g, diag, z, tol):
     (G, q, q) stack.  Where w_min <= -tau the point fails and its value
     is w_min.
     """
-    X, w, hnorm = _projected_column(data, n, g, z)
+    X, w, _, hnorm = _projected_column(data, n, g, z)
     tau = _psd_margin(tol, _block_norm(hnorm, X, diag))
     shifted = w + tau[:, None]
     definite = shifted[:, 0] > 0.0
@@ -177,9 +177,9 @@ def potapov_report(seq, n, fz, grid):
     belongs to, not per report, and no (n+2)q x (n+2)q matrix is
     formed.  P_-1 is already q x q and is tested directly.
 
-    An ``fz`` of another shape than (len(grid), q, q) raises
-    ``ValueError``, and so does a value that is not finite, naming the
-    first such point.
+    A grid point that is not finite raises ``ValueError`` naming it, and
+    so do an ``fz`` of another shape than (len(grid), q, q) and a value
+    that is not finite, naming the first such point.
     """
     data = seq.hankel()
     data.check_level(n)
@@ -188,6 +188,10 @@ def potapov_report(seq, n, fz, grid):
     if not grid:
         raise ValueError("empty evaluation grid")
     z = np.array(grid)
+    finite = np.isfinite(z)
+    if not finite.all():
+        raise ValueError(f"grid point {grid[np.argmin(finite)]} is not "
+                         f"finite")
     _check_offreal(z)
     fz = np.asarray(fz, dtype=complex)
     shape = (len(grid), seq.q, seq.q)
@@ -242,13 +246,12 @@ def _decomposition_residual(data, n, t, W, g, z):
     """
     q = data.q
     H = data.H[n]
-    X, _, hnorm = _projected_column(data, n, g, z)
+    X, _, K, hnorm = _projected_column(data, n, g, z)
     diag = _im_quotient(g, z)
     moments = (t ** np.arange(2 * n + 1)[:, None] @ W.reshape(-1, q * q)
                ).reshape(-1, q, q)
     corner = block_hankel(moments, n)
     corner[-q:, -q:] += H[-q:, -q:] - moments[-1]
-    K = data._once(("coupling", n), lambda: _coupling(data, n))[1]
     KW = K(t) @ W
     d = t - z[..., None]
     col = ((1.0 / d) @ KW.reshape(len(t), -1)).reshape(X.shape)

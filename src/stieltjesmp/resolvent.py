@@ -10,9 +10,10 @@ adjoint resolvent R_{T*}(z) is read from the stack T^j x of
 ``momentseq.shift_stack``, and R_T(alpha) v from its closed form
 ``momentseq.resolvent_column``; every product with the reflexive
 inverse of H_n or Hs_n comes from one solve with its canonical range
-basis, and neither inverse is formed.  The factorization Theta = U B, the
-other J-form identities and the kernel polynomials that the tests check
-Theta against, with the coefficient arithmetic they need, live in
+basis, read from the null spaces of the Hankel factors, and neither
+inverse is formed.  The factorization Theta = U B, the other J-form
+identities and the kernel polynomials that the tests check Theta
+against, with the coefficient arithmetic they need, live in
 ``tests/identities.py``.
 """
 
@@ -115,7 +116,8 @@ def build_resolvent(seq, n):
 
     Requires the sequence to be Stieltjes-extendable (class K>=e) with
     2n + 1 <= m.  The generalized inverses H^- and Hs^- are taken with
-    range equal to the canonical block-diagonal ladder subspaces.  The
+    range equal to the canonical block-diagonal (Dubovoj) subspaces
+    range diag(L_0, ..., L_n) of ``dubovoj_candidates``.  The
     parts of the build, theta, theta-tilde and the self-check, are kept
     in the memo of the sequence's Hankel data, which the result holds:
     while the data lives, each call wraps the same parts in a new

@@ -171,6 +171,55 @@ def is_dubovoj(D, H, T, tol=DEFAULT_TOL):
     return bool(invariant and direct)
 
 
+def schur_ladder(data):
+    """Schur complements L_k = s_2k - z_{k,2k-1} H_{k-1}^+ y_{k,2k-1} of
+    H_{k-1} in H_k, one per level of the Hankel data ``data``, formed
+    with the Moore-Penrose inverse of each H_{k-1}: the blocks whose
+    ranges span the Dubovoj subspace."""
+    s = data.seq.moments
+    out = [s[0].copy()]
+    for k in range(1, len(data.H)):
+        y = stack_y(s, k, 2 * k - 1)
+        out.append(s[2 * k] - y.conj().T @ data.factor(k - 1).pinv @ y)
+    return out
+
+
+def ladder_ranks(data):
+    """rank H_k - rank H_{k-1} per level k of ``data``: the rank of L_k
+    when H_k is PSD."""
+    return np.diff([mrank(H, data.seq.tol) for H in data.H],
+                   prepend=0).tolist()
+
+
+def ladder_basis(L, ranks):
+    """Orthonormal basis of range(diag(L_0, ..., L_n)) from the ladder
+    blocks ``L``, an (n + 1) q x sum(ranks) array: block j contributes
+    its ``ranks[j]`` leading left singular vectors.  The reference for
+    ``momentseq.dubovoj_candidates``, which reads the same subspace from
+    the null spaces of the Hankel factors."""
+    blocks = [as_matrix(Lj) for Lj in L]
+    q = blocks[0].shape[0] if blocks else 0
+    if not blocks or any(Lj.shape != (q, q) for Lj in blocks) or \
+            len(ranks) != len(blocks) or not all(0 <= r <= q for r in ranks):
+        raise ValueError(f"need q x q ladder blocks with one rank in 0..q "
+                         f"each, got ranks {list(ranks)}")
+    basis = np.zeros((len(blocks) * q, sum(ranks)), dtype=complex)
+    col = 0
+    for j, (Lj, r) in enumerate(zip(blocks, ranks)):
+        basis[j * q:(j + 1) * q, col:col + r] = np.linalg.svd(Lj)[0][:, :r]
+        col += r
+    return basis
+
+
+def projector_distance(A, B):
+    """Spectral-norm distance between the orthogonal projectors onto the
+    column spaces of the orthonormal bases ``A`` and ``B``."""
+    if A.shape != B.shape:
+        return np.inf
+    P = A @ A.conj().T - B @ B.conj().T
+    return np.linalg.norm(P, 2) if P.size else 0.0
+
+
 def extended(seq):
     """New sequence with the canonical extension appended."""
     return MomentSequence(seq.alpha, seq.q,

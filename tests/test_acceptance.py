@@ -10,7 +10,7 @@ import numpy as np
 
 from stieltjesmp import MomentSequence, class_membership
 from stieltjesmp.cli import main as cli_main
-from stieltjesmp.matcore import DEFAULT_TOL, dubovoj_subspace
+from stieltjesmp.matcore import DEFAULT_TOL
 from stieltjesmp.momentseq import (
     HankelData,
     block_hankel,
@@ -35,9 +35,9 @@ from stieltjesmp.stieltjespairs import (
 from conftest import atomic_fixture, kge_fixtures, ljapunov_data, \
     random_hermitian_sequence, scalar_seq
 from identities import atomic_decomposition_residual, congruence_check, \
-    is_dubovoj, j_defect, mrank, one_two_inverse, potapov_matrix, \
-    pseudo_inverse, shift_matrix, signature_matrix, theta_inverse, \
-    ub_residual
+    is_dubovoj, j_defect, ladder_basis, ladder_ranks, mrank, \
+    one_two_inverse, potapov_matrix, pseudo_inverse, schur_ladder, \
+    shift_matrix, signature_matrix, theta_inverse, ub_residual
 
 import json
 
@@ -122,7 +122,7 @@ def test_criterion_03_dubovoj_suite():
         D, Ds = dubovoj_candidates(seq, n)
         assert is_dubovoj(D, b.H[n], T)
         assert is_dubovoj(Ds, b.shift.H[n], T)
-        ladder = b.ladder()[:n + 1]
+        ladder = schur_ladder(b)[:n + 1]
         smax = max(np.linalg.norm(L, 2) for L in ladder)
         cutoff = DEFAULT_TOL.tol_rank * max(smax, 1.0)
         rank_sum = sum(
@@ -131,7 +131,7 @@ def test_criterion_03_dubovoj_suite():
         assert D.shape[1] == mrank(b.H[n]) == rank_sum
     thiele = scalar_seq([0, 0, 1])
     d = HankelData(thiele)
-    D = dubovoj_subspace(d.ladder(), d.ladder_ranks())
+    D = ladder_basis(schur_ladder(d), ladder_ranks(d))
     assert not is_dubovoj(D, block_hankel(thiele.moments, 1),
                           shift_matrix(1, 1))
     assert not class_membership(thiele).in_Hgeq_e

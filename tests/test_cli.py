@@ -430,3 +430,41 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["check"]) == 1
     capsys.readouterr()
+
+
+def test_a_nonfinite_point_is_refused_naming_its_flag(tmp_path, capsys):
+    # A point at infinity or NaN is no point of the problem: the CLI
+    # refuses it before any evaluation instead of printing NaN or calling
+    # the generating measure a non-solution.
+    mu = measure_file(tmp_path, [(0.5, 1.0), (2.0, 0.5)])
+    m = moment_file(tmp_path, [1.5, 1.5, 2.25, 4.125])
+    pair = write_json(tmp_path / "p.json", {
+        "kind": "constant", "phi": [[[1.0, 0.0]]], "psi": [[[0.0, 0.0]]]})
+    code, doc = run(capsys, ["verify", m, mu, "--n", "1", "--grid", "1j,2j"])
+    assert code == 0 and doc["valid"]
+    calls = {"--grid": [["verify", m, mu, "--n", "1", "--grid", "1j,infj"]],
+             "--points": [[*cmd, "--points", pts]
+                          for cmd in (["solve", m, pair, "--n", "1"],
+                                      ["transform", mu])
+                          for pts in ("inf", "nan+1j", "1j,infj")]}
+    for flag, argvs in calls.items():
+        for argv in argvs:
+            assert main(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert not captured.out
+            assert captured.err.startswith(f"error: {flag}: point ")
+            assert "is not finite" in captured.err
+
+
+def test_cmd_solve_refuses_empty_points(tmp_path, capsys):
+    # --points '' is given, and refused as transform refuses it, rather
+    # than read as absent.
+    m = moment_file(tmp_path, [1, 1])
+    pair = write_json(tmp_path / "p.json", {
+        "kind": "constant", "phi": [[[0.0, 0.0]]], "psi": [[[1.0, 0.0]]]})
+    mu = measure_file(tmp_path, [(1.0, 1.0)])
+    for argv in (["solve", m, pair, "--n", "0", "--points", ""],
+                 ["transform", mu, "--points", ""]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert not captured.out and captured.err.startswith("error: ")

@@ -9,7 +9,6 @@ from stieltjesmp.matcore import (
     DEFAULT_TOL,
     HermitianFactor,
     ToleranceConfig,
-    dubovoj_subspace,
     hermitize,
     right_divide,
 )
@@ -17,9 +16,9 @@ from stieltjesmp.momentseq import HankelData, dubovoj_candidates
 from stieltjesmp.stieltjespairs import AtomicMeasure, moments_of
 
 from conftest import random_psd
-from identities import is_dubovoj, is_hermitian, is_psd, mrank, \
-    null_space, one_two_inverse, pseudo_inverse, range_included, \
-    right_divide_three_norms, shift_matrix
+from identities import is_dubovoj, is_hermitian, is_psd, ladder_basis, \
+    ladder_ranks, mrank, null_space, one_two_inverse, pseudo_inverse, \
+    range_included, right_divide_three_norms, schur_ladder, shift_matrix
 
 
 def test_tolerance_config_rejects_nonpositive():
@@ -170,18 +169,18 @@ def test_right_divide_matches_the_three_norm_reference():
 
 
 def test_dubovoj_subspace_examples():
-    D = dubovoj_subspace([np.array([[1.0]]), np.array([[0.0]])], [1, 0])
+    D = ladder_basis([np.array([[1.0]]), np.array([[0.0]])], [1, 0])
     assert D.shape == (2, 1)
     assert np.allclose(np.abs(D.ravel()), [1.0, 0.0])
-    D = dubovoj_subspace([np.array([[0.0]]), np.array([[1.0]])], [0, 1])
+    D = ladder_basis([np.array([[0.0]]), np.array([[1.0]])], [0, 1])
     assert np.allclose(np.abs(D.ravel()), [0.0, 1.0])
-    D = dubovoj_subspace([np.eye(3)], [3])
+    D = ladder_basis([np.eye(3)], [3])
     assert D.shape == (3, 3)
     one = np.array([[1.0]])
     for blocks, ranks in (([one], [2]), ([one, one], [1]),
                           ([one, one], [1, -1]), ([], [])):
         with pytest.raises(ValueError, match="need q x q ladder blocks"):
-            dubovoj_subspace(blocks, ranks)
+            ladder_basis(blocks, ranks)
 
 
 def test_dubovoj_subspace_shared_cutoff():
@@ -189,13 +188,13 @@ def test_dubovoj_subspace_shared_cutoff():
     # must contribute no dimensions.  The block ranks are those of the
     # Hankel matrices, which see one atom as rank 1 at every level.
     eps = 1e-15
-    D = dubovoj_subspace([np.array([[1.0]]), np.array([[eps]])], [1, 0])
+    D = ladder_basis([np.array([[1.0]]), np.array([[eps]])], [1, 0])
     assert D.shape[1] == 1
     for w, t in ((0.3, 1.7), (0.9, 2.3)):
         seq = moments_of(AtomicMeasure(0.0, 1, [(t, [[w]])]), 3)
         data = seq.hankel()
-        assert data.ladder()[1].item() != 0.0   # roundoff, not zero
-        assert data.ladder_ranks() == data.shift.ladder_ranks() == [1, 0]
+        assert schur_ladder(data)[1].item() != 0.0   # roundoff, not zero
+        assert ladder_ranks(data) == ladder_ranks(data.shift) == [1, 0]
         D, Ds = dubovoj_candidates(seq, 1)
         assert D.shape[1] == Ds.shape[1] == 1
 

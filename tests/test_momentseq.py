@@ -25,8 +25,9 @@ from stieltjesmp.solver import classify
 from conftest import atomic_fixture, hankel_factor_counts, kge_fixtures, \
     ljapunov_data, random_hermitian_sequence, scalar_seq
 from identities import block_hankel_by_blocks, extended, \
-    first_column_embedding, is_dubovoj, is_psd, last_column_embedding, \
-    mrank, range_included, resolvent_poly, shift_matrix, shift_resolvent
+    first_column_embedding, is_dubovoj, is_psd, ladder_basis, ladder_ranks, \
+    last_column_embedding, mrank, projector_distance, range_included, \
+    resolvent_poly, schur_ladder, shift_matrix, shift_resolvent
 
 
 def test_moment_sequence_validation():
@@ -81,8 +82,7 @@ def test_hankel_catalog_examples():
     assert d.factor(1).pinv is d.factor(1).pinv
     assert np.allclose(d.factor(1).pinv,
                        np.linalg.pinv(block_hankel(d.seq.moments, 1)))
-    assert d.ladder() is d.ladder()
-    assert np.allclose([x.item() for x in d.ladder()], [2.0, 0.5, 0.0])
+    assert np.allclose([x.item() for x in schur_ladder(d)], [2.0, 0.5, 0.0])
     assert not d.H[2].flags.writeable and not d.shift.H[1].flags.writeable
 
 
@@ -161,12 +161,12 @@ def test_ljapunov_identities(rng):
 
 
 def test_schur_ladder_examples():
-    lad = HankelData(scalar_seq([1, 1, 1])).ladder()
+    lad = schur_ladder(HankelData(scalar_seq([1, 1, 1])))
     assert np.allclose([x.item() for x in lad], [1.0, 0.0])
-    lad = HankelData(scalar_seq([0, 0, 1])).ladder()
+    lad = schur_ladder(HankelData(scalar_seq([0, 0, 1])))
     assert np.allclose([x.item() for x in lad], [0.0, 1.0])
     d = HankelData(scalar_seq([5]))
-    assert np.allclose(d.ladder()[0], 5.0)
+    assert np.allclose(schur_ladder(d)[0], 5.0)
     with pytest.raises(ValueError):
         d.shift
 
@@ -247,7 +247,7 @@ def test_ladder_nesting_on_extendable_fixtures():
     # N(L_0) in N(Ls_0) in N(L_1) in ...
     for mu, seq, n in kge_fixtures(8, seed=3):
         d = HankelData(seq)
-        L, Ls = d.ladder(), d.shift.ladder()
+        L, Ls = schur_ladder(d), schur_ladder(d.shift)
         chain = []
         for j in range(len(L)):
             chain.append(L[j])
@@ -267,7 +267,45 @@ def test_dubovoj_candidates_and_rank_profile():
         assert D.shape[1] == mrank(b.H[n])
     d = HankelData(scalar_seq([1, 1, 1]))
     assert d.factor(1).rank == 1
-    assert d.ladder_ranks() == [1, 0]
+    assert ladder_ranks(d) == [1, 0]
+    D, Ds = dubovoj_candidates(scalar_seq([1, 1, 1, 1]), 1)
+    assert np.allclose(np.abs(D), [[1.0], [0.0]])
+    assert np.allclose(np.abs(Ds), [[1.0], [0.0]])
+
+
+def test_dubovoj_candidates_span_the_ladder_ranges():
+    # The basis read from the null spaces of the Hankel factors spans
+    # range diag(L_0, ..., L_n) of the Schur ladder, for nondegenerate,
+    # degenerate and completely degenerate data alike.
+    worst = 0.0
+    for mu, seq, n in kge_fixtures(200, seed=11):
+        d = seq.hankel()
+        T = shift_matrix(seq.q, n)
+        for b, B in zip((d, d.shift), dubovoj_candidates(seq, n)):
+            ranks = ladder_ranks(b)[:n + 1]
+            ref = ladder_basis(schur_ladder(b)[:n + 1], ranks)
+            worst = max(worst, projector_distance(B, ref))
+            assert np.allclose(B.conj().T @ B, np.eye(B.shape[1]))
+            assert is_dubovoj(B, b.H[n], T)
+    assert worst <= 1e-12
+
+
+def test_a_falling_block_rank_is_refused(monkeypatch):
+    # rank H_k < rank H_{k-1} is no rank of a Schur complement; the basis
+    # refuses it instead of slicing a negative number of columns.
+    seq = scalar_seq([1, 0.5, 1, 0.5])
+    factor = HankelData.factor
+
+    def fake(self, k):
+        f = copy.copy(factor(self, k))
+        if k == 1:
+            f.rank = 0
+        return f
+
+    monkeypatch.setattr(HankelData, "factor", fake)
+    with pytest.raises(ValueError, match=r"block ranks \[1, -1\] of the "
+                                         r"Dubovoj basis must lie in 0\.\.1"):
+        dubovoj_candidates(seq, 1)
 
 
 def _complex_normal(rng, *shape):

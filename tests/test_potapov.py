@@ -279,6 +279,23 @@ def _schur_oracle(P, q, tau):
     return np.linalg.eigvalsh(0.5 * (d + d.conj().T) - Y.conj().T @ Y).min()
 
 
+def test_potapov_report_refuses_a_nonfinite_grid_point():
+    # A grid point that is not finite is refused by name, whatever the
+    # values there, rather than reported as a failed test.
+    mu = AtomicMeasure(0.0, 1, [(0.5, [[1.0]]), (2.0, [[0.5]])])
+    seq = moments_of(mu, 3)
+    assert potapov_report(seq, 1, transform(mu, [1j, 2j]), [1j, 2j]).passed
+    for bad in (complex(0.0, np.inf), complex(np.nan, 1.0),
+                complex(np.inf, 1.0)):
+        grid = [1j, bad, 2j]
+        fz = transform(mu, np.array([1j, 3j, 2j]))
+        with pytest.raises(ValueError, match=re.escape(
+                f"grid point {bad} is not finite")):
+            potapov_report(seq, 1, fz, grid)
+    with pytest.raises(ValueError, match="grid point"):
+        potapov_report(seq, 1, transform(mu, [1j]), [complex("infj")])
+
+
 def test_potapov_report_decides_on_the_schur_complement(monkeypatch):
     shapes = []
     original = np.linalg.eigvalsh
@@ -398,7 +415,7 @@ def test_the_coupling_polynomial_is_the_projected_column():
                         g = _weighted(data, fz, z) if odd else fz
                         H, col, _ = _column_data(data, n, fz, z, odd)
                         w, Q = np.linalg.eigh(H)
-                        X, w_got, hnorm = _projected_column(
+                        X, w_got, _, hnorm = _projected_column(
                             d, n, g + seq.moments[0] if odd else g, z)
                         assert X.shape == col.shape
                         assert np.array_equal(w_got, w)

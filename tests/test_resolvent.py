@@ -458,8 +458,8 @@ def test_a_second_build_shares_the_parts_of_the_first(monkeypatch):
     # unique_solution makes) reads the parts of the first from it and
     # forms no range subspace again.
     calls = []
-    subspace = momentseq.dubovoj_subspace
-    monkeypatch.setattr(momentseq, "dubovoj_subspace",
+    subspace = momentseq._range_basis
+    monkeypatch.setattr(momentseq, "_range_basis",
                         lambda *args: calls.append(1) or subspace(*args))
     for mu, seq, n in kge_fixtures(12, seed=43):
         calls.clear()

@@ -174,7 +174,7 @@ PUBLIC = {
     "HankelData", "MatrixPolynomial", "MomentSequence", "ResolventMatrix",
     "SolutionFunction", "StieltjesFunction", "StieltjesPair",
     "ToleranceConfig", "build_resolvent", "canonical_extension",
-    "class_membership", "classify", "dubovoj_subspace", "jsonio",
+    "class_membership", "classify", "jsonio",
     "lft_solution", "lift_pair", "matcore", "moments_of", "momentseq",
     "pair_in_restricted_class", "potapov",
     "potapov_report", "recover_s0", "resolvent",
@@ -182,7 +182,7 @@ PUBLIC = {
     "stieltjespairs", "transform", "unique_solution", "verify_solution"}
 
 def test_the_package_exports_only_its_production_path():
-    assert len(stieltjesmp.__all__) == len(PUBLIC) == 35
+    assert len(stieltjesmp.__all__) == len(PUBLIC) == 34
     assert set(stieltjesmp.__all__) == PUBLIC
 
 
@@ -288,3 +288,20 @@ def test_a_sequence_has_one_cache():
     assert not hasattr(momentseq.HankelData, "live")
     data = MomentSequence(0.0, 1, [np.eye(1)] * 3).hankel()
     assert not hasattr(data, "_live")
+
+
+def test_the_range_basis_is_read_from_the_factors():
+    # The Dubovoj basis comes from the null spaces of the Hankel factors:
+    # the data keeps no Schur ladder and matcore no ladder-based basis.
+    # The one product with a pseudo-inverse left is the witness's.
+    for name in ("ladder", "_ladder", "ladder_ranks"):
+        assert not hasattr(momentseq.HankelData, name)
+    assert not hasattr(stieltjesmp.matcore, "dubovoj_subspace")
+    readers = {(path.name, fn.name)
+               for path in Path(solver.__file__).parent.glob("*.py")
+               for fn in ast.walk(ast.parse(path.read_text()))
+               if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Attribute) and node.attr == "pinv"
+               and isinstance(node.ctx, ast.Load)}
+    assert readers == {("momentseq.py", "_witness")}
