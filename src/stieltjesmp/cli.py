@@ -118,9 +118,15 @@ def _tol(args):
 
 
 def _complex_list(text, flag):
-    """The comma-separated complex numbers of ``text``; one that is not
-    finite is refused, naming ``flag``."""
-    points = [complex(tok) for tok in text.split(",")]
+    """The comma-separated complex numbers of ``text``; a token that is
+    not a finite complex number is refused, naming ``flag``."""
+    points = []
+    for tok in text.split(","):
+        try:
+            points.append(complex(tok))
+        except ValueError:
+            raise ValueError(
+                f"{flag}: '{tok}' is not a complex number") from None
     for z in points:
         if not np.isfinite(z):
             raise ValueError(f"{flag}: point {z} is not finite")
@@ -175,11 +181,8 @@ def cmd_solve(args):
         if args.pair is None:
             raise ValueError("a pair file is required unless the data is "
                              "completely degenerate")
-        pair = load_pair_file(args.pair, tol)
-        if report.case == "Degenerate":
-            pair = lift_pair(report, pair)
-        R = build_resolvent(seq, n)
-        S = lft_solution(R, pair, seq=seq, n=n)
+        pair = lift_pair(report, load_pair_file(args.pair, tol))
+        S = lft_solution(build_resolvent(seq, n), pair)
     points = _points(args) if args.points is not None else \
         [z for z in standard_grid(seq.alpha) if z.imag > 0][:4]
     entries = [{"z": jsonio.complex_to_json(z)} for z in points]

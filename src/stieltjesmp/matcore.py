@@ -2,9 +2,9 @@
 
 The Hermitian gate, the one PSD rule, the one rank and singularity
 rule and the right division of a column [num; den] it guards, and the
-one factorization of a Hermitian matrix that decides its rank, PSD
-verdict, null space and Moore-Penrose inverse.  A subspace is its
-basis, an array with orthonormal columns.
+one factorization of a Hermitian matrix: its eigenvalues, rank, PSD
+verdict and null space, and its Moore-Penrose inverse on demand.  A
+subspace is its basis, an array with orthonormal columns.
 The checks the tests hold these to (range inclusion, the invariant
 complement test, an SVD null space and pseudo-inverse, the reflexive
 inverse with prescribed range, the Schur ladder and its block-diagonal
@@ -134,13 +134,13 @@ class HermitianFactor:
     diagonal entry at or below ``tol_rank`` times the largest being
     scaled by the largest instead, so that a row of roundoff stays
     roundoff.  D A D has the inertia of A and null(A) = D null(D A D).
-    ``rank`` is the ``_rank`` rule on the moduli of its eigenvalues;
-    ``psd`` is lambda_min(D A D) >= -tol_psd (1 + |A|) min(D)^2, the
-    ``_psd_margin`` of A scaled to D A D, which implies lambda_min(A) >=
-    -tol_psd (1 + |A|); ``null`` is an orthonormal basis
-    of null(A), from which the Dubovoj range basis is read, and ``pinv``
-    the Moore-Penrose inverse of A, which only the canonical witness
-    extension reads.
+    ``w`` holds the eigenvalues of D A D by decreasing modulus, the
+    order in which the rank rule cuts them; ``rank`` is the ``_rank``
+    rule on their moduli; ``psd`` is lambda_min(D A D) >= -tol_psd
+    (1 + |A|) min(D)^2, the ``_psd_margin`` of A scaled to D A D, which
+    implies lambda_min(A) >= -tol_psd (1 + |A|); ``null`` is an
+    orthonormal basis of null(A), from which the Dubovoj range basis is
+    read.  No inverse is kept: :meth:`pinv` forms A^+ on each call.
     """
 
     def __init__(self, A, tol=DEFAULT_TOL):
@@ -149,15 +149,17 @@ class HermitianFactor:
         D = 1.0 / np.sqrt(np.where(d > tol.tol_rank * dmax, d, dmax))
         w, Q = np.linalg.eigh(D[:, None] * A * D)
         order = np.argsort(-np.abs(w), kind="stable")
-        w, B = w[order], D[:, None] * Q[:, order]
-        self.rank = r = _rank(np.abs(w), tol)
+        self.w, B = w[order], D[:, None] * Q[:, order]
+        self.rank = r = _rank(np.abs(self.w), tol)
         self.psd = bool(w.min(initial=0.0) >= -_psd_margin(
             tol, np.linalg.norm(A)) / dmax)
-        self.null, R = B[:, r:], B[:, :r]
+        self.null, self._kept = B[:, r:], B[:, :r]
         if r < len(d):
-            # R diag(1/w_r) R* inverts A on its range; with R projected
-            # onto range(A) = null(A)-perp it is the Moore-Penrose inverse.
             self.null = np.linalg.qr(self.null)[0]
-            R = R - self.null @ (self.null.conj().T @ R)
-        self.pinv = (R / w[:r]) @ R.conj().T
 
+    def pinv(self):
+        """The Moore-Penrose inverse of A, formed anew on each call:
+        R diag(1/w_r) R*, R the D-scaled eigenvectors of the first r =
+        ``rank`` eigenvalues projected onto range(A) = null(A)-perp."""
+        R = self._kept - self.null @ (self.null.conj().T @ self._kept)
+        return (R / self.w[:self.rank]) @ R.conj().T

@@ -144,7 +144,7 @@ class HankelData:
     ``H[k]`` (2k <= m) is the level-k block Hankel matrix of the
     sequence, a leading slice of the matrix built at the top level.  Each
     is factored once, into the ``factor`` that every verdict, rank and
-    inverse about it reads.  The right-alpha-shifted sequence is a
+    null basis about it is read from.  The right-alpha-shifted sequence is a
     sequence too, with Hankel data of its own, :attr:`shift`.  Factors,
     class verdicts and the canonical witness extension (read-only), and
     per level the defects of ``classify`` and the parts of
@@ -184,7 +184,7 @@ class HankelData:
 
     def factor(self, k):
         """The factor of H_k under ``seq.tol``: its PSD verdict, rank,
-        null basis and pseudo-inverse."""
+        eigenvalues and null basis, and its pseudo-inverse on demand."""
         return self._once(("factor", k), lambda: HermitianFactor(
             self.H[k], self.seq.tol))
 
@@ -289,10 +289,11 @@ def canonical_extension(seq):
     """Minimal Hermitian extension s_{m+1} with zero Schur complement.
 
     Returns s_{m+1} = z_{floor(m/2)+1, m} H^+ y_{floor(m/2)+1, m} with
-    H the Hankel matrix of level ceil(m/2) - 1; for m = 0 the empty
-    product gives the zero matrix.  It is computed once and kept,
-    read-only, on the sequence's Hankel data, so ``class_membership``
-    and this function hand out the same array while the data lives.
+    H the Hankel matrix of level ceil(m/2) - 1, whose factor forms H^+
+    for this product only; for m = 0 the empty product gives the zero
+    matrix.  It is computed once and kept, read-only, on the sequence's
+    Hankel data, so ``class_membership`` and this function hand out the
+    same array while the data lives.
     """
     data = seq.hankel()
     if not data.extendable():
@@ -308,7 +309,7 @@ def _witness(data):
     lo = m // 2 + 1
     lvl = (m + 1) // 2 - 1
     y = stack_y(seq.moments, lo, m)
-    s_next = y.conj().T @ data.factor(lvl).pinv @ y
+    s_next = y.conj().T @ data.factor(lvl).pinv() @ y
     return 0.5 * (s_next + s_next.conj().T)
 
 

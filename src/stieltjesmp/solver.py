@@ -140,7 +140,7 @@ def lift_pair(report, inner=None):
         on_v = np.arange(report.W.shape[1]) >= report.m
         return StieltjesPair.constant(report.W * on_v, report.W * ~on_v,
                                       report.tol)
-    if inner is None or inner.q != report.r:
+    if inner is None:
         raise ValueError(f"inner pair must be {report.r} x {report.r}")
     return StieltjesPair.lifted(report.W, inner, report.m, report.ell)
 

@@ -180,7 +180,7 @@ def schur_ladder(data):
     out = [s[0].copy()]
     for k in range(1, len(data.H)):
         y = stack_y(s, k, 2 * k - 1)
-        out.append(s[2 * k] - y.conj().T @ data.factor(k - 1).pinv @ y)
+        out.append(s[2 * k] - y.conj().T @ data.factor(k - 1).pinv() @ y)
     return out
 
 
@@ -504,8 +504,8 @@ def kernel_polys(R):
     H, Hs = R.data.H[n], R.data.shift.H[n]
     T, Ra = shift_matrix(q, n), shift_resolvent(q, n, R.alpha)
     eye = np.eye(H.shape[0], dtype=complex)
-    Hp = R.data.factor(n).pinv
-    Hsp = R.data.shift.factor(n).pinv
+    Hp = R.data.factor(n).pinv()
+    Hsp = R.data.shift.factor(n).pinv()
     PH = eye - Hp @ H
     PHs = eye - Hsp @ Hs
     Hm, Hsm = reflexive_inverses(R)
@@ -624,7 +624,7 @@ def sigma_matrix(seq, n, f, z, k, ginverse=None):
         return potapov_matrix(seq, n, f, z, -1)
     odd = k % 2 == 1
     _, col, diag = _column_data(data, n, f(z), np.asarray(z), odd)
-    Hinv = (data.shift if odd else data).factor(n).pinv \
+    Hinv = (data.shift if odd else data).factor(n).pinv() \
         if ginverse is None else ginverse
     return diag - col.conj().T @ Hinv @ col
 

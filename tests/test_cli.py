@@ -456,6 +456,26 @@ def test_a_nonfinite_point_is_refused_naming_its_flag(tmp_path, capsys):
             assert "is not finite" in captured.err
 
 
+def test_a_malformed_point_is_refused_naming_its_flag_and_token(tmp_path,
+                                                               capsys):
+    mu = measure_file(tmp_path, [(0.5, 1.0), (2.0, 0.5)])
+    m = moment_file(tmp_path, [1.5, 1.5, 2.25, 4.125])
+    pair = write_json(tmp_path / "p.json", {
+        "kind": "constant", "phi": [[[1.0, 0.0]]], "psi": [[[0.0, 0.0]]]})
+    for argv, flag, token in (
+            (["transform", mu, "--points="], "--points", ""),
+            (["transform", mu, "--points", "1j,,2j"], "--points", ""),
+            (["transform", mu, "--points", "abc"], "--points", "abc"),
+            (["verify", m, mu, "--n", "1", "--grid", "1j,x"], "--grid", "x"),
+            (["solve", m, pair, "--n", "1", "--points", "1j,q"], "--points",
+             "q")):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == (
+            f"error: {flag}: '{token}' is not a complex number\n")
+
+
 def test_cmd_solve_refuses_empty_points(tmp_path, capsys):
     # --points '' is given, and refused as transform refuses it, rather
     # than read as absent.

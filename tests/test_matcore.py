@@ -15,7 +15,7 @@ from stieltjesmp.matcore import (
 from stieltjesmp.momentseq import HankelData, dubovoj_candidates
 from stieltjesmp.stieltjespairs import AtomicMeasure, moments_of
 
-from conftest import random_psd
+from conftest import WEIGHT_PATTERNS, atomic_fixture, random_psd
 from identities import is_dubovoj, is_hermitian, is_psd, ladder_basis, \
     ladder_ranks, mrank, null_space, one_two_inverse, pseudo_inverse, \
     range_included, right_divide_three_norms, schur_ladder, shift_matrix
@@ -253,13 +253,53 @@ def test_hermitian_factor_matches_svd_oracles(seed):
     assert np.allclose(f.null.conj().T @ f.null, np.eye(p - r))
     assert np.linalg.norm(A @ f.null) <= 1e-10 * (1.0 + np.linalg.norm(A))
     X = pseudo_inverse(A)
-    assert np.linalg.norm(f.pinv - X) <= 1e-8 * (1.0 + np.linalg.norm(X))
+    assert np.linalg.norm(f.pinv() - X) <= 1e-8 * (1.0 + np.linalg.norm(X))
+    # The factor keeps what its verdicts read and forms no inverse.
+    assert sorted(vars(f)) == ["_kept", "null", "psd", "rank", "w"]
     S = np.diag(10.0 ** rng.uniform(-2, 2, size=p))
     g = HermitianFactor(S @ A @ S)
     assert g.psd and g.rank == r
     B = A - rng.uniform(0.1, 1.0) * np.eye(p)
     h = HermitianFactor(B)
     assert h.psd == is_psd(B) and h.rank == mrank(B)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([1, 2, 4, 8]),
+       st.integers(0, 3), st.sampled_from(sorted(WEIGHT_PATTERNS)))
+def test_hermitian_factor_on_block_hankel_matrices(seed, q, n, pattern):
+    # On every H_k and Hs_k (k <= n, so N up to 32) of an atomic
+    # measure: w is the spectrum of D A D by decreasing modulus, the rank
+    # rule cuts it, and pinv() is the SVD pseudo-inverse.  That bound is
+    # held where A determines A^+ to it, sigma_1 / sigma_r <= 1e6 at the
+    # common rank; full-rank H_3 reach 1e10, where the SVD oracle itself
+    # is off the exact inverse by about kappa * eps.  There pinv() is
+    # still Hermitian with null(A) in its kernel.
+    kw = {} if q == 1 else WEIGHT_PATTERNS[pattern]
+    _, seq = atomic_fixture(np.random.default_rng(seed), q, n, **kw)
+    data = HankelData(seq)
+    compared = 0
+    for A in (*data.H, *data.shift.H):
+        f = HermitianFactor(A)
+        d = np.abs(np.diagonal(A))
+        D = 1.0 / np.sqrt(np.where(d > DEFAULT_TOL.tol_rank * d.max(), d,
+                                   d.max()))
+        w = np.linalg.eigvalsh(D[:, None] * A * D)
+        assert np.all(np.diff(np.abs(f.w)) <= 0.0)
+        assert np.allclose(f.w, w[np.argsort(-np.abs(w), kind="stable")],
+                           rtol=0.0, atol=1e-12 * np.abs(w).max())
+        assert f.rank == np.count_nonzero(
+            np.abs(f.w) > DEFAULT_TOL.tol_rank * np.abs(f.w).max())
+        P = f.pinv()
+        scale = 1.0 + np.linalg.norm(P)
+        assert np.linalg.norm(P - P.conj().T) <= 1e-12 * scale
+        assert np.linalg.norm(P @ f.null) <= 1e-12 * scale
+        s = np.linalg.svd(A, compute_uv=False)
+        if f.rank == mrank(A) and s[0] <= 1e6 * s[f.rank - 1]:
+            X = pseudo_inverse(A)
+            assert np.linalg.norm(P - X) <= 1e-8 * (1.0 + np.linalg.norm(X))
+            compared += 1
+    assert compared
 
 
 def test_rank_rule_on_zero_and_empty_matrices():

@@ -10,8 +10,8 @@ import weakref
 import numpy as np
 import pytest
 
-from stieltjesmp import MomentSequence, class_membership, potapov, \
-    resolvent, solver
+from stieltjesmp import MomentSequence, canonical_extension, \
+    class_membership, matcore, potapov, resolvent, solver
 from stieltjesmp.matcore import right_divide
 from stieltjesmp.momentseq import dubovoj_candidates
 from stieltjesmp.potapov import potapov_report
@@ -116,6 +116,12 @@ def test_lift_pair_examples():
     phi, psi = pair_eval(lifted, 1j)
     assert np.allclose(phi, np.zeros((2, 2)))
     assert np.allclose(psi, np.eye(2))
+    # The size check is the lifted pair's own: a 2 x 2 inner pair of an
+    # r = 1 report is refused, naming the size the report asks for.
+    with pytest.raises(ValueError, match="inner pair must be 1 x 1"):
+        lift_pair(rep, StieltjesPair.constant(np.zeros((2, 2)), np.eye(2)))
+    with pytest.raises(ValueError, match="inner pair must be 1 x 1"):
+        lift_pair(rep)
 
 
 def test_lft_solution_closed_forms():
@@ -614,6 +620,32 @@ def test_the_verify_pipeline_does_each_piece_of_work_once(
     assert calls == {"_self_check": 1, "_reflexive_solve": 2,
                      "_coupling": 2}
     assert factor_calls == hankel_factor_counts(seq, 1)
+
+
+def test_only_the_witness_forms_a_pseudo_inverse(monkeypatch):
+    # A factor forms no inverse when it is built.  The canonical witness,
+    # the one reader of H^+, forms one per sequence while the data lives;
+    # classification, the resolvent, the solution and both verifications
+    # form none.
+    calls = collections.Counter()
+    _count_calls(monkeypatch, matcore.HermitianFactor, "pinv", calls)
+    for mu, seq, n in kge_fixtures(12, seed=53):
+        report = classify(seq, n)
+        R = build_resolvent(seq, n)
+        S = lft_solution(R, canonical_pair(report), seq=seq, n=n)
+        assert np.all(np.isfinite(S(np.array(standard_grid(seq.alpha)))))
+        assert verify_solution(seq, n, mu)["valid"]
+        assert verify_solution(seq, n, S)["valid"]
+        assert not calls
+        witness = class_membership(seq).witness_extension
+        assert witness is not None and calls.pop("pinv", 0) == 1
+        assert class_membership(seq).witness_extension is witness
+        assert canonical_extension(seq) is witness
+        assert calls.pop("pinv", 0) == 0
+    # With no result holding it, the data goes, and the witness with it.
+    del report, R, S
+    assert class_membership(seq).witness_extension is not None
+    assert calls.pop("pinv", 0) == 1
 
 
 def test_verify_solution_evaluates_the_transform_of_a_measure_once(
