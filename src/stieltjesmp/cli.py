@@ -133,12 +133,6 @@ def _complex_list(text, flag):
     return points
 
 
-def _grid(args, alpha):
-    if args.grid in (None, "standard"):
-        return standard_grid(alpha)
-    return _complex_list(args.grid, "--grid")
-
-
 def _points(args):
     return _complex_list(args.points, "--points")
 
@@ -232,9 +226,7 @@ def cmd_verify(args):
     tol = _tol(args)
     seq = load_moment_file(args.moments, tol)
     mu = load_measure_file(args.measure, tol)
-    grid = _grid(args, seq.alpha)
-    report = verify_solution(seq, args.n, mu, grid)
-    report.pop("potapov", None)
+    report = verify_solution(seq, args.n, mu)
     _emit(report, args)
     return EXIT_OK if report["valid"] else EXIT_NEGATIVE
 
@@ -299,7 +291,6 @@ def build_parser():
     p.add_argument("moments")
     p.add_argument("measure")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--grid", default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("transform", help="Stieltjes transform of a measure")

@@ -4,11 +4,12 @@ For a candidate solution function f, the matrices P_k[f](z) couple the
 block Hankel data of the moment sequence with the values of f; their
 joint positive semidefiniteness off the real axis characterizes
 solutions of the truncated moment problem.  This module decides that
-positivity on a grid (``potapov_report``) and computes the exact atomic
-decomposition residual of P_k for a measure.  The P_k themselves, their
-Schur complements Sigma_k, the auxiliary F_k/Q_k/Psi_k matrices and the
-congruence identities connecting them are test oracles, in
-``tests/identities.py``.
+positivity on a grid (``potapov_report``), the test ``verify_solution``
+applies to a function candidate; a measure is decided by its support
+and moments alone.  The P_k themselves, their Schur complements
+Sigma_k, the auxiliary F_k/Q_k/Psi_k matrices, the congruence
+identities connecting them and the atomic decomposition of P_k for a
+measure are test oracles, in ``tests/identities.py``.
 
 ``potapov_report`` decides P_k >= 0 on a grid without forming P_k: up
 to a margin tau, P_k + tau I >= 0 holds exactly when the Hankel corner
@@ -18,11 +19,9 @@ With H = Q diag(w) Q*, the coupling column c = R_T(z)(v g - c_0) is a
 polynomial in z, so Q* c = K(z) g - b(z) for two N x q matrix
 polynomials built once per level from Q and the stack T^j [v, c_0]
 (``momentseq.shift_stack``): a point costs one (N x q)(q x q) product
-and a q x q eigenvalue problem.  The decomposition residual compares
-this same projected column with the atomic sum in H's eigenbasis, so
-no coupling column is formed in the standard basis.  P_2n+1[f] of a
-sequence is P_2n[(z - alpha) f + s_0] of its right-alpha-shifted
-sequence, so only P_2n is built, on ``data`` or ``data.shift``.
+and a q x q eigenvalue problem.  P_2n+1[f] of a sequence is
+P_2n[(z - alpha) f + s_0] of its right-alpha-shifted sequence, so only
+P_2n is built, on ``data`` or ``data.shift``.
 """
 
 from dataclasses import dataclass
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import _fro, _psd_margin
-from .momentseq import block_hankel, shift_stack, stack_y
+from .momentseq import shift_stack, stack_y
 from .resolvent import MatrixPolynomial
 
 _IM_GUARD = 1e-8
@@ -127,11 +126,11 @@ def _coupling(data, n):
 def _projected_column(data, n, g, z):
     """Q* c(z) = K(z) g - b(z) of P_2n[g] at the points z (an array, 0-d
     for one point), with the coupling of :func:`_coupling`, built once
-    per level on ``data``; also w, K and ||H||_F."""
+    per level on ``data``; also w and ||H||_F."""
     w, K, b, hnorm = data._once(("coupling", n), lambda: _coupling(data, n))
     X = K(z) @ g
     X -= b(z)
-    return X, w, K, hnorm
+    return X, w, hnorm
 
 
 def _potapov_test(data, n, g, diag, z, tol):
@@ -147,7 +146,7 @@ def _potapov_test(data, n, g, diag, z, tol):
     (G, q, q) stack.  Where w_min <= -tau the point fails and its value
     is w_min.
     """
-    X, w, _, hnorm = _projected_column(data, n, g, z)
+    X, w, hnorm = _projected_column(data, n, g, z)
     tau = _psd_margin(tol, _block_norm(hnorm, X, diag))
     shifted = w + tau[:, None]
     definite = shifted[:, 0] > 0.0
@@ -211,51 +210,3 @@ def potapov_report(seq, n, fz, grid):
         smin_odd=smin[1] if len(smin) == 3 else [None] * len(grid),
         smin_endpoint=smin[-1],
         passed=not any(failed.any() for _, failed in tests))
-
-
-def _decomposition_residuals(data, n, mu, fz, z):
-    """Residuals of the exact integral decomposition of P_2n and, where
-    the sequence has s_2n+1, of P_2n+1 for an atomic measure mu whose
-    transform plays the role of f, from fz = S_mu(z) at the checked
-    points z, for all of them at once.
-
-    P_2n[S](z) = sum_k [E(t); (t - conj z)^{-1} I] M [..]* + correction,
-    the correction charging only the last Hankel corner with the moment
-    defect at order 2n.  P_2n+1 is the P_2n[g] of the shifted sequence
-    (:func:`_as_p2n`), whose sum weighs the atoms by t - alpha, alpha
-    that of the sequence."""
-    t, M = mu.positions, mu.weights
-    weights = (M, (t - data.seq.alpha)[:, None, None] * M)
-    return [_decomposition_residual(d, n, t, W, g, z)
-            for (d, g), W in zip(_as_p2n(data, n, fz, z), weights)]
-
-
-def _decomposition_residual(data, n, t, W, g, z):
-    """Residual of P_2n[g] of ``data`` at the points z against its sum
-    over the atoms t with weights W, formed block by block.
-
-    The sum's Hankel corner, the same at every point, is the block
-    Hankel matrix of the moments sum t^j W, the correction setting its
-    last block to that of the sequence.  The coupling columns are
-    compared in the eigenbasis Q of that corner of P_2n, where the
-    column of P_2n is the K(z) g - b(z) that :func:`potapov_report`
-    decides on and the sum's column sum E(t) W / (t - z) is
-    sum K(t) W / (t - z).  They and the diagonal block sum W / |t - z|^2
-    come from one contraction over the atoms each, and ||P_2n - sum||_F
-    from the norms of the blocks, as Q is unitary.
-    """
-    q = data.q
-    H = data.H[n]
-    X, _, K, hnorm = _projected_column(data, n, g, z)
-    diag = _im_quotient(g, z)
-    moments = (t ** np.arange(2 * n + 1)[:, None] @ W.reshape(-1, q * q)
-               ).reshape(-1, q, q)
-    corner = block_hankel(moments, n)
-    corner[-q:, -q:] += H[-q:, -q:] - moments[-1]
-    KW = K(t) @ W
-    d = t - z[..., None]
-    col = ((1.0 / d) @ KW.reshape(len(t), -1)).reshape(X.shape)
-    diag_sum = ((1.0 / np.abs(d) ** 2) @ W.reshape(-1, q * q)).reshape(
-        diag.shape)
-    resid = _block_norm(np.linalg.norm(H - corner), X - col, diag - diag_sum)
-    return (resid / (1.0 + _block_norm(hnorm, X, diag)))[()]

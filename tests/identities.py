@@ -13,8 +13,8 @@ from stieltjesmp.matcore import DEFAULT_TOL, _fro, _rank, _significant, \
     as_matrix, hermitize, right_divide
 from stieltjesmp.momentseq import MomentSequence, canonical_extension, \
     dubovoj_candidates, shift_right, stack_y
-from stieltjesmp.potapov import _adjoint, _block_norm, _check_offreal, \
-    _decomposition_residuals, _im_quotient, _weighted
+from stieltjesmp.potapov import _adjoint, _as_p2n, _block_norm, \
+    _check_offreal, _coupling, _im_quotient, _projected_column, _weighted
 from stieltjesmp.resolvent import MatrixPolynomial, _times_linear, \
     standard_grid
 from stieltjesmp.stieltjespairs import AtomicMeasure, transform
@@ -909,17 +909,62 @@ def pairs_equivalent(p1, p2, grid=None):
 
 def atomic_decomposition_residual(seq, n, mu, z, k):
     """Residual of the exact integral decomposition of P_k[S_mu] for an
-    atomic measure mu, k in {2n, 2n + 1}, as ``verify_solution`` computes
-    it: a number at a point z, an array of residuals at a 1-D array of
-    points, computed for all of them at once."""
+    atomic measure mu, k in {2n, 2n + 1}: a number at a point z, an
+    array of residuals at a 1-D array of points, computed for all of
+    them at once.
+
+    P_2n[S](z) = sum_k [E(t); (t - conj z)^{-1} I] M [..]* + correction,
+    the correction charging only the last Hankel corner with the moment
+    defect at order 2n.  P_2n+1 is the P_2n[g] of the shifted sequence
+    (``potapov._as_p2n``), whose sum weighs the atoms by t - alpha,
+    alpha that of the sequence (a measure may declare a smaller one).
+    """
     data = seq.hankel()
     z = np.asarray(z, dtype=complex)
     _check_offreal(z)
     _check_index(data, n, k)
     if k == -1:
         raise ValueError("the atomic decomposition is of P_2n and P_2n+1")
-    return _decomposition_residuals(data, n, mu, transform(mu, z), z)[
-        k - 2 * n]
+    t, W = mu.positions, mu.weights
+    if k % 2:
+        W = (t - seq.alpha)[:, None, None] * W
+    d, g = _as_p2n(data, n, transform(mu, z), z)[k - 2 * n]
+    return _decomposition_residual(d, n, t, W, g, z)
+
+
+def _decomposition_residual(data, n, t, W, g, z):
+    """Residual of P_2n[g] of ``data`` at the points z against its sum
+    over the atoms t with weights W, formed block by block.
+
+    The sum's Hankel corner, the same at every point, is the block
+    Hankel matrix of the moments sum t^j W, with its last block
+    corrected to that of the sequence; it is formed once.  The coupling
+    columns are compared in the eigenbasis Q of that corner of P_2n,
+    through the coupling polynomials ``potapov_report`` reads from the
+    ``("coupling", n)`` memo of ``data``: the column of P_2n is the
+    projected K(z) g - b(z) that the report decides on, and the sum's
+    column sum E(t) W / (t - z) projects to sum K(t) W / (t - z).  They
+    and the diagonal block sum W / |t - z|^2 come from one contraction
+    over the atoms each, and ||P_2n - sum||_F from the norms of the
+    blocks, as Q is unitary, so no (n+2)q x (n+2)q matrix and no
+    coupling column in the standard basis is formed.
+    """
+    q = data.q
+    H = data.H[n]
+    X, _, hnorm = _projected_column(data, n, g, z)
+    _, K, _, _ = data._once(("coupling", n), lambda: _coupling(data, n))
+    diag = _im_quotient(g, z)
+    moments = (t ** np.arange(2 * n + 1)[:, None] @ W.reshape(-1, q * q)
+               ).reshape(-1, q, q)
+    corner = block_hankel_by_blocks(moments, n)
+    corner[-q:, -q:] += H[-q:, -q:] - moments[-1]
+    KW = K(t) @ W
+    d = t - z[..., None]
+    col = ((1.0 / d) @ KW.reshape(len(t), -1)).reshape(X.shape)
+    diag_sum = ((1.0 / np.abs(d) ** 2) @ W.reshape(-1, q * q)).reshape(
+        diag.shape)
+    resid = _block_norm(np.linalg.norm(H - corner), X - col, diag - diag_sum)
+    return (resid / (1.0 + _block_norm(hnorm, X, diag)))[()]
 
 
 def decomposition_residual_per_atom(seq, n, mu, z, k):

@@ -434,26 +434,30 @@ def test_usage_errors(capsys):
 
 def test_a_nonfinite_point_is_refused_naming_its_flag(tmp_path, capsys):
     # A point at infinity or NaN is no point of the problem: the CLI
-    # refuses it before any evaluation instead of printing NaN or calling
-    # the generating measure a non-solution.
+    # refuses it before any evaluation instead of printing NaN.
     mu = measure_file(tmp_path, [(0.5, 1.0), (2.0, 0.5)])
     m = moment_file(tmp_path, [1.5, 1.5, 2.25, 4.125])
     pair = write_json(tmp_path / "p.json", {
         "kind": "constant", "phi": [[[1.0, 0.0]]], "psi": [[[0.0, 0.0]]]})
-    code, doc = run(capsys, ["verify", m, mu, "--n", "1", "--grid", "1j,2j"])
-    assert code == 0 and doc["valid"]
-    calls = {"--grid": [["verify", m, mu, "--n", "1", "--grid", "1j,infj"]],
-             "--points": [[*cmd, "--points", pts]
-                          for cmd in (["solve", m, pair, "--n", "1"],
-                                      ["transform", mu])
-                          for pts in ("inf", "nan+1j", "1j,infj")]}
-    for flag, argvs in calls.items():
-        for argv in argvs:
-            assert main(argv) == 1, argv
-            captured = capsys.readouterr()
-            assert not captured.out
-            assert captured.err.startswith(f"error: {flag}: point ")
-            assert "is not finite" in captured.err
+    for argv in ([*cmd, "--points", pts]
+                 for cmd in (["solve", m, pair, "--n", "1"], ["transform", mu])
+                 for pts in ("inf", "nan+1j", "1j,infj")):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("error: --points: point ")
+        assert "is not finite" in captured.err
+
+
+def test_verify_takes_no_grid(tmp_path, capsys):
+    # A measure is decided by its support and moments, so verify reads
+    # no grid points: --grid is an unrecognized argument.
+    mu = measure_file(tmp_path, [(0.5, 1.0), (2.0, 0.5)])
+    m = moment_file(tmp_path, [1.5, 1.5, 2.25, 4.125])
+    assert main(["verify", m, mu, "--n", "1", "--grid", "1j,2j"]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "unrecognized arguments: --grid 1j,2j" in captured.err
 
 
 def test_a_malformed_point_is_refused_naming_its_flag_and_token(tmp_path,
@@ -466,7 +470,6 @@ def test_a_malformed_point_is_refused_naming_its_flag_and_token(tmp_path,
             (["transform", mu, "--points="], "--points", ""),
             (["transform", mu, "--points", "1j,,2j"], "--points", ""),
             (["transform", mu, "--points", "abc"], "--points", "abc"),
-            (["verify", m, mu, "--n", "1", "--grid", "1j,x"], "--grid", "x"),
             (["solve", m, pair, "--n", "1", "--points", "1j,q"], "--points",
              "q")):
         assert main(argv) == 1, argv

@@ -415,7 +415,7 @@ def test_the_coupling_polynomial_is_the_projected_column():
                         g = _weighted(data, fz, z) if odd else fz
                         H, col, _ = _column_data(data, n, fz, z, odd)
                         w, Q = np.linalg.eigh(H)
-                        X, w_got, _, hnorm = _projected_column(
+                        X, w_got, hnorm = _projected_column(
                             d, n, g + seq.moments[0] if odd else g, z)
                         assert X.shape == col.shape
                         assert np.array_equal(w_got, w)
@@ -485,20 +485,21 @@ def test_decomposition_residual_sees_a_wrong_moment():
 
 
 def test_the_odd_residual_weights_atoms_by_the_sequence_alpha():
-    # The atoms of a solution on [0, oo) declared on [-1, oo): the moments
-    # match and P_k passes, and the decomposition of P_2n+1 weights each
-    # atom by t - alpha with the alpha of the sequence, as P_2n+1 does.
+    # The atoms of a solution on [0, oo) declared on [-1, oo): the measure
+    # is a solution, P_k of its transform passes, and the decomposition
+    # of P_2n+1 weights each atom by t - alpha with the alpha of the
+    # sequence, as P_2n+1 does.
     atoms = [(1.0, [[1.0]]), (2.0, [[0.5]]), (3.5, [[0.25]])]
     seq = moments_of(AtomicMeasure(0.0, 1, atoms), 3)
     mu = AtomicMeasure(-1.0, 1, atoms)
     out = verify_solution(seq, 1, mu)
-    assert out["checks"]["moment_match"]
-    assert out["checks"]["potapov_passed"]
-    assert out["checks"]["decomposition_residual"] <= 1e-14
-    assert out["valid"]
-    zs = np.array(standard_grid(seq.alpha)[:4])
+    assert out["checks"]["support"] and out["valid"]
+    grid = standard_grid(seq.alpha)
+    assert potapov_report(seq, 1, transform(mu, np.array(grid)), grid).passed
+    zs = np.array(grid[:4])
     for k in (2, 3):
         got = atomic_decomposition_residual(seq, 1, mu, zs, k)
+        assert got.max() <= 1e-14
         assert np.max(np.abs(
             got - decomposition_residual_per_atom(seq, 1, mu, zs, k))) \
             <= 1e-15

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from stieltjesmp import MomentSequence, canonical_extension, \
-    class_membership, matcore, potapov, resolvent, solver
+    class_membership, matcore, potapov, resolvent, solver, stieltjespairs
 from stieltjesmp.matcore import right_divide
 from stieltjesmp.momentseq import dubovoj_candidates
 from stieltjesmp.potapov import potapov_report
@@ -237,6 +237,35 @@ def test_verify_solution_measures():
     assert abs(out["checks"]["top_defect_lambda_min"] - 1.0) < 1e-12
     out = verify_solution(scalar_seq([1, 0]), 0, delta(1.0))
     assert not out["valid"]
+
+
+def test_a_measure_is_decided_on_its_support_by_the_sequence_alpha():
+    # A measure declared on [-1, oo) with its atom at -0.5 matches s_0 of
+    # data on [0, oo) and leaves the top defect 1.5: only its support
+    # rules it out, with the guard of AtomicMeasure against the
+    # sequence's alpha.
+    seq = scalar_seq([1, 1])
+    out = verify_solution(seq, 0, delta(-0.5, alpha=-1.0))
+    assert out["checks"]["moment_match_residual"] == 0.0
+    assert out["checks"]["top_defect_lambda_min"] == 1.5
+    assert out["checks"]["top_defect_psd"]
+    assert out["checks"]["support"] is False and out["valid"] is False
+    for t, inside in ((-1e-11, False), (-1e-13, True), (0.0, True)):
+        out = verify_solution(seq, 0, delta(t, alpha=-1.0))
+        assert out["checks"]["support"] is inside
+        assert out["valid"] is inside
+
+
+@pytest.mark.parametrize("seed", [2, 3, 25, 30])
+def test_the_generating_measure_of_single_atom_data_is_a_solution(seed):
+    # At n = 7 its moments match exactly and the top defect is 0; a
+    # 24-point Potapov grid of its transform refused it by rounding.
+    mu, seq = atomic_fixture(np.random.default_rng(seed), 2, 7, -1.0,
+                             natoms=1)
+    out = verify_solution(seq, 7, mu)
+    assert out["checks"]["moment_match_residual"] == 0.0
+    assert out["checks"]["top_defect_lambda_min"] == 0.0
+    assert out["valid"]
 
 
 def test_verify_solution_refuses_a_measure_of_another_size():
@@ -648,24 +677,26 @@ def test_only_the_witness_forms_a_pseudo_inverse(monkeypatch):
     assert calls.pop("pinv", 0) == 1
 
 
-def test_verify_solution_evaluates_the_transform_of_a_measure_once(
+def test_verifying_a_measure_calls_neither_transform_nor_potapov_report(
         monkeypatch):
-    # The report and the residuals of both parities read one evaluation
-    # of the transform over the grid (potapov does not import transform),
-    # and the residual is the one the oracle computes from its own.
+    # A measure is decided by its support and moments: no transform is
+    # evaluated and no Potapov report or coupling is built for it, while
+    # a function candidate still gets its one report.
     calls = collections.Counter()
-    _count_calls(monkeypatch, solver, "transform", calls)
-    assert not hasattr(potapov, "transform")
+    _count_calls(monkeypatch, stieltjespairs, "transform", calls)
+    for module, name in ((solver, "potapov_report"),
+                         (potapov, "potapov_report"), (potapov, "_coupling")):
+        _count_calls(monkeypatch, module, name, calls)
     for n, kw in ((1, {}), (2, {"include_endpoint": True})):
         mu, seq = atomic_fixture(np.random.default_rng(45), 3, n, -1.0, **kw)
-        calls.clear()
         out = verify_solution(seq, n, mu)
-        assert out["valid"]
-        assert calls == {"transform": 1}
-        z = np.array(standard_grid(-1.0)[:4])
-        assert out["checks"]["decomposition_residual"] == max(
-            atomic_decomposition_residual(seq, n, mu, z, k).max()
-            for k in (2 * n, 2 * n + 1))
+        assert out["valid"] and "potapov" not in out
+        assert sorted(out["checks"]) == [
+            "moment_match", "moment_match_residual", "support",
+            "top_defect_lambda_min", "top_defect_psd"]
+        assert not calls
+    assert verify_solution(seq, n, StieltjesFunction(None, mu))["valid"]
+    assert calls["potapov_report"] == 1
 
 
 @pytest.mark.parametrize("q, n", [(2, 2), (4, 2), (8, 2), (32, 2), (1, 3),

@@ -29,14 +29,17 @@ of completely degenerate data; lifted pairs count by their inner pair),
 with how many solutions of each kind are bit-identical.  It exits
 with status 1 when a label, rank, class verdict, ``valid``, boolean
 check, error message, singular point, CLI exit code, CLI message,
-non-float CLI JSON value, key set of the resolvent's ``self_check`` or
-set of CLI JSON paths differs, or when the moments of a measure or the
-witness extension are not bit-identical, and with 0 otherwise; the
-float deviations are reported, not judged.  Floats are compared on the
-keys and JSON paths that both trees have.
+non-float CLI JSON value, key set of the checks, of the Potapov lists or
+of the resolvent's ``self_check``, or set of CLI JSON paths differs, or
+when the moments of a measure or the witness extension are not
+bit-identical, and with 0 otherwise; the float deviations are
+reported, not judged.  Values are compared on the keys and JSON paths
+that both trees have; a key or path that only one tree has is reported
+as removed or added.  The differences are counted per quantity.
 """
 
 import argparse
+import collections
 import contextlib
 import io
 import json
@@ -57,14 +60,15 @@ WORKLOADS = ("parametrize", "verify_dense", "cli_cold")
 # -- one tree: run the pipeline and record its outputs ------------------
 
 def _verify(solver, p, candidate):
-    """The verdicts, checks and Potapov lists of ``verify_solution``, or
-    the message of the ``ValueError`` it raised."""
+    """The verdicts, checks and Potapov lists of ``verify_solution`` (no
+    lists where it returns no report, as for a measure), or the message
+    of the ``ValueError`` it raised."""
     try:
         out = solver.verify_solution(p.seq, p.n, candidate)
     except ValueError as exc:
         return {"error": str(exc)}
     sigma = {key: np.array([np.nan if x is None else x for x in vals])
-             for key, vals in out["potapov"].items()
+             for key, vals in out.get("potapov", {}).items()
              if key.startswith("sigma_min")}
     return {"valid": out["valid"], "checks": out["checks"], "sigma": sigma}
 
@@ -159,6 +163,7 @@ class Tally:
         self.worst = {}
         self.samples = {}
         self.diffs = []
+        self.differing = collections.Counter()
         self.counts = {}
 
     def float(self, name, dev, where):
@@ -167,9 +172,21 @@ class Tally:
         if name not in self.worst or dev > self.worst[name][0]:
             self.worst[name] = (dev, where)
 
+    def _differ(self, name, line):
+        self.diffs.append(line)
+        self.differing[name] += 1
+
     def same(self, name, a, b, where):
         if a != b:
-            self.diffs.append(f"{where}: {name} {a!r} -> {b!r}")
+            self._differ(name, f"{where}: {name} {a!r} -> {b!r}")
+
+    def keys(self, name, a, b, where):
+        """A difference unless the dicts a and b have the same keys,
+        reported as the keys removed and the keys added."""
+        if a.keys() != b.keys():
+            self._differ(name, f"{where}: {name} removed "
+                         f"{sorted(a.keys() - b.keys())}, added "
+                         f"{sorted(b.keys() - a.keys())}")
 
     def count(self, name, yes):
         """Count the yes and no answers to the question ``name``."""
@@ -178,7 +195,7 @@ class Tally:
     def identical(self, name, a, b, where):
         """A difference unless the arrays a and b are bit-identical."""
         if a.shape != b.shape or a.tobytes() != b.tobytes():
-            self.diffs.append(f"{where}: {name} not bit-identical")
+            self._differ(name, f"{where}: {name} not bit-identical")
 
 
 def _rel(a, b):
@@ -201,17 +218,19 @@ def _compare_verify(tally, who, a, b, where):
     if "error" in a or "error" in b:
         return
     tally.same(f"{who} valid", a["valid"], b["valid"], where)
-    tally.same(f"{who} checks", sorted(a["checks"]), sorted(b["checks"]),
-               where)
+    for name in ("checks", "sigma"):
+        tally.keys(f"{who} {name}", a[name], b[name], where)
     for key, x in a["checks"].items():
-        y = b["checks"].get(key)
-        if isinstance(x, bool) or y is None:
+        if key not in b["checks"]:
+            continue
+        y = b["checks"][key]
+        if isinstance(x, bool):
             tally.same(f"{who} {key}", x, y, where)
-        elif key == "decomposition_residual":
-            tally.float(f"{who} {key} (abs)", abs(x - y), where)
         else:
             tally.float(f"{who} {key} (/(1+|x|))", _per_one(x, y), where)
     for key, x in a["sigma"].items():
+        if key not in b["sigma"]:
+            continue
         y = b["sigma"][key]
         tally.same(f"{who} {key} present", np.isnan(x).tolist(),
                    np.isnan(y).tolist(), where)
@@ -227,8 +246,7 @@ def compare_problem(tally, a, b, where):
     tally.same("label and ranks", a["label"], b["label"], where)
     for key in ("theta", "theta_tilde"):
         tally.float(f"{key} (rel)", _rel(a[key], b[key]), where)
-    tally.same("self_check keys", sorted(a["self_check"]),
-               sorted(b["self_check"]), where)
+    tally.keys("self_check", a["self_check"], b["self_check"], where)
     for key, x in a["self_check"].items():
         if key in b["self_check"]:
             tally.float(f"self_check {key} (abs)",
@@ -274,8 +292,7 @@ def compare_cli(tally, a, b, where):
     if la.keys() == lb.keys():
         tally.same("cli JSON path order", list(la), list(lb), where)
     else:
-        tally.same("cli JSON paths", sorted(la.keys() - lb.keys()),
-                   sorted(lb.keys() - la.keys()), where)
+        tally.keys("cli JSON paths", la, lb, where)
     for path, x in la.items():
         if path not in lb:
             continue
@@ -302,6 +319,8 @@ def report(tally):
     for name, (same, differ) in sorted(tally.counts.items()):
         print(f"{name}: {same} solutions yes, {differ} no")
     print(f"discrete differences: {len(tally.diffs)}")
+    for name, count in sorted(tally.differing.items()):
+        print(f"  {name}: {count}")
     for line in tally.diffs[:40]:
         print("  " + line)
 
