@@ -59,14 +59,15 @@ def _weighted(data, fz, z):
 
 
 def _as_p2n(data, n, fz, z):
-    """P_2n[f] and, where the sequence has s_2n+1, P_2n+1[f] at the
-    points z, each as the P_2n[g] of some Hankel data: (data, f(z)) and
-    (data.shift, (z - alpha) f(z) + s_0)."""
-    forms = [(data, fz)]
+    """P_-1[f] at the points z, and P_2n[f] and (given s_2n+1) P_2n+1[f]
+    as (data, g, diagonal block) of a P_2n[g]: (data, f, (f - f*) / (z -
+    conj z)) and (data.shift, (z - alpha) f + s_0, P_-1), s_0 Hermitian."""
+    weighted = _weighted(data, fz, z)
+    endpoint = _im_quotient(weighted, z)
+    forms = [(data, fz, _im_quotient(fz, z))]
     if 2 * n + 1 <= data.seq.m:
-        s0 = data.seq.moments[0]
-        forms.append((data.shift, _weighted(data, fz, z) + s0))
-    return forms
+        forms.append((data.shift, weighted + data.seq.moments[0], endpoint))
+    return endpoint, forms
 
 
 def _block_norm(corner, col, diag):
@@ -172,9 +173,10 @@ def potapov_report(seq, n, fz, grid):
     I)^-1 c has lambda_min >= -tau.  Where lambda_min(H) <= -tau the
     point fails, since by interlacing lambda_min(P_k) <= lambda_min(H).
     P_2n+1 is tested as P_2n[(z - alpha) f + s_0] of the shifted
-    sequence.  H is factored once per level on the Hankel data it
-    belongs to, not per report, and no (n+2)q x (n+2)q matrix is
-    formed.  P_-1 is already q x q and is tested directly.
+    sequence, whose diagonal block is the endpoint block P_-1.  H is
+    factored once per level on the Hankel data it belongs to, not per
+    report, and no (n+2)q x (n+2)q matrix is formed.  P_-1 is already
+    q x q and is tested directly.
 
     A grid point that is not finite raises ``ValueError`` naming it, and
     so do an ``fz`` of another shape than (len(grid), q, q) and a value
@@ -199,9 +201,8 @@ def potapov_report(seq, n, fz, grid):
     finite = np.isfinite(fz).all(axis=(-2, -1))
     if not finite.all():
         raise ValueError(f"f({grid[np.argmin(finite)]}) is not finite")
-    tests = [_potapov_test(d, n, g, _im_quotient(g, z), z, tol)
-             for d, g in _as_p2n(data, n, fz, z)]
-    endpoint = _im_quotient(_weighted(data, fz, z), z)
+    endpoint, forms = _as_p2n(data, n, fz, z)
+    tests = [_potapov_test(d, n, g, diag, z, tol) for d, g, diag in forms]
     lam = np.linalg.eigvalsh(endpoint).min(axis=-1)
     tests.append((lam, lam < -_psd_margin(tol, _fro(endpoint))))
     smin = [lam.tolist() for lam, _ in tests]

@@ -482,6 +482,36 @@ def exact_canonical_S(seq, n, z):
         return np.array(S.tolist(), dtype=complex)
 
 
+def exact_lft_value(R, pair, z):
+    """S(z) of the solution for the resolvent R and the pair to 40
+    digits, taking the float coefficients of Theta and the pair's B, E,
+    gamma and atoms as exact: Theta(z) summed in mpmath, [phi; psi](z) =
+    B + E f(z) [I_k, 0] with f(z) = gamma + sum M_i / (t_i - z), and the
+    top half of their product right-divided by the bottom half."""
+    def mp(a):
+        return mpmath.matrix(np.asarray(a).tolist())
+
+    with mpmath.workdps(40):
+        q, z = R.q, mpmath.mpc(complex(z))
+        theta = mpmath.zeros(2 * q, 2 * q)
+        for j, c in enumerate(R.theta.coeffs):
+            theta += z ** j * mp(c)
+        col = mp(pair.B)
+        if pair.f is not None:
+            k = pair.f.q
+            f = mpmath.zeros(k, k) if pair.f.gamma is None \
+                else mp(pair.f.gamma)
+            for t, M in pair.f.measure.atoms:
+                f += mp(M) / (mpmath.mpf(t) - z)
+            Ef = mp(pair.E) * f
+            for i in range(2 * q):
+                for j in range(k):
+                    col[i, j] += Ef[i, j]
+        N = theta * col
+        S = N[:q, :] * N[q:, :] ** -1
+        return np.array(S.tolist(), dtype=complex)
+
+
 def _mp_blocks(blocks, r, c):
     """The 2r x 2c mpmath matrix of a 2 x 2 nested list of r x c blocks,
     None for a zero block."""
@@ -928,7 +958,7 @@ def atomic_decomposition_residual(seq, n, mu, z, k):
     t, W = mu.positions, mu.weights
     if k % 2:
         W = (t - seq.alpha)[:, None, None] * W
-    d, g = _as_p2n(data, n, transform(mu, z), z)[k - 2 * n]
+    d, g, _ = _as_p2n(data, n, transform(mu, z), z)[1][k - 2 * n]
     return _decomposition_residual(d, n, t, W, g, z)
 
 

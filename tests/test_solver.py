@@ -37,8 +37,8 @@ from stieltjesmp.stieltjespairs import (
 from conftest import WEIGHT_PATTERNS, atomic_fixture, canonical_pair, \
     delta, hankel_factor_counts, kge_fixtures, random_psd, scalar_seq
 from identities import atomic_decomposition_residual, congruence_check, \
-    fq_matrices, horner, pair_eval, potapov_matrix, psi_polynomial, \
-    sigma_matrix, transform_per_atom
+    exact_lft_value, fq_matrices, horner, pair_eval, potapov_matrix, \
+    psi_polynomial, sigma_matrix, transform_per_atom
 
 
 Q2_SEQ = MomentSequence(0.0, 2, [np.diag([1.0, 0.0]), np.zeros((2, 2))])
@@ -379,10 +379,11 @@ def _unfolded_lft(R, pair, z):
 def test_folded_solution_matches_the_unfolded_lft():
     # S at one point against S over an array is
     # test_array_evaluation_matches_scalar_loop, for the same pairs:
-    # with and without a Stieltjes function f, lifted (r < q) and not,
+    # constant pairs and pairs on f = gamma + sum M_i / (t_i - z) with
+    # 1, 2 and 4 atoms, gamma = 0 and gamma = I, lifted (r < q) and not,
     # at the sizes of the parametrize benchmark (q <= 8, n <= 3).  The
-    # largest deviation measured here is 4.5e-14 relative (q = 4, n = 2,
-    # a constant pair), and over the seeds 1-7 of this draw 4.8e-13; the
+    # largest deviation measured here is 2.5e-13 relative (q = 8, n = 3,
+    # f with one atom), and over the seeds 1-5 of this draw 7.5e-13; the
     # bound is 1e-12.
     rng = np.random.default_rng(53)
     covered = set()
@@ -397,15 +398,19 @@ def test_folded_solution_matches_the_unfolded_lft():
                     pairs = [lift_pair(report)]
                 else:
                     r = report.r
-                    f = StieltjesFunction(np.eye(r), AtomicMeasure(
-                        alpha, r, [(alpha + 0.7, random_psd(rng, r))]))
+                    fs = [StieltjesFunction(gamma, AtomicMeasure(alpha, r, [
+                        (alpha + t, random_psd(rng, r))
+                        for t in rng.uniform(0.3, 4.0, size=a)]))
+                        for a in (1, 2, 4)
+                        for gamma in (np.zeros((r, r)), np.eye(r))]
                     pairs = [lift_pair(report, inner) for inner in (
                         StieltjesPair.constant(np.zeros((r, r)), np.eye(r)),
                         StieltjesPair.constant(np.eye(r), np.eye(r)),
-                        StieltjesPair.from_function(f))]
+                        *map(StieltjesPair.from_function, fs))]
                 zs = np.array(standard_grid(alpha)[::5] + [alpha - 1.5])
                 for pair in pairs:
-                    covered.add((pair.f is not None, report.r < q))
+                    covered.add((0 if pair.f is None else len(
+                        pair.f.measure.atoms), report.r < q))
                     S = lft_solution(R, pair)
                     got = S(zs)
                     num, den = _unfolded_lft(R, pair, zs)
@@ -413,8 +418,49 @@ def test_folded_solution_matches_the_unfolded_lft():
                     for g, w in zip(got, want):
                         assert np.linalg.norm(g - w) <= \
                             1e-12 * np.linalg.norm(w)
-    assert covered == {(False, False), (True, False), (False, True),
-                       (True, True)}
+    assert covered == {(a, lifted) for a in (0, 1, 2, 4)
+                       for lifted in (False, True)}
+
+
+def test_function_pair_solutions_match_the_40_digit_lft():
+    # Every value of a function-pair solution over the standard grid
+    # against the LFT of the same float Theta coefficients and pair in
+    # 40-digit arithmetic (identities.exact_lft_value), for f with 1, 2
+    # and 4 atoms, gamma = 0 and gamma = I, lifted (r < q) and not, to
+    # 1e-10 relative; the largest error measured here is 5.9e-12 (q = 4,
+    # n = 3, r = 3).  Positive control: the solution of the pair without
+    # f's first atom misses the 40-digit values of the full pair by more
+    # than 1e-8 (by at least 3.3e-6 here).
+    rng = np.random.default_rng(71)
+    lifted = set()
+    for q, n, alpha, kw in ((1, 3, 0.0, {}), (2, 2, 0.5, {}),
+                            (3, 2, -1.0, {"ranks": [2]}),
+                            (4, 3, 0.5, {"ranks": [3]}),
+                            (2, 1, 0.0, {"ranks": [1],
+                                         "include_endpoint": True})):
+        mu, seq = atomic_fixture(rng, q, n, alpha, **kw)
+        report = classify(seq, n)
+        R = build_resolvent(seq, n)
+        r = report.r
+        lifted.add(r < q)
+        zs = standard_grid(alpha)
+        for a in (1, 2, 4):
+            for gamma in (np.zeros((r, r)), np.eye(r)):
+                atoms = [(alpha + t, random_psd(rng, r))
+                         for t in rng.uniform(0.3, 4.0, size=a)]
+                S, dropped = (lft_solution(R, lift_pair(
+                    report, StieltjesPair.from_function(StieltjesFunction(
+                        gamma, AtomicMeasure(alpha, r, kept)))))
+                    for kept in (atoms, atoms[1:]))
+                miss = 0.0
+                for z, got, off in zip(zs, S(np.array(zs)),
+                                       dropped(np.array(zs))):
+                    want = exact_lft_value(R, S.pair, z)
+                    size = np.linalg.norm(want)
+                    assert np.linalg.norm(got - want) <= 1e-10 * size
+                    miss = max(miss, np.linalg.norm(off - want) / size)
+                assert miss > 1e-8
+    assert lifted == {False, True}
 
 
 def test_singular_denominator_names_the_first_point_for_every_pair_kind():
@@ -440,8 +486,10 @@ def test_singular_denominator_names_the_first_point_for_every_pair_kind():
 
 def test_constant_pair_solution_evaluates_neither_pair_nor_theta(
         monkeypatch):
-    # No call evaluates Theta; a pair without f evaluates no function,
-    # a pair with f calls f once per call.
+    # No call evaluates Theta, and off the atoms of f no call evaluates
+    # f or its transform: the solution reads f's atoms and weights once,
+    # when it is built.  On an atom the call refuses with the error of
+    # f's transform, which the counters see.
     calls = collections.Counter()
 
     def counting(name, fn):
@@ -452,6 +500,8 @@ def test_constant_pair_solution_evaluates_neither_pair_nor_theta(
 
     monkeypatch.setattr(StieltjesFunction, "__call__",
                         counting("f", StieltjesFunction.__call__))
+    monkeypatch.setattr(stieltjespairs, "transform",
+                        counting("transform", stieltjespairs.transform))
     zs = np.array([1j, -0.5 + 2j, 3.0 - 1j])
     checked = set()
     for mu, seq, n in kge_fixtures(24, seed=59):
@@ -459,21 +509,27 @@ def test_constant_pair_solution_evaluates_neither_pair_nor_theta(
         R = build_resolvent(seq, n)
         monkeypatch.setattr(R.theta, "eval",
                             counting("theta", R.theta.eval))
-        pairs = [(canonical_pair(report), 0)]
+        pairs = [(canonical_pair(report), False)]
         if report.r:
             r = report.r
             f = StieltjesFunction(None, AtomicMeasure(
                 seq.alpha, r, [(seq.alpha + 1.0, np.eye(r))]))
             pairs.append((lift_pair(report, StieltjesPair.from_function(f)),
-                          1))
-        for pair, per_call in pairs:
+                          True))
+        for pair, with_f in pairs:
             S = lft_solution(R, pair)
             calls.clear()
             S(zs[0])
             S(zs)
-            assert (calls["theta"], calls["f"]) == (0, 2 * per_call)
-            checked.add((report.r < seq.q, per_call))
-    assert checked == {(False, 0), (False, 1), (True, 0), (True, 1)}
+            assert (calls["theta"], calls["f"], calls["transform"]) == \
+                (0, 0, 0)
+            if with_f:
+                with pytest.raises(ValueError, match="coincides with atom"):
+                    S(seq.alpha + 1.0)
+                assert (calls["f"], calls["transform"]) == (1, 1)
+            checked.add((report.r < seq.q, with_f))
+    assert checked == {(False, False), (False, True), (True, False),
+                       (True, True)}
 
 
 def test_lft_solution_on_own_sequence_factors_nothing(factor_calls):
@@ -954,6 +1010,36 @@ def test_refusals_name_the_first_point_and_atom_for_every_shape():
             assert str(err.value) == message.format(complex(bad[0]))
 
 
+def test_a_function_pair_solution_refuses_a_point_on_an_atom_of_f():
+    # The solution of a pair on f refuses a point within the slit guard
+    # of an atom of f with the error of f's transform, though it does not
+    # evaluate f elsewhere: at a point, and in a 1-D and a 2-D array with
+    # one or two such entries, naming the first in the order of
+    # z.ravel() and, for it, the first atom near it (1.0 + 8e-13 lies
+    # within the guard of 1.0, the first, and of 1.0 + 1e-12, the
+    # closest).
+    seq = scalar_seq([1, 1])
+    mu = AtomicMeasure(0.0, 1, [(1.0, [[1.0]]), (1.0 + 1e-12, [[1.0]]),
+                                (2.0, [[1.0]])])
+    S = lft_solution(build_resolvent(seq, 0), StieltjesPair.from_function(
+        StieltjesFunction([[0.5]], mu)), seq=seq, n=0)
+    message = "evaluation point {} coincides with atom {}"
+    for bad, atom in (((1.0 + 8e-13, 2.0), 1.0), ((2.0, 1.0 + 8e-13), 2.0)):
+        for shape, at in (((), ()), ((4,), (2,)), ((4,), (1, 3)),
+                          ((2, 3), (4,)), ((2, 3), (4, 5))):
+            zs = _points_of_shape(0.0, shape).astype(complex)
+            if shape:
+                zs.ravel()[list(at)] = bad[:len(at)]
+            else:
+                zs = np.asarray(bad[0], dtype=complex)
+            with pytest.raises(ValueError) as err:
+                S(zs)
+            assert str(err.value) == message.format(complex(bad[0]), atom)
+            if shape:       # the other points evaluate
+                rest = np.delete(zs.ravel(), list(at))
+                assert S(rest).shape == rest.shape + (1, 1)
+
+
 def test_evaluation_matches_the_horner_and_per_atom_references():
     # MatrixPolynomial.eval (one product with the powers of z) and
     # transform (one product with the reciprocals 1 / (t - z)) against
@@ -1018,7 +1104,9 @@ def test_evaluation_matches_the_horner_and_per_atom_references():
                     report, StieltjesPair.from_function(StieltjesFunction(
                         None, AtomicMeasure(alpha, r, [(alpha + 0.7,
                                                         np.eye(r))]))))
-                for p in (R.theta, R.theta_tilde, lft_solution(R, pair)._P):
+                folded = MatrixPolynomial(
+                    R.theta.coeffs @ np.hstack([pair.B, pair.E]))
+                for p in (R.theta, R.theta_tilde, folded):
                     check_poly(p, zs)
                 built += 1
     assert built >= 30
