@@ -28,6 +28,7 @@ from .momentseq import MomentSequence, class_membership
 from .potapov import _IM_GUARD, potapov_report
 from .resolvent import build_resolvent, standard_grid, theta_coeffs_json
 from .solver import (
+    _singular,
     classify,
     lft_solution,
     lift_pair,
@@ -180,8 +181,13 @@ def cmd_solve(args):
     points = _points(args) if args.points is not None else \
         [z for z in standard_grid(seq.alpha) if z.imag > 0][:4]
     entries = [{"z": jsonio.complex_to_json(z)} for z in points]
+
+    def values(pts):        # one evaluation; a singular point gets its error
+        vals, ok = S._values(pts)
+        return [v if good else _singular(z)
+                for z, v, good in zip(pts, vals, ok)]
     solved = []
-    for z, entry, val in zip(points, entries, _at_points(S, points)):
+    for z, entry, val in zip(points, entries, _at_points(values, points)):
         if isinstance(val, ValueError):
             entry["singular"] = str(val)
             continue

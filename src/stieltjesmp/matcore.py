@@ -14,6 +14,7 @@ All functions are pure: inputs are never mutated and no module state is
 kept, so concurrent use is safe.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,16 +108,26 @@ def right_divide(N, tol=DEFAULT_TOL):
     stack of them, and where den is invertible by the ``_significant``
     rule: sigma_min(den) > tol_rank |N|_F, with sigma_min read as
     1 / |den^-1|_F (at most sqrt(q) below it).  An exactly singular den,
-    which ``inv`` refuses, has a NaN quotient."""
+    which ``inv`` refuses, has a NaN quotient.  One column is decided on
+    Python floats, a stack by ``_fro``; where a squared norm is 0 or inf
+    (then one overflows, as |N|_F |den^-1|_F >= 1), on N / max|N|, as no
+    scaling of N changes the rule."""
     q = N.shape[-1]
     num, den = N[..., :q, :], N[..., q:, :]
     try:
         inv = np.linalg.inv(den)
-    except np.linalg.LinAlgError:       # one singular den fails a stack
-        if N.ndim == 2:
+        if N.ndim > 2:
+            with np.errstate(over="raise", divide="raise"):
+                return num @ inv, _significant(1.0 / _fro(inv), tol, _fro(N))
+    except (np.linalg.LinAlgError, FloatingPointError):
+        if N.ndim == 2:         # a singular den; a stack goes per column
             return np.full_like(num, np.nan), np.False_
         return tuple(map(np.array, zip(*(right_divide(a, tol) for a in N))))
-    return num @ inv, _significant(1.0 / _fro(inv), tol, _fro(N))
+    fro = math.sqrt(np.vdot(N, N).real), math.sqrt(np.vdot(inv, inv).real)
+    if not 0.0 < min(fro) <= max(fro) < math.inf:
+        c = np.abs(N).max()
+        fro = [math.sqrt(np.vdot(a, a).real) for a in (N / c, c * inv)]
+    return num @ inv, _significant(1.0 / fro[1], tol, fro[0])
 
 
 def _fro(a):

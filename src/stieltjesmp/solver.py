@@ -172,21 +172,34 @@ class SolutionFunction:
         """S(z) at a point (q x q) or at an array of points (a
         z.shape + (q, q) stack).  A point on an atom raises the error of
         ``transform``; a denominator singular by ``right_divide`` raises
-        one naming the first such point.  The flags are read by iterating
-        them, cheaper on one flag than a NumPy reduction."""
-        z = np.asarray(z, dtype=complex)
-        N = self._P.eval(z)
+        one naming the first such point.  An array's flags are read by
+        iterating them, cheaper on few flags than a NumPy reduction."""
+        S, ok = self._values(z)
+        if ok is not True and not all(np.ravel(ok)):
+            raise _singular(np.ravel(z)[np.argmin(np.ravel(ok))])
+        return S
+
+    def _values(self, z):
+        """S(z) and whether (for an array, where) den is invertible.  A
+        point takes the products of an array, on a Python complex."""
+        if isinstance(z, (complex, float, int)) or not np.ndim(z):
+            P, shape, z = self._P, (), complex(z)
+            N = (z ** P._exps @ P._flat).reshape(P.shape)
+        else:
+            z = np.asarray(z, dtype=complex)
+            shape, N = z.shape, self._P.eval(z)
         if self.pair.f is not None:     # N(z) = P(z) K(z)
-            d = self._t - z[..., None]
-            if np.abs(d).min(initial=np.inf) <= _SLIT_GUARD:
+            d = self._t - (z[..., None] if shape else z)
+            if ((shape or abs(z.imag) <= _SLIT_GUARD)   # |t - z| >= |Im z|
+                    and np.abs(d).min(initial=np.inf) <= _SLIT_GUARD):
                 self.pair.f(z)          # raises the error of transform
             N = N @ (self._K + ((1.0 / d) @ self._M).reshape(
-                z.shape + self._K.shape))
-        S, ok = right_divide(N, self._tol)
-        if not all(ok.flat):
-            first = complex(z.flat[np.argmin(ok)])
-            raise ValueError(f"singular LFT denominator at z = {first}")
-        return S
+                shape + self._K.shape))
+        return right_divide(N, self._tol)
+
+
+def _singular(z):
+    return ValueError(f"singular LFT denominator at z = {complex(z)}")
 
 
 def _affine_parts(p):

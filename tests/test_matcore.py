@@ -168,6 +168,38 @@ def test_right_divide_matches_the_three_norm_reference():
     assert verdicts == {True, False}
 
 
+def test_right_divide_decides_a_far_scale_as_the_unit_scale():
+    # No scaling of N changes the rule sigma_min(den) > tol_rank |N|_F.
+    # At scales 1e-200, 1e170 and 1e300 a squared norm of N or of den^-1
+    # is 0 or inf while N and den^-1 are finite: the verdict is still
+    # that at scale 1, for one column and for a stack mixing the scales,
+    # with no warning, on dens a factor 0.3 and 3 from the threshold.
+    rng = np.random.default_rng(33)
+    scales = np.array([1.0, 1e-200, 1e170, 1e300])
+    verdicts = set()
+    for q in (1, 3):
+        num, den = rng.normal(size=(2, q, q)) + 1j * rng.normal(size=(2, q, q))
+        Q = np.linalg.qr(den)[0]
+        for c in (None, 0.3, 3.0):
+            N = _stacked(num, den)
+            if c is not None:
+                s = np.ones(q)
+                s[-1] = 0.0
+                ref = np.linalg.norm(_stacked(num, Q * s))
+                s[-1] = c * DEFAULT_TOL.tol_rank * ref
+                N = _stacked(num, Q * s)
+            S1, ok1 = right_divide(N)
+            verdicts.add(ok1)
+            for scale in scales:
+                S, ok = right_divide(scale * N)
+                assert ok == ok1
+                if c is None:
+                    assert np.allclose(S, S1, rtol=1e-12, atol=0.0)
+            S, ok = right_divide(scales[:, None, None] * N)
+            assert ok.tolist() == [ok1] * len(scales)
+    assert verdicts == {True, False}
+
+
 def test_dubovoj_subspace_examples():
     D = ladder_basis([np.array([[1.0]]), np.array([[0.0]])], [1, 0])
     assert D.shape == (2, 1)

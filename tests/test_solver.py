@@ -1040,6 +1040,112 @@ def test_a_function_pair_solution_refuses_a_point_on_an_atom_of_f():
                 assert S(rest).shape == rest.shape + (1, 1)
 
 
+def _solutions_of_every_kind(count, seed):
+    """(kind, S, seq, atom) over ``kge_fixtures``: the unique solution,
+    the canonical constant pair and a pair on f = gamma + M_1 / (t_1 - z)
+    + M_2 / (t_2 - z), lifted where r < q; ``atom`` is t_1 for a pair on
+    f and None otherwise."""
+    rng = np.random.default_rng(seed)
+    for mu, seq, n in kge_fixtures(count, seed=seed):
+        report = classify(seq, n)
+        if report.case == "CompletelyDegenerate":
+            yield "unique", unique_solution(seq, n), seq, None
+            continue
+        R, r = build_resolvent(seq, n), report.r
+        lifted = "lifted " if r < seq.q else ""
+        yield lifted + "constant", lft_solution(
+            R, canonical_pair(report)), seq, None
+        t = seq.alpha + 1.0
+        f = StieltjesFunction(random_psd(rng, r), AtomicMeasure(
+            seq.alpha, r, [(t, random_psd(rng, r)),
+                           (t + 1.5, random_psd(rng, r))]))
+        yield lifted + "function", lft_solution(R, lift_pair(
+            report, StieltjesPair.from_function(f))), seq, t
+
+
+def test_a_point_in_every_form_gives_one_value_from_one_inverse(
+        monkeypatch):
+    # A Python number, a NumPy scalar and a 0-d array are one point: S
+    # is bit-identical over them, off the real line and on it below
+    # alpha, for every kind of solution.  A point inverts its
+    # denominator once, takes no norm through _fro or np.linalg.norm and
+    # skips the array path's MatrixPolynomial.eval.
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
+    monkeypatch.setattr(np.linalg, "norm", counting("norm", np.linalg.norm))
+    monkeypatch.setattr(matcore, "_fro", counting("_fro", matcore._fro))
+    monkeypatch.setattr(MatrixPolynomial, "eval",
+                        counting("eval", MatrixPolynomial.eval))
+    kinds = set()
+    for kind, S, seq, _ in _solutions_of_every_kind(24, seed=33):
+        kinds.add(kind)
+        z, x = seq.alpha + 0.7 + 1.3j, seq.alpha - 1.5
+        for forms in ((z, np.complex128(z), np.array(z)),
+                      (x, complex(x), np.float64(x), np.array(x),
+                       np.array(x, dtype=complex))):
+            calls.clear()
+            values = [S(w) for w in forms]
+            assert calls == {"inv": len(forms)}
+            assert all(v.shape == (seq.q, seq.q) for v in values)
+            assert len({v.tobytes() for v in values}) == 1
+    assert kinds == {"unique", "constant", "function", "lifted constant",
+                     "lifted function"}
+
+
+def test_a_point_and_a_one_point_array_refuse_alike():
+    # The refusals of a point, in each form, are those of the one-point
+    # arrays that hold it: a singular denominator (S = -1/z at 1e-18 and
+    # at 0, exactly singular; the pair on f = 1 / (1 - z) at the root of
+    # its denominator) and a point within the slit guard of an atom of f,
+    # on it, 5e-13 below it on the real line or 1e-12 off it across it.
+    unique = unique_solution(scalar_seq([1, 0]), 0)
+    seq = scalar_seq([1, 1])
+    on_f = lft_solution(build_resolvent(seq, 0), StieltjesPair.from_function(
+        StieltjesFunction([[0.0]], delta(1.0))), seq=seq, n=0)
+    cases = [(unique, 1e-18), (unique, 0.0),
+             (on_f, (3.0 - np.sqrt(5.0)) / 2.0)]
+    kinds = set()
+    for kind, S, _, t in _solutions_of_every_kind(24, seed=33):
+        if t is not None:
+            kinds.add(kind)
+            cases += [(S, t + d) for d in (0.0, -5e-13, 1e-12j, -1e-12j)]
+    assert kinds == {"function", "lifted function"}
+    for S, bad in cases:
+        messages = set()
+        for z in (bad, complex(bad), np.complex128(bad), np.array(bad),
+                  np.array([bad]), np.array([[bad]])):
+            with pytest.raises(ValueError) as err:
+                S(z)
+            messages.add(str(err.value))
+        assert len(messages) == 1
+
+
+def test_a_far_point_is_not_refused_as_singular():
+    # Past about 1e38j at n = 3 the squares of |N|_F and |den^-1|_F
+    # leave the range of a double while N and den^-1 do not; the
+    # rule is then decided on N scaled by its largest entry, and
+    # z S(z) tends to -s_0 with no warning (RuntimeWarning is an error).
+    mu = AtomicMeasure(0.0, 1, [(0.5, [[0.2]]), (1.0, [[0.3]]),
+                                (2.0, [[0.1]]), (3.5, [[0.25]]),
+                                (5.0, [[0.15]])])
+    seq = moments_of(mu, 7)
+    s0 = seq.moments[0]
+    for n in (1, 3):
+        S = lft_solution(build_resolvent(seq, n),
+                         StieltjesPair.constant([[0.0]], [[1.0]]))
+        for z in (1e39j, 1e60j, 1e70j):
+            assert abs(z * S(z) + s0).max() <= 1e-12
+        zs = np.array([1j, 1e60j])
+        assert abs(zs[1] * S(zs)[1] + s0).max() <= 1e-12
+
+
 def test_evaluation_matches_the_horner_and_per_atom_references():
     # MatrixPolynomial.eval (one product with the powers of z) and
     # transform (one product with the reciprocals 1 / (t - z)) against

@@ -23,7 +23,10 @@ changed, through the calls that ``perfbench/workloads.py`` times:
   ``cli.main`` in the process.
 
 It prints the largest deviation of each quantity over all problems,
-where it occurs, and the distribution of the deviation of S.  S is also
+where it occurs, and the distribution of the deviation of S.  Each
+solution is also evaluated on its points as one array, and within each
+tree the largest deviation of that array from S at each point alone
+is reported (a point takes its own path through the solution).  S is also
 reported per kind of pair (constant, function, or the unique solution
 of completely degenerate data; lifted pairs count by their inner pair),
 with how many solutions of each kind are bit-identical.  It exits
@@ -82,6 +85,14 @@ def _kind(rep, S):
     return "constant pair" if S.pair.f is None else "function pair"
 
 
+def _at_once(S, points, q):
+    """S over the points as one array, all NaN when the call refuses."""
+    try:
+        return S(np.array(points))
+    except ValueError:
+        return np.full((len(points), q, q), np.nan, dtype=complex)
+
+
 def _problem(modules, workload, p):
     fixtures, momentseq, resolvent, solver, stieltjespairs, workloads = \
         modules
@@ -102,6 +113,7 @@ def _problem(modules, workload, p):
         "theta_tilde": R.theta_tilde.coeffs,
         "self_check": dict(R.self_check),
         "S": np.array([workloads.evaluate(S, points, p.q) for S in sols]),
+        "S_array": np.array([_at_once(S, points, p.q) for S in sols]),
         "transform": stieltjespairs.transform(p.mu, np.array(points)),
         "moments": np.array(
             stieltjespairs.moments_of(p.mu, 2 * p.n + 1).moments),
@@ -265,6 +277,12 @@ def compare_problem(tally, a, b, where):
             / np.linalg.norm(sa[good], axis=(-2, -1)), initial=0.0), where)
         tally.count(f"S {kind} bit-identical",
                     sa[good].tobytes() == sb[good].tobytes())
+    for tree, rec in (("old", a), ("new", b)):
+        pt, arr = rec["S"], rec["S_array"]
+        both = ~(np.isnan(pt) | np.isnan(arr)).any(axis=(-2, -1))
+        tally.float(f"S point vs array, {tree} tree (rel)", np.max(
+            np.linalg.norm(pt[both] - arr[both], axis=(-2, -1))
+            / np.linalg.norm(pt[both], axis=(-2, -1)), initial=0.0), where)
     Ta, Tb = a["transform"], b["transform"]
     tally.float("transform (rel, per point)", np.max(
         np.linalg.norm(Ta - Tb, axis=(-2, -1))
