@@ -28,7 +28,6 @@ from .momentseq import MomentSequence, class_membership
 from .potapov import _IM_GUARD, potapov_report
 from .resolvent import build_resolvent, standard_grid, theta_coeffs_json
 from .solver import (
-    _singular,
     classify,
     lft_solution,
     lift_pair,
@@ -181,51 +180,26 @@ def cmd_solve(args):
     points = _points(args) if args.points is not None else \
         [z for z in standard_grid(seq.alpha) if z.imag > 0][:4]
     entries = [{"z": jsonio.complex_to_json(z)} for z in points]
-
-    def values(pts):        # one evaluation; a singular point gets its error
-        vals, ok = S._values(pts)
-        return [v if good else _singular(z)
-                for z, v, good in zip(pts, vals, ok)]
     solved = []
-    for z, entry, val in zip(points, entries, _at_points(values, points)):
-        if isinstance(val, ValueError):
-            entry["singular"] = str(val)
+    for z, entry in zip(points, entries):
+        try:
+            val = S(z)
+        except ValueError as exc:   # a singular denominator or an atom of f
+            entry["singular"] = str(exc)
             continue
         entry["S"] = jsonio.matrix_to_json(val)
         # The Potapov report is defined off R only; a real point keeps
         # its S and is left out of the one report on the others.
         if abs(z.imag) >= _IM_GUARD:
             solved.append((z, entry, val))
-
-    def sigma_mins(rows):
-        rep = potapov_report(seq, n, [val for _, _, val in rows],
-                             [z for z, _, _ in rows])
-        return list(zip(rep.smin_even, rep.smin_odd))
-
-    for (_, entry, _), lam in zip(solved, _at_points(sigma_mins, solved)):
-        if not isinstance(lam, ValueError):
-            entry["sigma_min_even"], entry["sigma_min_odd"] = lam
+    if solved:
+        # S is finite (|S| < 1/tol_rank): only a subnormal --tol-rank fails
+        zs, rows, vals = zip(*solved)
+        rep = potapov_report(seq, n, list(vals), list(zs))
+        for entry, lo, hi in zip(rows, rep.smin_even, rep.smin_odd):
+            entry["sigma_min_even"], entry["sigma_min_odd"] = lo, hi
     _emit({"case": report.case, "values": entries}, args)
     return EXIT_OK
-
-
-def _at_points(fn, items):
-    """``fn(items)`` as a list with one result per item, such as a
-    point.  When the batch raises ``ValueError``, ``fn`` runs item by
-    item instead, and an item that raises gets its error in place of a
-    result."""
-    if not items:
-        return []
-    try:
-        return list(fn(items))
-    except ValueError:
-        out = []
-        for item in items:
-            try:
-                out.append(fn([item])[0])
-            except ValueError as exc:
-                out.append(exc)
-        return out
 
 
 def cmd_verify(args):

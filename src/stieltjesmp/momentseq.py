@@ -7,7 +7,8 @@ Hankel matrices, the right-alpha-shifted sequence and the associated
 stacked vectors as indices of that array, and assembles the one
 stack T^j x of powers of the block shift T applied to a block column
 (``shift_stack``, from which every product with T, R_T(z) or R_{T*}(z)
-is read), and membership tests for the four solvability classes
+is read; ``resolvent_column`` is R_T(alpha) v in closed form), and
+membership tests for the four solvability classes
 (Hankel-nonnegative, Hankel-nonnegative extendable,
 Stieltjes-nonnegative, Stieltjes-nonnegative extendable).  A
 :class:`HankelData` holds the Hankel matrices at every level of one
@@ -147,7 +148,8 @@ class HankelData:
     null basis about it is read from.  The right-alpha-shifted sequence is a
     sequence too, with Hankel data of its own, :attr:`shift`.  Factors,
     class verdicts and the canonical witness extension (read-only), and
-    per level the defects of ``classify`` and the parts of
+    per level the defects of ``classify`` (read from the null bases of
+    ``factor(n)`` and ``shift.factor(n)``) and the parts of
     ``build_resolvent``, are computed when first asked for and kept in
     one memo (``_once``); the library reaches this object through
     :meth:`MomentSequence.hankel` only, and the matrices are read-only.
@@ -225,19 +227,6 @@ class HankelData:
         if self.seq.m % 2 == 1:
             return self.extendable() and self.shift.nonnegative()
         return self.nonnegative() and self.shift.extendable()
-
-    def restriction_products(self, n):
-        """(A_phi, A_psi) = ((I - H^+ H) R_T(alpha) v, (I - Hs^+ Hs) H v)
-        at level n, formed as N N* R_T(alpha) v and Ns Ns* H v from the
-        null bases of H_n and Hs_n, so both are exactly zero when these
-        are nonsingular.  ``classify`` ranks them: their row spaces are
-        the defect subspaces U and V, on which the phi and psi of a pair
-        in the restricted class vanish."""
-        self.check_level(n, shifted=True)
-        N, Ns = self.factor(n).null, self.shift.factor(n).null
-        Rv = resolvent_column(self.seq.alpha, self.q, n)
-        Hv = self.H[n][:, :self.q]
-        return N @ (N.conj().T @ Rv), Ns @ (Ns.conj().T @ Hv)
 
 
 @dataclass

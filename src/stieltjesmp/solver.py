@@ -23,7 +23,7 @@ from .matcore import (
     hermitize,
     right_divide,
 )
-from .momentseq import HankelData
+from .momentseq import HankelData, resolvent_column
 from .potapov import potapov_report
 from .resolvent import MatrixPolynomial, build_resolvent, standard_grid
 from .stieltjespairs import (
@@ -80,16 +80,19 @@ def _defect_subspace(A, ref, tol):
 def _defects(data, n):
     """(U, m, V, ell, W): the defect subspaces of level n, their ranks
     and the frame W = [complement | U | V], kept on the sequence's
-    Hankel data.  Each product is a null projector applied to a block,
-    R_T(alpha) v = col(alpha^j I_q) and H_n v; its rank is relative to
-    that block's norm."""
+    Hankel data: the row spaces of (I - H^+ H) R_T(alpha) v and
+    (I - Hs^+ Hs) H v, formed as N N* R_T(alpha) v and Ns Ns* H v from
+    the null bases of H_n and Hs_n, each ranked relative to the block
+    R_T(alpha) v = col(alpha^j I_q) or H_n v that its projector acts on."""
     def defects():
         q, tol = data.q, data.seq.tol
-        A_phi, A_psi = data.restriction_products(n)
-        U, m = _defect_subspace(A_phi, np.sqrt(q * np.sum(
+        data.check_level(n, shifted=True)
+        N, Ns = data.factor(n).null, data.shift.factor(n).null
+        Rv, Hv = resolvent_column(data.seq.alpha, q, n), data.H[n][:, :q]
+        U, m = _defect_subspace(N @ (N.conj().T @ Rv), np.sqrt(q * np.sum(
             abs(data.seq.alpha) ** (2.0 * np.arange(n + 1)))), tol)
-        V, ell = _defect_subspace(A_psi, np.linalg.norm(data.H[n][:, :q]),
-                                  tol)
+        V, ell = _defect_subspace(Ns @ (Ns.conj().T @ Hv),
+                                  np.linalg.norm(Hv), tol)
         if m + ell > q:
             raise ValueError("defect ranks exceed q; inconsistent input")
         cols = [U, V]
@@ -169,19 +172,12 @@ class SolutionFunction:
         self._P = MatrixPolynomial(resolvent.theta.coeffs @ C)
 
     def __call__(self, z):
-        """S(z) at a point (q x q) or at an array of points (a
-        z.shape + (q, q) stack).  A point on an atom raises the error of
-        ``transform``; a denominator singular by ``right_divide`` raises
-        one naming the first such point.  An array's flags are read by
-        iterating them, cheaper on few flags than a NumPy reduction."""
-        S, ok = self._values(z)
-        if ok is not True and not all(np.ravel(ok)):
-            raise _singular(np.ravel(z)[np.argmin(np.ravel(ok))])
-        return S
-
-    def _values(self, z):
-        """S(z) and whether (for an array, where) den is invertible.  A
-        point takes the products of an array, on a Python complex."""
+        """S(z) at a point (q x q), taken as a Python complex, or at an
+        array of points (a z.shape + (q, q) stack).  A point on an atom
+        raises the error of ``transform``; a denominator singular by
+        ``right_divide`` raises one naming the first such point.  An
+        array's flags are read by iterating them, cheaper on few flags
+        than a NumPy reduction."""
         if isinstance(z, (complex, float, int)) or not np.ndim(z):
             P, shape, z = self._P, (), complex(z)
             N = (z ** P._exps @ P._flat).reshape(P.shape)
@@ -195,11 +191,11 @@ class SolutionFunction:
                 self.pair.f(z)          # raises the error of transform
             N = N @ (self._K + ((1.0 / d) @ self._M).reshape(
                 shape + self._K.shape))
-        return right_divide(N, self._tol)
-
-
-def _singular(z):
-    return ValueError(f"singular LFT denominator at z = {complex(z)}")
+        S, ok = right_divide(N, self._tol)
+        if ok is not True and not all(np.ravel(ok)):
+            first = complex(np.ravel(z)[np.argmin(np.ravel(ok))])
+            raise ValueError(f"singular LFT denominator at z = {first}")
+        return S
 
 
 def _affine_parts(p):

@@ -25,11 +25,11 @@ _SLIT_GUARD = 1e-12
 class AtomicMeasure:
     """Finitely atomic nonnegative-Hermitian measure on [alpha, oo).
 
-    Atoms are (t, M) with t >= alpha and M PSD; duplicate positions are
-    merged at load and atoms are stored once, in increasing position
-    order, as the read-only arrays ``positions`` (a,) and ``weights``
-    (a, q, q).  ``atoms`` lists the (t, M) pairs, each M a view into
-    ``weights``.
+    Atoms are (t, M) with t finite, t >= alpha and M PSD; duplicate
+    positions are merged at load and atoms are stored once, in
+    increasing position order, as the read-only arrays ``positions``
+    (a,) and ``weights`` (a, q, q).  ``atoms`` lists the (t, M) pairs,
+    each M a view into ``weights``.
     """
 
     def __init__(self, alpha, q, atoms, tol=DEFAULT_TOL):
@@ -41,6 +41,8 @@ class AtomicMeasure:
         merged = {}
         for t, M in atoms:
             t = float(t)
+            if not np.isfinite(t):
+                raise ValueError(f"atom position must be finite, got {t}")
             what = f"atom weight at t = {t}"
             M = as_square(M, q, what)
             if t < self.alpha - _SLIT_GUARD:

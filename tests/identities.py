@@ -349,6 +349,13 @@ def theta_inverse(R, z, tilde=False):
     return J @ th_bar.conj().T @ J
 
 
+def pair_of_solution(R, values, z):
+    """The column [phi; psi](z) = Theta(z)^-1 [S(z); I] of the pair whose
+    transformation gives the solution of value ``values`` = S(z) at z:
+    the LFT read backwards, with the J-symmetry inverse of Theta."""
+    return theta_inverse(R, z) @ np.vstack([values, np.eye(R.q)])
+
+
 def ub_factors(R, tilde=False):
     """The factors of theta = U B (of theta-tilde = U~ B~ with ``tilde``),
     assembled from the dense T, v and R_T(alpha):
@@ -839,15 +846,29 @@ def pair_eval(p, z):
     return val[..., :p.q, :], val[..., p.q:, :]
 
 
+def restriction_products(data, n):
+    """The restriction products of level n in the paper's form,
+    ((I - H^+ H) R_T(alpha) v, (I - Hs^+ Hs) H v), from the
+    Moore-Penrose inverses of H_n and Hs_n and the dense R_T(alpha) and
+    v, not from the null bases that ``classify`` forms them with."""
+    data.check_level(n, shifted=True)
+    q, H, Hs = data.q, data.H[n], data.shift.H[n]
+    v, eye = first_column_embedding(q, n), np.eye(len(H))
+    return ((eye - data.factor(n).pinv() @ H)
+            @ shift_resolvent(q, n, data.seq.alpha) @ v,
+            (eye - data.shift.factor(n).pinv() @ Hs) @ H @ v)
+
+
 def in_restricted_class_at_points(p, seq, n, zs):
     """The two vanishing conditions of the restricted class, A_phi phi(z)
     = 0 and A_psi psi(z) = 0 with (A_phi, A_psi) the restriction products
-    (I - H^+ H) R_T(alpha) v and (I - Hs^+ Hs) H v of level n, tested
-    point by point under ``seq.tol``.  Each residual is bounded relative
-    to the block the projector acts on times |[phi; psi](z)|.  Decisive
-    when ``zs`` holds more points off the slit than the pair has poles."""
+    (I - H^+ H) R_T(alpha) v and (I - Hs^+ Hs) H v of level n
+    (``restriction_products``), tested point by point under
+    ``seq.tol``.  Each residual is bounded relative to the block the
+    projector acts on times |[phi; psi](z)|.  Decisive when ``zs`` holds
+    more points off the slit than the pair has poles."""
     data = seq.hankel()
-    A_phi, A_psi = data.restriction_products(n)
+    A_phi, A_psi = restriction_products(data, n)
     q = seq.q
     ref_phi = np.linalg.norm(shift_resolvent(q, n, seq.alpha)[:, :q])
     ref_psi = np.linalg.norm(data.H[n][:, :q])

@@ -212,47 +212,48 @@ def test_cmd_solve_at_a_real_point_gives_s_and_no_singular_key(tmp_path,
 
 def test_cmd_solve_evaluates_once_over_the_points(tmp_path, capsys,
                                                   monkeypatch):
-    # One evaluation of S over the points (counted as the shapes of the
-    # points it is given) and one Potapov report, also when S(z) = -1/z
-    # is singular at one of them (1e-18), which gets the error a call at
-    # it raises.  A point on an atom of f fails the batch with the error
-    # of the transform; only then is S evaluated point by point.
+    # S is called once per point, through its public call, and one
+    # Potapov report covers the points off R that got an S; also when
+    # S(z) = -1/z is singular at one of them (1e-18), which gets the
+    # error the call raises, and when a point lies on an atom of f, which
+    # gets the error of the transform.
     from stieltjesmp import cli, solver
-    shapes, reports = [], []
-    values, report = solver.SolutionFunction._values, cli.potapov_report
+    points, reports = [], []
+    call, report = solver.SolutionFunction.__call__, cli.potapov_report
 
-    def counting_values(self, z):
-        shapes.append(np.shape(z))
-        return values(self, z)
+    def counting_call(self, z):
+        points.append(z)
+        return call(self, z)
 
     def counting_report(*args, **kwargs):
         reports.append(len(args[-1]))
         return report(*args, **kwargs)
 
-    monkeypatch.setattr(solver.SolutionFunction, "_values", counting_values)
+    monkeypatch.setattr(solver.SolutionFunction, "__call__", counting_call)
     monkeypatch.setattr(cli, "potapov_report", counting_report)
     code, doc = run(capsys, ["solve", moment_file(tmp_path, [1, 0]),
                              "--n", "0", "--points", "1j,2j,-1+0.5j,3-1j"])
     assert code == 0 and len(doc["values"]) == 4
     assert all("sigma_min_even" in v for v in doc["values"])
-    assert shapes == [(4,)] and reports == [4]
-    shapes.clear(), reports.clear()
+    assert points == [1j, 2j, -1 + 0.5j, 3 - 1j] and reports == [4]
+    points.clear(), reports.clear()
     code, doc = run(capsys, ["solve", moment_file(tmp_path, [1, 0]),
                              "--n", "0", "--points", "1e-18,1j,2j,3j,4j"])
-    assert code == 0 and shapes == [(5,)] and reports == [4]
+    assert code == 0 and len(points) == 5 and reports == [4]
     assert doc["values"][0] == {
         "z": [1e-18, 0.0],
         "singular": "singular LFT denominator at z = (1e-18+0j)"}
     assert all("sigma_min_even" in v for v in doc["values"][1:])
-    shapes.clear(), reports.clear()
+    points.clear(), reports.clear()
     pair = write_json(tmp_path / "pf.json", {
         "kind": "stieltjes_function", "alpha": 0.0, "q": 1,
         "atoms": [{"t": 1.0, "weight": [[[1.0, 0.0]]]}]})
     code, doc = run(capsys, ["solve", moment_file(tmp_path, [1, 1]), pair,
                              "--n", "0", "--points", "1j,1,2j"])
-    assert code == 0 and shapes == [(3,), (1,), (1,), (1,)]
-    assert doc["values"][1]["singular"] == \
-        "evaluation point (1+0j) coincides with atom 1.0"
+    assert code == 0 and points == [1j, 1, 2j] and reports == [2]
+    assert doc["values"][1] == {
+        "z": [1.0, 0.0],
+        "singular": "evaluation point (1+0j) coincides with atom 1.0"}
     assert all("sigma_min_even" in doc["values"][k] for k in (0, 2))
 
 

@@ -15,6 +15,7 @@ from stieltjesmp.momentseq import (
     block_hankel,
     canonical_extension,
     dubovoj_candidates,
+    resolvent_column,
     shift_right,
     shift_stack,
     stack_y,
@@ -27,7 +28,8 @@ from conftest import atomic_fixture, hankel_factor_counts, kge_fixtures, \
 from identities import block_hankel_by_blocks, extended, \
     first_column_embedding, is_dubovoj, is_psd, ladder_basis, ladder_ranks, \
     last_column_embedding, mrank, projector_distance, range_included, \
-    resolvent_poly, schur_ladder, shift_matrix, shift_resolvent
+    resolvent_poly, restriction_products, schur_ladder, shift_matrix, \
+    shift_resolvent
 
 
 def test_moment_sequence_validation():
@@ -359,9 +361,10 @@ def test_shift_stack_gives_the_shift_resolvents():
 
 def test_the_shift_resolvent_of_v_is_the_power_column():
     # R_T(alpha) v = col(alpha^j I_q), from the stack of v and in the
-    # closed form the restriction products read, against the dense
+    # closed form the defects of classify read, against the dense
     # R_T(alpha) of the definition; on data with one atom, where the
-    # null projector N N* of H_n is not zero.
+    # null projector N N* of H_n is not zero, the paper-form oracle
+    # (I - H^+ H) R_T(alpha) v equals N N* R_T(alpha) v.
     rng = np.random.default_rng(53)
     for q in (1, 2, 3):
         for n in range(4):
@@ -371,12 +374,16 @@ def test_the_shift_resolvent_of_v_is_the_power_column():
                 tol = 1e-14 * (1.0 + np.linalg.norm(Rv))
                 assert np.linalg.norm(
                     MatrixPolynomial(shift_stack(v, q))(alpha) - Rv) <= tol
+                assert np.linalg.norm(resolvent_column(alpha, q, n) - Rv) \
+                    <= tol
                 _, seq = atomic_fixture(rng, q, n, alpha, natoms=1)
                 data = seq.hankel()
                 N = data.factor(n).null
-                A_phi, _ = data.restriction_products(n)
+                A_phi, _ = restriction_products(data, n)
                 assert N.shape[1] == n * q
-                assert np.linalg.norm(A_phi - N @ (N.conj().T @ Rv)) <= tol
+                # H^+ H and N N* round apart: 9.8e-14 at worst here.
+                assert np.linalg.norm(A_phi - N @ (N.conj().T @ Rv)) <= \
+                    1e-12 * (1.0 + np.linalg.norm(Rv))
 
 
 def test_block_hankel_equals_assembly_block_by_block(rng):

@@ -116,6 +116,35 @@ def test_the_potapov_report_takes_values():
                 if "takes_arrays" in vars(cls)]
 
 
+def test_a_solution_is_read_through_its_call():
+    # S(z) is the one entry into a solution: no module of the package,
+    # its tools or its benchmark but ``solver`` itself imports or reads
+    # an underscore name of ``solver``, and the CLI calls no underscore
+    # method, of a solution or of anything else.
+    root = Path(solver.__file__).parents[2]
+    files = [path for folder in ("src/stieltjesmp", "tools", "perfbench")
+             for path in (root / folder).glob("*.py")
+             if path.name != "solver.py"]
+    assert len(files) > 10
+    private = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and \
+                    (node.module or "").split(".")[-1] == "solver":
+                private += [(path.name, alias.name) for alias in node.names
+                            if alias.name.startswith("_")]
+            if isinstance(node, ast.Attribute) and \
+                    node.attr.startswith("_") and \
+                    getattr(node.value, "id", None) == "solver":
+                private.append((path.name, node.attr))
+    assert not private
+    cli = Path(solver.__file__).with_name("cli.py")
+    assert not [node.func.attr for node in ast.walk(ast.parse(cli.read_text()))
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr.startswith("_")]
+
+
 def test_no_determinant_decides_anything():
     # Whether a matrix is singular is decided by the rank rule of
     # ``matcore`` relative to a named scale, never by a determinant,

@@ -42,6 +42,12 @@ def test_atomic_measure_validation():
         with pytest.raises(ValueError,
                            match=f"^alpha must be finite, got {alpha}$"):
             AtomicMeasure(alpha, 1, [(1.0, [[1.0]])])
+    # A NaN position would pass the alpha check and make the transform
+    # NaN, an infinite one would drop out of it: both are refused.
+    for t in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=rf"^atom position must be "
+                                             rf"finite, got {t}$"):
+            AtomicMeasure(0.0, 1, [(t, [[1.0]]), (1.0, [[1.0]])])
     mu = AtomicMeasure(0.0, 1, [(2.0, [[1.0]]), (1.0, [[0.5]]),
                                 (2.0, [[0.25]])])
     assert [t for t, _ in mu.atoms] == [1.0, 2.0]
