@@ -77,7 +77,7 @@ def load_measure_file(path, tol):
     return AtomicMeasure(alpha, q, atoms, tol)
 
 
-def load_pair_file(path, tol):
+def load_pair_file(path, tol, alpha):
     with open(path) as fh:
         doc = json.load(fh)
     try:
@@ -87,7 +87,7 @@ def load_pair_file(path, tol):
             psi = jsonio.json_to_matrix(doc["psi"], "psi")
             return StieltjesPair.constant(phi, psi, tol)
         if kind == "stieltjes_function":
-            alpha = jsonio.json_to_real(doc.get("alpha", 0.0), "alpha")
+            alpha = jsonio.json_to_real(doc.get("alpha", alpha), "alpha")
             q = jsonio.json_to_real(doc["q"], "q", integer=True)
             atoms = [(jsonio.json_to_real(a["t"], "t"),
                       jsonio.json_to_matrix(a["weight"], "atom weight"))
@@ -175,7 +175,7 @@ def cmd_solve(args):
         if args.pair is None:
             raise ValueError("a pair file is required unless the data is "
                              "completely degenerate")
-        pair = lift_pair(report, load_pair_file(args.pair, tol))
+        pair = lift_pair(report, load_pair_file(args.pair, tol, seq.alpha))
         S = lft_solution(build_resolvent(seq, n), pair)
     points = _points(args) if args.points is not None else \
         [z for z in standard_grid(seq.alpha) if z.imag > 0][:4]

@@ -4,24 +4,29 @@ For a candidate solution function f, the matrices P_k[f](z) couple the
 block Hankel data of the moment sequence with the values of f; their
 joint positive semidefiniteness off the real axis characterizes
 solutions of the truncated moment problem.  This module decides that
-positivity on a grid (``potapov_report``), the test ``verify_solution``
-applies to a function candidate; a measure is decided by its support
-and moments alone.  The P_k themselves, their Schur complements
-Sigma_k, the auxiliary F_k/Q_k/Psi_k matrices, the congruence
-identities connecting them and the atomic decomposition of P_k for a
-measure are test oracles, in ``tests/identities.py``.
+positivity on a grid (``potapov_report``) for ``verify_solution`` on a
+function candidate; a measure is decided by its support and moments.
+The P_k themselves, their Schur complements Sigma_k, the F_k/Q_k/Psi_k
+matrices, the congruences connecting them and the atomic decomposition
+of P_k for a measure are test oracles, in ``tests/identities.py``.
+
+The P_k are defined off R only.  P_2n[g] has the Hankel corner H_n,
+the coupling column c = R_T(z)(v g - c_0) and the diagonal block (g -
+g*) / (z - conj z), and P_2n[f] is it at g = f(z).  P_2n+1[f] is
+P_2n[(z - alpha) f + s_0] of the right-alpha-shifted sequence, whose
+diagonal block (s_0 is Hermitian) is the endpoint block P_-1[f], that
+of g = (z - alpha) f; so only P_2n is built, on ``data`` or its shift.
 
 ``potapov_report`` decides P_k >= 0 on a grid without forming P_k: up
 to a margin tau, P_k + tau I >= 0 holds exactly when the Hankel corner
 H + tau I is positive definite and the q x q Schur complement
 Sigma^tau_k = d - c* (H + tau I)^-1 c has no eigenvalue below -tau.
-With H = Q diag(w) Q*, the coupling column c = R_T(z)(v g - c_0) is a
-polynomial in z, so Q* c = K(z) g - b(z) for two N x q matrix
-polynomials built once per level from Q and the stack T^j [v, c_0]
-(``momentseq.shift_stack``): a point costs one (N x q)(q x q) product
-and a q x q eigenvalue problem.  P_2n+1[f] of a sequence is
-P_2n[(z - alpha) f + s_0] of its right-alpha-shifted sequence, so only
-P_2n is built, on ``data`` or ``data.shift``.
+With H = Q diag(w) Q*, the coupling column is a polynomial in z, so
+X = Q* c = K(z) g - b(z) for two N x q matrix polynomials built once
+per level from Q and the stack T^j [v, c_0] (``momentseq.shift_stack``):
+a point costs one (N x q)(q x q) product and a q x q eigenvalue
+problem.  As Q is unitary, ||c||_F = ||X||_F, so ||P_k||_F is read from
+the norms of its blocks, sqrt(||H||^2 + 2 ||X||^2 + ||d||^2).
 """
 
 from dataclasses import dataclass
@@ -35,11 +40,6 @@ from .resolvent import MatrixPolynomial
 _IM_GUARD = 1e-8
 
 
-def _check_offreal(z):
-    if np.any(np.abs(np.imag(z)) < _IM_GUARD):
-        raise ValueError("the fundamental matrices are only defined off R")
-
-
 def _adjoint(A):
     """Conjugate transpose of each matrix of a stack."""
     return np.swapaxes(A, -1, -2).conj()
@@ -51,30 +51,6 @@ def _im_quotient(g, z):
     stands: g - g* is skew-Hermitian entry by entry, and z - conj z has
     real part exactly 0."""
     return (g - _adjoint(g)) / (z - np.conj(z))[..., None, None]
-
-
-def _weighted(data, fz, z):
-    """(z - alpha) f(z) at the points z."""
-    return (z - data.seq.alpha)[..., None, None] * fz
-
-
-def _as_p2n(data, n, fz, z):
-    """P_-1[f] at the points z, and P_2n[f] and (given s_2n+1) P_2n+1[f]
-    as (data, g, diagonal block) of a P_2n[g]: (data, f, (f - f*) / (z -
-    conj z)) and (data.shift, (z - alpha) f + s_0, P_-1), s_0 Hermitian."""
-    weighted = _weighted(data, fz, z)
-    endpoint = _im_quotient(weighted, z)
-    forms = [(data, fz, _im_quotient(fz, z))]
-    if 2 * n + 1 <= data.seq.m:
-        forms.append((data.shift, weighted + data.seq.moments[0], endpoint))
-    return endpoint, forms
-
-
-def _block_norm(corner, col, diag):
-    """Frobenius norm of P_k per point, formed from the norms of its
-    blocks: the norm of the Hankel corner, the coupling column (twice)
-    and the diagonal block."""
-    return np.sqrt(corner ** 2 + 2.0 * _fro(col) ** 2 + _fro(diag) ** 2)
 
 
 @dataclass
@@ -124,31 +100,22 @@ def _coupling(data, n):
             np.linalg.norm(H))
 
 
-def _projected_column(data, n, g, z):
-    """Q* c(z) = K(z) g - b(z) of P_2n[g] at the points z (an array, 0-d
-    for one point), with the coupling of :func:`_coupling`, built once
-    per level on ``data``; also w and ||H||_F."""
+def _potapov_test(data, n, g, diag, z, tol):
+    """Per point of the 1-D array z: the reported value of P_2n[g] of
+    ``data`` (see :class:`PotapovReport`) and whether it fails the test,
+    from g and the diagonal block diag = (g - g*) / (z - conj z).
+
+    The coupling (:func:`_coupling`) is built once per level, in the
+    ``("coupling", n)`` memo of ``data``; a point costs X = K(z) g - b(z).
+    With tau the margin of the point, Y = (w + tau)^(-1/2) X and Sigma^tau
+    = diag - Y* Y, whose eigenvalues take one call on the (G, q, q)
+    stack.  Where w_min <= -tau the point fails and its value is w_min.
+    """
     w, K, b, hnorm = data._once(("coupling", n), lambda: _coupling(data, n))
     X = K(z) @ g
     X -= b(z)
-    return X, w, hnorm
-
-
-def _potapov_test(data, n, g, diag, z, tol):
-    """Per point of the 1-D array z: the reported value of P_2n[g] (see
-    :class:`PotapovReport`) and whether it fails the test, from g and
-    the diagonal block diag = (g - g*) / (z - conj z).
-
-    The Hankel corner H = Q diag(w) Q* is factored once per level
-    (:func:`_coupling`), and each point costs X = Q* c = K(z) g - b(z),
-    one (N x q)(q x q) product.  As Q is unitary, ||c||_F = ||X||_F.
-    With tau the margin of the point, Y = (w + tau)^(-1/2) X and
-    Sigma^tau = diag - Y* Y, whose eigenvalues take one call on the
-    (G, q, q) stack.  Where w_min <= -tau the point fails and its value
-    is w_min.
-    """
-    X, w, hnorm = _projected_column(data, n, g, z)
-    tau = _psd_margin(tol, _block_norm(hnorm, X, diag))
+    tau = _psd_margin(tol, np.sqrt(
+        hnorm ** 2 + 2.0 * _fro(X) ** 2 + _fro(diag) ** 2))
     shifted = w + tau[:, None]
     definite = shifted[:, 0] > 0.0
     X *= (1.0 / np.sqrt(np.where(definite[:, None], shifted, 1.0)))[
@@ -172,15 +139,15 @@ def potapov_report(seq, n, fz, grid):
     Appl. Math. 17, 1969), that is when Sigma^tau = d - c* (H + tau
     I)^-1 c has lambda_min >= -tau.  Where lambda_min(H) <= -tau the
     point fails, since by interlacing lambda_min(P_k) <= lambda_min(H).
-    P_2n+1 is tested as P_2n[(z - alpha) f + s_0] of the shifted
-    sequence, whose diagonal block is the endpoint block P_-1.  H is
-    factored once per level on the Hankel data it belongs to, not per
-    report, and no (n+2)q x (n+2)q matrix is formed.  P_-1 is already
-    q x q and is tested directly.
+    P_2n+1 is tested as P_2n of the shifted sequence (see the module).
+    H is factored once per level on the Hankel data it belongs to, not
+    per report, and no (n+2)q x (n+2)q matrix is formed.  P_-1 is
+    already q x q and is tested directly.
 
     A grid point that is not finite raises ``ValueError`` naming it, and
-    so do an ``fz`` of another shape than (len(grid), q, q) and a value
-    that is not finite, naming the first such point.
+    so do a point within ``_IM_GUARD`` of R, an ``fz`` of another shape
+    than (len(grid), q, q) and a value that is not finite, naming the
+    first such point.
     """
     data = seq.hankel()
     data.check_level(n)
@@ -193,7 +160,8 @@ def potapov_report(seq, n, fz, grid):
     if not finite.all():
         raise ValueError(f"grid point {grid[np.argmin(finite)]} is not "
                          f"finite")
-    _check_offreal(z)
+    if np.any(np.abs(np.imag(z)) < _IM_GUARD):
+        raise ValueError("the fundamental matrices are only defined off R")
     fz = np.asarray(fz, dtype=complex)
     shape = (len(grid), seq.q, seq.q)
     if fz.shape != shape:
@@ -201,7 +169,11 @@ def potapov_report(seq, n, fz, grid):
     finite = np.isfinite(fz).all(axis=(-2, -1))
     if not finite.all():
         raise ValueError(f"f({grid[np.argmin(finite)]}) is not finite")
-    endpoint, forms = _as_p2n(data, n, fz, z)
+    weighted = (z - seq.alpha)[..., None, None] * fz
+    endpoint = _im_quotient(weighted, z)
+    forms = [(data, fz, _im_quotient(fz, z))]
+    if 2 * n + 1 <= seq.m:
+        forms.append((data.shift, weighted + seq.moments[0], endpoint))
     tests = [_potapov_test(d, n, g, diag, z, tol) for d, g, diag in forms]
     lam = np.linalg.eigvalsh(endpoint).min(axis=-1)
     tests.append((lam, lam < -_psd_margin(tol, _fro(endpoint))))

@@ -210,24 +210,34 @@ def _affine_parts(p):
     return np.concatenate([p.B, p.E], axis=1), K, mu.positions
 
 
+def _on_half_line(mu, alpha):
+    """Whether the atoms of ``mu`` lie on [alpha, oo), up to
+    ``_SLIT_GUARD``: they are sorted, so the first one decides."""
+    return all(t >= alpha - _SLIT_GUARD for t, _ in mu.atoms[:1])
+
+
 def pair_in_restricted_class(p, seq, n):
     """Whether phi vanishes on the defect subspace U and psi on V of
     ``classify(seq, n)``, decided under ``seq.tol``; no report is built.
     A pair of another size than the sequence's q raises ``ValueError``.
 
-    On non-degenerate data (m = ell = 0) U and V are {0} and every pair
-    is in the class, so the pair is not read.  Otherwise, with f =
-    gamma + sum M_i / (t_i - z), whose poles are distinct (the measure
-    merges duplicate atoms), [phi; psi] = B + E f [I_k, 0] is a
-    constant plus linearly independent partial fractions.  So U* phi
-    vanishes identically exactly when U* C_phi = 0, and V* psi when
-    V* C_psi = 0, for the top and bottom halves of the coefficient
-    block C = [B + E gamma [I_k, 0] | E M_1 [I_k, 0] | ... ].  The bound
-    is relative to |C|, so the verdict does not change when the pair is
+    A pair on f = gamma + sum M_i / (t_i - z) with an atom t_i below
+    ``seq.alpha`` (by the support rule of ``verify_solution``) is in no
+    class.  On non-degenerate data (m = ell = 0) U and V are {0} and
+    every other pair is in the class, so its coefficients are not read.
+    Otherwise, as the poles of f are distinct (the measure merges
+    duplicate atoms), [phi; psi] = B + E f [I_k, 0] is a constant plus
+    linearly independent partial fractions.  So U* phi vanishes
+    identically exactly when U* C_phi = 0, and V* psi when V* C_psi = 0,
+    for the top and bottom halves of the coefficient block
+    C = [B + E gamma [I_k, 0] | E M_1 [I_k, 0] | ... ].  The bound is
+    relative to |C|, so the verdict does not change when the pair is
     scaled.
     """
     _check_size("pair", p.q, seq.q)
     U, m, V, ell, _ = _defects(seq.hankel(), n)
+    if p.f is not None and not _on_half_line(p.f.measure, seq.alpha):
+        return False
     if m == ell == 0:
         return True
     C = p.B
@@ -287,20 +297,20 @@ def recover_s0(S):
     return 0.5 * (val + val.conj().T)
 
 
-def verify_solution(seq, n, candidate, grid=None):
+def verify_solution(seq, n, candidate):
     """Verification report for a measure or a solution function.
 
     A measure solves the problem when it lives on [alpha, oo), alpha
     that of the sequence, its moments match s_j exactly for j <= 2n and
     the Loewner defect s_2n+1 - its moment of order 2n + 1 is PSD; it is
     decided on these three checks (``support``, ``moment_match``,
-    ``top_defect_psd``) alone, from its positions and ``moments_of``,
-    and ``grid`` is not read.  A function candidate, such as a
-    ``SolutionFunction``, is called once with the grid as a 1-D array
-    and returns the (G, q, q) stack of its values, which the
-    fundamental-matrix report reads; s_0 is recovered from it at a
-    single large imaginary point.  The report reads the Hankel data of
-    ``seq``, alive while any result on it is held.
+    ``top_defect_psd``) alone, from its positions and ``moments_of``.
+    A function candidate, such as a ``SolutionFunction``, is called once
+    with ``standard_grid(seq.alpha)`` as a 1-D array and returns the
+    (G, q, q) stack of its values, which the fundamental-matrix report
+    reads; s_0 is recovered from it at a single large imaginary point.
+    The report reads the Hankel data of ``seq``, alive while any result
+    on it is held.
     A measure needs 2n + 1 <= m (its checks read s_2n+1), a function 2n <= m,
     and a measure of another size than the sequence's q raises ``ValueError``.
     """
@@ -317,8 +327,7 @@ def verify_solution(seq, n, candidate, grid=None):
         defect = hermitize(s[2 * n + 1] - mom[-1], tol, "top moment defect")
         lam = float(np.linalg.eigvalsh(defect).min())
         defect_ok = lam >= -_psd_margin(tol, np.linalg.norm(s[2 * n + 1]))
-        support = bool(np.all(candidate.positions
-                              >= seq.alpha - _SLIT_GUARD))
+        support = _on_half_line(candidate, seq.alpha)
         out["checks"]["moment_match_residual"] = worst
         out["checks"]["moment_match"] = match
         out["checks"]["top_defect_lambda_min"] = lam
@@ -327,8 +336,7 @@ def verify_solution(seq, n, candidate, grid=None):
         out["valid"] = bool(match and defect_ok and support)
         return out
     # SolutionFunction (or any function of a 1-D array of points)
-    if grid is None:
-        grid = standard_grid(seq.alpha)
+    grid = standard_grid(seq.alpha)
     rep = potapov_report(seq, n, candidate(np.asarray(grid, dtype=complex)),
                          grid)
     s0_est = recover_s0(candidate)

@@ -13,8 +13,7 @@ from stieltjesmp.matcore import DEFAULT_TOL, _fro, _rank, _significant, \
     as_matrix, hermitize, right_divide
 from stieltjesmp.momentseq import MomentSequence, canonical_extension, \
     dubovoj_candidates, shift_right, stack_y
-from stieltjesmp.potapov import _adjoint, _as_p2n, _block_norm, \
-    _check_offreal, _coupling, _im_quotient, _projected_column, _weighted
+from stieltjesmp.potapov import _IM_GUARD, _coupling
 from stieltjesmp.resolvent import MatrixPolynomial, _times_linear, \
     standard_grid
 from stieltjesmp.stieltjespairs import AtomicMeasure, transform
@@ -558,6 +557,35 @@ def kernel_polys(R):
     return Ppoly, Qpoly, Spoly
 
 
+def _off_real_axis(z):
+    """Refuse points within ``_IM_GUARD`` of R, where the fundamental
+    matrices are not defined."""
+    if np.any(np.abs(np.imag(z)) < _IM_GUARD):
+        raise ValueError("the fundamental matrices are only defined off R")
+
+
+def _star(A):
+    """A* of a matrix, or of each matrix of a stack."""
+    return np.conj(np.swapaxes(A, -1, -2))
+
+
+def _z_minus_alpha_times(alpha, fz, z):
+    """(z - alpha) f(z) at the points z (an array, 0-d for one point)."""
+    return (z - alpha)[..., None, None] * fz
+
+
+def _diagonal_block(g, z):
+    """The diagonal block (g - g*) / (z - conj z) of P_2n[g] at the
+    points z (an array, 0-d for one point)."""
+    return (g - _star(g)) / (z - np.conj(z))[..., None, None]
+
+
+def _norm_of_blocks(corner, col, diag):
+    """||P||_F of P = [[H, c], [c*, d]] from the norms of its blocks,
+    per point: sqrt(||H||^2 + 2 ||c||^2 + ||d||^2)."""
+    return np.sqrt(corner ** 2 + 2.0 * _fro(col) ** 2 + _fro(diag) ** 2)
+
+
 def _check_index(data, n, k):
     """Refuse a k outside {-1, 2n, 2n+1} and a level the sequence lacks."""
     if k not in (-1, 2 * n, 2 * n + 1):
@@ -604,7 +632,7 @@ def _column_data(data, n, fz, z, odd):
     (``odd``).  R_T(z) x is summed block by block, y_j = z y_{j-1} + x_j,
     for all points at once."""
     H, c = fundamental_corner(data.seq, n, odd)
-    g = _weighted(data, fz, z) if odd else fz
+    g = _z_minus_alpha_times(data.seq.alpha, fz, z) if odd else fz
     q = data.q
     y = np.broadcast_to(-c.reshape(n + 1, q, q),
                         z.shape + (n + 1, q, q)).copy()
@@ -612,15 +640,14 @@ def _column_data(data, n, fz, z, odd):
     zc = z[..., None, None]
     for j in range(1, n + 1):
         y[..., j, :, :] += zc * y[..., j - 1, :, :]
-    return H, y.reshape(z.shape + c.shape), _im_quotient(g, z)
+    return H, y.reshape(z.shape + c.shape), _diagonal_block(g, z)
 
 
 def _fundamental(data, n, k, fz, z):
-    """P_k at the points z from fz = f(z), one matrix per point, and its
-    Frobenius norm per point."""
+    """P_k at the points z from fz = f(z), one matrix per point."""
     if k == -1:
-        P = _im_quotient(_weighted(data, fz, z), z)
-        return P, _fro(P)
+        return _diagonal_block(
+            _z_minus_alpha_times(data.seq.alpha, fz, z), z)
     H, col, diag = _column_data(data, n, fz, z, odd=(k % 2 == 1))
     p = H.shape[0]
     P = np.empty(z.shape + (p + data.q, p + data.q), dtype=complex)
@@ -628,7 +655,7 @@ def _fundamental(data, n, k, fz, z):
     P[..., :p, p:] = col
     np.conjugate(np.swapaxes(col, -1, -2), out=P[..., p:, :p])
     P[..., p:, p:] = diag
-    return P, _block_norm(np.linalg.norm(H), col, diag)
+    return P
 
 
 def potapov_matrix(seq, n, f, z, k):
@@ -640,9 +667,9 @@ def potapov_matrix(seq, n, f, z, k):
     """
     data = seq.hankel()
     z = complex(z)
-    _check_offreal(z)
+    _off_real_axis(z)
     _check_index(data, n, k)
-    return _fundamental(data, n, k, f(z), np.asarray(z))[0]
+    return _fundamental(data, n, k, f(z), np.asarray(z))
 
 
 def sigma_matrix(seq, n, f, z, k, ginverse=None):
@@ -655,7 +682,7 @@ def sigma_matrix(seq, n, f, z, k, ginverse=None):
     """
     data = seq.hankel()
     z = complex(z)
-    _check_offreal(z)
+    _off_real_axis(z)
     _check_index(data, n, k)
     if k == -1:
         return potapov_matrix(seq, n, f, z, -1)
@@ -678,7 +705,7 @@ def fq_matrices(seq, n, f, z, k):
     if k not in (2 * n, 2 * n + 1):
         raise ValueError(f"index k = {k} does not match level n = {n}")
     data.check_level(n, shifted=(k == 2 * n + 1))
-    _check_offreal(z)
+    _off_real_axis(z)
     q = data.q
     H, col, _ = _column_data(data, n, f(z), np.asarray(z),
                              odd=(k % 2 == 1))
@@ -686,7 +713,7 @@ def fq_matrices(seq, n, f, z, k):
     T = shift_matrix(q, n)
     v = first_column_embedding(q, n)
     F = H @ T.conj().T @ RTs + col @ v.conj().T @ RTs
-    Q = np.block([[H, F], [F.conj().T, _im_quotient(F, np.asarray(z))]])
+    Q = np.block([[H, F], [F.conj().T, _diagonal_block(F, np.asarray(z))]])
     return F, Q
 
 
@@ -748,7 +775,7 @@ def congruence_check(seq, n, f, z):
     """
     data = seq.hankel()     # held, so the checks below share it
     z = complex(z)
-    _check_offreal(z)
+    _off_real_axis(z)
     q = seq.q
     out = {}
     gamma, delta = congruence_matrices(q, n, z)
@@ -966,21 +993,23 @@ def atomic_decomposition_residual(seq, n, mu, z, k):
 
     P_2n[S](z) = sum_k [E(t); (t - conj z)^{-1} I] M [..]* + correction,
     the correction charging only the last Hankel corner with the moment
-    defect at order 2n.  P_2n+1 is the P_2n[g] of the shifted sequence
-    (``potapov._as_p2n``), whose sum weighs the atoms by t - alpha,
-    alpha that of the sequence (a measure may declare a smaller one).
+    defect at order 2n.  P_2n+1 is P_2n[(z - alpha) S + s_0] of the
+    right-alpha-shifted sequence, whose sum weighs the atoms by t -
+    alpha, alpha that of the sequence (a measure may declare a smaller
+    one).
     """
     data = seq.hankel()
     z = np.asarray(z, dtype=complex)
-    _check_offreal(z)
+    _off_real_axis(z)
     _check_index(data, n, k)
     if k == -1:
         raise ValueError("the atomic decomposition is of P_2n and P_2n+1")
-    t, W = mu.positions, mu.weights
+    t, W, g = mu.positions, mu.weights, transform(mu, z)
     if k % 2:
         W = (t - seq.alpha)[:, None, None] * W
-    d, g, _ = _as_p2n(data, n, transform(mu, z), z)[1][k - 2 * n]
-    return _decomposition_residual(d, n, t, W, g, z)
+        data = data.shift
+        g = _z_minus_alpha_times(seq.alpha, g, z) + seq.moments[0]
+    return _decomposition_residual(data, n, t, W, g, z)
 
 
 def _decomposition_residual(data, n, t, W, g, z):
@@ -1002,9 +1031,9 @@ def _decomposition_residual(data, n, t, W, g, z):
     """
     q = data.q
     H = data.H[n]
-    X, _, hnorm = _projected_column(data, n, g, z)
-    _, K, _, _ = data._once(("coupling", n), lambda: _coupling(data, n))
-    diag = _im_quotient(g, z)
+    _, K, b, hnorm = data._once(("coupling", n), lambda: _coupling(data, n))
+    X = K(z) @ g - b(z)
+    diag = _diagonal_block(g, z)
     moments = (t ** np.arange(2 * n + 1)[:, None] @ W.reshape(-1, q * q)
                ).reshape(-1, q, q)
     corner = block_hankel_by_blocks(moments, n)
@@ -1014,8 +1043,9 @@ def _decomposition_residual(data, n, t, W, g, z):
     col = ((1.0 / d) @ KW.reshape(len(t), -1)).reshape(X.shape)
     diag_sum = ((1.0 / np.abs(d) ** 2) @ W.reshape(-1, q * q)).reshape(
         diag.shape)
-    resid = _block_norm(np.linalg.norm(H - corner), X - col, diag - diag_sum)
-    return (resid / (1.0 + _block_norm(hnorm, X, diag)))[()]
+    resid = _norm_of_blocks(np.linalg.norm(H - corner), X - col,
+                            diag - diag_sum)
+    return (resid / (1.0 + _norm_of_blocks(hnorm, X, diag)))[()]
 
 
 def decomposition_residual_per_atom(seq, n, mu, z, k):
@@ -1031,10 +1061,10 @@ def decomposition_residual_per_atom(seq, n, mu, z, k):
     """
     data = seq.hankel()
     z = np.asarray(z, dtype=complex)
-    _check_offreal(z)
+    _off_real_axis(z)
     _check_index(data, n, k)
     q = seq.q
-    P, _ = _fundamental(data, n, k, transform(mu, z), z)
+    P = _fundamental(data, n, k, transform(mu, z), z)
     odd = (k % 2 == 1)
     total = np.zeros_like(P)
     s_top = np.zeros((q, q), dtype=complex)
@@ -1045,7 +1075,7 @@ def decomposition_residual_per_atom(seq, n, mu, z, k):
             [np.broadcast_to(E, z.shape + E.shape),
              (1.0 / (t - np.conj(z)))[..., None, None] * eye], axis=-2)
         weight = (t - seq.alpha) if odd else 1.0
-        total += weight * (colblk @ M @ _adjoint(colblk))
+        total += weight * (colblk @ M @ _star(colblk))
         s_top += (t ** k) * M if not odd else \
             (t - seq.alpha) * (t ** (2 * n)) * M
     vg = last_column_embedding(q, n)

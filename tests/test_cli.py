@@ -308,6 +308,41 @@ def test_cmd_solve_stieltjes_function_pair(tmp_path, capsys):
     assert abs(got - expected) < 1e-10
 
 
+def _function_pair_file(tmp_path, t, **alpha):
+    return write_json(tmp_path / "pf.json", {
+        "kind": "stieltjes_function", "q": 1, **alpha,
+        "atoms": [{"t": t, "weight": [[[1.0, 0.0]]]}]})
+
+
+def test_a_function_pair_takes_the_alpha_of_the_moments(tmp_path, capsys):
+    # A pair file that names no alpha has its f on [alpha, oo) for the
+    # moment file's alpha: on alpha = -1 an atom at -0.5 is admissible.
+    moments = moment_file(tmp_path, [1, 1], alpha=-1.0)
+    code, doc = run(capsys, ["solve", moments,
+                             _function_pair_file(tmp_path, -0.5), "--n", "0"])
+    assert code == 0 and doc["case"] == "NonDegenerate"
+    assert all(v["sigma_min_even"] >= -1e-10 and v["sigma_min_odd"] >= -1e-10
+               for v in doc["values"])
+
+
+def test_a_function_pair_below_the_alpha_of_the_moments_is_refused(
+        tmp_path, capsys):
+    # On alpha = 1 an atom at 0.5 is refused, whether the pair file names
+    # no alpha (its measure is then refused) or alpha = 0 (the pair is
+    # then not in the restricted class); an atom at 1.5 is solved.
+    moments = moment_file(tmp_path, [1, 2], alpha=1.0)
+    for alpha, message in (({}, "atom position 0.5 below alpha = 1.0"),
+                           ({"alpha": 0.0}, "not in the restricted class")):
+        pair = _function_pair_file(tmp_path, 0.5, **alpha)
+        assert main(["solve", moments, pair, "--n", "0"]) == 1
+        captured = capsys.readouterr()
+        assert not captured.out and message in captured.err
+    code, doc = run(capsys, ["solve", moments,
+                             _function_pair_file(tmp_path, 1.5), "--n", "0"])
+    assert code == 0
+    assert all(v["sigma_min_even"] >= -1e-10 for v in doc["values"])
+
+
 def test_cmd_verify(tmp_path, capsys):
     seq = moment_file(tmp_path, [1, 1])
     good = measure_file(tmp_path, [(1.0, 1.0)])

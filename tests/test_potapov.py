@@ -10,8 +10,8 @@ import pytest
 
 from stieltjesmp import MomentSequence, ToleranceConfig, momentseq
 from stieltjesmp.matcore import _fro
-from stieltjesmp.potapov import _adjoint, _im_quotient, \
-    _projected_column, _weighted, potapov_report
+from stieltjesmp.potapov import _adjoint, _coupling, _im_quotient, \
+    potapov_report
 from stieltjesmp.resolvent import build_resolvent, standard_grid
 from stieltjesmp.solver import lft_solution, verify_solution
 from stieltjesmp.stieltjespairs import AtomicMeasure, StieltjesPair, \
@@ -255,13 +255,16 @@ def test_verify_solution_assembles_hankel_matrices_once(monkeypatch):
     grid = standard_grid(seq.alpha)
     own = (seq.moments, momentseq.shift_right(seq).moments)
     # While S holds the Hankel data of seq, every check on seq reads it,
-    # whatever the candidate and the grid.
+    # whatever the candidate, and so does a report on any grid.
     for candidate in (mu, S, S_other):
+        calls.clear()
+        assert verify_solution(seq, 1, candidate)["valid"]
         for points in (grid[:4], grid):
-            calls.clear()
-            assert verify_solution(seq, 1, candidate, points)["valid"]
-            assert not [n for s, n in calls
-                        if any(np.array_equal(s, o) for o in own)]
+            z = np.array(points)
+            fz = transform(mu, z) if candidate is mu else candidate(z)
+            assert potapov_report(seq, 1, fz, points).passed
+        assert not [n for s, n in calls
+                    if any(np.array_equal(s, o) for o in own)]
 
 
 def _schur_oracle(P, q, tau):
@@ -391,10 +394,11 @@ def test_potapov_report_calls_eigvalsh_once_per_k(monkeypatch):
 
 
 def test_the_coupling_polynomial_is_the_projected_column():
-    # Q* c(z) = K(z) g - b(z) against the coupling column built block by
-    # block, with H = Q diag(w) Q* factored here, for both parities: P_2n
-    # of the sequence's data at f, and P_2n+1 as P_2n of the shifted
-    # sequence's data at (z - alpha) f + s_0.  On
+    # Q* c(z) = K(z) g - b(z), from the coupling in the memo the report
+    # reads, against the coupling column built block by block, with H =
+    # Q diag(w) Q* factored here, for both parities: P_2n of the
+    # sequence's data at f, and P_2n+1 as P_2n of the shifted sequence's
+    # data at (z - alpha) f + s_0.  On
     # the first four grid points, one and all, the column is held to its
     # own norm.  Far from the slit c(z) is much smaller than the terms
     # z^j g and z^d T^d c_0 that sum to it, so over the whole grid both
@@ -412,11 +416,14 @@ def test_the_coupling_polynomial_is_the_projected_column():
                     d = data.shift if odd else data
                     for z in (zs, zs[:4], zs[1]):
                         fz = transform(mu, z)
-                        g = _weighted(data, fz, z) if odd else fz
+                        g = (z - alpha)[..., None, None] * fz if odd \
+                            else fz
                         H, col, _ = _column_data(data, n, fz, z, odd)
                         w, Q = np.linalg.eigh(H)
-                        X, w_got, hnorm = _projected_column(
-                            d, n, g + seq.moments[0] if odd else g, z)
+                        w_got, K, b, hnorm = d._once(
+                            ("coupling", n), lambda: _coupling(d, n))
+                        X = K(z) @ (g + seq.moments[0] if odd else g)
+                        X -= b(z)
                         assert X.shape == col.shape
                         assert np.array_equal(w_got, w)
                         assert hnorm == np.linalg.norm(H)

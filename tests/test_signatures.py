@@ -334,3 +334,23 @@ def test_the_range_basis_is_read_from_the_factors():
                if isinstance(node, ast.Attribute) and node.attr == "pinv"
                and isinstance(node.ctx, ast.Load)}
     assert readers == {("momentseq.py", "_witness")}
+
+
+def test_the_potapov_report_is_one_pass():
+    # The report's one-caller helpers are folded into it, and the P_k
+    # oracles borrow none of its arithmetic: of the underscore names of
+    # potapov, identities.py reads only the memoized coupling, which it
+    # checks against the dense atom sum, and the off-R guard.
+    folded = {"_check_offreal", "_weighted", "_as_p2n", "_block_norm",
+              "_projected_column"}
+    assert not folded & set(vars(potapov))
+    private = set()
+    for node in ast.walk(ast.parse(Path(identities.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and \
+                (node.module or "").split(".")[-1] == "potapov":
+            private |= {alias.name for alias in node.names
+                        if alias.name.startswith("_")}
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") \
+                and getattr(node.value, "id", None) == "potapov":
+            private.add(node.attr)
+    assert private == {"_coupling", "_IM_GUARD"}

@@ -207,6 +207,39 @@ def test_the_gate_accepts_every_pair_on_non_degenerate_data_unread(
     assert checked == 14 and calls == []
 
 
+_ABOVE_ONE = {   # measures on [1, oo) by the case of their level 1
+    "NonDegenerate": AtomicMeasure(1.0, 1, [
+        (1.5, [[1.0]]), (2.5, [[2.0]]), (4.0, [[1.0]])]),
+    "Degenerate": AtomicMeasure(1.0, 2, [
+        (1.5, np.eye(2)), (2.5, np.diag([2.0, 0.0])),
+        (4.0, np.diag([1.0, 0.0]))])}
+
+
+@pytest.mark.parametrize("case", sorted(_ABOVE_ONE))
+def test_the_gate_refuses_a_pair_whose_f_has_an_atom_below_alpha(case):
+    # A solution lives on [alpha, oo), and S of a pair on f with an atom
+    # below alpha fails the Potapov test.  So the gate refuses such a
+    # pair by the support rule verify_solution applies to a measure, on
+    # non-degenerate data, where it reads no coefficient, and on lifted
+    # degenerate data, where the defect conditions hold; an atom within
+    # the slit guard below alpha, or above it, gives a valid solution.
+    seq = moments_of(_ABOVE_ONE[case], 3)
+    report = classify(seq, 1)
+    assert report.case == case and report.r == 1
+    R = build_resolvent(seq, 1)
+    for t, ok in ((0.5, False), (1.0 - 1e-11, False), (1.0 - 1e-13, True),
+                  (3.0, True)):
+        f = StieltjesFunction(None, AtomicMeasure(0.0, 1, [(t, [[1.0]])]))
+        pair = lift_pair(report, StieltjesPair.from_function(f))
+        assert pair_in_restricted_class(pair, seq, 1) is ok
+        if ok:
+            assert verify_solution(seq, 1, lft_solution(R, pair))["valid"]
+        else:
+            with pytest.raises(ValueError,
+                               match="not in the restricted class"):
+                lft_solution(R, pair)
+
+
 def test_unique_solution_examples():
     S = unique_solution(scalar_seq([1, 0]), 0)
     for z in (1j, 0.5 + 2j, -2.0 + 0.1j):
