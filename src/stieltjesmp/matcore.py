@@ -168,6 +168,22 @@ class HermitianFactor:
         if r < len(d):
             self.null = np.linalg.qr(self.null)[0]
 
+    @classmethod
+    def definite(cls, A, tol=DEFAULT_TOL):
+        """A's factor with no eigh, A known positive definite within the
+        rank rule (``HankelData.factor``); ``w``, ``pinv`` take it on read."""
+        f = cls.__new__(cls)
+        f.rank, f.psd, f._source = len(A), True, (A, tol)
+        f.null = np.zeros((len(A), 0), dtype=complex)
+        return f
+
+    def __getattr__(self, name):    # an unset w or _kept of ``definite``
+        if name not in ("w", "_kept") or "_source" not in vars(self):
+            raise AttributeError(name)
+        full = HermitianFactor(*vars(self).pop("_source"))
+        self.w, self._kept = full.w, full._kept
+        return vars(self)[name]
+
     def pinv(self):
         """The Moore-Penrose inverse of A, formed anew on each call:
         R diag(1/w_r) R*, R the D-scaled eigenvectors of the first r =

@@ -142,19 +142,19 @@ class HankelData:
     """Block Hankel matrices of one sequence at every level, each factored
     at most once.
 
-    ``H[k]`` (2k <= m) is the level-k block Hankel matrix of the
-    sequence, a leading slice of the matrix built at the top level.  Each
-    is factored once, into the ``factor`` that every verdict, rank and
-    null basis about it is read from.  The right-alpha-shifted sequence is a
-    sequence too, with Hankel data of its own, :attr:`shift`.  Factors,
-    class verdicts and the canonical witness extension (read-only), and
-    per level the defects of ``classify`` (read from the null bases of
-    ``factor(n)`` and ``shift.factor(n)``) and the parts of
-    ``build_resolvent``, are computed when first asked for and kept in
-    one memo (``_once``); the library reaches this object through
+    ``H[k]`` (2k <= m) is the level-k block Hankel matrix of the sequence, a
+    leading slice of the matrix built at the top level.  Each is factored at
+    most once, none below a definite one, into the ``factor`` that every
+    verdict, rank and null basis about it is read from.  The
+    right-alpha-shifted sequence is a sequence too, with Hankel data of its
+    own, :attr:`shift`.  Factors, class verdicts and the canonical witness
+    extension (read-only), and per level the defects of ``classify`` (read
+    from the null bases of ``factor(n)`` and ``shift.factor(n)``) and the
+    parts of ``build_resolvent``, are computed when first asked for and kept
+    in one memo (``_once``); the library reaches this object through
     :meth:`MomentSequence.hankel` only, and the matrices are read-only.
-    Readers of level n call :meth:`check_level`.  The results assembled
-    from the memo hold this object, and the memo holds none of them.
+    Readers of level n call :meth:`check_level`.  The results assembled from
+    the memo hold this object, and the memo holds none of them.
     """
 
     def __init__(self, seq):
@@ -186,13 +186,23 @@ class HankelData:
 
     def factor(self, k):
         """The factor of H_k under ``seq.tol``: its PSD verdict, rank,
-        eigenvalues and null basis, and its pseudo-inverse on demand."""
-        return self._once(("factor", k), lambda: HermitianFactor(
-            self.H[k], self.seq.tol))
+        eigenvalues and null basis, and its pseudo-inverse on demand.
+        Below a factored H_j definite within the rank rule, with no diagonal
+        entry at the equilibration cutoff, H_k is ``HermitianFactor.definite``
+        by Cauchy interlacing (D_k H_k D_k leads D_j H_j D_j), with no eigh."""
+        def compute():
+            tol = self.seq.tol
+            for j in range(len(self.H) - 1, k, -1):  # an eigh'd H_j first
+                f, d = self._memo.get(("factor", j)), self.H[j].diagonal()
+                if (f is not None and f.rank == len(d) and f.w.min() > 0
+                        and abs(d).min() > tol.tol_rank * abs(d).max()):
+                    return HermitianFactor.definite(self.H[k], tol)
+            return HermitianFactor(self.H[k], tol)
+        return self._once(("factor", k), compute)
 
     def nonnegative(self):
-        """Membership of the sequence in class H>=."""
-        return all(self.factor(k).psd for k in range(len(self.H)))
+        """Membership of the sequence in class H>=, read top down."""
+        return all(self.factor(k).psd for k in reversed(range(len(self.H))))
 
     def extendable(self):
         """Membership of the sequence in class H>=,e."""

@@ -183,6 +183,8 @@ def _reflexive_solve(A, B, factor, b, tol):
     if B.shape[1] != factor.rank:
         raise ValueError(f"dim U = {B.shape[1]} is not rank A = "
                          f"{factor.rank}")
+    if factor.rank == len(A):       # X = A^-1; B = I on a definite ladder
+        return np.linalg.solve(A, b)
     cos = np.linalg.svd(factor.null.conj().T @ B, compute_uv=False)
     if np.max(cos, initial=0.0) >= 1.0 - tol.tol_rank:
         raise ValueError("direct-sum condition violated: U meets null(A)")

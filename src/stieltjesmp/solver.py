@@ -69,10 +69,13 @@ class ClassificationReport:
         }
 
 
-def _defect_subspace(A, ref, tol):
-    """An orthonormal basis of the row space of ``A`` (a subspace of
-    C^q) and its rank under the ``_rank`` rule relative to ``ref``."""
-    _, s, vh = np.linalg.svd(A)
+def _defect_subspace(N, X, ref, tol):
+    """An orthonormal basis of the row space of N N* X (a subspace of
+    C^q), N a null basis, and its rank under the ``_rank`` rule relative
+    to ``ref``: {0}, with no SVD, for an empty N."""
+    if not N.shape[1]:
+        return np.zeros((X.shape[1], 0), dtype=complex), 0
+    _, s, vh = np.linalg.svd(N @ (N.conj().T @ X), full_matrices=False)
     r = _rank(s, tol, ref)
     return vh[:r].conj().T, r
 
@@ -89,10 +92,9 @@ def _defects(data, n):
         data.check_level(n, shifted=True)
         N, Ns = data.factor(n).null, data.shift.factor(n).null
         Rv, Hv = resolvent_column(data.seq.alpha, q, n), data.H[n][:, :q]
-        U, m = _defect_subspace(N @ (N.conj().T @ Rv), np.sqrt(q * np.sum(
+        U, m = _defect_subspace(N, Rv, np.sqrt(q * np.sum(
             abs(data.seq.alpha) ** (2.0 * np.arange(n + 1)))), tol)
-        V, ell = _defect_subspace(Ns @ (Ns.conj().T @ Hv),
-                                  np.linalg.norm(Hv), tol)
+        V, ell = _defect_subspace(Ns, Hv, np.linalg.norm(Hv), tol)
         if m + ell > q:
             raise ValueError("defect ranks exceed q; inconsistent input")
         cols = [U, V]

@@ -163,11 +163,31 @@ def _matrix_key(a):
 
 
 def hankel_factor_counts(seq, n=None):
-    """The ``factor_calls`` of work that factors every Hankel matrix of
-    ``seq`` once and, with ``n`` given, also takes the one plain ``eigh``
-    of each Hankel corner (H_n and Hs_n) that Potapov reports read."""
+    """The ``factor_calls`` of work that factors the Hankel matrices of
+    ``seq`` and of its shift top down, each at most once, and none below
+    a positive definite one (``definite_hankel``), and, with ``n`` given,
+    also takes the one plain ``eigh`` of each Hankel corner (H_n and
+    Hs_n) that Potapov reports read."""
     data = HankelData(seq)
-    out = collections.Counter(map(_matrix_key, [*data.H, *data.shift.H]))
+    out = collections.Counter()
+    for ladder in (data.H, data.shift.H):
+        for H in reversed(ladder):
+            out[_matrix_key(H)] += 1
+            if definite_hankel(H, seq.tol):
+                break
     if n is not None:
         out.update(map(_matrix_key, (data.H[n], data.shift.H[n])))
     return out
+
+
+def definite_hankel(H, tol):
+    """Whether ``H`` is positive definite with no diagonal entry at the
+    equilibration cutoff and every eigenvalue of the equilibrated
+    D H D above ``tol_rank`` times the largest, so that each leading
+    block of it is too.  Read with ``eigvalsh``, which ``factor_calls``
+    does not count."""
+    d = np.abs(np.diagonal(H))
+    if not d.min() > tol.tol_rank * d.max():
+        return False
+    w = np.linalg.eigvalsh(H / np.sqrt(np.outer(d, d)))
+    return bool(w.min() > tol.tol_rank * w.max())

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stieltjesmp import MomentSequence, class_membership, momentseq
+from stieltjesmp.matcore import HermitianFactor
 from stieltjesmp.momentseq import (
     HankelData,
     block_hankel,
@@ -20,11 +21,12 @@ from stieltjesmp.momentseq import (
     shift_stack,
     stack_y,
 )
-from stieltjesmp.resolvent import MatrixPolynomial
+from stieltjesmp.resolvent import MatrixPolynomial, build_resolvent
 from stieltjesmp.solver import classify
 
-from conftest import atomic_fixture, hankel_factor_counts, kge_fixtures, \
-    ljapunov_data, random_hermitian_sequence, scalar_seq
+from conftest import WEIGHT_PATTERNS, atomic_fixture, definite_hankel, \
+    hankel_factor_counts, kge_fixtures, ljapunov_data, \
+    random_hermitian_sequence, scalar_seq
 from identities import block_hankel_by_blocks, extended, \
     first_column_embedding, is_dubovoj, is_psd, ladder_basis, ladder_ranks, \
     last_column_embedding, mrank, projector_distance, range_included, \
@@ -456,6 +458,91 @@ def test_class_report_holds_the_hankel_data(factor_calls):
         assert "HankelData" not in repr(report)
         assert report == dataclasses.replace(report, data=None)
         assert "data" not in report.to_dict()
+
+
+def _definite_ladder_cases(q, pattern):
+    """(seq, n) of ``atomic_fixture`` at n = 0..3 and alpha in {0, 0.5,
+    -1} for one matrix size and weight pattern."""
+    rng = np.random.default_rng([q, sorted(WEIGHT_PATTERNS).index(pattern)])
+    for n in range(4):
+        for alpha in (0.0, 0.5, -1.0):
+            yield atomic_fixture(rng, q, n, alpha,
+                                 **WEIGHT_PATTERNS[pattern])[1], n
+
+
+@pytest.mark.parametrize("pattern", sorted(WEIGHT_PATTERNS))
+@pytest.mark.parametrize("q", [1, 2, 4, 8])
+def test_a_level_below_a_definite_one_has_the_verdicts_of_its_own_eigh(
+        q, pattern):
+    # Asked top down, bottom up or in a shuffled order, every level's
+    # rank, PSD verdict and null dimension equal those of a factor of
+    # H_k alone; a factor read from a definite level above takes its
+    # eigh only when w or pinv() is read, and then agrees bit for bit.
+    rng = np.random.default_rng(q)
+    for seq, n in _definite_ladder_cases(q, pattern):
+        levels = list(range(n + 1))
+        for order in (levels[::-1], levels, list(rng.permutation(levels))):
+            data = HankelData(seq)
+            for d in (data, data.shift):
+                got = {k: d.factor(k) for k in order}
+                for k, f in got.items():
+                    own = HermitianFactor(d.H[k], seq.tol)
+                    assert (f.rank, f.psd, f.null.shape) == (
+                        own.rank, own.psd, own.null.shape)
+                    assert np.array_equal(f.w, own.w)
+                    assert np.array_equal(f.pinv(), own.pinv())
+
+
+@pytest.mark.parametrize("pattern", sorted(WEIGHT_PATTERNS))
+@pytest.mark.parametrize("q", [1, 2, 4, 8])
+def test_definite_data_takes_one_eigh_per_ladder(monkeypatch, factor_calls,
+                                                 q, pattern):
+    # classify and build_resolvent factor H_n and Hs_n, and each level
+    # below a definite one is read from it: 2 eigh in all, and no SVD of
+    # a zero defect product.  The witness of even-m data, read from the
+    # pseudo-inverse of a level below a definite top, is the one of that
+    # level's own factor.
+    zero_svds, svd = [], np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        zero_svds.append(a.size > 0 and not np.any(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    definite = 0
+    for seq, n in _definite_ladder_cases(q, pattern):
+        factor_calls.clear()
+        zero_svds.clear()
+        data = seq.hankel()
+        report = classify(seq, n)
+        build_resolvent(seq, n)
+        if definite_hankel(data.H[n], seq.tol) and \
+                definite_hankel(data.shift.H[n], seq.tol):
+            assert report.case == "NonDegenerate"
+            assert sum(factor_calls.values()) == 2 and not any(zero_svds)
+            definite += 1
+        even = MomentSequence(seq.alpha, q, seq.moments[:-1], seq.tol)
+        witness = class_membership(even).witness_extension
+        if witness is None:
+            continue
+        y = stack_y(even.moments, n + 1, 2 * n)
+        want = y.conj().T @ HermitianFactor(
+            block_hankel(even.moments, n - 1), seq.tol).pinv() @ y if n \
+            else np.zeros((q, q), dtype=complex)
+        assert np.array_equal(witness, 0.5 * (want + want.conj().T))
+    assert definite == 12 or pattern in ("fewatoms", "rankdef")
+
+
+def test_a_full_rank_top_with_a_negative_eigenvalue_is_not_definite():
+    # H_1 has full rank and passes the PSD margin, but one eigenvalue of
+    # its D H D is -3e-10: it is not positive definite, so its singular
+    # leading block s_0 = [[1, 1], [1, 1]] is factored, not read from it.
+    J = np.ones((2, 2))
+    data = HankelData(MomentSequence(0.0, 2, [
+        J, J + 3e-5 * np.diag([1.0, -1.0]), 2 * J + np.eye(2)]))
+    top = data.factor(1)
+    assert top.rank == 4 and top.psd and top.w.min() < 0
+    assert data.factor(0).rank == 1 and data.factor(0).null.shape == (2, 1)
 
 
 @settings(max_examples=10, deadline=None)

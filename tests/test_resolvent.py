@@ -233,6 +233,31 @@ def test_reflexive_solve_is_the_oracle_inverse_on_its_columns():
                 inverse()
 
 
+@pytest.mark.parametrize("q", [1, 2, 4, 8])
+def test_a_definite_ladder_solves_with_the_plain_inverse(q):
+    # On an all-definite ladder the Dubovoj basis is exactly I, so the
+    # reflexive solve B (B* A B)^-1 B* b is np.linalg.solve(A, b) bit for
+    # bit; the refusals of the solve still stand.
+    rng = np.random.default_rng(q)
+    for n in range(4):
+        mu, seq = atomic_fixture(rng, q, n, 0.5)
+        data = seq.hankel()
+        for d, B in zip((data, data.shift), dubovoj_candidates(seq, n)):
+            A, f = d.H[n], d.factor(n)
+            assert np.array_equal(B, np.eye(len(A)))
+            b = rng.normal(size=(len(A), q)) + 0j
+            got = resolvent._reflexive_solve(A, B, f, b, seq.tol)
+            assert np.array_equal(got, np.linalg.solve(A, b))
+            assert np.array_equal(got, _solve(A, B, b))
+            with pytest.raises(ValueError, match=f"dim U = {len(A) - 1} is "
+                               f"not rank A = {len(A)}"):
+                resolvent._reflexive_solve(A, B[:, 1:], f, b, seq.tol)
+    A, B = np.diag([1.0, 0.0]).astype(complex), np.array([[0.0], [1.0]])
+    with pytest.raises(ValueError, match="direct-sum condition violated"):
+        resolvent._reflexive_solve(A, B, HermitianFactor(A), np.eye(2),
+                                   DEFAULT_TOL)
+
+
 def test_canonical_solution_matches_a_60_digit_reference():
     # On positive definite H_4 and Hs_4 (q = 2, seven atoms), S of the
     # pair (0, I) at alpha + 1 + 0.1i lies within 5e-8 of S assembled

@@ -71,16 +71,16 @@ def test_classify_degenerate_case(rng):
 
 
 def test_a_new_report_on_live_data_makes_no_second_svd(monkeypatch):
-    # The complement of U + V and the frame W are kept with the defect
-    # subspaces on the Hankel data, so a report dropped while the data
-    # lives and asked for again reads them: one complement SVD (the one
-    # thin SVD of the classification) in all.
+    # The defect subspaces, the complement of U + V and the frame W are
+    # kept on the Hankel data, so a report dropped while the data lives
+    # and asked for again reads them: the first classification takes
+    # three SVDs (the two defect products and the complement), the
+    # second none.
     calls = []
     original = np.linalg.svd
 
     def counting(*args, **kwargs):
-        if kwargs.get("full_matrices") is False:
-            calls.append(args)
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
@@ -90,11 +90,12 @@ def test_a_new_report_on_live_data_makes_no_second_svd(monkeypatch):
     data = seq.hankel()
     first = classify(seq, 0)
     assert (first.case, first.r) == ("Degenerate", 1)
+    assert len(calls) == 3
     W = first.W
     del first
     second = classify(seq, 0)
     assert second.data is data and np.array_equal(second.W, W)
-    assert len(calls) == 1
+    assert len(calls) == 3
 
 
 def test_lift_pair_examples():

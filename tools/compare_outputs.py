@@ -38,7 +38,15 @@ when the moments of a measure or the witness extension are not
 bit-identical, and with 0 otherwise; the float deviations are
 reported, not judged.  Values are compared on the keys and JSON paths
 that both trees have; a key or path that only one tree has is reported
-as removed or added.  The differences are counted per quantity.
+as removed or added.  The differences are counted per quantity.  The
+defect bases ``U_basis`` and ``V_basis`` and the frame ``W`` of each
+classification must be bit-identical too.
+
+For ``parametrize`` and ``verify_dense`` it also prints, per tree, the
+``np.linalg.eigh`` and ``np.linalg.svd`` calls of one pass of the
+workload as ``perfbench/workloads.py`` runs it (``run`` over its items,
+no output kept; this first pass also builds the workload's parameter
+pairs), reported and not judged.
 """
 
 import argparse
@@ -58,6 +66,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 WORKLOADS = ("parametrize", "verify_dense", "cli_cold")
+LAPACK = ("eigh", "svd")
 
 
 # -- one tree: run the pipeline and record its outputs ------------------
@@ -109,6 +118,7 @@ def _problem(modules, workload, p):
         "class": (cm.in_Hgeq, cm.in_Hgeq_e, cm.in_Kgeq, cm.in_Kgeq_e),
         "witness": cm.witness_extension,
         "label": (rep.case, rep.m, rep.ell, rep.r),
+        "frame": {"U_basis": rep.U, "V_basis": rep.V, "W": rep.W},
         "theta": R.theta.coeffs,
         "theta_tilde": R.theta_tilde.coeffs,
         "self_check": dict(R.self_check),
@@ -137,16 +147,43 @@ def _cli_calls(seed, workdir):
     return out
 
 
+def _lapack_pass(workloads, workload, seed):
+    """The ``np.linalg`` calls named in ``LAPACK`` of one pass of the
+    workload, counted by name."""
+    wl = workloads.make(workload, seed, None, str(ROOT))
+    calls = collections.Counter()
+    originals = {name: getattr(np.linalg, name) for name in LAPACK}
+
+    def counting(name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+        return call
+
+    try:
+        for name in LAPACK:
+            setattr(np.linalg, name, counting(name))
+        for item in wl.items:
+            wl.run(item)
+    finally:
+        for name, fn in originals.items():
+            setattr(np.linalg, name, fn)
+    return calls
+
+
 def dump(workload, seed, path):
-    """Record the outputs of the tree on PYTHONPATH into ``path``."""
+    """Record the outputs of the tree on PYTHONPATH, and for an
+    in-process workload the LAPACK calls of one pass, into ``path``."""
     sys.path.insert(0, str(PERFBENCH))
     import fixtures
     import workloads
     from stieltjesmp import momentseq, resolvent, solver, stieltjespairs
+    calls = None
     if workload == "cli_cold":
         with tempfile.TemporaryDirectory() as workdir:
             records = _cli_calls(seed, workdir)
     else:
+        calls = _lapack_pass(workloads, workload, seed)
         problems = (fixtures.parametrize_problems(seed)
                     if workload == "parametrize"
                     else fixtures.verify_dense_problems(seed))
@@ -154,10 +191,12 @@ def dump(workload, seed, path):
                    workloads)
         records = [(p.pid, _problem(modules, workload, p)) for p in problems]
     with open(path, "wb") as fh:
-        pickle.dump(records, fh)
+        pickle.dump((calls, records), fh)
 
 
 def run_tree(src, workload, seed, path):
+    """(LAPACK calls of one pass or None, records) of the tree at
+    ``src``, dumped by a process of its own."""
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     subprocess.run([sys.executable, __file__, "--dump", workload, str(seed),
                     str(path)], env=env, cwd=ROOT, check=True)
@@ -256,6 +295,8 @@ def compare_problem(tally, a, b, where):
     if wa is not None and wb is not None:
         tally.identical("witness extension", wa, wb, where)
     tally.same("label and ranks", a["label"], b["label"], where)
+    for key, x in a["frame"].items():
+        tally.identical(key, x, b["frame"][key], where)
     for key in ("theta", "theta_tilde"):
         tally.float(f"{key} (rel)", _rel(a[key], b[key]), where)
     tally.keys("self_check", a["self_check"], b["self_check"], where)
@@ -361,8 +402,10 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
             for workload in WORKLOADS:
-                old = run_tree(args.old, workload, seed, Path(tmp, "old"))
-                new = run_tree(args.new, workload, seed, Path(tmp, "new"))
+                old_calls, old = run_tree(args.old, workload, seed,
+                                          Path(tmp, "old"))
+                new_calls, new = run_tree(args.new, workload, seed,
+                                          Path(tmp, "new"))
                 tally.same("problems", [pid for pid, _ in old],
                            [pid for pid, _ in new], f"{workload} {seed}")
                 compare = compare_cli if workload == "cli_cold" \
@@ -371,6 +414,10 @@ def main(argv=None):
                     compare(tally, a, b, f"seed {seed} {pid}")
                 print(f"seed {seed} {workload}: {len(old)} compared",
                       flush=True)
+                if old_calls is not None:
+                    print("  calls in one pass: " + "; ".join(
+                        f"{name} {old_calls[name]} -> {new_calls[name]}"
+                        for name in LAPACK), flush=True)
     report(tally)
     return 1 if tally.diffs else 0
 
