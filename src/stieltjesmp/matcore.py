@@ -3,7 +3,8 @@
 The Hermitian gate, the one PSD rule, the one rank and singularity
 rule and the right division of a column [num; den] it guards, and the
 one factorization of a Hermitian matrix: its eigenvalues, rank, PSD
-verdict and null space, and its Moore-Penrose inverse on demand.  A
+verdict and null space, and its Moore-Penrose inverse on demand, or a
+Cholesky that certifies it positive definite in its place.  A
 subspace is its basis, an array with orthonormal columns.
 The checks the tests hold these to (range inclusion, the invariant
 complement test, an SVD null space and pseudo-inverse, the reflexive
@@ -89,11 +90,16 @@ def _psd_margin(tol, ref):
     return tol.tol_psd * (1.0 + ref)
 
 
+def _cut(tol, ref):
+    """The one rank cut, ``tol_rank`` times the scale ``ref``."""
+    return tol.tol_rank * ref
+
+
 def _significant(s, tol, ref):
     """The one rule of every verdict on rank or invertibility: which of
-    the singular values ``s`` exceed ``tol_rank`` times the scale ``ref``
+    the singular values ``s`` exceed the ``_cut`` of the scale ``ref``
     that the verdict names, elementwise."""
-    return s > tol.tol_rank * ref
+    return s > _cut(tol, ref)
 
 
 def _rank(s, tol, ref=None):
@@ -101,6 +107,19 @@ def _rank(s, tol, ref=None):
     relative to ``ref``, by default the largest; none of an empty ``s``."""
     ref = np.max(s, initial=0.0) if ref is None else ref
     return int(np.count_nonzero(_significant(s, tol, ref)))
+
+
+def _positive_definite(A, tol):
+    """Whether one Cholesky, with no eigh, certifies A ``pd``: that of
+    A - c diag(A), the congruence by D^-1 of the D A D - cI of
+    ``HermitianFactor`` (Demmel and Veselic 1992)."""
+    d, n = np.abs(np.diagonal(A)), len(A)
+    c = 2 * _cut(tol, n) + (n + 1) ** 2 * np.finfo(float).eps * n
+    try:
+        np.linalg.cholesky(A - c * np.diag(d))
+    except np.linalg.LinAlgError:
+        return False
+    return bool(d.min() > _cut(tol, d.max()))
 
 
 def right_divide(N, tol=DEFAULT_TOL):
@@ -142,38 +161,47 @@ class HermitianFactor:
     every verdict on A read from it.
 
     D = diag(|A_jj|)^(-1/2) (van der Sluis, Numer. Math. 14, 1969), a
-    diagonal entry at or below ``tol_rank`` times the largest being
-    scaled by the largest instead, so that a row of roundoff stays
-    roundoff.  D A D has the inertia of A and null(A) = D null(D A D).
+    diagonal entry at or below the ``_cut`` of the largest being scaled
+    by the largest instead, so that a row of roundoff stays roundoff.
+    D A D has the inertia of A and null(A) = D null(D A D).
     ``w`` holds the eigenvalues of D A D by decreasing modulus, the
     order in which the rank rule cuts them; ``rank`` is the ``_rank``
     rule on their moduli; ``psd`` is lambda_min(D A D) >= -tol_psd
     (1 + |A|) min(D)^2, the ``_psd_margin`` of A scaled to D A D, which
-    implies lambda_min(A) >= -tol_psd (1 + |A|); ``null`` is an
-    orthonormal basis of null(A), from which the Dubovoj range basis is
-    read.  No inverse is kept: :meth:`pinv` forms A^+ on each call.
+    implies lambda_min(A) >= -tol_psd (1 + |A|); ``pd`` is rank N, w > 0
+    and no entry at the cutoff, which every leading block of A shares
+    (Cauchy interlacing); ``null`` is an orthonormal basis of null(A),
+    from which the Dubovoj range basis is read.  No inverse is kept:
+    :meth:`pinv` forms A^+ on each call.  ``_positive_definite`` certifies
+    ``pd`` with no eigh by a Cholesky of D A D - cI, c = 2 ``_cut``(N) +
+    (N + 1)^2 eps N with N >= tr D A D >= lambda_max: c passes Cholesky's
+    backward error (N + 1) eps tr D A D (Demmel and Veselic, SIAM J. Matrix
+    Anal. Appl. 13, 1992) by more than eigh's, so lambda_min > 2 ``_cut``
+    (lambda_max) with eigh's error to spare, under every ``tol_rank``.
     """
 
     def __init__(self, A, tol=DEFAULT_TOL):
         d = np.abs(np.diagonal(A))
         dmax = np.max(d, initial=0.0) or 1.0
-        D = 1.0 / np.sqrt(np.where(d > tol.tol_rank * dmax, d, dmax))
+        keep = d > _cut(tol, dmax)
+        D = 1.0 / np.sqrt(np.where(keep, d, dmax))
         w, Q = np.linalg.eigh(D[:, None] * A * D)
         order = np.argsort(-np.abs(w), kind="stable")
         self.w, B = w[order], D[:, None] * Q[:, order]
         self.rank = r = _rank(np.abs(self.w), tol)
         self.psd = bool(w.min(initial=0.0) >= -_psd_margin(
             tol, np.linalg.norm(A)) / dmax)
+        self.pd = bool(r == len(w) and (w > 0).all() and keep.all())
         self.null, self._kept = B[:, r:], B[:, :r]
         if r < len(d):
             self.null = np.linalg.qr(self.null)[0]
 
     @classmethod
     def definite(cls, A, tol=DEFAULT_TOL):
-        """A's factor with no eigh, A known positive definite within the
-        rank rule (``HankelData.factor``); ``w``, ``pinv`` take it on read."""
+        """A's factor with no eigh, A known ``pd`` (``HankelData.factor``);
+        ``w`` and ``pinv`` take the eigh when first read."""
         f = cls.__new__(cls)
-        f.rank, f.psd, f._source = len(A), True, (A, tol)
+        f.rank, f.psd, f.pd, f._source = len(A), True, True, (A, tol)
         f.null = np.zeros((len(A), 0), dtype=complex)
         return f
 

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonio
-from .matcore import DEFAULT_TOL, HermitianFactor, as_square, hermitize
+from .matcore import DEFAULT_TOL, HermitianFactor, _positive_definite, \
+    as_square, hermitize
 
 
 class MomentSequence:
@@ -187,17 +188,16 @@ class HankelData:
     def factor(self, k):
         """The factor of H_k under ``seq.tol``: its PSD verdict, rank,
         eigenvalues and null basis, and its pseudo-inverse on demand.
-        Below a factored H_j definite within the rank rule, with no diagonal
-        entry at the equilibration cutoff, H_k is ``HermitianFactor.definite``
-        by Cauchy interlacing (D_k H_k D_k leads D_j H_j D_j), with no eigh."""
+        Below a factored H_j flagged ``pd`` (Cauchy interlacing), or where
+        one Cholesky certifies it (``_positive_definite``), H_k is
+        ``HermitianFactor.definite``, with no eigh."""
         def compute():
-            tol = self.seq.tol
-            for j in range(len(self.H) - 1, k, -1):  # an eigh'd H_j first
-                f, d = self._memo.get(("factor", j)), self.H[j].diagonal()
-                if (f is not None and f.rank == len(d) and f.w.min() > 0
-                        and abs(d).min() > tol.tol_rank * abs(d).max()):
-                    return HermitianFactor.definite(self.H[k], tol)
-            return HermitianFactor(self.H[k], tol)
+            H, tol = self.H[k], self.seq.tol
+            if any(getattr(self._memo.get(("factor", j)), "pd", False)
+                   for j in range(k + 1, len(self.H))) or \
+                    _positive_definite(H, tol):
+                return HermitianFactor.definite(H, tol)
+            return HermitianFactor(H, tol)
         return self._once(("factor", k), compute)
 
     def nonnegative(self):
@@ -336,10 +336,13 @@ def _range_basis(data, n):
     lies in null(y*)), so range(L_k) is the orthogonal complement of the
     span of the last block rows P of the null basis of H_k.  Block k is
     the r_k = rank H_k - rank H_{k-1} left singular vectors of P that lie
-    least in its range; a nonsingular H_k has an empty P and gives I_q.
+    least in its range; a nonsingular H_k has an empty P and gives I_q,
+    with no SVD.  The factors are asked top down, so a definite H_n
+    certifies the levels below it.
     """
     q = data.q
-    ranks = np.diff([data.factor(k).rank for k in range(n + 1)], prepend=0)
+    ranks = [data.factor(k).rank for k in reversed(range(n + 1))]
+    ranks = np.diff(ranks[::-1], prepend=0)
     if not all(0 <= r <= q for r in ranks):
         raise ValueError(f"block ranks {ranks.tolist()} of the Dubovoj "
                          f"basis must lie in 0..{q}")
@@ -347,6 +350,7 @@ def _range_basis(data, n):
     col = 0
     for k, r in enumerate(ranks):
         P = data.factor(k).null[-q:]
-        basis[k * q:(k + 1) * q, col:col + r] = np.linalg.svd(P)[0][:, q - r:]
+        basis[k * q:(k + 1) * q, col:col + r] = \
+            np.linalg.svd(P)[0][:, q - r:] if P.size else np.eye(q)
         col += r
     return basis

@@ -33,6 +33,10 @@ from .stieltjespairs import (
     moments_of,
 )
 
+# Below it, z^j stays under 1e300 to deg Theta = 12 (n = 11); from it on, a
+# point of S is read from the powers of 1 / z, which cannot overflow.
+_FAR = 1e25
+
 
 @dataclass
 class ClassificationReport:
@@ -98,7 +102,9 @@ def _defects(data, n):
         if m + ell > q:
             raise ValueError("defect ranks exceed q; inconsistent input")
         cols = [U, V]
-        if m + ell < q:
+        if m + ell == 0:            # I - UU* - VV* = I, its own complement
+            cols.insert(0, np.eye(q, dtype=complex))
+        elif m + ell < q:
             P = np.eye(q, dtype=complex) - U @ U.conj().T - V @ V.conj().T
             comp, s, _ = np.linalg.svd(P, full_matrices=False)
             if _rank(s, tol) != q - m - ell:
@@ -177,12 +183,17 @@ class SolutionFunction:
         """S(z) at a point (q x q), taken as a Python complex, or at an
         array of points (a z.shape + (q, q) stack).  A point on an atom
         raises the error of ``transform``; a denominator singular by
-        ``right_divide`` raises one naming the first such point.  An
+        ``right_divide`` raises one naming the first such point.  A point
+        with |z| >= ``_FAR`` takes z^-d N(z), which has the same S.  An
         array's flags are read by iterating them, cheaper on few flags
         than a NumPy reduction."""
         if isinstance(z, (complex, float, int)) or not np.ndim(z):
             P, shape, z = self._P, (), complex(z)
-            N = (z ** P._exps @ P._flat).reshape(P.shape)
+            if abs(z) < _FAR:
+                N = (z ** P._exps @ P._flat).reshape(P.shape)
+            else:       # z^-d N(z), d = deg P, from the powers of 1 / z
+                F = P._flat[:np.flatnonzero(P._flat.any(axis=1))[-1] + 1]
+                N = ((1 / z) ** P._exps[len(F) - 1::-1] @ F).reshape(P.shape)
         else:
             z = np.asarray(z, dtype=complex)
             shape, N = z.shape, self._P.eval(z)

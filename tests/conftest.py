@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from stieltjesmp import AtomicMeasure, HankelData, MomentSequence, \
-    StieltjesPair, lift_pair, matcore, moments_of
+    StieltjesPair, lift_pair, matcore, moments_of, momentseq
 from stieltjesmp.momentseq import block_hankel, stack_y
 
 from identities import first_column_embedding, last_column_embedding, \
@@ -131,29 +131,40 @@ def rng():
 
 @pytest.fixture
 def factor_calls(monkeypatch):
-    """Counter of ``np.linalg.eigh`` calls, the one factorization of each
-    Hankel matrix, keyed by the matrix factored (shape and bytes), for
-    checks that nothing is factored twice.  A call made for a
-    ``HermitianFactor`` counts for the matrix the factor was built on,
-    not for its equilibrated copy, which two Hankel matrices equal up to
-    a diagonal scaling (H and Hs of a single atom) share."""
+    """Counter of the factorizations of each Hankel matrix, keyed by the
+    kind (``"cholesky"``, the certificate ``_positive_definite`` of
+    ``HankelData.factor``, or ``"eigh"``) and the matrix factored (shape
+    and bytes), for checks that nothing is factored twice.  A call made
+    for a ``HermitianFactor`` or a certificate (through the name
+    ``momentseq`` binds) counts for the matrix it was asked about, not for
+    the scaled copy LAPACK gets, which two Hankel matrices equal up to a
+    diagonal scaling (H and Hs of a single atom) share."""
     calls = collections.Counter()
     building = []
-    eigh, init = np.linalg.eigh, matcore.HermitianFactor.__init__
 
-    def counting_eigh(a, *args, **kwargs):
-        calls[building[-1] if building else _matrix_key(a)] += 1
-        return eigh(a, *args, **kwargs)
+    def counting(name, call):
+        def counted(a, *args, **kwargs):
+            key = building[-1] if building else _matrix_key(a)
+            calls[(name,) + key] += 1
+            return call(a, *args, **kwargs)
+        return counted
 
-    def tracking_init(self, A, *args, **kwargs):
-        building.append(_matrix_key(A))
-        try:
-            init(self, A, *args, **kwargs)
-        finally:
-            building.pop()
+    def tracking(call, at):     # the matrix is argument ``at`` of call
+        def tracked(*args, **kwargs):
+            building.append(_matrix_key(args[at]))
+            try:
+                return call(*args, **kwargs)
+            finally:
+                building.pop()
+        return tracked
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    monkeypatch.setattr(matcore.HermitianFactor, "__init__", tracking_init)
+    for name in ("eigh", "cholesky"):
+        monkeypatch.setattr(np.linalg, name,
+                            counting(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(matcore.HermitianFactor, "__init__",
+                        tracking(matcore.HermitianFactor.__init__, 1))
+    monkeypatch.setattr(momentseq, "_positive_definite",
+                        tracking(momentseq._positive_definite, 0))
     return calls
 
 
@@ -162,32 +173,57 @@ def _matrix_key(a):
     return a.shape, a.tobytes()
 
 
-def hankel_factor_counts(seq, n=None):
+def hankel_factor_counts(seq, n=None, witness=False):
     """The ``factor_calls`` of work that factors the Hankel matrices of
-    ``seq`` and of its shift top down, each at most once, and none below
-    a positive definite one (``definite_hankel``), and, with ``n`` given,
-    also takes the one plain ``eigh`` of each Hankel corner (H_n and
-    Hs_n) that Potapov reports read."""
+    ``seq`` and of its shift top down, each at most once: a Cholesky
+    certificate, and an eigh where it fails (``certified_hankel``), and
+    nothing below a positive definite one (``definite_hankel``); with
+    ``witness``, also the eigh that the pseudo-inverse of the canonical
+    witness extension takes of its level where that level has none; with
+    ``n`` given, also the one plain ``eigh`` of each Hankel corner (H_n
+    and Hs_n) that Potapov reports read."""
     data = HankelData(seq)
     out = collections.Counter()
     for ladder in (data.H, data.shift.H):
         for H in reversed(ladder):
-            out[_matrix_key(H)] += 1
+            out[("cholesky",) + _matrix_key(H)] += 1
+            if certified_hankel(H, seq.tol):
+                break
+            out[("eigh",) + _matrix_key(H)] += 1
             if definite_hankel(H, seq.tol):
                 break
+    if witness and seq.m:
+        key = ("eigh",) + _matrix_key(data.H[(seq.m + 1) // 2 - 1])
+        out[key] = max(out[key], 1)
     if n is not None:
-        out.update(map(_matrix_key, (data.H[n], data.shift.H[n])))
+        out.update(("eigh",) + _matrix_key(H)
+                   for H in (data.H[n], data.shift.H[n]))
     return out
+
+
+def _equilibrated_spectrum(H, tol):
+    """The eigenvalues of the equilibrated D H D (``eigvalsh``, which
+    ``factor_calls`` does not count), or None where a diagonal entry of
+    H is at the equilibration cutoff."""
+    d = np.abs(np.diagonal(H))
+    if not d.min() > tol.tol_rank * d.max():
+        return None
+    return np.linalg.eigvalsh(H / np.sqrt(np.outer(d, d)))
 
 
 def definite_hankel(H, tol):
     """Whether ``H`` is positive definite with no diagonal entry at the
     equilibration cutoff and every eigenvalue of the equilibrated
     D H D above ``tol_rank`` times the largest, so that each leading
-    block of it is too.  Read with ``eigvalsh``, which ``factor_calls``
-    does not count."""
-    d = np.abs(np.diagonal(H))
-    if not d.min() > tol.tol_rank * d.max():
-        return False
-    w = np.linalg.eigvalsh(H / np.sqrt(np.outer(d, d)))
-    return bool(w.min() > tol.tol_rank * w.max())
+    block of it is too."""
+    w = _equilibrated_spectrum(H, tol)
+    return w is not None and bool(w.min() > tol.tol_rank * w.max())
+
+
+def certified_hankel(H, tol):
+    """Whether the Cholesky certificate passes ``H``, up to the rounding
+    of its factorization: every eigenvalue of D H D above the shift
+    c = (2 tol_rank + (N + 1)^2 eps) N, N >= tr(D H D)."""
+    w = _equilibrated_spectrum(H, tol)
+    c = 2 * tol.tol_rank + (len(H) + 1) ** 2 * np.finfo(float).eps
+    return w is not None and bool(w.min() > c * len(H))

@@ -9,6 +9,7 @@ from stieltjesmp.matcore import (
     DEFAULT_TOL,
     HermitianFactor,
     ToleranceConfig,
+    _positive_definite,
     hermitize,
     right_divide,
 )
@@ -287,13 +288,50 @@ def test_hermitian_factor_matches_svd_oracles(seed):
     X = pseudo_inverse(A)
     assert np.linalg.norm(f.pinv() - X) <= 1e-8 * (1.0 + np.linalg.norm(X))
     # The factor keeps what its verdicts read and forms no inverse.
-    assert sorted(vars(f)) == ["_kept", "null", "psd", "rank", "w"]
+    assert sorted(vars(f)) == ["_kept", "null", "pd", "psd", "rank", "w"]
     S = np.diag(10.0 ** rng.uniform(-2, 2, size=p))
     g = HermitianFactor(S @ A @ S)
     assert g.psd and g.rank == r
     B = A - rng.uniform(0.1, 1.0) * np.eye(p)
     h = HermitianFactor(B)
     assert h.psd == is_psd(B) and h.rank == mrank(B)
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, ToleranceConfig(
+    tol_rank=1e-16)], ids=["default", "tol_rank=1e-16"])
+def test_the_cholesky_certificate_never_disagrees_with_eigh(tol):
+    # A matrix that _positive_definite certifies has the verdicts of its
+    # own eigh: rank N, psd, pd and an empty null basis.  B = (1 - rho) I
+    # + rho J has a unit diagonal, lambda_min = 1 - rho and lambda_max =
+    # 1 + (N - 1) rho; it is put at lambda_min = k c for the shift
+    # c = (2 tol_rank + (N + 1)^2 eps) N, N = tr B, and scaled by a complex
+    # diagonal (moduli within 1e4 of each other, above the cutoff), which
+    # the equilibration undoes.  Certified at k >= 2, refused at k = 0.5.
+    rng = np.random.default_rng(11)
+    want_at = {0.5: False, 2.0: True, 4.0: True, 100.0: True}
+    cases = [(np.array([[2.0]]), True), (np.array([[-2.0]]), False),
+             (np.zeros((1, 1)), False), (np.zeros((3, 3)), False),
+             (np.diag([1.0, tol.tol_rank]), False),  # at the cutoff
+             (np.diag([1.0, 1.01 * tol.tol_rank]), None)]
+    for N in (2, 5, 16, 48):
+        c = (2 * tol.tol_rank + (N + 1) ** 2 * np.finfo(float).eps) * N
+        for k in (0.5, 1.0, 1.5, 2.0, 4.0, 100.0):
+            B = k * c * np.eye(N) + (1 - k * c) * np.ones((N, N))
+            S = 10.0 ** rng.uniform(-2, 2, N) * np.exp(
+                2j * np.pi * rng.uniform(size=N))
+            cases.append((S[:, None] * B * S.conj(), want_at.get(k)))
+        # indefinite inside the PSD margin, with N - 1 eigenvalues
+        # -tol_psd / 2: psd, not pd
+        B = -0.5 * tol.tol_psd * np.eye(N) + (1 + 0.5 * tol.tol_psd) * \
+            np.ones((N, N))
+        assert HermitianFactor(B, tol).psd
+        cases.append((B, False))
+    for A, want in cases:
+        f, got = HermitianFactor(A, tol), _positive_definite(A, tol)
+        assert want is None or got == want
+        if got:
+            assert (f.rank, f.psd, f.pd, f.null.shape) == (
+                len(A), True, True, (len(A), 0))
 
 
 @settings(max_examples=40, deadline=None)

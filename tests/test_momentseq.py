@@ -1,5 +1,6 @@
 """Unit tests for moment sequences, Hankel bundles, and class tests."""
 
+import collections
 import copy
 import dataclasses
 import pickle
@@ -24,8 +25,8 @@ from stieltjesmp.momentseq import (
 from stieltjesmp.resolvent import MatrixPolynomial, build_resolvent
 from stieltjesmp.solver import classify
 
-from conftest import WEIGHT_PATTERNS, atomic_fixture, definite_hankel, \
-    hankel_factor_counts, kge_fixtures, ljapunov_data, \
+from conftest import WEIGHT_PATTERNS, _matrix_key, atomic_fixture, \
+    certified_hankel, hankel_factor_counts, kge_fixtures, ljapunov_data, \
     random_hermitian_sequence, scalar_seq
 from identities import block_hankel_by_blocks, extended, \
     first_column_embedding, is_dubovoj, is_psd, ladder_basis, ladder_ranks, \
@@ -452,7 +453,7 @@ def test_class_report_holds_the_hankel_data(factor_calls):
         factor_calls.clear()
         report = class_membership(seq)
         classify(seq, n)
-        assert factor_calls == hankel_factor_counts(seq)
+        assert factor_calls == hankel_factor_counts(seq, witness=True)
         assert report.data is seq.hankel()
         # The data is left out of the report's repr, comparison and JSON.
         assert "HankelData" not in repr(report)
@@ -475,9 +476,10 @@ def _definite_ladder_cases(q, pattern):
 def test_a_level_below_a_definite_one_has_the_verdicts_of_its_own_eigh(
         q, pattern):
     # Asked top down, bottom up or in a shuffled order, every level's
-    # rank, PSD verdict and null dimension equal those of a factor of
-    # H_k alone; a factor read from a definite level above takes its
-    # eigh only when w or pinv() is read, and then agrees bit for bit.
+    # rank, PSD verdict, definite flag and null dimension equal those of
+    # a factor of H_k alone; a factor read from a definite level above,
+    # or certified by a Cholesky, takes its eigh only when w or pinv() is
+    # read, and then agrees bit for bit.
     rng = np.random.default_rng(q)
     for seq, n in _definite_ladder_cases(q, pattern):
         levels = list(range(n + 1))
@@ -487,40 +489,61 @@ def test_a_level_below_a_definite_one_has_the_verdicts_of_its_own_eigh(
                 got = {k: d.factor(k) for k in order}
                 for k, f in got.items():
                     own = HermitianFactor(d.H[k], seq.tol)
-                    assert (f.rank, f.psd, f.null.shape) == (
-                        own.rank, own.psd, own.null.shape)
+                    assert (f.rank, f.psd, f.pd, f.null.shape) == (
+                        own.rank, own.psd, own.pd, own.null.shape)
                     assert np.array_equal(f.w, own.w)
                     assert np.array_equal(f.pinv(), own.pinv())
 
 
 @pytest.mark.parametrize("pattern", sorted(WEIGHT_PATTERNS))
 @pytest.mark.parametrize("q", [1, 2, 4, 8])
-def test_definite_data_takes_one_eigh_per_ladder(monkeypatch, factor_calls,
-                                                 q, pattern):
-    # classify and build_resolvent factor H_n and Hs_n, and each level
-    # below a definite one is read from it: 2 eigh in all, and no SVD of
-    # a zero defect product.  The witness of even-m data, read from the
-    # pseudo-inverse of a level below a definite top, is the one of that
-    # level's own factor.
-    zero_svds, svd = [], np.linalg.svd
+def test_definite_data_takes_no_eigh(monkeypatch, factor_calls, q, pattern):
+    # classify and build_resolvent certify H_n and Hs_n by one Cholesky
+    # each, and each level below is read from them: no eigh, and no SVD
+    # of a zero defect product, of an empty block or of an identity.
+    wasted, svd = [], np.linalg.svd
 
     def recording_svd(a, *args, **kwargs):
-        zero_svds.append(a.size > 0 and not np.any(a))
+        wasted.append(not np.any(a) or np.array_equal(a, np.eye(len(a))))
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    definite = 0
+    certified = 0
     for seq, n in _definite_ladder_cases(q, pattern):
         factor_calls.clear()
-        zero_svds.clear()
+        wasted.clear()
         data = seq.hankel()
         report = classify(seq, n)
         build_resolvent(seq, n)
-        if definite_hankel(data.H[n], seq.tol) and \
-                definite_hankel(data.shift.H[n], seq.tol):
-            assert report.case == "NonDegenerate"
-            assert sum(factor_calls.values()) == 2 and not any(zero_svds)
-            definite += 1
+        if certified_hankel(data.H[n], seq.tol) and \
+                certified_hankel(data.shift.H[n], seq.tol):
+            assert report.case == "NonDegenerate" and not any(wasted)
+            assert factor_calls == collections.Counter(
+                ("cholesky",) + _matrix_key(H)
+                for H in (data.H[n], data.shift.H[n]))
+            certified += 1
+    assert certified == 12 or pattern in ("fewatoms", "rankdef")
+
+
+@pytest.mark.parametrize("pattern", sorted(WEIGHT_PATTERNS))
+@pytest.mark.parametrize("q", [1, 2, 4, 8])
+def test_definite_data_takes_one_eigh_per_ladder(factor_calls, q, pattern):
+    # A certified top takes its eigh only when its w or pinv() is read:
+    # then one per ladder, H_n and Hs_n.  The witness of even-m data,
+    # read from the pseudo-inverse of a level below a definite top, is
+    # the one of that level's own factor.
+    for seq, n in _definite_ladder_cases(q, pattern):
+        data = seq.hankel()
+        classify(seq, n)
+        build_resolvent(seq, n)
+        tops = (data.H[n], data.shift.H[n])
+        if all(certified_hankel(H, seq.tol) for H in tops):
+            factor_calls.clear()
+            for _ in range(2):
+                data.factor(n).pinv()
+                data.shift.factor(n).pinv()
+            assert factor_calls == collections.Counter(
+                ("eigh",) + _matrix_key(H) for H in tops)
         even = MomentSequence(seq.alpha, q, seq.moments[:-1], seq.tol)
         witness = class_membership(even).witness_extension
         if witness is None:
@@ -530,7 +553,6 @@ def test_definite_data_takes_one_eigh_per_ladder(monkeypatch, factor_calls,
             block_hankel(even.moments, n - 1), seq.tol).pinv() @ y if n \
             else np.zeros((q, q), dtype=complex)
         assert np.array_equal(witness, 0.5 * (want + want.conj().T))
-    assert definite == 12 or pattern in ("fewatoms", "rankdef")
 
 
 def test_a_full_rank_top_with_a_negative_eigenvalue_is_not_definite():

@@ -600,7 +600,7 @@ def test_pipeline_on_one_hankel_data_factors_each_matrix_once(factor_calls):
                          seq=seq, n=n)
         assert verify_solution(seq, n, mu)["valid"]
         assert verify_solution(seq, n, S)["valid"]
-        assert factor_calls == hankel_factor_counts(seq, n)
+        assert factor_calls == hankel_factor_counts(seq, n, witness=True)
 
 
 def test_hankel_data_lives_exactly_while_a_result_holds_it():
@@ -1178,6 +1178,28 @@ def test_a_far_point_is_not_refused_as_singular():
             assert abs(z * S(z) + s0).max() <= 1e-12
         zs = np.array([1j, 1e60j])
         assert abs(zs[1] * S(zs)[1] + s0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("q", [1, 2, 4])
+def test_a_point_past_the_range_of_its_powers_has_its_value(q):
+    # At n = 3, z^4 leaves the range of a double past |z| = 1e77; S is
+    # then read from the powers of 1 / z.  At 1e78j and 1e200j it agrees
+    # with the 40-digit value and with -s_0 / z, with no RuntimeWarning,
+    # for a constant and a function pair on definite data and for the
+    # unique solution, whose polynomial P has a lower degree than Theta.
+    rng = np.random.default_rng([q, 78])
+    seq = atomic_fixture(rng, q, 3, 0.5)[1]
+    R = build_resolvent(seq, 3)
+    f = StieltjesFunction(np.eye(q), AtomicMeasure(0.5, q, [(1.5, np.eye(q))]))
+    one = unique_solution(atomic_fixture(rng, q, 3, 0.5, natoms=1)[1], 3)
+    sols = [lft_solution(R, p, seq=seq, n=3) for p in (
+        canonical_pair(classify(seq, 3)), StieltjesPair.from_function(f))]
+    for S in sols + [one]:
+        s0 = S.resolvent.data.seq.moments[0]
+        for z in (1e78j, 1e200j):
+            want = exact_lft_value(S.resolvent, S.pair, z)
+            assert abs(S(z) - want).max() <= 1e-13 * abs(want).max()
+            assert abs(z * S(z) + s0).max() <= 1e-12 * abs(s0).max()
 
 
 def test_evaluation_matches_the_horner_and_per_atom_references():

@@ -43,10 +43,11 @@ defect bases ``U_basis`` and ``V_basis`` and the frame ``W`` of each
 classification must be bit-identical too.
 
 For ``parametrize`` and ``verify_dense`` it also prints, per tree, the
-``np.linalg.eigh`` and ``np.linalg.svd`` calls of one pass of the
-workload as ``perfbench/workloads.py`` runs it (``run`` over its items,
-no output kept; this first pass also builds the workload's parameter
-pairs), reported and not judged.
+``np.linalg.eigh``, ``np.linalg.svd`` and ``np.linalg.cholesky`` calls
+(the last the certificate of a positive definite Hankel matrix) of one
+pass of the workload as ``perfbench/workloads.py`` runs it (``run`` over
+its items, no output kept; this first pass also builds the workload's
+parameter pairs), reported and not judged.
 """
 
 import argparse
@@ -66,7 +67,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 WORKLOADS = ("parametrize", "verify_dense", "cli_cold")
-LAPACK = ("eigh", "svd")
+LAPACK = ("eigh", "svd", "cholesky")
 
 
 # -- one tree: run the pipeline and record its outputs ------------------
