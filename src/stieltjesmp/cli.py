@@ -50,120 +50,96 @@ EXIT_NEGATIVE = 2
 _MALFORMED = (KeyError, TypeError, AttributeError)
 
 
-def load_moment_file(path, tol):
+def _read(path, what, parse, *extra):
+    """``parse(doc, *extra)`` of the JSON document ``doc`` in the file
+    ``path``; a document of the wrong shape is refused as ``<what> file
+    <path>: ...``."""
     with open(path) as fh:
         doc = json.load(fh)
     try:
-        alpha = jsonio.json_to_real(doc["alpha"], "alpha")
-        q = jsonio.json_to_real(doc["q"], "q", integer=True)
-        moments = [jsonio.json_to_matrix(m, f"moments[{j}]")
-                   for j, m in enumerate(doc["moments"])]
+        return parse(doc, *extra)
     except _MALFORMED as exc:
-        raise ValueError(f"moment file {path}: {exc}") from exc
-    return MomentSequence(alpha, q, moments, tol)
+        raise ValueError(f"{what} file {path}: {exc}") from exc
 
 
-def load_measure_file(path, tol):
-    with open(path) as fh:
-        doc = json.load(fh)
-    try:
-        alpha = jsonio.json_to_real(doc["alpha"], "alpha")
-        q = jsonio.json_to_real(doc["q"], "q", integer=True)
-        atoms = [(jsonio.json_to_real(a["t"], "t"),
-                  jsonio.json_to_matrix(a["weight"], "atom weight"))
-                 for a in doc["atoms"]]
-    except _MALFORMED as exc:
-        raise ValueError(f"measure file {path}: {exc}") from exc
-    return AtomicMeasure(alpha, q, atoms, tol)
+def _moments(doc, tol):
+    return MomentSequence(
+        jsonio.json_to_real(doc["alpha"], "alpha"),
+        jsonio.json_to_real(doc["q"], "q", integer=True),
+        [jsonio.json_to_matrix(m, f"moments[{j}]")
+         for j, m in enumerate(doc["moments"])], tol)
 
 
-def load_pair_file(path, tol, alpha):
-    with open(path) as fh:
-        doc = json.load(fh)
-    try:
-        kind = doc.get("kind")
-        if kind == "constant":
-            phi = jsonio.json_to_matrix(doc["phi"], "phi")
-            psi = jsonio.json_to_matrix(doc["psi"], "psi")
-            return StieltjesPair.constant(phi, psi, tol)
-        if kind == "stieltjes_function":
-            alpha = jsonio.json_to_real(doc.get("alpha", alpha), "alpha")
-            q = jsonio.json_to_real(doc["q"], "q", integer=True)
-            atoms = [(jsonio.json_to_real(a["t"], "t"),
-                      jsonio.json_to_matrix(a["weight"], "atom weight"))
-                     for a in doc.get("atoms", [])]
-            mu = AtomicMeasure(alpha, q, atoms, tol)
-            gamma = jsonio.json_to_matrix(doc["gamma"], "gamma") \
-                if "gamma" in doc else np.zeros((q, q))
-            return StieltjesPair.from_function(StieltjesFunction(gamma, mu))
-    except _MALFORMED as exc:
-        raise ValueError(f"pair file {path}: {exc}") from exc
-    raise ValueError(f"pair file {path}: unknown kind {kind!r}")
+def _measure(doc, tol):
+    return AtomicMeasure(
+        jsonio.json_to_real(doc["alpha"], "alpha"),
+        jsonio.json_to_real(doc["q"], "q", integer=True),
+        [(jsonio.json_to_real(a["t"], "t"),
+          jsonio.json_to_matrix(a["weight"], "atom weight"))
+         for a in doc["atoms"]], tol)
 
 
-def _emit(doc, args):
-    if args.pretty:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(json.dumps(doc, sort_keys=True))
+def _pair(doc, tol, alpha):
+    """A ``constant`` pair (phi, psi), or the pair of a
+    ``stieltjes_function`` f = gamma + sum M_i / (t_i - z), whose
+    ``alpha`` is the moment file's, its atoms none and gamma 0 where the
+    document names none; another kind is a document of the wrong shape."""
+    kind = doc.get("kind")
+    if kind == "constant":
+        return StieltjesPair.constant(jsonio.json_to_matrix(doc["phi"], "phi"),
+                                      jsonio.json_to_matrix(doc["psi"], "psi"),
+                                      tol)
+    if kind != "stieltjes_function":
+        raise TypeError(f"unknown kind {kind!r}")
+    mu = _measure({"alpha": alpha, "atoms": [], **doc}, tol)
+    gamma = jsonio.json_to_matrix(doc["gamma"], "gamma") if "gamma" in doc \
+        else np.zeros((mu.q, mu.q))
+    return StieltjesPair.from_function(StieltjesFunction(gamma, mu))
 
 
 def _tol(args):
-    kwargs = {}
-    if args.tol_psd is not None:
-        kwargs["tol_psd"] = args.tol_psd
-    if args.tol_rank is not None:
-        kwargs["tol_rank"] = args.tol_rank
-    return ToleranceConfig(**kwargs)
+    """The tolerances of --tol-psd and --tol-rank, the defaults where
+    they are not given."""
+    given = {"tol_psd": args.tol_psd, "tol_rank": args.tol_rank}
+    return ToleranceConfig(**{k: v for k, v in given.items() if v is not None})
 
 
-def _complex_list(text, flag):
-    """The comma-separated complex numbers of ``text``; a token that is
-    not a finite complex number is refused, naming ``flag``."""
+def _complex_list(text):
+    """The comma-separated complex numbers of --points; a token that is
+    not a finite complex number is refused, naming the flag."""
     points = []
     for tok in text.split(","):
         try:
             points.append(complex(tok))
         except ValueError:
             raise ValueError(
-                f"{flag}: '{tok}' is not a complex number") from None
+                f"--points: '{tok}' is not a complex number") from None
     for z in points:
         if not np.isfinite(z):
-            raise ValueError(f"{flag}: point {z} is not finite")
+            raise ValueError(f"--points: point {z} is not finite")
     return points
 
 
-def _points(args):
-    return _complex_list(args.points, "--points")
+# Each command takes the parsed arguments and the tolerance and returns
+# its JSON document and exit code, which ``main`` writes.
+
+def cmd_check(args, tol):
+    report = class_membership(_read(args.moments, "moment", _moments, tol))
+    return report.to_dict(), EXIT_OK if report.in_Kgeq else EXIT_NEGATIVE
 
 
-def cmd_check(args):
-    tol = _tol(args)
-    seq = load_moment_file(args.moments, tol)
-    report = class_membership(seq)
-    _emit(report.to_dict(), args)
-    return EXIT_OK if report.in_Kgeq else EXIT_NEGATIVE
+def cmd_classify(args, tol):
+    seq = _read(args.moments, "moment", _moments, tol)
+    return classify(seq, args.n).to_dict(), EXIT_OK
 
 
-def cmd_classify(args):
-    tol = _tol(args)
-    seq = load_moment_file(args.moments, tol)
-    report = classify(seq, args.n)
-    _emit(report.to_dict(), args)
-    return EXIT_OK
+def cmd_resolvent(args, tol):
+    seq = _read(args.moments, "moment", _moments, tol)
+    return theta_coeffs_json(build_resolvent(seq, args.n)), EXIT_OK
 
 
-def cmd_resolvent(args):
-    tol = _tol(args)
-    seq = load_moment_file(args.moments, tol)
-    R = build_resolvent(seq, args.n)
-    _emit(theta_coeffs_json(R), args)
-    return EXIT_OK
-
-
-def cmd_solve(args):
-    tol = _tol(args)
-    seq = load_moment_file(args.moments, tol)
+def cmd_solve(args, tol):
+    seq = _read(args.moments, "moment", _moments, tol)
     n = args.n
     report = classify(seq, n)
     if report.case == "CompletelyDegenerate":
@@ -175,9 +151,10 @@ def cmd_solve(args):
         if args.pair is None:
             raise ValueError("a pair file is required unless the data is "
                              "completely degenerate")
-        pair = lift_pair(report, load_pair_file(args.pair, tol, seq.alpha))
+        pair = lift_pair(report, _read(args.pair, "pair", _pair, tol,
+                                       seq.alpha))
         S = lft_solution(build_resolvent(seq, n), pair)
-    points = _points(args) if args.points is not None else \
+    points = _complex_list(args.points) if args.points is not None else \
         [z for z in standard_grid(seq.alpha) if z.imag > 0][:4]
     entries = [{"z": jsonio.complex_to_json(z)} for z in points]
     solved = []
@@ -198,40 +175,30 @@ def cmd_solve(args):
         rep = potapov_report(seq, n, list(vals), list(zs))
         for entry, lo, hi in zip(rows, rep.smin_even, rep.smin_odd):
             entry["sigma_min_even"], entry["sigma_min_odd"] = lo, hi
-    _emit({"case": report.case, "values": entries}, args)
-    return EXIT_OK
+    return {"case": report.case, "values": entries}, EXIT_OK
 
 
-def cmd_verify(args):
-    tol = _tol(args)
-    seq = load_moment_file(args.moments, tol)
-    mu = load_measure_file(args.measure, tol)
-    report = verify_solution(seq, args.n, mu)
-    _emit(report, args)
-    return EXIT_OK if report["valid"] else EXIT_NEGATIVE
+def cmd_verify(args, tol):
+    seq = _read(args.moments, "moment", _moments, tol)
+    report = verify_solution(seq, args.n,
+                             _read(args.measure, "measure", _measure, tol))
+    return report, EXIT_OK if report["valid"] else EXIT_NEGATIVE
 
 
-def cmd_transform(args):
-    tol = _tol(args)
-    mu = load_measure_file(args.measure, tol)
-    points = _points(args)
+def cmd_transform(args, tol):
+    mu = _read(args.measure, "measure", _measure, tol)
+    points = _complex_list(args.points)
     values = transform(mu, np.array(points))
-    out = [{"z": jsonio.complex_to_json(z), "S": jsonio.matrix_to_json(S)}
-           for z, S in zip(points, values)]
-    _emit({"values": out}, args)
-    return EXIT_OK
+    return {"values": [{"z": jsonio.complex_to_json(z),
+                        "S": jsonio.matrix_to_json(S)}
+                       for z, S in zip(points, values)]}, EXIT_OK
 
 
-def cmd_moments(args):
-    tol = _tol(args)
-    mu = load_measure_file(args.measure, tol)
-    seq = moments_of(mu, args.order)
-    _emit({
-        "alpha": mu.alpha,
-        "q": mu.q,
-        "moments": [jsonio.matrix_to_json(s) for s in seq.moments],
-    }, args)
-    return EXIT_OK
+def cmd_moments(args, tol):
+    mu = _read(args.measure, "measure", _measure, tol)
+    return {"alpha": mu.alpha, "q": mu.q,
+            "moments": [jsonio.matrix_to_json(s)
+                        for s in moments_of(mu, args.order).moments]}, EXIT_OK
 
 
 def build_parser():
@@ -287,14 +254,16 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+        doc, code = args.func(args, _tol(args))
+        print(json.dumps(doc, indent=2 if args.pretty else None,
+                         sort_keys=True))
+        return code
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -190,12 +190,16 @@ class HankelData:
         eigenvalues and null basis, and its pseudo-inverse on demand.
         Below a factored H_j flagged ``pd`` (Cauchy interlacing), or where
         one Cholesky certifies it (``_positive_definite``), H_k is
-        ``HermitianFactor.definite``, with no eigh."""
+        ``HermitianFactor.definite``, with no eigh.  No certificate is
+        tried below a factored H_j of rank under N_k, which bounds the
+        rank of its leading block H_k."""
         def compute():
             H, tol = self.H[k], self.seq.tol
-            if any(getattr(self._memo.get(("factor", j)), "pd", False)
-                   for j in range(k + 1, len(self.H))) or \
-                    _positive_definite(H, tol):
+            above = [self._memo[("factor", j)] for j in range(
+                k + 1, len(self.H)) if ("factor", j) in self._memo]
+            if any(f.pd for f in above) or (
+                    all(f.rank >= len(H) for f in above)
+                    and _positive_definite(H, tol)):
                 return HermitianFactor.definite(H, tol)
             return HermitianFactor(H, tol)
         return self._once(("factor", k), compute)
@@ -337,7 +341,8 @@ def _range_basis(data, n):
     span of the last block rows P of the null basis of H_k.  Block k is
     the r_k = rank H_k - rank H_{k-1} left singular vectors of P that lie
     least in its range; a nonsingular H_k has an empty P and gives I_q,
-    with no SVD.  The factors are asked top down, so a definite H_n
+    with no SVD, and a P of at least q columns takes the thin SVD, whose
+    U is square.  The factors are asked top down, so a definite H_n
     certifies the levels below it.
     """
     q = data.q
@@ -351,6 +356,7 @@ def _range_basis(data, n):
     for k, r in enumerate(ranks):
         P = data.factor(k).null[-q:]
         basis[k * q:(k + 1) * q, col:col + r] = \
-            np.linalg.svd(P)[0][:, q - r:] if P.size else np.eye(q)
+            np.linalg.svd(P, full_matrices=P.shape[1] < q)[0][:, q - r:] \
+            if P.size else np.eye(q)
         col += r
     return basis

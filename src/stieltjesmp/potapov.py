@@ -143,6 +143,8 @@ def potapov_report(seq, n, fz, grid):
     H is factored once per level on the Hankel data it belongs to, not
     per report, and no (n+2)q x (n+2)q matrix is formed.  P_-1 is
     already q x q and is tested directly.
+    Far from R the test is not decided reliably: Sigma cancels once |c|
+    grows like |z|^n, and at n = 3 a generating measure fails at 1e5j.
 
     A grid point that is not finite raises ``ValueError`` naming it, and
     so do a point within ``_IM_GUARD`` of R, an ``fz`` of another shape

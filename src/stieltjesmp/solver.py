@@ -184,7 +184,8 @@ class SolutionFunction:
         array of points (a z.shape + (q, q) stack).  A point on an atom
         raises the error of ``transform``; a denominator singular by
         ``right_divide`` raises one naming the first such point.  A point
-        with |z| >= ``_FAR`` takes z^-d N(z), which has the same S.  An
+        with |z| >= ``_FAR`` takes z^-d N(z), which has the same S, and
+        an array that holds one is evaluated point by point.  An
         array's flags are read by iterating them, cheaper on few flags
         than a NumPy reduction."""
         if isinstance(z, (complex, float, int)) or not np.ndim(z):
@@ -196,6 +197,9 @@ class SolutionFunction:
                 N = ((1 / z) ** P._exps[len(F) - 1::-1] @ F).reshape(P.shape)
         else:
             z = np.asarray(z, dtype=complex)
+            if np.abs(z).max(initial=0.0) >= _FAR:
+                return np.reshape([self(w) for w in z.ravel()],
+                                  z.shape + (self.q, self.q))
             shape, N = z.shape, self._P.eval(z)
         if self.pair.f is not None:     # N(z) = P(z) K(z)
             d = self._t - (z[..., None] if shape else z)

@@ -176,7 +176,8 @@ def _matrix_key(a):
 def hankel_factor_counts(seq, n=None, witness=False):
     """The ``factor_calls`` of work that factors the Hankel matrices of
     ``seq`` and of its shift top down, each at most once: a Cholesky
-    certificate, and an eigh where it fails (``certified_hankel``), and
+    certificate, and an eigh where it fails (``certified_hankel``), an
+    eigh alone below a level of rank under N_k (``hankel_rank``), and
     nothing below a positive definite one (``definite_hankel``); with
     ``witness``, also the eigh that the pseudo-inverse of the canonical
     witness extension takes of its level where that level has none; with
@@ -185,11 +186,14 @@ def hankel_factor_counts(seq, n=None, witness=False):
     data = HankelData(seq)
     out = collections.Counter()
     for ladder in (data.H, data.shift.H):
+        rank = np.inf           # the least rank of the levels above
         for H in reversed(ladder):
-            out[("cholesky",) + _matrix_key(H)] += 1
-            if certified_hankel(H, seq.tol):
-                break
+            if rank >= len(H):
+                out[("cholesky",) + _matrix_key(H)] += 1
+                if certified_hankel(H, seq.tol):
+                    break
             out[("eigh",) + _matrix_key(H)] += 1
+            rank = min(rank, hankel_rank(H, seq.tol))
             if definite_hankel(H, seq.tol):
                 break
     if witness and seq.m:
@@ -209,6 +213,17 @@ def _equilibrated_spectrum(H, tol):
     if not d.min() > tol.tol_rank * d.max():
         return None
     return np.linalg.eigvalsh(H / np.sqrt(np.outer(d, d)))
+
+
+def hankel_rank(H, tol):
+    """The rank of ``HermitianFactor(H, tol)``, read from ``eigvalsh``
+    of its D H D, with a diagonal entry at the cutoff scaled by the
+    largest."""
+    d = np.abs(np.diagonal(H))
+    dmax = d.max() or 1.0
+    D = 1.0 / np.sqrt(np.where(d > tol.tol_rank * dmax, d, dmax))
+    w = np.linalg.eigvalsh(D[:, None] * H * D)
+    return matcore._rank(np.abs(w), tol)
 
 
 def definite_hankel(H, tol):

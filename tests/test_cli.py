@@ -441,6 +441,32 @@ def test_json_readers_refuse_booleans_and_fractional_sizes(
     assert main(argv[kind]) == 0
 
 
+@pytest.mark.parametrize("kind, doc, key", [
+    ("moment", _document("moments"), "q"),
+    ("measure", _document("measure"), "atoms"),
+    ("pair", {"kind": "constant", "phi": [[[0.0, 0.0]]],
+              "psi": [[[1.0, 0.0]]]}, "psi"),
+    ("pair", _document("pair"), "q"),
+], ids=["moment", "measure", "constant-pair", "function-pair"])
+def test_a_file_without_a_required_key_is_refused_naming_the_file(
+        tmp_path, capsys, kind, doc, key):
+    # Every file is read by one reader, which names the kind of file and
+    # its path when a key the document needs is missing.
+    bad = write_json(tmp_path / "bad.json",
+                     {k: v for k, v in doc.items() if k != key})
+    moments = write_json(tmp_path / "m.json", _document("moments"))
+    argv = {"moment": ["check", bad],
+            "measure": ["transform", bad, "--points", "1j"],
+            "pair": ["solve", moments, bad, "--n", "0", "--points", "1j"]}
+    assert main(argv[kind]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith(f"error: {kind} file {bad}: ")
+    assert repr(key) in captured.err
+    write_json(tmp_path / "bad.json", doc)
+    assert main(argv[kind]) == 0
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                    -float("inf")])
 def test_a_non_finite_alpha_is_refused_by_name(tmp_path, capsys, value):

@@ -374,6 +374,20 @@ def test_potapov_report_reads_an_indefinite_hankel_corner():
             assert value == -1.0
 
 
+@pytest.mark.parametrize("z", [1e4j, pytest.param(
+    1e5j, marks=pytest.mark.xfail(strict=True, reason="Sigma = d - X* W X "
+                                  "cancels once |X| grows like |z|^n: the "
+                                  "generating measure reads sigma_min_odd "
+                                  "-7.3 at 1e5j"))])
+def test_the_generating_measure_passes_far_from_r(z):
+    # The transform of the measure whose moments the sequence holds solves
+    # the problem at every non-real point.  At n = 3 it passes at 1e4j,
+    # with sigma_min_odd -6.8e-6, and fails at 1e5j: the test is not
+    # decided reliably that far from R.
+    mu, seq = atomic_fixture(np.random.default_rng(1), 2, 3, 0.5)
+    assert potapov_report(seq, 3, [transform(mu, z)], [z]).passed
+
+
 def test_potapov_report_calls_eigvalsh_once_per_k(monkeypatch):
     calls = []
     original = np.linalg.eigvalsh

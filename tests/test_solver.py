@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import gc
 import pickle
+import warnings
 import weakref
 
 import numpy as np
@@ -1200,6 +1201,19 @@ def test_a_point_past_the_range_of_its_powers_has_its_value(q):
             want = exact_lft_value(S.resolvent, S.pair, z)
             assert abs(S(z) - want).max() <= 1e-13 * abs(want).max()
             assert abs(z * S(z) + s0).max() <= 1e-12 * abs(s0).max()
+
+
+def test_an_array_with_a_far_point_takes_each_point_alone():
+    # An array that holds a point past _FAR is evaluated point by point,
+    # so it has the values of its points bit for bit, with no
+    # RuntimeWarning from the powers of the far point.
+    seq = atomic_fixture(np.random.default_rng(1), 2, 3, 0.5)[1]
+    S = lft_solution(build_resolvent(seq, 3), canonical_pair(classify(seq, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = S(np.array([1e78j, 1 + 1j]))
+    assert got.shape == (2, 2, 2)
+    assert np.array_equal(got, np.array([S(1e78j), S(1 + 1j)]))
 
 
 def test_evaluation_matches_the_horner_and_per_atom_references():
