@@ -123,30 +123,23 @@ def _positive_definite(A, tol):
 
 
 def right_divide(N, tol=DEFAULT_TOL):
-    """num den^-1 of the halves of a 2q x q column N = [num; den] or of a
-    stack of them, and where den is invertible by the ``_significant``
-    rule: sigma_min(den) > tol_rank |N|_F, with sigma_min read as
-    1 / |den^-1|_F (at most sqrt(q) below it).  An exactly singular den,
-    which ``inv`` refuses, has a NaN quotient.  One column is decided on
-    Python floats, a stack by ``_fro``; where a squared norm is 0 or inf
-    (then one overflows, as |N|_F |den^-1|_F >= 1), on N / max|N|, as no
-    scaling of N changes the rule."""
+    """num den^-1 of the halves of a 2q x q column N = [num; den], and whether
+    den is invertible by the ``_significant`` rule, a Python bool:
+    sigma_min(den) > tol_rank |N|_F, sigma_min read as 1 / |den^-1|_F (at
+    most sqrt(q) below it).  An exactly singular den, which ``inv`` refuses,
+    has a NaN quotient.  Where a squared norm is 0 or inf (then one
+    overflows, as |N|_F |den^-1|_F >= 1), the norms are read on N / max|N|,
+    as no scaling of N changes the rule."""
     q = N.shape[-1]
-    num, den = N[..., :q, :], N[..., q:, :]
     try:
-        inv = np.linalg.inv(den)
-        if N.ndim > 2:
-            with np.errstate(over="raise", divide="raise"):
-                return num @ inv, _significant(1.0 / _fro(inv), tol, _fro(N))
-    except (np.linalg.LinAlgError, FloatingPointError):
-        if N.ndim == 2:         # a singular den; a stack goes per column
-            return np.full_like(num, np.nan), np.False_
-        return tuple(map(np.array, zip(*(right_divide(a, tol) for a in N))))
+        inv = np.linalg.inv(N[q:])
+    except np.linalg.LinAlgError:
+        return np.full_like(N[:q], np.nan), False
     fro = math.sqrt(np.vdot(N, N).real), math.sqrt(np.vdot(inv, inv).real)
     if not 0.0 < min(fro) <= max(fro) < math.inf:
         c = np.abs(N).max()
         fro = [math.sqrt(np.vdot(a, a).real) for a in (N / c, c * inv)]
-    return num @ inv, _significant(1.0 / fro[1], tol, fro[0])
+    return N[:q] @ inv, _significant(1.0 / fro[1], tol, fro[0])
 
 
 def _fro(a):

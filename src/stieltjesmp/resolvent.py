@@ -36,7 +36,7 @@ class MatrixPolynomial:
     """A polynomial with matrix coefficients, ascending degree:
     ``coeffs`` is a C-contiguous (d + 1, r, c) array whose row j is the
     coefficient of z^j, and ``shape`` is (r, c).  The exponents 0..d and
-    the flat (d + 1, r c) view of the coefficients are kept for ``eval``."""
+    the flat (d + 1, r c) view it keeps serve ``eval`` and S(z) at a point."""
 
     def __init__(self, coeffs):
         coeffs = np.ascontiguousarray(coeffs, dtype=complex)

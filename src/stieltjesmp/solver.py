@@ -9,6 +9,7 @@ transformation of the resolvent matrix that produces solutions of the
 truncated moment problem, and verifies candidate solutions.
 """
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,38 +181,32 @@ class SolutionFunction:
         self._P = MatrixPolynomial(resolvent.theta.coeffs @ C)
 
     def __call__(self, z):
-        """S(z) at a point (q x q), taken as a Python complex, or at an
-        array of points (a z.shape + (q, q) stack).  A point on an atom
-        raises the error of ``transform``; a denominator singular by
-        ``right_divide`` raises one naming the first such point.  A point
-        with |z| >= ``_FAR`` takes z^-d N(z), which has the same S, and
-        an array that holds one is evaluated point by point.  An
-        array's flags are read by iterating them, cheaper on few flags
-        than a NumPy reduction."""
-        if isinstance(z, (complex, float, int)) or not np.ndim(z):
-            P, shape, z = self._P, (), complex(z)
-            if abs(z) < _FAR:
-                N = (z ** P._exps @ P._flat).reshape(P.shape)
-            else:       # z^-d N(z), d = deg P, from the powers of 1 / z
-                F = P._flat[:np.flatnonzero(P._flat.any(axis=1))[-1] + 1]
-                N = ((1 / z) ** P._exps[len(F) - 1::-1] @ F).reshape(P.shape)
-        else:
-            z = np.asarray(z, dtype=complex)
-            if np.abs(z).max(initial=0.0) >= _FAR:
-                return np.reshape([self(w) for w in z.ravel()],
-                                  z.shape + (self.q, self.q))
-            shape, N = z.shape, self._P.eval(z)
+        """S(z) at a point (q x q), taken as a Python complex; at an array
+        of points (any shape), S at each point in turn, a z.shape + (q, q)
+        stack.  A point on an atom raises the error of ``transform``, a
+        denominator singular by ``right_divide`` one naming the point, and
+        a NaN point one saying that it is not finite.  A point with |z| >=
+        ``_FAR`` takes z^-d N(z), which has the same S."""
+        if not isinstance(z, (complex, float, int)) and np.ndim(z):
+            return np.array([self(w) for w in np.ravel(z)], dtype=complex
+                            ).reshape(np.shape(z) + (self.q, self.q))
+        P, z = self._P, complex(z)
+        if abs(z) < _FAR:
+            N = (z ** P._exps @ P._flat).reshape(P.shape)
+        else:       # z^-d N(z), d = deg P, from the powers of 1 / z
+            if not cmath.isfinite(1 / z):   # a NaN fails abs(z) < _FAR
+                raise ValueError(f"point z = {z} is not finite")
+            F = P._flat[:np.flatnonzero(P._flat.any(axis=1))[-1] + 1]
+            N = ((1 / z) ** P._exps[len(F) - 1::-1] @ F).reshape(P.shape)
         if self.pair.f is not None:     # N(z) = P(z) K(z)
-            d = self._t - (z[..., None] if shape else z)
-            if ((shape or abs(z.imag) <= _SLIT_GUARD)   # |t - z| >= |Im z|
+            d = self._t - z
+            if (abs(z.imag) <= _SLIT_GUARD      # |t - z| >= |Im z|
                     and np.abs(d).min(initial=np.inf) <= _SLIT_GUARD):
                 self.pair.f(z)          # raises the error of transform
-            N = N @ (self._K + ((1.0 / d) @ self._M).reshape(
-                shape + self._K.shape))
+            N = N @ (self._K + ((1.0 / d) @ self._M).reshape(self._K.shape))
         S, ok = right_divide(N, self._tol)
-        if ok is not True and not all(np.ravel(ok)):
-            first = complex(np.ravel(z)[np.argmin(np.ravel(ok))])
-            raise ValueError(f"singular LFT denominator at z = {first}")
+        if not ok:
+            raise ValueError(f"singular LFT denominator at z = {z}")
         return S
 
 

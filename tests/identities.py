@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 
 from stieltjesmp.matcore import DEFAULT_TOL, _fro, _rank, _significant, \
-    as_matrix, hermitize, right_divide
+    as_matrix, hermitize
 from stieltjesmp.momentseq import MomentSequence, canonical_extension, \
     dubovoj_candidates, shift_right, stack_y
 from stieltjesmp.potapov import _IM_GUARD, _coupling
@@ -965,8 +965,9 @@ def _pair_alpha(p):
 def pairs_equivalent(p1, p2, grid=None):
     """Equivalence of pairs via equality of the Cayley transforms
     (psi + i phi)(psi - i phi)^{-1} at upper-half-plane sample points,
-    under the ``tol`` of ``p1``, at the points where ``right_divide``
-    finds both denominators psi - i phi invertible."""
+    under the ``tol`` of ``p1``, at the points where
+    ``right_divide_three_norms`` finds both denominators psi - i phi
+    invertible."""
     if p1.q != p2.q:
         return False
     alpha = _pair_alpha(p1)
@@ -975,8 +976,8 @@ def pairs_equivalent(p1, p2, grid=None):
     vals, usable = [], True
     for p in (p1, p2):
         phi, psi = pair_eval(p, np.asarray(grid, dtype=complex))
-        val, ok = right_divide(
-            np.concatenate([psi + 1j * phi, psi - 1j * phi], -2), p1.tol)
+        val, ok = right_divide_three_norms(psi + 1j * phi, psi - 1j * phi,
+                                           p1.tol)
         vals.append(val)
         usable = usable & ok
     if not np.any(usable):

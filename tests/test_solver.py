@@ -5,7 +5,6 @@ import copy
 import dataclasses
 import gc
 import pickle
-import warnings
 import weakref
 
 import numpy as np
@@ -13,7 +12,6 @@ import pytest
 
 from stieltjesmp import MomentSequence, canonical_extension, \
     class_membership, matcore, potapov, resolvent, solver, stieltjespairs
-from stieltjesmp.matcore import right_divide
 from stieltjesmp.momentseq import dubovoj_candidates
 from stieltjesmp.potapov import potapov_report
 from stieltjesmp.resolvent import MatrixPolynomial, build_resolvent, \
@@ -39,7 +37,8 @@ from conftest import WEIGHT_PATTERNS, atomic_fixture, canonical_pair, \
     delta, hankel_factor_counts, kge_fixtures, random_psd, scalar_seq
 from identities import atomic_decomposition_residual, congruence_check, \
     exact_lft_value, fq_matrices, horner, pair_eval, potapov_matrix, \
-    psi_polynomial, sigma_matrix, transform_per_atom
+    psi_polynomial, right_divide_three_norms, sigma_matrix, \
+    transform_per_atom
 
 
 Q2_SEQ = MomentSequence(0.0, 2, [np.diag([1.0, 0.0]), np.zeros((2, 2))])
@@ -511,8 +510,7 @@ def test_singular_denominator_names_the_first_point_for_every_pair_kind():
         message = f"singular LFT denominator at z = {complex(pole)}"
         zs = np.array([1j, pole, 2.0 + 1j, pole])
         num, den = _unfolded_lft(R, pair, zs)
-        assert not right_divide(np.concatenate([num, den], -2),
-                                seq.tol)[1][1]
+        assert not right_divide_three_norms(num, den, seq.tol)[1][1]
         for call in (lambda: S(pole), lambda: S(zs), lambda: S(zs[1:])):
             with pytest.raises(ValueError) as err:
                 call()
@@ -1103,8 +1101,8 @@ def test_a_point_in_every_form_gives_one_value_from_one_inverse(
     # A Python number, a NumPy scalar and a 0-d array are one point: S
     # is bit-identical over them, off the real line and on it below
     # alpha, for every kind of solution.  A point inverts its
-    # denominator once, takes no norm through _fro or np.linalg.norm and
-    # skips the array path's MatrixPolynomial.eval.
+    # denominator once and takes no norm through _fro or np.linalg.norm
+    # and no MatrixPolynomial.eval.
     calls = collections.Counter()
 
     def counting(name, fn):
@@ -1203,17 +1201,87 @@ def test_a_point_past_the_range_of_its_powers_has_its_value(q):
             assert abs(z * S(z) + s0).max() <= 1e-12 * abs(s0).max()
 
 
-def test_an_array_with_a_far_point_takes_each_point_alone():
-    # An array that holds a point past _FAR is evaluated point by point,
-    # so it has the values of its points bit for bit, with no
-    # RuntimeWarning from the powers of the far point.
-    seq = atomic_fixture(np.random.default_rng(1), 2, 3, 0.5)[1]
-    S = lft_solution(build_resolvent(seq, 3), canonical_pair(classify(seq, 3)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        got = S(np.array([1e78j, 1 + 1j]))
-    assert got.shape == (2, 2, 2)
-    assert np.array_equal(got, np.array([S(1e78j), S(1 + 1j)]))
+def _solution_of_kind(kind, q, n, kw):
+    """A solution of the given kind on an atomic fixture with atoms above
+    alpha = 0.5: the canonical constant pair, a pair on f = I + M / (1.2
+    - z) lifted where r < q, or the unique solution."""
+    rng = np.random.default_rng([q, n, 39])
+    seq = atomic_fixture(rng, q, n, 0.5, **kw)[1]
+    report = classify(seq, n)
+    assert (report.case == "CompletelyDegenerate") == (kind == "unique")
+    assert (0 < report.r < q) == kind.startswith("lifted")
+    if kind == "unique":
+        return unique_solution(seq, n)
+    R, r = build_resolvent(seq, n), report.r
+    inner = canonical_pair(report) if kind == "constant" else lift_pair(
+        report, StieltjesPair.from_function(StieltjesFunction(
+            np.eye(r), AtomicMeasure(0.5, r, [(1.2, random_psd(rng, r))]))))
+    return lft_solution(R, inner)
+
+
+@pytest.mark.parametrize("kind, q, n, kw", [
+    pytest.param(kind, q, n, kw, id=f"{kind.replace(' ', '-')}-q{q}-n{n}")
+    for kind, q, n, kw in (
+        ("constant", 2, 3, {}), ("constant", 8, 3, {}),
+        ("function", 8, 3, {}), ("lifted function", 4, 1, {"ranks": [2]}),
+        ("unique", 8, 3, {"ranks": [3]}))])
+@pytest.mark.parametrize("shape", [None, (2, 3), ()],
+                         ids=["grid", "2x3", "0d"])
+def test_an_array_is_its_points_bit_for_bit(kind, q, n, kw, shape):
+    # S over an array of points is the z.shape + (q, q) stack of S at
+    # each point alone, bit for bit, with no RuntimeWarning: over the
+    # standard grid (shape None), a 2 x 3 array and a 0-d one, for
+    # constant, function and lifted function pairs and the unique
+    # solution, at q = 8 and n = 3 among others.  On non-degenerate
+    # data the grid also holds 1e78j, past _FAR; degenerate data refuses
+    # a point that far as singular.
+    S = _solution_of_kind(kind, q, n, kw)
+    far = [1e78j] if kind in ("constant", "function") else []
+    zs = np.array(standard_grid(0.5) + far)
+    if shape is not None:
+        zs = zs[:int(np.prod(shape))].reshape(shape)
+    got = S(zs)
+    want = np.array([S(z) for z in zs.ravel()]).reshape(zs.shape + (q, q))
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_an_array_raises_the_error_of_its_first_failing_point():
+    # On the pair on f = 1 / (1 - z), whose denominator vanishes at
+    # root, an array raises the error of the first point that fails,
+    # the singular denominator or the atom of f, whichever comes first.
+    seq = scalar_seq([1, 1])
+    S = lft_solution(build_resolvent(seq, 0), StieltjesPair.from_function(
+        StieltjesFunction([[0.0]], delta(1.0))), seq=seq, n=0)
+    root = (3.0 - np.sqrt(5.0)) / 2.0
+    singular = f"singular LFT denominator at z = {complex(root)}"
+    atom = "evaluation point (1+0j) coincides with atom 1.0"
+    for zs, message in (([1j, root, 1.0], singular),
+                        ([1j, 1.0, root], atom)):
+        with pytest.raises(ValueError) as err:
+            S(np.array(zs))
+        assert str(err.value) == message
+
+
+def test_a_nan_point_is_refused_as_not_finite():
+    # A NaN point fails abs(z) < _FAR and is refused on the far branch,
+    # before any arithmetic, with no RuntimeWarning, alone or in an
+    # array, for a constant and a function pair.  An infinite point has
+    # 1 / z = 0 and takes the value of the limit there, 0 for S = -1/z.
+    seq = scalar_seq([1, 1])
+    R = build_resolvent(seq, 0)
+    for pair in (StieltjesPair.constant([[1.0]], [[0.0]]),
+                 StieltjesPair.from_function(StieltjesFunction(
+                     [[0.0]], delta(1.0)))):
+        S = lft_solution(R, pair, seq=seq, n=0)
+        for z, bad in ((np.nan, complex(np.nan)),
+                       (complex(np.nan, 1.0), complex(np.nan, 1.0)),
+                       (np.array([1j, complex(np.nan, 1.0), 2.0 + 1j]),
+                        complex(np.nan, 1.0))):
+            with pytest.raises(ValueError) as err:
+                S(z)
+            assert str(err.value) == f"point z = {bad} is not finite"
+    assert S(complex(np.inf)).tolist() == [[0.0]]
 
 
 def test_evaluation_matches_the_horner_and_per_atom_references():

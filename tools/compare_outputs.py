@@ -26,7 +26,7 @@ It prints the largest deviation of each quantity over all problems,
 where it occurs, and the distribution of the deviation of S.  Each
 solution is also evaluated on its points as one array, and within each
 tree the largest deviation of that array from S at each point alone
-is reported (a point takes its own path through the solution).  S is also
+is reported, with how many solutions are bit-identical both ways.  S is also
 reported per kind of pair (constant, function, or the unique solution
 of completely degenerate data; lifted pairs count by their inner pair),
 with how many solutions of each kind are bit-identical.  It exits
@@ -325,6 +325,9 @@ def compare_problem(tally, a, b, where):
         tally.float(f"S point vs array, {tree} tree (rel)", np.max(
             np.linalg.norm(pt[both] - arr[both], axis=(-2, -1))
             / np.linalg.norm(pt[both], axis=(-2, -1)), initial=0.0), where)
+        for sp, sa, good in zip(pt, arr, both):
+            tally.count(f"S point vs array bit-identical, {tree} tree",
+                        sp[good].tobytes() == sa[good].tobytes())
     Ta, Tb = a["transform"], b["transform"]
     tally.float("transform (rel, per point)", np.max(
         np.linalg.norm(Ta - Tb, axis=(-2, -1))
