@@ -51,4 +51,6 @@ def json_to_matrix(rows, where="matrix"):
     if not isinstance(rows, list) or not rows:
         raise ValueError(f"{where}: expected a non-empty array of rows")
     data = [[json_to_complex(x, where) for x in row] for row in rows]
+    if len({len(row) for row in data}) > 1:
+        raise ValueError(f"{where}: rows of different lengths form no matrix")
     return np.asarray(data, dtype=complex)

@@ -2,9 +2,9 @@
 
 The Hermitian gate, the one PSD rule, the one rank and singularity
 rule and the right division of a column [num; den] it guards, and the
-one factorization of a Hermitian matrix: its eigenvalues, rank, PSD
-verdict and null space, and its Moore-Penrose inverse on demand, or a
-Cholesky that certifies it positive definite in its place.  A
+one factorization of a Hermitian matrix: a Cholesky that certifies it
+positive definite, or its eigenvalues, rank, PSD verdict and null space
+where that fails, and its Moore-Penrose inverse on demand.  A
 subspace is its basis, an array with orthonormal columns.
 The checks the tests hold these to (range inclusion, the invariant
 complement test, an SVD null space and pseudo-inverse, the reflexive
@@ -60,9 +60,13 @@ def as_matrix(A):
 
 
 def as_square(A, q, what):
-    """``A`` as a q x q complex ndarray; any other shape raises
-    ``ValueError`` naming ``what``."""
-    M = np.asarray(A, dtype=complex)
+    """``A`` as a q x q complex ndarray; any other shape, or an input that
+    forms no array of numbers (ragged rows), raises ``ValueError`` naming
+    ``what``."""
+    try:
+        M = np.asarray(A, dtype=complex)
+    except (ValueError, TypeError):
+        raise ValueError(f"{what} forms no array of numbers") from None
     if M.shape != (q, q):
         raise ValueError(f"{what} must be {q} x {q}, got shape {M.shape}")
     return M
@@ -109,19 +113,6 @@ def _rank(s, tol, ref=None):
     return int(np.count_nonzero(_significant(s, tol, ref)))
 
 
-def _positive_definite(A, tol):
-    """Whether one Cholesky, with no eigh, certifies A ``pd``: that of
-    A - c diag(A), the congruence by D^-1 of the D A D - cI of
-    ``HermitianFactor`` (Demmel and Veselic 1992)."""
-    d, n = np.abs(np.diagonal(A)), len(A)
-    c = 2 * _cut(tol, n) + (n + 1) ** 2 * np.finfo(float).eps * n
-    try:
-        np.linalg.cholesky(A - c * np.diag(d))
-    except np.linalg.LinAlgError:
-        return False
-    return bool(d.min() > _cut(tol, d.max()))
-
-
 def right_divide(N, tol=DEFAULT_TOL):
     """num den^-1 of the halves of a 2q x q column N = [num; den], and whether
     den is invertible by the ``_significant`` rule, a Python bool:
@@ -150,8 +141,9 @@ def _fro(a):
 
 
 class HermitianFactor:
-    """One ``eigh`` of the equilibrated D A D of a Hermitian matrix A, and
-    every verdict on A read from it.
+    """The factor of a Hermitian matrix A, decided by A alone: one Cholesky
+    that certifies its equilibrated D A D positive definite, or one ``eigh``
+    of D A D where that fails, and every verdict on A read from it.
 
     D = diag(|A_jj|)^(-1/2) (van der Sluis, Numer. Math. 14, 1969), a
     diagonal entry at or below the ``_cut`` of the largest being scaled
@@ -161,48 +153,53 @@ class HermitianFactor:
     order in which the rank rule cuts them; ``rank`` is the ``_rank``
     rule on their moduli; ``psd`` is lambda_min(D A D) >= -tol_psd
     (1 + |A|) min(D)^2, the ``_psd_margin`` of A scaled to D A D, which
-    implies lambda_min(A) >= -tol_psd (1 + |A|); ``pd`` is rank N, w > 0
-    and no entry at the cutoff, which every leading block of A shares
-    (Cauchy interlacing); ``null`` is an orthonormal basis of null(A),
-    from which the Dubovoj range basis is read.  No inverse is kept:
-    :meth:`pinv` forms A^+ on each call.  ``_positive_definite`` certifies
-    ``pd`` with no eigh by a Cholesky of D A D - cI, c = 2 ``_cut``(N) +
+    implies lambda_min(A) >= -tol_psd (1 + |A|); ``null`` is an
+    orthonormal basis of null(A), from which the Dubovoj range basis is
+    read.  No inverse is kept: :meth:`pinv` forms A^+ on each call.  With
+    no diagonal entry at the cutoff, a Cholesky of D A D - cI (formed as
+    its congruence A - c diag|A_jj|) is tried first, c = 2 ``_cut``(N) +
     (N + 1)^2 eps N with N >= tr D A D >= lambda_max: c passes Cholesky's
     backward error (N + 1) eps tr D A D (Demmel and Veselic, SIAM J. Matrix
-    Anal. Appl. 13, 1992) by more than eigh's, so lambda_min > 2 ``_cut``
-    (lambda_max) with eigh's error to spare, under every ``tol_rank``.
+    Anal. Appl. 13, 1992) by more than eigh's, so where it succeeds
+    lambda_min > 2 ``_cut``(lambda_max) with eigh's error to spare, under
+    every ``tol_rank``: rank N, ``psd`` and no null basis, the eigh waiting
+    until ``w`` or ``pinv`` is read.
     """
 
     def __init__(self, A, tol=DEFAULT_TOL):
         d = np.abs(np.diagonal(A))
         dmax = np.max(d, initial=0.0) or 1.0
         keep = d > _cut(tol, dmax)
-        D = 1.0 / np.sqrt(np.where(keep, d, dmax))
-        w, Q = np.linalg.eigh(D[:, None] * A * D)
-        order = np.argsort(-np.abs(w), kind="stable")
-        self.w, B = w[order], D[:, None] * Q[:, order]
+        self._source = A, 1.0 / np.sqrt(np.where(keep, d, dmax))
+        n = len(d)
+        try:
+            if keep.all():
+                c = 2 * _cut(tol, n) + (n + 1) ** 2 * np.finfo(float).eps * n
+                np.linalg.cholesky(A - c * np.diag(d))
+                self.rank, self.psd = n, True
+                self.null = np.zeros((n, 0), dtype=complex)
+                return
+        except np.linalg.LinAlgError:
+            pass
+        self._eigh()
         self.rank = r = _rank(np.abs(self.w), tol)
-        self.psd = bool(w.min(initial=0.0) >= -_psd_margin(
+        self.psd = bool(self.w.min(initial=0.0) >= -_psd_margin(
             tol, np.linalg.norm(A)) / dmax)
-        self.pd = bool(r == len(w) and (w > 0).all() and keep.all())
-        self.null, self._kept = B[:, r:], B[:, :r]
-        if r < len(d):
+        self.null, self._kept = self._kept[:, r:], self._kept[:, :r]
+        if r < n:
             self.null = np.linalg.qr(self.null)[0]
 
-    @classmethod
-    def definite(cls, A, tol=DEFAULT_TOL):
-        """A's factor with no eigh, A known ``pd`` (``HankelData.factor``);
-        ``w`` and ``pinv`` take the eigh when first read."""
-        f = cls.__new__(cls)
-        f.rank, f.psd, f.pd, f._source = len(A), True, True, (A, tol)
-        f.null = np.zeros((len(A), 0), dtype=complex)
-        return f
+    def _eigh(self):
+        """``w``, and the D-scaled eigenvectors in its order, of D A D."""
+        A, D = vars(self).pop("_source")
+        w, Q = np.linalg.eigh(D[:, None] * A * D)
+        order = np.argsort(-np.abs(w), kind="stable")
+        self.w, self._kept = w[order], D[:, None] * Q[:, order]
 
-    def __getattr__(self, name):    # an unset w or _kept of ``definite``
+    def __getattr__(self, name):    # an unset w or _kept of a certified A
         if name not in ("w", "_kept") or "_source" not in vars(self):
             raise AttributeError(name)
-        full = HermitianFactor(*vars(self).pop("_source"))
-        self.w, self._kept = full.w, full._kept
+        self._eigh()
         return vars(self)[name]
 
     def pinv(self):

@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonio
-from .matcore import DEFAULT_TOL, HermitianFactor, _positive_definite, \
-    as_square, hermitize
+from .matcore import DEFAULT_TOL, HermitianFactor, as_square, hermitize
 
 
 class MomentSequence:
@@ -145,17 +144,17 @@ class HankelData:
 
     ``H[k]`` (2k <= m) is the level-k block Hankel matrix of the sequence, a
     leading slice of the matrix built at the top level.  Each is factored at
-    most once, none below a definite one, into the ``factor`` that every
-    verdict, rank and null basis about it is read from.  The
-    right-alpha-shifted sequence is a sequence too, with Hankel data of its
-    own, :attr:`shift`.  Factors, class verdicts and the canonical witness
-    extension (read-only), and per level the defects of ``classify`` (read
-    from the null bases of ``factor(n)`` and ``shift.factor(n)``) and the
-    parts of ``build_resolvent``, are computed when first asked for and kept
-    in one memo (``_once``); the library reaches this object through
-    :meth:`MomentSequence.hankel` only, and the matrices are read-only.
-    Readers of level n call :meth:`check_level`.  The results assembled from
-    the memo hold this object, and the memo holds none of them.
+    most once, into the ``factor`` that every verdict, rank and null basis
+    about it is read from.  The right-alpha-shifted sequence is a sequence
+    too, with Hankel data of its own, :attr:`shift`.  Factors, class
+    verdicts and the canonical witness extension (read-only), and per level
+    the defects of ``classify`` (read from the null bases of ``factor(n)``
+    and ``shift.factor(n)``) and the parts of ``build_resolvent``, are
+    computed when first asked for and kept in one memo (``_once``); the
+    library reaches this object through :meth:`MomentSequence.hankel` only,
+    and the matrices are read-only.  Readers of level n call
+    :meth:`check_level`.  The results assembled from the memo hold this
+    object, and the memo holds none of them.
     """
 
     def __init__(self, seq):
@@ -178,35 +177,24 @@ class HankelData:
         return self._once("shift", lambda: shift_right(self.seq).hankel())
 
     def check_level(self, n, shifted=False):
-        """Refuse a level n the sequence lacks: H_n needs the moments up
-        to s_2n, Hs_n (``shifted``) those up to s_2n+1."""
-        if not 0 <= 2 * n + shifted <= self.seq.m:
+        """Refuse a negative level n and one the sequence lacks: H_n needs
+        the moments up to s_2n, Hs_n (``shifted``) those up to s_2n+1."""
+        if n < 0:
+            raise ValueError(f"level n = {n} is negative")
+        if 2 * n + shifted > self.seq.m:
             need = f"2n+1 = {2 * n + 1}" if shifted else f"2n = {2 * n}"
             raise ValueError(f"{'Hs' if shifted else 'H'}_{n} needs "
                              f"{need} <= m = {self.seq.m}")
 
     def factor(self, k):
         """The factor of H_k under ``seq.tol``: its PSD verdict, rank,
-        eigenvalues and null basis, and its pseudo-inverse on demand.
-        Below a factored H_j flagged ``pd`` (Cauchy interlacing), or where
-        one Cholesky certifies it (``_positive_definite``), H_k is
-        ``HermitianFactor.definite``, with no eigh.  No certificate is
-        tried below a factored H_j of rank under N_k, which bounds the
-        rank of its leading block H_k."""
-        def compute():
-            H, tol = self.H[k], self.seq.tol
-            above = [self._memo[("factor", j)] for j in range(
-                k + 1, len(self.H)) if ("factor", j) in self._memo]
-            if any(f.pd for f in above) or (
-                    all(f.rank >= len(H) for f in above)
-                    and _positive_definite(H, tol)):
-                return HermitianFactor.definite(H, tol)
-            return HermitianFactor(H, tol)
-        return self._once(("factor", k), compute)
+        eigenvalues and null basis, and its pseudo-inverse on demand."""
+        return self._once(("factor", k),
+                          lambda: HermitianFactor(self.H[k], self.seq.tol))
 
     def nonnegative(self):
-        """Membership of the sequence in class H>=, read top down."""
-        return all(self.factor(k).psd for k in reversed(range(len(self.H))))
+        """Membership of the sequence in class H>=."""
+        return all(self.factor(k).psd for k in range(len(self.H)))
 
     def extendable(self):
         """Membership of the sequence in class H>=,e."""
@@ -342,12 +330,10 @@ def _range_basis(data, n):
     the r_k = rank H_k - rank H_{k-1} left singular vectors of P that lie
     least in its range; a nonsingular H_k has an empty P and gives I_q,
     with no SVD, and a P of at least q columns takes the thin SVD, whose
-    U is square.  The factors are asked top down, so a definite H_n
-    certifies the levels below it.
+    U is square.
     """
     q = data.q
-    ranks = [data.factor(k).rank for k in reversed(range(n + 1))]
-    ranks = np.diff(ranks[::-1], prepend=0)
+    ranks = np.diff([data.factor(k).rank for k in range(n + 1)], prepend=0)
     if not all(0 <= r <= q for r in ranks):
         raise ValueError(f"block ranks {ranks.tolist()} of the Dubovoj "
                          f"basis must lie in 0..{q}")

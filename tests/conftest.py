@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from stieltjesmp import AtomicMeasure, HankelData, MomentSequence, \
-    StieltjesPair, lift_pair, matcore, moments_of, momentseq
+    StieltjesPair, lift_pair, matcore, moments_of
 from stieltjesmp.momentseq import block_hankel, stack_y
 
 from identities import first_column_embedding, last_column_embedding, \
@@ -132,13 +132,13 @@ def rng():
 @pytest.fixture
 def factor_calls(monkeypatch):
     """Counter of the factorizations of each Hankel matrix, keyed by the
-    kind (``"cholesky"``, the certificate ``_positive_definite`` of
-    ``HankelData.factor``, or ``"eigh"``) and the matrix factored (shape
-    and bytes), for checks that nothing is factored twice.  A call made
-    for a ``HermitianFactor`` or a certificate (through the name
-    ``momentseq`` binds) counts for the matrix it was asked about, not for
-    the scaled copy LAPACK gets, which two Hankel matrices equal up to a
-    diagonal scaling (H and Hs of a single atom) share."""
+    kind (``"cholesky"``, the certificate every ``HermitianFactor`` tries,
+    or ``"eigh"``) and the matrix factored (shape and bytes), for checks
+    that nothing is factored twice.  A call made for a ``HermitianFactor``,
+    when it is built or when a certified one first reads its ``w``, counts
+    for the matrix it was asked about, not for the scaled copy
+    LAPACK gets, which two Hankel matrices equal up to a diagonal scaling
+    (H and Hs of a single atom) share."""
     calls = collections.Counter()
     building = []
 
@@ -149,11 +149,11 @@ def factor_calls(monkeypatch):
             return call(a, *args, **kwargs)
         return counted
 
-    def tracking(call, at):     # the matrix is argument ``at`` of call
-        def tracked(*args, **kwargs):
-            building.append(_matrix_key(args[at]))
+    def tracking(call, matrix):     # matrix(self, *args) is the one asked
+        def tracked(self, *args, **kwargs):
+            building.append(_matrix_key(matrix(self, *args)))
             try:
-                return call(*args, **kwargs)
+                return call(self, *args, **kwargs)
             finally:
                 building.pop()
         return tracked
@@ -161,11 +161,24 @@ def factor_calls(monkeypatch):
     for name in ("eigh", "cholesky"):
         monkeypatch.setattr(np.linalg, name,
                             counting(name, getattr(np.linalg, name)))
-    monkeypatch.setattr(matcore.HermitianFactor, "__init__",
-                        tracking(matcore.HermitianFactor.__init__, 1))
-    monkeypatch.setattr(momentseq, "_positive_definite",
-                        tracking(momentseq._positive_definite, 0))
+    factor = matcore.HermitianFactor
+    monkeypatch.setattr(factor, "__init__",
+                        tracking(factor.__init__, lambda self, A, *_: A))
+    # the eigh a certified factor takes when its w is first read
+    monkeypatch.setattr(factor, "_eigh", tracking(
+        factor._eigh, lambda self: self._source[0]))
     return calls
+
+
+def eigh_factor(monkeypatch, A, tol):
+    """``HermitianFactor(A, tol)`` on its eigh path, taken as where the
+    Cholesky certificate fails: here every Cholesky raises."""
+    def failing(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("the certificate is switched off")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "cholesky", failing)
+        return matcore.HermitianFactor(A, tol)
 
 
 def _matrix_key(a):
@@ -174,28 +187,21 @@ def _matrix_key(a):
 
 
 def hankel_factor_counts(seq, n=None, witness=False):
-    """The ``factor_calls`` of work that factors the Hankel matrices of
-    ``seq`` and of its shift top down, each at most once: a Cholesky
-    certificate, and an eigh where it fails (``certified_hankel``), an
-    eigh alone below a level of rank under N_k (``hankel_rank``), and
-    nothing below a positive definite one (``definite_hankel``); with
-    ``witness``, also the eigh that the pseudo-inverse of the canonical
-    witness extension takes of its level where that level has none; with
-    ``n`` given, also the one plain ``eigh`` of each Hankel corner (H_n
-    and Hs_n) that Potapov reports read."""
+    """The ``factor_calls`` of work that factors every Hankel matrix of
+    ``seq`` and of its shift once: one Cholesky certificate where no
+    diagonal entry is at the equilibration cutoff, and one eigh where the
+    certificate fails (``certified_hankel``); with ``witness``, also the
+    eigh that the pseudo-inverse of the canonical witness extension takes
+    of its level where that level has none; with ``n`` given, also the one
+    plain ``eigh`` of each Hankel corner (H_n and Hs_n) that Potapov
+    reports read."""
     data = HankelData(seq)
     out = collections.Counter()
-    for ladder in (data.H, data.shift.H):
-        rank = np.inf           # the least rank of the levels above
-        for H in reversed(ladder):
-            if rank >= len(H):
-                out[("cholesky",) + _matrix_key(H)] += 1
-                if certified_hankel(H, seq.tol):
-                    break
+    for H in (*data.H, *data.shift.H):
+        if _equilibrated_spectrum(H, seq.tol) is not None:
+            out[("cholesky",) + _matrix_key(H)] += 1
+        if not certified_hankel(H, seq.tol):
             out[("eigh",) + _matrix_key(H)] += 1
-            rank = min(rank, hankel_rank(H, seq.tol))
-            if definite_hankel(H, seq.tol):
-                break
     if witness and seq.m:
         key = ("eigh",) + _matrix_key(data.H[(seq.m + 1) // 2 - 1])
         out[key] = max(out[key], 1)
@@ -213,26 +219,6 @@ def _equilibrated_spectrum(H, tol):
     if not d.min() > tol.tol_rank * d.max():
         return None
     return np.linalg.eigvalsh(H / np.sqrt(np.outer(d, d)))
-
-
-def hankel_rank(H, tol):
-    """The rank of ``HermitianFactor(H, tol)``, read from ``eigvalsh``
-    of its D H D, with a diagonal entry at the cutoff scaled by the
-    largest."""
-    d = np.abs(np.diagonal(H))
-    dmax = d.max() or 1.0
-    D = 1.0 / np.sqrt(np.where(d > tol.tol_rank * dmax, d, dmax))
-    w = np.linalg.eigvalsh(D[:, None] * H * D)
-    return matcore._rank(np.abs(w), tol)
-
-
-def definite_hankel(H, tol):
-    """Whether ``H`` is positive definite with no diagonal entry at the
-    equilibration cutoff and every eigenvalue of the equilibrated
-    D H D above ``tol_rank`` times the largest, so that each leading
-    block of it is too."""
-    w = _equilibrated_spectrum(H, tol)
-    return w is not None and bool(w.min() > tol.tol_rank * w.max())
 
 
 def certified_hankel(H, tol):

@@ -50,6 +50,19 @@ def test_json_round_trip():
     assert np.array_equal(json_to_matrix(matrix_to_json(M)), M)
     with pytest.raises(ValueError):
         json_to_matrix([])
+    # Rows of different lengths form no matrix: the reader names the
+    # field, not NumPy's "inhomogeneous shape".
+    with pytest.raises(ValueError, match=r"^moments\[0\]: rows of different "
+                       "lengths form no matrix$"):
+        json_to_matrix([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]], "moments[0]")
+
+
+def test_a_negative_level_is_refused_by_name(tmp_path, capsys):
+    assert main(["classify", moment_file(tmp_path, [1, 1, 2, 4]),
+                 "--n", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == "error: level n = -1 is negative\n"
 
 
 def test_cmd_check_exit_codes(tmp_path, capsys):
@@ -415,13 +428,17 @@ def _document(kind):
                  "digits is not a finite number", id="q-10^400"),
     pytest.param("measure", ["atoms", 0, "t"], -10 ** 400, "t: an integer "
                  "of 401 digits is not a finite number", id="t--10^400"),
+    pytest.param("moments", ["moments", 0], [[[1.0, 0.0]], []],
+                 "moments[0]: rows of different lengths form no matrix",
+                 id="ragged-moment"),
 ])
 def test_json_readers_refuse_booleans_and_fractional_sizes(
         tmp_path, capsys, kind, path, value, message):
     # Python counts true as the integer 1, int() truncates 1.9 to 1,
     # float() reads the string "0.5" and json reads 10^400 as an int that
     # float() overflows on; a file that says any of these is refused, not
-    # read as a number.
+    # read as a number, and so is a matrix of ragged rows, which NumPy
+    # refuses without naming the field.
     doc = _document(kind)
     node = doc
     for key in path[:-1]:

@@ -9,14 +9,13 @@ from stieltjesmp.matcore import (
     DEFAULT_TOL,
     HermitianFactor,
     ToleranceConfig,
-    _positive_definite,
     hermitize,
     right_divide,
 )
 from stieltjesmp.momentseq import HankelData, dubovoj_candidates
 from stieltjesmp.stieltjespairs import AtomicMeasure, moments_of
 
-from conftest import WEIGHT_PATTERNS, atomic_fixture, random_psd
+from conftest import WEIGHT_PATTERNS, atomic_fixture, eigh_factor, random_psd
 from identities import is_dubovoj, is_hermitian, is_psd, ladder_basis, \
     ladder_ranks, mrank, null_space, one_two_inverse, pseudo_inverse, \
     range_included, right_divide_three_norms, schur_ladder, shift_matrix
@@ -291,7 +290,7 @@ def test_hermitian_factor_matches_svd_oracles(seed):
     X = pseudo_inverse(A)
     assert np.linalg.norm(f.pinv() - X) <= 1e-8 * (1.0 + np.linalg.norm(X))
     # The factor keeps what its verdicts read and forms no inverse.
-    assert sorted(vars(f)) == ["_kept", "null", "pd", "psd", "rank", "w"]
+    assert sorted(vars(f)) == ["_kept", "null", "psd", "rank", "w"]
     S = np.diag(10.0 ** rng.uniform(-2, 2, size=p))
     g = HermitianFactor(S @ A @ S)
     assert g.psd and g.rank == r
@@ -302,14 +301,18 @@ def test_hermitian_factor_matches_svd_oracles(seed):
 
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, ToleranceConfig(
     tol_rank=1e-16)], ids=["default", "tol_rank=1e-16"])
-def test_the_cholesky_certificate_never_disagrees_with_eigh(tol):
-    # A matrix that _positive_definite certifies has the verdicts of its
-    # own eigh: rank N, psd, pd and an empty null basis.  B = (1 - rho) I
-    # + rho J has a unit diagonal, lambda_min = 1 - rho and lambda_max =
-    # 1 + (N - 1) rho; it is put at lambda_min = k c for the shift
-    # c = (2 tol_rank + (N + 1)^2 eps) N, N = tr B, and scaled by a complex
-    # diagonal (moduli within 1e4 of each other, above the cutoff), which
-    # the equilibration undoes.  Certified at k >= 2, refused at k = 0.5.
+def test_the_cholesky_certificate_never_disagrees_with_eigh(
+        monkeypatch, tol):
+    # A matrix that the Cholesky certificate passes (its factor has no w
+    # until it is read) has the verdicts of its own eigh: rank N, psd,
+    # every eigenvalue positive and an empty null basis, and its w and
+    # pinv() are those of the factor forced onto the eigh path, bit for
+    # bit.  B = (1 - rho) I + rho J has a unit diagonal, lambda_min =
+    # 1 - rho and lambda_max = 1 + (N - 1) rho; it is put at lambda_min =
+    # k c for the shift c = (2 tol_rank + (N + 1)^2 eps) N, N = tr B, and
+    # scaled by a complex diagonal (moduli within 1e4 of each other, above
+    # the cutoff), which the equilibration undoes.  Certified at k >= 2,
+    # refused at k = 0.5.
     rng = np.random.default_rng(11)
     want_at = {0.5: False, 2.0: True, 4.0: True, 100.0: True}
     cases = [(np.array([[2.0]]), True), (np.array([[-2.0]]), False),
@@ -324,17 +327,22 @@ def test_the_cholesky_certificate_never_disagrees_with_eigh(tol):
                 2j * np.pi * rng.uniform(size=N))
             cases.append((S[:, None] * B * S.conj(), want_at.get(k)))
         # indefinite inside the PSD margin, with N - 1 eigenvalues
-        # -tol_psd / 2: psd, not pd
+        # -tol_psd / 2: psd, not positive definite
         B = -0.5 * tol.tol_psd * np.eye(N) + (1 + 0.5 * tol.tol_psd) * \
             np.ones((N, N))
         assert HermitianFactor(B, tol).psd
         cases.append((B, False))
     for A, want in cases:
-        f, got = HermitianFactor(A, tol), _positive_definite(A, tol)
+        f, own = HermitianFactor(A, tol), eigh_factor(monkeypatch, A, tol)
+        got = "w" not in vars(f)
         assert want is None or got == want
         if got:
-            assert (f.rank, f.psd, f.pd, f.null.shape) == (
-                len(A), True, True, (len(A), 0))
+            assert (f.rank, f.psd, f.null.shape) == (
+                own.rank, own.psd, own.null.shape) == (
+                len(A), True, (len(A), 0))
+            assert own.w.min() > 0
+            assert np.array_equal(f.w, own.w)
+            assert np.array_equal(f.pinv(), own.pinv())
 
 
 @settings(max_examples=40, deadline=None)

@@ -26,8 +26,8 @@ from stieltjesmp.resolvent import MatrixPolynomial, build_resolvent
 from stieltjesmp.solver import classify
 
 from conftest import WEIGHT_PATTERNS, _matrix_key, atomic_fixture, \
-    certified_hankel, hankel_factor_counts, kge_fixtures, ljapunov_data, \
-    random_hermitian_sequence, scalar_seq
+    certified_hankel, eigh_factor, hankel_factor_counts, kge_fixtures, \
+    ljapunov_data, random_hermitian_sequence, scalar_seq
 from identities import block_hankel_by_blocks, extended, \
     first_column_embedding, is_dubovoj, is_psd, ladder_basis, ladder_ranks, \
     last_column_embedding, mrank, projector_distance, range_included, \
@@ -42,6 +42,9 @@ def test_moment_sequence_validation():
         MomentSequence(0.0, 2, [np.array([[0.0, 1.0], [0.0, 0.0]])])
     with pytest.raises(ValueError, match="moment s_0 must be 2 x 2"):
         MomentSequence(0.0, 2, [[[1.0, 0.0, 0.0, 1.0]]])
+    with pytest.raises(ValueError,
+                       match="^moment s_0 forms no array of numbers$"):
+        MomentSequence(0.0, 2, [[[1, 0], [0]]])
     for alpha in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="alpha must be finite"):
             MomentSequence(alpha, 1, [[[1.0]]])
@@ -78,9 +81,12 @@ def test_hankel_catalog_examples():
     assert len(d.H) == 3 and len(d.shift.H) == 2
     d.check_level(2)
     d.check_level(1, shifted=True)
-    for n, shifted in ((3, False), (2, True), (-1, False), (-1, True)):
+    for n, shifted in ((3, False), (2, True)):
         with pytest.raises(ValueError, match="needs 2n"):
             d.check_level(n, shifted)
+    for shifted in (False, True):
+        with pytest.raises(ValueError, match="level n = -1 is negative"):
+            d.check_level(-1, shifted)
     assert np.shares_memory(d.H[0], d.H[2])
     assert np.allclose(d.shift.H[1], np.ones((2, 2)))
     assert d.factor(1) is d.factor(1)
@@ -474,23 +480,27 @@ def _definite_ladder_cases(q, pattern):
 @pytest.mark.parametrize("pattern", sorted(WEIGHT_PATTERNS))
 @pytest.mark.parametrize("q", [1, 2, 4, 8])
 def test_a_level_below_a_definite_one_has_the_verdicts_of_its_own_eigh(
-        q, pattern):
+        monkeypatch, q, pattern):
     # Asked top down, bottom up or in a shuffled order, every level's
-    # rank, PSD verdict, definite flag and null dimension equal those of
-    # a factor of H_k alone; a factor read from a definite level above,
-    # or certified by a Cholesky, takes its eigh only when w or pinv() is
-    # read, and then agrees bit for bit.
+    # factor is the same, whichever levels were asked before it: its path
+    # (certified or not), rank, PSD verdict and null basis, bit for bit.
+    # Each has the verdicts and null basis of the factor of H_k forced onto
+    # the eigh path; a certified one takes its eigh only when w or pinv()
+    # is read, and then agrees with that factor bit for bit.
     rng = np.random.default_rng(q)
     for seq, n in _definite_ladder_cases(q, pattern):
         levels = list(range(n + 1))
+        first = {}
         for order in (levels[::-1], levels, list(rng.permutation(levels))):
             data = HankelData(seq)
             for d in (data, data.shift):
                 got = {k: d.factor(k) for k in order}
                 for k, f in got.items():
-                    own = HermitianFactor(d.H[k], seq.tol)
-                    assert (f.rank, f.psd, f.pd, f.null.shape) == (
-                        own.rank, own.psd, own.pd, own.null.shape)
+                    seen = ("w" in vars(f), f.rank, f.psd, f.null.tobytes())
+                    assert first.setdefault((d is data, k), seen) == seen
+                    own = eigh_factor(monkeypatch, d.H[k], seq.tol)
+                    assert (f.rank, f.psd) == (own.rank, own.psd)
+                    assert np.array_equal(f.null, own.null)
                     assert np.array_equal(f.w, own.w)
                     assert np.array_equal(f.pinv(), own.pinv())
 
@@ -498,9 +508,9 @@ def test_a_level_below_a_definite_one_has_the_verdicts_of_its_own_eigh(
 @pytest.mark.parametrize("pattern", sorted(WEIGHT_PATTERNS))
 @pytest.mark.parametrize("q", [1, 2, 4, 8])
 def test_definite_data_takes_no_eigh(monkeypatch, factor_calls, q, pattern):
-    # classify and build_resolvent certify H_n and Hs_n by one Cholesky
-    # each, and each level below is read from them: no eigh, and no SVD
-    # of a zero defect product, of an empty block or of an identity.
+    # classify and build_resolvent certify every H_k and Hs_k, k <= n, by
+    # one Cholesky each: no eigh, and no SVD of a zero defect product, of
+    # an empty block or of an identity.
     wasted, svd = [], np.linalg.svd
 
     def recording_svd(a, *args, **kwargs):
@@ -515,12 +525,11 @@ def test_definite_data_takes_no_eigh(monkeypatch, factor_calls, q, pattern):
         data = seq.hankel()
         report = classify(seq, n)
         build_resolvent(seq, n)
-        if certified_hankel(data.H[n], seq.tol) and \
-                certified_hankel(data.shift.H[n], seq.tol):
+        ladders = (*data.H, *data.shift.H)
+        if all(certified_hankel(H, seq.tol) for H in ladders):
             assert report.case == "NonDegenerate" and not any(wasted)
             assert factor_calls == collections.Counter(
-                ("cholesky",) + _matrix_key(H)
-                for H in (data.H[n], data.shift.H[n]))
+                ("cholesky",) + _matrix_key(H) for H in ladders)
             certified += 1
     assert certified == 12 or pattern in ("fewatoms", "rankdef")
 
@@ -557,8 +566,9 @@ def test_definite_data_takes_one_eigh_per_ladder(factor_calls, q, pattern):
 
 def test_a_full_rank_top_with_a_negative_eigenvalue_is_not_definite():
     # H_1 has full rank and passes the PSD margin, but one eigenvalue of
-    # its D H D is -3e-10: it is not positive definite, so its singular
-    # leading block s_0 = [[1, 1], [1, 1]] is factored, not read from it.
+    # its D H D is -3e-10: it is not positive definite, so the certificate
+    # fails and its eigh is taken, and its singular leading block
+    # s_0 = [[1, 1], [1, 1]] has the rank and null space of its own.
     J = np.ones((2, 2))
     data = HankelData(MomentSequence(0.0, 2, [
         J, J + 3e-5 * np.diag([1.0, -1.0]), 2 * J + np.eye(2)]))

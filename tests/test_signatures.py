@@ -354,3 +354,37 @@ def test_the_potapov_report_is_one_pass():
                 and getattr(node.value, "id", None) == "potapov":
             private.add(node.attr)
     assert private == {"_coupling", "_IM_GUARD"}
+
+
+def test_a_hankel_factor_is_decided_by_its_own_matrix():
+    # How a Hankel level is factored (one Cholesky certificate, or one eigh
+    # where it fails) is decided inside ``HermitianFactor`` from the matrix
+    # alone: only matcore calls a Cholesky, the factor carries no
+    # positive-definite flag or second constructor, momentseq imports no
+    # underscore name of matcore, and ``HankelData.factor`` reads no memo
+    # entry but its own, so no level is factored from another.
+    src = Path(solver.__file__).parent
+    callers = {path.name for path in src.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "cholesky"}
+    assert callers == {"matcore.py"}
+    factor = stieltjesmp.matcore.HermitianFactor
+    assert not {"definite", "pd"} & set(vars(factor))
+    assert not hasattr(factor(np.eye(2)), "pd")
+    assert not hasattr(stieltjesmp.matcore, "_positive_definite")
+    tree = ast.parse((src / "momentseq.py").read_text())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[-1] == "matcore"
+                for alias in node.names]
+    assert "HermitianFactor" in imported
+    assert not [name for name in imported if name.startswith("_")]
+    method, = [fn for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               and cls.name == "HankelData" for fn in cls.body
+               if isinstance(fn, ast.FunctionDef) and fn.name == "factor"]
+    assert not [node for node in ast.walk(method)
+                if isinstance(node, ast.Attribute) and node.attr == "_memo"]
+    keys = [ast.unparse(node.args[0]) for node in ast.walk(method)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "_once"]
+    assert keys == ["('factor', k)"]

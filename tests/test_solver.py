@@ -1400,3 +1400,15 @@ def test_a_level_the_sequence_lacks_is_refused(name, odd):
     seq = moments_of(_LEVEL_MU, 2 * n - 1 + odd)
     with pytest.raises(ValueError, match=r"needs 2n(\+1)? = \d+ <= m"):
         _LEVEL_CALLS[name][1](seq, n, 2 * n + odd)
+
+
+@pytest.mark.parametrize("name", [
+    "potapov_report", "verify_solution_measure", "verify_solution_function",
+    "pair_in_restricted_class", "classify", "build_resolvent",
+    "dubovoj_candidates", "unique_solution"])
+def test_a_negative_level_is_refused_by_name(name):
+    # The refusal says that the level is negative, not a condition on the
+    # moments that a negative level meets.
+    seq = moments_of(_LEVEL_MU, 3)
+    with pytest.raises(ValueError, match="^level n = -1 is negative$"):
+        _LEVEL_CALLS[name][1](seq, -1, -1)

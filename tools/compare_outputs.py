@@ -44,7 +44,7 @@ classification must be bit-identical too.
 
 For ``parametrize`` and ``verify_dense`` it also prints, per tree, the
 ``np.linalg.eigh``, ``np.linalg.svd`` and ``np.linalg.cholesky`` calls
-(the last the certificate of a positive definite Hankel matrix) of one
+(the last the Cholesky certificate that every Hankel factor tries) of one
 pass of the workload as ``perfbench/workloads.py`` runs it (``run`` over
 its items, no output kept; this first pass also builds the workload's
 parameter pairs), reported and not judged.
