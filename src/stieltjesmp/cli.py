@@ -161,7 +161,7 @@ def cmd_solve(args, tol):
     for z, entry in zip(points, entries):
         try:
             val = S(z)
-        except ValueError as exc:   # a singular denominator or an atom of f
+        except ValueError as exc:   # a singular denominator or an atom
             entry["singular"] = str(exc)
             continue
         entry["S"] = jsonio.matrix_to_json(val)

@@ -50,6 +50,10 @@ def matrix_to_json(M):
 def json_to_matrix(rows, where="matrix"):
     if not isinstance(rows, list) or not rows:
         raise ValueError(f"{where}: expected a non-empty array of rows")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise ValueError(f"{where}: row {i} is {json.dumps(row)}, "
+                             "not an array")
     data = [[json_to_complex(x, where) for x in row] for row in rows]
     if len({len(row) for row in data}) > 1:
         raise ValueError(f"{where}: rows of different lengths form no matrix")

@@ -149,7 +149,8 @@ class HankelData:
     too, with Hankel data of its own, :attr:`shift`.  Factors, class
     verdicts and the canonical witness extension (read-only), and per level
     the defects of ``classify`` (read from the null bases of ``factor(n)``
-    and ``shift.factor(n)``) and the parts of ``build_resolvent``, are
+    and ``shift.factor(n)``), the parts of ``build_resolvent`` and the
+    Gauss rule of ``unique_solution``, are
     computed when first asked for and kept in one memo (``_once``); the
     library reaches this object through :meth:`MomentSequence.hankel` only,
     and the matrices are read-only.  Readers of level n call

@@ -6,7 +6,8 @@ two defect subspaces, lifts low-dimensional parameter pairs into the
 full-size degenerate structure, decides from the defect subspaces
 whether a pair is in the restricted class, forms the linear fractional
 transformation of the resolvent matrix that produces solutions of the
-truncated moment problem, and verifies candidate solutions.
+truncated moment problem, reads the one solution of completely
+degenerate data from its Gauss rule, and verifies candidate solutions.
 """
 
 import cmath
@@ -26,12 +27,13 @@ from .matcore import (
 )
 from .momentseq import HankelData, resolvent_column
 from .potapov import potapov_report
-from .resolvent import MatrixPolynomial, build_resolvent, standard_grid
+from .resolvent import MatrixPolynomial, standard_grid
 from .stieltjespairs import (
     _SLIT_GUARD,
     AtomicMeasure,
     StieltjesPair,
     moments_of,
+    transform,
 )
 
 # Below it, z^j stays under 1e300 to deg Theta = 12 (n = 11); from it on, a
@@ -188,8 +190,7 @@ class SolutionFunction:
         a NaN point one saying that it is not finite.  A point with |z| >=
         ``_FAR`` takes z^-d N(z), which has the same S."""
         if not isinstance(z, (complex, float, int)) and np.ndim(z):
-            return np.array([self(w) for w in np.ravel(z)], dtype=complex
-                            ).reshape(np.shape(z) + (self.q, self.q))
+            return _each_point(self, z)
         P, z = self._P, complex(z)
         if abs(z) < _FAR:
             N = (z ** P._exps @ P._flat).reshape(P.shape)
@@ -208,6 +209,13 @@ class SolutionFunction:
         if not ok:
             raise ValueError(f"singular LFT denominator at z = {z}")
         return S
+
+
+def _each_point(S, z):
+    """S at each point of an array z (any shape) in turn, a z.shape + (q, q)
+    stack: bit for bit S at each point alone."""
+    return np.array([S(w) for w in np.ravel(z)], dtype=complex).reshape(
+        np.shape(z) + (S.q, S.q))
 
 
 def _affine_parts(p):
@@ -287,19 +295,51 @@ def lft_solution(R, p, seq=None, n=None):
 def unique_solution(seq, n):
     """The single solution in the completely degenerate case.
 
-    Classification must yield r = 0; the parameter is then forced to the
-    fixed constant pair and the LFT collapses to a unique rational
-    function.  The report and the resolvent are assembled from the memo
-    of the sequence's Hankel data, so while the caller holds a result
-    that keeps the data alive, nothing is classified or built twice.
+    Classification must yield r = 0 and the sequence be in K>=e; the
+    solution is then the transform of the Gauss rule of H_n, kept in the
+    memo of the sequence's Hankel data, which the result holds: while it
+    lives, nothing is classified or built twice.  No resolvent is built
+    and no LFT is formed.
     """
     report = classify(seq, n)
     if report.case != "CompletelyDegenerate":
         raise ValueError("unique_solution needs the completely degenerate "
                          f"case, got {report.case}")
-    R = build_resolvent(seq, n)
-    pair = lift_pair(report)
-    return SolutionFunction(R, pair)
+    data = report.data
+    return _RuleTransform(data._once(("unique", n),
+                                     lambda: _gauss_rule(data, n)), data)
+
+
+def _gauss_rule(data, n):
+    """The block Gauss rule of H_n on range(H_n) (Sinap and Van Assche,
+    J. Comput. Appl. Math. 66, 1996), refused outside K>=e.  B, the kept
+    D-scaled eigenvectors of H_n's factor over sqrt(w), has B* H_n B = I;
+    with B* Hs_n B = Y diag(u) Y*, the atoms are alpha + max(u, 0) (Hs_n
+    is PSD: a negative u is rounding, which would put an atom at alpha
+    below it), with the weights g_k g_k*, g_k the columns of H_n[:q] B Y.
+    """
+    if not data.in_Kgeq_e():
+        raise ValueError("sequence is not Stieltjes-extendable (not in K>=e)")
+    f, q, seq = data.factor(n), data.q, data.seq
+    B = f._kept / np.sqrt(f.w[:f.rank])
+    u, Y = np.linalg.eigh(B.conj().T @ data.shift.H[n] @ B)
+    G = (data.H[n][:q] @ B @ Y).T
+    return AtomicMeasure(seq.alpha, q, zip(seq.alpha + np.maximum(u, 0.0),
+                                           G[:, :, None] * G[:, None].conj()),
+                         seq.tol)
+
+
+class _RuleTransform:
+    """The unique solution S(z) = transform(measure, z), holding the Hankel
+    data ``data``; an array of points (any shape) is S at each in turn."""
+
+    def __init__(self, measure, data):
+        self.measure, self.data, self.q = measure, data, measure.q
+
+    def __call__(self, z):
+        if not isinstance(z, (complex, float, int)) and np.ndim(z):
+            return _each_point(self, z)
+        return transform(self.measure, z)
 
 
 def recover_s0(S):

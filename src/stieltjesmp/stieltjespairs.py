@@ -86,15 +86,23 @@ def transform(mu, z):
     point (q x q) or at an array of points (a z.shape + (q, q) stack):
     one product of the reciprocals 1 / (t - z) with the weights.
 
-    A point within the slit guard of an atom raises ``ValueError``
-    naming the first such point, and for it the first such atom.
+    A point that is not finite, or within the slit guard of an atom,
+    raises ``ValueError`` naming the first such point, and for a point
+    near the slit the first such atom.
     """
     z = np.asarray(z, dtype=complex)
     d = mu.positions - z[..., None]          # t - z, per point and atom
     dist = np.abs(d)
-    if dist.min(initial=np.inf) <= _SLIT_GUARD:   # inf: no atom, no point
-        point, atom = divmod(np.argmax(dist <= _SLIT_GUARD), d.shape[-1])
-        raise _on_atom(complex(z.flat[point]), mu.atoms[atom][0])
+    finite = np.isfinite(z)
+    # inf: no atom, no point; a NaN point has NaN distances
+    if not finite.all() or dist.min(initial=np.inf) <= _SLIT_GUARD:
+        near = (dist <= _SLIT_GUARD).reshape(z.size, d.shape[-1])
+        point = np.argmax(near.any(axis=1) | ~finite.ravel())
+        if not finite.flat[point]:
+            raise ValueError(f"point z = {complex(z.flat[point])} is not "
+                             "finite")
+        raise _on_atom(complex(z.flat[point]), mu.atoms[np.argmax(
+            near[point])][0])
     q = mu.q
     return (np.reciprocal(d) @ mu.weights.reshape(-1, q * q)).reshape(
         z.shape + (q, q))

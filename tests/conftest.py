@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from stieltjesmp import AtomicMeasure, HankelData, MomentSequence, \
-    StieltjesPair, lift_pair, matcore, moments_of
+    StieltjesPair, build_resolvent, classify, lft_solution, lift_pair, \
+    matcore, moments_of
 from stieltjesmp.momentseq import block_hankel, stack_y
 
 from identities import first_column_embedding, last_column_embedding, \
@@ -122,6 +123,14 @@ def canonical_pair(report):
     r = report.r
     return lift_pair(report, StieltjesPair.constant(np.zeros((r, r)),
                                                     np.eye(r)))
+
+
+def fixed_pair_lft(seq, n):
+    """The unique solution of completely degenerate data as the LFT of the
+    fixed pair of ``lift_pair``: the reference ``unique_solution`` is
+    checked against, and an LFT whose singular points are known (S = -1/z
+    for ``scalar_seq([1, 0])`` at level 0, singular at 0)."""
+    return lft_solution(build_resolvent(seq, n), lift_pair(classify(seq, n)))
 
 
 @pytest.fixture(scope="session")

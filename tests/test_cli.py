@@ -187,7 +187,8 @@ def test_cmd_solve_flags_singular_point(tmp_path, capsys):
 
 
 def test_cmd_solve_reports_each_point(tmp_path, capsys):
-    # S(z) = -1/z: singular at 1e-18, finite but not off R at 3.
+    # S(z) = -1/z, the transform of the atom 0: 1e-18 is on it, and 3 is
+    # finite but not off R.
     code, doc = run(capsys, ["solve", moment_file(tmp_path, [1, 0]),
                              "--n", "0", "--points", "1j,1e-18,2j,3,1j"])
     assert code == 0
@@ -196,7 +197,8 @@ def test_cmd_solve_reports_each_point(tmp_path, capsys):
     assert good == again
     assert np.allclose(other["S"], [[[0.0, 0.5]]])
     assert set(singular) == {"z", "singular"}
-    assert "singular LFT denominator" in singular["singular"]
+    assert singular["singular"] == \
+        "evaluation point (1e-18+0j) coincides with atom 0.0"
     assert set(real) == {"z", "S"}
     assert np.allclose(real["S"], [[[-1.0 / 3.0, 0.0]]])
 
@@ -225,24 +227,31 @@ def test_cmd_solve_at_a_real_point_gives_s_and_no_singular_key(tmp_path,
 
 def test_cmd_solve_evaluates_once_over_the_points(tmp_path, capsys,
                                                   monkeypatch):
-    # S is called once per point, through its public call, and one
-    # Potapov report covers the points off R that got an S; also when
-    # S(z) = -1/z is singular at one of them (1e-18), which gets the
-    # error the call raises, and when a point lies on an atom of f, which
-    # gets the error of the transform.
+    # S is called once per point, through its public call (the unique
+    # solution of completely degenerate data through the transform of its
+    # Gauss rule), and one Potapov report covers the points off R that
+    # got an S; also when S(z) = -1/z has its atom at one of them
+    # (1e-18), and when a point lies on an atom of f: each gets the
+    # error of the transform.
     from stieltjesmp import cli, solver
     points, reports = [], []
     call, report = solver.SolutionFunction.__call__, cli.potapov_report
+    transform = solver.transform
 
     def counting_call(self, z):
         points.append(z)
         return call(self, z)
+
+    def counting_transform(mu, z):
+        points.append(z)
+        return transform(mu, z)
 
     def counting_report(*args, **kwargs):
         reports.append(len(args[-1]))
         return report(*args, **kwargs)
 
     monkeypatch.setattr(solver.SolutionFunction, "__call__", counting_call)
+    monkeypatch.setattr(solver, "transform", counting_transform)
     monkeypatch.setattr(cli, "potapov_report", counting_report)
     code, doc = run(capsys, ["solve", moment_file(tmp_path, [1, 0]),
                              "--n", "0", "--points", "1j,2j,-1+0.5j,3-1j"])
@@ -255,7 +264,7 @@ def test_cmd_solve_evaluates_once_over_the_points(tmp_path, capsys,
     assert code == 0 and len(points) == 5 and reports == [4]
     assert doc["values"][0] == {
         "z": [1e-18, 0.0],
-        "singular": "singular LFT denominator at z = (1e-18+0j)"}
+        "singular": "evaluation point (1e-18+0j) coincides with atom 0.0"}
     assert all("sigma_min_even" in v for v in doc["values"][1:])
     points.clear(), reports.clear()
     pair = write_json(tmp_path / "pf.json", {
@@ -431,6 +440,11 @@ def _document(kind):
     pytest.param("moments", ["moments", 0], [[[1.0, 0.0]], []],
                  "moments[0]: rows of different lengths form no matrix",
                  id="ragged-moment"),
+    pytest.param("moments", ["moments"], [[1.0, 0.0]],
+                 "moments[0]: row 0 is 1.0, not an array",
+                 id="moment-without-rows"),
+    pytest.param("measure", ["atoms", 0, "weight", 0], 2.0,
+                 "weight: row 0 is 2.0, not an array", id="number-row"),
 ])
 def test_json_readers_refuse_booleans_and_fractional_sizes(
         tmp_path, capsys, kind, path, value, message):
@@ -438,7 +452,8 @@ def test_json_readers_refuse_booleans_and_fractional_sizes(
     # float() reads the string "0.5" and json reads 10^400 as an int that
     # float() overflows on; a file that says any of these is refused, not
     # read as a number, and so is a matrix of ragged rows, which NumPy
-    # refuses without naming the field.
+    # refuses without naming the field, and one whose row is a number,
+    # which Python refuses as not iterable.
     doc = _document(kind)
     node = doc
     for key in path[:-1]:

@@ -479,9 +479,9 @@ def test_build_resolvent_factors_each_matrix_once(factor_calls):
 
 
 def test_a_second_build_shares_the_parts_of_the_first(monkeypatch):
-    # While a resolvent holds the Hankel data, a second build (the one
-    # unique_solution makes) reads the parts of the first from it and
-    # forms no range subspace again.
+    # While a resolvent holds the Hankel data, a second build reads the
+    # parts of the first from it and forms no range subspace again; nor
+    # does the unique solution, which builds no resolvent.
     calls = []
     subspace = momentseq._range_basis
     monkeypatch.setattr(momentseq, "_range_basis",

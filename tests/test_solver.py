@@ -34,7 +34,8 @@ from stieltjesmp.stieltjespairs import (
 )
 
 from conftest import WEIGHT_PATTERNS, atomic_fixture, canonical_pair, \
-    delta, hankel_factor_counts, kge_fixtures, random_psd, scalar_seq
+    delta, fixed_pair_lft, hankel_factor_counts, kge_fixtures, random_psd, \
+    scalar_seq
 from identities import atomic_decomposition_residual, congruence_check, \
     exact_lft_value, fq_matrices, horner, pair_eval, potapov_matrix, \
     psi_polynomial, right_divide_three_norms, sigma_matrix, \
@@ -250,6 +251,12 @@ def test_unique_solution_examples():
         assert np.allclose(S2(z), np.diag([-1.0 / z, 0.0]), atol=1e-12)
     with pytest.raises(ValueError):
         unique_solution(scalar_seq([1, 1]), 0)
+    # completely degenerate, but s_1 meets null(H_0): not in K>=e
+    bad = MomentSequence(0.0, 2, [np.diag([1.0, 0.0]), np.diag([0.0, -1.0])])
+    assert classify(bad, 0).case == "CompletelyDegenerate"
+    with pytest.raises(ValueError, match=r"^sequence is not Stieltjes-"
+                       r"extendable \(not in K>=e\)$"):
+        unique_solution(bad, 0)
 
 
 def test_recover_s0_examples():
@@ -361,7 +368,7 @@ def test_classify_basis_independence():
 def test_solution_reports_singular_points():
     # A 0-d point, below the singularity bound or exactly singular, is
     # named as the first singular point of an array is.
-    S = unique_solution(scalar_seq([1, 0]), 0)   # S(z) = -1/z
+    S = fixed_pair_lft(scalar_seq([1, 0]), 0)   # S(z) = -1/z
     for z in (1e-18, 0.0, np.float64(0.0), np.array(1e-18 + 0j)):
         with pytest.raises(ValueError) as err:
             S(z)
@@ -370,7 +377,7 @@ def test_solution_reports_singular_points():
 
 
 def test_batch_with_singular_point_raises_as_scalar_loop():
-    S = unique_solution(scalar_seq([1, 0]), 0)   # S(z) = -1/z
+    S = fixed_pair_lft(scalar_seq([1, 0]), 0)   # S(z) = -1/z
     zs = [1j, -2.0 + 0.5j, 1e-18, 1e-19, 3j]
     with pytest.raises(ValueError) as scalar:
         [S(z) for z in zs]
@@ -391,7 +398,7 @@ def test_batch_with_singular_point_raises_as_scalar_loop():
 def test_exactly_singular_denominator_in_a_batch_names_the_first_point():
     # den(0) = 0 exactly, so ``inv`` refuses any stack holding it; the
     # error still names the first singular point in grid order.
-    S = unique_solution(scalar_seq([1, 0]), 0)   # S(z) = -1/z
+    S = fixed_pair_lft(scalar_seq([1, 0]), 0)   # S(z) = -1/z
     for zs, first in (([1j, 0.0, 2j], 0j), ([1j, 1e-18, 0.0], 1e-18 + 0j),
                       ([0.0, 1e-18], 0j)):
         with pytest.raises(ValueError) as err:
@@ -652,7 +659,7 @@ def test_a_second_call_shares_the_memo_and_does_no_work(monkeypatch):
     rebuilt = build_resolvent(seq, 1)
     assert rebuilt.theta is R.theta and \
         rebuilt.theta_tilde is R.theta_tilde
-    S = unique_solution(seq, 1)
+    S = fixed_pair_lft(seq, 1)
     assert S.resolvent.theta is R.theta
     assert work == {"_self_check": 1, "_defect_subspace": 2}
     for twin in (copy.copy(seq), pickle.loads(pickle.dumps(seq))):
@@ -734,10 +741,17 @@ def test_the_verify_pipeline_does_each_piece_of_work_once(
     assert verify_solution(seq, 1, mu)["valid"]
     assert verify_solution(seq, 1, S)["valid"]
     # Both verifications share one coupling per parity: beyond the
-    # factors, one plain eigh of H_1 and one of Hs_1.
+    # factors, one plain eigh of H_1 and one of Hs_1; the unique solution
+    # adds the one eigh of its Gauss rule, of size rank H_1.
     assert calls == {"_self_check": 1, "_reflexive_solve": 2,
                      "_coupling": 2}
-    assert factor_calls == hankel_factor_counts(seq, 1)
+    expected = hankel_factor_counts(seq, 1)
+    if case == "CompletelyDegenerate":
+        (key, count), = (factor_calls - expected).items()
+        rank = seq.hankel().factor(1).rank
+        assert key[:2] == ("eigh", (rank, rank)) and count == 1
+        expected[key] += 1
+    assert factor_calls == expected
 
 
 def test_only_the_witness_forms_a_pseudo_inverse(monkeypatch):
@@ -875,6 +889,75 @@ def test_unique_solution_matches_lft_of_lifted_pair():
                             1e-12 * np.linalg.norm(want)
                 unique += 1
     assert unique >= 10
+
+
+def _completely_degenerate(alpha):
+    """(mu, seq, n) of completely degenerate data at alpha: from
+    ``kge_fixtures`` and from ``atomic_fixture`` with rank-1 weights, one
+    atom, or one atom and an atom at alpha, for q <= 8 and n <= 3."""
+    cases = [(mu, seq, n) for mu, seq, n in kge_fixtures(72, seed=41)
+             if seq.alpha == alpha]
+    rng = np.random.default_rng(41)
+    for q, n in ((2, 0), (2, 3), (4, 1), (8, 1), (8, 2)):
+        for kw in ({"ranks": [1]}, {"natoms": 1},
+                   {"natoms": 1, "include_endpoint": True}):
+            cases.append(atomic_fixture(rng, q, n, alpha, **kw) + (n,))
+    return [(mu, seq, n) for mu, seq, n in cases
+            if classify(seq, n).case == "CompletelyDegenerate"]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, -1.0])
+def test_the_unique_solution_is_the_transform_near_and_far_from_r(alpha):
+    # The unique solution is the transform of the generating measure mu:
+    # near R and at 1e6j, 1e12j and 1e20j, where the LFT of the fixed pair
+    # loses digits in proportion to |z| and refuses points as singular,
+    # no point is refused and each value is within 1e-9 of transform(mu),
+    # with an atom at alpha too (ell > 0).  Over the points where that LFT
+    # evaluates, the largest error of the unique solution is no larger
+    # than the LFT's.
+    pts = [alpha + 0.3 + 1j, alpha - 2.0 + 0.1j, alpha + 1.0 + 1e-3j,
+           alpha + 5.0 - 2j, alpha - 0.5, 1e6j, 1e12j, 1e20j]
+    cases = _completely_degenerate(alpha)
+    worst = worst_lft = 0.0
+    for mu, seq, n in cases:
+        S, lft = unique_solution(seq, n), fixed_pair_lft(seq, n)
+        for z in pts:
+            want = transform(mu, z)
+            err = np.linalg.norm(S(z) - want) / np.linalg.norm(want)
+            assert err <= 1e-9
+            try:
+                got = lft(z)
+            except ValueError:
+                continue
+            worst = max(worst, err)
+            worst_lft = max(worst_lft, np.linalg.norm(got - want)
+                            / np.linalg.norm(want))
+    assert worst <= worst_lft
+    assert len(cases) >= 15
+    assert any(classify(seq, n).ell for _, seq, n in cases)
+
+
+def test_the_unique_solution_holds_its_data_and_builds_one_rule(
+        factor_calls):
+    # The unique solution holds the Hankel data, as every result does, so
+    # a second call reads the rule of the first from its memo and factors
+    # nothing; dropping both frees the data.  A NaN point is refused.
+    seq = atomic_fixture(np.random.default_rng(46), 4, 2, 0.5, natoms=1)[1]
+    S = unique_solution(seq, 2)
+    data = weakref.ref(S.data)
+    gc.collect()
+    assert seq.hankel() is S.data
+    factor_calls.clear()
+    again = unique_solution(seq, 2)
+    assert again is not S and again.measure is S.measure
+    assert not factor_calls
+    for z in (np.nan, np.array([1j, complex(np.nan, 1.0)])):
+        with pytest.raises(ValueError, match=r"^point z = \(nan\+.*\) is "
+                           "not finite$"):
+            S(z)
+    del S, again
+    gc.collect()
+    assert data() is None
 
 
 def _agrees_with_scalar_loop(fn, zs):
@@ -1017,12 +1100,12 @@ def test_an_atomless_measure_evaluates_at_a_point_and_an_array():
 
 
 def test_refusals_name_the_first_point_and_atom_for_every_shape():
-    # S = -1/z: singular at 1e-18 by the rule and at 0 exactly; the
-    # transform: 1.0 + 8e-13 lies within the slit guard of the atoms at
-    # 1.0 (the first) and at 1.0 + 1e-12 (the closest), and 2.0 on the
+    # The LFT S = -1/z: singular at 1e-18 by the rule and at 0 exactly;
+    # the transform: 1.0 + 8e-13 lies within the slit guard of the atoms
+    # at 1.0 (the first) and at 1.0 + 1e-12 (the closest), and 2.0 on the
     # atom 2.0.  Each refusal names the first offending point in the
     # order of z.ravel(), and for the slit the first atom near it.
-    S = unique_solution(scalar_seq([1, 0]), 0)
+    S = fixed_pair_lft(scalar_seq([1, 0]), 0)
     mu = AtomicMeasure(0.0, 1, [(1.0, [[1.0]]), (1.0 + 1e-12, [[1.0]]),
                                 (2.0, [[1.0]])])
     for bad, call, message in (
@@ -1074,15 +1157,15 @@ def test_a_function_pair_solution_refuses_a_point_on_an_atom_of_f():
 
 
 def _solutions_of_every_kind(count, seed):
-    """(kind, S, seq, atom) over ``kge_fixtures``: the unique solution,
-    the canonical constant pair and a pair on f = gamma + M_1 / (t_1 - z)
-    + M_2 / (t_2 - z), lifted where r < q; ``atom`` is t_1 for a pair on
-    f and None otherwise."""
+    """(kind, S, seq, atom) over ``kge_fixtures``: the unique solution as
+    the LFT of its fixed pair, the canonical constant pair and a pair on
+    f = gamma + M_1 / (t_1 - z) + M_2 / (t_2 - z), lifted where r < q;
+    ``atom`` is t_1 for a pair on f and None otherwise."""
     rng = np.random.default_rng(seed)
     for mu, seq, n in kge_fixtures(count, seed=seed):
         report = classify(seq, n)
         if report.case == "CompletelyDegenerate":
-            yield "unique", unique_solution(seq, n), seq, None
+            yield "unique", fixed_pair_lft(seq, n), seq, None
             continue
         R, r = build_resolvent(seq, n), report.r
         lifted = "lifted " if r < seq.q else ""
@@ -1138,7 +1221,7 @@ def test_a_point_and_a_one_point_array_refuse_alike():
     # at 0, exactly singular; the pair on f = 1 / (1 - z) at the root of
     # its denominator) and a point within the slit guard of an atom of f,
     # on it, 5e-13 below it on the real line or 1e-12 off it across it.
-    unique = unique_solution(scalar_seq([1, 0]), 0)
+    unique = fixed_pair_lft(scalar_seq([1, 0]), 0)
     seq = scalar_seq([1, 1])
     on_f = lft_solution(build_resolvent(seq, 0), StieltjesPair.from_function(
         StieltjesFunction([[0.0]], delta(1.0))), seq=seq, n=0)
@@ -1185,12 +1268,13 @@ def test_a_point_past_the_range_of_its_powers_has_its_value(q):
     # then read from the powers of 1 / z.  At 1e78j and 1e200j it agrees
     # with the 40-digit value and with -s_0 / z, with no RuntimeWarning,
     # for a constant and a function pair on definite data and for the
-    # unique solution, whose polynomial P has a lower degree than Theta.
+    # LFT of the fixed pair of completely degenerate data, whose
+    # polynomial P has a lower degree than Theta.
     rng = np.random.default_rng([q, 78])
     seq = atomic_fixture(rng, q, 3, 0.5)[1]
     R = build_resolvent(seq, 3)
     f = StieltjesFunction(np.eye(q), AtomicMeasure(0.5, q, [(1.5, np.eye(q))]))
-    one = unique_solution(atomic_fixture(rng, q, 3, 0.5, natoms=1)[1], 3)
+    one = fixed_pair_lft(atomic_fixture(rng, q, 3, 0.5, natoms=1)[1], 3)
     sols = [lft_solution(R, p, seq=seq, n=3) for p in (
         canonical_pair(classify(seq, 3)), StieltjesPair.from_function(f))]
     for S in sols + [one]:

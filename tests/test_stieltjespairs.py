@@ -100,6 +100,40 @@ def test_the_slit_refusal_names_the_first_point_and_its_first_atom():
     assert np.array_equal(mu.weights[0], np.eye(2))
 
 
+def test_a_point_that_is_not_finite_is_refused_by_name():
+    # NaN and infinite points are refused before any arithmetic, with no
+    # RuntimeWarning: at a point, the first such point of an array, and
+    # through a StieltjesFunction, on a measure with atoms and on one
+    # without, whose transform is 0 at every finite point.
+    nan, inf = complex(np.nan), complex(np.inf)
+    zs = np.array([[1j, 2.0], [complex(np.nan, 1.0), inf]])
+    for mu in (AtomicMeasure(0.0, 2, [(1.0, np.eye(2))]),
+               AtomicMeasure(0.0, 2, [])):
+        for f in (lambda z: transform(mu, z), StieltjesFunction(np.eye(2),
+                                                                mu)):
+            for z, bad in ((np.nan, nan), (np.array(inf), inf),
+                           (complex(-np.inf, 1.0), complex(-np.inf, 1.0)),
+                           (zs, complex(np.nan, 1.0)),
+                           (zs[:, ::-1], inf)):
+                with pytest.raises(ValueError) as err:
+                    f(z)
+                assert str(err.value) == f"point z = {bad} is not finite"
+            assert f(zs[0]).shape == (2, 2, 2)
+    # Mixed with a point on an atom, the first failing point names the
+    # error, as in a loop over the points.
+    mu = AtomicMeasure(0.0, 1, [(1.0, [[1.0]]), (2.0, [[1.0]])])
+    for zs, message in (
+            ([1j, 2.0, complex(np.nan, 1.0)],
+             "evaluation point (2+0j) coincides with atom 2.0"),
+            ([1j, np.inf, 1.0], "point z = (inf+0j) is not finite")):
+        with pytest.raises(ValueError) as loop:
+            for z in zs:
+                transform(mu, z)
+        with pytest.raises(ValueError) as batch:
+            transform(mu, np.array(zs))
+        assert str(batch.value) == str(loop.value) == message
+
+
 def test_transform_symmetry_and_positivity(rng):
     mu, _ = atomic_fixture(rng, 2, 1, alpha=0.5)
     for z in (0.3 + 1.2j, -2.0 + 0.4j):
